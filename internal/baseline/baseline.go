@@ -222,14 +222,31 @@ type Kernelized struct {
 	// storageWriteCost is the kernel block-layer + filesystem journalling
 	// cost per synchronous write, charged when pushing to a storage queue.
 	storageWriteCost time.Duration
-	// rr rotates the wait scan start (same fairness rule as core.Waiter;
-	// epoll likewise reports ready fds without favoring the lowest).
-	rr int
+	// waiter is the shared wait loop, driven over inner with the kernel
+	// path's costs hooked in: epoll_wait (or ring reap) on entry, and the
+	// wakeup plus another epoll_wait each time the thread slept.
+	waiter core.Waiter
 }
 
 // Wrap builds a Kernelized stack.
 func Wrap(inner demi.Drivable, node *sim.Node, prof Profile) *Kernelized {
-	return &Kernelized{inner: inner, node: node, prof: prof, storageWriteCost: costmodel.KernelBlockIO}
+	k := &Kernelized{inner: inner, node: node, prof: prof, storageWriteCost: costmodel.KernelBlockIO}
+	k.waiter = core.Waiter{
+		Runner:  inner,
+		Take:    inner.TryTake,
+		OnEnter: func() { node.Charge(prof.WaitCost) },
+	}
+	// An inner that offers neither count is rescanned after every step.
+	switch s := inner.(type) {
+	case interface{ Completions() uint64 }: // demi.Combined
+		k.waiter.Completions = s.Completions
+	case interface{ Tokens() *core.TokenTable }: // a network libOS
+		k.waiter.Completions = s.Tokens().Completions
+	}
+	if !prof.Polling {
+		k.waiter.OnWake = func() { node.Charge(prof.WakeCost + prof.WaitCost) }
+	}
+	return k
 }
 
 // Profile returns the wrapper's cost profile.
@@ -329,7 +346,8 @@ func (k *Kernelized) Pop(qd core.QDesc) (core.QToken, error) {
 	return k.inner.Pop(qd)
 }
 
-// finish applies receive-side costs to a completed event.
+// finish applies receive-side costs to a redeemed event (a zero event, as
+// returned beside an error, costs nothing).
 func (k *Kernelized) finish(ev core.QEvent) core.QEvent {
 	if k.prof.RxCopy && ev.Op == core.OpPop {
 		k.node.Charge(costmodel.Memcpy(ev.SGA.TotalLen()))
@@ -337,72 +355,23 @@ func (k *Kernelized) finish(ev core.QEvent) core.QEvent {
 	return ev
 }
 
-// wait runs the kernel-path wait loop: epoll_wait (or ring reap) plus
-// sleep/wake costs when not polling.
-func (k *Kernelized) wait(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	deadline := sim.Infinity
-	if timeout >= 0 {
-		deadline = k.inner.Now().Add(timeout)
-	}
-	k.node.Charge(k.prof.WaitCost)
-	for {
-		for j := range qts {
-			i := (k.rr + j) % len(qts)
-			ev, done, err := k.inner.TryTake(qts[i])
-			if err != nil {
-				return -1, core.QEvent{}, err
-			}
-			if done {
-				if len(qts) > 1 {
-					k.rr = i + 1
-				}
-				return i, k.finish(ev), nil
-			}
-		}
-		if k.inner.Step() {
-			continue
-		}
-		if k.inner.Now() >= deadline {
-			return -1, core.QEvent{}, core.ErrTimeout
-		}
-		if !k.inner.Block(deadline) {
-			return -1, core.QEvent{}, core.ErrStopped
-		}
-		if !k.prof.Polling {
-			// The thread slept in the kernel and was woken.
-			k.node.Charge(k.prof.WakeCost + k.prof.WaitCost)
-		}
-	}
-}
-
 // Wait blocks until qt completes.
 func (k *Kernelized) Wait(qt core.QToken) (core.QEvent, error) {
-	_, ev, err := k.wait([]core.QToken{qt}, -1)
-	return ev, err
+	ev, err := k.waiter.Wait(qt)
+	return k.finish(ev), err
 }
 
 // WaitAny blocks until one of qts completes.
 func (k *Kernelized) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	return k.wait(qts, timeout)
+	i, ev, err := k.waiter.WaitAny(qts, timeout)
+	return i, k.finish(ev), err
 }
 
 // WaitAll blocks until all tokens complete.
 func (k *Kernelized) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
-	events := make([]core.QEvent, len(qts))
-	remaining := make([]core.QToken, len(qts))
-	copy(remaining, qts)
-	idx := make([]int, len(qts))
-	for i := range idx {
-		idx[i] = i
+	events, err := k.waiter.WaitAll(qts, timeout)
+	for i := range events {
+		events[i] = k.finish(events[i])
 	}
-	for len(remaining) > 0 {
-		i, ev, err := k.wait(remaining, timeout)
-		if err != nil {
-			return events, err
-		}
-		events[idx[i]] = ev
-		remaining = append(remaining[:i], remaining[i+1:]...)
-		idx = append(idx[:i], idx[i+1:]...)
-	}
-	return events, nil
+	return events, err
 }

@@ -44,7 +44,9 @@ func (o *Op) Complete(ev QEvent) {
 	}
 	o.done = true
 	o.ev = ev
-	if t := o.tbl; t != nil && t.clock != nil {
+	t := o.tbl
+	t.completions++
+	if t.clock != nil {
 		o.completedAt = t.clock.Now()
 		if t.lat != nil {
 			t.lat.Observe(int64(o.completedAt - o.issuedAt))
@@ -65,8 +67,13 @@ func (o *Op) Fail(qd QDesc, opc OpCode, err error) {
 // complete inside Complete, redeem at TryTake. Uninstrumented tables pay
 // one nil check per stage.
 type TokenTable struct {
-	next   QToken
-	ops    map[QToken]*Op
+	next QToken
+	ops  map[QToken]*Op
+	// completions counts Op.Complete calls (Fail and Cancel included). An
+	// outstanding token's fate can only change through one, so a wait loop
+	// that found nothing ready need not look again until this moves.
+	completions uint64
+
 	clock  sim.Clock
 	coreID int32
 	lat    *telemetry.Histogram
@@ -121,6 +128,10 @@ func (t *TokenTable) SetForgeryHook(fn func(issuer, redeemer uint32)) { t.onForg
 // Forgeries returns the number of cross-tenant redemption attempts the
 // table has rejected.
 func (t *TokenTable) Forgeries() uint64 { return t.forgeries }
+
+// Completions returns how many of the table's operations have completed,
+// redeemed or not. It never decreases.
+func (t *TokenTable) Completions() uint64 { return t.completions }
 
 // New allocates a fresh operation and its qtoken.
 func (t *TokenTable) New() *Op {

@@ -20,6 +20,18 @@ type Waiter struct {
 	// The zero value is the host tenant, which redeems only host-minted
 	// tokens — tenancy is strict equality, never a wildcard.
 	Tenant uint32
+	// Take and Completions stand in for Table.TryTakeAs(qt, Tenant) and
+	// Table.Completions when the tokens live elsewhere: demi.Combined
+	// routes between two tables, baseline.Kernelized redeems through the
+	// stack it wraps. Completions must advance whenever an operation Take
+	// can redeem completes; without one, every Step and Block is followed
+	// by a rescan.
+	Take        func(QToken) (QEvent, bool, error)
+	Completions func() uint64
+	// OnEnter runs once per wait call, after the deadline is fixed; OnWake
+	// runs after every Block that returned true. The kernel-path baselines
+	// charge epoll_wait and wakeup latency there.
+	OnEnter, OnWake func()
 	// rr rotates WaitAny's scan start across calls so a busy low-index
 	// token cannot starve the rest. A server holding one pop per
 	// connection in a single wait set would otherwise serve only the
@@ -30,8 +42,11 @@ type Waiter struct {
 }
 
 // Wait blocks until qt completes and returns its event.
+//
+//demi:nonalloc
 func (w *Waiter) Wait(qt QToken) (QEvent, error) {
-	_, ev, err := w.WaitAny([]QToken{qt}, -1)
+	one := [1]QToken{qt}
+	_, ev, err := w.WaitAny(one[:], -1)
 	return ev, err
 }
 
@@ -39,15 +54,22 @@ func (w *Waiter) Wait(qt QToken) (QEvent, error) {
 // A negative timeout waits forever. Unlike epoll, exactly one completion is
 // consumed per call, so each worker waiting on its own tokens wakes alone
 // (no thundering herd; paper §3.3).
+//
+// The tokens are scanned once at entry — which is where an unknown, redeemed
+// or foreign token fails and an already complete one is taken — and after
+// that only when an operation has completed since the last scan: a token
+// found outstanding stays so until then, so the work of a wait follows
+// completions, not the size of the wait set.
+//
+//demi:nonalloc
 func (w *Waiter) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, error) {
-	deadline := sim.Infinity
-	if timeout >= 0 {
-		deadline = w.Runner.Now().Add(timeout)
-	}
+	deadline := w.enter(timeout)
 	for {
+		seen, _ := w.progress()
 		for k := range qts {
 			i := (w.rr + k) % len(qts)
-			ev, done, err := w.Table.TryTakeAs(qts[i], w.Tenant)
+			var ev QEvent
+			done, err := w.take(qts[i], &ev)
 			if err != nil {
 				return -1, QEvent{}, err
 			}
@@ -60,14 +82,8 @@ func (w *Waiter) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, erro
 				return i, ev, nil
 			}
 		}
-		if w.Runner.Step() {
-			continue
-		}
-		if w.Runner.Now() >= deadline {
-			return -1, QEvent{}, ErrTimeout
-		}
-		if !w.Runner.Block(deadline) {
-			return -1, QEvent{}, ErrStopped
+		if err := w.run(seen, deadline); err != nil {
+			return -1, QEvent{}, err
 		}
 	}
 }
@@ -76,42 +92,96 @@ func (w *Waiter) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, erro
 // order. On timeout, completed events consumed so far are returned with
 // ErrTimeout.
 func (w *Waiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) {
-	deadline := sim.Infinity
-	if timeout >= 0 {
-		deadline = w.Runner.Now().Add(timeout)
-	}
+	deadline := w.enter(timeout)
 	events := make([]QEvent, len(qts))
 	got := make([]bool, len(qts))
 	remaining := len(qts)
-	for remaining > 0 {
-		progress := false
+	for {
+		seen, _ := w.progress()
 		for i, qt := range qts {
 			if got[i] {
 				continue
 			}
-			ev, done, err := w.Table.TryTakeAs(qt, w.Tenant)
+			done, err := w.take(qt, &events[i])
 			if err != nil {
 				return events, err
 			}
 			if done {
-				events[i] = ev
 				got[i] = true
 				remaining--
-				progress = true
 			}
 		}
 		if remaining == 0 {
-			break
+			return events, nil
 		}
-		if progress || w.Runner.Step() {
-			continue
-		}
-		if w.Runner.Now() >= deadline {
-			return events, ErrTimeout
-		}
-		if !w.Runner.Block(deadline) {
-			return events, ErrStopped
+		if err := w.run(seen, deadline); err != nil {
+			return events, err
 		}
 	}
-	return events, nil
+}
+
+// enter fixes a wait call's deadline.
+//
+//demi:nonalloc
+func (w *Waiter) enter(timeout time.Duration) sim.Time {
+	deadline := sim.Infinity
+	if timeout >= 0 {
+		deadline = w.Runner.Now().Add(timeout)
+	}
+	if w.OnEnter != nil {
+		w.OnEnter()
+	}
+	return deadline
+}
+
+// take redeems qt into *into. The event goes out through a pointer because
+// a scan calls this once per token: returned by value through one more call
+// level, the event's copy cost a 1 024-token wait a fifth of its time.
+//
+//demi:nonalloc
+func (w *Waiter) take(qt QToken, into *QEvent) (done bool, err error) {
+	if w.Take != nil {
+		*into, done, err = w.Take(qt)
+	} else {
+		*into, done, err = w.Table.TryTakeAs(qt, w.Tenant)
+	}
+	return done, err
+}
+
+// progress returns the completion count of whatever take redeems from; ok
+// is false when it is unknown.
+//
+//demi:nonalloc
+func (w *Waiter) progress() (n uint64, ok bool) {
+	if w.Take == nil {
+		return w.Table.completions, true
+	}
+	if w.Completions == nil {
+		return 0, false
+	}
+	return w.Completions(), true
+}
+
+// run drives the Runner after a scan that found nothing ready — Step while
+// anything is runnable, Block when nothing is — until the completion count
+// moves past seen, the one thing that can make the next scan differ.
+//
+//demi:nonalloc
+func (w *Waiter) run(seen uint64, deadline sim.Time) error {
+	for {
+		if !w.Runner.Step() {
+			if w.Runner.Now() >= deadline {
+				return ErrTimeout
+			}
+			if !w.Runner.Block(deadline) {
+				return ErrStopped
+			}
+			if w.OnWake != nil {
+				w.OnWake()
+			}
+		}
+		if n, ok := w.progress(); !ok || n != seen {
+			return nil
+		}
+	}
 }

@@ -59,8 +59,8 @@ type SchedStatser interface {
 }
 
 // Drivable is a libOS whose wait loop can be driven externally (the
-// baseline wrappers re-implement the wait loop to charge kernel-path
-// costs). Combined and the network libOSes satisfy it.
+// baseline wrappers run core.Waiter over it to charge kernel-path costs).
+// Combined and the network libOSes satisfy it.
 type Drivable interface {
 	LibOS
 	TryTake(qt core.QToken) (core.QEvent, bool, error)
@@ -78,15 +78,16 @@ type Combined struct {
 	Stor StorOS
 	// pollNetNext alternates the fast path between devices.
 	pollNetNext bool
-	// rr rotates WaitAny's scan start so one hot token cannot starve the
-	// rest (same fairness rule as core.Waiter).
-	rr int
+	// waiter is the shared wait loop over both token tables.
+	waiter core.Waiter
 }
 
 // NewCombined integrates a network and a storage libOS running on the same
 // node.
 func NewCombined(net NetOS, stor StorOS) *Combined {
-	return &Combined{Net: net, Stor: stor}
+	c := &Combined{Net: net, Stor: stor}
+	c.waiter = core.Waiter{Runner: c, Take: c.TryTake, Completions: c.Completions}
+	return c
 }
 
 // Heap returns the network libOS's DMA heap (shared by convention: the
@@ -223,6 +224,12 @@ func (c *Combined) TryTake(qt core.QToken) (core.QEvent, bool, error) {
 	return c.Net.Tokens().TryTake(qt)
 }
 
+// Completions counts the operations completed on either side; a wait over
+// Combined's tokens rescans them only when it has moved.
+func (c *Combined) Completions() uint64 {
+	return c.Net.Tokens().Completions() + c.Stor.Tokens().Completions()
+}
+
 // Step alternates the two stacks' fast paths (paper §5.5: round-robin CPU
 // between network and storage I/O given no pending work).
 func (c *Combined) Step() bool {
@@ -259,81 +266,14 @@ func (c *Combined) SchedStats() sched.Stats {
 }
 
 // Wait blocks until qt completes.
-func (c *Combined) Wait(qt core.QToken) (core.QEvent, error) {
-	_, ev, err := c.WaitAny([]core.QToken{qt}, -1)
-	return ev, err
-}
+func (c *Combined) Wait(qt core.QToken) (core.QEvent, error) { return c.waiter.Wait(qt) }
 
 // WaitAny blocks until one of qts completes.
 func (c *Combined) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	deadline := sim.Infinity
-	if timeout >= 0 {
-		deadline = c.Net.Now().Add(timeout)
-	}
-	for {
-		for k := range qts {
-			i := (c.rr + k) % len(qts)
-			ev, done, err := c.TryTake(qts[i])
-			if err != nil {
-				return -1, core.QEvent{}, err
-			}
-			if done {
-				if len(qts) > 1 {
-					c.rr = i + 1
-				}
-				return i, ev, nil
-			}
-		}
-		if c.Step() {
-			continue
-		}
-		if c.Net.Now() >= deadline {
-			return -1, core.QEvent{}, core.ErrTimeout
-		}
-		if !c.Net.Block(deadline) {
-			return -1, core.QEvent{}, core.ErrStopped
-		}
-	}
+	return c.waiter.WaitAny(qts, timeout)
 }
 
 // WaitAll blocks until every token completes.
 func (c *Combined) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
-	events := make([]core.QEvent, len(qts))
-	got := make([]bool, len(qts))
-	remaining := len(qts)
-	deadline := sim.Infinity
-	if timeout >= 0 {
-		deadline = c.Net.Now().Add(timeout)
-	}
-	for remaining > 0 {
-		progress := false
-		for i, qt := range qts {
-			if got[i] {
-				continue
-			}
-			ev, done, err := c.TryTake(qt)
-			if err != nil {
-				return events, err
-			}
-			if done {
-				events[i] = ev
-				got[i] = true
-				remaining--
-				progress = true
-			}
-		}
-		if remaining == 0 {
-			break
-		}
-		if progress || c.Step() {
-			continue
-		}
-		if c.Net.Now() >= deadline {
-			return events, core.ErrTimeout
-		}
-		if !c.Net.Block(deadline) {
-			return events, core.ErrStopped
-		}
-	}
-	return events, nil
+	return c.waiter.WaitAll(qts, timeout)
 }
