@@ -1,13 +1,27 @@
+// iter.Pull needs Go 1.23. Both go.mod files stay at go 1.22 because the
+// benchmark module builds against this one and must not change in a PR that
+// claims a gain (raising only the root directive fails its build with
+// "updates to go.mod needed"); the next benchmark PR should raise both
+// together and drop this tag. There is deliberately no !go1.23 fallback.
+
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Engine is the discrete-event simulator. It owns the global event heap and
 // coordinates node execution with a baton: the engine loop either processes
 // the earliest pending event or hands control to the runnable node with the
-// smallest local clock, and waits for it to park. Because exactly one
-// goroutine (the engine or a single node) executes at any time, the engine
-// state needs no locks; the channels provide the happens-before edges.
+// smallest local clock, and waits for it to park. Each node's main runs as
+// a runtime coroutine (iter.Pull), so handing the baton over and getting it
+// back are two direct switches that never enter the Go scheduler. Because
+// exactly one of {engine, a single node} executes at any time, the engine
+// state needs no locks; the coroutine switches provide the happens-before
+// edges.
 //
 // Causality invariant: every runnable node's clock is >= the engine's
 // current time, and events are executed in nondecreasing (time, seq) order,
@@ -19,22 +33,16 @@ type Engine struct {
 	nodes []*Node
 	rng   *Rand
 
-	back          chan struct{} // baton: node -> engine
 	stopRequested bool
 	stopped       bool
 	runSeq        uint64 // ticks once per baton handoff (round-robin ties)
 
 	eventsRun uint64
-	mains     map[*Node]func() // app entry points not yet started
 }
 
 // NewEngine returns an engine with the given RNG seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{
-		rng:   NewRand(seed),
-		back:  make(chan struct{}),
-		mains: make(map[*Node]func()),
-	}
+	return &Engine{rng: NewRand(seed)}
 }
 
 // Now returns the engine's global virtual time: the timestamp of the last
@@ -51,12 +59,7 @@ func (e *Engine) EventsRun() uint64 { return e.eventsRun }
 // with no Spawned main still work as passive event targets (their devices
 // can be driven by events), but most nodes get a main via Spawn.
 func (e *Engine) NewNode(name string) *Node {
-	n := &Node{
-		eng:    e,
-		id:     len(e.nodes),
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	n := &Node{eng: e, id: len(e.nodes), name: name}
 	e.nodes = append(e.nodes, n)
 	return n
 }
@@ -64,24 +67,23 @@ func (e *Engine) NewNode(name string) *Node {
 // Spawn registers fn as the node's application main. The node becomes
 // runnable at the engine's current time. Spawn must be called before Run or
 // from inside the simulation (an event or another node).
+//
+// fn runs only while Run holds the baton. If fn panics, the node is marked
+// finished and the panic surfaces from Run on the goroutine that called it,
+// where it can be recovered; if fn calls runtime.Goexit (e.g. t.Fatal inside
+// a node's main), that goroutine exits instead. Either way Run first
+// releases every other parked node, as it does on an ordinary return.
 func (e *Engine) Spawn(n *Node, fn func()) {
 	if n.state != stateNew {
 		panic(fmt.Sprintf("sim: node %q spawned twice", n.name))
 	}
 	n.state = stateRunnable
 	n.clock = e.now
-	e.mains[n] = fn
-	go func() {
-		<-n.resume
-		// The deferred handoff also covers runtime.Goexit (e.g. t.Fatal
-		// inside a node's main), which would otherwise deadlock the
-		// engine loop waiting for the baton.
-		defer func() {
-			n.state = stateFinished
-			e.back <- struct{}{}
-		}()
+	n.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		n.yield = yield
+		defer func() { n.state = stateFinished }()
 		fn()
-	}()
+	})
 }
 
 // At schedules fn to run at virtual time t. After fn runs, target (if
@@ -124,6 +126,7 @@ func (e *Engine) minRunnable() *Node {
 // Run executes the simulation until it quiesces (no pending events and no
 // runnable node) or Stop is requested. It then releases every parked node.
 func (e *Engine) Run() {
+	defer e.shutdown() // also when a node's main panics or exits the goroutine
 	for !e.stopRequested {
 		next := e.minRunnable()
 		// Process every event at or before the next node's clock. With no
@@ -151,7 +154,6 @@ func (e *Engine) Run() {
 		}
 		e.step(next)
 	}
-	e.shutdown()
 }
 
 // step hands the baton to n and waits until it parks or finishes.
@@ -159,12 +161,11 @@ func (e *Engine) step(n *Node) {
 	e.runSeq++
 	n.ranSeq = e.runSeq
 	n.state = stateRunning
-	n.resume <- struct{}{}
-	<-e.back
+	n.next()
 }
 
 // shutdown marks the engine stopped and unblocks every parked node so its
-// goroutine can observe the stop and return.
+// main can observe the stop and return.
 func (e *Engine) shutdown() {
 	e.stopped = true
 	for {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +174,77 @@ func TestQuiescenceWithParkedServer(t *testing.T) {
 	}
 }
 
+// A panic in a node's main must surface from Run on the caller's goroutine,
+// with the node finished and every other node released first.
+func TestNodeMainPanicReachesRun(t *testing.T) {
+	e := NewEngine(1)
+	server, bad := e.NewNode("server"), e.NewNode("bad")
+	released := false
+	e.Spawn(server, func() {
+		for server.Park(Infinity) {
+		}
+		released = true
+	})
+	e.Spawn(bad, func() {
+		bad.Charge(time.Microsecond)
+		bad.Yield()
+		panic("boom")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+		t.Error("Run returned normally")
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want boom", got)
+	}
+	if bad.state != stateFinished {
+		t.Errorf("panicked node in state %d, want finished", bad.state)
+	}
+	if !released || server.state != stateFinished {
+		t.Errorf("parked server not released: released=%v state=%d", released, server.state)
+	}
+	if !bad.Stopped() {
+		t.Error("engine not stopped after the panic")
+	}
+}
+
+// runtime.Goexit in a node's main (what t.Fatal does) takes the goroutine
+// that called Run with it; Run must release the other nodes and end rather
+// than wait for a baton that never comes back.
+func TestNodeMainGoexitDoesNotDeadlock(t *testing.T) {
+	e := NewEngine(1)
+	server, quitter := e.NewNode("server"), e.NewNode("quitter")
+	released, returned := false, false
+	e.Spawn(server, func() {
+		for server.Park(Infinity) {
+		}
+		released = true
+	})
+	e.Spawn(quitter, func() {
+		quitter.Yield()
+		runtime.Goexit()
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run hung after a node's main called Goexit")
+	}
+	if returned {
+		t.Error("Run returned normally; Goexit should have ended its goroutine")
+	}
+	if quitter.state != stateFinished || !released || server.state != stateFinished {
+		t.Errorf("quitter state %d, server released=%v state %d", quitter.state, released, server.state)
+	}
+}
+
 func TestYieldOrdersByClock(t *testing.T) {
 	// A node that charged far ahead must let a lagging node catch up on
 	// Yield.
@@ -250,28 +323,68 @@ func TestRandDeterminismAndRange(t *testing.T) {
 	}
 }
 
+// Random interleaved pushes and pops must come out exactly as a sort by
+// (at, seq) would give them, carrying their own payload; the slab must
+// never outgrow the deepest the queue has been (slots are reused), and a
+// popped slot must hold neither closure nor node.
 func TestEventHeapProperty(t *testing.T) {
-	// Pushing random events and popping them must yield nondecreasing
-	// (time, seq) order.
-	f := func(seed uint64, count uint8) bool {
+	for seed := uint64(1); seed <= 200; seed++ {
 		r := NewRand(seed)
-		var h eventHeap
-		n := int(count)%64 + 1
-		for i := 0; i < n; i++ {
-			h.push(event{at: Time(r.Intn(100)), seq: uint64(i)})
-		}
-		prevAt, prevSeq := Time(-1), uint64(0)
-		for h.len() > 0 {
-			ev := h.pop()
-			if ev.at < prevAt || (ev.at == prevAt && ev.seq < prevSeq) {
-				return false
+		var (
+			h       eventHeap
+			pending []event // reference: kept sorted by (at, seq)
+			ran     uint64  // seq of the event whose fn ran last
+			deepest int
+			target  = &Node{}
+		)
+		for op, seq := 0, uint64(0); op < 600; op++ {
+			if len(pending) == 0 || r.Intn(100) < 55-op/20 { // fills, then drains
+				seq++
+				ev := event{at: Time(r.Intn(50)), seq: seq}
+				if r.Intn(2) == 0 {
+					ev.target = target
+				}
+				s := seq
+				ev.fn = func() { ran = s }
+				h.push(ev)
+				i := sort.Search(len(pending), func(i int) bool {
+					return pending[i].at > ev.at // seq only grows: after every equal at
+				})
+				pending = append(pending[:i], append([]event{ev}, pending[i:]...)...)
+				deepest = max(deepest, len(pending))
+			} else {
+				want := pending[0]
+				pending = pending[1:]
+				if k := h.peek(); k.at != want.at || k.seq != want.seq {
+					t.Fatalf("seed %d op %d: peek (%v, %d), want (%v, %d)", seed, op, k.at, k.seq, want.at, want.seq)
+				}
+				got := h.pop()
+				if got.at != want.at || got.seq != want.seq || got.target != want.target {
+					t.Fatalf("seed %d op %d: popped %+v, want %+v", seed, op, got, want)
+				}
+				if got.fn(); ran != want.seq {
+					t.Fatalf("seed %d op %d: popped (%v, %d) with the closure of seq %d", seed, op, got.at, got.seq, ran)
+				}
 			}
-			prevAt, prevSeq = ev.at, ev.seq
+			if h.len() != len(pending) {
+				t.Fatalf("seed %d op %d: len %d, want %d", seed, op, h.len(), len(pending))
+			}
+			if len(h.slab) != deepest || len(h.keys) != deepest {
+				t.Fatalf("seed %d op %d: %d slots and %d keys for a deepest queue of %d", seed, op, len(h.slab), len(h.keys), deepest)
+			}
+			// Slots of keys are a permutation of the slab; those past the
+			// heap are free and must have been cleared.
+			seen := make([]bool, len(h.slab))
+			for i, k := range h.keys {
+				if seen[k.slot] {
+					t.Fatalf("seed %d op %d: slot %d held twice", seed, op, k.slot)
+				}
+				seen[k.slot] = true
+				if p := h.slab[k.slot]; (i >= h.n) != (p.fn == nil) || (i >= h.n && p.target != nil) {
+					t.Fatalf("seed %d op %d: key %d of %d live: slot %d holds %+v", seed, op, i, h.n, k.slot, p)
+				}
+			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

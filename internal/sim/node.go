@@ -30,7 +30,11 @@ type Node struct {
 	busy   time.Duration // total charged CPU time
 	parks  uint64        // number of Park calls (idle transitions)
 	ranSeq uint64        // engine.runSeq at last baton grant (round-robin ties)
-	resume chan struct{} // baton: engine -> node
+
+	// The baton, set by Spawn: the engine calls next to run the node's main
+	// until it parks or returns; the main calls yield to park.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 }
 
 // Name returns the node's diagnostic name.
@@ -72,8 +76,7 @@ func (n *Node) Park(deadline Time) bool {
 	}
 	n.parks++
 	n.state = stateParked
-	n.eng.back <- struct{}{}
-	<-n.resume
+	n.yield(struct{}{})
 	return !n.eng.stopped
 }
 
