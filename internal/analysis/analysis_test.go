@@ -115,6 +115,14 @@ func TestCatmemOwnershipFixture(t *testing.T) {
 	runFixture(t, "catmemfix", OwnershipAnalyzer())
 }
 
+// TestFrontEndFixture pins both contracts across the PDPIX front end: calls
+// that resolve to methods promoted from an embedded core.FrontEnd are held
+// to the push and qtoken rules like direct ones, and a stack queue's
+// Push(op, sga, to) error consumes the array only on a nil return.
+func TestFrontEndFixture(t *testing.T) {
+	runFixture(t, "frontendfix", OwnershipAnalyzer(), QTokenAnalyzer())
+}
+
 // TestTenantFixture pins the multi-tenant error-path contracts: a
 // quota-rejected Push (ErrTenantQuota) leaves buffer ownership with the
 // caller, and a forged-token rejection (ErrBadQToken) consumes nothing —

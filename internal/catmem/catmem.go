@@ -95,17 +95,14 @@ type Stats struct {
 
 // LibOS is one application instance attached to a shared-memory region.
 type LibOS struct {
+	core.FrontEnd
 	region *Region
 	node   *sim.Node
-	tokens *core.TokenTable
-	qds    *core.QDescTable
-	waiter core.Waiter
 	flts   Faults
 	stats  Stats
 
 	conns     []*conn     // creation order: Step scans deterministically
 	listens   []*listener // ditto
-	curTenant uint32      // principal for the current EnterTenant bracket
 	tstats    map[uint32]*tenantStats
 	reg       *telemetry.Registry
 	stallHist *telemetry.Histogram
@@ -123,15 +120,12 @@ func (r *Region) New(node *sim.Node) *LibOS {
 	l := &LibOS{
 		region: r,
 		node:   node,
-		tokens: core.NewTokenTable(),
-		qds:    core.NewQDescTable(),
 		tstats: make(map[uint32]*tenantStats),
 	}
-	l.waiter = core.Waiter{Table: l.tokens, Runner: l}
 	l.reg = telemetry.NewRegistry(node.Name() + "/catmem")
 	l.stallHist = l.reg.Histogram("catmem.push_stall_ns")
-	l.tokens.Instrument(node, 0)
-	l.tokens.SetLatencyHist(l.reg.Histogram("core.qtoken_latency_ns"))
+	// Queue() descriptors share the rings' high-water mark.
+	l.FrontEnd = core.NewFrontEnd(l, node, l.reg, r.slots)
 	s := &l.stats
 	l.reg.Sample("catmem.connects", func() int64 { return int64(s.Connects) })
 	l.reg.Sample("catmem.accepts", func() int64 { return int64(s.Accepts) })
@@ -152,14 +146,10 @@ func (l *LibOS) SetFaults(f Faults) { l.flts = f }
 // annotations inside affected traces. A nil hop keeps the instance untraced.
 func (l *LibOS) AttachDTrace(h *dtrace.Hop) {
 	l.dt = h
-	l.tokens.SetDTrace(h)
+	l.FrontEnd.AttachDTrace(h)
 	l.siteRingFull = h.Label("fault:catmem.ring_full")
 	l.sitePeerDeath = h.Label("fault:catmem.peer_death")
 }
-
-// Tokens returns the qtoken table (flight-recorder attachment, leak
-// checks).
-func (l *LibOS) Tokens() *core.TokenTable { return l.tokens }
 
 // Telemetry returns the instance's metric registry.
 func (l *LibOS) Telemetry() *telemetry.Registry { return l.reg }
@@ -177,6 +167,9 @@ func (l *LibOS) Stats() Stats { return l.stats }
 
 // sockQueue is an unconnected socket placeholder created by Socket.
 type sockQueue struct {
+	core.Unconnected
+	lib    *LibOS
+	qd     core.QDesc
 	port   uint16
 	bound  bool
 	tenant uint32 // owning principal, captured at Socket
@@ -184,6 +177,7 @@ type sockQueue struct {
 
 // listener accepts rendezvous connections on a region port.
 type listener struct {
+	core.Unconnected
 	lib     *LibOS
 	qd      core.QDesc
 	port    uint16
@@ -228,24 +222,26 @@ func (c *conn) wakePeer() {
 	l.region.eng.At(l.node.Now().Add(l.region.handoff), p.lib.node, nil)
 }
 
-// push hands sga to the peer. Ownership of the segments passes to the
+// Push hands sga to the peer. Ownership of the segments passes to the
 // libOS here: delivered buffers are freed by the popper, undeliverable
-// ones by the queue.
-func (c *conn) push(op *core.Op, sga core.SGArray) {
+// ones by the queue (the producer never frees after a successful call).
+func (c *conn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	if to != (core.Addr{}) {
+		return core.ErrNotSupported
+	}
 	l := c.lib
 	ctx := sga.TraceCtx()
-	op.Trace(ctx)
 	if c.dead || c.closed || c.peerClosed {
 		sga.Free()
 		op.Fail(c.qd, core.OpPush, core.ErrQueueClosed)
-		return
+		return nil
 	}
 	if l.flts.PeerDeath.Fire(l.node.Now()) {
 		l.dt.Fault(ctx, l.sitePeerDeath, int64(l.node.Now()))
 		c.killPair()
 		sga.Free()
 		op.Fail(c.qd, core.OpPush, core.ErrQueueClosed)
-		return
+		return nil
 	}
 	l.node.Charge(costmodel.ShmRingOp)
 	if l.flts.RingFull.Active(l.node.Now()) || !c.tx.tryPush(sga) {
@@ -255,18 +251,21 @@ func (c *conn) push(op *core.Op, sga core.SGArray) {
 		l.stats.Stalls++
 		c.pushes = append(c.pushes, pendingPush{op: op, sga: sga, parkedAt: l.node.Now()})
 		l.armStallRetry()
-		return
+		return nil
 	}
 	l.stats.Pushes++
 	l.bumpPush(c.tenant)
 	l.dt.RingPush(ctx, int64(l.node.Now()))
 	op.Complete(core.QEvent{QD: c.qd, Op: core.OpPush})
 	c.wakePeer()
+	return nil
 }
 
-// pop completes op with the next ring entry, EOF after a peer close, or
+// Pop completes op with the next ring entry, EOF after a peer close, or
 // parks it.
-func (c *conn) pop(op *core.Op) {
+//
+//demi:budget=1us static estimate 631ns; with core.FrontEnd.Pop's 400ns this is the pop arming on the request fast path
+func (c *conn) Pop(op *core.Op) error {
 	l := c.lib
 	l.node.Charge(costmodel.ShmRingOp)
 	if sga, ok := c.rx.tryPop(); ok {
@@ -275,7 +274,7 @@ func (c *conn) pop(op *core.Op) {
 		l.dt.RingPop(sga.TraceCtx(), int64(l.node.Now()))
 		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop, SGA: sga})
 		c.wakePeer() // freed a slot: peer may have parked pushes
-		return
+		return nil
 	}
 	switch {
 	case c.dead:
@@ -287,6 +286,7 @@ func (c *conn) pop(op *core.Op) {
 	default:
 		c.pops = append(c.pops, op)
 	}
+	return nil
 }
 
 // step makes whatever progress the rings allow on this endpoint,
@@ -370,10 +370,10 @@ func (c *conn) drainFree() {
 	}
 }
 
-// close releases this endpoint. The peer keeps draining what we already
+// Close releases this endpoint. The peer keeps draining what we already
 // pushed (half-close); our own undrained rx data is freed here since the
 // descriptor is gone.
-func (c *conn) close() {
+func (c *conn) Close() {
 	if c.closed || c.dead {
 		return
 	}
@@ -474,52 +474,27 @@ func (l *LibOS) Block(deadline sim.Time) bool { return l.node.Park(deadline) }
 // Now returns the node's virtual clock.
 func (l *LibOS) Now() sim.Time { return l.node.Now() }
 
-// TryTake redeems a completed qtoken (demi.Drivable).
-func (l *LibOS) TryTake(qt core.QToken) (core.QEvent, bool, error) {
-	return l.tokens.TryTake(qt)
-}
+// --- core.Stack and the rendezvous control path ---
 
-// --- PDPIX entry points ---
+// Libcall charges one library call.
+func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
 
-// Socket creates a stream socket (shared-memory queues are
+// NewSocket builds a stream socket (shared-memory queues are
 // connection-oriented; there is no datagram flavor).
-func (l *LibOS) Socket(t core.SockType) (core.QDesc, error) {
-	l.node.Charge(costmodel.Libcall)
+func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
 	if t != core.SockStream {
-		return core.InvalidQD, core.ErrNotSupported
+		return nil, core.ErrNotSupported
 	}
-	return l.qds.Insert(&sockQueue{tenant: l.curTenant}), nil
+	return &sockQueue{lib: l, qd: qd, tenant: l.Tokens().Issuer()}, nil
 }
 
-// Queue creates an in-memory queue bounded at the region's ring capacity.
-func (l *LibOS) Queue() (core.QDesc, error) {
-	l.node.Charge(costmodel.Libcall)
-	qd := l.qds.Insert(nil)
-	l.qds.Restore(qd, core.NewBoundedMemQueue(qd, l.region.slots))
-	return qd, nil
-}
-
-// Open is not supported: catmem has no storage stack.
-func (l *LibOS) Open(name string) (core.QDesc, error) {
-	return core.InvalidQD, core.ErrNotSupported
-}
-
-// Bind claims a rendezvous port in the region's namespace. Only the IP's
-// port matters — the region is one host.
-func (l *LibOS) Bind(qd core.QDesc, addr core.Addr) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	s, ok := q.(*sockQueue)
-	if !ok {
-		return core.ErrNotSupported
-	}
+// Bind claims a rendezvous port in the region's namespace. Only the
+// address's port matters — the region is one host.
+func (s *sockQueue) Bind(addr core.Addr) error {
 	if s.bound {
 		return core.ErrInUse
 	}
-	if _, used := l.region.listeners[addr.Port]; used {
+	if _, used := s.lib.region.listeners[addr.Port]; used {
 		return core.ErrInUse
 	}
 	s.port = addr.Port
@@ -527,42 +502,28 @@ func (l *LibOS) Bind(qd core.QDesc, addr core.Addr) error {
 	return nil
 }
 
-// Listen publishes the bound port for rendezvous.
-func (l *LibOS) Listen(qd core.QDesc, backlog int) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	s, ok := q.(*sockQueue)
-	if !ok {
-		return core.ErrNotSupported
-	}
+// Listen publishes the bound port for rendezvous; the descriptor becomes a
+// listener.
+func (s *sockQueue) Listen(backlog int) error {
+	l := s.lib
 	if !s.bound {
 		return core.ErrNotBound
 	}
 	if _, used := l.region.listeners[s.port]; used {
 		return core.ErrInUse
 	}
-	ln := &listener{lib: l, qd: qd, port: s.port, tenant: s.tenant}
-	l.qds.Restore(qd, ln)
+	ln := &listener{lib: l, qd: s.qd, port: s.port, tenant: s.tenant}
+	l.Queues().Replace(s.qd, ln)
 	l.region.listeners[s.port] = ln
 	l.listens = append(l.listens, ln)
 	return nil
 }
 
-// Accept asks for the next rendezvous on a listening queue.
-func (l *LibOS) Accept(qd core.QDesc) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	ln, ok := q.(*listener)
-	if !ok {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	op := l.tokens.New()
+// Close releases an unconnected socket; it holds nothing.
+func (s *sockQueue) Close() {}
+
+// Accept asks for the next rendezvous.
+func (ln *listener) Accept(op *core.Op) error {
 	if len(ln.backlog) > 0 {
 		c := ln.backlog[0]
 		ln.backlog = ln.backlog[1:]
@@ -570,17 +531,32 @@ func (l *LibOS) Accept(qd core.QDesc) (core.QToken, error) {
 	} else {
 		ln.accepts = append(ln.accepts, op)
 	}
-	return op.Token(), nil
+	return nil
 }
 
 // complete finishes an accept: the server-side endpoint gets its
 // descriptor and joins the instance's scan set.
 func (ln *listener) complete(op *core.Op, c *conn) {
 	l := ln.lib
-	c.qd = l.qds.Insert(c)
+	c.qd = l.Queues().Insert(c)
 	l.adopt(c)
 	l.stats.Accepts++
 	op.Complete(core.QEvent{QD: ln.qd, Op: core.OpAccept, NewQD: c.qd})
+}
+
+// Close unpublishes the port: parked accepts fail and never-accepted
+// clients see EOF.
+func (ln *listener) Close() {
+	ln.closed = true
+	delete(ln.lib.region.listeners, ln.port)
+	for _, op := range ln.accepts {
+		op.Fail(ln.qd, core.OpAccept, core.ErrQueueClosed)
+	}
+	ln.accepts = nil
+	for _, c := range ln.backlog {
+		c.Close()
+	}
+	ln.backlog = nil
 }
 
 // adopt adds a connected endpoint to the Step scan and publishes its
@@ -592,133 +568,30 @@ func (l *LibOS) adopt(c *conn) {
 	l.reg.Sample(fmt.Sprintf("catmem.q%d.depth", c.qd), func() int64 { return int64(r.depth()) })
 }
 
-// Connect performs the rendezvous: a duplex ring pair is carved and the
-// server-side endpoint is queued for accept. Shared-memory connect needs
-// no handshake round trip, so the op completes immediately.
-func (l *LibOS) Connect(qd core.QDesc, addr core.Addr) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	sq, ok := q.(*sockQueue)
-	if !ok {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	op := l.tokens.New()
+// Connect performs the rendezvous: a duplex ring pair is carved, the
+// descriptor becomes the client endpoint and the server-side endpoint is
+// queued for accept. Shared-memory connect needs no handshake round trip,
+// so the op completes immediately.
+func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
+	l := s.lib
 	ln := l.region.listeners[addr.Port]
 	if ln == nil || ln.closed {
-		op.Fail(qd, core.OpConnect, core.ErrConnRefused)
-		return op.Token(), nil
+		op.Fail(s.qd, core.OpConnect, core.ErrConnRefused)
+		return nil
 	}
 	c2s := newRing(l.region.slots)
 	s2c := newRing(l.region.slots)
-	cli := &conn{lib: l, qd: qd, tenant: sq.tenant, rx: s2c, tx: c2s}
+	cli := &conn{lib: l, qd: s.qd, tenant: s.tenant, rx: s2c, tx: c2s}
 	srv := &conn{lib: ln.lib, tenant: ln.tenant, rx: c2s, tx: s2c}
 	cli.peer = srv
 	srv.peer = cli
-	l.qds.Restore(qd, cli)
+	l.Queues().Replace(s.qd, cli)
 	l.adopt(cli)
 	ln.backlog = append(ln.backlog, srv)
 	l.stats.Connects++
-	op.Complete(core.QEvent{QD: qd, Op: core.OpConnect, NewQD: qd})
+	op.Complete(core.QEvent{QD: s.qd, Op: core.OpConnect, NewQD: s.qd})
 	cli.wakePeer() // let the listener's Step deliver the accept
-	return op.Token(), nil
-}
-
-// Close releases a queue.
-func (l *LibOS) Close(qd core.QDesc) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	switch s := q.(type) {
-	case *conn:
-		s.close()
-	case *listener:
-		s.closed = true
-		delete(l.region.listeners, s.port)
-		for _, op := range s.accepts {
-			op.Fail(qd, core.OpAccept, core.ErrQueueClosed)
-		}
-		s.accepts = nil
-		for _, c := range s.backlog {
-			c.close() // never accepted: the client sees EOF
-		}
-		s.backlog = nil
-	case *core.MemQueue:
-		s.Destroy() // descriptor gone: free undrained data, never leak
-	}
-	l.qds.Remove(qd)
 	return nil
-}
-
-// Push hands sga to the peer; see the package comment for the ownership
-// contract (the producer never frees after a successful call).
-func (l *LibOS) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	if len(sga.Segs) == 0 {
-		return core.InvalidQToken, core.ErrEmptySGA
-	}
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	switch s := q.(type) {
-	case *conn:
-		op := l.tokens.New()
-		s.push(op, sga)
-		return op.Token(), nil
-	case *core.MemQueue:
-		op := l.tokens.New()
-		op.Trace(sga.TraceCtx())
-		s.Push(op, sga)
-		return op.Token(), nil
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-}
-
-// PushTo is unsupported: shared-memory queues are connection-oriented.
-func (l *LibOS) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	return core.InvalidQToken, core.ErrNotSupported
-}
-
-// Pop asks for the next scatter-gather array on the queue.
-//
-//demi:budget=5us static estimate 3.124us; pop arming is on the request fast path
-func (l *LibOS) Pop(qd core.QDesc) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	switch s := q.(type) {
-	case *conn:
-		op := l.tokens.New()
-		s.pop(op)
-		return op.Token(), nil
-	case *core.MemQueue:
-		op := l.tokens.New()
-		s.Pop(op)
-		return op.Token(), nil
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-}
-
-// Wait blocks until qt completes.
-func (l *LibOS) Wait(qt core.QToken) (core.QEvent, error) { return l.waiter.Wait(qt) }
-
-// WaitAny blocks until one of qts completes.
-func (l *LibOS) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	return l.waiter.WaitAny(qts, timeout)
-}
-
-// WaitAll blocks until all of qts complete.
-func (l *LibOS) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
-	return l.waiter.WaitAll(qts, timeout)
 }
 
 // Interface conformance: Catmem is a full PDPIX libOS and externally

@@ -26,14 +26,6 @@ func (l *LibOS) RegisterTenant(tid, weight uint32) {
 	l.reg.Sample(prefix+"pops", func() int64 { return int64(ts.pops) })
 }
 
-// EnterTenant brackets PDPIX calls issued on behalf of a tenant
-// (tenant.Enterer): sockets created inside the bracket — and the
-// connections they become — belong to that principal.
-func (l *LibOS) EnterTenant(tid uint32) { l.curTenant = tid }
-
-// ExitTenant ends the bracket; subsequent calls run as the host.
-func (l *LibOS) ExitTenant() { l.curTenant = 0 }
-
 func (l *LibOS) bumpPush(tid uint32) {
 	if ts := l.tstats[tid]; ts != nil {
 		ts.pushes++

@@ -13,7 +13,6 @@ import (
 
 	"demikernel/internal/core"
 	"demikernel/internal/costmodel"
-	"demikernel/internal/dtrace"
 	"demikernel/internal/memory"
 	"demikernel/internal/rdmadev"
 	"demikernel/internal/sched"
@@ -110,14 +109,12 @@ func newCounters(reg *telemetry.Registry) counters {
 
 // LibOS is a Catmint instance for one node + RDMA NIC.
 type LibOS struct {
-	node   *sim.Node
-	nic    *rdmadev.NIC
-	heap   *memory.Heap
-	sched  *sched.Scheduler
-	tokens *core.TokenTable
-	waiter core.Waiter
-	qds    *core.QDescTable
-	cfg    Config
+	core.FrontEnd
+	node  *sim.Node
+	nic   *rdmadev.NIC
+	heap  *memory.Heap
+	sched *sched.Scheduler
+	cfg   Config
 
 	cmListener *rdmadev.Listener
 	book       *AddrBook
@@ -126,7 +123,6 @@ type LibOS struct {
 	nextConnID uint32
 	reg        *telemetry.Registry
 	stats      counters
-	dt         *dtrace.Hop // distributed-trace hop; nil when untraced
 }
 
 // New builds a Catmint libOS on an RDMA NIC. The application heap registers
@@ -139,8 +135,6 @@ func New(node *sim.Node, nic *rdmadev.NIC, cfg Config) *LibOS {
 		node:      node,
 		nic:       nic,
 		sched:     sched.New(),
-		tokens:    core.NewTokenTable(),
-		qds:       core.NewQDescTable(),
 		cfg:       cfg,
 		book:      cfg.Book,
 		links:     make(map[simnet.MAC]*peerLink),
@@ -150,12 +144,10 @@ func New(node *sim.Node, nic *rdmadev.NIC, cfg Config) *LibOS {
 	l.stats = newCounters(l.reg)
 	l.heap = memory.NewHeap(nic.RegisterMemory)
 	l.heap.PublishTelemetry(l.reg, "mem")
-	l.tokens.Instrument(node, 0)
-	l.tokens.SetLatencyHist(l.reg.Histogram("core.qtoken_latency_ns"))
+	l.FrontEnd = core.NewFrontEnd(l, node, l.reg, 0)
 	sc := l.sched
 	l.reg.Sample("sched.polls", func() int64 { return int64(sc.Stats().Polls) })
 	l.reg.Sample("sched.empty_scans", func() int64 { return int64(sc.Stats().EmptyScans) })
-	l.waiter = core.Waiter{Table: l.tokens, Runner: l}
 	var err error
 	l.cmListener, err = nic.ListenCM(cfg.CMPort)
 	if err != nil {
@@ -190,14 +182,6 @@ func (l *LibOS) Stats() Stats {
 
 // Telemetry returns the libOS's metric registry.
 func (l *LibOS) Telemetry() *telemetry.Registry { return l.reg }
-
-// AttachDTrace connects the libOS to a distributed-trace hop: redeemed
-// qtoken spans carry trace contexts stamped from pushed SGArrays (and from
-// popped messages' buffer tags on the receive side).
-func (l *LibOS) AttachDTrace(h *dtrace.Hop) {
-	l.dt = h
-	l.tokens.SetDTrace(h)
-}
 
 // SchedStats returns the per-core coroutine scheduler's counters
 // (demikernel.SchedStatser) for utilization breakdowns.
@@ -627,12 +611,4 @@ func (l *LibOS) linkTo(remote simnet.MAC) (*peerLink, error) {
 		}
 	}
 	return pl, nil
-}
-
-// Tokens exposes the qtoken table for libOS integration (demi.Combined).
-func (l *LibOS) Tokens() *core.TokenTable { return l.tokens }
-
-// TryTake redeems a completed qtoken (demi.Drivable).
-func (l *LibOS) TryTake(qt core.QToken) (core.QEvent, bool, error) {
-	return l.tokens.TryTake(qt)
 }

@@ -442,19 +442,3 @@ func TestCatmintListenerCloseFailsPendingAccepts(t *testing.T) {
 		t.Fatalf("pending accept got %v, want ErrQueueClosed", acceptErr)
 	}
 }
-
-func TestCatmintBadDescriptor(t *testing.T) {
-	eng, la, _ := pair(t, 11, nil)
-	eng.Spawn(la.Node(), func() {
-		if _, err := la.Pop(9999); !errors.Is(err, core.ErrBadQDesc) {
-			t.Errorf("pop: %v", err)
-		}
-		if _, err := la.Push(9999, core.SGA(memory.CopyFrom(la.Heap(), []byte("x")))); !errors.Is(err, core.ErrBadQDesc) {
-			t.Errorf("push: %v", err)
-		}
-		if _, err := la.PushTo(1, core.SGArray{}, core.Addr{}); !errors.Is(err, core.ErrNotSupported) {
-			t.Errorf("pushto: %v", err)
-		}
-	})
-	eng.Run()
-}

@@ -1,8 +1,6 @@
 package catmint
 
 import (
-	"time"
-
 	"demikernel/internal/core"
 	"demikernel/internal/costmodel"
 	"demikernel/internal/memory"
@@ -150,53 +148,31 @@ func (ln *listener) established(c *conn) {
 
 func (ln *listener) complete(op *core.Op, c *conn) {
 	s := &socket{lib: ln.lib, port: ln.port, bound: true, conn: c}
-	s.qd = ln.lib.qds.Insert(s)
+	s.qd = ln.lib.Queues().Insert(s)
 	c.qd = s.qd
 	op.Complete(core.QEvent{QD: ln.qd, Op: core.OpAccept, NewQD: s.qd})
 }
 
-// --- PDPIX entry points ---
+// --- core.Stack and the socket queue ---
 
-// Socket creates a stream socket (Catmint has no datagram support; RDMA RC
-// is connection-oriented).
-func (l *LibOS) Socket(t core.SockType) (core.QDesc, error) {
-	l.node.Charge(costmodel.Libcall)
+// Libcall charges one library call.
+func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
+
+// NewSocket builds a stream socket (Catmint has no datagram support; RDMA
+// RC is connection-oriented).
+func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
 	if t != core.SockStream {
-		return core.InvalidQD, core.ErrNotSupported
+		return nil, core.ErrNotSupported
 	}
-	s := &socket{lib: l}
-	s.qd = l.qds.Insert(s)
-	return s.qd, nil
-}
-
-// Queue creates an in-memory queue.
-func (l *LibOS) Queue() (core.QDesc, error) {
-	l.node.Charge(costmodel.Libcall)
-	qd := l.qds.Insert(nil)
-	l.qds.Restore(qd, core.NewMemQueue(qd))
-	return qd, nil
-}
-
-// Open is provided by the Catmint×Cattree integration.
-func (l *LibOS) Open(name string) (core.QDesc, error) {
-	return core.InvalidQD, core.ErrNotSupported
+	return &socket{lib: l, qd: qd}, nil
 }
 
 // Bind assigns the local port.
-func (l *LibOS) Bind(qd core.QDesc, addr core.Addr) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	s, ok := q.(*socket)
-	if !ok {
-		return core.ErrNotSupported
-	}
+func (s *socket) Bind(addr core.Addr) error {
 	if s.bound {
 		return core.ErrInUse
 	}
-	if _, used := l.listeners[addr.Port]; used {
+	if _, used := s.lib.listeners[addr.Port]; used {
 		return core.ErrInUse
 	}
 	s.port = addr.Port
@@ -205,38 +181,22 @@ func (l *LibOS) Bind(qd core.QDesc, addr core.Addr) error {
 }
 
 // Listen starts accepting connections on the bound port.
-func (l *LibOS) Listen(qd core.QDesc, backlog int) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	s, ok := q.(*socket)
-	if !ok {
-		return core.ErrNotSupported
-	}
+func (s *socket) Listen(backlog int) error {
 	if !s.bound {
 		return core.ErrNotBound
 	}
-	ln := &listener{lib: l, qd: qd, port: s.port}
+	ln := &listener{lib: s.lib, qd: s.qd, port: s.port}
 	s.listener = ln
-	l.listeners[s.port] = ln
+	s.lib.listeners[s.port] = ln
 	return nil
 }
 
 // Accept asks for the next inbound connection.
-func (l *LibOS) Accept(qd core.QDesc) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	s, ok := q.(*socket)
-	if !ok || s.listener == nil {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	op := l.tokens.New()
+func (s *socket) Accept(op *core.Op) error {
 	ln := s.listener
+	if ln == nil {
+		return core.ErrNotSupported
+	}
 	if len(ln.ready) > 0 {
 		c := ln.ready[0]
 		ln.ready = ln.ready[1:]
@@ -244,133 +204,66 @@ func (l *LibOS) Accept(qd core.QDesc) (core.QToken, error) {
 	} else {
 		ln.accepts = append(ln.accepts, op)
 	}
-	return op.Token(), nil
-}
-
-// Connect opens a multiplexed connection to addr (resolved to a NIC).
-func (l *LibOS) Connect(qd core.QDesc, addr core.Addr) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	s, ok := q.(*socket)
-	if !ok || s.conn != nil || s.listener != nil {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	mac, ok := l.book.m[addr.IP]
-	if !ok {
-		return core.InvalidQToken, core.ErrConnRefused
-	}
-	op := l.tokens.New()
-	pl, err := l.linkTo(mac)
-	if err != nil {
-		op.Fail(qd, core.OpConnect, err)
-		return op.Token(), nil
-	}
-	l.nextConnID++
-	c := &conn{lib: l, link: pl, qd: qd, localID: l.nextConnID, connectOp: op}
-	pl.conns[c.localID] = c
-	s.conn = c
-	pl.send(buildHeader(msgConnect, c.localID, uint32(addr.Port)), core.SGArray{}, nil, core.InvalidQD)
-	return op.Token(), nil
-}
-
-// Close releases a queue.
-func (l *LibOS) Close(qd core.QDesc) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	switch s := q.(type) {
-	case *socket:
-		if s.listener != nil {
-			s.listener.closed = true
-			delete(l.listeners, s.listener.port)
-			for _, op := range s.listener.accepts {
-				op.Fail(qd, core.OpAccept, core.ErrQueueClosed)
-			}
-		}
-		if s.conn != nil {
-			s.conn.close()
-		}
-	case *core.MemQueue:
-		s.Destroy() // descriptor gone: free undrained data, never leak
-	}
-	l.qds.Remove(qd)
 	return nil
 }
 
-// Push submits one message.
-func (l *LibOS) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	if len(sga.Segs) == 0 {
-		return core.InvalidQToken, core.ErrEmptySGA
+// Connect opens a multiplexed connection to addr (resolved to a NIC).
+func (s *socket) Connect(op *core.Op, addr core.Addr) error {
+	l := s.lib
+	if s.listener != nil {
+		return core.ErrNotSupported // a listening socket cannot dial out
 	}
-	q, ok := l.qds.Lookup(qd)
+	if s.conn != nil {
+		return core.ErrInUse
+	}
+	mac, ok := l.book.m[addr.IP]
 	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
+		return core.ErrConnRefused
 	}
-	// Validate before minting the op: an op created then abandoned on an
-	// error return would linger outstanding in the token table forever.
-	switch s := q.(type) {
-	case *socket:
-		if s.conn == nil {
-			return core.InvalidQToken, core.ErrNotBound
+	pl, err := l.linkTo(mac)
+	if err != nil {
+		op.Fail(s.qd, core.OpConnect, err)
+		return nil
+	}
+	l.nextConnID++
+	c := &conn{lib: l, link: pl, qd: s.qd, localID: l.nextConnID, connectOp: op}
+	pl.conns[c.localID] = c
+	s.conn = c
+	pl.send(buildHeader(msgConnect, c.localID, uint32(addr.Port)), core.SGArray{}, nil, core.InvalidQD)
+	return nil
+}
+
+// Close stops listening and tears the connection down.
+func (s *socket) Close() {
+	if ln := s.listener; ln != nil {
+		ln.closed = true
+		delete(s.lib.listeners, ln.port)
+		for _, op := range ln.accepts {
+			op.Fail(s.qd, core.OpAccept, core.ErrQueueClosed)
 		}
-		op := l.tokens.New()
-		op.Trace(sga.TraceCtx())
-		s.conn.push(op, sga)
-		return op.Token(), nil
-	case *core.MemQueue:
-		op := l.tokens.New()
-		op.Trace(sga.TraceCtx())
-		s.Push(op, sga)
-		return op.Token(), nil
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
+	}
+	if s.conn != nil {
+		s.conn.close()
 	}
 }
 
-// PushTo is unsupported on connection-oriented Catmint.
-func (l *LibOS) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	return core.InvalidQToken, core.ErrNotSupported
+// Push submits one message.
+func (s *socket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	if to != (core.Addr{}) {
+		return core.ErrNotSupported
+	}
+	if s.conn == nil {
+		return core.ErrNotBound
+	}
+	s.conn.push(op, sga)
+	return nil
 }
 
 // Pop asks for the next message.
-func (l *LibOS) Pop(qd core.QDesc) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
+func (s *socket) Pop(op *core.Op) error {
+	if s.conn == nil {
+		return core.ErrNotBound
 	}
-	switch s := q.(type) {
-	case *socket:
-		if s.conn == nil {
-			return core.InvalidQToken, core.ErrNotBound
-		}
-		op := l.tokens.New()
-		s.conn.pop(op)
-		return op.Token(), nil
-	case *core.MemQueue:
-		op := l.tokens.New()
-		s.Pop(op)
-		return op.Token(), nil
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-}
-
-// Wait blocks until qt completes.
-func (l *LibOS) Wait(qt core.QToken) (core.QEvent, error) { return l.waiter.Wait(qt) }
-
-// WaitAny blocks until one of qts completes.
-func (l *LibOS) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	return l.waiter.WaitAny(qts, timeout)
-}
-
-// WaitAll blocks until all of qts complete.
-func (l *LibOS) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
-	return l.waiter.WaitAll(qts, timeout)
+	s.conn.pop(op)
+	return nil
 }

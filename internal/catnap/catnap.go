@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"demikernel/internal/core"
-	"demikernel/internal/dtrace"
 	"demikernel/internal/memory"
 	"demikernel/internal/sim"
 	"demikernel/internal/telemetry"
@@ -38,11 +37,9 @@ type Stats struct {
 
 // LibOS is a Catnap instance.
 type LibOS struct {
-	clock  *sim.WallClock
-	tokens *core.TokenTable
-	qds    *core.QDescTable
-	waiter core.Waiter
-	heap   *memory.Heap
+	core.FrontEnd
+	clock *sim.WallClock
+	heap  *memory.Heap
 
 	// pending carries completions from reader goroutines to the
 	// application thread; activity wakes Block.
@@ -53,7 +50,6 @@ type LibOS struct {
 	dir   string // directory for storage log files
 	stats Stats
 	reg   *telemetry.Registry
-	dt    *dtrace.Hop // distributed-trace hop; nil when untraced
 }
 
 // New builds a Catnap libOS. dir is where storage logs live ("" disables
@@ -61,14 +57,11 @@ type LibOS struct {
 func New(dir string) *LibOS {
 	l := &LibOS{
 		clock:    sim.NewWallClock(),
-		tokens:   core.NewTokenTable(),
-		qds:      core.NewQDescTable(),
 		heap:     memory.NewHeap(nil),
 		pending:  make(chan func(), 4096),
 		activity: make(chan struct{}, 1),
 		dir:      dir,
 	}
-	l.waiter = core.Waiter{Table: l.tokens, Runner: l}
 	l.reg = telemetry.NewRegistry("catnap")
 	s := &l.stats
 	l.reg.Sample("catnap.tcp_accepts", func() int64 { return int64(s.TCPAccepts) })
@@ -79,21 +72,10 @@ func New(dir string) *LibOS {
 	l.reg.Sample("catnap.file_reads", func() int64 { return int64(s.FileReads) })
 	l.reg.Sample("catnap.rx_alloc_drops", func() int64 { return int64(s.RxAllocDrops) })
 	l.heap.PublishTelemetry(l.reg, "mem")
-	l.tokens.Instrument(l.clock, 0)
-	l.tokens.SetLatencyHist(l.reg.Histogram("core.qtoken_latency_ns"))
+	// Traces are single-hop here: the kernel path cannot carry the context
+	// across the wire (no trailer on kernel sockets).
+	l.FrontEnd = core.NewFrontEnd(l, l.clock, l.reg, 0)
 	return l
-}
-
-// Tokens returns the qtoken table (for flight-recorder attachment).
-func (l *LibOS) Tokens() *core.TokenTable { return l.tokens }
-
-// AttachDTrace connects the libOS to a distributed-trace hop: redeemed
-// qtoken spans carry trace contexts stamped from pushed SGArrays. The
-// kernel path cannot carry the context across the wire (no trailer on
-// kernel sockets), so catnap traces are single-hop.
-func (l *LibOS) AttachDTrace(h *dtrace.Hop) {
-	l.dt = h
-	l.tokens.SetDTrace(h)
 }
 
 // Telemetry returns the libOS's metric registry. Timestamps here are
@@ -180,6 +162,7 @@ type tcpQueue struct {
 
 // listenQueue is a listening TCP socket.
 type listenQueue struct {
+	core.Unconnected
 	lib     *LibOS
 	qd      core.QDesc
 	ln      net.Listener
@@ -204,6 +187,9 @@ type udpDatagram struct {
 
 // sockQueue is an unbound socket placeholder created by Socket.
 type sockQueue struct {
+	core.Unconnected
+	lib  *LibOS
+	qd   core.QDesc
 	typ  core.SockType
 	port uint16
 }
@@ -219,26 +205,29 @@ type fileQueue struct {
 // loopback renders a PDPIX address on the loopback interface.
 func loopback(a core.Addr) string { return fmt.Sprintf("127.0.0.1:%d", a.Port) }
 
-// --- PDPIX entry points ---
+// --- core.Stack and the socket control path ---
 
-// Socket creates a socket queue.
-func (l *LibOS) Socket(t core.SockType) (core.QDesc, error) {
+// Libcall charges nothing: Catnap runs on the wall clock.
+func (l *LibOS) Libcall() {}
+
+// NewSocket builds an unbound socket placeholder.
+func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
 	if t != core.SockStream && t != core.SockDgram {
-		return core.InvalidQD, core.ErrNotSupported
+		return nil, core.ErrNotSupported
 	}
-	return l.qds.Insert(&sockQueue{typ: t}), nil
+	return &sockQueue{lib: l, qd: qd, typ: t}, nil
+}
+
+// become swaps the socket's descriptor over to the UDP queue around conn.
+func (s *sockQueue) become(conn *net.UDPConn) *udpQueue {
+	u := &udpQueue{lib: s.lib, qd: s.qd, conn: conn}
+	s.lib.Queues().Replace(s.qd, u)
+	go u.readLoop()
+	return u
 }
 
 // Bind records the local port.
-func (l *LibOS) Bind(qd core.QDesc, addr core.Addr) error {
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	s, ok := q.(*sockQueue)
-	if !ok {
-		return core.ErrNotSupported
-	}
+func (s *sockQueue) Bind(addr core.Addr) error {
 	s.port = addr.Port
 	if s.typ == core.SockDgram {
 		// Datagram sockets bind eagerly so pops can start.
@@ -250,32 +239,29 @@ func (l *LibOS) Bind(qd core.QDesc, addr core.Addr) error {
 		if err != nil {
 			return core.ErrInUse
 		}
-		u := &udpQueue{lib: l, qd: qd, conn: conn}
-		l.qds.Restore(qd, u)
-		go u.readLoop()
+		s.become(conn)
 	}
 	return nil
 }
 
-// Listen starts accepting TCP connections.
-func (l *LibOS) Listen(qd core.QDesc, backlog int) error {
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	s, ok := q.(*sockQueue)
-	if !ok || s.typ != core.SockStream {
+// Listen starts accepting TCP connections; the descriptor becomes a
+// listener.
+func (s *sockQueue) Listen(backlog int) error {
+	if s.typ != core.SockStream {
 		return core.ErrNotSupported
 	}
 	ln, err := net.Listen("tcp", loopback(core.Addr{Port: s.port}))
 	if err != nil {
 		return core.ErrInUse
 	}
-	lq := &listenQueue{lib: l, qd: qd, ln: ln}
-	l.qds.Restore(qd, lq)
+	lq := &listenQueue{lib: s.lib, qd: s.qd, ln: ln}
+	s.lib.Queues().Replace(s.qd, lq)
 	go lq.acceptLoop()
 	return nil
 }
+
+// Close releases an unbound socket; it holds nothing.
+func (s *sockQueue) Close() {}
 
 // acceptLoop feeds inbound connections to the application thread.
 func (lq *listenQueue) acceptLoop() {
@@ -301,22 +287,13 @@ func (lq *listenQueue) established(conn net.Conn) {
 
 func (lq *listenQueue) complete(op *core.Op, conn net.Conn) {
 	q := &tcpQueue{lib: lq.lib, conn: conn}
-	q.qd = lq.lib.qds.Insert(q)
+	q.qd = lq.lib.Queues().Insert(q)
 	go q.readLoop()
 	op.Complete(core.QEvent{QD: lq.qd, Op: core.OpAccept, NewQD: q.qd})
 }
 
 // Accept asks for the next inbound connection.
-func (l *LibOS) Accept(qd core.QDesc) (core.QToken, error) {
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	lq, ok := q.(*listenQueue)
-	if !ok {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	op := l.tokens.New()
+func (lq *listenQueue) Accept(op *core.Op) error {
 	if len(lq.ready) > 0 {
 		conn := lq.ready[0]
 		lq.ready = lq.ready[1:]
@@ -324,33 +301,31 @@ func (l *LibOS) Accept(qd core.QDesc) (core.QToken, error) {
 	} else {
 		lq.accepts = append(lq.accepts, op)
 	}
-	return op.Token(), nil
+	return nil
 }
 
-// Connect dials the remote address.
-func (l *LibOS) Connect(qd core.QDesc, addr core.Addr) (core.QToken, error) {
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
+// Close stops listening and fails parked accepts.
+func (lq *listenQueue) Close() {
+	lq.ln.Close()
+	for _, op := range lq.accepts {
+		op.Fail(lq.qd, core.OpAccept, core.ErrQueueClosed)
 	}
-	s, ok := q.(*sockQueue)
-	if !ok {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	op := l.tokens.New()
+}
+
+// Connect dials the remote address; the descriptor becomes the connection.
+func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
+	l, qd := s.lib, s.qd
 	if s.typ == core.SockDgram {
 		// Datagram connect: bind an ephemeral port and fix the peer.
 		uaddr, _ := net.ResolveUDPAddr("udp", loopback(addr))
 		conn, err := net.DialUDP("udp", nil, uaddr)
 		if err != nil {
 			op.Fail(qd, core.OpConnect, core.ErrConnRefused)
-			return op.Token(), nil
+			return nil
 		}
-		u := &udpQueue{lib: l, qd: qd, conn: conn}
-		l.qds.Restore(qd, u)
-		go u.readLoop()
+		s.become(conn)
 		op.Complete(core.QEvent{QD: qd, Op: core.OpConnect, NewQD: qd})
-		return op.Token(), nil
+		return nil
 	}
 	go func() {
 		conn, err := net.Dial("tcp", loopback(addr))
@@ -361,12 +336,12 @@ func (l *LibOS) Connect(qd core.QDesc, addr core.Addr) (core.QToken, error) {
 			}
 			l.stats.TCPConnects++
 			t := &tcpQueue{lib: l, qd: qd, conn: conn}
-			l.qds.Restore(qd, t)
+			l.Queues().Replace(qd, t)
 			go t.readLoop()
 			op.Complete(core.QEvent{QD: qd, Op: core.OpConnect, NewQD: qd})
 		})
 	}()
-	return op.Token(), nil
+	return nil
 }
 
 // readLoop pulls bytes from the kernel into the receive queue.
@@ -449,159 +424,102 @@ func (q *udpQueue) deliver(from core.Addr, data []byte) {
 	q.recvQ = append(q.recvQ, udpDatagram{from: from, data: data})
 }
 
-// Close releases a queue.
-func (l *LibOS) Close(qd core.QDesc) error {
-	q, ok := l.qds.Remove(qd)
-	if !ok {
-		return core.ErrBadQDesc
+// Close hangs up and fails parked pops.
+func (q *tcpQueue) Close() {
+	q.conn.Close()
+	for _, op := range q.pops {
+		op.Fail(q.qd, core.OpPop, core.ErrQueueClosed)
 	}
-	switch s := q.(type) {
-	case *tcpQueue:
-		s.conn.Close()
-		for _, op := range s.pops {
-			op.Fail(qd, core.OpPop, core.ErrQueueClosed)
+}
+
+// Close releases the socket and fails parked pops.
+func (q *udpQueue) Close() {
+	q.conn.Close()
+	for _, op := range q.pops {
+		op.Fail(q.qd, core.OpPop, core.ErrQueueClosed)
+	}
+}
+
+// Push writes sga to the connection. On the kernel path the write copies
+// (no zero-copy through POSIX; paper Table 1), and the op completes when
+// the kernel accepts the bytes.
+func (q *tcpQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	if to != (core.Addr{}) {
+		return core.ErrNotSupported
+	}
+	n, err := q.conn.Write(sga.Flatten())
+	q.lib.sent(op, q.qd, n, err)
+	return nil
+}
+
+// Push sends one datagram, to the explicit destination if there is one and
+// to the connected peer otherwise.
+func (q *udpQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	var n int
+	var err error
+	if to != (core.Addr{}) {
+		var uaddr *net.UDPAddr
+		if uaddr, err = net.ResolveUDPAddr("udp", loopback(to)); err == nil {
+			n, err = q.conn.WriteToUDP(sga.Flatten(), uaddr)
 		}
-	case *listenQueue:
-		s.ln.Close()
-		for _, op := range s.accepts {
-			op.Fail(qd, core.OpAccept, core.ErrQueueClosed)
-		}
-	case *udpQueue:
-		s.conn.Close()
-		for _, op := range s.pops {
-			op.Fail(qd, core.OpPop, core.ErrQueueClosed)
-		}
-	case *fileQueue:
-		s.f.Close()
-	case *core.MemQueue:
-		s.Destroy() // descriptor gone: free undrained data, never leak
+	} else {
+		n, err = q.conn.Write(sga.Flatten())
+	}
+	q.lib.sent(op, q.qd, n, err)
+	return nil
+}
+
+// sent completes a socket push with the kernel's verdict.
+func (l *LibOS) sent(op *core.Op, qd core.QDesc, n int, err error) {
+	if err != nil {
+		op.Fail(qd, core.OpPush, core.ErrQueueClosed)
+		return
+	}
+	l.stats.BytesOut += uint64(n)
+	op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
+}
+
+// Push on an unbound datagram socket with an explicit destination (sendto)
+// binds an ephemeral port first; anything else needs a bind or connect.
+func (s *sockQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	if s.typ != core.SockDgram || to == (core.Addr{}) {
+		return s.Unconnected.Push(op, sga, to)
+	}
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		op.Fail(s.qd, core.OpPush, err)
+		return nil
+	}
+	return s.become(conn).Push(op, sga, to)
+}
+
+// Pop asks for the next inbound bytes on the connection.
+func (q *tcpQueue) Pop(op *core.Op) error {
+	switch {
+	case len(q.recvQ) > 0:
+		data := q.recvQ[0]
+		q.recvQ = q.recvQ[1:]
+		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop,
+			SGA: core.SGA(memory.CopyFrom(q.lib.heap, data))})
+	case q.eof:
+		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop})
+	default:
+		q.pops = append(q.pops, op)
 	}
 	return nil
 }
 
-// Push writes sga to the queue. On the kernel path the write copies (no
-// zero-copy through POSIX; paper Table 1), and the op completes when the
-// kernel accepts (TCP/UDP) or the file is durable (storage).
-func (l *LibOS) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
-	return l.pushTo(qd, sga, core.Addr{}, false)
-}
-
-// PushTo is Push with an explicit datagram destination.
-func (l *LibOS) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	return l.pushTo(qd, sga, to, true)
-}
-
-func (l *LibOS) pushTo(qd core.QDesc, sga core.SGArray, to core.Addr, explicit bool) (core.QToken, error) {
-	if len(sga.Segs) == 0 {
-		return core.InvalidQToken, core.ErrEmptySGA
+// Pop asks for the next datagram.
+func (q *udpQueue) Pop(op *core.Op) error {
+	if len(q.recvQ) > 0 {
+		d := q.recvQ[0]
+		q.recvQ = q.recvQ[1:]
+		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop,
+			SGA: core.SGA(memory.CopyFrom(q.lib.heap, d.data)), From: d.from})
+	} else {
+		q.pops = append(q.pops, op)
 	}
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	op := l.tokens.New()
-	op.Trace(sga.TraceCtx())
-	data := sga.Flatten()
-	switch s := q.(type) {
-	case *tcpQueue:
-		if _, err := s.conn.Write(data); err != nil {
-			op.Fail(qd, core.OpPush, core.ErrQueueClosed)
-			return op.Token(), nil
-		}
-		l.stats.BytesOut += uint64(len(data))
-		op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
-	case *udpQueue:
-		var err error
-		if explicit {
-			var uaddr *net.UDPAddr
-			uaddr, err = net.ResolveUDPAddr("udp", loopback(to))
-			if err == nil {
-				_, err = s.conn.WriteToUDP(data, uaddr)
-			}
-		} else {
-			_, err = s.conn.Write(data)
-		}
-		if err != nil {
-			op.Fail(qd, core.OpPush, core.ErrQueueClosed)
-			return op.Token(), nil
-		}
-		l.stats.BytesOut += uint64(len(data))
-		op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
-	case *sockQueue:
-		if s.typ == core.SockDgram && explicit {
-			// Unbound sendto: bind an ephemeral port first.
-			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				op.Fail(qd, core.OpPush, err)
-				return op.Token(), nil
-			}
-			u := &udpQueue{lib: l, qd: qd, conn: conn}
-			l.qds.Restore(qd, u)
-			go u.readLoop()
-			uaddr, _ := net.ResolveUDPAddr("udp", loopback(to))
-			if _, err := u.conn.WriteToUDP(data, uaddr); err != nil {
-				op.Fail(qd, core.OpPush, err)
-				return op.Token(), nil
-			}
-			op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
-			return op.Token(), nil
-		}
-		return core.InvalidQToken, core.ErrNotBound
-	case *fileQueue:
-		s.append(op, data)
-	case *core.MemQueue:
-		s.Push(op, sga)
-		return op.Token(), nil
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	return op.Token(), nil
-}
-
-// Pop asks for the next inbound data on the queue.
-func (l *LibOS) Pop(qd core.QDesc) (core.QToken, error) {
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	op := l.tokens.New()
-	switch s := q.(type) {
-	case *tcpQueue:
-		switch {
-		case len(s.recvQ) > 0:
-			data := s.recvQ[0]
-			s.recvQ = s.recvQ[1:]
-			op.Complete(core.QEvent{QD: qd, Op: core.OpPop,
-				SGA: core.SGA(memory.CopyFrom(l.heap, data))})
-		case s.eof:
-			op.Complete(core.QEvent{QD: qd, Op: core.OpPop})
-		default:
-			s.pops = append(s.pops, op)
-		}
-	case *udpQueue:
-		if len(s.recvQ) > 0 {
-			d := s.recvQ[0]
-			s.recvQ = s.recvQ[1:]
-			op.Complete(core.QEvent{QD: qd, Op: core.OpPop,
-				SGA: core.SGA(memory.CopyFrom(l.heap, d.data)), From: d.from})
-		} else {
-			s.pops = append(s.pops, op)
-		}
-	case *fileQueue:
-		s.read(op)
-	case *core.MemQueue:
-		s.Pop(op)
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	return op.Token(), nil
-}
-
-// Queue creates an in-memory queue.
-func (l *LibOS) Queue() (core.QDesc, error) {
-	qd := l.qds.Insert(nil)
-	l.qds.Restore(qd, core.NewMemQueue(qd))
-	return qd, nil
+	return nil
 }
 
 // --- Storage log over a kernel file ---
@@ -616,8 +534,20 @@ func (l *LibOS) Open(name string) (core.QDesc, error) {
 		return core.InvalidQD, err
 	}
 	q := &fileQueue{lib: l, f: f}
-	q.qd = l.qds.Insert(q)
+	q.qd = l.Queues().Insert(q)
 	return q.qd, nil
+}
+
+// Close closes the log file.
+func (q *fileQueue) Close() { q.f.Close() }
+
+// Push appends sga as one record; the op completes when it is durable.
+func (q *fileQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	if to != (core.Addr{}) {
+		return core.ErrNotSupported
+	}
+	q.append(op, sga.Flatten())
+	return nil
 }
 
 // append writes one length-prefixed record and fsyncs (synchronous
@@ -645,65 +575,58 @@ func (q *fileQueue) append(op *core.Op, data []byte) {
 	op.Complete(core.QEvent{QD: q.qd, Op: core.OpPush})
 }
 
-// read returns the record at the cursor, or EOF.
-func (q *fileQueue) read(op *core.Op) {
+// Pop returns the record at the cursor, or EOF.
+func (q *fileQueue) Pop(op *core.Op) error {
 	var hdr [4]byte
 	if _, err := q.f.ReadAt(hdr[:], q.cursor); err != nil {
 		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop}) // EOF
-		return
+		return nil
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	data := make([]byte, n)
 	if _, err := q.f.ReadAt(data, q.cursor+4); err != nil {
 		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop})
-		return
+		return nil
 	}
 	q.cursor += 4 + int64(n)
 	q.lib.stats.FileReads++
 	op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop,
 		SGA: core.SGA(memory.CopyFrom(q.lib.heap, data))})
+	return nil
 }
 
 // Seek moves a log queue's read cursor to a byte offset.
 func (l *LibOS) Seek(qd core.QDesc, offset int64) error {
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	fq, ok := q.(*fileQueue)
-	if !ok {
-		return core.ErrNotSupported
+	fq, err := l.fileQueue(qd)
+	if err != nil {
+		return err
 	}
 	fq.cursor = offset
 	return nil
 }
 
-// Truncate empties the log.
-func (l *LibOS) Truncate(qd core.QDesc) error {
-	q, ok := l.qds.Lookup(qd)
+// fileQueue resolves qd to a storage log.
+func (l *LibOS) fileQueue(qd core.QDesc) (*fileQueue, error) {
+	q, ok := l.Queues().Lookup(qd)
 	if !ok {
-		return core.ErrBadQDesc
+		return nil, core.ErrBadQDesc
 	}
 	fq, ok := q.(*fileQueue)
 	if !ok {
-		return core.ErrNotSupported
+		return nil, core.ErrNotSupported
+	}
+	return fq, nil
+}
+
+// Truncate empties the log.
+func (l *LibOS) Truncate(qd core.QDesc) error {
+	fq, err := l.fileQueue(qd)
+	if err != nil {
+		return err
 	}
 	if err := fq.f.Truncate(0); err != nil {
 		return err
 	}
 	fq.cursor = 0
 	return nil
-}
-
-// Wait blocks until qt completes.
-func (l *LibOS) Wait(qt core.QToken) (core.QEvent, error) { return l.waiter.Wait(qt) }
-
-// WaitAny blocks until one of qts completes.
-func (l *LibOS) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	return l.waiter.WaitAny(qts, timeout)
-}
-
-// WaitAll blocks until all of qts complete.
-func (l *LibOS) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
-	return l.waiter.WaitAll(qts, timeout)
 }

@@ -75,27 +75,6 @@ func TestConnectedUDPPush(t *testing.T) {
 	}
 }
 
-func TestBadDescriptorErrors(t *testing.T) {
-	l := New("")
-	defer l.Shutdown()
-	if _, err := l.Pop(9999); !errors.Is(err, core.ErrBadQDesc) {
-		t.Errorf("pop: %v", err)
-	}
-	if _, err := l.Push(9999, core.SGA(memory.CopyFrom(l.Heap(), []byte("x")))); !errors.Is(err, core.ErrBadQDesc) {
-		t.Errorf("push: %v", err)
-	}
-	if err := l.Close(9999); !errors.Is(err, core.ErrBadQDesc) {
-		t.Errorf("close: %v", err)
-	}
-	if _, err := l.Open("x"); !errors.Is(err, core.ErrNotSupported) {
-		t.Errorf("open with no dir: %v", err)
-	}
-	qd, _ := l.Socket(core.SockStream)
-	if _, err := l.Push(qd, core.SGArray{}); !errors.Is(err, core.ErrEmptySGA) {
-		t.Errorf("empty push: %v", err)
-	}
-}
-
 func TestShutdownUnblocksWaiters(t *testing.T) {
 	l := New("")
 	qd, _ := l.Socket(core.SockStream)

@@ -120,15 +120,13 @@ type Stats struct {
 
 // LibOS is the Catnip library OS instance for one node + device queue.
 type LibOS struct {
-	node   *sim.Node
-	port   Device
-	heap   *memory.Heap
-	sched  *sched.Scheduler
-	tokens *core.TokenTable
-	waiter core.Waiter
-	qds    *core.QDescTable
-	cfg    Config
-	rng    *sim.Rand
+	core.FrontEnd
+	node  *sim.Node
+	port  Device
+	heap  *memory.Heap
+	sched *sched.Scheduler
+	cfg   Config
+	rng   *sim.Rand
 
 	arp       *arpCache
 	udpPorts  map[uint16]*udpSocket
@@ -148,11 +146,8 @@ type LibOS struct {
 
 	loadProbe LoadProbe // nil unless this stack piggybacks load (rack servers)
 
-	// Tenant bracketing (tenant.go): curTenant tags sockets created while
-	// a tenant.View call is in flight; tenantIdx maps tenant ids to the
-	// scheduler's dense WFQ indices.
-	curTenant uint32
-	curTIdx   uint8
+	// tenantIdx maps tenant ids to the scheduler's dense WFQ indices
+	// (tenant.go).
 	tenantIdx map[uint32]uint8
 }
 
@@ -177,8 +172,6 @@ func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
 		port:          dev,
 		heap:          memory.NewHeap(nil),
 		sched:         sched.New(),
-		tokens:        core.NewTokenTable(),
-		qds:           core.NewQDescTable(),
 		cfg:           cfg,
 		rng:           node.Engine().Rand().Fork(),
 		udpPorts:      make(map[uint16]*udpSocket),
@@ -187,7 +180,6 @@ func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
 		nextEphemeral: 32768,
 	}
 	l.arp = newARPCache(l)
-	l.waiter = core.Waiter{Table: l.tokens, Runner: l}
 	l.initTelemetry()
 	return l
 }
@@ -201,8 +193,7 @@ func (l *LibOS) initTelemetry() {
 	l.reg = telemetry.NewRegistry(l.node.Name() + "/catnip")
 	l.telCwnd = l.reg.Histogram("catnip.tcp.cwnd_bytes")
 	l.telOOO = l.reg.Histogram("catnip.tcp.ooo_depth")
-	l.tokens.Instrument(l.node, 0)
-	l.tokens.SetLatencyHist(l.reg.Histogram("core.qtoken_latency_ns"))
+	l.FrontEnd = core.NewFrontEnd(l, l.node, l.reg, 0)
 
 	s := &l.stats
 	l.reg.Sample("catnip.rx_frames", func() int64 { return int64(s.RxFrames) })
@@ -248,7 +239,7 @@ func (l *LibOS) initTelemetry() {
 // contexts between stacks. A nil hop keeps the stack untraced.
 func (l *LibOS) AttachDTrace(h *dtrace.Hop) {
 	l.dt = h
-	l.tokens.SetDTrace(h)
+	l.FrontEnd.AttachDTrace(h)
 }
 
 // SetLoadProbe makes the stack append the load-tracking wire trailer
@@ -455,222 +446,26 @@ func (l *LibOS) allocEphemeral() (uint16, error) {
 	return 0, core.ErrAddrNotAvail
 }
 
-// --- PDPIX entry points ---
+// --- core.Stack: what the PDPIX front end needs from the stack ---
 
-// Socket creates a TCP (SockStream) or UDP (SockDgram) socket queue.
-func (l *LibOS) Socket(t core.SockType) (core.QDesc, error) {
-	l.node.Charge(costmodel.Libcall)
+// Libcall charges one library call.
+func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
+
+// NewSocket builds a TCP (SockStream) or UDP (SockDgram) socket queue owned
+// by the tenant whose libcall is in flight (scheduler index 0 for the host
+// and for unregistered tenants).
+func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
+	tid := l.Tokens().Issuer()
 	switch t {
 	case core.SockStream:
-		s := &tcpSocket{lib: l, tenant: l.curTenant, tidx: l.curTIdx}
-		s.qd = l.qds.Insert(s)
-		return s.qd, nil
+		return &tcpSocket{lib: l, qd: qd, tenant: tid, tidx: l.tenantIdx[tid]}, nil
 	case core.SockDgram:
-		s := &udpSocket{lib: l, tenant: l.curTenant, theap: l.tenantHeapFor(l.curTenant)}
-		s.qd = l.qds.Insert(s)
-		return s.qd, nil
+		return &udpSocket{lib: l, qd: qd, tenant: tid, theap: l.tenantHeapFor(tid)}, nil
 	default:
-		return core.InvalidQD, core.ErrNotSupported
+		return nil, core.ErrNotSupported
 	}
 }
-
-// Queue creates an in-memory queue.
-func (l *LibOS) Queue() (core.QDesc, error) {
-	l.node.Charge(costmodel.Libcall)
-	var q *core.MemQueue
-	qd := l.qds.Insert(nil)
-	q = core.NewMemQueue(qd)
-	l.replaceQD(qd, q)
-	return qd, nil
-}
-
-// replaceQD swaps the state stored for qd (used when a placeholder needed
-// the descriptor value first).
-func (l *LibOS) replaceQD(qd core.QDesc, v any) {
-	l.qds.Remove(qd)
-	// Re-insert preserving qd: QDescTable always increments, so emulate by
-	// direct map access via a tiny helper below.
-	l.qds.Restore(qd, v)
-}
-
-// Open is not supported by the pure network libOS; the Catnip×Cattree
-// integration provides it.
-func (l *LibOS) Open(name string) (core.QDesc, error) {
-	return core.InvalidQD, core.ErrNotSupported
-}
-
-// Bind assigns a local address to a socket.
-func (l *LibOS) Bind(qd core.QDesc, addr core.Addr) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	switch s := q.(type) {
-	case *udpSocket:
-		return s.bind(addr)
-	case *tcpSocket:
-		return s.bind(addr)
-	default:
-		return core.ErrNotSupported
-	}
-}
-
-// Listen turns a bound stream socket into a listener.
-func (l *LibOS) Listen(qd core.QDesc, backlog int) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	s, ok := q.(*tcpSocket)
-	if !ok {
-		return core.ErrNotSupported
-	}
-	return s.listen(backlog)
-}
-
-// Accept asks for the next inbound connection on a listening queue.
-func (l *LibOS) Accept(qd core.QDesc) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	s, ok := q.(*tcpSocket)
-	if !ok || s.listener == nil {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	op := l.tokens.New()
-	s.listener.accept(op)
-	return op.Token(), nil
-}
-
-// Connect initiates a connection to addr.
-func (l *LibOS) Connect(qd core.QDesc, addr core.Addr) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	switch s := q.(type) {
-	case *tcpSocket:
-		// The socket validates (and allocates its ephemeral port) before
-		// minting the op, so error returns leave nothing outstanding.
-		return s.connect(addr)
-	case *udpSocket:
-		// Datagram connect just fixes the default destination.
-		op := l.tokens.New()
-		s.remote = addr
-		op.Complete(core.QEvent{QD: qd, Op: core.OpConnect, NewQD: qd})
-		return op.Token(), nil
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-}
-
-// Close releases a queue.
-func (l *LibOS) Close(qd core.QDesc) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	switch s := q.(type) {
-	case *udpSocket:
-		s.close()
-	case *tcpSocket:
-		s.close()
-	case *core.MemQueue:
-		s.Destroy() // descriptor gone: free undrained data, never leak
-	}
-	l.qds.Remove(qd)
-	return nil
-}
-
-// Push submits outbound data on a queue (paper: egress is inlined here on
-// the error-free path, Figure 4 step 8).
-func (l *LibOS) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
-	return l.pushInternal(qd, sga, core.Addr{})
-}
-
-// PushTo is Push with an explicit datagram destination (demi_pushto).
-func (l *LibOS) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	return l.pushInternal(qd, sga, to)
-}
-
-func (l *LibOS) pushInternal(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	if len(sga.Segs) == 0 {
-		return core.InvalidQToken, core.ErrEmptySGA
-	}
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	op := l.tokens.New()
-	op.Trace(sga.TraceCtx())
-	switch s := q.(type) {
-	case *udpSocket:
-		s.push(op, sga, to)
-	case *tcpSocket:
-		if s.conn == nil {
-			return core.InvalidQToken, core.ErrNotBound
-		}
-		s.conn.push(op, sga)
-	case *core.MemQueue:
-		s.Push(op, sga)
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	return op.Token(), nil
-}
-
-// Pop asks for the next inbound data on a queue.
-func (l *LibOS) Pop(qd core.QDesc) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	op := l.tokens.New()
-	switch s := q.(type) {
-	case *udpSocket:
-		s.pop(op)
-	case *tcpSocket:
-		if s.conn == nil {
-			return core.InvalidQToken, core.ErrNotBound
-		}
-		s.conn.pop(op)
-	case *core.MemQueue:
-		s.Pop(op)
-	default:
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	return op.Token(), nil
-}
-
-// Wait blocks until qt completes.
-func (l *LibOS) Wait(qt core.QToken) (core.QEvent, error) { return l.waiter.Wait(qt) }
-
-// WaitAny blocks until one of qts completes.
-func (l *LibOS) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	return l.waiter.WaitAny(qts, timeout)
-}
-
-// WaitAll blocks until all of qts complete.
-func (l *LibOS) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
-	return l.waiter.WaitAll(qts, timeout)
-}
-
-// Tokens exposes the qtoken table for libOS integration (demi.Combined).
-func (l *LibOS) Tokens() *core.TokenTable { return l.tokens }
 
 // SeedARP installs a static ARP entry (benchmarks pre-warm caches to
 // measure the fast path, as the paper does).
 func (l *LibOS) SeedARP(ip wire.IPAddr, mac simnet.MAC) { l.arp.Seed(ip, mac) }
-
-// TryTake redeems a completed qtoken (demi.Drivable).
-func (l *LibOS) TryTake(qt core.QToken) (core.QEvent, bool, error) {
-	return l.tokens.TryTake(qt)
-}

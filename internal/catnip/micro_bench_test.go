@@ -62,7 +62,7 @@ func BenchmarkCatnipIngress(b *testing.B) {
 		b.StopTimer()
 		for i := 0; i < n; i++ {
 			segs[i] = mkSegment(c.rcvNxt + uint32(i*len(payload)))
-			ops[i] = l.tokens.New()
+			ops[i] = l.Tokens().New()
 			c.pop(ops[i]) // a waiting application coroutine
 		}
 		b.StartTimer()
@@ -75,7 +75,7 @@ func BenchmarkCatnipIngress(b *testing.B) {
 			if !op.Done() {
 				b.Fatal("segment did not complete the pop")
 			}
-			ev, _, _ := l.tokens.TryTake(op.Token())
+			ev, _, _ := l.Tokens().TryTake(op.Token())
 			ev.SGA.Free()
 		}
 		b.StartTimer()
@@ -101,12 +101,12 @@ func BenchmarkCatnipEgress(b *testing.B) {
 	buf := memory.CopyFrom(l.heap, make([]byte, 64))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op := l.tokens.New()
+		op := l.Tokens().New()
 		c.push(op, core.SGA(buf))
 		// Instantly ack so state does not grow.
 		c.sndUna = c.sndNxt
 		c.dropAckedSegments()
 		c.completePushOps()
-		l.tokens.TryTake(op.Token())
+		l.Tokens().TryTake(op.Token())
 	}
 }

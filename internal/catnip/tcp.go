@@ -49,7 +49,8 @@ type tcpSocket struct {
 	tidx   uint8
 }
 
-func (s *tcpSocket) bind(addr core.Addr) error {
+// Bind assigns the local port.
+func (s *tcpSocket) Bind(addr core.Addr) error {
 	if s.bound {
 		return core.ErrInUse
 	}
@@ -64,7 +65,8 @@ func (s *tcpSocket) bind(addr core.Addr) error {
 	return nil
 }
 
-func (s *tcpSocket) listen(backlog int) error {
+// Listen turns the bound socket into a listener.
+func (s *tcpSocket) Listen(backlog int) error {
 	if !s.bound {
 		return core.ErrNotBound
 	}
@@ -80,33 +82,68 @@ func (s *tcpSocket) listen(backlog int) error {
 	return nil
 }
 
-func (s *tcpSocket) connect(addr core.Addr) (core.QToken, error) {
-	if s.listener != nil || s.conn != nil {
-		return core.InvalidQToken, core.ErrInUse
+// Connect starts the active open; op completes when the handshake does.
+func (s *tcpSocket) Connect(op *core.Op, addr core.Addr) error {
+	if s.listener != nil {
+		return core.ErrNotSupported // a listening socket cannot dial out
+	}
+	if s.conn != nil {
+		return core.ErrInUse
 	}
 	if !s.bound {
 		p, err := s.lib.allocEphemeral()
 		if err != nil {
-			return core.InvalidQToken, err // EADDRNOTAVAIL: port space exhausted
+			return err // EADDRNOTAVAIL: port space exhausted
 		}
 		s.localPort = p
 		s.bound = true
 	}
 	tuple := fourTuple{localPort: s.localPort, remoteIP: addr.IP, remotePort: addr.Port}
 	if _, exists := s.lib.conns[tuple]; exists {
-		return core.InvalidQToken, core.ErrInUse
+		return core.ErrInUse
 	}
-	op := s.lib.tokens.New()
 	c := newTCPConn(s.lib, s.qd, tuple, s.tenant, s.tidx)
 	c.state = stateSynSent
 	c.connectOp = op
 	s.conn = c
 	s.lib.conns[tuple] = c
 	c.startConnect()
-	return op.Token(), nil
+	return nil
 }
 
-func (s *tcpSocket) close() {
+// Accept asks the listener for the next established connection.
+func (s *tcpSocket) Accept(op *core.Op) error {
+	if s.listener == nil {
+		return core.ErrNotSupported
+	}
+	s.listener.accept(op)
+	return nil
+}
+
+// Push submits stream data (paper: egress is inlined here on the
+// error-free path, Figure 4 step 8).
+func (s *tcpSocket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	if to != (core.Addr{}) {
+		return core.ErrNotSupported
+	}
+	if s.conn == nil {
+		return core.ErrNotBound
+	}
+	s.conn.push(op, sga)
+	return nil
+}
+
+// Pop asks for the next inbound stream data.
+func (s *tcpSocket) Pop(op *core.Op) error {
+	if s.conn == nil {
+		return core.ErrNotBound
+	}
+	s.conn.pop(op)
+	return nil
+}
+
+// Close stops listening or starts the connection's orderly shutdown.
+func (s *tcpSocket) Close() {
 	if s.listener != nil {
 		s.listener.close()
 	}
@@ -148,7 +185,7 @@ func (ln *tcpListener) accept(op *core.Op) {
 func (ln *tcpListener) complete(op *core.Op, c *tcpConn) {
 	s := &tcpSocket{lib: ln.lib, localPort: ln.port, bound: true, conn: c,
 		tenant: ln.sock.tenant, tidx: ln.sock.tidx}
-	s.qd = ln.lib.qds.Insert(s)
+	s.qd = ln.lib.Queues().Insert(s)
 	c.qd = s.qd
 	op.Complete(core.QEvent{QD: ln.sock.qd, Op: core.OpAccept, NewQD: s.qd})
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // Multi-tenant plumbing: the stack itself stays principal-agnostic — it
-// tags sockets, connections, coroutine spawns and rx allocations with
-// whatever tenant is entered, and the tenant.View enforces the quotas.
-// Tenant 0 is the host: untagged, unweighted, the original fast path.
+// tags sockets, connections, coroutine spawns and rx allocations with the
+// token table's issuer at NewSocket (the bracket tenant.View sets around
+// each libcall), and the tenant.View enforces the quotas. Tenant 0 is the
+// host: untagged, unweighted, the original fast path.
 
 // RegisterTenant assigns tenant tid a dense scheduler index and its
 // weighted-fair share of poll cycles (tenant.Registrar).
@@ -28,19 +29,6 @@ func (l *LibOS) RegisterTenant(tid uint32, weight uint32) {
 		l.tenantIdx[tid] = idx
 	}
 	l.sched.SetTenantWeight(int(idx), weight)
-}
-
-// EnterTenant brackets the start of a tenant's libcall: sockets created
-// and connections opened until ExitTenant belong to tid (tenant.Enterer).
-func (l *LibOS) EnterTenant(tid uint32) {
-	l.curTenant = tid
-	l.curTIdx = l.tenantIdx[tid] // 0 for the host and unregistered tenants
-}
-
-// ExitTenant restores the host principal.
-func (l *LibOS) ExitTenant() {
-	l.curTenant = 0
-	l.curTIdx = 0
 }
 
 // tenantHeapFor returns the tenant-charged heap capability, nil for the

@@ -34,7 +34,8 @@ type udpSocket struct {
 	theap  *memory.TenantHeap
 }
 
-func (s *udpSocket) bind(addr core.Addr) error {
+// Bind claims the local port so pops can start.
+func (s *udpSocket) Bind(addr core.Addr) error {
 	if s.bound {
 		return core.ErrInUse
 	}
@@ -64,13 +65,20 @@ func (s *udpSocket) ensureBound() error {
 	return nil
 }
 
-// push transmits one datagram built from sga to the explicit address, or
+// Connect just fixes the default destination.
+func (s *udpSocket) Connect(op *core.Op, addr core.Addr) error {
+	s.remote = addr
+	op.Complete(core.QEvent{QD: s.qd, Op: core.OpConnect, NewQD: s.qd})
+	return nil
+}
+
+// Push transmits one datagram built from sga to the explicit address, or
 // the connected default. The datagram goes on the wire inline (fast path);
 // the op completes immediately and buffer ownership returns to the app.
-func (s *udpSocket) push(op *core.Op, sga core.SGArray, to core.Addr) {
+func (s *udpSocket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	if s.closed {
 		op.Fail(s.qd, core.OpPush, core.ErrQueueClosed)
-		return
+		return nil
 	}
 	dst := to
 	if dst.IP.IsZero() {
@@ -78,16 +86,16 @@ func (s *udpSocket) push(op *core.Op, sga core.SGArray, to core.Addr) {
 	}
 	if dst.IP.IsZero() {
 		op.Fail(s.qd, core.OpPush, core.ErrNotBound)
-		return
+		return nil
 	}
 	n := sga.TotalLen()
 	if n > maxUDPPayload {
 		op.Fail(s.qd, core.OpPush, core.ErrNotSupported)
-		return
+		return nil
 	}
 	if err := s.ensureBound(); err != nil {
 		op.Fail(s.qd, core.OpPush, err)
-		return
+		return nil
 	}
 	s.lib.node.Charge(s.lib.cfg.UDPEgressCost)
 	// Gather segments. Zero-copy eligible buffers are "DMA-gathered" (no
@@ -117,21 +125,22 @@ func (s *udpSocket) push(op *core.Op, sga core.SGArray, to core.Addr) {
 		}
 		op.Complete(core.QEvent{QD: s.qd, Op: core.OpPush})
 	})
+	return nil
 }
 
-// pop returns the next datagram, completing immediately if one is queued.
-func (s *udpSocket) pop(op *core.Op) {
-	if len(s.recvQ) > 0 {
+// Pop returns the next datagram, completing immediately if one is queued.
+func (s *udpSocket) Pop(op *core.Op) error {
+	switch {
+	case len(s.recvQ) > 0:
 		d := s.recvQ[0]
 		s.recvQ = s.recvQ[1:]
 		op.Complete(core.QEvent{QD: s.qd, Op: core.OpPop, SGA: core.SGA(d.buf), From: d.from})
-		return
-	}
-	if s.closed {
+	case s.closed:
 		op.Fail(s.qd, core.OpPop, core.ErrQueueClosed)
-		return
+	default:
+		s.pops = append(s.pops, op)
 	}
-	s.pops = append(s.pops, op)
+	return nil
 }
 
 // deliver hands a received datagram to a waiting pop or queues it.
@@ -145,7 +154,8 @@ func (s *udpSocket) deliver(from core.Addr, buf *memory.Buf) {
 	s.recvQ = append(s.recvQ, datagram{from: from, buf: buf})
 }
 
-func (s *udpSocket) close() {
+// Close releases the port, fails parked pops and frees queued datagrams.
+func (s *udpSocket) Close() {
 	s.closed = true
 	if s.bound {
 		delete(s.lib.udpPorts, s.localPort)

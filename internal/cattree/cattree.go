@@ -20,7 +20,6 @@ package cattree
 import (
 	"encoding/binary"
 	"sort"
-	"time"
 
 	"demikernel/internal/core"
 	"demikernel/internal/costmodel"
@@ -86,13 +85,11 @@ type partition struct {
 
 // LibOS is a Cattree instance for one node + NVMe device.
 type LibOS struct {
-	node   *sim.Node
-	dev    *spdkdev.Device
-	heap   *memory.Heap
-	sched  *sched.Scheduler
-	tokens *core.TokenTable
-	waiter core.Waiter
-	qds    *core.QDescTable
+	core.FrontEnd
+	node  *sim.Node
+	dev   *spdkdev.Device
+	heap  *memory.Heap
+	sched *sched.Scheduler
 
 	parts   map[string]*partition
 	nParts  int
@@ -105,23 +102,19 @@ type LibOS struct {
 // Mount from application context to recover existing logs.
 func New(node *sim.Node, dev *spdkdev.Device) *LibOS {
 	l := &LibOS{
-		node:   node,
-		dev:    dev,
-		heap:   memory.NewHeap(nil),
-		sched:  sched.New(),
-		tokens: core.NewTokenTable(),
-		qds:    core.NewQDescTable(),
-		parts:  make(map[string]*partition),
+		node:  node,
+		dev:   dev,
+		heap:  memory.NewHeap(nil),
+		sched: sched.New(),
+		parts: make(map[string]*partition),
 	}
 	l.reg = telemetry.NewRegistry(node.Name() + "/cattree")
 	l.stats = newCounters(l.reg)
 	l.heap.PublishTelemetry(l.reg, "mem")
-	l.tokens.Instrument(node, 0)
-	l.tokens.SetLatencyHist(l.reg.Histogram("core.qtoken_latency_ns"))
+	l.FrontEnd = core.NewFrontEnd(l, node, l.reg, 0)
 	sc := l.sched
 	l.reg.Sample("sched.polls", func() int64 { return int64(sc.Stats().Polls) })
 	l.reg.Sample("sched.empty_scans", func() int64 { return int64(sc.Stats().EmptyScans) })
-	l.waiter = core.Waiter{Table: l.tokens, Runner: l}
 	return l
 }
 
@@ -252,37 +245,32 @@ type logQueue struct {
 	qd       core.QDesc
 	part     *partition
 	curBlock int64 // read cursor within the partition (records are padded)
-	closed   bool
+}
+
+// Libcall charges one library call (core.Stack).
+func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
+
+// NewSocket is unsupported: Cattree is storage-only; use an integration
+// libOS (demi.Combined) for network+storage.
+func (l *LibOS) NewSocket(core.QDesc, core.SockType) (core.Queue, error) {
+	return nil, core.ErrNotSupported
 }
 
 // Open opens the named log, allocating a partition on first use. Opens of
 // the same name share the log but keep independent cursors.
 func (l *LibOS) Open(name string) (core.QDesc, error) {
-	l.node.Charge(costmodel.Libcall)
+	l.Libcall()
 	p, err := l.getPartition(name)
 	if err != nil {
 		return core.InvalidQD, err
 	}
 	q := &logQueue{lib: l, part: p}
-	q.qd = l.qds.Insert(q)
+	q.qd = l.Queues().Insert(q)
 	return q.qd, nil
 }
 
-// Close releases a log queue.
-func (l *LibOS) Close(qd core.QDesc) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Remove(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	switch s := q.(type) {
-	case *logQueue:
-		s.closed = true
-	case *core.MemQueue:
-		s.Destroy() // descriptor gone: free undrained data, never leak
-	}
-	return nil
-}
+// Close releases the log queue; the log itself stays on the device.
+func (lq *logQueue) Close() {}
 
 // blocksFor returns the blocks needed for a record of n payload bytes.
 func blocksFor(n int) int {
@@ -292,27 +280,18 @@ func blocksFor(n int) int {
 
 // Push appends one record containing sga's bytes; the qtoken completes
 // when the record is durable.
-func (l *LibOS) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
+func (lq *logQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	if to != (core.Addr{}) {
+		return core.ErrNotSupported
 	}
-	lq, ok := q.(*logQueue)
-	if !ok {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	if len(sga.Segs) == 0 {
-		return core.InvalidQToken, core.ErrEmptySGA
-	}
-	op := l.tokens.New()
+	l, qd := lq.lib, lq.qd
 	payload := sga.Flatten() // staged into the block-aligned write buffer
 	l.node.Charge(costmodel.SPDKSubmit)
 	staging := l.frameRecord(payload, lq.part.gen)
 	nBlocks := int64(len(staging) / spdkdev.BlockSize)
 	if lq.part.tail+nBlocks > lq.part.size {
 		op.Fail(qd, core.OpPush, core.ErrQueueClosed) // partition full
-		return op.Token(), nil
+		return nil
 	}
 	lba := lq.part.base + lq.part.tail
 	lq.part.tail += nBlocks
@@ -341,25 +320,16 @@ func (l *LibOS) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
 		}
 		op.Fail(qd, core.OpPush, err)
 	}
-	return op.Token(), nil
+	return nil
 }
 
 // Pop reads the record at the queue's cursor. At the log end it completes
 // immediately with an empty SGA (EOF), so replay loops terminate.
-func (l *LibOS) Pop(qd core.QDesc) (core.QToken, error) {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.InvalidQToken, core.ErrBadQDesc
-	}
-	lq, ok := q.(*logQueue)
-	if !ok {
-		return core.InvalidQToken, core.ErrNotSupported
-	}
-	op := l.tokens.New()
+func (lq *logQueue) Pop(op *core.Op) error {
+	l, qd := lq.lib, lq.qd
 	if lq.curBlock >= lq.part.tail {
 		op.Complete(core.QEvent{QD: qd, Op: core.OpPop}) // EOF
-		return op.Token(), nil
+		return nil
 	}
 	l.node.Charge(costmodel.SPDKSubmit)
 	// Read one block to learn the record length, then the rest if needed.
@@ -397,7 +367,7 @@ func (l *LibOS) Pop(qd core.QDesc) (core.QToken, error) {
 	if err != nil {
 		op.Fail(qd, core.OpPop, err)
 	}
-	return op.Token(), nil
+	return nil
 }
 
 // finishRead completes a pop with the record payload.
@@ -410,31 +380,36 @@ func (l *LibOS) finishRead(op *core.Op, qd core.QDesc, payload []byte) {
 // Seek moves the queue's read cursor to the given block offset within its
 // log (0 rewinds to the head).
 func (l *LibOS) Seek(qd core.QDesc, block int64) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	lq, ok := q.(*logQueue)
-	if !ok {
-		return core.ErrNotSupported
+	lq, err := l.logQueue(qd)
+	if err != nil {
+		return err
 	}
 	lq.curBlock = block
 	return nil
+}
+
+// logQueue starts a storage-only libcall: it charges the call and resolves
+// qd to a log.
+func (l *LibOS) logQueue(qd core.QDesc) (*logQueue, error) {
+	l.Libcall()
+	q, ok := l.Queues().Lookup(qd)
+	if !ok {
+		return nil, core.ErrBadQDesc
+	}
+	lq, ok := q.(*logQueue)
+	if !ok {
+		return nil, core.ErrNotSupported
+	}
+	return lq, nil
 }
 
 // Truncate garbage-collects the queue's log: its tail resets to zero.
 // (The paper's truncate moves the GC point; a full reset is the
 // degenerate, sufficient case for its workloads.)
 func (l *LibOS) Truncate(qd core.QDesc) error {
-	l.node.Charge(costmodel.Libcall)
-	q, ok := l.qds.Lookup(qd)
-	if !ok {
-		return core.ErrBadQDesc
-	}
-	lq, ok := q.(*logQueue)
-	if !ok {
-		return core.ErrNotSupported
+	lq, err := l.logQueue(qd)
+	if err != nil {
+		return err
 	}
 	lq.part.tail = 0
 	lq.part.gen++
@@ -551,61 +526,4 @@ func (l *LibOS) Mount() error {
 		}
 	}
 	return nil
-}
-
-// --- Unsupported network operations (storage-only libOS) ---
-
-// Socket is unsupported; use an integration libOS for network+storage.
-func (l *LibOS) Socket(t core.SockType) (core.QDesc, error) {
-	return core.InvalidQD, core.ErrNotSupported
-}
-
-// Bind is unsupported.
-func (l *LibOS) Bind(qd core.QDesc, addr core.Addr) error { return core.ErrNotSupported }
-
-// Listen is unsupported.
-func (l *LibOS) Listen(qd core.QDesc, backlog int) error { return core.ErrNotSupported }
-
-// Accept is unsupported.
-func (l *LibOS) Accept(qd core.QDesc) (core.QToken, error) {
-	return core.InvalidQToken, core.ErrNotSupported
-}
-
-// Connect is unsupported.
-func (l *LibOS) Connect(qd core.QDesc, addr core.Addr) (core.QToken, error) {
-	return core.InvalidQToken, core.ErrNotSupported
-}
-
-// Queue creates an in-memory queue.
-func (l *LibOS) Queue() (core.QDesc, error) {
-	l.node.Charge(costmodel.Libcall)
-	qd := l.qds.Insert(nil)
-	l.qds.Restore(qd, core.NewMemQueue(qd))
-	return qd, nil
-}
-
-// Wait blocks until qt completes.
-func (l *LibOS) Wait(qt core.QToken) (core.QEvent, error) { return l.waiter.Wait(qt) }
-
-// WaitAny blocks until one of qts completes.
-func (l *LibOS) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	return l.waiter.WaitAny(qts, timeout)
-}
-
-// WaitAll blocks until all of qts complete.
-func (l *LibOS) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
-	return l.waiter.WaitAll(qts, timeout)
-}
-
-// Tokens exposes the qtoken table for libOS integration (demi.Combined).
-func (l *LibOS) Tokens() *core.TokenTable { return l.tokens }
-
-// PushTo is unsupported on the storage-only libOS.
-func (l *LibOS) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	return core.InvalidQToken, core.ErrNotSupported
-}
-
-// TryTake redeems a completed qtoken (demi.Drivable).
-func (l *LibOS) TryTake(qt core.QToken) (core.QEvent, bool, error) {
-	return l.tokens.TryTake(qt)
 }

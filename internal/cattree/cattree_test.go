@@ -152,7 +152,7 @@ func TestDurabilityPushCompletesOnlyWhenDurable(t *testing.T) {
 
 // tokensPeek inspects completion state without consuming (test helper).
 func tokensPeek(l *LibOS, qt core.QToken) (core.QEvent, bool, error) {
-	op, ok := l.tokens.Lookup(qt)
+	op, ok := l.Tokens().Lookup(qt)
 	if !ok {
 		return core.QEvent{}, false, core.ErrBadQToken
 	}
@@ -205,14 +205,6 @@ func TestUAFProtectionAcrossStorage(t *testing.T) {
 		}
 		if l.Heap().LiveObjects() != 0 {
 			t.Fatal("buffer leaked after durable write")
-		}
-	})
-}
-
-func TestNetworkOpsUnsupported(t *testing.T) {
-	run(t, func(eng *sim.Engine, l *LibOS, dev *spdkdev.Device) {
-		if _, err := l.Socket(core.SockStream); err != core.ErrNotSupported {
-			t.Error("Socket should be unsupported")
 		}
 	})
 }

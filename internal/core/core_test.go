@@ -74,9 +74,9 @@ func TestSGArrayHelpers(t *testing.T) {
 func TestMemQueuePushThenPop(t *testing.T) {
 	h := memory.NewHeap(nil)
 	tb := NewTokenTable()
-	q := NewMemQueue(1)
+	q := NewBoundedMemQueue(1, 0)
 	push := tb.New()
-	q.Push(push, SGA(memory.CopyFrom(h, []byte("x"))))
+	q.Push(push, SGA(memory.CopyFrom(h, []byte("x"))), Addr{})
 	if !push.Done() {
 		t.Fatal("push did not complete immediately")
 	}
@@ -94,13 +94,13 @@ func TestMemQueuePushThenPop(t *testing.T) {
 func TestMemQueuePopThenPush(t *testing.T) {
 	h := memory.NewHeap(nil)
 	tb := NewTokenTable()
-	q := NewMemQueue(1)
+	q := NewBoundedMemQueue(1, 0)
 	pop := tb.New()
 	q.Pop(pop)
 	if pop.Done() {
 		t.Fatal("pop completed with no data")
 	}
-	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("y"))))
+	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("y"))), Addr{})
 	if !pop.Done() {
 		t.Fatal("pending pop not completed by push")
 	}
@@ -109,12 +109,12 @@ func TestMemQueuePopThenPush(t *testing.T) {
 func TestMemQueueFIFOAcrossWaiters(t *testing.T) {
 	h := memory.NewHeap(nil)
 	tb := NewTokenTable()
-	q := NewMemQueue(1)
+	q := NewBoundedMemQueue(1, 0)
 	pop1, pop2 := tb.New(), tb.New()
 	q.Pop(pop1)
 	q.Pop(pop2)
-	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("first"))))
-	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("second"))))
+	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("first"))), Addr{})
+	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("second"))), Addr{})
 	ev1, _, _ := tb.TryTake(pop1.Token())
 	ev2, _, _ := tb.TryTake(pop2.Token())
 	if string(ev1.SGA.Flatten()) != "first" || string(ev2.SGA.Flatten()) != "second" {
@@ -122,58 +122,47 @@ func TestMemQueueFIFOAcrossWaiters(t *testing.T) {
 	}
 }
 
-func TestMemQueueCloseDrains(t *testing.T) {
+// TestMemQueueCloseFreesBufferedData: Close runs when the descriptor is
+// released, so nothing can drain the queue afterwards — parked pops fail,
+// buffered data is freed (never leaked), and late pushes and pops fail with
+// the pushed buffer freed by the queue.
+func TestMemQueueCloseFreesBufferedData(t *testing.T) {
 	h := memory.NewHeap(nil)
 	tb := NewTokenTable()
-	q := NewMemQueue(1)
-	pending := tb.New()
-	q.Pop(pending)
-	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("z")))) // consumed by pending pop
-	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("buffered"))))
+	q := NewBoundedMemQueue(1, 0)
+	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("a"))), Addr{})
+	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("b"))), Addr{})
 	q.Close()
-	// Close must not strand the buffered sga: a draining pop still gets it.
+	q.Close() // idempotent
+	if h.LiveObjects() != 0 {
+		t.Errorf("live = %d after Close, want 0", h.LiveObjects())
+	}
+	if q.Depth() != 0 {
+		t.Errorf("depth = %d after Close", q.Depth())
+	}
 	pop := tb.New()
 	q.Pop(pop)
-	ev, _, _ := tb.TryTake(pop.Token())
-	if ev.Err != nil {
-		t.Fatalf("draining pop after close failed: %v", ev.Err)
-	}
-	if string(ev.SGA.Flatten()) != "buffered" {
-		t.Errorf("draining pop got %q", ev.SGA.Flatten())
-	}
-	ev.SGA.Free()
-	// Only once the queue is dry do pops report the close.
-	pop = tb.New()
-	q.Pop(pop)
-	ev, _, _ = tb.TryTake(pop.Token())
-	if !errors.Is(ev.Err, ErrQueueClosed) {
-		t.Errorf("pop after drain: %+v", ev)
+	if ev, _, _ := tb.TryTake(pop.Token()); !errors.Is(ev.Err, ErrQueueClosed) {
+		t.Errorf("pop after close: %+v", ev)
 	}
 	push := tb.New()
-	q.Push(push, SGA(memory.CopyFrom(h, []byte("w"))))
-	ev, _, _ = tb.TryTake(push.Token())
-	if !errors.Is(ev.Err, ErrQueueClosed) {
+	q.Push(push, SGA(memory.CopyFrom(h, []byte("w"))), Addr{})
+	if ev, _, _ := tb.TryTake(push.Token()); !errors.Is(ev.Err, ErrQueueClosed) {
 		t.Errorf("push after close: %+v", ev)
 	}
-	// The rejected push's buffer was freed by the queue; the popped "z"
-	// stays with its consumer.
-	if h.LiveObjects() != 1 {
-		t.Errorf("live = %d, want 1 (the popped sga)", h.LiveObjects())
+	if h.LiveObjects() != 0 {
+		t.Errorf("live = %d, want 0: the rejected push's buffer is the queue's to free", h.LiveObjects())
 	}
 }
 
-func TestMemQueueDestroyFreesBufferedData(t *testing.T) {
-	h := memory.NewHeap(nil)
+func TestMemQueueCloseFailsParkedPop(t *testing.T) {
 	tb := NewTokenTable()
-	q := NewMemQueue(1)
-	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("a"))))
-	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("b"))))
-	q.Destroy()
-	if h.LiveObjects() != 0 {
-		t.Errorf("live = %d after Destroy, want 0", h.LiveObjects())
-	}
-	if q.Depth() != 0 {
-		t.Errorf("depth = %d after Destroy", q.Depth())
+	q := NewBoundedMemQueue(1, 0)
+	pending := tb.New()
+	q.Pop(pending)
+	q.Close()
+	if ev, _, _ := tb.TryTake(pending.Token()); !errors.Is(ev.Err, ErrQueueClosed) {
+		t.Errorf("parked pop after close: %+v", ev)
 	}
 }
 
@@ -185,9 +174,9 @@ func TestMemQueueBackpressure(t *testing.T) {
 		t.Fatalf("capacity = %d", q.Capacity())
 	}
 	p1, p2, p3 := tb.New(), tb.New(), tb.New()
-	q.Push(p1, SGA(memory.CopyFrom(h, []byte("1"))))
-	q.Push(p2, SGA(memory.CopyFrom(h, []byte("2"))))
-	q.Push(p3, SGA(memory.CopyFrom(h, []byte("3"))))
+	q.Push(p1, SGA(memory.CopyFrom(h, []byte("1"))), Addr{})
+	q.Push(p2, SGA(memory.CopyFrom(h, []byte("2"))), Addr{})
+	q.Push(p3, SGA(memory.CopyFrom(h, []byte("3"))), Addr{})
 	if !p1.Done() || !p2.Done() {
 		t.Fatal("pushes below high-water did not complete")
 	}
@@ -230,27 +219,17 @@ func TestMemQueueCloseFailsParkedPush(t *testing.T) {
 	h := memory.NewHeap(nil)
 	tb := NewTokenTable()
 	q := NewBoundedMemQueue(1, 1)
-	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("kept"))))
+	q.Push(tb.New(), SGA(memory.CopyFrom(h, []byte("kept"))), Addr{})
 	parked := tb.New()
-	q.Push(parked, SGA(memory.CopyFrom(h, []byte("parked"))))
+	q.Push(parked, SGA(memory.CopyFrom(h, []byte("parked"))), Addr{})
 	q.Close()
 	ev, _, _ := tb.TryTake(parked.Token())
 	if !errors.Is(ev.Err, ErrQueueClosed) {
 		t.Errorf("parked push after close: %+v", ev)
 	}
-	// The parked push's buffer was freed; the buffered one drains.
-	if h.LiveObjects() != 1 {
-		t.Errorf("live = %d, want 1", h.LiveObjects())
-	}
-	pop := tb.New()
-	q.Pop(pop)
-	ev, _, _ = tb.TryTake(pop.Token())
-	if string(ev.SGA.Flatten()) != "kept" {
-		t.Errorf("drain after close got %q", ev.SGA.Flatten())
-	}
-	ev.SGA.Free()
+	// Both the parked push's buffer and the buffered one were freed.
 	if h.LiveObjects() != 0 {
-		t.Errorf("live = %d after drain", h.LiveObjects())
+		t.Errorf("live = %d, want 0", h.LiveObjects())
 	}
 }
 
@@ -367,17 +346,31 @@ func TestWaitAllCollectsInOrder(t *testing.T) {
 
 func TestQDescTable(t *testing.T) {
 	tbl := NewQDescTable()
-	qd := tbl.Insert("sock")
-	if got, ok := tbl.Lookup(qd); !ok || got != "sock" {
+	a, b := NewBoundedMemQueue(1, 0), NewBoundedMemQueue(1, 0)
+	if tbl.Next() != 1 || tbl.Next() != 1 {
+		t.Fatal("Next consumed a descriptor")
+	}
+	qd := tbl.Insert(a)
+	if got, ok := tbl.Lookup(qd); qd != 1 || !ok || got != Queue(a) {
 		t.Fatal("lookup failed")
 	}
 	if _, ok := tbl.Lookup(qd + 100); ok {
 		t.Error("phantom descriptor")
 	}
-	if got, ok := tbl.Remove(qd); !ok || got != "sock" {
+	tbl.Replace(qd, b)
+	if got, _ := tbl.Lookup(qd); got != Queue(b) || tbl.Len() != 1 {
+		t.Error("replace did not swap the queue in place")
+	}
+	if got, ok := tbl.Remove(qd); !ok || got != Queue(b) {
 		t.Error("remove failed")
 	}
 	if _, ok := tbl.Lookup(qd); ok {
 		t.Error("descriptor survived removal")
+	}
+	if _, ok := tbl.Remove(qd); ok {
+		t.Error("removed twice")
+	}
+	if tbl.Next() != 2 {
+		t.Error("a released descriptor was reused")
 	}
 }

@@ -11,6 +11,22 @@ import (
 // (paper Figure 2). All calls are library calls — no kernel crossing on the
 // datapath — and all I/O calls are asynchronous, returning qtokens redeemed
 // through the Wait family.
+//
+// FrontEnd is the one implementation of the calls below for every library
+// OS, and it checks each call in one order:
+//
+//  1. the libcall is charged;
+//  2. a push with no segments is ErrEmptySGA;
+//  3. an unknown or closed descriptor is ErrBadQDesc;
+//  4. a capability the queue lacks (Accept on a connection, Connect on a
+//     log, PushTo on anything but a datagram socket) is ErrNotSupported;
+//  5. the queue's own refusal follows: ErrNotBound before a connection
+//     exists, ErrInUse for an address or socket already taken, and so on.
+//
+// An error return means the call did not happen: no qtoken is outstanding,
+// token and descriptor numbering are as before the call, and the caller
+// still owns every buffer it offered. Failures discovered later arrive in
+// the completion's QEvent.Err instead.
 type LibOS interface {
 	// Socket creates a network socket queue.
 	Socket(t SockType) (QDesc, error)

@@ -6,7 +6,8 @@ package core
 // when data is available. Buffers pass by reference from producer to
 // consumer — the consumer becomes the owner and frees them. A push that the
 // queue can never deliver (failed by Close) is freed by the queue, so
-// producers never free after Push.
+// producers never free after Push. It is the Queue behind every libOS's
+// Queue() descriptor.
 type MemQueue struct {
 	qd       QDesc
 	capacity int // max buffered SGArrays; 0 = unbounded
@@ -22,18 +23,12 @@ type pendingPush struct {
 	sga SGArray
 }
 
-// NewMemQueue creates an unbounded in-memory queue with descriptor qd.
-func NewMemQueue(qd QDesc) *MemQueue { return &MemQueue{qd: qd} }
-
 // NewBoundedMemQueue creates an in-memory queue that buffers at most
 // capacity scatter-gather arrays; pushes beyond the high-water mark park
 // until a pop drains the queue (backpressure). capacity <= 0 is unbounded.
 func NewBoundedMemQueue(qd QDesc, capacity int) *MemQueue {
 	return &MemQueue{qd: qd, capacity: capacity}
 }
-
-// QD returns the queue's descriptor.
-func (q *MemQueue) QD() QDesc { return q.qd }
 
 // Len returns the number of buffered scatter-gather arrays.
 func (q *MemQueue) Len() int { return len(q.data) }
@@ -45,9 +40,6 @@ func (q *MemQueue) Depth() int { return len(q.data) + len(q.pushers) }
 // Capacity returns the high-water mark (0 = unbounded).
 func (q *MemQueue) Capacity() int { return q.capacity }
 
-// Closed reports whether the queue has been closed.
-func (q *MemQueue) Closed() bool { return q.closed }
-
 // full reports whether the queue is at or above its high-water mark.
 func (q *MemQueue) full() bool {
 	return q.capacity > 0 && len(q.data) >= q.capacity
@@ -57,43 +49,42 @@ func (q *MemQueue) full() bool {
 // its high-water mark; at capacity it parks until a pop makes room.
 // Ownership of the segments passes through the queue to the eventual
 // popper; if the queue can never deliver them (closed), it frees them.
-func (q *MemQueue) Push(op *Op, sga SGArray) {
-	if q.closed {
+func (q *MemQueue) Push(op *Op, sga SGArray, to Addr) error {
+	if to != (Addr{}) {
+		return ErrNotSupported
+	}
+	switch {
+	case q.closed:
 		sga.Free()
 		op.Fail(q.qd, OpPush, ErrQueueClosed)
-		return
-	}
-	if len(q.waiter) > 0 {
+	case len(q.waiter) > 0:
 		pop := q.waiter[0]
 		q.waiter = q.waiter[1:]
 		pop.Complete(QEvent{QD: q.qd, Op: OpPop, SGA: sga})
 		op.Complete(QEvent{QD: q.qd, Op: OpPush})
-		return
-	}
-	if q.full() {
+	case q.full():
 		q.pushers = append(q.pushers, pendingPush{op: op, sga: sga})
-		return
+	default:
+		q.data = append(q.data, sga)
+		op.Complete(QEvent{QD: q.qd, Op: OpPush})
 	}
-	q.data = append(q.data, sga)
-	op.Complete(QEvent{QD: q.qd, Op: OpPush})
+	return nil
 }
 
 // Pop completes op with buffered data, or parks it until a push arrives.
-// After Close, pops drain the remaining buffered data before reporting
-// ErrQueueClosed, so no accepted push is stranded.
-func (q *MemQueue) Pop(op *Op) {
-	if len(q.data) > 0 {
+func (q *MemQueue) Pop(op *Op) error {
+	switch {
+	case len(q.data) > 0:
 		sga := q.data[0]
 		q.data = q.data[1:]
 		op.Complete(QEvent{QD: q.qd, Op: OpPop, SGA: sga})
 		q.admit()
-		return
-	}
-	if q.closed {
+	case q.closed:
 		op.Fail(q.qd, OpPop, ErrQueueClosed)
-		return
+	default:
+		q.waiter = append(q.waiter, op)
 	}
-	q.waiter = append(q.waiter, op)
+	return nil
 }
 
 // admit moves parked pushes into the freed buffer space, completing their
@@ -107,11 +98,12 @@ func (q *MemQueue) admit() {
 	}
 }
 
-// Close half-closes the queue: parked pops and parked pushes fail with
-// ErrQueueClosed (a parked push's buffers are freed — the producer handed
-// them over and never frees after Push), future pushes are rejected, and
-// buffered data stays available for draining pops. Callers tearing the
-// queue down for good use Destroy, which also frees the undrained data.
+// Close tears the queue down once its descriptor is released: parked pops
+// and parked pushes fail with ErrQueueClosed, later ones too, and every
+// buffer the queue still holds — parked or buffered — is freed. With the
+// descriptor gone no pop can drain it, so freeing is the only way to keep
+// the never-leak contract (the producer handed the buffers over and never
+// frees after Push).
 func (q *MemQueue) Close() {
 	if q.closed {
 		return
@@ -126,57 +118,8 @@ func (q *MemQueue) Close() {
 		p.op.Fail(q.qd, OpPush, ErrQueueClosed)
 	}
 	q.pushers = nil
-}
-
-// Destroy closes the queue and frees any still-buffered data. Library OSes
-// call it when the descriptor is released: with the descriptor gone no pop
-// can drain the queue, so freeing is the only way to keep the never-leak
-// contract.
-func (q *MemQueue) Destroy() {
-	q.Close()
 	for _, sga := range q.data {
 		sga.Free()
 	}
 	q.data = nil
 }
-
-// QDescTable allocates queue descriptors and maps them to libOS-specific
-// queue state.
-type QDescTable struct {
-	next QDesc
-	qs   map[QDesc]any
-}
-
-// NewQDescTable returns an empty descriptor table.
-func NewQDescTable() *QDescTable {
-	return &QDescTable{qs: make(map[QDesc]any)}
-}
-
-// Insert allocates a descriptor for state q.
-func (t *QDescTable) Insert(q any) QDesc {
-	t.next++
-	t.qs[t.next] = q
-	return t.next
-}
-
-// Lookup returns the state for qd.
-func (t *QDescTable) Lookup(qd QDesc) (any, bool) {
-	q, ok := t.qs[qd]
-	return q, ok
-}
-
-// Restore sets the state stored for an already-allocated descriptor (used
-// when queue state needs its descriptor value at construction time).
-func (t *QDescTable) Restore(qd QDesc, q any) { t.qs[qd] = q }
-
-// Remove deletes qd, returning its state.
-func (t *QDescTable) Remove(qd QDesc) (any, bool) {
-	q, ok := t.qs[qd]
-	if ok {
-		delete(t.qs, qd)
-	}
-	return q, ok
-}
-
-// Len returns the number of live descriptors.
-func (t *QDescTable) Len() int { return len(t.qs) }

@@ -80,7 +80,7 @@ type TokenTable struct {
 	rec    *telemetry.FlightRecorder
 	dt     *dtrace.Hop
 	// issuer is the tenant principal stamped on ops minted while it is set
-	// (EnterTenant/ExitTenant bracket each tenant's libcalls). forgeries
+	// (SetIssuer brackets each tenant's libcalls). forgeries
 	// counts cross-tenant redemption attempts rejected by TryTakeAs; the
 	// optional hook lets harnesses attribute them per tenant.
 	issuer    uint32
@@ -113,8 +113,10 @@ func (t *TokenTable) SetRecorder(r *telemetry.FlightRecorder) { t.rec = r }
 func (t *TokenTable) SetDTrace(h *dtrace.Hop) { t.dt = h }
 
 // SetIssuer sets the tenant principal stamped on subsequently minted ops.
-// Library OSes bracket each tenant's libcalls with SetIssuer(id) /
+// tenant.View brackets each tenant's libcalls with SetIssuer(id) /
 // SetIssuer(0); ops minted outside any bracket belong to the host tenant 0.
+// This is the one tenant bracket: stacks that tag in-stack state (sockets,
+// connections, rx allocations) read Issuer when they build a socket.
 func (t *TokenTable) SetIssuer(tenant uint32) { t.issuer = tenant }
 
 // Issuer returns the currently stamped tenant principal.
@@ -142,6 +144,17 @@ func (t *TokenTable) New() *Op {
 	}
 	t.ops[op.qt] = op
 	return op
+}
+
+// Withdraw unmints op: the libcall that minted it was refused at the call
+// site, so the operation never happened. The token leaves the table and,
+// being the newest, hands its number back — a failed call is invisible to
+// later numbering.
+func (t *TokenTable) Withdraw(op *Op) {
+	delete(t.ops, op.qt)
+	if t.next == op.qt {
+		t.next--
+	}
 }
 
 // Lookup returns the operation for qt, if outstanding.

@@ -44,7 +44,7 @@ type NetOS interface {
 
 // StorOS is the libOS-internal contract for the storage side (Cattree).
 type StorOS interface {
-	core.LibOS
+	LibOS
 	StorageOS
 	Tokens() *core.TokenTable
 	Step() bool
@@ -178,22 +178,26 @@ func (c *Combined) Close(qd core.QDesc) error {
 	return c.Net.Close(qd)
 }
 
+// storToken moves a storage-side libcall's token into the combined namespace.
+func storToken(qt core.QToken, err error) (core.QToken, error) {
+	if err != nil {
+		return core.InvalidQToken, err
+	}
+	return tagQT(qt), nil
+}
+
 // Push dispatches to the owning libOS.
 func (c *Combined) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
 	if isStorQD(qd) {
-		qt, err := c.Stor.Push(untagQD(qd), sga)
-		if err != nil {
-			return core.InvalidQToken, err
-		}
-		return tagQT(qt), nil
+		return storToken(c.Stor.Push(untagQD(qd), sga))
 	}
 	return c.Net.Push(qd, sga)
 }
 
-// PushTo dispatches a datagram push.
+// PushTo dispatches a datagram push; a log refuses it like any stream queue.
 func (c *Combined) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
 	if isStorQD(qd) {
-		return core.InvalidQToken, core.ErrNotSupported
+		return storToken(c.Stor.PushTo(untagQD(qd), sga, to))
 	}
 	return c.Net.PushTo(qd, sga, to)
 }
@@ -201,11 +205,7 @@ func (c *Combined) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.Q
 // Pop dispatches to the owning libOS.
 func (c *Combined) Pop(qd core.QDesc) (core.QToken, error) {
 	if isStorQD(qd) {
-		qt, err := c.Stor.Pop(untagQD(qd))
-		if err != nil {
-			return core.InvalidQToken, err
-		}
-		return tagQT(qt), nil
+		return storToken(c.Stor.Pop(untagQD(qd)))
 	}
 	return c.Net.Pop(qd)
 }

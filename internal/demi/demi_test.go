@@ -196,9 +196,6 @@ func TestCombinedErrors(t *testing.T) {
 	eng, ca, cb, _ := combinedPair(t)
 	_ = cb
 	eng.Spawn(caNode(ca), func() {
-		if _, err := ca.PushTo(0x40000001, core.SGArray{}, core.Addr{}); !errors.Is(err, core.ErrNotSupported) {
-			t.Errorf("PushTo on storage qd: %v", err)
-		}
 		if err := ca.Seek(1, 0); !errors.Is(err, core.ErrNotSupported) {
 			t.Errorf("Seek on net qd: %v", err)
 		}

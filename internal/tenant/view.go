@@ -8,14 +8,6 @@ import (
 	"demikernel/internal/memory"
 )
 
-// Enterer is implemented by library OSes that tag in-stack state (sockets,
-// connections, coroutine spawns, rx allocations) with the calling tenant.
-// EnterTenant/ExitTenant bracket each of the tenant's libcalls.
-type Enterer interface {
-	EnterTenant(tid uint32)
-	ExitTenant()
-}
-
 // Registrar is implemented by library OSes whose coroutine scheduler does
 // weighted-fair queuing across tenants.
 type Registrar interface {
@@ -87,22 +79,13 @@ func (v *View) TenantHeap() *memory.TenantHeap { return v.th }
 // TenantHeap. (The signature is fixed by core.LibOS.)
 func (v *View) Heap() *memory.Heap { return v.os.Heap() }
 
-// enter brackets a libcall: ops minted inside are stamped with the
-// tenant, and the backend (if it cares) tags in-stack state.
-func (v *View) enter() {
-	v.os.Tokens().SetIssuer(v.t.id)
-	if e, ok := v.os.(Enterer); ok {
-		e.EnterTenant(v.t.id)
-	}
-}
+// enter brackets a libcall: ops minted inside are stamped with the tenant,
+// and a backend that tags in-stack state (sockets, connections, coroutine
+// spawns, rx allocations) reads the same issuer when it builds a socket.
+func (v *View) enter() { v.os.Tokens().SetIssuer(v.t.id) }
 
 // exit restores the host principal.
-func (v *View) exit() {
-	v.os.Tokens().SetIssuer(0)
-	if e, ok := v.os.(Enterer); ok {
-		e.ExitTenant()
-	}
-}
+func (v *View) exit() { v.os.Tokens().SetIssuer(0) }
 
 // check validates descriptor ownership.
 func (v *View) check(qd core.QDesc) error {
