@@ -642,21 +642,23 @@ func checkWritesAfterPush(p *Pass, prod producer, pushPos token.Pos) {
 }
 
 // staticCallee resolves a call to its *types.Func when the callee is a
-// plain function or a method on a concrete value.
+// plain function or a method on a concrete value. A method of an
+// instantiated generic type resolves to its declaration (Origin), which is
+// what the module's declaration and annotation tables are keyed by.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := info.Selections[fun]; ok {
 			if fn, ok := sel.Obj().(*types.Func); ok {
-				return fn
+				return fn.Origin()
 			}
 		}
 		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
+			return fn.Origin()
 		}
 	}
 	return nil

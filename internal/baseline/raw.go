@@ -101,7 +101,10 @@ func RawDPDKPing(port *dpdkdev.Port, peer simnet.MAC, size, count int) []time.Du
 func MessageForwarder(port *dpdkdev.Port, nFrames int) func() {
 	return func() {
 		node := port.Node()
-		var held [][]byte
+		// The frames of a message stay in their mbufs until the whole message
+		// is echoed: an mbuf's bytes are this loop's only until Free.
+		var held []*dpdkdev.Mbuf
+		var frames [][]byte
 		for {
 			mbufs := port.RxBurst(32)
 			if len(mbufs) == 0 {
@@ -117,11 +120,14 @@ func MessageForwarder(port *dpdkdev.Port, nFrames int) func() {
 				copy(tmp[:], m.Data[0:6])
 				copy(m.Data[0:6], m.Data[6:12])
 				copy(m.Data[6:12], tmp[:])
-				held = append(held, m.Data)
-				m.Free()
+				held = append(held, m)
+				frames = append(frames, m.Data)
 				if len(held) == nFrames {
-					port.TxBurst(held)
-					held = held[:0]
+					port.TxBurst(frames)
+					for _, h := range held {
+						h.Free()
+					}
+					held, frames = held[:0], frames[:0]
 				}
 			}
 		}

@@ -70,6 +70,15 @@ type Tracer interface {
 // dpdkdev.Queue of a multi-queue RSS port both satisfy it — the latter is
 // how internal/multicore runs one Catnip instance per core over its own
 // queue pair.
+//
+// Frame ownership. TxBurst must be done with the frames' bytes when it
+// returns (dpdkdev and catloop copy them onto their wire): the stack builds
+// every IPv4 frame in one reused buffer and overwrites it on the next send.
+// Mbuf.Data is the caller's only until Mbuf.Free, which hands the buffer
+// back to the fabric for a later frame — so an rx frame may be forwarded
+// with TxBurst([][]byte{m.Data}) followed by m.Free() (baseline's testpmd
+// loops do), but never in the other order, and nothing may keep m.Data past
+// Free without copying it.
 type Device interface {
 	MAC() simnet.MAC
 	RxBurst(max int) []*dpdkdev.Mbuf
@@ -137,6 +146,10 @@ type LibOS struct {
 	ipID          uint16
 	stats         Stats
 
+	mac     simnet.MAC // port.MAC(), fixed for the device's life
+	txBuf   []byte     // every IPv4 frame is built here; as long as the longest sent
+	txBurst [1][]byte  // txFrame's argument to TxBurst
+
 	reg     *telemetry.Registry
 	telCwnd *telemetry.Histogram // cwnd sampled at every ack arrival
 	telOOO  *telemetry.Histogram // OOO-queue depth sampled at every insert
@@ -170,6 +183,7 @@ func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
 	l := &LibOS{
 		node:          node,
 		port:          dev,
+		mac:           dev.MAC(),
 		heap:          memory.NewHeap(nil),
 		sched:         sched.New(),
 		cfg:           cfg,
@@ -373,6 +387,8 @@ func (l *LibOS) handleIPv4(eth wire.EthHeader, payload []byte) {
 // the distributed-trace trailer past the IPv4 packet — invisible to the
 // receiving stack's parser (which trims to TotalLen) but carried by the
 // frame, so the trace context crosses the wire with the request.
+//
+//demi:nonalloc every segment, datagram and ack leaves through here
 func (l *LibOS) sendIPv4(dstMAC simnet.MAC, dstIP wire.IPAddr, proto uint8, transport, payload []byte, ctx uint64) {
 	l.ipID++
 	total := wire.IPv4HeaderLen + len(transport) + len(payload)
@@ -383,8 +399,11 @@ func (l *LibOS) sendIPv4(dstMAC simnet.MAC, dstIP wire.IPAddr, proto uint8, tran
 	if l.loadProbe != nil {
 		flen += wire.LoadTrailerLen
 	}
-	frame := make([]byte, flen)
-	eth := wire.EthHeader{Dst: dstMAC, Src: l.port.MAC(), EtherType: wire.EtherTypeIPv4}
+	if cap(l.txBuf) < flen {
+		l.txBuf = make([]byte, flen)
+	}
+	frame := l.txBuf[:flen] // every byte is overwritten below
+	eth := wire.EthHeader{Dst: dstMAC, Src: l.mac, EtherType: wire.EtherTypeIPv4}
 	n := eth.Marshal(frame)
 	ip := wire.IPv4Header{
 		TotalLen: uint16(total),
@@ -410,12 +429,16 @@ func (l *LibOS) sendIPv4(dstMAC simnet.MAC, dstIP wire.IPAddr, proto uint8, tran
 	l.txFrame(frame)
 }
 
-// txFrame records and transmits one frame.
+// txFrame records and transmits one frame. The frame is the caller's again
+// on return (see Device).
+//
+//demi:nonalloc
 func (l *LibOS) txFrame(frame []byte) {
 	if l.cfg.Tracer != nil {
 		l.cfg.Tracer.RecordFrame('T', l.node.Now(), frame)
 	}
-	l.port.TxBurst([][]byte{frame})
+	l.txBurst[0] = frame
+	l.port.TxBurst(l.txBurst[:])
 	l.stats.TxFrames++
 }
 

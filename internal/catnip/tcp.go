@@ -296,13 +296,13 @@ type tcpConn struct {
 	irs uint32
 	//demi:stateguard rcvNxt acknowledges bytes to the peer; advancing it on
 	// a failed delivery desynchronizes the sequence space permanently.
-	rcvNxt uint32
-	recvQ       []*memory.Buf
-	recvBytes   int
-	oooQ        []oooSegment
-	oooBytes    int
-	pops        []*core.Op
-	peerClosed  bool
+	rcvNxt     uint32
+	recvQ      []*memory.Buf
+	recvBytes  int
+	oooQ       []oooSegment
+	oooBytes   int
+	pops       []*core.Op
+	peerClosed bool
 
 	// Congestion control and timers.
 	cc              cubic

@@ -81,10 +81,11 @@ func (o OpCode) String() string {
 	}
 }
 
-// QEvent is the completion of one asynchronous operation.
+// QEvent is the completion of one asynchronous operation. Completions are
+// the PDPIX transfer record: a pop's received buffers ride the event to the
+// caller, who owns them on redemption.
 //
-//demi:carrier completions are the PDPIX transfer record: a pop's received
-// buffers ride the event to the caller, who owns them on redemption.
+//demi:carrier
 type QEvent struct {
 	QD    QDesc
 	Op    OpCode

@@ -111,7 +111,7 @@ func (w *refWaiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, erro
 }
 
 // secondTag marks tokens of a world's second table, as demi.Combined's
-// storTag does.
+// storTokenTag does.
 const secondTag = 1 << 30
 
 // shape is how a world's waiter reaches its tokens.

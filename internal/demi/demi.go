@@ -69,8 +69,14 @@ type Drivable interface {
 	Now() sim.Time
 }
 
-// storTag marks descriptors and tokens owned by the storage libOS.
-const storTag = 1 << 30
+// storTag marks descriptors owned by the storage libOS and storTokenTag its
+// tokens. Tokens are minted sequentially per table as a uint64, so their tag
+// sits at bit 63, out of any count a run reaches: at bit 30 the 2³⁰-th
+// network operation minted a token that routed to the storage table.
+const (
+	storTag      core.QDesc  = 1 << 30
+	storTokenTag core.QToken = 1 << 63
+)
 
 // Combined is a network×storage datapath OS on one node.
 type Combined struct {
@@ -105,10 +111,10 @@ func untagQD(qd core.QDesc) core.QDesc {
 	return qd &^ storTag
 }
 
-func isStorQT(qt core.QToken) bool     { return qt&storTag != 0 }
-func tagQT(qt core.QToken) core.QToken { return qt | storTag }
+func isStorQT(qt core.QToken) bool     { return qt&storTokenTag != 0 }
+func tagQT(qt core.QToken) core.QToken { return qt | storTokenTag }
 func untagQT(qt core.QToken) core.QToken {
-	return qt &^ storTag
+	return qt &^ storTokenTag
 }
 
 // retagEvent rewrites a storage event into the combined namespace. NewQD

@@ -102,7 +102,7 @@ func TestCombinedTagRouting(t *testing.T) {
 		invoke   func(c *Combined) (core.QToken, error)
 		wantSide string // "net" or "stor"
 		wantCall string // recorded call on that side
-		wantTag  bool   // returned token carries storTag
+		wantTag  bool   // returned token carries storTokenTag
 	}{
 		{
 			name: "push untagged routes to net",
@@ -164,7 +164,7 @@ func TestCombinedTagRouting(t *testing.T) {
 			if len(other.calls) != 0 {
 				t.Fatalf("wrong side also called: %v", other.calls)
 			}
-			if got := qt&storTag != 0; got != tc.wantTag {
+			if got := isStorQT(qt); got != tc.wantTag {
 				t.Fatalf("token tag = %v, want %v", got, tc.wantTag)
 			}
 			// The combined table must redeem the token it handed out.
@@ -264,5 +264,27 @@ func TestCombinedNetNewQDUntouched(t *testing.T) {
 	}
 	if ev.NewQD != 13 {
 		t.Fatalf("net NewQD = %d, want 13 untagged", ev.NewQD)
+	}
+}
+
+// Tokens are sequential uint64 counts per table: the storage tag must route
+// every count a table can reach, and survive the round trip. At bit 30 (the
+// descriptor tag's bit) a network token of 2³⁰ read as a storage token and a
+// storage token past 2³⁰ lost a bit on the way back.
+func TestTokenTagRoundTrip(t *testing.T) {
+	for _, qt := range []core.QToken{
+		1, 1<<30 - 1, 1 << 30, 1<<30 + 1, 1<<30 | 12345,
+		1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<32 | 1<<30 | 7, 1<<62 + 1,
+	} {
+		if isStorQT(qt) {
+			t.Errorf("network token %#x routes to the storage table", qt)
+		}
+		tagged := tagQT(qt)
+		if !isStorQT(tagged) {
+			t.Errorf("storage token %#x, tagged %#x, routes to the network table", qt, tagged)
+		}
+		if got := untagQT(tagged); got != qt {
+			t.Errorf("storage token %#x comes back from its tag as %#x", qt, got)
+		}
 	}
 }

@@ -44,23 +44,31 @@ type Faults struct {
 // Mbuf is a packet buffer handed between the device and the stack. Rx mbufs
 // reference the frame delivered by the fabric; Tx mbufs are built by the
 // stack. Pool accounting mirrors DPDK's rte_mempool: the stack must Free rx
-// mbufs back or the pool runs dry.
+// mbufs back or the pool runs dry, and Data is the stack's only until Free —
+// the buffer then carries a later frame, as a mempool's does.
 type Mbuf struct {
 	Data []byte
 	pool *MbufPool
+	home *simnet.Switch // where Data goes back to on Free; nil leaves it to the GC
 }
 
-// Free returns the mbuf to its pool. Freeing a Tx mbuf (no pool) is a
-// no-op.
+// Free returns the mbuf's credit to its pool and its buffer to the fabric,
+// and clears Data so that a read after Free panics instead of seeing the
+// next frame's bytes. Freeing a Tx mbuf (no pool) returns nothing.
 func (m *Mbuf) Free() {
 	if m.pool != nil {
 		m.pool.free++
 		m.pool = nil
+		if m.home != nil {
+			m.home.Recycle(m.Data)
+		}
 	}
+	m.Data = nil
 }
 
 // MbufPool tracks rx buffer credit, modelling a finite DPDK mempool. All
-// queues of a port draw from the one pool.
+// queues of a port draw from the one pool; the buffers themselves are the
+// fabric's (simnet.Switch.Recycle).
 type MbufPool struct {
 	size int
 	free int
@@ -239,8 +247,8 @@ func (p *Port) DeliverRx(f simnet.Frame) {
 		// arrived during the reset is lost with them.
 		p.fltResets.Inc()
 		for _, q := range p.queues {
-			p.fltRxDrops.Add(uint64(len(q.ring)))
-			q.ring = nil
+			p.fltRxDrops.Add(uint64(q.ring.Len()))
+			q.ring = sim.Ring[simnet.Frame]{}
 		}
 		p.fltRxDrops.Inc()
 		return
@@ -249,19 +257,18 @@ func (p *Port) DeliverRx(f simnet.Frame) {
 		p.fltRxDrops.Inc()
 		return
 	}
-	data := f.Data
-	if p.flt.Corrupt.Fire(now) && len(data) > wireHeaderLen {
+	if p.flt.Corrupt.Fire(now) && len(f.Data) > wireHeaderLen {
 		// Flip one bit past the Ethernet header (a flip inside it would
 		// just misroute the frame, which checksums cannot witness). The
 		// frame is copied first: the fabric may share the backing array.
-		c := make([]byte, len(data))
-		copy(c, data)
+		c := make([]byte, len(f.Data))
+		copy(c, f.Data)
 		off := wireHeaderLen + p.flt.Corrupt.Rand().Intn(len(c)-wireHeaderLen)
 		c[off] ^= 1 << uint(p.flt.Corrupt.Rand().Intn(8))
-		data = c
+		f = simnet.Frame{Data: c}
 		p.fltCorrupt.Inc()
 	}
-	p.queues[p.rxQueue(data)].deliver(data)
+	p.queues[p.rxQueue(f.Data)].deliver(f)
 }
 
 // wireHeaderLen is the Ethernet header length — injected bit flips land
@@ -275,7 +282,8 @@ type Queue struct {
 	port    *Port
 	id      int
 	owner   *sim.Node
-	ring    [][]byte
+	ring    sim.Ring[simnet.Frame]
+	burst   []*Mbuf // RxBurst's result, reused by the next call
 	rxLimit int
 	tel     queueCounters
 }
@@ -308,12 +316,12 @@ func (q *Queue) SetOwner(n *sim.Node) { q.owner = n }
 // deliver places an arriving frame in the rx ring and wakes the polling
 // core, as the NIC's per-queue interrupt would. Runs inside the delivery
 // event.
-func (q *Queue) deliver(data []byte) {
-	if q.rxLimit > 0 && len(q.ring) >= q.rxLimit {
+func (q *Queue) deliver(f simnet.Frame) {
+	if q.rxLimit > 0 && q.ring.Len() >= q.rxLimit {
 		q.tel.rxRingFull.Inc()
 		return
 	}
-	q.ring = append(q.ring, data)
+	q.ring.Push(f)
 	if q.owner != nil && q.owner != q.port.net.Node() {
 		// The fabric's delivery event targets the attach node; queues
 		// polled by other cores need their own wakeup.
@@ -324,7 +332,8 @@ func (q *Queue) deliver(data []byte) {
 
 // RxBurst polls up to max frames from this queue's rx ring into fresh
 // mbufs, DPDK's rte_rx_burst. It returns nil immediately when the ring is
-// empty.
+// empty. The returned slice (not the mbufs) is valid until the next RxBurst
+// on this queue.
 func (q *Queue) RxBurst(max int) []*Mbuf {
 	now := q.port.net.Node().Now()
 	if q.owner != nil {
@@ -335,25 +344,28 @@ func (q *Queue) RxBurst(max int) []*Mbuf {
 		// ring and overflow into rx_ring_full like a real wedged NIC.
 		return nil
 	}
-	var out []*Mbuf
-	for len(out) < max && len(q.ring) > 0 {
-		data := q.ring[0]
-		q.ring[0] = nil
-		q.ring = q.ring[1:]
+	if q.ring.Len() == 0 {
+		return nil
+	}
+	clear(q.burst) // the last burst's mbufs are the caller's, not ours to retain
+	out := q.burst[:0]
+	for len(out) < max && q.ring.Len() > 0 {
+		f := q.ring.Pop()
 		if q.port.pool.free == 0 {
 			q.tel.rxNoMbuf.Inc()
 			continue
 		}
 		q.port.pool.free--
-		out = append(out, &Mbuf{Data: data, pool: q.port.pool})
+		out = append(out, &Mbuf{Data: f.Data, pool: q.port.pool, home: f.Home()})
 		q.tel.rxPackets.Inc()
-		q.tel.rxBytes.Add(uint64(len(data)))
+		q.tel.rxBytes.Add(uint64(len(f.Data)))
 	}
+	q.burst = out
 	return out
 }
 
 // RxPending returns the number of frames waiting in this queue's rx ring.
-func (q *Queue) RxPending() int { return len(q.ring) }
+func (q *Queue) RxPending() int { return q.ring.Len() }
 
 // TxBurst submits frames to the wire on this queue, DPDK's rte_tx_burst.
 // Frames must be complete Ethernet frames sourced from the port's MAC.

@@ -61,10 +61,11 @@ const (
 	OpQPErr
 )
 
-// CQE is a completion queue entry.
+// CQE is a completion queue entry. Completion entries hand the posted
+// receive buffer back to the poller; ownership transfers with the entry by
+// the verbs contract.
 //
-//demi:carrier completion entries hand the posted receive buffer back to
-// the poller; ownership transfers with the entry by the verbs contract.
+//demi:carrier
 type CQE struct {
 	QPN uint32
 	Op  Opcode

@@ -131,8 +131,12 @@ func (e *Engine) Run() {
 		next := e.minRunnable()
 		// Process every event at or before the next node's clock. With no
 		// runnable node, drain events until one wakes somebody.
-		for e.heap.len() > 0 && (next == nil || e.heap.peek().at <= next.clock) {
-			ev := e.heap.pop()
+		for e.heap.len() > 0 {
+			top, lane := e.heap.first()
+			if next != nil && top.at > next.clock {
+				break
+			}
+			ev := e.heap.take(top, lane)
 			e.now = ev.at
 			e.eventsRun++
 			if ev.fn != nil {

@@ -51,6 +51,42 @@ func BenchmarkEventQueue(b *testing.B) {
 			}
 		})
 	}
+	// What Catnip's never-cancelled retransmission timers do to the queue:
+	// ≈ 12 k deadlines of now+1 ms resident, re-armed as they fire, while
+	// near events (frame deliveries, park deadlines) come and go under them.
+	b.Run("stale-timers", func(b *testing.B) {
+		var h eventHeap
+		r := NewRand(1)
+		nop := func() {}
+		near := &Node{}
+		seq := uint64(0)
+		push := func(at Time, target *Node) {
+			seq++
+			h.push(event{at: at, seq: seq, target: target, fn: nop})
+		}
+		const resident, rto = 12_000, Time(1_000_000)
+		for i := 0; i < resident; i++ {
+			push(rto*Time(i)/resident, nil)
+		}
+		for i := 0; i < 4; i++ {
+			push(Time(r.Intn(1000)), near)
+		}
+		step := func() {
+			if ev := h.pop(); ev.target == near {
+				push(ev.at+Time(r.Intn(1000)), near)
+			} else {
+				push(ev.at+rto, nil)
+			}
+		}
+		for i := 0; i < 4*resident; i++ {
+			step() // the timers find their lane
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+	})
 }
 
 func TestEventQueueSteadyStateDoesNotAllocate(t *testing.T) {

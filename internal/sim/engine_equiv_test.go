@@ -212,6 +212,7 @@ type world interface {
 	now() Time
 	seq() uint64
 	eventsRun() uint64
+	pending() int
 	nodes() int
 
 	charge(node int, d time.Duration)
@@ -237,6 +238,7 @@ func (w realWorld) run()                           { w.e.Run() }
 func (w realWorld) now() Time                      { return w.e.Now() }
 func (w realWorld) seq() uint64                    { return w.e.seq }
 func (w realWorld) eventsRun() uint64              { return w.e.EventsRun() }
+func (w realWorld) pending() int                   { return w.e.heap.len() }
 func (w realWorld) nodes() int                     { return len(w.e.nodes) }
 func (w realWorld) charge(n int, d time.Duration)  { w.node(n).Charge(d) }
 func (w realWorld) park(n int, deadline Time) bool { return w.node(n).Park(deadline) }
@@ -260,6 +262,7 @@ func (w refWorld) run()                           { w.e.run() }
 func (w refWorld) now() Time                      { return w.e.now }
 func (w refWorld) seq() uint64                    { return w.e.seq }
 func (w refWorld) eventsRun() uint64              { return w.e.eventsRun }
+func (w refWorld) pending() int                   { return len(w.e.heap.ev) }
 func (w refWorld) nodes() int                     { return len(w.e.nodes) }
 func (w refWorld) charge(n int, d time.Duration)  { w.node(n).charge(d) }
 func (w refWorld) park(n int, deadline Time) bool { return w.node(n).park(deadline) }
@@ -283,6 +286,7 @@ type script struct {
 	seed    uint64
 	trace   []traceEntry
 	spawned int // nodes created from inside the simulation
+	deepest int // most events pending at the end of a storm
 }
 
 const maxInsideSpawns = 6
@@ -349,7 +353,10 @@ func (s *script) main(n, steps int) func() {
 		r := s.rng(uint64(n) + 1<<32)
 		for i := 0; i < steps; i++ {
 			ok := true
-			switch r.Intn(10) {
+			switch r.Intn(11) {
+			case 10:
+				s.storm(n, i, r)
+				ok = w.park(n, w.clock(n).Add(100*time.Microsecond)) // past every timer: the lanes drain empty and start over
 			case 0, 1:
 				w.charge(n, time.Duration(r.Intn(2000)))
 			case 2:
@@ -390,6 +397,37 @@ func (s *script) main(n, steps int) func() {
 	}
 }
 
+// storm is the shape the event queue's lanes exist for, deep enough to
+// engage them: a burst of now+constant timers with one of three constants
+// (several nodes storm at once, and a node's clock runs ahead of the
+// engine's, so the streams interleave out of order), near events among
+// them, ties with a timer just armed, and finally ties with timers armed
+// long before — instants behind every lane's newest, which only the heap
+// can take while their twins sit in a lane.
+func (s *script) storm(n, step int, r *Rand) {
+	w := s.w
+	id := uint64(n)<<24 + uint64(step)<<12
+	far := time.Duration(20+15*r.Intn(3)) * time.Microsecond
+	var armed []Time
+	for j := 80 + r.Intn(120); j > 0; j-- {
+		id++
+		w.charge(n, time.Duration(r.Intn(40)))
+		at := w.clock(n).Add(far)
+		w.at(at, s.target(r), s.event(id, 0))
+		armed = append(armed, at)
+		switch r.Intn(4) {
+		case 0:
+			w.at(w.clock(n).Add(time.Duration(r.Intn(300))), s.target(r), s.event(id<<8, 1))
+		case 1:
+			w.at(at, -1, s.event(id<<8+1, 0))
+		}
+	}
+	for j := len(armed) - 1; j > 0; j -= 1 + r.Intn(len(armed)/6) {
+		w.at(armed[j], s.target(r), s.event(id<<8+uint64(j), 0))
+	}
+	s.deepest = max(s.deepest, w.pending())
+}
+
 type outcome struct {
 	trace     []traceEntry
 	now       Time
@@ -397,6 +435,7 @@ type outcome struct {
 	clocks    []Time
 	busy      []time.Duration
 	parks     []uint64
+	deepest   int
 }
 
 func runScript(w world, seed uint64) outcome {
@@ -418,7 +457,7 @@ func runScript(w world, seed uint64) outcome {
 		w.at(Time(r.Intn(60000)), -1, w.stop) // Stop mid-run
 	}
 	w.run()
-	out := outcome{trace: s.trace, now: w.now(), eventsRun: w.eventsRun()}
+	out := outcome{trace: s.trace, now: w.now(), eventsRun: w.eventsRun(), deepest: s.deepest}
 	for n := 0; n < w.nodes(); n++ {
 		out.clocks = append(out.clocks, w.clock(n))
 		out.busy = append(out.busy, w.busy(n))
@@ -433,6 +472,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		seeds = 200
 	}
 	var entries, events uint64
+	var deepest int
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		want := runScript(refWorld{&refEngine{back: make(chan struct{})}}, seed)
 		got := runScript(realWorld{NewEngine(seed)}, seed)
@@ -451,12 +491,19 @@ func TestEngineMatchesReference(t *testing.T) {
 		if a, b := fmt.Sprint(got.clocks, got.busy, got.parks), fmt.Sprint(want.clocks, want.busy, want.parks); a != b {
 			t.Fatalf("seed %d: per-node clocks/busy/parks\n got %s\nwant %s", seed, a, b)
 		}
+		if got.deepest != want.deepest {
+			t.Fatalf("seed %d: %d events pending after the deepest storm, reference %d", seed, got.deepest, want.deepest)
+		}
 		entries += uint64(len(want.trace))
 		events += want.eventsRun
+		deepest = max(deepest, want.deepest)
 	}
 	// Guard against a script generator that quietly stopped exercising
 	// anything: the seeds must add up to real work.
 	if entries < uint64(seeds)*100 || events < uint64(seeds)*50 {
 		t.Fatalf("scripts too thin: %d trace entries, %d events over %d seeds", entries, events, seeds)
+	}
+	if deepest < 8*shallow {
+		t.Fatalf("storms too thin: at most %d events pending, and the lanes engage at %d", deepest, shallow)
 	}
 }

@@ -323,10 +323,17 @@ func TestRandDeterminismAndRange(t *testing.T) {
 	}
 }
 
+func (h *eventHeap) pop() event { return h.take(h.first()) }
+
 // Random interleaved pushes and pops must come out exactly as a sort by
-// (at, seq) would give them, carrying their own payload; the slab must
-// never outgrow the deepest the queue has been (slots are reused), and a
-// popped slot must hold neither closure nor node.
+// (at, seq) would give them, carrying their own payload, whichever of the
+// heap and the lanes each event went to. Pushes mix what the lanes exist
+// for (streams of now+constant with different constants) with what they
+// must merely survive (scattered instants, ties, instants before a lane's
+// newest). After every operation the layout's own invariants are checked:
+// heap slots are a permutation of a slab no longer than the deepest queue,
+// every lane is sorted with its cached tail right, and nothing popped is
+// still referenced.
 func TestEventHeapProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		r := NewRand(seed)
@@ -334,13 +341,25 @@ func TestEventHeapProperty(t *testing.T) {
 			h       eventHeap
 			pending []event // reference: kept sorted by (at, seq)
 			ran     uint64  // seq of the event whose fn ran last
+			now     Time    // at of the last pop: the engine never schedules before it
 			deepest int
+			laned   bool
 			target  = &Node{}
 		)
-		for op, seq := 0, uint64(0); op < 600; op++ {
-			if len(pending) == 0 || r.Intn(100) < 55-op/20 { // fills, then drains
+		for op, seq := 0, uint64(0); op < 2500; op++ {
+			if len(pending) == 0 || r.Intn(100) < 80-op/30 { // fills, then drains
 				seq++
-				ev := event{at: Time(r.Intn(50)), seq: seq}
+				ev := event{seq: seq}
+				switch r.Intn(6) {
+				case 0:
+					ev.at = now // tie with whatever else is due now
+				case 1, 2:
+					ev.at = now + 1000 // one stream of now+constant
+				case 3:
+					ev.at = now + 3000 // another, ahead of it
+				default:
+					ev.at = now + Time(r.Intn(50))
+				}
 				if r.Intn(2) == 0 {
 					ev.target = target
 				}
@@ -355,7 +374,7 @@ func TestEventHeapProperty(t *testing.T) {
 			} else {
 				want := pending[0]
 				pending = pending[1:]
-				if k := h.peek(); k.at != want.at || k.seq != want.seq {
+				if k, _ := h.first(); k.at != want.at || k.seq != want.seq {
 					t.Fatalf("seed %d op %d: peek (%v, %d), want (%v, %d)", seed, op, k.at, k.seq, want.at, want.seq)
 				}
 				got := h.pop()
@@ -365,11 +384,12 @@ func TestEventHeapProperty(t *testing.T) {
 				if got.fn(); ran != want.seq {
 					t.Fatalf("seed %d op %d: popped (%v, %d) with the closure of seq %d", seed, op, got.at, got.seq, ran)
 				}
+				now = got.at
 			}
 			if h.len() != len(pending) {
 				t.Fatalf("seed %d op %d: len %d, want %d", seed, op, h.len(), len(pending))
 			}
-			if len(h.slab) != deepest || len(h.keys) != deepest {
+			if len(h.slab) != len(h.keys) || len(h.keys) > deepest {
 				t.Fatalf("seed %d op %d: %d slots and %d keys for a deepest queue of %d", seed, op, len(h.slab), len(h.keys), deepest)
 			}
 			// Slots of keys are a permutation of the slab; those past the
@@ -384,7 +404,76 @@ func TestEventHeapProperty(t *testing.T) {
 					t.Fatalf("seed %d op %d: key %d of %d live: slot %d holds %+v", seed, op, i, h.n, k.slot, p)
 				}
 			}
+			inLanes := 0
+			for i := range h.lane {
+				l := &h.lane[i]
+				inLanes += l.Len()
+				var tail Time
+				for j := 0; j < len(l.buf); j++ {
+					e := l.buf[l.index(j)]
+					switch {
+					case j >= l.Len():
+						if e.fn != nil || e.target != nil || e.at != 0 || e.seq != 0 {
+							t.Fatalf("seed %d op %d: lane %d keeps %+v past its %d events", seed, op, i, e, l.Len())
+						}
+					case j > 0 && !eventKey{at: tail}.before(eventKey{at: e.at, seq: 1}):
+						t.Fatalf("seed %d op %d: lane %d out of order at %d: %v after %v", seed, op, i, j, e.at, tail)
+					default:
+						tail = e.at
+					}
+				}
+				if h.tail[i] != tail {
+					t.Fatalf("seed %d op %d: lane %d tail cached as %v, is %v", seed, op, i, h.tail[i], tail)
+				}
+			}
+			if inLanes != h.laned {
+				t.Fatalf("seed %d op %d: %d events in lanes, counted %d", seed, op, inLanes, h.laned)
+			}
+			laned = laned || inLanes > shallow
 		}
+		if !laned {
+			t.Fatalf("seed %d: the lanes never held more than %d events: the script no longer reaches them", seed, shallow)
+		}
+	}
+}
+
+// A lane that held a deep stream and lost it gives most of its buffer back,
+// so that streams moving between lanes do not leave every lane as large as
+// the deepest stream ever was; lanes in steady use are left alone.
+func TestEventLanesShrink(t *testing.T) {
+	var h eventHeap
+	seq := uint64(0)
+	push := func(at Time) {
+		seq++
+		h.push(event{at: at, seq: seq})
+	}
+	for i := 0; i < 20_000; i++ {
+		push(Time(1000 + i%2*5000 + i)) // two interleaved monotone streams
+	}
+	if h.n > shallow {
+		t.Fatalf("%d of 20 000 events in two monotone streams went to the heap", h.n)
+	}
+	held := func() (c int) {
+		for i := range h.lane {
+			c += len(h.lane[i].buf)
+		}
+		return c
+	}
+	if c := held(); c > 2*20_000 {
+		t.Fatalf("lanes hold %d slots for 20 000 events", c)
+	}
+	for h.len() > 100 {
+		h.pop()
+	}
+	if c := held(); c > 100*3+lanes*shallow {
+		t.Fatalf("lanes still hold %d slots for the last 100 of 20 000 events", c)
+	}
+	steady := held()
+	for i := 0; i < 10_000; i++ {
+		push(h.pop().at + 40_000)
+	}
+	if c := held(); c != steady {
+		t.Fatalf("lanes went from %d to %d slots at a steady depth of 100", steady, c)
 	}
 }
 

@@ -32,29 +32,71 @@ type eventPayload struct {
 	fn     func()
 }
 
-// eventHeap is a 4-ary min-heap of keys ordered by (at, seq) over a slab of
-// payloads that never move. keys[:n] is the heap; keys[n:] park the free
-// slab slots in their slot fields, so the slot fields of keys are always a
-// permutation of the slab's indices and slot reuse needs no list of its
-// own. Both arrays keep their high-water length.
+// lanes is the number of FIFO lanes beside the heap: one for each sorted
+// stream a two-host TCP run keeps resident at once (retransmission timers
+// armed at now+RTO, the re-arms at a connection's standing deadline when a
+// stale one fires, and the 5 ms SYN and persist timers) and one for the
+// fabric's per-hop delivery delays.
+const lanes = 4
+
+// shallow is the queue depth up to which a sift costs less than the lanes'
+// scan: up to it every event goes to the heap, and no lane buffer is cut
+// shorter.
+const shallow = 64
+
+// eventHeap is the engine's event queue: a heap and a few FIFO lanes that
+// together pop in (at, seq) order.
 //
-// Catnip arms a fresh retransmission event per data segment and never
-// cancels one, so the queue runs hundreds to thousands deep: four children
-// per node halve the levels a pop descends. We implement it directly rather than
-// through container/heap to avoid the interface boxing on the hot path:
-// experiments schedule millions of events.
+// The heap is a 4-ary min-heap of keys over a slab of payloads that never
+// move. keys[:n] is the heap; keys[n:] park the free slab slots in their
+// slot fields, so the slot fields of keys are always a permutation of the
+// slab's indices and slot reuse needs no list of its own. Both arrays keep
+// their high-water length. We implement it directly rather than through
+// container/heap to avoid the interface boxing on the hot path: experiments
+// schedule millions of events.
+//
+// A lane takes only events not before its newest. Appended in nondecreasing
+// at and (the engine's seq only grows) increasing seq, a lane is sorted by
+// construction, so the queue's minimum is the least of the lanes' heads and
+// the heap's root, and pop order is (at, seq) wherever each event went. push
+// picks the lane whose newest event is the latest not after the new one, so
+// streams of now+constant deadlines with different constants settle in a
+// lane each. Catnip arms a retransmission event at now+RTO per data segment
+// and never cancels one, so thousands are resident: in a lane each costs a
+// ring slot instead of a sift through all the others. A timer wheel that
+// cancels (ROADMAP 3(a)) removes the lanes' reason to exist.
 type eventHeap struct {
-	keys []eventKey
-	n    int
-	slab []eventPayload // len(slab) == len(keys)
+	keys  []eventKey
+	n     int
+	slab  []eventPayload // len(slab) == len(keys)
+	lane  [lanes]Ring[event]
+	tail  [lanes]Time // at of each lane's newest event; 0 for an empty lane
+	laned int         // events in the lanes
 }
 
-func (h *eventHeap) len() int { return h.n }
+func (h *eventHeap) len() int { return h.n + h.laned }
 
-// push allocates only when the queue is deeper than it has ever been.
+// push allocates only when the heap is deeper than it has ever been or a
+// lane outgrows its buffer. Callers push in increasing seq.
 //
 //demi:nonalloc every Park with a deadline and every packet hop pushes an event
 func (h *eventHeap) push(e event) {
+	if h.n+h.laned >= shallow {
+		// Best fit. An empty lane's tail of 0 fits any event and loses to
+		// any lane in use that fits.
+		fit, fitAt := -1, Time(-1)
+		for i, t := range h.tail {
+			if t <= e.at && t > fitAt {
+				fit, fitAt = i, t
+			}
+		}
+		if fit >= 0 {
+			h.lane[fit].Push(e)
+			h.tail[fit] = e.at
+			h.laned++
+			return
+		}
+	}
 	if h.n == len(h.keys) {
 		h.keys = append(h.keys, eventKey{slot: uint32(len(h.slab))})
 		h.slab = append(h.slab, eventPayload{})
@@ -74,13 +116,47 @@ func (h *eventHeap) push(e event) {
 	h.keys[i] = k
 }
 
-// peek returns the earliest key without removing it. It panics on an empty
-// heap; callers check len first.
-func (h *eventHeap) peek() *eventKey { return &h.keys[0] }
-
+// first returns the earliest event's key (slot is meaningful only to the
+// heap) and the lane it heads, or -1 for the heap's root. The queue must not
+// be empty.
+//
 //demi:nonalloc
-func (h *eventHeap) pop() event {
-	top := h.keys[0]
+func (h *eventHeap) first() (eventKey, int) {
+	k, lane := eventKey{at: Infinity, seq: ^uint64(0)}, -1
+	if h.n > 0 {
+		k = h.keys[0]
+	}
+	if h.laned == 0 {
+		return k, lane
+	}
+	for i := range h.lane {
+		if l := &h.lane[i]; l.Len() > 0 {
+			f := l.Front()
+			if fk := (eventKey{at: f.at, seq: f.seq}); fk.before(k) {
+				k, lane = fk, i
+			}
+		}
+	}
+	return k, lane
+}
+
+// take removes and returns the event first found: top, heading lane.
+//
+//demi:nonalloc
+func (h *eventHeap) take(top eventKey, lane int) event {
+	if lane >= 0 {
+		l := &h.lane[lane]
+		ev := l.Pop()
+		h.laned--
+		if l.Len() == 0 {
+			h.tail[lane] = 0
+		}
+		// A lane carries whichever stream finds it, and two until each has
+		// its own: cutting the buffer of one that lost its load keeps the
+		// lanes together about as large as one heap holding everything.
+		l.Shrink(shallow)
+		return ev
+	}
 	p := &h.slab[top.slot]
 	ev := event{at: top.at, seq: top.seq, target: p.target, fn: p.fn}
 	*p = eventPayload{} // release closure for GC

@@ -34,8 +34,42 @@ func (m MAC) IsBroadcast() bool { return m == Broadcast }
 // A Frame is a raw Ethernet frame on the wire. The fabric treats it as
 // opaque bytes apart from the destination and source addresses in the first
 // 12 bytes.
+//
+// Ownership: the bytes a sender passes to Send are the sender's and may be
+// reused the moment Send returns; the fabric carries its own copy. A
+// delivered frame belongs to whoever it was delivered to, and a receiver
+// that is its only owner may hand the buffer back (Home, Recycle).
 type Frame struct {
 	Data []byte
+	// home is the switch whose free list Data came from, kept only while
+	// the frame has exactly one owner: duplication, flooding and forwarding
+	// hooks clear it, and frames built outside SendAt never have it.
+	home *Switch
+}
+
+// Home returns the switch to Recycle the frame's buffer to once its final
+// owner is done with it, or nil when the buffer is not the fabric's to
+// reuse: it may have a second owner, and is left to the garbage collector.
+func (f Frame) Home() *Switch { return f.home }
+
+// wireBufCap is the capacity of a recycled wire buffer: a 1500-byte MTU
+// frame with its Ethernet header and both trailers, rounded up to a Go
+// allocator size class. Only frames longer than half of it are worth a
+// retained buffer; a 54-byte ACK stays a 64-byte allocation.
+const wireBufCap = 1792
+
+// maxFreeWireBufs bounds the switch's free list, and with it the memory the
+// fabric retains when idle (112 KiB): a 64 KiB message is 45 MTU frames in
+// flight before the receiver frees the first.
+const maxFreeWireBufs = 64
+
+// Recycle takes back the buffer of a delivered frame whose Home is s, for
+// the wire copy of a later SendAt. Only the frame's final owner may call it,
+// once, and must not touch the bytes afterwards.
+func (s *Switch) Recycle(buf []byte) {
+	if cap(buf) >= wireBufCap && len(s.free) < maxFreeWireBufs {
+		s.free = append(s.free, buf[:wireBufCap])
+	}
 }
 
 // Dst returns the destination MAC (frame bytes 0..5).
@@ -156,9 +190,9 @@ type Port struct {
 	// port (the down link serializes in order), so pruning entries at or
 	// before "now" from the front yields the instantaneous queue depth
 	// without per-frame drain events.
-	eq []sim.Time
+	eq sim.Ring[sim.Time]
 
-	rx      []Frame
+	rx      sim.Ring[Frame]
 	rxLimit int
 	promisc bool
 	sink    RxSink
@@ -178,17 +212,13 @@ func (p *Port) Index() int { return p.index }
 // serialized onto the down link.
 func (p *Port) EgressDepth(now sim.Time) int {
 	p.pruneEgress(now)
-	return len(p.eq)
+	return p.eq.Len()
 }
 
 // pruneEgress drops queue entries whose serialization finished by now.
 func (p *Port) pruneEgress(now sim.Time) {
-	i := 0
-	for i < len(p.eq) && p.eq[i] <= now {
-		i++
-	}
-	if i > 0 {
-		p.eq = p.eq[i:]
+	for p.eq.Len() > 0 && *p.eq.Front() <= now {
+		p.eq.Pop()
 	}
 }
 
@@ -219,15 +249,18 @@ func (p *Port) SendAt(f Frame, now sim.Time) {
 	if f.Src() != p.mac {
 		panic(fmt.Sprintf("simnet: port %v sending frame with src %v", p.mac, f.Src()))
 	}
-	// Serialization copies the frame onto the wire: receivers own their
-	// copy and may mutate it without aliasing the sender's buffers.
-	f = Frame{Data: append([]byte(nil), f.Data...)}
 	p.stats.TxFrames++
 	p.stats.TxBytes += uint64(len(f.Data))
 	txEnd := p.up.transmitDelay(now, len(f.Data))
 	at, dup, ok := p.up.arrival(txEnd, len(f.Data))
 	if !ok {
 		return
+	}
+	// Serialization copies the frame onto the wire: receivers own their
+	// copy and may mutate it without aliasing the sender's buffers.
+	f = p.sw.wireCopy(f.Data)
+	if dup {
+		f.home = nil // both deliveries share the one copy
 	}
 	eng := p.node.Engine()
 	deliver := func(t sim.Time) {
@@ -248,13 +281,13 @@ func (p *Port) enqueue(f Frame) {
 		p.sink.DeliverRx(f)
 		return
 	}
-	if p.rxLimit > 0 && len(p.rx) >= p.rxLimit {
+	if p.rxLimit > 0 && p.rx.Len() >= p.rxLimit {
 		p.stats.RxDropped++
 		return
 	}
 	p.stats.RxFrames++
 	p.stats.RxBytes += uint64(len(f.Data))
-	p.rx = append(p.rx, f)
+	p.rx.Push(f)
 }
 
 // InjectRx places a frame directly in the receive ring, bypassing the
@@ -266,17 +299,14 @@ func (p *Port) InjectRx(f Frame) { p.enqueue(f) }
 // Recv pops the oldest received frame, reporting ok=false when the ring is
 // empty. Devices poll this from their fast path.
 func (p *Port) Recv() (Frame, bool) {
-	if len(p.rx) == 0 {
+	if p.rx.Len() == 0 {
 		return Frame{}, false
 	}
-	f := p.rx[0]
-	p.rx[0] = Frame{}
-	p.rx = p.rx[1:]
-	return f, true
+	return p.rx.Pop(), true
 }
 
 // RxPending returns the number of frames waiting in the rx ring.
-func (p *Port) RxPending() int { return len(p.rx) }
+func (p *Port) RxPending() int { return p.rx.Len() }
 
 // SwitchParams configures the fabric switch.
 type SwitchParams struct {
@@ -315,6 +345,7 @@ type Switch struct {
 	byMAC  map[MAC]*Port
 	macSeq uint64
 	hook   ForwardHook
+	free   [][]byte // wireBufCap-sized buffers handed back by Recycle
 
 	reg          *telemetry.Registry
 	forwarded    *telemetry.Counter // frames sent out exactly one port
@@ -376,6 +407,23 @@ func (s *Switch) Attach(node *sim.Node, params LinkParams, rxRing int) *Port {
 	return p
 }
 
+// wireCopy returns the fabric's own copy of a frame's bytes, in a buffer
+// from the free list when the frame is long enough to be worth one.
+func (s *Switch) wireCopy(data []byte) Frame {
+	if len(data) <= wireBufCap/2 || len(data) > wireBufCap {
+		return Frame{Data: append([]byte(nil), data...)}
+	}
+	var buf []byte
+	if k := len(s.free) - 1; k >= 0 {
+		buf, s.free = s.free[k], s.free[:k]
+	} else {
+		buf = make([]byte, wireBufCap)
+	}
+	buf = buf[:len(data)]
+	copy(buf, data)
+	return Frame{Data: buf, home: s}
+}
+
 // forward runs at the instant a frame arrives at the switch ingress and
 // schedules egress deliveries.
 func (s *Switch) forward(f Frame, from *Port) {
@@ -383,6 +431,7 @@ func (s *Switch) forward(f Frame, from *Port) {
 		var to *Port
 		var fwd bool
 		f, to, fwd = s.hook.Forward(f, from)
+		f.home = nil // the hook may have kept or trimmed the bytes
 		if to != nil {
 			s.forwarded.Inc()
 			s.egress(f, to)
@@ -395,6 +444,7 @@ func (s *Switch) forward(f Frame, from *Port) {
 	}
 	dst := f.Dst()
 	if dst.IsBroadcast() {
+		f.home = nil // flooded: every egress port delivers the same bytes
 		for _, p := range s.ports {
 			if p != from {
 				s.flooded.Inc()
@@ -409,6 +459,7 @@ func (s *Switch) forward(f Frame, from *Port) {
 		return
 	}
 	// Unknown unicast: flood, and promiscuous ports may claim it.
+	f.home = nil
 	for _, p := range s.ports {
 		if p != from && p.promisc {
 			s.flooded.Inc()
@@ -423,18 +474,21 @@ func (s *Switch) forward(f Frame, from *Port) {
 func (s *Switch) egress(f Frame, to *Port) {
 	t := s.eng.Now().Add(s.params.Latency)
 	to.pruneEgress(t)
-	if s.params.TxQueueCap > 0 && len(to.eq) >= s.params.TxQueueCap {
+	if s.params.TxQueueCap > 0 && to.eq.Len() >= s.params.TxQueueCap {
 		to.stats.EgressDrops++
 		return
 	}
 	txEnd := to.down.transmitDelay(t, len(f.Data))
-	to.eq = append(to.eq, txEnd)
-	if d := len(to.eq); d > to.stats.EgressPeak {
+	to.eq.Push(txEnd)
+	if d := to.eq.Len(); d > to.stats.EgressPeak {
 		to.stats.EgressPeak = d
 	}
 	at, dup, ok := to.down.arrival(txEnd, len(f.Data))
 	if !ok {
 		return
+	}
+	if dup {
+		f.home = nil // both deliveries share the one copy
 	}
 	deliver := func(when sim.Time) {
 		s.eng.At(when, to.node, func() { to.enqueue(f) })
