@@ -2,17 +2,16 @@
 // qtoken discipline, buffer ownership, sim-world determinism,
 // //demi:nonalloc hot-path allocation checks, //demi:stateguard
 // complete-or-error mutation, poll-path blocking discipline, capability
-// escape confinement, and //demi:budget static cost gates. It is built
+// escape confinement, and the //demi: marker grammar itself. It is built
 // exclusively on the standard library's go/parser, go/ast and go/types.
 //
 // Usage:
 //
 //	go run ./cmd/demi-vet ./...
-//	go run ./cmd/demi-vet -time ./internal/apps/... ./examples/...
+//	go run ./cmd/demi-vet ./internal/apps/... ./examples/...
 //	go run ./cmd/demi-vet -json ./...           # machine-readable findings
 //	go run ./cmd/demi-vet -github ./...         # GitHub workflow annotations
 //	go run ./cmd/demi-vet -budget 25s ./...     # fail if the run exceeds 25s
-//	go run ./cmd/demi-vet -costs ./...          # cost estimates, for budgets
 //
 // Exit status: 0 no findings, 1 findings (or stale allowlist entries, or
 // -budget exceeded), 2 usage or load errors. Audited exceptions live in
@@ -25,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -40,11 +38,9 @@ func run(args []string) int {
 	start := time.Now()
 	fs := flag.NewFlagSet("demi-vet", flag.ContinueOnError)
 	allowPath := fs.String("allow", "", "allowlist file (default <module-root>/analysis.allow)")
-	timing := fs.Bool("time", false, "print per-analyzer compute time")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	github := fs.Bool("github", false, "emit findings as GitHub workflow ::error annotations")
 	budget := fs.Duration("budget", 0, "fail (exit 1) if the whole run exceeds this wall time")
-	costs := fs.Bool("costs", false, "print per-function static cost estimates and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -83,14 +79,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	if *costs {
-		printCosts(mod, pkgs)
-		return 0
-	}
-
-	findings, elapsed := analysis.RunTimed(mod, pkgs, analysis.DefaultAnalyzers())
-	findings = allow.Filter(findings)
-
+	findings := allow.Filter(analysis.Run(mod, pkgs, analysis.DefaultAnalyzers()))
 	switch {
 	case *jsonOut:
 		if err := printJSON(findings); err != nil {
@@ -118,16 +107,6 @@ func run(args []string) int {
 			fmt.Fprintf(os.Stderr, "demi-vet: %s:%d: stale allowlist entry (%s %s %q) suppresses nothing — delete it\n",
 				*allowPath, e.Line, e.Analyzer, e.File, e.Contains)
 			status = 1
-		}
-	}
-	if *timing {
-		names := make([]string, 0, len(elapsed))
-		for n := range elapsed {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(os.Stderr, "demi-vet: %-16s %s\n", n, elapsed[n].Round(1e6))
 		}
 	}
 	// The wall-clock regression gate: CI runs with -budget so that analysis
@@ -181,30 +160,6 @@ func printGitHub(f analysis.Finding) {
 	esc := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A").Replace(msg)
 	fmt.Printf("::error file=%s,line=%d,col=%d,title=demi-vet %s::%s\n",
 		f.File, f.Pos.Line, f.Pos.Column, f.Analyzer, esc)
-}
-
-// printCosts lists the static worst-case estimate of every function in the
-// selected packages, most expensive first — the input for choosing
-// //demi:budget values with real headroom.
-func printCosts(mod *analysis.Module, pkgs []*analysis.Package) {
-	selected := make(map[string]bool, len(pkgs))
-	for _, p := range pkgs {
-		selected[p.Path] = true
-	}
-	for _, e := range mod.CostReport() {
-		if !selected[e.Pkg] {
-			continue
-		}
-		cost := "unbounded"
-		if e.Cost != analysis.CostUnbounded {
-			cost = e.Cost.Duration().String()
-		}
-		line := fmt.Sprintf("%-12s %s.%s", cost, strings.TrimPrefix(e.Pkg, mod.Path+"/"), e.Func)
-		if e.Budget > 0 {
-			line += fmt.Sprintf("  (budget %s)", e.Budget.Duration())
-		}
-		fmt.Println(line)
-	}
 }
 
 // selectPackages resolves the command-line patterns against the loaded

@@ -24,14 +24,16 @@
 //     *tenant.View) may not escape to package variables, exported
 //     non-//demi:carrier struct fields, or closures that outlive the call
 //     (capescape.go).
-//   - cyclebudget: //demi:budget=<duration> functions must fit the static
-//     worst-case cost estimate (cyclebudget.go).
+//
+// An eighth analyzer, annot, checks the //demi: markers themselves: a
+// misspelled, detached or misplaced marker is a finding instead of a
+// silently disabled check (annot.go).
 //
 // The qtoken, ownership, stateguard and capescape rules sit on a shared
 // dataflow core: a per-function control-flow graph (cfg.go) and an
 // interprocedural summary engine (summary.go) that fixpoints parameter
-// ownership modes, owned results, poll facts and cost estimates over the
-// module call graph.
+// ownership modes, owned results and poll facts over the module call
+// graph. Summaries are memoized on first use, so Run is sequential.
 //
 // The analyzer is built exclusively on the standard library's go/parser,
 // go/ast and go/types (with the source importer for the standard library),
@@ -42,10 +44,7 @@ import (
 	"fmt"
 	"go/token"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 )
 
 // A Finding is one rule violation at a source position.
@@ -99,8 +98,8 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 	})
 }
 
-// DefaultAnalyzers returns the eight demi-vet analyzers with their default
-// configuration.
+// DefaultAnalyzers returns the seven contract analyzers with their default
+// configuration, plus the annotation check they all depend on.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		QTokenAnalyzer(),
@@ -110,69 +109,17 @@ func DefaultAnalyzers() []*Analyzer {
 		StateguardAnalyzer(),
 		PolldisciplineAnalyzer(),
 		CapescapeAnalyzer(),
-		CyclebudgetAnalyzer(),
+		AnnotAnalyzer(),
 	}
 }
 
 // Run executes the analyzers over the given packages, returning findings
 // sorted by position.
 func Run(mod *Module, pkgs []*Package, analyzers []*Analyzer) []Finding {
-	fs, _ := RunTimed(mod, pkgs, analyzers)
-	return fs
-}
-
-// RunTimed is Run, also reporting per-analyzer time so CI can keep the
-// lint budget honest. Summaries are precomputed single-threaded, then the
-// per-package passes run on a worker pool (the summary memos are frozen
-// and read-only by then); per-analyzer durations are summed across
-// workers, so they report aggregate compute, not wall time.
-func RunTimed(mod *Module, pkgs []*Package, analyzers []*Analyzer) ([]Finding, map[string]time.Duration) {
-	mod.Precompute()
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type shard struct {
-		findings []Finding
-		elapsed  map[string]time.Duration
-	}
-	shards := make([]shard, workers)
-	jobs := make(chan *Package)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.elapsed = make(map[string]time.Duration)
-			for pkg := range jobs {
-				for _, a := range analyzers {
-					start := time.Now()
-					pass := &Pass{Mod: mod, Pkg: pkg, analyzer: a, sink: &sh.findings}
-					a.Run(pass)
-					sh.elapsed[a.Name] += time.Since(start)
-				}
-			}
-		}(&shards[w])
-	}
-	for _, pkg := range pkgs {
-		jobs <- pkg
-	}
-	close(jobs)
-	wg.Wait()
-
 	var findings []Finding
-	elapsed := make(map[string]time.Duration)
-	for _, a := range analyzers {
-		elapsed[a.Name] = 0
-	}
-	for _, sh := range shards {
-		findings = append(findings, sh.findings...)
-		for n, d := range sh.elapsed {
-			elapsed[n] += d
+	for _, pkg := range pkgs {
+		for _, a := range analyzers {
+			a.Run(&Pass{Mod: mod, Pkg: pkg, analyzer: a, sink: &findings})
 		}
 	}
 	sort.Slice(findings, func(i, j int) bool {
@@ -190,5 +137,5 @@ func RunTimed(mod *Module, pkgs []*Package, analyzers []*Analyzer) ([]Finding, m
 		}
 		return findings[i].Message < findings[j].Message
 	})
-	return findings, elapsed
+	return findings
 }

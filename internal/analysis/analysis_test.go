@@ -1,8 +1,13 @@
 package analysis
 
 import (
+	"fmt"
+	"go/ast"
+	"go/types"
+	"math/rand"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -176,10 +181,51 @@ func TestCapescapeFixture(t *testing.T) {
 	runFixture(t, "capescapefix", CapescapeAnalyzer())
 }
 
-// TestCyclebudgetFixture pins the //demi:budget gate against the static
-// cost model, including the unbounded-recursion case.
-func TestCyclebudgetFixture(t *testing.T) {
-	runFixture(t, "budgetfix", CyclebudgetAnalyzer())
+// TestAnnotFixture pins the loud-marker rule: a //demi: line with an
+// unknown name or a value, one a blank line has detached, and one on the
+// wrong kind of declaration are findings; the legal forms and prose that
+// merely quotes a marker are not.
+func TestAnnotFixture(t *testing.T) {
+	runFixture(t, "annotfix", AnnotAnalyzer())
+}
+
+// TestAnnotationsReadCold asks the three annotation accessors about a
+// package on a module nothing has been run over: they index on demand, so
+// none is "only valid after" some earlier pass.
+func TestAnnotationsReadCold(t *testing.T) {
+	root, path, err := FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newModule(root, path)
+	pkg, err := m.LoadDir(filepath.Join("testdata", "src", "annotfix"))
+	if err != nil {
+		t.Fatalf("loading annotfix: %v", err)
+	}
+	scope := pkg.Types.Scope()
+	record := scope.Lookup("Record").(*types.TypeName)
+	for _, c := range []struct {
+		typ     string
+		carrier bool
+	}{{"Record", true}, {"Grouped", true}, {"Plain", false}} {
+		if got := m.IsCarrier(scope.Lookup(c.typ).(*types.TypeName)); got != c.carrier {
+			t.Errorf("IsCarrier(%s) = %v, want %v", c.typ, got, c.carrier)
+		}
+	}
+	fields := record.Type().Underlying().(*types.Struct)
+	for i, guarded := range []bool{true, true, false} { // Seq, Ack, Len
+		if got := m.IsGuardedField(fields.Field(i)); got != guarded {
+			t.Errorf("IsGuardedField(Record.%s) = %v, want %v", fields.Field(i).Name(), got, guarded)
+		}
+	}
+	for _, c := range []struct {
+		fn       string
+		nonalloc bool
+	}{{"hot", true}, {"typo", false}, {"valued", false}, {"detached", false}} {
+		if got := m.IsNonAlloc(scope.Lookup(c.fn).(*types.Func)); got != c.nonalloc {
+			t.Errorf("IsNonAlloc(%s) = %v, want %v", c.fn, got, c.nonalloc)
+		}
+	}
 }
 
 // TestInterprocFixture pins the interprocedural engine's headline wins:
@@ -188,36 +234,6 @@ func TestCyclebudgetFixture(t *testing.T) {
 // through inspection helpers.
 func TestInterprocFixture(t *testing.T) {
 	runFixture(t, "interprocfix", OwnershipAnalyzer(), QTokenAnalyzer())
-}
-
-// TestInterprocRegression is the tentpole's acceptance proof: every leak
-// in interprocfix crosses a function boundary, so the pre-engine
-// intra-function ownership checker reports nothing there while the
-// summary-driven analyzer reports them all.
-func TestInterprocRegression(t *testing.T) {
-	m, _ := loadSharedModule(t)
-	pkg, err := m.LoadDir(filepath.Join("testdata", "src", "interprocfix"))
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	intra := Run(m, []*Package{pkg}, []*Analyzer{ownershipAnalyzerIntra()})
-	for _, f := range intra {
-		t.Errorf("intra-function checker unexpectedly found: %s", f)
-	}
-	inter := Run(m, []*Package{pkg}, []*Analyzer{OwnershipAnalyzer()})
-	if len(inter) < 3 {
-		t.Fatalf("interprocedural checker found %d leak(s), want at least 3: %v", len(inter), inter)
-	}
-	wantSub := "is never freed, pushed, returned, or stored"
-	found := false
-	for _, f := range inter {
-		if strings.Contains(f.Message, wantSub) {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no interprocedural finding matches %q in %v", wantSub, inter)
-	}
 }
 
 // TestModuleClean is the acceptance gate: demi-vet with the checked-in
@@ -235,6 +251,92 @@ func TestModuleClean(t *testing.T) {
 	}
 	for _, e := range allow.Unused() {
 		t.Errorf("analysis.allow:%d: stale entry (%s %s %q) suppresses nothing", e.Line, e.Analyzer, e.File, e.Contains)
+	}
+}
+
+// renderFindings is the comparison key of the order tests: every field a
+// finding prints.
+func renderFindings(fs []Finding) string {
+	var b strings.Builder
+	for _, f := range fs {
+		b.WriteString(f.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// forgetSummaries drops every memo, so the next query computes from
+// nothing, in whatever order it is asked.
+func forgetSummaries(m *Module) {
+	m.sums = nil
+	m.allocMemo = make(map[*types.Func]int8)
+}
+
+// TestFindingsIndependentOfOrder holds the sequential engine to what the
+// snapshot engine was for: summaries are memoized in the order they are
+// first asked for, and a function summarized while a caller of its own
+// cycle is still in progress sees that caller's default, so findings must
+// not depend on which package is analyzed first, nor on which member of a
+// call cycle is entered first.
+func TestFindingsIndependentOfOrder(t *testing.T) {
+	m, pkgs := loadSharedModule(t)
+
+	sorted := append([]*Package(nil), pkgs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
+	forgetSummaries(m)
+	want := renderFindings(Run(m, sorted, DefaultAnalyzers()))
+	if want == "" {
+		t.Fatal("the module reports nothing before the allowlist: the comparison would be vacuous")
+	}
+	check := func(name string, order []*Package) {
+		forgetSummaries(m)
+		if got := renderFindings(Run(m, order, DefaultAnalyzers())); got != want {
+			t.Errorf("module, %s package order: findings differ from sorted order\n--- sorted\n%s--- %s\n%s", name, want, name, got)
+		}
+	}
+	reversed := append([]*Package(nil), sorted...)
+	for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
+		reversed[i], reversed[j] = reversed[j], reversed[i]
+	}
+	check("reversed", reversed)
+	for seed := int64(1); seed <= 3; seed++ {
+		shuffled := append([]*Package(nil), sorted...)
+		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		check(fmt.Sprintf("shuffled (seed %d)", seed), shuffled)
+	}
+
+	// The fixtures with call cycles (sumfix: pingFree/pongFree, even/odd,
+	// rec) and with helper chains (interprocfix): summarize each function
+	// first in turn, then analyze the package.
+	for _, fixture := range []string{"sumfix", "interprocfix"} {
+		pkg, err := m.LoadDir(filepath.Join("testdata", "src", fixture))
+		if err != nil {
+			t.Fatalf("loading %s: %v", fixture, err)
+		}
+		forgetSummaries(m)
+		want := renderFindings(Run(m, []*Package{pkg}, DefaultAnalyzers()))
+		if want == "" {
+			t.Fatalf("%s reports nothing: the comparison would be vacuous", fixture)
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				fn := pkg.Info.Defs[fd.Name].(*types.Func)
+				forgetSummaries(m)
+				m.ParamModes(fn)
+				m.OwnedResults(fn)
+				m.PollFacts(fn)
+				m.allocates(fn)
+				if got := renderFindings(Run(m, []*Package{pkg}, DefaultAnalyzers())); got != want {
+					t.Errorf("%s entered from %s first: findings differ\n--- declaration order\n%s--- %s first\n%s", fixture, fd.Name.Name, want, fd.Name.Name, got)
+				}
+			}
+		}
 	}
 }
 

@@ -4,139 +4,169 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-	"time"
 )
 
-// annot.go indexes the demi-vet source annotations beyond //demi:nonalloc:
+// annot.go owns the demi-vet source annotations:
 //
-//	//demi:stateguard [rationale]     on a struct field: the field may not
-//	                                  be written on any path that returns a
-//	                                  non-nil error (complete-or-error).
-//	//demi:budget=<duration> [why]    on a function: its static worst-case
-//	                                  cost estimate must stay within the
-//	                                  budget (e.g. //demi:budget=900ns).
-//	//demi:carrier [rationale]        on a struct type: its exported fields
-//	                                  are sanctioned transfer records for
-//	                                  tracked values (SGArray, QEvent), not
-//	                                  capability escapes.
+//	//demi:nonalloc [rationale]       in a function's doc comment: the
+//	                                  function may not allocate, directly
+//	                                  or transitively (nonalloc.go).
+//	//demi:stateguard [rationale]     in a struct field's doc or line
+//	                                  comment: the field may not be written
+//	                                  on any path that returns a non-nil
+//	                                  error (complete-or-error).
+//	//demi:carrier [rationale]        in a type's doc comment: its exported
+//	                                  fields are sanctioned transfer records
+//	                                  for tracked values (SGArray, QEvent),
+//	                                  not capability escapes.
 //
-// Grammar, as for //demi:nonalloc: the marker must start the comment line;
-// anything after it on the same line is free-form rationale. For budget,
-// the value is attached with '=' and parsed by time.ParseDuration.
+// Grammar: the comment line starts with //demi:<name>, no space before
+// demi — the directive form gofmt keeps at the end of a doc comment;
+// anything after the first space is free-form rationale. Prose that quotes
+// a marker (`// //demi:nonalloc ...`) does not start with one. Every other
+// line that does start with //demi: is a finding (AnnotAnalyzer): an
+// unknown name, or a known one where nothing reads it.
 
-// demiMarker scans a comment group for a //demi:<name> line, returning the
-// text after the marker ("" when the marker stands alone) and whether it
-// was found. For value-carrying markers pass name with the '=' ("budget=").
-func demiMarker(doc *ast.CommentGroup, name string) (string, bool) {
-	if doc == nil {
+// markerName returns the <name> of a //demi:<name> comment line.
+func markerName(c *ast.Comment) (string, bool) {
+	rest, ok := strings.CutPrefix(c.Text, "//demi:")
+	if !ok {
 		return "", false
 	}
+	name, _, _ := strings.Cut(rest, " ")
+	return name, true
+}
+
+// hasMarker reports whether the comment group carries a //demi:<name> line.
+func hasMarker(doc *ast.CommentGroup, name string) bool {
+	if doc == nil {
+		return false
+	}
 	for _, c := range doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, "demi:"+name) {
-			continue
-		}
-		rest := text[len("demi:"+name):]
-		if strings.HasSuffix(name, "=") {
-			// Value marker: everything up to the first space is the value.
-			if v, _, _ := strings.Cut(rest, " "); v != "" {
-				return v, true
-			}
-			continue
-		}
-		if rest == "" || strings.HasPrefix(rest, " ") {
-			return strings.TrimSpace(rest), true
+		if n, ok := markerName(c); ok && n == name {
+			return true
 		}
 	}
-	return "", false
+	return false
 }
 
-// annotIndex scans (or, after fixture loads, extends) the annotation
-// indexes over every loaded package. Like index(), it is incremental and
-// must only run single-threaded (Precompute calls it).
-func (m *Module) annotIndex() {
-	s := m.summaryState()
-	for ; s.annotIndexed < len(m.Pkgs); s.annotIndexed++ {
-		p := m.Pkgs[s.annotIndexed]
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if v, ok := demiMarker(d.Doc, "budget="); ok {
-						if dur, err := time.ParseDuration(v); err == nil {
-							if fn, ok := p.Info.Defs[d.Name].(*types.Func); ok {
-								s.budgets[fn] = Cost(dur.Nanoseconds())
-							}
-						}
+// markerHomes says where each marker is read; markerSites visits exactly
+// those places, so the index and the annot check cannot drift apart.
+var markerHomes = map[string]string{
+	"nonalloc":   "a function's doc comment",
+	"stateguard": "a struct field's doc or line comment",
+	"carrier":    "a type's doc comment",
+}
+
+// markerSites calls visit(name, comments, id) for every place in f where
+// marker name is read, id being the identifier it would annotate.
+func markerSites(f *ast.File, visit func(name string, doc *ast.CommentGroup, id *ast.Ident)) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			visit("nonalloc", d.Doc, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				// A sole type's doc comment attaches to the GenDecl; grouped
+				// (parenthesized) types carry their own.
+				doc := ts.Doc
+				if doc == nil && len(d.Specs) == 1 {
+					doc = d.Doc
+				}
+				visit("carrier", doc, ts.Name)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, name := range field.Names {
+						visit("stateguard", field.Doc, name)
+						visit("stateguard", field.Comment, name)
 					}
-				case *ast.GenDecl:
-					m.indexTypeAnnotations(s, p, d)
 				}
 			}
 		}
 	}
 }
 
-func (m *Module) indexTypeAnnotations(s *summaries, p *Package, d *ast.GenDecl) {
-	for _, spec := range d.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
+// indexAnnotations records one file's annotated objects (see index).
+func (m *Module) indexAnnotations(p *Package, f *ast.File) {
+	markerSites(f, func(name string, doc *ast.CommentGroup, id *ast.Ident) {
+		if !hasMarker(doc, name) {
+			return
 		}
-		// A sole type's doc comment attaches to the GenDecl; grouped
-		// (parenthesized) types carry their own.
-		doc := ts.Doc
-		if doc == nil && len(d.Specs) == 1 {
-			doc = d.Doc
+		switch obj := p.Info.Defs[id].(type) {
+		case *types.Func:
+			m.nonalloc[obj] = true
+		case *types.Var:
+			m.guarded[obj] = true
+		case *types.TypeName:
+			m.carriers[obj] = true
 		}
-		if _, ok := demiMarker(doc, "carrier"); ok {
-			if tn, ok := p.Info.Defs[ts.Name].(*types.TypeName); ok {
-				s.carriers[tn] = true
-			}
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			continue
-		}
-		for _, field := range st.Fields.List {
-			_, inDoc := demiMarker(field.Doc, "stateguard")
-			_, inLine := demiMarker(field.Comment, "stateguard")
-			if !inDoc && !inLine {
-				continue
-			}
-			for _, name := range field.Names {
-				if v, ok := p.Info.Defs[name].(*types.Var); ok {
-					s.guarded[v] = true
-				}
-			}
-		}
-	}
+	})
+}
+
+// IsNonAlloc reports whether fn carries the //demi:nonalloc annotation.
+func (m *Module) IsNonAlloc(fn *types.Func) bool {
+	m.index()
+	return m.nonalloc[fn]
 }
 
 // IsGuardedField reports whether v is a //demi:stateguard struct field.
-// Only valid after Precompute.
 func (m *Module) IsGuardedField(v *types.Var) bool {
-	return m.sums != nil && m.sums.guarded[v]
+	m.index()
+	return m.guarded[v]
 }
 
 // HasGuardedFields reports whether any //demi:stateguard field is indexed
 // (lets the stateguard analyzer skip modules without annotations).
 func (m *Module) HasGuardedFields() bool {
-	return m.sums != nil && len(m.sums.guarded) > 0
-}
-
-// BudgetOf returns fn's //demi:budget annotation. Only valid after
-// Precompute.
-func (m *Module) BudgetOf(fn *types.Func) (Cost, bool) {
-	if m.sums == nil {
-		return 0, false
-	}
-	c, ok := m.sums.budgets[fn]
-	return c, ok
+	m.index()
+	return len(m.guarded) > 0
 }
 
 // IsCarrier reports whether the named type is annotated //demi:carrier.
-// Only valid after Precompute.
 func (m *Module) IsCarrier(tn *types.TypeName) bool {
-	return m.sums != nil && m.sums.carriers[tn]
+	m.index()
+	return m.carriers[tn]
+}
+
+// AnnotAnalyzer makes the annotation grammar loud. A marker the index does
+// not read — a misspelled name, a value the grammar does not have, a
+// marker a blank line has detached from its declaration, a marker on the
+// wrong kind of declaration — used to be skipped in silence, which turns
+// the check it was meant to request off without a trace.
+func AnnotAnalyzer() *Analyzer {
+	a := &Analyzer{
+		Name: "annot",
+		Doc:  "every //demi: comment line must be a known marker placed where that marker is read",
+	}
+	a.Run = func(p *Pass) { runAnnot(p) }
+	return a
+}
+
+func runAnnot(p *Pass) {
+	for _, f := range p.Pkg.Files {
+		home := make(map[*ast.CommentGroup]string) // comment group -> the marker read there
+		markerSites(f, func(name string, doc *ast.CommentGroup, _ *ast.Ident) { home[doc] = name })
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				name, ok := markerName(c)
+				if !ok || home[cg] == name {
+					continue
+				}
+				if where, known := markerHomes[name]; known {
+					p.Reportf(c.Slash, "move it into "+where+", with no blank line between the comment and the declaration",
+						"//demi:%s is not read here: it belongs in %s", name, where)
+				} else {
+					p.Reportf(c.Slash, "the markers are //demi:nonalloc, //demi:stateguard and //demi:carrier, each optionally followed by a space and a rationale",
+						"unknown annotation //demi:%s", name)
+				}
+			}
+		}
+	}
 }

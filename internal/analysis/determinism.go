@@ -16,9 +16,11 @@ type DeterminismConfig struct {
 
 // defaultDeterministicPkgs covers everything that runs under the simulation
 // harness: the simulated network and devices, the cooperative scheduler,
-// the fault engine, the wire codecs, the TCP/UDP stacks, and the core/
-// memory layers they pull in. sim/rng.go's seeded xorshift is the one
-// sanctioned randomness source; sim's virtual clock the one time source.
+// the fault engine, the wire codecs, the TCP/UDP stacks, the core/memory
+// layers they pull in, and the applications, baselines, workload
+// generators and cost constants whose output the benches byte-compare.
+// sim/rng.go's seeded xorshift is the one sanctioned randomness source;
+// sim's virtual clock the one time source.
 var defaultDeterministicPkgs = []string{
 	"/internal/sim",
 	"/internal/simnet",
@@ -33,13 +35,18 @@ var defaultDeterministicPkgs = []string{
 	"/internal/core",
 	"/internal/memory",
 	"/internal/dtrace",
-	"/internal/devices",
 	"/internal/dpdkdev",
 	"/internal/rdmadev",
 	"/internal/spdkdev",
 	"/internal/multicore",
 	"/internal/rack",
 	"/internal/tenant",
+	"/internal/reqsched",
+	"/internal/baseline",
+	"/internal/demi",
+	"/internal/apps",
+	"/internal/costmodel",
+	"/internal/ycsb",
 }
 
 // bannedTimeFuncs are the time-package entry points that read or depend on

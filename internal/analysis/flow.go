@@ -29,19 +29,6 @@ func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// enclosingFunc returns the innermost FuncDecl or FuncLit body on the stack.
-func enclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch f := stack[i].(type) {
-		case *ast.FuncDecl:
-			return f
-		case *ast.FuncLit:
-			return f
-		}
-	}
-	return nil
-}
-
 // outermostFuncBody returns the body of the outermost function declaration
 // on the stack: the scope within which a tracked variable's uses are
 // searched. (Objects declared in a nested FuncLit only have uses inside
@@ -68,7 +55,6 @@ type producer struct {
 	dropped  bool           // whole result discarded (bare expression statement)
 	consumed bool           // result flows directly onward (return/arg/composite)
 	stmt     ast.Stmt       // statement containing the call (assign or expr stmt)
-	guard    *ast.IfStmt    // if the call is an IfStmt.Init, that IfStmt
 }
 
 // findProducers scans a file for calls with a result matching isTracked
@@ -133,12 +119,6 @@ func findProducers(info *types.Info, file *ast.File, isTracked func(types.Type) 
 				// statement, argument to another call, composite literal,
 				// channel send...): consumed by construction.
 				p.consumed = true
-			}
-			// Record an enclosing guard `if qt, err := f(); ...`.
-			if j := i - 1; j >= 0 && p.stmt != nil {
-				if ifs, ok := stack[j].(*ast.IfStmt); ok && ifs.Init == p.stmt {
-					p.guard = ifs
-				}
 			}
 			break
 		}

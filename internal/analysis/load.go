@@ -23,7 +23,7 @@ type Package struct {
 
 // A Module holds every loaded package of one Go module plus the
 // cross-package indexes the analyzers share (function declarations,
-// //demi:nonalloc annotations, allocation summaries). Loading uses only
+// //demi: annotations, allocation summaries). Loading uses only
 // the standard library: go/parser for syntax, go/types for semantics,
 // and the stdlib source importer for standard-library dependencies.
 type Module struct {
@@ -38,8 +38,10 @@ type Module struct {
 	// Cross-package indexes, built lazily by index().
 	decls    map[*types.Func]*ast.FuncDecl
 	declPkg  map[*types.Func]*Package
-	nonalloc map[*types.Func]bool
-	indexed  int // number of packages already indexed
+	nonalloc map[*types.Func]bool     // //demi:nonalloc functions
+	guarded  map[*types.Var]bool      // //demi:stateguard fields
+	carriers map[*types.TypeName]bool // //demi:carrier types
+	indexed  int                      // number of packages already indexed
 
 	allocMemo map[*types.Func]int8 // allocation summary memo (see nonalloc.go)
 
@@ -80,15 +82,7 @@ func LoadModule(dir string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	m := &Module{
-		Fset:      fset,
-		Root:      root,
-		Path:      modPath,
-		byPath:    make(map[string]*Package),
-		std:       importer.ForCompiler(fset, "source", nil),
-		allocMemo: make(map[*types.Func]int8),
-	}
+	m := newModule(root, modPath)
 	var dirs []string
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -120,6 +114,19 @@ func LoadModule(dir string) (*Module, error) {
 	return m, nil
 }
 
+// newModule returns a module with nothing loaded yet.
+func newModule(root, modPath string) *Module {
+	fset := token.NewFileSet()
+	return &Module{
+		Fset:      fset,
+		Root:      root,
+		Path:      modPath,
+		byPath:    make(map[string]*Package),
+		std:       importer.ForCompiler(fset, "source", nil),
+		allocMemo: make(map[*types.Func]int8),
+	}
+}
+
 // LoadDir loads the package in dir (which must be inside the module tree),
 // returning the cached package if it was already loaded. It works for
 // testdata fixture packages too, which the module walk skips.
@@ -138,9 +145,6 @@ func (m *Module) LoadDir(dir string) (*Package, error) {
 	}
 	return m.load(path)
 }
-
-// PackageByPath returns the loaded package with the given import path.
-func (m *Module) PackageByPath(path string) *Package { return m.byPath[path] }
 
 // load parses and type-checks the package with the given module-internal
 // import path, memoized.
@@ -239,60 +243,29 @@ func (m *Module) LookupNamed(pathSuffix, name string) *types.Named {
 }
 
 // index builds (or extends, after fixture loads) the cross-package maps
-// from *types.Func to declaration, and the //demi:nonalloc annotation set.
+// from *types.Func to declaration, and the annotation sets (annot.go).
+// Every accessor that reads them calls it first, so they answer on a
+// freshly loaded module.
 func (m *Module) index() {
 	if m.decls == nil {
 		m.decls = make(map[*types.Func]*ast.FuncDecl)
 		m.declPkg = make(map[*types.Func]*Package)
 		m.nonalloc = make(map[*types.Func]bool)
+		m.guarded = make(map[*types.Var]bool)
+		m.carriers = make(map[*types.TypeName]bool)
 	}
 	for ; m.indexed < len(m.Pkgs); m.indexed++ {
 		p := m.Pkgs[m.indexed]
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				m.decls[fn] = fd
-				m.declPkg[fn] = p
-				if hasNonAllocAnnotation(fd) {
-					m.nonalloc[fn] = true
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+						m.decls[fn] = fd
+						m.declPkg[fn] = p
+					}
 				}
 			}
+			m.indexAnnotations(p, f)
 		}
 	}
-}
-
-// hasNonAllocAnnotation reports whether the function's doc comment carries
-// a //demi:nonalloc line. Grammar: the marker must start the comment line;
-// anything after it on the same line is free-form rationale.
-func hasNonAllocAnnotation(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimPrefix(c.Text, "//")
-		text = strings.TrimSpace(text)
-		if text == "demi:nonalloc" || strings.HasPrefix(text, "demi:nonalloc ") {
-			return true
-		}
-	}
-	return false
-}
-
-// FuncDecl returns the syntax of fn if it was declared in the module.
-func (m *Module) FuncDecl(fn *types.Func) *ast.FuncDecl {
-	m.index()
-	return m.decls[fn]
-}
-
-// IsNonAlloc reports whether fn carries the //demi:nonalloc annotation.
-func (m *Module) IsNonAlloc(fn *types.Func) bool {
-	m.index()
-	return m.nonalloc[fn]
 }

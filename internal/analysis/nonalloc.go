@@ -41,7 +41,7 @@ func runNonAlloc(p *Pass) {
 	for _, file := range p.Pkg.Files {
 		for _, d := range file.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasNonAllocAnnotation(fd) {
+			if !ok || fd.Body == nil || !hasMarker(fd.Doc, "nonalloc") {
 				continue
 			}
 			c := &nonallocChecker{m: p.Mod, pkg: p.Pkg, report: p.Reportf}
@@ -68,34 +68,16 @@ func (m *Module) allocates(fn *types.Func) bool {
 	if v := m.allocMemo[fn]; v != 0 {
 		return v == allocAllocates
 	}
-	// After Precompute freezes the summaries, cache misses (only external
-	// functions — every module function was warmed) are answered without
-	// writing the memo, keeping the parallel analysis phase read-only.
-	memoize := m.sums == nil || !m.sums.frozen
 	pkg := fn.Pkg()
 	if pkg == nil {
 		return true
 	}
 	if pkg.Path() != m.Path && !strings.HasPrefix(pkg.Path(), m.Path+"/") {
-		clean := stdlibClean(fn)
-		if memoize {
-			if clean {
-				m.allocMemo[fn] = allocClean
-			} else {
-				m.allocMemo[fn] = allocAllocates
-			}
-		}
-		return !clean
+		return !stdlibClean(fn)
 	}
 	fd := m.decls[fn]
 	if fd == nil || fd.Body == nil {
-		if memoize {
-			m.allocMemo[fn] = allocAllocates // no source: assume the worst
-		}
-		return true
-	}
-	if !memoize {
-		return true // unwarmed module function post-freeze: assume the worst
+		return true // no source: assume the worst
 	}
 	m.allocMemo[fn] = allocInProgress
 	c := &nonallocChecker{m: m, pkg: m.declPkg[fn]}

@@ -49,20 +49,7 @@ func OwnershipAnalyzer() *Analyzer {
 		Name: "ownership",
 		Doc:  "DMA buffers must be freed/pushed/returned/stored on all paths; pushed buffers are immutable",
 	}
-	a.Run = func(p *Pass) { runOwnership(p, false) }
-	return a
-}
-
-// ownershipAnalyzerIntra is the pre-engine, single-function variant: no
-// helper summaries, position-based early-return detection. It exists so
-// the regression tests can demonstrate cross-function leaks the old
-// checker misses.
-func ownershipAnalyzerIntra() *Analyzer {
-	a := &Analyzer{
-		Name: "ownership",
-		Doc:  "intra-function ownership checks (regression baseline)",
-	}
-	a.Run = func(p *Pass) { runOwnership(p, true) }
+	a.Run = func(p *Pass) { runOwnership(p) }
 	return a
 }
 
@@ -76,7 +63,7 @@ var bufAllocators = map[string]bool{
 // obligation.
 func bufConsumingMethod(name string) bool { return name == "Free" }
 
-func runOwnership(p *Pass, intra bool) {
+func runOwnership(p *Pass) {
 	if strings.HasSuffix(p.Pkg.Path, "internal/memory") {
 		return // the allocator owns its own slots
 	}
@@ -103,7 +90,7 @@ func runOwnership(p *Pass, intra bool) {
 		}
 		// Interprocedural: module helpers whose result carries a
 		// freshly-owned buffer are producers too.
-		return !intra && p.Mod.OwnedResults(fn)[trackBuf]
+		return p.Mod.OwnedResults(fn)[trackBuf]
 	}
 	for _, file := range p.Pkg.Files {
 		for _, prod := range findProducers(info, file, isBuf, okCall) {
@@ -113,28 +100,19 @@ func runOwnership(p *Pass, intra bool) {
 				p.Reportf(prod.call.Pos(), "keep the buffer and Free it when done",
 					"buffer allocated by %s is discarded without Free", callee)
 			case prod.obj != nil:
-				checkBufferLifecycle(p, prod, callee, intra)
+				checkBufferLifecycle(p, prod, callee)
 			}
 		}
-		if !intra {
-			checkBufParamModes(p, file, isBuf)
-		}
+		checkBufParamModes(p, file, isBuf)
 	}
 }
 
-func checkBufferLifecycle(p *Pass, prod producer, callee string, intra bool) {
+func checkBufferLifecycle(p *Pass, prod producer, callee string) {
 	if prod.fn == nil {
 		return // package-scope initializer: stored by construction
 	}
-	info := p.Pkg.Info
-	var uses []objUse
-	if intra {
-		uses = collectUses(info, prod.fn, prod.obj, bufConsumingMethod)
-	} else {
-		uses = p.Mod.adjustedUses(p.Pkg, prod.fn, prod.obj, trackBuf)
-	}
 	var consumes []objUse
-	for _, u := range uses {
+	for _, u := range p.Mod.adjustedUses(p.Pkg, prod.fn, prod.obj, trackBuf) {
 		if u.consuming {
 			consumes = append(consumes, u)
 		}
@@ -145,12 +123,8 @@ func checkBufferLifecycle(p *Pass, prod producer, callee string, intra bool) {
 			"buffer %q allocated by %s is never freed, pushed, returned, or stored", prod.obj.Name(), callee)
 		return
 	}
-	if intra {
-		checkEarlyReturns(p, prod, consumes)
-	} else {
-		checkPathLeaks(p, prod, callee, consumes)
-	}
-	checkPushPaths(p, prod, consumes, intra)
+	checkPathLeaks(p, prod, callee, consumes)
+	checkPushPaths(p, prod)
 }
 
 // checkPathLeaks walks the CFG from the producing statement along paths
@@ -268,65 +242,11 @@ func checkBufParamModes(p *Pass, file *ast.File, isBuf func(types.Type) bool) {
 	}
 }
 
-// checkEarlyReturns flags return statements between the allocation and the
-// buffer's first consuming use: on those paths the buffer leaks. Returns
-// guarded by the allocation's own error (the alloc failed, so there is no
-// buffer) are exempt.
-func checkEarlyReturns(p *Pass, prod producer, consumes []objUse) {
-	first := token.Pos(-1)
-	for _, c := range consumes {
-		if c.id.Pos() > prod.call.End() && (first < 0 || c.id.Pos() < first) {
-			first = c.id.Pos()
-		}
-	}
-	if first < 0 {
-		return // all consuming uses are textually before the allocation (loop back-edge)
-	}
-	info := p.Pkg.Info
-	walkStack(prod.fn, func(n ast.Node, stack []ast.Node) bool {
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if ret.Pos() <= prod.call.End() || ret.Pos() >= first {
-			return true
-		}
-		if guardedByAllocError(info, stack, prod.errObj) {
-			return true
-		}
-		for _, r := range ret.Results {
-			if containsIdentOf(info, r, prod.obj) {
-				return true
-			}
-		}
-		p.Reportf(ret.Pos(), "Free the buffer before this return (or on a deferred path)",
-			"buffer %q (allocated at line %d) leaks on this return path",
-			prod.obj.Name(), p.Mod.Fset.Position(prod.call.Pos()).Line)
-		return true
-	})
-}
-
-// guardedByAllocError reports whether the statement sits inside an if
-// branch conditioned on the allocation's error result — i.e. the path
-// where no buffer was handed out.
-func guardedByAllocError(info *types.Info, stack []ast.Node, errObj types.Object) bool {
-	if errObj == nil {
-		return false
-	}
-	for _, n := range stack {
-		if ifs, ok := n.(*ast.IfStmt); ok && containsIdentOf(info, ifs.Cond, errObj) {
-			return true
-		}
-	}
-	return false
-}
-
 // checkPushPaths verifies rule 3 (the error branch of a push frees the
-// buffer) and rule 4 (no writes through the buffer after a push). In
-// interprocedural mode the same error-branch contract is enforced at call
-// sites of any helper summarized ParamConsumesOnSuccess — a push-like
-// transfer wrapped in module code.
-func checkPushPaths(p *Pass, prod producer, consumes []objUse, intra bool) {
+// buffer) and rule 4 (no writes through the buffer after a push). The same
+// error-branch contract is enforced at call sites of any helper summarized
+// ParamConsumesOnSuccess — a push-like transfer wrapped in module code.
+func checkPushPaths(p *Pass, prod producer) {
 	info := p.Pkg.Info
 	firstPush := token.Pos(-1)
 	walkStack(prod.fn, func(n ast.Node, stack []ast.Node) bool {
@@ -342,9 +262,6 @@ func checkPushPaths(p *Pass, prod producer, consumes []objUse, intra bool) {
 				firstPush = call.Pos()
 			}
 			checkPushErrorBranch(p, prod, call, stack)
-			return true
-		}
-		if intra {
 			return true
 		}
 		// The buffer flows (as a direct argument) into a helper that

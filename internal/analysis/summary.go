@@ -4,9 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
-	"time"
 )
 
 // summary.go is the interprocedural half of the engine: a fixpoint over the
@@ -14,13 +12,11 @@ import (
 // (*memory.Buf, core.QToken) is treated — borrowed, always consumed,
 // consumed only on success, or inconsistently consumed across paths; (2)
 // whether results carry a freshly-owned tracked value, making the
-// function's call sites producers; (3) poll-discipline facts (channel
+// function's call sites producers; and (3) poll-discipline facts (channel
 // operations, mutex acquisition, go statements, unbounded loops) closed
-// over static calls; and (4) a costmodel-weighted worst-case cycle
-// estimate for the //demi:budget gate. All four are memoized recursive
-// solutions over finite lattices; cycles resolve to documented defaults
-// (parameters: consumes, like the intra-procedural analyzer assumed;
-// flags: clean; cost: unbounded, because recursion has no static bound).
+// over static calls. All three are recursive solutions over finite
+// lattices, memoized on first use; cycles resolve to documented defaults
+// (parameters: consumes; owned results: not a producer; flags: clean).
 
 // ParamMode says how a callee treats a tracked parameter.
 type ParamMode int8
@@ -84,55 +80,6 @@ type pollFacts struct {
 	Loop offense // unbounded for{} with no exit
 }
 
-// Cost is a worst-case cycle estimate in nanoseconds. CostUnbounded marks
-// recursion, which has no static bound.
-type Cost int64
-
-const CostUnbounded Cost = -1
-
-func (c Cost) Duration() time.Duration { return time.Duration(c) }
-
-// addCost saturates on unboundedness.
-func addCost(a, b Cost) Cost {
-	if a == CostUnbounded || b == CostUnbounded {
-		return CostUnbounded
-	}
-	return a + b
-}
-
-func maxCost(a, b Cost) Cost {
-	if a == CostUnbounded || b == CostUnbounded {
-		return CostUnbounded
-	}
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mulCost(a Cost, k int64) Cost {
-	if a == CostUnbounded {
-		return CostUnbounded
-	}
-	return a * Cost(k)
-}
-
-// The static cost model, in model-nanoseconds. The absolute values are
-// coarse (DESIGN.md §13); what the //demi:budget gate needs is a metric
-// that is deterministic, monotone in code growth, and roughly proportional
-// to dynamic cost — growth past a budget is the regression signal.
-const (
-	costStmt     Cost = 1   // any statement
-	costCall     Cost = 2   // call entry/exit overhead, on top of the callee
-	costStdlib   Cost = 5   // audited allocation-free stdlib call
-	costExtern   Cost = 25  // unresolved, external, or interface call
-	costAlloc    Cost = 100 // heap allocation (make/new/literal/box/append)
-	costChanOp   Cost = 50  // channel operation or lock
-	costMemOp    Cost = 30  // copy / string conversion
-	costGo       Cost = 400 // goroutine spawn
-	costLoopIter      = 16  // assumed worst-case trip count of a loop
-)
-
 // paramInfo is one tracked parameter's summary.
 type paramInfo struct {
 	Mode ParamMode
@@ -144,21 +91,10 @@ type paramInfo struct {
 	FallsOff bool
 }
 
-// A FuncSummary aggregates everything the engine knows about one function.
-type FuncSummary struct {
-	Params       map[int]*paramInfo // tracked signature params by index
-	ReturnsOwned [numTrackKinds]bool
-	Facts        pollFacts
-	Cost         Cost
-}
-
-// summaries is the engine state hung off the Module. All maps are written
-// only during Precompute (single-goroutine); afterwards frozen is set and
-// the memo accessors compute cache misses without writing, so parallel
-// per-package analysis passes need no locking here.
+// summaries is the engine state hung off the Module: memos filled lazily
+// by the accessors below, from one goroutine.
 type summaries struct {
 	trackedNamed [numTrackKinds]*types.Named
-	frozen       bool
 
 	params  map[*types.Func]map[int]*paramInfo
 	inParam map[*types.Func]bool
@@ -166,18 +102,9 @@ type summaries struct {
 	inOwned map[*types.Func]bool
 	facts   map[*types.Func]*pollFacts
 	inFacts map[*types.Func]bool
-	cost    map[*types.Func]Cost
-	inCost  map[*types.Func]bool
 
 	exitClasses map[*ast.FuncDecl]map[*ast.ReturnStmt]exitClass
 	cfgs        map[*ast.BlockStmt]*CFG
-
-	// Annotation indexes (see annot.go): //demi:stateguard fields,
-	// //demi:budget functions, //demi:carrier types.
-	guarded      map[*types.Var]bool
-	budgets      map[*types.Func]Cost
-	carriers     map[*types.TypeName]bool
-	annotIndexed int // number of packages already annotation-scanned
 }
 
 func (m *Module) summaryState() *summaries {
@@ -189,13 +116,8 @@ func (m *Module) summaryState() *summaries {
 			inOwned:     make(map[*types.Func]bool),
 			facts:       make(map[*types.Func]*pollFacts),
 			inFacts:     make(map[*types.Func]bool),
-			cost:        make(map[*types.Func]Cost),
-			inCost:      make(map[*types.Func]bool),
 			exitClasses: make(map[*ast.FuncDecl]map[*ast.ReturnStmt]exitClass),
 			cfgs:        make(map[*ast.BlockStmt]*CFG),
-			guarded:     make(map[*types.Var]bool),
-			budgets:     make(map[*types.Func]Cost),
-			carriers:    make(map[*types.TypeName]bool),
 		}
 		m.sums.trackedNamed[trackBuf] = m.LookupNamed("internal/memory", "Buf")
 		m.sums.trackedNamed[trackQTok] = m.LookupNamed("internal/core", "QToken")
@@ -228,40 +150,6 @@ func consumingMethodFor(k trackKind) func(string) bool {
 		return bufConsumingMethod
 	}
 	return nil
-}
-
-// Precompute builds every summary the analyzers read: the cross-package
-// index, annotation index, parameter modes, owned-result and poll facts,
-// cost estimates, CFGs, exit classes, and allocation summaries. It runs
-// single-threaded; afterwards the memo maps are frozen, so the parallel
-// per-package analysis phase only reads them (cache misses — external
-// functions, nested function literals — are recomputed without caching).
-func (m *Module) Precompute() {
-	m.index()
-	m.annotIndex()
-	s := m.summaryState()
-	s.frozen = false
-	for fn, fd := range m.decls {
-		m.ParamModes(fn)
-		m.OwnedResults(fn)
-		m.PollFacts(fn)
-		m.CostEstimate(fn)
-		if fd.Body == nil {
-			continue
-		}
-		m.bodyCFG(fd.Body)
-		m.exitClassesOf(m.declPkg[fn], fd)
-		if m.nonalloc[fn] {
-			// Walk the annotated body in summary mode: this visits exactly
-			// the calls the analysis phase will re-resolve, warming the
-			// transitive allocation memo for stdlib and module callees.
-			c := &nonallocChecker{m: m, pkg: m.declPkg[fn]}
-			c.checkDecl(fd)
-		} else {
-			m.allocates(fn)
-		}
-	}
-	s.frozen = true
 }
 
 // ParamModes returns the tracked-parameter summaries of fn (nil when fn has
@@ -299,9 +187,7 @@ func (m *Module) ParamModes(fn *types.Func) map[int]*paramInfo {
 		}
 		pm[i] = info
 	}
-	if !s.frozen {
-		s.params[fn] = pm
-	}
+	s.params[fn] = pm
 	return pm
 }
 
@@ -480,9 +366,7 @@ func (m *Module) bodyCFG(body *ast.BlockStmt) *CFG {
 		return g
 	}
 	g := BuildCFG(body)
-	if !s.frozen {
-		s.cfgs[body] = g
-	}
+	s.cfgs[body] = g
 	return g
 }
 
@@ -513,9 +397,7 @@ func (m *Module) exitClassesOf(pkg *Package, fd *ast.FuncDecl) map[*ast.ReturnSt
 		return c
 	}
 	classes := make(map[*ast.ReturnStmt]exitClass)
-	if !s.frozen {
-		s.exitClasses[fd] = classes
-	}
+	s.exitClasses[fd] = classes
 
 	fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
 	if fn == nil {
@@ -722,9 +604,7 @@ func (m *Module) OwnedResults(fn *types.Func) [numTrackKinds]bool {
 			return true
 		})
 	}
-	if !s.frozen {
-		s.owned[fn] = &res
-	}
+	s.owned[fn] = &res
 	return res
 }
 
@@ -771,16 +651,6 @@ func (m *Module) exprYieldsOwned(pkg *Package, fd *ast.FuncDecl, e ast.Expr) boo
 		return owned
 	}
 	return false
-}
-
-// IsOwnedProducer reports whether a call's static callee returns a
-// freshly-owned buffer, making the call site an ownership producer.
-func (m *Module) IsOwnedProducer(pkg *Package, call *ast.CallExpr) bool {
-	fn := staticCallee(pkg.Info, call)
-	if fn == nil {
-		return false
-	}
-	return m.OwnedResults(fn)[trackBuf]
 }
 
 // PollFacts computes the transitively-closed poll-discipline facts of fn.
@@ -852,9 +722,7 @@ func (m *Module) PollFacts(fn *types.Func) pollFacts {
 		}
 		return true
 	})
-	if !s.frozen {
-		s.facts[fn] = &facts
-	}
+	s.facts[fn] = &facts
 	return facts
 }
 
@@ -938,262 +806,4 @@ func loopHasExit(loop *ast.ForStmt) bool {
 	}
 	scan(loop.Body.List)
 	return exits
-}
-
-// A CostEntry is one module function's static cost estimate, for the
-// demi-vet -costs report that helps pick //demi:budget values.
-type CostEntry struct {
-	Pkg    string // import path
-	Func   string // receiver-qualified name
-	Cost   Cost
-	Budget Cost // //demi:budget if annotated, else 0
-}
-
-// CostReport estimates every module function, most expensive first, so
-// budgets can be chosen with observed headroom.
-func (m *Module) CostReport() []CostEntry {
-	m.index()
-	m.annotIndex()
-	var out []CostEntry
-	for fn := range m.decls {
-		e := CostEntry{Func: fn.Name(), Cost: m.CostEstimate(fn)}
-		if fn.Pkg() != nil {
-			e.Pkg = fn.Pkg().Path()
-		}
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if tn := namedOwner(sig.Recv().Type()); tn != nil {
-				e.Func = tn.Name() + "." + e.Func
-			}
-		}
-		if b, ok := m.BudgetOf(fn); ok {
-			e.Budget = b
-		}
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := out[i].Cost, out[j].Cost
-		if ci == CostUnbounded {
-			ci = 1<<62 - 1
-		}
-		if cj == CostUnbounded {
-			cj = 1<<62 - 1
-		}
-		if ci != cj {
-			return ci > cj
-		}
-		if out[i].Pkg != out[j].Pkg {
-			return out[i].Pkg < out[j].Pkg
-		}
-		return out[i].Func < out[j].Func
-	})
-	return out
-}
-
-// CostEstimate returns fn's worst-case cycle estimate under the static
-// cost model, CostUnbounded for (mutual) recursion.
-func (m *Module) CostEstimate(fn *types.Func) Cost {
-	m.index()
-	s := m.summaryState()
-	if c, ok := s.cost[fn]; ok {
-		return c
-	}
-	fd := m.decls[fn]
-	if fd == nil || fd.Body == nil {
-		if fn.Pkg() != nil && stdlibClean(fn) {
-			return costStdlib
-		}
-		return costExtern
-	}
-	if s.inCost[fn] {
-		return CostUnbounded // recursion: no static bound
-	}
-	s.inCost[fn] = true
-	c := m.costStmts(m.declPkg[fn], fd.Body.List)
-	delete(s.inCost, fn)
-	if !s.frozen {
-		s.cost[fn] = c
-	}
-	return c
-}
-
-func (m *Module) costStmts(pkg *Package, list []ast.Stmt) Cost {
-	var c Cost
-	for _, s := range list {
-		c = addCost(c, m.costStmt(pkg, s))
-	}
-	return c
-}
-
-// costStmt charges one statement: structural statements take the most
-// expensive branch, loops multiply their body by the assumed worst-case
-// trip count, and expressions are scanned for calls and allocations.
-func (m *Module) costStmt(pkg *Package, s ast.Stmt) Cost {
-	if s == nil {
-		return 0
-	}
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		return m.costStmts(pkg, x.List)
-	case *ast.IfStmt:
-		c := addCost(costStmt, m.costStmt(pkg, x.Init))
-		c = addCost(c, m.costExpr(pkg, x.Cond))
-		thenC := m.costStmts(pkg, x.Body.List)
-		var elseC Cost
-		if x.Else != nil {
-			elseC = m.costStmt(pkg, x.Else)
-		}
-		return addCost(c, maxCost(thenC, elseC))
-	case *ast.ForStmt:
-		body := addCost(m.costExpr(pkg, x.Cond), m.costStmts(pkg, x.Body.List))
-		body = addCost(body, m.costStmt(pkg, x.Post))
-		return addCost(addCost(costStmt, m.costStmt(pkg, x.Init)), mulCost(body, costLoopIter))
-	case *ast.RangeStmt:
-		body := m.costStmts(pkg, x.Body.List)
-		return addCost(addCost(costStmt, m.costExpr(pkg, x.X)), mulCost(body, costLoopIter))
-	case *ast.SwitchStmt:
-		c := addCost(costStmt, addCost(m.costStmt(pkg, x.Init), m.costExpr(pkg, x.Tag)))
-		var worst Cost
-		for _, cs := range x.Body.List {
-			if cc, ok := cs.(*ast.CaseClause); ok {
-				worst = maxCost(worst, m.costStmts(pkg, cc.Body))
-			}
-		}
-		return addCost(c, worst)
-	case *ast.TypeSwitchStmt:
-		c := addCost(costStmt, m.costStmt(pkg, x.Init))
-		var worst Cost
-		for _, cs := range x.Body.List {
-			if cc, ok := cs.(*ast.CaseClause); ok {
-				worst = maxCost(worst, m.costStmts(pkg, cc.Body))
-			}
-		}
-		return addCost(c, worst)
-	case *ast.SelectStmt:
-		c := addCost(costStmt, costChanOp)
-		var worst Cost
-		for _, cs := range x.Body.List {
-			if cc, ok := cs.(*ast.CommClause); ok {
-				worst = maxCost(worst, m.costStmts(pkg, cc.Body))
-			}
-		}
-		return addCost(c, worst)
-	case *ast.LabeledStmt:
-		return m.costStmt(pkg, x.Stmt)
-	case *ast.GoStmt:
-		return addCost(costGo, m.costExpr(pkg, x.Call))
-	case *ast.DeferStmt:
-		return addCost(costStmt, m.costExpr(pkg, x.Call))
-	case *ast.SendStmt:
-		return addCost(costChanOp, addCost(m.costExpr(pkg, x.Chan), m.costExpr(pkg, x.Value)))
-	case *ast.ReturnStmt:
-		c := costStmt
-		for _, e := range x.Results {
-			c = addCost(c, m.costExpr(pkg, e))
-		}
-		return c
-	case *ast.AssignStmt:
-		c := costStmt
-		for _, e := range x.Rhs {
-			c = addCost(c, m.costExpr(pkg, e))
-		}
-		for _, e := range x.Lhs {
-			c = addCost(c, m.costExpr(pkg, e))
-		}
-		return c
-	case *ast.ExprStmt:
-		return addCost(costStmt, m.costExpr(pkg, x.X))
-	case *ast.IncDecStmt:
-		return addCost(costStmt, m.costExpr(pkg, x.X))
-	case *ast.DeclStmt:
-		c := costStmt
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						c = addCost(c, m.costExpr(pkg, v))
-					}
-				}
-			}
-		}
-		return c
-	case *ast.BranchStmt, *ast.EmptyStmt:
-		return costStmt
-	}
-	return costStmt
-}
-
-// costExpr scans an expression for calls, allocating constructs, and
-// channel receives, skipping nested function literals (they run on their
-// own schedule and are charged where they are polled).
-func (m *Module) costExpr(pkg *Package, e ast.Expr) Cost {
-	if e == nil {
-		return 0
-	}
-	var c Cost
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			c = addCost(c, m.costCall(pkg, x))
-			return true // still descend: argument subexpressions are charged too
-		case *ast.CompositeLit:
-			if tv, ok := pkg.Info.Types[x]; ok {
-				switch tv.Type.Underlying().(type) {
-				case *types.Slice, *types.Map:
-					c = addCost(c, costAlloc)
-				}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				c = addCost(c, costChanOp)
-			}
-			if x.Op == token.AND {
-				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					c = addCost(c, costAlloc)
-				}
-			}
-		}
-		return true
-	})
-	return c
-}
-
-// costCall charges one call expression (the call itself, not its argument
-// subexpressions, which the surrounding costExpr walk charges).
-func (m *Module) costCall(pkg *Package, call *ast.CallExpr) Cost {
-	info := pkg.Info
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		// Conversion. String<->[]byte copies; everything else is free-ish.
-		if len(call.Args) == 1 {
-			if at, ok := info.Types[call.Args[0]]; ok {
-				if isByteString(tv.Type, at.Type) || isByteString(at.Type, tv.Type) {
-					return costMemOp
-				}
-			}
-		}
-		return 0
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make", "new", "append":
-				return costAlloc
-			case "copy":
-				return costMemOp
-			case "len", "cap", "min", "max":
-				return 0
-			default:
-				return costStmt
-			}
-		}
-	}
-	fn := staticCallee(info, call)
-	if fn == nil {
-		return costExtern // dynamic call
-	}
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-		return costExtern // interface dispatch: implementations unknown
-	}
-	return addCost(costCall, m.CostEstimate(fn))
 }

@@ -8,10 +8,9 @@ import (
 )
 
 // summary_test.go asserts on the interprocedural engine's fixpoint
-// directly, over the sumfix fixture: parameter modes, owned results, and
-// cost estimates — including convergence under recursion and mutual
-// recursion, which a naive bottom-up pass would either loop on or
-// misclassify.
+// directly, over the sumfix fixture: parameter modes and owned results —
+// including convergence under mutual recursion, which a naive bottom-up
+// pass would either loop on or misclassify.
 
 func loadSumfix(t *testing.T) (*Module, *Package) {
 	t.Helper()
@@ -91,35 +90,6 @@ func TestOwnedResults(t *testing.T) {
 	for _, c := range cases {
 		if got := m.OwnedResults(funcNamed(t, pkg, c.fn))[trackBuf]; got != c.owned {
 			t.Errorf("OwnedResults(%s)[buf] = %v, want %v", c.fn, got, c.owned)
-		}
-	}
-}
-
-func TestCostEstimateRecursion(t *testing.T) {
-	m, pkg := loadSumfix(t)
-	for _, fn := range []string{"rec", "even", "odd"} {
-		if got := m.CostEstimate(funcNamed(t, pkg, fn)); got != CostUnbounded {
-			t.Errorf("CostEstimate(%s) = %d, want CostUnbounded", fn, got)
-		}
-	}
-	if got := m.CostEstimate(funcNamed(t, pkg, "straight")); got <= 0 {
-		t.Errorf("CostEstimate(straight) = %d, want a positive bounded cost", got)
-	}
-}
-
-// TestSummaryFixpointStable re-queries every summary after a Precompute
-// pass: the frozen memos must agree with the values computed on demand
-// (the parallel analysis phase depends on this).
-func TestSummaryFixpointStable(t *testing.T) {
-	m, pkg := loadSumfix(t)
-	before := make(map[string]ParamMode)
-	for _, name := range []string{"blen", "bfree", "maybeFree", "pingFree"} {
-		before[name] = m.ParamModes(funcNamed(t, pkg, name))[0].Mode
-	}
-	m.Precompute()
-	for name, want := range before {
-		if got := m.ParamModes(funcNamed(t, pkg, name))[0].Mode; got != want {
-			t.Errorf("%s: mode changed across Precompute: %d -> %d", name, want, got)
 		}
 	}
 }

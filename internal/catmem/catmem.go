@@ -263,8 +263,6 @@ func (c *conn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 
 // Pop completes op with the next ring entry, EOF after a peer close, or
 // parks it.
-//
-//demi:budget=1us static estimate 631ns; with core.FrontEnd.Pop's 400ns this is the pop arming on the request fast path
 func (c *conn) Pop(op *core.Op) error {
 	l := c.lib
 	l.node.Charge(costmodel.ShmRingOp)

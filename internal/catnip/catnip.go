@@ -321,10 +321,6 @@ func (l *LibOS) pollDevice() bool {
 	return true
 }
 
-// InjectFrame feeds a raw Ethernet frame into the stack as if it had
-// arrived from the device — the trace-replay entry point (paper §6.3).
-func (l *LibOS) InjectFrame(data []byte) { l.handleFrame(data) }
-
 // handleFrame dispatches one received Ethernet frame.
 func (l *LibOS) handleFrame(data []byte) {
 	l.stats.RxFrames++

@@ -41,9 +41,6 @@ func (r *rtoEstimator) sample(rtt time.Duration) {
 // value returns the current RTO.
 func (r *rtoEstimator) value() time.Duration { return r.rtoVal }
 
-// srttValue returns the smoothed RTT (zero before the first sample).
-func (r *rtoEstimator) srttValue() time.Duration { return r.srtt }
-
 // backoff doubles the RTO after a timeout (Karn's algorithm).
 func (r *rtoEstimator) backoff() {
 	r.rtoVal *= 2

@@ -239,8 +239,6 @@ func (f *FrontEnd) PushTo(qd QDesc, sga SGArray, to Addr) (QToken, error) {
 }
 
 // Pop asks for the next inbound data on the queue.
-//
-//demi:budget=400ns static estimate 211ns up to the queue's own Pop, which carries its own budget; pop arming is on the request fast path
 func (f *FrontEnd) Pop(qd QDesc) (QToken, error) {
 	q, err := f.enter(qd)
 	if err != nil {

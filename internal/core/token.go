@@ -225,9 +225,10 @@ func (t *TokenTable) take(qt QToken, op *Op) (QEvent, bool, error) {
 	return op.ev, true, nil
 }
 
-// Cancel drops an outstanding operation without completing it (used when a
-// queue closes with operations pending). The token is failed so a waiter
-// redeems an error instead of hanging.
+// Cancel fails an outstanding operation with ErrQueueClosed, so a waiter
+// redeems an error instead of hanging. No queue calls it: each closing
+// queue fails its own parked ops through Op.Fail, which needs no lookup;
+// this is the by-token form of the same thing.
 func (t *TokenTable) Cancel(qt QToken, qd QDesc, opc OpCode) {
 	if op, ok := t.ops[qt]; ok && !op.done {
 		op.Fail(qd, opc, ErrQueueClosed)
@@ -239,18 +240,6 @@ func (t *TokenTable) Outstanding() int {
 	n := 0
 	for _, op := range t.ops {
 		if !op.done {
-			n++
-		}
-	}
-	return n
-}
-
-// OutstandingFor returns the number of incomplete operations minted for
-// one tenant principal.
-func (t *TokenTable) OutstandingFor(tid uint32) int {
-	n := 0
-	for _, op := range t.ops {
-		if !op.done && op.tenant == tid {
 			n++
 		}
 	}

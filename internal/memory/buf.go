@@ -121,8 +121,6 @@ func (b *Buf) IOUnref() {
 
 // CopyFrom allocates a buffer on h holding a copy of p. It is the bridge
 // from non-DMA memory (PDPIX requires all I/O be from the DMA heap).
-//
-//demi:budget=2100ns static estimate 1.41us; the zero-copy bridge is on every app send
 func CopyFrom(h *Heap, p []byte) *Buf {
 	b, err := TryCopyFrom(h, p)
 	if err != nil {

@@ -15,7 +15,6 @@ package memory
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"demikernel/internal/telemetry"
 )
@@ -137,11 +136,6 @@ func NewHeap(register RegisterFunc) *Heap {
 	}
 }
 
-// SetRegisterFunc installs the device registration hook. Superblocks
-// already registered keep their keys; new ones use the new hook. Installing
-// a hook is how a libOS adopts an existing application heap.
-func (h *Heap) SetRegisterFunc(f RegisterFunc) { h.register = f }
-
 // Stats returns a snapshot of allocator counters.
 func (h *Heap) Stats() Stats { return h.stats }
 
@@ -177,8 +171,6 @@ func (h *Heap) SetAllocFault(f func(size int) bool) { h.allocFault = f }
 // with the application holding its reference. It panics if the heap is
 // exhausted — callers that can degrade use TryAlloc instead; callers that
 // cannot (fixed pre-sized pools, test fixtures) keep the invariant panic.
-//
-//demi:budget=2100ns static estimate 1.369us; slot carve-out is the per-I/O allocation
 func (h *Heap) Alloc(size int) *Buf {
 	b, err := h.TryAlloc(size)
 	if err != nil {
@@ -381,6 +373,3 @@ func (sb *superblock) refString(idx int) string {
 	return fmt.Sprintf("app=%v io=%v extra=%d",
 		sb.appRef&bit != 0, sb.ioRef&bit != 0, sb.ioExtra[idx])
 }
-
-// popcountLive is used by invariant checks: the number of set app bits.
-func (sb *superblock) popcountLive() int { return bits.OnesCount64(sb.appRef | sb.ioRef) }

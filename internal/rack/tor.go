@@ -72,9 +72,6 @@ func (t *ToR) AttachDTrace(h *dtrace.Hop) { t.hop = h }
 // tracked-load gauges, plus steering/resync totals.
 func (t *ToR) Telemetry() *telemetry.Registry { return t.reg }
 
-// Tracked returns the switch's current per-server outstanding estimates.
-func (t *ToR) Tracked() []uint32 { return t.tracked }
-
 // Placements returns the per-server placement counts.
 func (t *ToR) Placements() []uint64 {
 	out := make([]uint64, len(t.placements))

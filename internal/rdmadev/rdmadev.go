@@ -118,15 +118,6 @@ func (q *QP) QPN() uint32 { return q.qpn }
 // RemoteMAC returns the paired remote NIC's address (zero until connected).
 func (q *QP) RemoteMAC() simnet.MAC { return q.remoteMAC }
 
-// Connected reports whether the QP has a paired remote.
-func (q *QP) Connected() bool { return q.connected }
-
-// RecvPosted returns the number of posted, unconsumed receive buffers.
-func (q *QP) RecvPosted() int { return len(q.rq) }
-
-// Errored reports whether the QP is in the error state.
-func (q *QP) Errored() bool { return q.errored }
-
 // FlushRecvs removes and returns every posted receive buffer, the verbs
 // "flush" that lets the owner release buffer references after a QP error.
 func (q *QP) FlushRecvs() []*memory.Buf {

@@ -65,9 +65,6 @@ func NewDispatcher(eng *sim.Engine, workers int, policy Policy, queueCap int) *D
 // Policy returns the admission policy.
 func (d *Dispatcher) Policy() Policy { return d.policy }
 
-// Workers returns the worker-pool size.
-func (d *Dispatcher) Workers() int { return len(d.busy) }
-
 // Load returns the instantaneous outstanding-request count: queued plus in
 // service. This is the load signal a rack server piggybacks to the ToR on
 // every reply (RackSched's per-server state).

@@ -298,7 +298,6 @@ func (s *Scheduler) RunOne() bool {
 // coroutines cannot starve each other.
 //
 //demi:nonalloc the waker-block iteration is the scheduler's innermost loop
-//demi:budget=27us static estimate 17.79us; one scheduling decision per poll
 func (s *Scheduler) runClass(c Class) bool {
 	if s.wfq {
 		return s.runClassWFQ(c)

@@ -41,9 +41,6 @@ func (t Time) Add(d time.Duration) Time {
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
 // String formats the instant as a duration offset, e.g. "1.5ms".
 func (t Time) String() string {
 	if t == Infinity {

@@ -89,7 +89,6 @@ func NewFlightRecorder(capacity, k int) *FlightRecorder {
 // table are preallocated.
 //
 //demi:nonalloc every redeemed qtoken records a span
-//demi:budget=400ns static estimate 264ns; runs on every completion
 func (f *FlightRecorder) Record(s Span) {
 	f.total++
 	f.ring[f.next] = s

@@ -83,7 +83,6 @@ func (h *TCPHeader) MarshalLen() int { return TCPHeaderLen + h.optLen() }
 // be at least MarshalLen bytes, and returns the bytes consumed.
 //
 //demi:nonalloc wire codecs run per packet
-//demi:budget=3300ns static estimate 2.767us (four sum16 calls, both of its loops charged 16 trips of their body; measured 36 ns + 130 ns per 1460 B); header marshal is per-segment
 func (h *TCPHeader) Marshal(b []byte, src, dst IPAddr, payload []byte) int {
 	hlen := h.MarshalLen()
 	be.PutUint16(b[0:2], h.SrcPort)
@@ -123,7 +122,6 @@ func (h *TCPHeader) Marshal(b []byte, src, dst IPAddr, payload []byte) int {
 // returns the header and payload.
 //
 //demi:nonalloc wire codecs run per packet
-//demi:budget=3700ns static estimate 3.131us (same four sum16 calls; measured 71 ns + checksum); parse+checksum is per-segment
 func ParseTCP(b []byte, src, dst IPAddr) (TCPHeader, []byte, error) {
 	if len(b) < TCPHeaderLen {
 		return TCPHeader{}, nil, ErrTruncated

@@ -100,12 +100,6 @@ func WorkloadF(keys KeyChooser, rng *sim.Rand) *Workload {
 	return &Workload{Keys: keys, ReadFrac: 0.5, RMW: true, rng: rng}
 }
 
-// UpdateHeavy returns a 50/50 GET/SET mix (the redis-benchmark runs
-// separate pure-GET and pure-SET passes; this mix serves general tests).
-func UpdateHeavy(keys KeyChooser, rng *sim.Rand) *Workload {
-	return &Workload{Keys: keys, ReadFrac: 0.5, rng: rng}
-}
-
 // Op is one generated operation.
 type Op struct {
 	Kind OpKind
