@@ -178,13 +178,14 @@ type sockQueue struct {
 // listener accepts rendezvous connections on a region port.
 type listener struct {
 	core.Unconnected
-	lib     *LibOS
-	qd      core.QDesc
-	port    uint16
-	tenant  uint32  // accepted endpoints inherit the listener's principal
-	backlog []*conn // server-side endpoints awaiting accept
-	accepts []*core.Op
-	closed  bool
+	lib    *LibOS
+	qd     core.QDesc
+	port   uint16
+	tenant uint32 // accepted endpoints inherit the listener's principal
+	// rx holds server-side endpoints awaiting accept and parked accepts.
+	// Connect feeds it from the client's node, so it is matched only in
+	// this instance's Accept and Step.
+	rx core.Rendezvous[*conn]
 }
 
 // pendingPush is one push parked on backpressure (ring full or a RingFull
@@ -436,15 +437,7 @@ func (l *LibOS) armStallRetry() {
 func (l *LibOS) Step() bool {
 	l.node.Charge(costmodel.SchedQuantum)
 	for _, ln := range l.listens {
-		if ln.closed {
-			continue
-		}
-		if len(ln.backlog) > 0 && len(ln.accepts) > 0 {
-			c := ln.backlog[0]
-			ln.backlog = ln.backlog[1:]
-			op := ln.accepts[0]
-			ln.accepts = ln.accepts[1:]
-			ln.complete(op, c)
+		if ln.match() {
 			return true
 		}
 	}
@@ -522,39 +515,34 @@ func (s *sockQueue) Close() {}
 
 // Accept asks for the next rendezvous.
 func (ln *listener) Accept(op *core.Op) error {
-	if len(ln.backlog) > 0 {
-		c := ln.backlog[0]
-		ln.backlog = ln.backlog[1:]
-		ln.complete(op, c)
-	} else {
-		ln.accepts = append(ln.accepts, op)
-	}
+	ln.rx.Park(op, ln.qd, core.OpAccept)
+	ln.match()
 	return nil
 }
 
-// complete finishes an accept: the server-side endpoint gets its
-// descriptor and joins the instance's scan set.
-func (ln *listener) complete(op *core.Op, c *conn) {
-	l := ln.lib
-	c.qd = l.Queues().Insert(c)
-	l.adopt(c)
-	l.stats.Accepts++
-	op.Complete(core.QEvent{QD: ln.qd, Op: core.OpAccept, NewQD: c.qd})
+// match finishes the oldest accept, if an endpoint waits for it: the
+// server-side endpoint gets its descriptor and joins the instance's scan
+// set.
+func (ln *listener) match() bool {
+	c, op, ok := ln.rx.Match()
+	if ok {
+		l := ln.lib
+		c.qd = l.Queues().Insert(c)
+		l.adopt(c)
+		l.stats.Accepts++
+		op.Complete(core.QEvent{QD: ln.qd, Op: core.OpAccept, NewQD: c.qd})
+	}
+	return ok
 }
 
 // Close unpublishes the port: parked accepts fail and never-accepted
 // clients see EOF.
 func (ln *listener) Close() {
-	ln.closed = true
 	delete(ln.lib.region.listeners, ln.port)
-	for _, op := range ln.accepts {
-		op.Fail(ln.qd, core.OpAccept, core.ErrQueueClosed)
-	}
-	ln.accepts = nil
-	for _, c := range ln.backlog {
+	ln.rx.End(ln.qd, core.OpAccept, core.ErrQueueClosed)
+	for c, ok := ln.rx.Take(); ok; c, ok = ln.rx.Take() {
 		c.Close()
 	}
-	ln.backlog = nil
 }
 
 // adopt adds a connected endpoint to the Step scan and publishes its
@@ -573,7 +561,7 @@ func (l *LibOS) adopt(c *conn) {
 func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
 	l := s.lib
 	ln := l.region.listeners[addr.Port]
-	if ln == nil || ln.closed {
+	if ln == nil {
 		op.Fail(s.qd, core.OpConnect, core.ErrConnRefused)
 		return nil
 	}
@@ -585,7 +573,7 @@ func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
 	srv.peer = cli
 	l.Queues().Replace(s.qd, cli)
 	l.adopt(cli)
-	ln.backlog = append(ln.backlog, srv)
+	ln.rx.Arrive(srv) // cannot refuse: a closed listener has left the region
 	l.stats.Connects++
 	op.Complete(core.QEvent{QD: s.qd, Op: core.OpConnect, NewQD: s.qd})
 	cli.wakePeer() // let the listener's Step deliver the accept

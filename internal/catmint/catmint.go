@@ -227,7 +227,9 @@ func (pl *peerLink) grant() uint64 { return binary.LittleEndian.Uint64(pl.grantM
 // credits returns how many messages we may still send.
 func (pl *peerLink) credits() int { return int(pl.grant() - pl.sent) }
 
-// conn is one multiplexed PDPIX connection.
+// conn is one multiplexed PDPIX connection, and the queue state of a
+// connected socket: dialling while connectOp is set, then open, and neither
+// once it has failed or been closed.
 type conn struct {
 	lib     *LibOS
 	link    *peerLink
@@ -235,33 +237,28 @@ type conn struct {
 	localID uint32
 	peerID  uint32
 	open    bool
-	peerFin bool
-	err     error
-
-	recvQ []*memory.Buf
-	pops  []*core.Op
+	rx      core.Rendezvous[*memory.Buf] // received messages and parked pops
 
 	connectOp *core.Op
 }
 
-// listener accepts inbound multiplexed connections on a port.
+// listener is the queue state of a listening socket.
 type listener struct {
-	lib     *LibOS
-	qd      core.QDesc
-	port    uint16
-	ready   []*conn
-	accepts []*core.Op
-	closed  bool
+	core.Unconnected
+	lib  *LibOS
+	qd   core.QDesc
+	port uint16
+	rx   core.Rendezvous[*conn] // inbound connections and parked accepts
 }
 
-// socket is the pre-connection PDPIX queue state.
+// socket is the queue state before Listen or Connect, either of which
+// replaces it behind its descriptor.
 type socket struct {
-	lib      *LibOS
-	qd       core.QDesc
-	port     uint16
-	bound    bool
-	listener *listener
-	conn     *conn
+	core.Unconnected
+	lib   *LibOS
+	qd    core.QDesc
+	port  uint16
+	bound bool
 }
 
 // --- Runner ---
@@ -360,9 +357,8 @@ func (pl *peerLink) fail(err error) {
 		}
 	}
 	pl.pendingSends = nil
-	for id, c := range pl.conns {
-		delete(pl.conns, id)
-		c.fail(err)
+	for _, c := range pl.conns {
+		c.end(err)
 	}
 	for _, buf := range pl.qp.FlushRecvs() {
 		buf.IOUnref()
@@ -524,7 +520,7 @@ func (l *LibOS) handleMessage(pl *peerLink, buf *memory.Buf, length int) {
 	case msgConnect:
 		port := uint16(aux)
 		ln, ok := l.listeners[port]
-		if !ok || ln.closed {
+		if !ok {
 			pl.send(buildHeader(msgReject, connID, 0), core.SGArray{}, nil, core.InvalidQD)
 			buf.IOUnref()
 			buf.Free()
@@ -535,27 +531,26 @@ func (l *LibOS) handleMessage(pl *peerLink, buf *memory.Buf, length int) {
 		pl.conns[c.localID] = c
 		pl.send(buildHeader(msgAccept, connID, c.localID), core.SGArray{}, nil, core.InvalidQD)
 		l.stats.connectsAccepted.Inc()
-		ln.established(c)
+		ln.rx.Arrive(c) // cannot refuse: a closed listener has left the table
+		ln.match()
 		buf.IOUnref()
 		buf.Free()
 	case msgAccept:
-		c, ok := pl.conns[connID]
-		if ok && !c.open {
+		if c, ok := pl.conns[connID]; !ok {
+			// The dialling socket was closed in flight: tell the acceptor,
+			// whose half of the connection would otherwise never end.
+			pl.send(buildHeader(msgFin, aux, 0), core.SGArray{}, nil, core.InvalidQD)
+		} else if !c.open {
 			c.peerID = aux
 			c.open = true
-			if c.connectOp != nil {
-				c.connectOp.Complete(core.QEvent{QD: c.qd, Op: core.OpConnect, NewQD: c.qd})
-				c.connectOp = nil
-			}
+			c.connectOp.Complete(core.QEvent{QD: c.qd, Op: core.OpConnect, NewQD: c.qd})
+			c.connectOp = nil
 		}
 		buf.IOUnref()
 		buf.Free()
 	case msgReject:
-		c, ok := pl.conns[connID]
-		if ok && c.connectOp != nil {
-			c.connectOp.Fail(c.qd, core.OpConnect, core.ErrConnRefused)
-			c.connectOp = nil
-			delete(pl.conns, connID)
+		if c, ok := pl.conns[connID]; ok && c.connectOp != nil {
+			c.end(core.ErrConnRefused)
 		}
 		buf.IOUnref()
 		buf.Free()
@@ -574,11 +569,14 @@ func (l *LibOS) handleMessage(pl *peerLink, buf *memory.Buf, length int) {
 		payload := memory.CopyFrom(l.heap, data[msgHeaderLen:])
 		buf.IOUnref()
 		buf.Free()
-		c.deliver(payload)
+		if c.rx.Arrive(payload) {
+			c.match()
+		} else {
+			payload.Free() // data after the peer's own FIN: there is no pop it could reach
+		}
 	case msgFin:
 		if c, ok := pl.conns[connID]; ok {
-			c.peerFin = true
-			c.completePops()
+			c.rx.End(c.qd, core.OpPop, nil) // parked and later pops see EOF
 		}
 		buf.IOUnref()
 		buf.Free()

@@ -3,7 +3,6 @@ package catmint
 import (
 	"demikernel/internal/core"
 	"demikernel/internal/costmodel"
-	"demikernel/internal/memory"
 	"demikernel/internal/simnet"
 )
 
@@ -25,135 +24,95 @@ func (l *LibOS) RegisterAddr(a core.Addr) {
 
 // --- conn operations ---
 
-// deliver hands a received message to a waiting pop or queues it.
-func (c *conn) deliver(buf *memory.Buf) {
-	if len(c.pops) > 0 {
-		op := c.pops[0]
-		c.pops = c.pops[1:]
+// match hands the oldest received message to the oldest parked pop.
+func (c *conn) match() {
+	if buf, op, ok := c.rx.Match(); ok {
 		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop, SGA: core.SGA(buf)})
-		return
-	}
-	c.recvQ = append(c.recvQ, buf)
-}
-
-// completePops drains waiting pops after FIN or teardown.
-func (c *conn) completePops() {
-	for len(c.pops) > 0 && (len(c.recvQ) > 0 || c.peerFin) {
-		op := c.pops[0]
-		c.pops = c.pops[1:]
-		if len(c.recvQ) > 0 {
-			buf := c.recvQ[0]
-			c.recvQ = c.recvQ[1:]
-			op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop, SGA: core.SGA(buf)})
-		} else {
-			op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop}) // EOF
-		}
 	}
 }
 
-// push sends one message (Catmint is message-oriented: each push is one
+// Push sends one message (Catmint is message-oriented: each push is one
 // delimited message, as RDMA SEND preserves boundaries).
-func (c *conn) push(op *core.Op, sga core.SGArray) {
+func (c *conn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	l := c.lib
-	if c.err != nil || (!c.open && c.connectOp == nil) {
+	switch {
+	case to != (core.Addr{}):
+		return core.ErrNotSupported
+	case !c.open && c.connectOp == nil:
 		op.Fail(c.qd, core.OpPush, core.ErrQueueClosed)
-		return
-	}
-	if sga.TotalLen() > l.cfg.MaxMsgSize {
+	case sga.TotalLen() > l.cfg.MaxMsgSize:
 		l.stats.messagesTooLarge.Inc()
 		op.Fail(c.qd, core.OpPush, core.ErrNotSupported)
-		return
+	default:
+		for _, b := range sga.Segs {
+			b.IORef() // held until the send completion
+		}
+		c.link.send(buildHeader(msgData, c.peerID, 0), sga, op, c.qd)
 	}
-	for _, b := range sga.Segs {
-		b.IORef() // held until the send completion
-	}
-	c.link.send(buildHeader(msgData, c.peerID, 0), sga, op, c.qd)
+	return nil
 }
 
-// pop asks for the next message.
-func (c *conn) pop(op *core.Op) {
-	if len(c.recvQ) > 0 {
-		buf := c.recvQ[0]
-		c.recvQ = c.recvQ[1:]
-		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop, SGA: core.SGA(buf)})
-		return
-	}
-	if c.peerFin {
-		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop})
-		return
-	}
-	if c.err != nil {
-		op.Fail(c.qd, core.OpPop, c.err)
-		return
-	}
-	c.pops = append(c.pops, op)
+// Pop asks for the next message.
+func (c *conn) Pop(op *core.Op) error {
+	c.rx.Park(op, c.qd, core.OpPop)
+	c.match()
+	return nil
 }
 
-// fail aborts the connection with err (link/QP failure): the pending
-// connect and queued pops resolve with err, buffered messages are released,
-// and later pushes/pops fail fast via c.err.
-func (c *conn) fail(err error) {
-	if c.err != nil {
-		return
-	}
-	c.err = err
+// end finishes the connection with verdict err: the pending connect and
+// parked pops complete with it, later pops too, buffered messages are
+// released and the link forgets the connection.
+func (c *conn) end(err error) {
 	c.open = false
+	delete(c.link.conns, c.localID)
 	if c.connectOp != nil {
 		c.connectOp.Fail(c.qd, core.OpConnect, err)
 		c.connectOp = nil
 	}
-	for _, op := range c.pops {
-		op.Fail(c.qd, core.OpPop, err)
-	}
-	c.pops = nil
-	for _, b := range c.recvQ {
+	c.rx.End(c.qd, core.OpPop, err)
+	for b, ok := c.rx.Take(); ok; b, ok = c.rx.Take() {
 		b.Free()
 	}
-	c.recvQ = nil
 }
 
-// close tears the connection down, notifying the peer.
-func (c *conn) close() {
-	if c.err != nil {
-		return
-	}
-	c.err = core.ErrQueueClosed
+// Close tears the connection down, notifying the peer. A connect still in
+// flight fails here; the peer learns when its ACCEPT finds no connection.
+func (c *conn) Close() {
 	if c.open {
 		c.link.send(buildHeader(msgFin, c.peerID, 0), core.SGArray{}, nil, core.InvalidQD)
 	}
-	delete(c.link.conns, c.localID)
-	for _, op := range c.pops {
-		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop}) // EOF
-	}
-	c.pops = nil
-	for _, b := range c.recvQ {
-		b.Free()
-	}
-	c.recvQ = nil
+	c.end(core.ErrQueueClosed)
 }
 
-// established is called when a multiplexed CONNECT lands on the listener.
-func (ln *listener) established(c *conn) {
-	if ln.closed {
-		return
-	}
-	if len(ln.accepts) > 0 {
-		op := ln.accepts[0]
-		ln.accepts = ln.accepts[1:]
-		ln.complete(op, c)
-		return
-	}
-	ln.ready = append(ln.ready, c)
+// --- listener operations ---
+
+// Accept asks for the next inbound connection.
+func (ln *listener) Accept(op *core.Op) error {
+	ln.rx.Park(op, ln.qd, core.OpAccept)
+	ln.match()
+	return nil
 }
 
-func (ln *listener) complete(op *core.Op, c *conn) {
-	s := &socket{lib: ln.lib, port: ln.port, bound: true, conn: c}
-	s.qd = ln.lib.Queues().Insert(s)
-	c.qd = s.qd
-	op.Complete(core.QEvent{QD: ln.qd, Op: core.OpAccept, NewQD: s.qd})
+// match gives the oldest inbound connection its descriptor — the
+// connection is the queue behind it — and completes the oldest accept.
+func (ln *listener) match() {
+	if c, op, ok := ln.rx.Match(); ok {
+		c.qd = ln.lib.Queues().Insert(c)
+		op.Complete(core.QEvent{QD: ln.qd, Op: core.OpAccept, NewQD: c.qd})
+	}
 }
 
-// --- core.Stack and the socket queue ---
+// Close stops listening: parked accepts fail and the connections nobody
+// accepted are closed, so their peers' pops complete.
+func (ln *listener) Close() {
+	delete(ln.lib.listeners, ln.port)
+	ln.rx.End(ln.qd, core.OpAccept, core.ErrQueueClosed)
+	for c, ok := ln.rx.Take(); ok; c, ok = ln.rx.Take() {
+		c.Close()
+	}
+}
+
+// --- core.Stack and the unconnected socket ---
 
 // Libcall charges one library call.
 func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
@@ -180,42 +139,22 @@ func (s *socket) Bind(addr core.Addr) error {
 	return nil
 }
 
-// Listen starts accepting connections on the bound port.
+// Listen starts accepting connections on the bound port; the descriptor
+// becomes the listener.
 func (s *socket) Listen(backlog int) error {
 	if !s.bound {
 		return core.ErrNotBound
 	}
 	ln := &listener{lib: s.lib, qd: s.qd, port: s.port}
-	s.listener = ln
+	s.lib.Queues().Replace(s.qd, ln)
 	s.lib.listeners[s.port] = ln
 	return nil
 }
 
-// Accept asks for the next inbound connection.
-func (s *socket) Accept(op *core.Op) error {
-	ln := s.listener
-	if ln == nil {
-		return core.ErrNotSupported
-	}
-	if len(ln.ready) > 0 {
-		c := ln.ready[0]
-		ln.ready = ln.ready[1:]
-		ln.complete(op, c)
-	} else {
-		ln.accepts = append(ln.accepts, op)
-	}
-	return nil
-}
-
-// Connect opens a multiplexed connection to addr (resolved to a NIC).
+// Connect opens a multiplexed connection to addr (resolved to a NIC); the
+// descriptor becomes the connection.
 func (s *socket) Connect(op *core.Op, addr core.Addr) error {
 	l := s.lib
-	if s.listener != nil {
-		return core.ErrNotSupported // a listening socket cannot dial out
-	}
-	if s.conn != nil {
-		return core.ErrInUse
-	}
 	mac, ok := l.book.m[addr.IP]
 	if !ok {
 		return core.ErrConnRefused
@@ -228,42 +167,10 @@ func (s *socket) Connect(op *core.Op, addr core.Addr) error {
 	l.nextConnID++
 	c := &conn{lib: l, link: pl, qd: s.qd, localID: l.nextConnID, connectOp: op}
 	pl.conns[c.localID] = c
-	s.conn = c
+	l.Queues().Replace(s.qd, c)
 	pl.send(buildHeader(msgConnect, c.localID, uint32(addr.Port)), core.SGArray{}, nil, core.InvalidQD)
 	return nil
 }
 
-// Close stops listening and tears the connection down.
-func (s *socket) Close() {
-	if ln := s.listener; ln != nil {
-		ln.closed = true
-		delete(s.lib.listeners, ln.port)
-		for _, op := range ln.accepts {
-			op.Fail(s.qd, core.OpAccept, core.ErrQueueClosed)
-		}
-	}
-	if s.conn != nil {
-		s.conn.close()
-	}
-}
-
-// Push submits one message.
-func (s *socket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
-	if to != (core.Addr{}) {
-		return core.ErrNotSupported
-	}
-	if s.conn == nil {
-		return core.ErrNotBound
-	}
-	s.conn.push(op, sga)
-	return nil
-}
-
-// Pop asks for the next message.
-func (s *socket) Pop(op *core.Op) error {
-	if s.conn == nil {
-		return core.ErrNotBound
-	}
-	s.conn.pop(op)
-	return nil
-}
+// Close releases an unconnected socket; it holds nothing.
+func (s *socket) Close() {}

@@ -151,33 +151,27 @@ func (l *LibOS) Now() sim.Time { return l.clock.Now() }
 
 // tcpQueue is a connected TCP socket.
 type tcpQueue struct {
-	lib   *LibOS
-	qd    core.QDesc
-	conn  net.Conn
-	recvQ [][]byte
-	pops  []*core.Op
-	eof   bool
-	err   error
+	lib  *LibOS
+	qd   core.QDesc
+	conn net.Conn
+	rx   core.Rendezvous[[]byte] // bytes read from the kernel and parked pops
 }
 
 // listenQueue is a listening TCP socket.
 type listenQueue struct {
 	core.Unconnected
-	lib     *LibOS
-	qd      core.QDesc
-	ln      net.Listener
-	ready   []net.Conn
-	accepts []*core.Op
+	lib *LibOS
+	qd  core.QDesc
+	ln  net.Listener
+	rx  core.Rendezvous[net.Conn] // kernel-accepted connections and parked accepts
 }
 
 // udpQueue is a UDP socket.
 type udpQueue struct {
-	lib   *LibOS
-	qd    core.QDesc
-	conn  *net.UDPConn
-	recvQ []udpDatagram
-	pops  []*core.Op
-	err   error
+	lib  *LibOS
+	qd   core.QDesc
+	conn *net.UDPConn
+	rx   core.Rendezvous[udpDatagram] // received datagrams and parked pops
 }
 
 type udpDatagram struct {
@@ -274,41 +268,42 @@ func (lq *listenQueue) acceptLoop() {
 	}
 }
 
+// established takes a connection the kernel accepted; one that lands after
+// Close is hung up on.
 func (lq *listenQueue) established(conn net.Conn) {
-	lq.lib.stats.TCPAccepts++
-	if len(lq.accepts) > 0 {
-		op := lq.accepts[0]
-		lq.accepts = lq.accepts[1:]
-		lq.complete(op, conn)
+	if !lq.rx.Arrive(conn) {
+		conn.Close()
 		return
 	}
-	lq.ready = append(lq.ready, conn)
+	lq.lib.stats.TCPAccepts++
+	lq.match()
 }
 
-func (lq *listenQueue) complete(op *core.Op, conn net.Conn) {
-	q := &tcpQueue{lib: lq.lib, conn: conn}
-	q.qd = lq.lib.Queues().Insert(q)
-	go q.readLoop()
-	op.Complete(core.QEvent{QD: lq.qd, Op: core.OpAccept, NewQD: q.qd})
+// match wraps the oldest accepted connection in its queue and completes the
+// oldest parked accept with it.
+func (lq *listenQueue) match() {
+	if conn, op, ok := lq.rx.Match(); ok {
+		q := &tcpQueue{lib: lq.lib, conn: conn}
+		q.qd = lq.lib.Queues().Insert(q)
+		go q.readLoop()
+		op.Complete(core.QEvent{QD: lq.qd, Op: core.OpAccept, NewQD: q.qd})
+	}
 }
 
 // Accept asks for the next inbound connection.
 func (lq *listenQueue) Accept(op *core.Op) error {
-	if len(lq.ready) > 0 {
-		conn := lq.ready[0]
-		lq.ready = lq.ready[1:]
-		lq.complete(op, conn)
-	} else {
-		lq.accepts = append(lq.accepts, op)
-	}
+	lq.rx.Park(op, lq.qd, core.OpAccept)
+	lq.match()
 	return nil
 }
 
-// Close stops listening and fails parked accepts.
+// Close stops listening, fails parked accepts and hangs up on the
+// connections nobody accepted.
 func (lq *listenQueue) Close() {
 	lq.ln.Close()
-	for _, op := range lq.accepts {
-		op.Fail(lq.qd, core.OpAccept, core.ErrQueueClosed)
+	lq.rx.End(lq.qd, core.OpAccept, core.ErrQueueClosed)
+	for conn, ok := lq.rx.Take(); ok; conn, ok = lq.rx.Take() {
+		conn.Close()
 	}
 }
 
@@ -334,9 +329,13 @@ func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
 				op.Fail(qd, core.OpConnect, core.ErrConnRefused)
 				return
 			}
-			l.stats.TCPConnects++
 			t := &tcpQueue{lib: l, qd: qd, conn: conn}
-			l.Queues().Replace(qd, t)
+			if !l.Queues().Replace(qd, t) {
+				conn.Close() // closed while dialling: the descriptor stays closed
+				op.Fail(qd, core.OpConnect, core.ErrQueueClosed)
+				return
+			}
+			l.stats.TCPConnects++
 			go t.readLoop()
 			op.Complete(core.QEvent{QD: qd, Op: core.OpConnect, NewQD: qd})
 		})
@@ -360,36 +359,38 @@ func (q *tcpQueue) readLoop() {
 	}
 }
 
+// deliver takes bytes the kernel handed up; after Close they are dropped.
 func (q *tcpQueue) deliver(data []byte) {
 	q.lib.stats.BytesIn += uint64(len(data))
-	if len(q.pops) > 0 {
-		buf, err := memory.TryCopyFrom(q.lib.heap, data)
-		if err != nil {
-			// Heap exhausted: fail the pop (app sees ENOMEM) but keep the
-			// bytes — the kernel already acked them — so a later pop after
-			// memory frees up delivers them.
-			q.lib.stats.RxAllocDrops++
-			op := q.pops[0]
-			q.pops = q.pops[1:]
-			q.recvQ = append(q.recvQ, data)
-			op.Fail(q.qd, core.OpPop, err)
-			return
-		}
-		op := q.pops[0]
-		q.pops = q.pops[1:]
-		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop, SGA: core.SGA(buf)})
-		return
+	if q.rx.Arrive(data) {
+		q.match()
 	}
-	q.recvQ = append(q.recvQ, data)
 }
 
-func (q *tcpQueue) hangup() {
-	q.eof = true
-	for _, op := range q.pops {
-		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop}) // EOF
+// match completes the oldest parked pop with the oldest queued read.
+func (q *tcpQueue) match() {
+	if data, op, ok := q.rx.Match(); ok && !q.lib.handUp(op, q.qd, data, core.Addr{}) {
+		q.rx.Return(data) // the kernel already acked these bytes: a later pop delivers them
 	}
-	q.pops = nil
 }
+
+// handUp completes a pop with data copied into the application heap. With
+// the heap exhausted the pop fails (the application sees ENOMEM) and handUp
+// reports false: the data is still the queue's.
+func (l *LibOS) handUp(op *core.Op, qd core.QDesc, data []byte, from core.Addr) bool {
+	buf, err := memory.TryCopyFrom(l.heap, data)
+	if err != nil {
+		l.stats.RxAllocDrops++
+		op.Fail(qd, core.OpPop, err)
+		return false
+	}
+	op.Complete(core.QEvent{QD: qd, Op: core.OpPop, SGA: core.SGA(buf), From: from})
+	return true
+}
+
+// hangup ends the stream: parked pops, and later ones once the queued reads
+// are drained, see EOF.
+func (q *tcpQueue) hangup() { q.rx.End(q.qd, core.OpPop, nil) }
 
 func (q *udpQueue) readLoop() {
 	for {
@@ -407,37 +408,33 @@ func (q *udpQueue) readLoop() {
 	}
 }
 
+// deliver takes a datagram the kernel handed up; after Close it is dropped.
 func (q *udpQueue) deliver(from core.Addr, data []byte) {
 	q.lib.stats.BytesIn += uint64(len(data))
-	if len(q.pops) > 0 {
-		buf, err := memory.TryCopyFrom(q.lib.heap, data)
-		if err != nil {
-			// UDP is lossy: drop the datagram, leave the pop pending.
-			q.lib.stats.RxAllocDrops++
-			return
-		}
-		op := q.pops[0]
-		q.pops = q.pops[1:]
-		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop, SGA: core.SGA(buf), From: from})
-		return
+	if q.rx.Arrive(udpDatagram{from: from, data: data}) {
+		q.match()
 	}
-	q.recvQ = append(q.recvQ, udpDatagram{from: from, data: data})
 }
 
-// Close hangs up and fails parked pops.
+// match completes the oldest parked pop with the oldest queued datagram.
+func (q *udpQueue) match() {
+	if d, op, ok := q.rx.Match(); ok && !q.lib.handUp(op, q.qd, d.data, d.from) {
+		q.rx.Return(d)
+	}
+}
+
+// Close hangs up and fails parked pops. Reads nobody popped are plain Go
+// memory and go with the queue.
 func (q *tcpQueue) Close() {
 	q.conn.Close()
-	for _, op := range q.pops {
-		op.Fail(q.qd, core.OpPop, core.ErrQueueClosed)
-	}
+	q.rx.End(q.qd, core.OpPop, core.ErrQueueClosed)
 }
 
-// Close releases the socket and fails parked pops.
+// Close releases the socket and fails parked pops; queued datagrams go with
+// the queue.
 func (q *udpQueue) Close() {
 	q.conn.Close()
-	for _, op := range q.pops {
-		op.Fail(q.qd, core.OpPop, core.ErrQueueClosed)
-	}
+	q.rx.End(q.qd, core.OpPop, core.ErrQueueClosed)
 }
 
 // Push writes sga to the connection. On the kernel path the write copies
@@ -495,30 +492,15 @@ func (s *sockQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 
 // Pop asks for the next inbound bytes on the connection.
 func (q *tcpQueue) Pop(op *core.Op) error {
-	switch {
-	case len(q.recvQ) > 0:
-		data := q.recvQ[0]
-		q.recvQ = q.recvQ[1:]
-		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop,
-			SGA: core.SGA(memory.CopyFrom(q.lib.heap, data))})
-	case q.eof:
-		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop})
-	default:
-		q.pops = append(q.pops, op)
-	}
+	q.rx.Park(op, q.qd, core.OpPop)
+	q.match()
 	return nil
 }
 
 // Pop asks for the next datagram.
 func (q *udpQueue) Pop(op *core.Op) error {
-	if len(q.recvQ) > 0 {
-		d := q.recvQ[0]
-		q.recvQ = q.recvQ[1:]
-		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop,
-			SGA: core.SGA(memory.CopyFrom(q.lib.heap, d.data)), From: d.from})
-	} else {
-		q.pops = append(q.pops, op)
-	}
+	q.rx.Park(op, q.qd, core.OpPop)
+	q.match()
 	return nil
 }
 

@@ -63,7 +63,7 @@ func BenchmarkCatnipIngress(b *testing.B) {
 		for i := 0; i < n; i++ {
 			segs[i] = mkSegment(c.rcvNxt + uint32(i*len(payload)))
 			ops[i] = l.Tokens().New()
-			c.pop(ops[i]) // a waiting application coroutine
+			c.Pop(ops[i]) // a waiting application coroutine
 		}
 		b.StartTimer()
 		for i := 0; i < n; i++ {
@@ -102,7 +102,7 @@ func BenchmarkCatnipEgress(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op := l.Tokens().New()
-		c.push(op, core.SGA(buf))
+		c.Push(op, core.SGA(buf), core.Addr{})
 		// Instantly ack so state does not grow.
 		c.sndUna = c.sndNxt
 		c.dropAckedSegments()

@@ -33,18 +33,17 @@ const (
 	stateLastAck
 )
 
-// tcpSocket is the PDPIX queue state for a stream socket: before Listen or
-// Connect it is just a (possibly bound) port; afterwards it fronts a
-// listener or a connection.
+// tcpSocket is the PDPIX queue state of a stream socket before Listen or
+// Connect: at most a bound port. Either call replaces it behind its
+// descriptor with the listener or the connection.
 type tcpSocket struct {
+	core.Unconnected
 	lib       *LibOS
 	qd        core.QDesc
 	localPort uint16
 	bound     bool
-	listener  *tcpListener
-	conn      *tcpConn
 	// tenant is the owning principal (0 = host); tidx its dense scheduler
-	// index. Accepted connections inherit the listener socket's tenant.
+	// index. The listener or connection the socket becomes inherits them.
 	tenant uint32
 	tidx   uint8
 }
@@ -70,26 +69,16 @@ func (s *tcpSocket) Listen(backlog int) error {
 	if !s.bound {
 		return core.ErrNotBound
 	}
-	if s.listener != nil || s.conn != nil {
-		return core.ErrInUse
-	}
-	if backlog < 1 {
-		backlog = 1
-	}
-	ln := &tcpListener{lib: s.lib, sock: s, port: s.localPort, backlog: backlog}
-	s.listener = ln
+	ln := &tcpListener{lib: s.lib, qd: s.qd, port: s.localPort, backlog: max(backlog, 1),
+		tenant: s.tenant, tidx: s.tidx}
+	s.lib.Queues().Replace(s.qd, ln)
 	s.lib.listeners[s.localPort] = ln
 	return nil
 }
 
-// Connect starts the active open; op completes when the handshake does.
+// Connect starts the active open: the descriptor becomes the connection,
+// and op completes when the handshake does.
 func (s *tcpSocket) Connect(op *core.Op, addr core.Addr) error {
-	if s.listener != nil {
-		return core.ErrNotSupported // a listening socket cannot dial out
-	}
-	if s.conn != nil {
-		return core.ErrInUse
-	}
 	if !s.bound {
 		p, err := s.lib.allocEphemeral()
 		if err != nil {
@@ -105,119 +94,65 @@ func (s *tcpSocket) Connect(op *core.Op, addr core.Addr) error {
 	c := newTCPConn(s.lib, s.qd, tuple, s.tenant, s.tidx)
 	c.state = stateSynSent
 	c.connectOp = op
-	s.conn = c
+	s.lib.Queues().Replace(s.qd, c)
 	s.lib.conns[tuple] = c
 	c.startConnect()
 	return nil
 }
 
-// Accept asks the listener for the next established connection.
-func (s *tcpSocket) Accept(op *core.Op) error {
-	if s.listener == nil {
-		return core.ErrNotSupported
-	}
-	s.listener.accept(op)
-	return nil
-}
+// Close releases an unconnected socket; it holds nothing.
+func (s *tcpSocket) Close() {}
 
-// Push submits stream data (paper: egress is inlined here on the
-// error-free path, Figure 4 step 8).
-func (s *tcpSocket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
-	if to != (core.Addr{}) {
-		return core.ErrNotSupported
-	}
-	if s.conn == nil {
-		return core.ErrNotBound
-	}
-	s.conn.push(op, sga)
-	return nil
-}
-
-// Pop asks for the next inbound stream data.
-func (s *tcpSocket) Pop(op *core.Op) error {
-	if s.conn == nil {
-		return core.ErrNotBound
-	}
-	s.conn.pop(op)
-	return nil
-}
-
-// Close stops listening or starts the connection's orderly shutdown.
-func (s *tcpSocket) Close() {
-	if s.listener != nil {
-		s.listener.close()
-	}
-	if s.conn != nil {
-		s.conn.appClose()
-	}
-}
-
-// tcpListener accepts inbound connections on a port.
+// tcpListener is the queue state of a listening socket.
 type tcpListener struct {
+	core.Unconnected
 	lib      *LibOS
-	sock     *tcpSocket
+	qd       core.QDesc
 	port     uint16
 	backlog  int
-	ready    []*tcpConn // established, awaiting Accept
-	accepts  []*core.Op // pending Accept operations
-	synCount int        // connections in SYN_RCVD
-	closed   bool
+	rx       core.Rendezvous[*tcpConn] // established connections and parked accepts
+	synCount int                       // connections in SYN_RCVD
+	// Accepted connections inherit the listener's tenant.
+	tenant uint32
+	tidx   uint8
 }
 
-// accept completes immediately if an established connection waits,
-// otherwise parks the op.
-func (ln *tcpListener) accept(op *core.Op) {
-	if ln.closed {
-		op.Fail(ln.sock.qd, core.OpAccept, core.ErrQueueClosed)
-		return
-	}
-	if len(ln.ready) > 0 {
-		c := ln.ready[0]
-		ln.ready = ln.ready[1:]
-		ln.complete(op, c)
-		return
-	}
-	ln.accepts = append(ln.accepts, op)
+// Accept asks for the next established connection.
+func (ln *tcpListener) Accept(op *core.Op) error {
+	ln.rx.Park(op, ln.qd, core.OpAccept)
+	ln.match()
+	return nil
 }
 
-// complete wraps an established connection in a fresh socket queue and
-// finishes the accept op.
-func (ln *tcpListener) complete(op *core.Op, c *tcpConn) {
-	s := &tcpSocket{lib: ln.lib, localPort: ln.port, bound: true, conn: c,
-		tenant: ln.sock.tenant, tidx: ln.sock.tidx}
-	s.qd = ln.lib.Queues().Insert(s)
-	c.qd = s.qd
-	op.Complete(core.QEvent{QD: ln.sock.qd, Op: core.OpAccept, NewQD: s.qd})
+// match gives the oldest established connection its descriptor — the
+// connection is the queue behind it — and completes the oldest accept.
+func (ln *tcpListener) match() {
+	if c, op, ok := ln.rx.Match(); ok {
+		c.qd = ln.lib.Queues().Insert(c)
+		op.Complete(core.QEvent{QD: ln.qd, Op: core.OpAccept, NewQD: c.qd})
+	}
 }
 
 // established is called by a SYN_RCVD connection once its handshake
-// finishes.
+// finishes. Past the backlog, or with the listener closed meanwhile, nobody
+// will accept it: reset.
 func (ln *tcpListener) established(c *tcpConn) {
 	ln.synCount--
-	if len(ln.accepts) > 0 {
-		op := ln.accepts[0]
-		ln.accepts = ln.accepts[1:]
-		ln.complete(op, c)
+	if ln.rx.Ready() >= ln.backlog || !ln.rx.Arrive(c) {
+		c.abort(core.ErrQueueClosed)
 		return
 	}
-	if len(ln.ready) >= ln.backlog {
-		c.abort(core.ErrQueueClosed) // backlog overflow: reset
-		return
-	}
-	ln.ready = append(ln.ready, c)
+	ln.match()
 }
 
-func (ln *tcpListener) close() {
-	ln.closed = true
+// Close stops listening: parked accepts fail and the connections nobody
+// accepted are reset, so their peers' operations complete.
+func (ln *tcpListener) Close() {
 	delete(ln.lib.listeners, ln.port)
-	for _, op := range ln.accepts {
-		op.Fail(ln.sock.qd, core.OpAccept, core.ErrQueueClosed)
-	}
-	ln.accepts = nil
-	for _, c := range ln.ready {
+	ln.rx.End(ln.qd, core.OpAccept, core.ErrQueueClosed)
+	for c, ok := ln.rx.Take(); ok; c, ok = ln.rx.Take() {
 		c.abort(core.ErrQueueClosed)
 	}
-	ln.ready = nil
 }
 
 // sendItem is app data queued but not yet segmented (send window closed).
@@ -263,9 +198,10 @@ type oooSegment struct {
 	data []byte
 }
 
-// tcpConn is one TCP connection (paper §6.3). One background coroutine
-// each for sending when the window reopens, retransmission, pure acks, and
-// close-state management, exactly the paper's four.
+// tcpConn is one TCP connection (paper §6.3) and the queue state of a
+// connected socket. One background coroutine each for sending when the
+// window reopens, retransmission, pure acks, and close-state management,
+// exactly the paper's four.
 type tcpConn struct {
 	lib       *LibOS
 	qd        core.QDesc

@@ -133,17 +133,19 @@ func (c *tcpConn) spawnCoroutines() {
 
 // --- Application-facing operations ---
 
-// push queues sga for transmission and attempts to send inline (paper
+// Push queues sga for transmission and attempts to send inline (paper
 // Figure 4 step 8: egress is inlined in push on the error-free path). The
 // op completes when every byte is acknowledged.
-func (c *tcpConn) push(op *core.Op, sga core.SGArray) {
-	if c.err != nil {
+func (c *tcpConn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	switch {
+	case to != (core.Addr{}):
+		return core.ErrNotSupported
+	case c.err != nil:
 		op.Fail(c.qd, core.OpPush, c.err)
-		return
-	}
-	if c.appClosed || (c.state != stateEstablished && c.state != stateCloseWait && c.state != stateSynSent && c.state != stateSynRcvd) {
+		return nil
+	case c.appClosed || (c.state != stateEstablished && c.state != stateCloseWait && c.state != stateSynSent && c.state != stateSynRcvd):
 		op.Fail(c.qd, core.OpPush, core.ErrQueueClosed)
-		return
+		return nil
 	}
 	total := 0
 	for _, b := range sga.Segs {
@@ -154,23 +156,22 @@ func (c *tcpConn) push(op *core.Op, sga core.SGArray) {
 	c.queuedSeq += uint32(total)
 	c.pushOps = append(c.pushOps, pushOp{endSeq: c.queuedSeq, op: op})
 	c.trySend()
+	return nil
 }
 
-// pop asks for the next inbound data.
-func (c *tcpConn) pop(op *core.Op) {
-	if len(c.recvQ) > 0 {
+// Pop asks for the next inbound data.
+func (c *tcpConn) Pop(op *core.Op) error {
+	switch {
+	case len(c.recvQ) > 0:
 		c.completePop(op)
-		return
-	}
-	if c.peerClosed {
+	case c.peerClosed:
 		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop}) // empty SGA = EOF
-		return
-	}
-	if c.err != nil {
+	case c.err != nil:
 		op.Fail(c.qd, core.OpPop, c.err)
-		return
+	default:
+		c.pops = append(c.pops, op)
 	}
-	c.pops = append(c.pops, op)
+	return nil
 }
 
 // completePop hands up to maxSegsPerPop queued buffers to op and sends a
@@ -214,16 +215,27 @@ func (c *tcpConn) completePops() {
 	}
 }
 
-// appClose initiates a local close: a FIN is queued after pending data.
-func (c *tcpConn) appClose() {
+// Close is the application's close. The descriptor is gone, so nothing can
+// pop again: parked pops fail, undelivered data is freed and later data is
+// acknowledged and discarded (deliver). The send side closes gracefully — a
+// FIN is queued after the data already pushed, whose ops complete or fail
+// on their own.
+func (c *tcpConn) Close() {
 	if c.appClosed || c.err != nil {
 		return
 	}
 	c.appClosed = true
+	for _, op := range c.pops {
+		op.Fail(c.qd, core.OpPop, core.ErrQueueClosed)
+	}
+	c.pops = nil
+	for _, b := range c.recvQ {
+		b.Free()
+	}
+	c.recvQ, c.recvBytes = nil, 0
 	switch c.state {
 	case stateSynSent:
 		c.abort(core.ErrQueueClosed)
-		return
 	case stateEstablished, stateSynRcvd, stateCloseWait:
 		c.finQueued = true
 		c.trySend()

@@ -25,7 +25,7 @@ func (l *LibOS) handleTCP(eth wire.EthHeader, ip wire.IPv4Header, body []byte) {
 		return
 	}
 	if h.Flags&wire.TCPSyn != 0 && h.Flags&wire.TCPAck == 0 {
-		if ln, ok := l.listeners[h.DstPort]; ok && !ln.closed {
+		if ln, ok := l.listeners[h.DstPort]; ok {
 			ln.handleSyn(eth, ip, h)
 			return
 		}
@@ -62,7 +62,7 @@ func (ln *tcpListener) handleSyn(eth wire.EthHeader, ip wire.IPv4Header, h wire.
 		return // SYN backlog full: drop, the client retries
 	}
 	tuple := fourTuple{localPort: h.DstPort, remoteIP: ip.Src, remotePort: h.SrcPort}
-	c := newTCPConn(ln.lib, core.InvalidQD, tuple, ln.sock.tenant, ln.sock.tidx)
+	c := newTCPConn(ln.lib, core.InvalidQD, tuple, ln.tenant, ln.tidx)
 	c.listener = ln
 	c.state = stateSynRcvd
 	c.remoteMAC = eth.Src
@@ -282,6 +282,10 @@ func (c *tcpConn) processPayload(seq uint32, payload []byte) {
 // segment is dropped without advancing rcvNxt: no ack covers it, so the
 // peer retransmits once memory frees up.
 func (c *tcpConn) deliver(payload []byte) {
+	if c.appClosed {
+		c.rcvNxt += uint32(len(payload)) // the descriptor is gone: acknowledge and discard
+		return
+	}
 	buf, err := c.copyIn(payload) // charged to the connection's tenant
 	if err != nil {
 		c.lib.stats.RxAllocDrops++

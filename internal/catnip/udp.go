@@ -24,10 +24,8 @@ type udpSocket struct {
 	qd        core.QDesc
 	localPort uint16
 	bound     bool
-	remote    core.Addr // default destination set by Connect
-	recvQ     []datagram
-	pops      []*core.Op
-	closed    bool
+	remote    core.Addr                 // default destination set by Connect
+	rx        core.Rendezvous[datagram] // received datagrams and parked pops
 	// tenant owns the socket; theap (nil for the host) charges its rx
 	// allocations.
 	tenant uint32
@@ -76,10 +74,6 @@ func (s *udpSocket) Connect(op *core.Op, addr core.Addr) error {
 // the connected default. The datagram goes on the wire inline (fast path);
 // the op completes immediately and buffer ownership returns to the app.
 func (s *udpSocket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
-	if s.closed {
-		op.Fail(s.qd, core.OpPush, core.ErrQueueClosed)
-		return nil
-	}
 	dst := to
 	if dst.IP.IsZero() {
 		dst = s.remote
@@ -130,44 +124,27 @@ func (s *udpSocket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 
 // Pop returns the next datagram, completing immediately if one is queued.
 func (s *udpSocket) Pop(op *core.Op) error {
-	switch {
-	case len(s.recvQ) > 0:
-		d := s.recvQ[0]
-		s.recvQ = s.recvQ[1:]
-		op.Complete(core.QEvent{QD: s.qd, Op: core.OpPop, SGA: core.SGA(d.buf), From: d.from})
-	case s.closed:
-		op.Fail(s.qd, core.OpPop, core.ErrQueueClosed)
-	default:
-		s.pops = append(s.pops, op)
-	}
+	s.rx.Park(op, s.qd, core.OpPop)
+	s.match()
 	return nil
 }
 
-// deliver hands a received datagram to a waiting pop or queues it.
-func (s *udpSocket) deliver(from core.Addr, buf *memory.Buf) {
-	if len(s.pops) > 0 {
-		op := s.pops[0]
-		s.pops = s.pops[1:]
-		op.Complete(core.QEvent{QD: s.qd, Op: core.OpPop, SGA: core.SGA(buf), From: from})
-		return
+// match hands the oldest queued datagram to the oldest parked pop.
+func (s *udpSocket) match() {
+	if d, op, ok := s.rx.Match(); ok {
+		op.Complete(core.QEvent{QD: s.qd, Op: core.OpPop, SGA: core.SGA(d.buf), From: d.from})
 	}
-	s.recvQ = append(s.recvQ, datagram{from: from, buf: buf})
 }
 
 // Close releases the port, fails parked pops and frees queued datagrams.
 func (s *udpSocket) Close() {
-	s.closed = true
 	if s.bound {
 		delete(s.lib.udpPorts, s.localPort)
 	}
-	for _, op := range s.pops {
-		op.Fail(s.qd, core.OpPop, core.ErrQueueClosed)
-	}
-	s.pops = nil
-	for _, d := range s.recvQ {
+	s.rx.End(s.qd, core.OpPop, core.ErrQueueClosed)
+	for d, ok := s.rx.Take(); ok; d, ok = s.rx.Take() {
 		d.buf.Free()
 	}
-	s.recvQ = nil
 }
 
 // handleUDP dispatches a received UDP packet to its socket.
@@ -194,5 +171,9 @@ func (l *LibOS) handleUDP(ip wire.IPv4Header, body []byte) {
 		return
 	}
 	buf.SetTraceCtx(l.rxCtx) // the frame's trace context follows its data to the app
-	s.deliver(core.Addr{IP: ip.Src, Port: h.SrcPort}, buf)
+	if !s.rx.Arrive(datagram{from: core.Addr{IP: ip.Src, Port: h.SrcPort}, buf: buf}) {
+		buf.Free() // a closed socket's port is unbound first, so this is the end rule's backstop
+		return
+	}
+	s.match()
 }

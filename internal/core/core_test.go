@@ -357,7 +357,9 @@ func TestQDescTable(t *testing.T) {
 	if _, ok := tbl.Lookup(qd + 100); ok {
 		t.Error("phantom descriptor")
 	}
-	tbl.Replace(qd, b)
+	if ok := tbl.Replace(qd, b); !ok {
+		t.Error("replace refused a live descriptor")
+	}
 	if got, _ := tbl.Lookup(qd); got != Queue(b) || tbl.Len() != 1 {
 		t.Error("replace did not swap the queue in place")
 	}
@@ -369,6 +371,9 @@ func TestQDescTable(t *testing.T) {
 	}
 	if _, ok := tbl.Remove(qd); ok {
 		t.Error("removed twice")
+	}
+	if tbl.Replace(qd, a) || tbl.Len() != 0 {
+		t.Error("replace brought a closed descriptor back to life")
 	}
 	if tbl.Next() != 2 {
 		t.Error("a released descriptor was reused")

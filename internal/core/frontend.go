@@ -294,8 +294,16 @@ func (t *QDescTable) Lookup(qd QDesc) (Queue, bool) {
 }
 
 // Replace swaps the queue behind a live descriptor: a socket becoming a
-// listener or a connection keeps its descriptor.
-func (t *QDescTable) Replace(qd QDesc, q Queue) { t.qs[qd] = q }
+// listener or a connection keeps its descriptor. It reports false, changing
+// nothing, when qd has been closed meanwhile: a closed descriptor never
+// becomes live again, and the caller releases q.
+func (t *QDescTable) Replace(qd QDesc, q Queue) bool {
+	if _, live := t.qs[qd]; !live {
+		return false
+	}
+	t.qs[qd] = q
+	return true
+}
 
 // Remove deletes qd, returning its queue.
 func (t *QDescTable) Remove(qd QDesc) (Queue, bool) {

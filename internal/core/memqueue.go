@@ -10,11 +10,9 @@ package core
 // Queue() descriptor.
 type MemQueue struct {
 	qd       QDesc
-	capacity int // max buffered SGArrays; 0 = unbounded
-	data     []SGArray
-	waiter   []*Op         // pending pops, FIFO
-	pushers  []pendingPush // pushes parked on backpressure, FIFO
-	closed   bool
+	capacity int                 // max buffered SGArrays; 0 = unbounded
+	rx       Rendezvous[SGArray] // buffered arrays and parked pops
+	pushers  []pendingPush       // pushes parked on backpressure, FIFO
 }
 
 // pendingPush is one push op parked until the queue drains below capacity.
@@ -31,18 +29,18 @@ func NewBoundedMemQueue(qd QDesc, capacity int) *MemQueue {
 }
 
 // Len returns the number of buffered scatter-gather arrays.
-func (q *MemQueue) Len() int { return len(q.data) }
+func (q *MemQueue) Len() int { return q.rx.Ready() }
 
 // Depth is the queue's instantaneous occupancy: buffered arrays plus pushes
 // parked on backpressure (data admitted but not yet below high-water).
-func (q *MemQueue) Depth() int { return len(q.data) + len(q.pushers) }
+func (q *MemQueue) Depth() int { return q.rx.Ready() + len(q.pushers) }
 
 // Capacity returns the high-water mark (0 = unbounded).
 func (q *MemQueue) Capacity() int { return q.capacity }
 
 // full reports whether the queue is at or above its high-water mark.
 func (q *MemQueue) full() bool {
-	return q.capacity > 0 && len(q.data) >= q.capacity
+	return q.capacity > 0 && q.rx.Ready() >= q.capacity
 }
 
 // Push enqueues sga. The op completes immediately when the queue is below
@@ -54,37 +52,32 @@ func (q *MemQueue) Push(op *Op, sga SGArray, to Addr) error {
 		return ErrNotSupported
 	}
 	switch {
-	case q.closed:
-		sga.Free()
-		op.Fail(q.qd, OpPush, ErrQueueClosed)
-	case len(q.waiter) > 0:
-		pop := q.waiter[0]
-		q.waiter = q.waiter[1:]
-		pop.Complete(QEvent{QD: q.qd, Op: OpPop, SGA: sga})
-		op.Complete(QEvent{QD: q.qd, Op: OpPush})
 	case q.full():
 		q.pushers = append(q.pushers, pendingPush{op: op, sga: sga})
-	default:
-		q.data = append(q.data, sga)
+	case q.rx.Arrive(sga):
+		q.match()
 		op.Complete(QEvent{QD: q.qd, Op: OpPush})
+	default:
+		sga.Free()
+		op.Fail(q.qd, OpPush, ErrQueueClosed)
 	}
 	return nil
 }
 
 // Pop completes op with buffered data, or parks it until a push arrives.
 func (q *MemQueue) Pop(op *Op) error {
-	switch {
-	case len(q.data) > 0:
-		sga := q.data[0]
-		q.data = q.data[1:]
-		op.Complete(QEvent{QD: q.qd, Op: OpPop, SGA: sga})
-		q.admit()
-	case q.closed:
-		op.Fail(q.qd, OpPop, ErrQueueClosed)
-	default:
-		q.waiter = append(q.waiter, op)
-	}
+	q.rx.Park(op, q.qd, OpPop)
+	q.match()
+	q.admit()
 	return nil
+}
+
+// match hands the oldest buffered array to the oldest parked pop. Every
+// call follows one arrival or one pop, so there is at most one pair.
+func (q *MemQueue) match() {
+	if sga, pop, ok := q.rx.Match(); ok {
+		pop.Complete(QEvent{QD: q.qd, Op: OpPop, SGA: sga})
+	}
 }
 
 // admit moves parked pushes into the freed buffer space, completing their
@@ -93,7 +86,7 @@ func (q *MemQueue) admit() {
 	for len(q.pushers) > 0 && !q.full() {
 		p := q.pushers[0]
 		q.pushers = q.pushers[1:]
-		q.data = append(q.data, p.sga)
+		q.rx.Arrive(p.sga)
 		p.op.Complete(QEvent{QD: q.qd, Op: OpPush})
 	}
 }
@@ -105,21 +98,13 @@ func (q *MemQueue) admit() {
 // the never-leak contract (the producer handed the buffers over and never
 // frees after Push).
 func (q *MemQueue) Close() {
-	if q.closed {
-		return
+	q.rx.End(q.qd, OpPop, ErrQueueClosed)
+	for sga, ok := q.rx.Take(); ok; sga, ok = q.rx.Take() {
+		sga.Free()
 	}
-	q.closed = true
-	for _, op := range q.waiter {
-		op.Fail(q.qd, OpPop, ErrQueueClosed)
-	}
-	q.waiter = nil
 	for _, p := range q.pushers {
 		p.sga.Free()
 		p.op.Fail(q.qd, OpPush, ErrQueueClosed)
 	}
 	q.pushers = nil
-	for _, sga := range q.data {
-		sga.Free()
-	}
-	q.data = nil
 }

@@ -9,13 +9,21 @@ package demi_test
 // catnip, catloop, catmint, catmem, cattree and demi.Combined through it and
 // requires the documented sentinel for every refusal.
 //
-// This is the seed of ROADMAP item 5's conformance suite: the model-based
-// generator grows from the worlds and the refusal table below.
+// The lifecycle table below does the same for Close: DESIGN.md §3 states
+// once what closing a queue does to parked operations, to undelivered data
+// and to the peer, and rows L1–L6 hold every libOS to it.
+//
+// These are the two seeds of ROADMAP item 6's conformance suite: the
+// model-based generator grows from the worlds, the refusal table and the
+// lifecycle rows.
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"demikernel/internal/catloop"
 	"demikernel/internal/catmem"
@@ -38,7 +46,17 @@ import (
 type endpoint struct {
 	os     demi.LibOS
 	tables []*core.TokenTable // every table a call on os can mint in
+	queues *core.QDescTable   // the table its socket descriptors live in
 	addr   core.Addr          // where it listens and peers dial
+}
+
+// state names the type of the queue behind a socket descriptor.
+func (e *endpoint) state(qd core.QDesc) string {
+	q, ok := e.queues.Lookup(qd)
+	if !ok {
+		return "closed"
+	}
+	return fmt.Sprintf("%T", q)
 }
 
 // world is one libOS configuration: a client and (when the libOS has
@@ -47,6 +65,9 @@ type world struct {
 	name     string
 	cli, srv *endpoint
 	logs     bool // cli can Open a storage log
+	// listener and conn are the types a socket descriptor holds after
+	// Listen, and after Connect or an accept: one object per queue state.
+	listener, conn string
 	// routed: control calls on a storage descriptor are not checked.
 	// demi.Combined sends every control call to its network side, where a
 	// storage descriptor does not exist.
@@ -77,8 +98,14 @@ func simRun(eng *sim.Engine, srvNode, cliNode *sim.Node) func(func(func()), func
 	}
 }
 
-func plain(os demi.NetOS, addr core.Addr) *endpoint {
-	return &endpoint{os: os, tables: []*core.TokenTable{os.Tokens()}, addr: addr}
+// netOS is a network libOS with its front end's tables in reach.
+type netOS interface {
+	demi.NetOS
+	Queues() *core.QDescTable
+}
+
+func plain(os netOS, addr core.Addr) *endpoint {
+	return &endpoint{os: os, tables: []*core.TokenTable{os.Tokens()}, queues: os.Queues(), addr: addr}
 }
 
 func catnipPair(eng *sim.Engine) (srv, cli *catnip.LibOS) {
@@ -99,7 +126,8 @@ func worlds(t *testing.T) []world {
 	{
 		eng := sim.NewEngine(51)
 		srv, cli := catnipPair(eng)
-		ws = append(ws, world{name: "catnip", srv: plain(srv, srv.Addr(7000)), cli: plain(cli, cli.Addr(7000)),
+		ws = append(ws, world{name: "catnip", listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
+			srv: plain(srv, srv.Addr(7000)), cli: plain(cli, cli.Addr(7000)),
 			run: simRun(eng, srv.Node(), cli.Node())})
 	}
 	{
@@ -107,7 +135,8 @@ func worlds(t *testing.T) []world {
 		hub := catloop.NewHub(eng)
 		srv := catloop.New(hub, eng.NewNode("srv"), ipA)
 		cli := catloop.New(hub, eng.NewNode("cli"), ipB)
-		ws = append(ws, world{name: "catloop", srv: plain(srv, srv.Addr(7000)), cli: plain(cli, cli.Addr(7000)),
+		ws = append(ws, world{name: "catloop", listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
+			srv: plain(srv, srv.Addr(7000)), cli: plain(cli, cli.Addr(7000)),
 			run: simRun(eng, srv.Node(), cli.Node())})
 	}
 	{
@@ -119,7 +148,7 @@ func worlds(t *testing.T) []world {
 		cli := catmint.New(nb, reg.NewNIC(nb, simnet.DefaultLink(), 0), catmint.DefaultConfig(book))
 		srv.RegisterAddr(core.Addr{IP: ipA})
 		cli.RegisterAddr(core.Addr{IP: ipB})
-		ws = append(ws, world{name: "catmint", pinsHeap: true,
+		ws = append(ws, world{name: "catmint", pinsHeap: true, listener: "*catmint.listener", conn: "*catmint.conn",
 			srv: plain(srv, core.Addr{IP: ipA, Port: 7000}), cli: plain(cli, core.Addr{IP: ipB, Port: 7000}),
 			run: simRun(eng, na, nb)})
 	}
@@ -128,7 +157,8 @@ func worlds(t *testing.T) []world {
 		r := catmem.NewRegion(eng)
 		srv, cli := r.New(eng.NewNode("srv")), r.New(eng.NewNode("cli"))
 		at := core.Addr{Port: 7000}
-		ws = append(ws, world{name: "catmem", srv: plain(srv, at), cli: plain(cli, at), run: simRun(eng, srv.Node(), cli.Node())})
+		ws = append(ws, world{name: "catmem", listener: "*catmem.listener", conn: "*catmem.conn",
+			srv: plain(srv, at), cli: plain(cli, at), run: simRun(eng, srv.Node(), cli.Node())})
 	}
 	{
 		eng := sim.NewEngine(55)
@@ -143,9 +173,10 @@ func worlds(t *testing.T) []world {
 		mk := func(l *catnip.LibOS) *endpoint {
 			n := l.Node()
 			c := demi.NewCombined(l, cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<16)))
-			return &endpoint{os: c, tables: []*core.TokenTable{c.Net.Tokens(), c.Stor.Tokens()}, addr: l.Addr(7000)}
+			return &endpoint{os: c, tables: []*core.TokenTable{c.Net.Tokens(), c.Stor.Tokens()}, queues: l.Queues(), addr: l.Addr(7000)}
 		}
-		ws = append(ws, world{name: "combined", logs: true, routed: true, srv: mk(srv), cli: mk(cli),
+		ws = append(ws, world{name: "combined", logs: true, routed: true, listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
+			srv: mk(srv), cli: mk(cli),
 			run: simRun(eng, srv.Node(), cli.Node())})
 	}
 	{
@@ -155,7 +186,8 @@ func worlds(t *testing.T) []world {
 		t.Cleanup(srv.Shutdown)
 		t.Cleanup(cli.Shutdown)
 		at := core.Addr{Port: 42680}
-		ws = append(ws, world{name: "catnap", logs: true, srv: plain(srv, at), cli: plain(cli, at),
+		ws = append(ws, world{name: "catnap", logs: true, listener: "*catnap.listenQueue", conn: "*catnap.tcpQueue",
+			srv: plain(srv, at), cli: plain(cli, at),
 			run: func(srvMain func(func()), cliMain func()) {
 				up := make(chan struct{})
 				var wg sync.WaitGroup
@@ -360,6 +392,10 @@ func (a *app) onConnection(conn core.QDesc, peer core.Addr) {
 	os, mem := a.os, a.roundTrip
 	qt := func(_ core.QToken, err error) error { return err }
 	a.refuse("accept on a connection", core.ErrNotSupported, mem, func() error { return qt(os.Accept(conn)) })
+	// L6: a connection is not a socket any more.
+	a.refuse("bind on a connection", core.ErrNotSupported, mem, func() error { return os.Bind(conn, peer) })
+	a.refuse("listen on a connection", core.ErrNotSupported, mem, func() error { return os.Listen(conn, 1) })
+	a.refuse("connect on a connection", core.ErrNotSupported, mem, func() error { return qt(os.Connect(conn, peer)) })
 	a.refuse("pushto on a connection", core.ErrNotSupported, mem,
 		a.refusedPush(func(s core.SGArray) (core.QToken, error) { return os.PushTo(conn, s, peer) }))
 	a.refuse("push(conn, empty)", core.ErrEmptySGA, mem, func() error { return qt(os.Push(conn, core.SGArray{})) })
@@ -373,19 +409,16 @@ func TestPDPIXContract(t *testing.T) {
 				a := &app{t: t, os: w.srv.os}
 				os := a.os
 				a.mq, _ = os.Queue()
-				lqd, err := os.Socket(core.SockStream)
-				if err != nil {
-					t.Errorf("server socket: %v", err)
-				}
-				if err := os.Bind(lqd, w.srv.addr); err != nil {
-					t.Errorf("bind: %v", err)
-				}
-				if err := os.Listen(lqd, 8); err != nil {
-					t.Errorf("listen: %v", err)
-				}
+				lqd := a.listen(w.srv.addr)
 				listening()
 				qt := func(_ core.QToken, err error) error { return err }
+				if got := w.srv.state(lqd); got != w.listener {
+					t.Errorf("after Listen the descriptor holds %s, want %s", got, w.listener)
+				}
 				a.refuse("connect on a listener", core.ErrNotSupported, a.roundTrip, func() error { return qt(os.Connect(lqd, w.cli.addr)) })
+				// L6: neither is a listener.
+				a.refuse("listen on a listener", core.ErrNotSupported, a.roundTrip, func() error { return os.Listen(lqd, 8) })
+				a.refuse("bind on a listener", core.ErrNotSupported, a.roundTrip, func() error { return os.Bind(lqd, w.srv.addr) })
 				a.refuse("pop on a listener", core.ErrNotBound, a.roundTrip, func() error { return qt(os.Pop(lqd)) })
 				aqt, err := os.Accept(lqd)
 				ev := a.wait("accept", aqt, err)
@@ -393,6 +426,9 @@ func TestPDPIXContract(t *testing.T) {
 					return
 				}
 				conn := ev.NewQD
+				if got := w.srv.state(conn); got != w.conn {
+					t.Errorf("the accepted descriptor holds %s, want %s", got, w.conn)
+				}
 				a.onConnection(conn, w.cli.addr)
 				pqt, err := os.Pop(conn)
 				if ev := a.wait("pop for EOF", pqt, err); ev.Err == nil && len(ev.SGA.Segs) != 0 {
@@ -418,6 +454,9 @@ func TestPDPIXContract(t *testing.T) {
 					if ev := a.wait("connect", cqt, err); ev.Err != nil {
 						t.Errorf("connect completed with %v", ev.Err)
 					} else {
+						if got := w.cli.state(qd); got != w.conn {
+							t.Errorf("after Connect the descriptor holds %s, want %s", got, w.conn)
+						}
 						a.onConnection(qd, w.srv.addr)
 					}
 					if err := os.Close(qd); err != nil {
@@ -429,20 +468,401 @@ func TestPDPIXContract(t *testing.T) {
 				}
 			}
 			w.run(server, client)
+			w.settled(t)
+		})
+	}
+}
 
-			for _, e := range []*endpoint{w.srv, w.cli} {
-				if e == nil {
-					continue
+// settled is how every row ends: no operation outstanding in any token
+// table, no buffer live on any heap.
+func (w world) settled(t *testing.T) {
+	t.Helper()
+	for _, e := range []*endpoint{w.srv, w.cli} {
+		if e == nil {
+			continue
+		}
+		for i, tbl := range e.tables {
+			if n := tbl.Outstanding(); n != 0 {
+				t.Errorf("table %d: %d operations left outstanding", i, n)
+			}
+		}
+		if n := e.os.Heap().LiveObjects(); n != 0 && !w.pinsHeap {
+			t.Errorf("%d heap objects still live: a buffer was kept or leaked", n)
+		}
+	}
+}
+
+// --- The Close contract (DESIGN.md §3, "Queue lifecycle") ---
+
+// patience bounds every wait of a lifecycle row, in the world's own time
+// (virtual on the simulated stacks, wall clock on Catnap): a token that has
+// not completed by then is reported as the hang the rows exist to rule out.
+const patience = 2 * time.Second
+
+// within redeems qt like wait, but gives up after patience.
+func (a *app) within(what string, qt core.QToken, err error) core.QEvent {
+	a.t.Helper()
+	if err != nil {
+		a.t.Errorf("%s: %v", what, err)
+		return core.QEvent{Err: err}
+	}
+	_, ev, err := a.os.WaitAny([]core.QToken{qt}, patience)
+	if err != nil {
+		a.t.Errorf("%s: never completed: %v", what, err)
+		ev.Err = err
+	}
+	return ev
+}
+
+// until keeps the libOS stepping until the other application raises flag.
+func (a *app) until(what string, flag *atomic.Bool) {
+	a.t.Helper()
+	for waited := time.Duration(0); !flag.Load(); waited += 50 * time.Microsecond {
+		if waited > patience {
+			a.t.Errorf("%s: the peer never got there", what)
+			return
+		}
+		a.os.WaitAny(nil, 50*time.Microsecond)
+	}
+}
+
+// ended requires ev to be how a pop learns its connection is over: end of
+// stream or an error, never data.
+func (a *app) ended(what string, ev core.QEvent) {
+	a.t.Helper()
+	if ev.Err == nil && len(ev.SGA.Segs) != 0 {
+		a.t.Errorf("%s: popped %d bytes from a connection that is gone", what, ev.SGA.TotalLen())
+		ev.SGA.Free()
+	}
+}
+
+// closedOp requires ev to be the completion Close gives a parked operation.
+func (a *app) closedOp(what string, ev core.QEvent) {
+	a.t.Helper()
+	if !errors.Is(ev.Err, core.ErrQueueClosed) {
+		a.t.Errorf("%s completed with %+v, want ErrQueueClosed", what, ev)
+		ev.SGA.Free()
+	}
+}
+
+// listen opens the server's listening socket.
+func (a *app) listen(at core.Addr) core.QDesc {
+	a.t.Helper()
+	lqd, err := a.os.Socket(core.SockStream)
+	if err != nil {
+		a.t.Errorf("server socket: %v", err)
+	}
+	if err := a.os.Bind(lqd, at); err != nil {
+		a.t.Errorf("bind: %v", err)
+	}
+	if err := a.os.Listen(lqd, 8); err != nil {
+		a.t.Errorf("listen: %v", err)
+	}
+	return lqd
+}
+
+// close releases descriptors that must still be open.
+func (a *app) close(qds ...core.QDesc) {
+	a.t.Helper()
+	for _, qd := range qds {
+		if err := a.os.Close(qd); err != nil {
+			a.t.Errorf("close(%d): %v", qd, err)
+		}
+	}
+}
+
+// lifecycleRow is one scenario: the two applications and the flags they
+// sequence each other with.
+type lifecycleRow struct {
+	name string
+	srv  func(a *app, w world, f *flags, listening func())
+	cli  func(a *app, w world, f *flags)
+}
+
+// flags order the two applications of a row. A waiting application polls
+// (until), so its libOS keeps stepping — which every row needs anyway.
+type flags struct{ srvReady, cliReady, cliDone atomic.Bool }
+
+var lifecycleRows = []lifecycleRow{
+	{
+		// L1: Close with a pop parked fails the pop; what the peer sends
+		// afterwards is the stack's to release, and nothing breaks.
+		name: "L1 close(conn) with a pop parked",
+		srv: func(a *app, w world, f *flags, listening func()) {
+			os := a.os
+			lqd := a.listen(w.srv.addr)
+			listening()
+			aqt, err := os.Accept(lqd)
+			conn := a.within("accept", aqt, err).NewQD
+			first, err1 := os.Pop(conn)
+			second, err2 := os.Pop(conn)
+			if err1 != nil || err2 != nil {
+				a.t.Errorf("pop: %v, %v", err1, err2)
+			}
+			a.close(conn)
+			a.closedOp("the parked pop", a.within("parked pop", first, nil))
+			f.srvReady.Store(true)
+			a.until("client finishes", &f.cliDone) // the 64 bytes arrive for a descriptor that is gone
+			a.closedOp("the pop redeemed after the peer pushed", a.within("parked pop", second, nil))
+			a.close(lqd)
+		},
+		cli: func(a *app, w world, f *flags) {
+			os := a.os
+			qd, _ := os.Socket(core.SockStream)
+			cqt, err := os.Connect(qd, w.srv.addr)
+			if ev := a.within("connect", cqt, err); ev.Err != nil {
+				a.t.Errorf("connect completed with %v", ev.Err)
+			}
+			a.until("server closes", &f.srvReady)
+			sga := core.SGA(memory.CopyFrom(os.Heap(), make([]byte, 64)))
+			pqt, err := os.Push(qd, sga)
+			a.within("push after the peer's close", pqt, err) // completes or fails on its own
+			if sga.Segs[0].AppOwned() {
+				sga.Free() // a network push hands the buffer back; a Catmem queue has freed it
+			}
+			pop, err := os.Pop(qd)
+			a.ended("pop after the peer's close", a.within("pop", pop, err))
+			a.close(qd)
+		},
+	},
+	{
+		// L2: Close with an accept parked fails the accept; whoever dials
+		// afterwards is refused or sees the end of the stream.
+		name: "L2 close(listener) with an accept parked",
+		srv: func(a *app, w world, f *flags, listening func()) {
+			lqd := a.listen(w.srv.addr)
+			listening()
+			aqt, err := a.os.Accept(lqd)
+			if err != nil {
+				a.t.Errorf("accept: %v", err)
+			}
+			a.close(lqd)
+			a.closedOp("the parked accept", a.within("parked accept", aqt, nil))
+			f.srvReady.Store(true)
+			a.until("client finishes", &f.cliDone)
+		},
+		cli: func(a *app, w world, f *flags) {
+			os := a.os
+			a.until("server closes", &f.srvReady)
+			qd, _ := os.Socket(core.SockStream)
+			cqt, err := os.Connect(qd, w.srv.addr)
+			if ev := a.within("connect after the listener closed", cqt, err); ev.Err == nil {
+				pop, err := os.Pop(qd)
+				a.ended("pop on a connection nobody listens for", a.within("pop", pop, err))
+			}
+			a.close(qd)
+		},
+	},
+	{
+		// L3: closing a listener hangs up on the connections nobody
+		// accepted, so their peers' pops complete.
+		name: "L3 close(listener) with a connection never accepted",
+		srv: func(a *app, w world, f *flags, listening func()) {
+			lqd := a.listen(w.srv.addr)
+			listening()
+			a.until("client connects", &f.cliReady)
+			a.close(lqd)
+			a.until("client finishes", &f.cliDone)
+		},
+		cli: func(a *app, w world, f *flags) {
+			os := a.os
+			qd, _ := os.Socket(core.SockStream)
+			cqt, err := os.Connect(qd, w.srv.addr)
+			if ev := a.within("connect", cqt, err); ev.Err != nil {
+				a.t.Errorf("connect completed with %v", ev.Err)
+			}
+			pop, err := os.Pop(qd)
+			f.cliReady.Store(true)
+			a.ended("the never-accepted peer's pop", a.within("parked pop", pop, err))
+			a.close(qd)
+		},
+	},
+	{
+		// L4: a connect closed in flight completes with ErrQueueClosed, its
+		// descriptor stays closed, and the server sees no connection or one
+		// that has already ended. (Catmem's connect completes inside the
+		// call: there only the ended connection is checked.)
+		name: "L4 connect, then close before it completes",
+		srv: func(a *app, w world, f *flags, listening func()) {
+			os := a.os
+			lqd := a.listen(w.srv.addr)
+			listening()
+			aqt, err := os.Accept(lqd)
+			if err != nil {
+				a.t.Errorf("accept: %v", err)
+			}
+			a.until("client closes", &f.cliReady)
+			if _, ev, err := os.WaitAny([]core.QToken{aqt}, 100*time.Millisecond); err == nil && ev.Err == nil {
+				conn := ev.NewQD
+				pop, err := os.Pop(conn)
+				ev := a.within("pop", pop, err)
+				a.t.Logf("the server accepted the abandoned connection; its first pop: %d bytes, err %v", ev.SGA.TotalLen(), ev.Err)
+				a.ended("first pop on the abandoned connection", ev)
+				a.close(conn, lqd)
+			} else if errors.Is(err, core.ErrTimeout) {
+				a.t.Logf("the server saw no connection")
+				a.close(lqd) // the accept fails here, unredeemed but complete
+			} else {
+				a.t.Errorf("accept: %+v, %v", ev, err)
+			}
+			f.srvReady.Store(true)
+		},
+		cli: func(a *app, w world, f *flags) {
+			os := a.os
+			before := w.cli.queues.Len()
+			qd, _ := os.Socket(core.SockStream)
+			cqt, err := os.Connect(qd, w.srv.addr)
+			a.close(qd)
+			if ev := a.within("connect closed in flight", cqt, err); w.name != "catmem" {
+				a.closedOp("the connect", ev)
+			}
+			if got := w.cli.state(qd); got != "closed" || w.cli.queues.Len() != before {
+				a.t.Errorf("the closed descriptor came back as %s (%d descriptors, %d before)", got, w.cli.queues.Len(), before)
+			}
+			f.cliReady.Store(true)
+			a.until("server finishes", &f.srvReady) // the peer is told: keep the stack running
+		},
+	},
+}
+
+func TestPDPIXLifecycle(t *testing.T) {
+	for _, row := range lifecycleRows {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			for _, w := range worlds(t) {
+				w := w
+				if w.srv == nil {
+					continue // a storage-only libOS has no connections
 				}
-				for i, tbl := range e.tables {
-					if n := tbl.Outstanding(); n != 0 {
-						t.Errorf("table %d: %d operations left outstanding", i, n)
-					}
-				}
-				if n := e.os.Heap().LiveObjects(); n != 0 && !w.pinsHeap {
-					t.Errorf("%d heap objects still live: a refused call kept a buffer", n)
-				}
+				t.Run(w.name, func(t *testing.T) {
+					var f flags
+					w.run(func(listening func()) {
+						a := &app{t: t, os: w.srv.os}
+						row.srv(a, w, &f, listening)
+					}, func() {
+						a := &app{t: t, os: w.cli.os}
+						row.cli(a, w, &f)
+						f.cliDone.Store(true)
+					})
+					w.settled(t)
+				})
 			}
 		})
+	}
+}
+
+// TestCatnapLateCompletions is row L5. Catnap's reader threads queue kernel
+// completions for the application thread; one that is already queued when
+// Close runs meets a queue that has ended, and is dropped at the next Step
+// — with the net.Conn it carries, if any, closed. Both instances are driven
+// from this one goroutine, so nothing steps the server between the libcalls
+// below: the completion is still queued when Close runs.
+func TestCatnapLateCompletions(t *testing.T) {
+	srv, cli := catnap.New(""), catnap.New("")
+	defer srv.Shutdown()
+	defer cli.Shutdown()
+	sa, ca := &app{t: t, os: srv}, &app{t: t, os: cli}
+	at := core.Addr{Port: 42681}
+	payload := func() core.SGArray { return core.SGA(memory.CopyFrom(cli.Heap(), make([]byte, 64))) }
+	// queued lets the kernel and the reader thread do their part; the
+	// server's BytesIn/TCPAccepts afterwards show the completion did run.
+	queued := func() { time.Sleep(50 * time.Millisecond) }
+	drain := func() (steps int) {
+		for srv.Step() {
+			steps++
+		}
+		return steps
+	}
+	sent := func(what string, sga core.SGArray, qt core.QToken, err error) {
+		t.Helper()
+		if ev := ca.within(what, qt, err); ev.Err != nil {
+			t.Errorf("%s completed with %v", what, ev.Err)
+		}
+		sga.Free()
+	}
+
+	t.Run("listenQueue", func(t *testing.T) {
+		lqd := sa.listen(at)
+		aqt, err := srv.Accept(lqd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qd, _ := cli.Socket(core.SockStream)
+		cqt, err := cli.Connect(qd, at)
+		if ev := ca.within("connect", cqt, err); ev.Err != nil {
+			t.Fatalf("connect completed with %v", ev.Err)
+		}
+		pop, err := cli.Pop(qd)
+		queued() // the kernel's accept is waiting for the server's next Step
+		before := srv.Queues().Len()
+		sa.close(lqd)
+		sa.closedOp("the parked accept", sa.within("parked accept", aqt, nil))
+		if drain() == 0 {
+			t.Error("no completion was queued when Close ran: the row tested nothing")
+		}
+		if n := srv.Queues().Len(); n != before-1 {
+			t.Errorf("%d descriptors after the late accept, want %d: it must not be installed", n, before-1)
+		}
+		ca.ended("pop on the connection accepted too late", ca.within("pop", pop, err))
+		ca.close(qd)
+	})
+
+	t.Run("tcpQueue", func(t *testing.T) {
+		lqd := sa.listen(at)
+		aqt, _ := srv.Accept(lqd)
+		qd, _ := cli.Socket(core.SockStream)
+		cqt, err := cli.Connect(qd, at)
+		ca.within("connect", cqt, err)
+		conn := sa.within("accept", aqt, nil).NewQD
+		pop, err := srv.Pop(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := srv.Stats().BytesIn
+		sga := payload()
+		pqt, err := cli.Push(qd, sga)
+		sent("push", sga, pqt, err)
+		queued() // the 64 bytes are read and waiting for the server's next Step
+		sa.close(conn)
+		sa.closedOp("the parked pop", sa.within("parked pop", pop, nil))
+		drain()
+		if got := srv.Stats().BytesIn - in; got != 64 {
+			t.Errorf("the late read delivered %d bytes to the application thread, want 64: the row tested nothing", got)
+		}
+		ca.close(qd)
+		sa.close(lqd)
+	})
+
+	t.Run("udpQueue", func(t *testing.T) {
+		sqd, _ := srv.Socket(core.SockDgram)
+		if err := srv.Bind(sqd, at); err != nil {
+			t.Fatal(err)
+		}
+		pop, err := srv.Pop(sqd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := srv.Stats().BytesIn
+		qd, _ := cli.Socket(core.SockDgram)
+		sga := payload()
+		pqt, err := cli.PushTo(qd, sga, at)
+		sent("pushto", sga, pqt, err)
+		queued() // the datagram is read and waiting for the server's next Step
+		sa.close(sqd)
+		sa.closedOp("the parked pop", sa.within("parked pop", pop, nil))
+		drain()
+		if got := srv.Stats().BytesIn - in; got != 64 {
+			t.Errorf("the late datagram delivered %d bytes to the application thread, want 64: the row tested nothing", got)
+		}
+		ca.close(qd)
+	})
+
+	for _, l := range []*catnap.LibOS{srv, cli} {
+		if n := l.Tokens().Outstanding(); n != 0 {
+			t.Errorf("%d operations left outstanding", n)
+		}
+		if n := l.Heap().LiveObjects(); n != 0 {
+			t.Errorf("%d heap objects still live: a dropped completion was copied in", n)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package dtrace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"os"
+	"runtime"
 	"testing"
 )
 
@@ -208,6 +211,69 @@ func TestBinaryRoundTrip(t *testing.T) {
 	// Decoded views stitch identically.
 	if v := dec.Assemble(); len(v) != 1 {
 		t.Fatalf("decoded tracer assembled %d views, want 1", len(v))
+	}
+}
+
+// TestBinaryGolden: a trace the field-by-field codec of PR 17 wrote — a
+// wrapped arena, four roots, a fault, negative and 2^40-sized fields —
+// decodes and re-encodes to the same bytes: the record layout is unchanged.
+func TestBinaryGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/parent_pr17.dtrc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := DecodeBinary(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events()) != 24 || tr.Evicted() != 10 || len(tr.Recent()) != 4 || len(tr.Slowest(0)) != 2 {
+		t.Errorf("decoded %d events (%d evicted), %d recent, %d slowest; want 24 (10), 4, 2",
+			len(tr.Events()), tr.Evicted(), len(tr.Recent()), len(tr.Slowest(0)))
+	}
+	if e := tr.Events()[20]; e.Token != 1<<40+7 || e.QD != -1 || e.T0 != -5 || e.T2 != 1<<41 || tr.Name(e.Hop) != "dev" {
+		t.Errorf("event 20 decoded as %+v on hop %q", e, tr.Name(e.Hop))
+	}
+	var again bytes.Buffer
+	if err := tr.EncodeBinary(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), golden) {
+		t.Error("the golden trace does not re-encode to itself")
+	}
+	// Every proper prefix is a truncated file: an error, never a panic.
+	for n := range golden {
+		if _, err := DecodeBinary(bytes.NewReader(golden[:n])); err == nil {
+			t.Fatalf("a file truncated to %d of %d bytes decoded without error", n, len(golden))
+		}
+	}
+}
+
+// TestBinaryCorruptCount: the record counts are 32 bits read from the file.
+// One that promises four billion records must fail when the file ends, not
+// allocate for them first.
+func TestBinaryCorruptCount(t *testing.T) {
+	var empty bytes.Buffer
+	if err := New(Config{SampleEvery: 1, Events: 8, Recent: 2, Slowest: 1}).EncodeBinary(&empty); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBinary(bytes.NewReader(empty.Bytes())); err != nil {
+		t.Fatalf("an empty tracer does not round-trip: %v", err)
+	}
+	// An empty export ends with its three zero counts: events, recent, slowest.
+	for _, at := range []int{12, 8, 4} {
+		blob := append([]byte(nil), empty.Bytes()...)
+		binary.BigEndian.PutUint32(blob[len(blob)-at:], 0xFFFFFFFF)
+		blob = append(blob, make([]byte, 100*47)...) // a hundred records' worth, not four billion
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := DecodeBinary(bytes.NewReader(blob))
+		runtime.ReadMemStats(&m1)
+		if err == nil {
+			t.Errorf("count at -%d: a four-billion-record count decoded without error", at)
+		}
+		if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 1<<20 {
+			t.Errorf("count at -%d: allocated %d bytes for a %d-byte file", at, grew, len(blob))
+		}
 	}
 }
 

@@ -8,124 +8,94 @@ import (
 )
 
 // Binary trace format: a fixed header, the name registry, the counters,
-// then fixed-width event and root records, everything big-endian. The
-// encoding is a pure function of tracer state, and tracer state is a pure
-// function of the seed — so same-seed runs export byte-identical traces
-// (asserted by the CI trace smoke job).
+// then the event and root records, everything big-endian. Event and Root
+// are fixed-size structs whose field order is the record layout (47 and 24
+// bytes, no padding on the wire), so encoding/binary writes and reads the
+// slices as they are. The encoding is a pure function of tracer state, and
+// tracer state is a pure function of the seed — so same-seed runs export
+// byte-identical traces (asserted by the CI trace smoke job).
 var binMagic = [5]byte{'D', 'T', 'R', 'C', 1}
-
-const (
-	binEventSize = 47 // 5*8 (Trace,Token,T0,T1,T2) + 4 (QD) + 3 (Kind,Hop,Label)
-	binRootSize  = 24 // Trace + Start + End
-)
 
 // EncodeBinary writes the tracer's retained state: names, counters, the
 // event arena in recording order, and the retention tables.
 func (t *Tracer) EncodeBinary(w io.Writer) error {
-	if _, err := w.Write(binMagic[:]); err != nil {
+	put := func(v any) error { return binary.Write(w, binary.BigEndian, v) }
+	if err := put(binMagic); err != nil {
 		return err
 	}
-	var scratch [8]byte
-	u32 := func(v uint32) error {
-		binary.BigEndian.PutUint32(scratch[:4], v)
-		_, err := w.Write(scratch[:4])
-		return err
-	}
-	u64 := func(v uint64) error {
-		binary.BigEndian.PutUint64(scratch[:8], v)
-		_, err := w.Write(scratch[:8])
-		return err
-	}
-	if err := u32(uint32(len(t.names))); err != nil {
+	if err := put(uint32(len(t.names))); err != nil {
 		return err
 	}
 	for _, n := range t.names {
-		if err := u32(uint32(len(n))); err != nil {
+		if err := put(uint32(len(n))); err != nil {
 			return err
 		}
 		if _, err := io.WriteString(w, n); err != nil {
 			return err
 		}
 	}
-	for _, v := range [5]uint64{t.sampleEvery, t.started, t.finished, t.evicted, t.lastID} {
-		if err := u64(v); err != nil {
-			return err
-		}
-	}
-	events := t.Events()
-	if err := u32(uint32(len(events))); err != nil {
+	if err := put([5]uint64{t.sampleEvery, t.started, t.finished, t.evicted, t.lastID}); err != nil {
 		return err
 	}
-	var rec [binEventSize]byte
-	for _, e := range events {
-		binary.BigEndian.PutUint64(rec[0:], e.Trace)
-		binary.BigEndian.PutUint64(rec[8:], e.Token)
-		binary.BigEndian.PutUint64(rec[16:], uint64(e.T0))
-		binary.BigEndian.PutUint64(rec[24:], uint64(e.T1))
-		binary.BigEndian.PutUint64(rec[32:], uint64(e.T2))
-		binary.BigEndian.PutUint32(rec[40:], uint32(e.QD))
-		rec[44] = e.Kind
-		rec[45] = e.Hop
-		rec[46] = e.Label
-		if _, err := w.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	writeRoots := func(roots []Root) error {
-		if err := u32(uint32(len(roots))); err != nil {
-			return err
-		}
-		var rr [binRootSize]byte
-		for _, r := range roots {
-			binary.BigEndian.PutUint64(rr[0:], r.Trace)
-			binary.BigEndian.PutUint64(rr[8:], uint64(r.Start))
-			binary.BigEndian.PutUint64(rr[16:], uint64(r.End))
-			if _, err := w.Write(rr[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeRoots(t.Recent()); err != nil {
+	if err := putRecords(w, t.Events()); err != nil {
 		return err
 	}
-	return writeRoots(t.Slowest(0))
+	if err := putRecords(w, t.Recent()); err != nil {
+		return err
+	}
+	return putRecords(w, t.Slowest(0))
+}
+
+// putRecords writes a 32-bit count and then the records.
+func putRecords[T Event | Root](w io.Writer, recs []T) error {
+	if err := binary.Write(w, binary.BigEndian, uint32(len(recs))); err != nil {
+		return err
+	}
+	return binary.Write(w, binary.BigEndian, recs)
+}
+
+// getRecords reads a 32-bit count and that many records. The count comes
+// from the file, so the result grows a chunk at a time as records actually
+// arrive: a corrupt or truncated file fails with what it held allocated,
+// plus at most one chunk, whatever number it claimed.
+func getRecords[T Event | Root](r io.Reader) ([]T, error) {
+	var n uint32
+	if err := binary.Read(r, binary.BigEndian, &n); err != nil {
+		return nil, err
+	}
+	const chunk = 1024
+	var recs []T
+	for have := uint32(0); have < n; have = uint32(len(recs)) {
+		recs = append(recs, make([]T, min(n-have, chunk))...)
+		if err := binary.Read(r, binary.BigEndian, recs[have:]); err != nil {
+			return nil, fmt.Errorf("dtrace: %d records promised, file ends after %d: %w", n, have, err)
+		}
+	}
+	return recs, nil
 }
 
 // DecodeBinary reconstructs a tracer from EncodeBinary output, sufficient
 // for querying: Assemble, Name, Recent, Slowest all work on the result.
 func DecodeBinary(r io.Reader) (*Tracer, error) {
+	get := func(v any) error { return binary.Read(r, binary.BigEndian, v) }
 	var magic [5]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	if err := get(&magic); err != nil {
 		return nil, fmt.Errorf("dtrace: reading magic: %w", err)
 	}
 	if magic != binMagic {
 		return nil, fmt.Errorf("dtrace: bad magic %q (version mismatch?)", magic[:])
 	}
-	var scratch [8]byte
-	u32 := func() (uint32, error) {
-		if _, err := io.ReadFull(r, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.BigEndian.Uint32(scratch[:4]), nil
-	}
-	u64 := func() (uint64, error) {
-		if _, err := io.ReadFull(r, scratch[:8]); err != nil {
-			return 0, err
-		}
-		return binary.BigEndian.Uint64(scratch[:8]), nil
-	}
-	nNames, err := u32()
-	if err != nil {
+	var nNames uint32
+	if err := get(&nNames); err != nil {
 		return nil, err
 	}
 	if nNames > 256 {
 		return nil, fmt.Errorf("dtrace: corrupt name count %d", nNames)
 	}
-	names := make([]string, 0, nNames)
+	t := &Tracer{names: make([]string, 0, nNames)}
 	for i := uint32(0); i < nNames; i++ {
-		ln, err := u32()
-		if err != nil {
+		var ln uint32
+		if err := get(&ln); err != nil {
 			return nil, err
 		}
 		if ln > 4096 {
@@ -135,70 +105,28 @@ func DecodeBinary(r io.Reader) (*Tracer, error) {
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		names = append(names, string(b))
+		t.names = append(t.names, string(b))
 	}
-	t := &Tracer{names: names}
 	var ctrs [5]uint64
-	for i := range ctrs {
-		if ctrs[i], err = u64(); err != nil {
-			return nil, err
-		}
+	if err := get(&ctrs); err != nil {
+		return nil, err
 	}
 	t.sampleEvery, t.started, t.finished, t.evicted, t.lastID = ctrs[0], ctrs[1], ctrs[2], ctrs[3], ctrs[4]
-	nEvents, err := u32()
-	if err != nil {
+	var err error
+	if t.events, err = getRecords[Event](r); err != nil {
 		return nil, err
 	}
-	t.events = make([]Event, nEvents)
-	var rec [binEventSize]byte
-	for i := uint32(0); i < nEvents; i++ {
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			return nil, err
-		}
-		e := &t.events[i]
-		e.Trace = binary.BigEndian.Uint64(rec[0:])
-		e.Token = binary.BigEndian.Uint64(rec[8:])
-		e.T0 = int64(binary.BigEndian.Uint64(rec[16:]))
-		e.T1 = int64(binary.BigEndian.Uint64(rec[24:]))
-		e.T2 = int64(binary.BigEndian.Uint64(rec[32:]))
-		e.QD = int32(binary.BigEndian.Uint32(rec[40:]))
-		e.Kind = rec[44]
-		e.Hop = rec[45]
-		e.Label = rec[46]
-	}
-	// Mark the arena as exactly full (next=0, wrapped) so Events() returns
-	// every decoded record in order; decoded tracers are read-only.
-	t.next = 0
-	t.wrapped = nEvents > 0
-	readRoots := func() ([]Root, error) {
-		n, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		roots := make([]Root, n)
-		var rr [binRootSize]byte
-		for i := uint32(0); i < n; i++ {
-			if _, err := io.ReadFull(r, rr[:]); err != nil {
-				return nil, err
-			}
-			roots[i].Trace = binary.BigEndian.Uint64(rr[0:])
-			roots[i].Start = int64(binary.BigEndian.Uint64(rr[8:]))
-			roots[i].End = int64(binary.BigEndian.Uint64(rr[16:]))
-		}
-		return roots, nil
-	}
-	recent, err := readRoots()
-	if err != nil {
+	if t.recent, err = getRecords[Root](r); err != nil {
 		return nil, err
 	}
-	t.recent = recent
-	t.rnext = 0
-	t.rwrapped = len(recent) > 0
-	slow, err := readRoots()
-	if err != nil {
+	if t.slow, err = getRecords[Root](r); err != nil {
 		return nil, err
 	}
-	t.slow = slow
+	// Mark the arena and the recent ring as exactly full (next=0, wrapped)
+	// so Events() and Recent() return every decoded record in order;
+	// decoded tracers are read-only.
+	t.wrapped = len(t.events) > 0
+	t.rwrapped = len(t.recent) > 0
 	return t, nil
 }
 

@@ -34,6 +34,16 @@ func (r *Ring[T]) Push(v T) {
 	r.n++
 }
 
+// PushFront puts v back at the head, ahead of the oldest element.
+func (r *Ring[T]) PushFront(v T) {
+	if r.n == len(r.buf) {
+		r.resize(max(8, r.n+r.n/2))
+	}
+	r.head = r.index(len(r.buf) - 1)
+	r.buf[r.head] = v
+	r.n++
+}
+
 // Shrink cuts the buffer by a third if it is longer than keep and under a
 // third full: for a queue whose load can move elsewhere for good, where
 // holding on to the high-water length would be holding on to nothing.
