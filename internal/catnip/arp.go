@@ -160,6 +160,7 @@ func (a *arpCache) spawnRetrier(ip wire.IPAddr) {
 	const interval = 500 * time.Microsecond
 	const maxRetries = 10
 	var h sched.Handle
+	wake := func() { h.Wake() }
 	h = a.lib.sched.Spawn(sched.Background, sched.Func(func(ctx *sched.Context) sched.Poll {
 		p, ok := a.pending[ip]
 		if !ok {
@@ -181,7 +182,7 @@ func (a *arpCache) spawnRetrier(ip wire.IPAddr) {
 		}
 		p.retries++
 		a.request(ip)
-		a.lib.timerWake(a.lib.node.Now().Add(interval), h)
+		a.lib.timerWake(a.lib.node.Now().Add(interval), wake)
 		return sched.Pending
 	}))
 }

@@ -149,6 +149,9 @@ type LibOS struct {
 	mac     simnet.MAC // port.MAC(), fixed for the device's life
 	txBuf   []byte     // every IPv4 frame is built here; as long as the longest sent
 	txBurst [1][]byte  // txFrame's argument to TxBurst
+	// tcpHdr is where sendTCP builds every TCP header (20 bytes and at most
+	// 40 of options); sendIPv4 has copied it into txBuf before the next one.
+	tcpHdr [wire.TCPHeaderLen + 40]byte
 
 	reg     *telemetry.Registry
 	telCwnd *telemetry.Histogram // cwnd sampled at every ack arrival
@@ -425,6 +428,18 @@ func (l *LibOS) sendIPv4(dstMAC simnet.MAC, dstIP wire.IPAddr, proto uint8, tran
 	l.txFrame(frame)
 }
 
+// sendTCP marshals h over payload and transmits the segment to dstIP at
+// dstMAC. The header is built in the stack's one scratch: sendIPv4 consumes
+// it before returning, and nothing here re-enters the stack. (UDP and ARP
+// headers are not built this way because arp.sendOrQueue can hold them.)
+//
+//demi:nonalloc
+func (l *LibOS) sendTCP(dstMAC simnet.MAC, dstIP wire.IPAddr, h *wire.TCPHeader, payload []byte, ctx uint64) {
+	hdr := l.tcpHdr[:h.MarshalLen()]
+	h.Marshal(hdr, l.cfg.IP, dstIP, payload)
+	l.sendIPv4(dstMAC, dstIP, wire.ProtoTCP, hdr, payload, ctx)
+}
+
 // txFrame records and transmits one frame. The frame is the caller's again
 // on return (see Device).
 //
@@ -438,10 +453,15 @@ func (l *LibOS) txFrame(frame []byte) {
 	l.stats.TxFrames++
 }
 
-// timerWake arranges for h.Wake at virtual time t. Spurious wakes are fine;
-// coroutines recheck their deadlines.
-func (l *LibOS) timerWake(t sim.Time, h sched.Handle) {
-	l.node.Engine().At(t, l.node, func() { h.Wake() })
+// timerWake arranges for wake, which wakes a coroutine, to run at virtual
+// time t. Spurious wakes are fine; coroutines recheck their deadlines. The
+// timer is never cancelled, so it keeps wake — and what wake captures —
+// reachable until t: callers build one wake per coroutine and pass it to
+// every arm, not a closure per arm.
+//
+//demi:nonalloc
+func (l *LibOS) timerWake(t sim.Time, wake func()) {
+	l.node.Engine().At(t, l.node, wake)
 }
 
 // allocEphemeral returns an unused local port, or ErrAddrNotAvail when the

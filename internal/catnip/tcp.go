@@ -18,7 +18,7 @@ var ErrConnReset = errors.New("catnip: connection reset by peer")
 var ErrConnTimeout = errors.New("catnip: connection timed out")
 
 // tcpState is the RFC 793 connection state.
-type tcpState int
+type tcpState uint8
 
 const (
 	stateClosed tcpState = iota
@@ -202,6 +202,11 @@ type oooSegment struct {
 // connected socket. One background coroutine each for sending when the
 // window reopens, retransmission, pure acks, and close-state management,
 // exactly the paper's four.
+//
+// A stack of idle connections is mostly this struct, so its flags sit
+// together at the end of the group they belong to instead of each padding a
+// word of its own: that keeps it in the 640-byte allocator size class, which
+// TestIdleConnectionBytes holds.
 type tcpConn struct {
 	lib       *LibOS
 	qd        core.QDesc
@@ -224,44 +229,45 @@ type tcpConn struct {
 	sndWndScale         uint
 	mss                 int
 
-	sendQ    []sendItem
-	retransQ []segment
-	pushOps  []pushOp
+	sendQ    fifo[sendItem]
+	retransQ fifo[segment]
+	pushOps  fifo[pushOp]
 
 	// Receive state.
 	irs uint32
 	//demi:stateguard rcvNxt acknowledges bytes to the peer; advancing it on
 	// a failed delivery desynchronizes the sequence space permanently.
-	rcvNxt     uint32
-	recvQ      []*memory.Buf
-	recvBytes  int
-	oooQ       []oooSegment
-	oooBytes   int
-	pops       []*core.Op
-	peerClosed bool
+	rcvNxt    uint32
+	recvQ     fifo[*memory.Buf]
+	recvBytes int
+	oooQ      []oooSegment
+	oooBytes  int
+	pops      fifo[*core.Op]
 
 	// Congestion control and timers.
 	cc              cubic
 	dupAcks         int
-	recoverSeq      uint32
-	inRecovery      bool
 	rto             rtoEstimator
-	rtoArmed        bool
 	rtoDeadline     sim.Time
-	persistArmed    bool
 	persistDeadline sim.Time
+	recoverSeq      uint32
 	tsRecent        uint32
+	inRecovery      bool
+	rtoArmed        bool
+	persistArmed    bool
 
 	senderH, retransH, ackH, closerH sched.Handle
+	// What a timer runs to wake the coroutine it was armed for; see wakeAt.
+	retransWake, ackWake, closerWake func()
 
-	ackPending   bool
-	segsSinceAck int
-	ackDeadline  sim.Time
-	ackArmed     bool
-	connectOp    *core.Op
-	appClosed    bool
-	finQueued    bool
-
+	segsSinceAck  int
+	ackDeadline   sim.Time
 	timeWaitUntil sim.Time
+	connectOp     *core.Op
 	err           error
+	ackPending    bool
+	ackArmed      bool
+	peerClosed    bool
+	appClosed     bool
+	finQueued     bool
 }

@@ -7,6 +7,7 @@ import (
 	"demikernel/internal/costmodel"
 	"demikernel/internal/memory"
 	"demikernel/internal/sched"
+	"demikernel/internal/sim"
 	"demikernel/internal/wire"
 )
 
@@ -117,9 +118,7 @@ func (c *tcpConn) startConnect() {
 
 // sendSyn transmits the initial SYN and arms retransmission.
 func (c *tcpConn) sendSyn() {
-	seg := segment{seq: c.iss, syn: true}
-	c.retransQ = append(c.retransQ, seg)
-	c.transmit(&c.retransQ[len(c.retransQ)-1])
+	c.transmit(c.retransQ.push(segment{seq: c.iss, syn: true}))
 }
 
 // spawnCoroutines starts the connection's four background coroutines
@@ -150,11 +149,11 @@ func (c *tcpConn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	total := 0
 	for _, b := range sga.Segs {
 		b.IORef() // queue-presence reference until fully segmented
-		c.sendQ = append(c.sendQ, sendItem{buf: b})
+		c.sendQ.push(sendItem{buf: b})
 		total += b.Len()
 	}
 	c.queuedSeq += uint32(total)
-	c.pushOps = append(c.pushOps, pushOp{endSeq: c.queuedSeq, op: op})
+	c.pushOps.push(pushOp{endSeq: c.queuedSeq, op: op})
 	c.trySend()
 	return nil
 }
@@ -162,14 +161,14 @@ func (c *tcpConn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 // Pop asks for the next inbound data.
 func (c *tcpConn) Pop(op *core.Op) error {
 	switch {
-	case len(c.recvQ) > 0:
+	case c.recvQ.len() > 0:
 		c.completePop(op)
 	case c.peerClosed:
 		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop}) // empty SGA = EOF
 	case c.err != nil:
 		op.Fail(c.qd, core.OpPop, c.err)
 	default:
-		c.pops = append(c.pops, op)
+		c.pops.push(op)
 	}
 	return nil
 }
@@ -178,15 +177,10 @@ func (c *tcpConn) Pop(op *core.Op) error {
 // window update if the receive window had collapsed.
 func (c *tcpConn) completePop(op *core.Op) {
 	wasSmall := c.advertisedWnd() < c.mss
-	n := len(c.recvQ)
-	if n > maxSegsPerPop {
-		n = maxSegsPerPop
-	}
-	segs := make([]*memory.Buf, n)
-	copy(segs, c.recvQ[:n])
-	c.recvQ = c.recvQ[n:]
-	for _, b := range segs {
-		c.recvBytes -= b.Len()
+	segs := make([]*memory.Buf, min(c.recvQ.len(), maxSegsPerPop))
+	for i := range segs {
+		segs[i] = c.recvQ.pop()
+		c.recvBytes -= segs[i].Len()
 	}
 	if wasSmall && c.advertisedWnd() >= c.mss {
 		c.ackPending = true
@@ -197,18 +191,16 @@ func (c *tcpConn) completePop(op *core.Op) {
 }
 
 // completePops drains waiting pops against queued data (and EOF).
+//
+//demi:nonalloc
 func (c *tcpConn) completePops() {
-	for len(c.pops) > 0 {
-		if len(c.recvQ) > 0 {
-			op := c.pops[0]
-			c.pops = c.pops[1:]
-			c.completePop(op)
+	for c.pops.len() > 0 {
+		if c.recvQ.len() > 0 {
+			c.completePop(c.pops.pop())
 			continue
 		}
 		if c.peerClosed {
-			op := c.pops[0]
-			c.pops = c.pops[1:]
-			op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop})
+			c.pops.pop().Complete(core.QEvent{QD: c.qd, Op: core.OpPop})
 			continue
 		}
 		break
@@ -225,14 +217,8 @@ func (c *tcpConn) Close() {
 		return
 	}
 	c.appClosed = true
-	for _, op := range c.pops {
-		op.Fail(c.qd, core.OpPop, core.ErrQueueClosed)
-	}
-	c.pops = nil
-	for _, b := range c.recvQ {
-		b.Free()
-	}
-	c.recvQ, c.recvBytes = nil, 0
+	c.failPops(core.ErrQueueClosed)
+	c.freeRecvQ()
 	switch c.state {
 	case stateSynSent:
 		c.abort(core.ErrQueueClosed)
@@ -240,6 +226,22 @@ func (c *tcpConn) Close() {
 		c.finQueued = true
 		c.trySend()
 	}
+}
+
+// failPops fails every parked pop and lets go of the queue's storage.
+func (c *tcpConn) failPops(err error) {
+	for c.pops.len() > 0 {
+		c.pops.pop().Fail(c.qd, core.OpPop, err)
+	}
+	c.pops = fifo[*core.Op]{}
+}
+
+// freeRecvQ frees the data nobody popped and lets go of the queue's storage.
+func (c *tcpConn) freeRecvQ() {
+	for c.recvQ.len() > 0 {
+		c.recvQ.pop().Free()
+	}
+	c.recvQ, c.recvBytes = fifo[*memory.Buf]{}, 0
 }
 
 // --- Transmission ---
@@ -252,27 +254,28 @@ func (c *tcpConn) armPersist() {
 	}
 	c.persistDeadline = c.lib.node.Now().Add(d)
 	c.persistArmed = true
-	c.lib.timerWake(c.persistDeadline, c.retransH)
+	c.wakeAt(c.persistDeadline, &c.retransWake, &c.retransH)
 }
 
 // sendProbe transmits one byte beyond the advertised window (the window
 // probe); it enters the retransmission queue like any segment.
 func (c *tcpConn) sendProbe() {
-	it := &c.sendQ[0]
+	it := c.sendQ.at(0)
 	it.buf.IORef()
 	seg := segment{seq: c.sndNxt, length: 1, buf: it.buf, off: it.off}
 	c.sndNxt++
 	it.off++
 	if it.off == it.buf.Len() {
 		it.buf.IOUnref()
-		c.sendQ = c.sendQ[1:]
+		c.sendQ.pop()
 	}
-	c.retransQ = append(c.retransQ, seg)
-	c.transmit(&c.retransQ[len(c.retransQ)-1])
+	c.transmit(c.retransQ.push(seg))
 	c.lib.stats.WindowProbes++
 }
 
 // trySend segments queued data into the usable window and transmits it.
+//
+//demi:nonalloc
 func (c *tcpConn) trySend() {
 	if !c.macKnown || c.err != nil {
 		return
@@ -280,12 +283,12 @@ func (c *tcpConn) trySend() {
 	if c.state != stateEstablished && c.state != stateCloseWait {
 		return
 	}
-	for len(c.sendQ) > 0 {
+	for c.sendQ.len() > 0 {
 		wnd := c.usableWindow()
 		if wnd <= 0 {
 			break
 		}
-		it := &c.sendQ[0]
+		it := c.sendQ.at(0)
 		n := it.buf.Len() - it.off
 		if n > c.mss {
 			n = c.mss
@@ -308,24 +311,22 @@ func (c *tcpConn) trySend() {
 		it.off += n
 		if it.off == it.buf.Len() {
 			it.buf.IOUnref() // release the queue-presence reference
-			c.sendQ = c.sendQ[1:]
+			c.sendQ.pop()
 		}
-		c.retransQ = append(c.retransQ, seg)
-		c.transmit(&c.retransQ[len(c.retransQ)-1])
+		c.transmit(c.retransQ.push(seg))
 	}
 	// Zero send window with data pending and nothing in flight: arm the
 	// persist timer so a lost window update cannot deadlock the
 	// connection (RFC 1122 4.2.2.17).
-	if len(c.sendQ) > 0 && len(c.retransQ) == 0 && c.usableWindow() <= 0 {
+	if c.sendQ.len() > 0 && c.retransQ.len() == 0 && c.usableWindow() <= 0 {
 		c.armPersist()
 	}
 	// All data segmented: send the queued FIN.
-	if len(c.sendQ) == 0 && c.finQueued && c.sndNxt == c.queuedSeq {
+	if c.sendQ.len() == 0 && c.finQueued && c.sndNxt == c.queuedSeq {
 		seg := segment{seq: c.sndNxt, fin: true}
 		c.sndNxt++
 		c.queuedSeq++
-		c.retransQ = append(c.retransQ, seg)
-		c.transmit(&c.retransQ[len(c.retransQ)-1])
+		c.transmit(c.retransQ.push(seg))
 		c.finQueued = false
 		if c.state == stateCloseWait {
 			c.state = stateLastAck
@@ -336,6 +337,8 @@ func (c *tcpConn) trySend() {
 }
 
 // transmit builds and sends one segment, arming the RTO.
+//
+//demi:nonalloc
 func (c *tcpConn) transmit(seg *segment) {
 	flags := uint8(0)
 	var opt wire.TCPOptions
@@ -374,10 +377,8 @@ func (c *tcpConn) transmit(seg *segment) {
 		payload = seg.buf.Bytes()[seg.off : seg.off+seg.length]
 		ctx = seg.buf.TraceCtx() // the pushed buffer's trace context rides the segment
 	}
-	hdr := make([]byte, h.MarshalLen())
-	h.Marshal(hdr, c.lib.cfg.IP, c.tuple.remoteIP, payload)
 	c.lib.node.Charge(c.lib.cfg.TCPEgressCost)
-	c.lib.sendIPv4(c.remoteMAC, c.tuple.remoteIP, wire.ProtoTCP, hdr, payload, ctx)
+	c.lib.sendTCP(c.remoteMAC, c.tuple.remoteIP, &h, payload, ctx)
 	seg.sentAt = c.lib.node.Now()
 	c.ackPending = false // data segments carry the ack
 	c.segsSinceAck = 0
@@ -387,6 +388,8 @@ func (c *tcpConn) transmit(seg *segment) {
 
 // sendPureAck transmits an empty ACK (window updates, delayed acks,
 // duplicate acks).
+//
+//demi:nonalloc
 func (c *tcpConn) sendPureAck() {
 	h := wire.TCPHeader{
 		SrcPort: c.tuple.localPort,
@@ -397,10 +400,8 @@ func (c *tcpConn) sendPureAck() {
 		Window:  c.wireWindow(false),
 		Opt:     wire.TCPOptions{HasTimestamp: true, TSVal: c.nowTS(), TSEcr: c.tsRecent},
 	}
-	hdr := make([]byte, h.MarshalLen())
-	h.Marshal(hdr, c.lib.cfg.IP, c.tuple.remoteIP, nil)
 	c.lib.node.Charge(c.lib.cfg.TCPEgressCost)
-	c.lib.sendIPv4(c.remoteMAC, c.tuple.remoteIP, wire.ProtoTCP, hdr, nil, 0)
+	c.lib.sendTCP(c.remoteMAC, c.tuple.remoteIP, &h, nil, 0)
 	c.lib.stats.PureAcks++
 	c.ackPending = false
 	c.segsSinceAck = 0
@@ -410,7 +411,7 @@ func (c *tcpConn) sendPureAck() {
 // armRTO (re)arms the retransmission timer for the oldest in-flight
 // segment.
 func (c *tcpConn) armRTO() {
-	if len(c.retransQ) == 0 {
+	if c.retransQ.len() == 0 {
 		c.rtoArmed = false
 		return
 	}
@@ -418,21 +419,35 @@ func (c *tcpConn) armRTO() {
 	if !c.rtoArmed {
 		c.rtoArmed = true
 	}
-	c.lib.timerWake(c.rtoDeadline, c.retransH)
+	c.wakeAt(c.rtoDeadline, &c.retransWake, &c.retransH)
+}
+
+// wakeAt arms a timer that wakes the coroutine behind h, one of the
+// connection's handles, at virtual time t. *wake is what the timer runs,
+// built the first time that coroutine is armed: 16 bytes holding a pointer
+// into the connection, so a resident timer keeps its connection reachable
+// until it fires (and h.Wake is a no-op once the coroutine is gone).
+//
+//demi:nonalloc
+func (c *tcpConn) wakeAt(t sim.Time, wake *func(), h *sched.Handle) {
+	if *wake == nil {
+		*wake = func() { h.Wake() }
+	}
+	c.lib.timerWake(t, *wake)
 }
 
 // fastRetransmit resends the oldest unacked segment after three duplicate
 // acks and halves the congestion window (NewReno-style recovery around the
 // Cubic window).
 func (c *tcpConn) fastRetransmit() {
-	if len(c.retransQ) == 0 {
+	if c.retransQ.len() == 0 {
 		return
 	}
 	c.lib.stats.TCPFastRetransmits++
 	c.inRecovery = true
 	c.recoverSeq = c.sndNxt
 	c.cc.onLoss()
-	seg := &c.retransQ[0]
+	seg := c.retransQ.at(0)
 	seg.rtx = true
 	c.transmit(seg)
 	c.rto.backoff()

@@ -50,9 +50,7 @@ func (l *LibOS) sendRST(eth wire.EthHeader, ip wire.IPv4Header, h wire.TCPHeader
 	if h.Flags&wire.TCPSyn != 0 {
 		rst.Ack++
 	}
-	hdr := make([]byte, rst.MarshalLen())
-	rst.Marshal(hdr, l.cfg.IP, ip.Src, nil)
-	l.sendIPv4(eth.Src, ip.Src, wire.ProtoTCP, hdr, nil, 0)
+	l.sendTCP(eth.Src, ip.Src, &rst, nil, 0)
 }
 
 // handleSyn performs the passive open: create a SYN_RCVD connection and
@@ -207,7 +205,7 @@ func (c *tcpConn) processAck(h wire.TCPHeader, payloadLen int) {
 		c.lib.telCwnd.Observe(int64(c.cc.window()))
 		c.armRTO()
 		c.advanceCloseStates()
-	case h.Ack == c.sndUna && len(c.retransQ) > 0 && payloadLen == 0 &&
+	case h.Ack == c.sndUna && c.retransQ.len() > 0 && payloadLen == 0 &&
 		h.Flags&(wire.TCPSyn|wire.TCPFin) == 0 && c.sndWnd == oldWnd:
 		c.dupAcks++
 		if c.dupAcks == 3 && !c.inRecovery {
@@ -215,7 +213,7 @@ func (c *tcpConn) processAck(h wire.TCPHeader, payloadLen int) {
 		}
 	}
 	// Window may have opened either way.
-	if len(c.sendQ) > 0 || c.finQueued {
+	if c.sendQ.len() > 0 || c.finQueued {
 		c.senderH.Wake()
 	}
 }
@@ -223,29 +221,31 @@ func (c *tcpConn) processAck(h wire.TCPHeader, payloadLen int) {
 // dropAckedSegments releases fully acknowledged segments and their buffer
 // references (the libOS half of use-after-free protection: a zero-copy
 // buffer can only recycle once its last segment is acked; paper §5.3).
+//
+//demi:nonalloc
 func (c *tcpConn) dropAckedSegments() {
-	for len(c.retransQ) > 0 {
-		seg := &c.retransQ[0]
+	for c.retransQ.len() > 0 {
+		seg := c.retransQ.at(0)
 		if !seqLE(seg.endSeq(), c.sndUna) {
 			break
 		}
 		if seg.buf != nil {
 			seg.buf.IOUnref()
 		}
-		c.retransQ = c.retransQ[1:]
+		c.retransQ.pop()
 	}
-	if len(c.retransQ) == 0 {
+	if c.retransQ.len() == 0 {
 		c.rtoArmed = false
 	}
 }
 
 // completePushOps finishes push qtokens whose last byte is acknowledged:
 // the application regains buffer ownership here.
+//
+//demi:nonalloc
 func (c *tcpConn) completePushOps() {
-	for len(c.pushOps) > 0 && seqLE(c.pushOps[0].endSeq, c.sndUna) {
-		po := c.pushOps[0]
-		c.pushOps = c.pushOps[1:]
-		po.op.Complete(core.QEvent{QD: c.qd, Op: core.OpPush})
+	for c.pushOps.len() > 0 && seqLE(c.pushOps.at(0).endSeq, c.sndUna) {
+		c.pushOps.pop().op.Complete(core.QEvent{QD: c.qd, Op: core.OpPush})
 	}
 }
 
@@ -281,6 +281,8 @@ func (c *tcpConn) processPayload(seq uint32, payload []byte) {
 // charged (paper §5.3's zero-copy receive). With the heap exhausted the
 // segment is dropped without advancing rcvNxt: no ack covers it, so the
 // peer retransmits once memory frees up.
+//
+//demi:nonalloc
 func (c *tcpConn) deliver(payload []byte) {
 	if c.appClosed {
 		c.rcvNxt += uint32(len(payload)) // the descriptor is gone: acknowledge and discard
@@ -292,7 +294,7 @@ func (c *tcpConn) deliver(payload []byte) {
 		return
 	}
 	buf.SetTraceCtx(c.lib.rxCtx) // the frame's trace context follows its data to the app
-	c.recvQ = append(c.recvQ, buf)
+	c.recvQ.push(buf)
 	c.recvBytes += len(payload)
 	c.rcvNxt += uint32(len(payload))
 }
@@ -322,6 +324,7 @@ func (c *tcpConn) drainOOO() {
 		if seqGT(head.seq, c.rcvNxt) {
 			break
 		}
+		c.oooQ[0] = oooSegment{} // the array stays reachable through oooQ; the payload must not
 		c.oooQ = c.oooQ[1:]
 		c.oooBytes -= len(head.data)
 		if end := head.seq + uint32(len(head.data)); seqGT(end, c.rcvNxt) {
@@ -352,7 +355,7 @@ func (c *tcpConn) processFin(finSeq uint32) {
 // advanceCloseStates moves through the close diagram once our FIN is
 // acknowledged.
 func (c *tcpConn) advanceCloseStates() {
-	finAcked := len(c.retransQ) == 0 && c.sndUna == c.sndNxt
+	finAcked := c.retransQ.len() == 0 && c.sndUna == c.sndNxt
 	switch c.state {
 	case stateFinWait1:
 		if finAcked {
@@ -373,7 +376,7 @@ func (c *tcpConn) advanceCloseStates() {
 func (c *tcpConn) enterTimeWait() {
 	c.state = stateTimeWait
 	c.timeWaitUntil = c.lib.node.Now().Add(2 * c.lib.cfg.MSL)
-	c.lib.timerWake(c.timeWaitUntil, c.closerH)
+	c.wakeAt(c.timeWaitUntil, &c.closerWake, &c.closerH)
 	c.closerH.Wake()
 }
 
@@ -385,9 +388,7 @@ func (c *tcpConn) abort(err error) {
 			SrcPort: c.tuple.localPort, DstPort: c.tuple.remotePort,
 			Seq: c.sndNxt, Ack: c.rcvNxt, Flags: wire.TCPRst | wire.TCPAck,
 		}
-		hdr := make([]byte, rst.MarshalLen())
-		rst.Marshal(hdr, c.lib.cfg.IP, c.tuple.remoteIP, nil)
-		c.lib.sendIPv4(c.remoteMAC, c.tuple.remoteIP, wire.ProtoTCP, hdr, nil, 0)
+		c.lib.sendTCP(c.remoteMAC, c.tuple.remoteIP, &rst, nil, 0)
 	}
 	c.teardown(err)
 }
@@ -408,34 +409,27 @@ func (c *tcpConn) teardown(err error) {
 		c.connectOp.Fail(c.qd, core.OpConnect, c.err)
 		c.connectOp = nil
 	}
-	for _, seg := range c.retransQ {
-		if seg.buf != nil {
+	for c.retransQ.len() > 0 {
+		if seg := c.retransQ.pop(); seg.buf != nil {
 			seg.buf.IOUnref()
 		}
 	}
-	c.retransQ = nil
-	for _, it := range c.sendQ {
-		it.buf.IOUnref()
+	c.retransQ = fifo[segment]{}
+	for c.sendQ.len() > 0 {
+		c.sendQ.pop().buf.IOUnref()
 	}
-	c.sendQ = nil
-	for _, po := range c.pushOps {
-		po.op.Fail(c.qd, core.OpPush, c.err)
+	c.sendQ = fifo[sendItem]{}
+	for c.pushOps.len() > 0 {
+		c.pushOps.pop().op.Fail(c.qd, core.OpPush, c.err)
 	}
-	c.pushOps = nil
+	c.pushOps = fifo[pushOp]{}
 	if err == nil {
 		// Graceful close: waiting pops see EOF.
 		c.peerClosed = true
 		c.completePops()
 	}
-	for _, op := range c.pops {
-		op.Fail(c.qd, core.OpPop, c.err)
-	}
-	c.pops = nil
-	for _, b := range c.recvQ {
-		b.Free()
-	}
-	c.recvQ = nil
-	c.recvBytes = 0
+	c.failPops(c.err)
+	c.freeRecvQ()
 	c.oooQ = nil
 	c.oooBytes = 0
 	if c.listener != nil {
@@ -467,14 +461,14 @@ func (c *tcpConn) pollRetransmit(ctx *sched.Context) sched.Poll {
 	}
 	now := c.lib.node.Now()
 	// Persist timer: probe a zero window when nothing is in flight.
-	if len(c.retransQ) == 0 {
-		if c.persistArmed && len(c.sendQ) > 0 && c.usableWindow() <= 0 {
+	if c.retransQ.len() == 0 {
+		if c.persistArmed && c.sendQ.len() > 0 && c.usableWindow() <= 0 {
 			if now >= c.persistDeadline {
 				c.sendProbe()
 				c.rto.backoff() // probe interval backs off like an RTO
 				c.persistArmed = false
 			} else {
-				c.lib.timerWake(c.persistDeadline, c.retransH)
+				c.wakeAt(c.persistDeadline, &c.retransWake, &c.retransH)
 			}
 		}
 		return sched.Pending
@@ -483,11 +477,11 @@ func (c *tcpConn) pollRetransmit(ctx *sched.Context) sched.Poll {
 		return sched.Pending
 	}
 	if now < c.rtoDeadline {
-		c.lib.timerWake(c.rtoDeadline, c.retransH)
+		c.wakeAt(c.rtoDeadline, &c.retransWake, &c.retransH)
 		return sched.Pending
 	}
 	// Timeout: retransmit, back off, collapse the congestion window.
-	seg := &c.retransQ[0]
+	seg := c.retransQ.at(0)
 	seg.rtx = true
 	c.lib.stats.TCPRetransmits++
 	c.rto.backoff()
@@ -523,11 +517,11 @@ func (c *tcpConn) pollAck(ctx *sched.Context) sched.Poll {
 		if !c.ackArmed {
 			c.ackArmed = true
 			c.ackDeadline = now.Add(d)
-			c.lib.timerWake(c.ackDeadline, c.ackH)
+			c.wakeAt(c.ackDeadline, &c.ackWake, &c.ackH)
 			return sched.Pending
 		}
 		if now < c.ackDeadline {
-			c.lib.timerWake(c.ackDeadline, c.ackH)
+			c.wakeAt(c.ackDeadline, &c.ackWake, &c.ackH)
 			return sched.Pending
 		}
 	}
@@ -546,7 +540,7 @@ func (c *tcpConn) pollCloser(ctx *sched.Context) sched.Poll {
 			c.teardown(nil)
 			return sched.Done
 		}
-		c.lib.timerWake(c.timeWaitUntil, c.closerH)
+		c.wakeAt(c.timeWaitUntil, &c.closerWake, &c.closerH)
 	}
 	return sched.Pending
 }

@@ -44,8 +44,8 @@ func TestTenantRxQuotaNoStateAdvance(t *testing.T) {
 	if c.rcvNxt != before {
 		t.Fatalf("rcvNxt advanced on quota drop: %d -> %d", before, c.rcvNxt)
 	}
-	if len(c.recvQ) != 0 || c.recvBytes != 0 {
-		t.Fatalf("payload queued despite quota drop: %d bufs, %d bytes", len(c.recvQ), c.recvBytes)
+	if c.recvQ.len() != 0 || c.recvBytes != 0 {
+		t.Fatalf("payload queued despite quota drop: %d bufs, %d bytes", c.recvQ.len(), c.recvBytes)
 	}
 	if l.stats.RxAllocDrops != 1 {
 		t.Fatalf("RxAllocDrops = %d, want 1", l.stats.RxAllocDrops)
@@ -61,8 +61,8 @@ func TestTenantRxQuotaNoStateAdvance(t *testing.T) {
 	if want := before + uint32(len(payload)); c.rcvNxt != want {
 		t.Fatalf("rcvNxt after retransmit = %d, want %d", c.rcvNxt, want)
 	}
-	if len(c.recvQ) != 1 {
-		t.Fatalf("recvQ = %d bufs, want 1", len(c.recvQ))
+	if c.recvQ.len() != 1 {
+		t.Fatalf("recvQ = %d bufs, want 1", c.recvQ.len())
 	}
 	// The accepted bytes are charged to the owning tenant's region.
 	if used := l.heap.TenantStats(7).Used; used < int64(len(payload)) {
@@ -80,8 +80,8 @@ func TestTenantRxChargesOwningTenant(t *testing.T) {
 		t.Fatalf("tenant 3 used = %d, want >= 256", used)
 	}
 	// Freeing the delivered buffer credits the same account.
-	for _, b := range c.recvQ {
-		b.Free()
+	for c.recvQ.len() > 0 {
+		c.recvQ.pop().Free()
 	}
 	if used := l.heap.TenantStats(3).Used; used != 0 {
 		t.Fatalf("tenant 3 used after free = %d, want 0", used)

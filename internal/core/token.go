@@ -38,6 +38,8 @@ func (o *Op) Done() bool { return o.done }
 
 // Complete finishes the operation with ev. Completing twice panics: an
 // I/O stack delivering two results for one token is a bug.
+//
+//demi:nonalloc every push, pop and accept that finishes does so here
 func (o *Op) Complete(ev QEvent) {
 	if o.done {
 		panic("pdpix: operation completed twice")

@@ -9,35 +9,41 @@ import (
 	"demikernel/internal/simnet"
 )
 
-const mtuFrame = 1514 // long enough for the fabric to carry it in a recycled buffer
-
-// mtu builds an MTU-sized frame whose every payload byte is tag.
-func mtu(dst, src simnet.MAC, tag byte) []byte {
-	f := bytes.Repeat([]byte{tag}, mtuFrame)
-	copy(f[0:6], dst[:])
-	copy(f[6:12], src[:])
-	return f
-}
+// The two frame sizes the fabric carries in recycled buffers, one per class:
+// an MTU segment and a pure ack with TCP timestamps.
+var recycledSizes = []struct {
+	bytes int
+	name  string // suffix of the subtests run at this size
+}{{1514, ""}, {66, ", ack-sized"}}
 
 // recycleWorld is one sender and two receivers on a switch, driven from
 // outside the simulation: every send runs the engine until the fabric has
-// delivered.
+// delivered. Every frame it builds is size bytes long.
 type recycleWorld struct {
 	t       *testing.T
+	size    int
 	eng     *sim.Engine
 	sw      *simnet.Switch
 	a, b, c *Port
 }
 
-func newRecycleWorld(t *testing.T, aLink, bLink simnet.LinkParams, bCfg Config) *recycleWorld {
+func newRecycleWorld(t *testing.T, size int, aLink, bLink simnet.LinkParams, bCfg Config) *recycleWorld {
 	eng := sim.NewEngine(17)
 	sw := simnet.NewSwitch(eng, simnet.DefaultSwitch())
 	return &recycleWorld{
-		t: t, eng: eng, sw: sw,
+		t: t, size: size, eng: eng, sw: sw,
 		a: Attach(sw, eng.NewNode("a"), aLink, 64, 0),
 		b: AttachQueues(sw, eng.NewNode("b"), bLink, bCfg),
 		c: Attach(sw, eng.NewNode("c"), simnet.DefaultLink(), 64, 0),
 	}
+}
+
+// frame builds a frame whose every payload byte is tag.
+func (w *recycleWorld) frame(dst, src simnet.MAC, tag byte) []byte {
+	f := bytes.Repeat([]byte{tag}, w.size)
+	copy(f[0:6], dst[:])
+	copy(f[6:12], src[:])
+	return f
 }
 
 func (w *recycleWorld) send(frames ...[]byte) {
@@ -45,13 +51,13 @@ func (w *recycleWorld) send(frames ...[]byte) {
 	w.eng.Run()
 }
 
-// churn sends n more MTU frames a -> b, checks each arrives as sent, and
+// churn sends n more frames a -> b, checks each arrives as sent, and
 // frees it: whatever buffer the fabric was handed back carries other bytes
 // by the end.
 func (w *recycleWorld) churn(n int) {
 	w.t.Helper()
 	for i := 0; i < n; i++ {
-		want := mtu(w.b.MAC(), w.a.MAC(), byte(0x80|i))
+		want := w.frame(w.b.MAC(), w.a.MAC(), byte(0x80|i))
 		w.send(want)
 		ms := w.b.RxBurst(32)
 		if len(ms) == 0 || !bytes.Equal(ms[0].Data, want) {
@@ -78,7 +84,7 @@ func (h *trimHook) Forward(f simnet.Frame, from *simnet.Port) (simnet.Frame, *si
 // through the same switch, and requires the second owner's bytes unchanged:
 // it fails if the freed buffer went back to the fabric. The control row has
 // no second owner and requires the opposite, so that the table cannot pass
-// by nothing ever being recycled.
+// by nothing ever being recycled. The table runs once per recycled size.
 func TestRecycledBuffersHaveOneOwner(t *testing.T) {
 	def, dup := simnet.DefaultLink(), simnet.DefaultLink()
 	dup.DupProb = 1
@@ -99,42 +105,42 @@ func TestRecycledBuffersHaveOneOwner(t *testing.T) {
 	}{
 		{name: "control: one owner", aLink: def, bLink: def, recycled: true,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
-				w.send(mtu(w.b.MAC(), w.a.MAC(), 1))
+				w.send(w.frame(w.b.MAC(), w.a.MAC(), 1))
 				m := first(w, w.b, 1)[0]
 				return m, m.Data
 			}},
 		{name: "duplicated on the up link", aLink: dup, bLink: def,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
-				w.send(mtu(w.b.MAC(), w.a.MAC(), 2))
+				w.send(w.frame(w.b.MAC(), w.a.MAC(), 2))
 				ms := first(w, w.b, 2)
 				return ms[0], ms[1].Data
 			}},
 		{name: "duplicated on the down link", aLink: def, bLink: dup,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
-				w.send(mtu(w.b.MAC(), w.a.MAC(), 3))
+				w.send(w.frame(w.b.MAC(), w.a.MAC(), 3))
 				ms := first(w, w.b, 2)
 				return ms[0], ms[1].Data
 			}},
 		{name: "broadcast flooded to two ports", aLink: def, bLink: def,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
-				w.send(mtu(simnet.Broadcast, w.a.MAC(), 4))
+				w.send(w.frame(simnet.Broadcast, w.a.MAC(), 4))
 				return first(w, w.b, 1)[0], first(w, w.c, 1)[0].Data
 			}},
 		{name: "unknown unicast flooded to two promiscuous ports", aLink: def, bLink: def,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
 				w.b.NetPort().SetPromiscuous(true)
 				w.c.NetPort().SetPromiscuous(true)
-				w.send(mtu(simnet.MAC{2, 9, 9, 9, 9, 9}, w.a.MAC(), 8))
+				w.send(w.frame(simnet.MAC{2, 9, 9, 9, 9, 9}, w.a.MAC(), 8))
 				return first(w, w.b, 1)[0], first(w, w.c, 1)[0].Data
 			}},
 		{name: "forward hook trims and keeps the frame", aLink: def, bLink: def,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
 				h := &trimHook{}
 				w.sw.SetHook(h)
-				w.send(mtu(w.b.MAC(), w.a.MAC(), 5))
+				w.send(w.frame(w.b.MAC(), w.a.MAC(), 5))
 				w.sw.SetHook(nil)
 				m := first(w, w.b, 1)[0]
-				if len(m.Data) != mtuFrame-8 {
+				if len(m.Data) != w.size-8 {
 					w.t.Fatalf("hook's trim lost: %d bytes arrived", len(m.Data))
 				}
 				return m, h.kept[0]
@@ -142,7 +148,7 @@ func TestRecycledBuffersHaveOneOwner(t *testing.T) {
 		{name: "corrupt fault delivers a private copy", aLink: def, bLink: def,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
 				w.b.SetFaults(Faults{Corrupt: faults.NewPlan(1).Site("dpdk.corrupt", faults.Spec{Every: 1, Max: 1})})
-				sent := mtu(w.b.MAC(), w.a.MAC(), 6)
+				sent := w.frame(w.b.MAC(), w.a.MAC(), 6)
 				w.send(sent)
 				m := first(w, w.b, 1)[0]
 				if bytes.Equal(m.Data, sent) {
@@ -152,27 +158,29 @@ func TestRecycledBuffersHaveOneOwner(t *testing.T) {
 			}},
 		{name: "InjectRx of a slice the caller keeps", aLink: def, bLink: def,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
-				kept := mtu(w.b.MAC(), w.a.MAC(), 7) // trace replay keeps Event.Data
+				kept := w.frame(w.b.MAC(), w.a.MAC(), 7) // trace replay keeps Event.Data
 				w.b.InjectRx(kept)
 				return first(w, w.b, 1)[0], kept
 			}},
 	}
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			w := newRecycleWorld(t, row.aLink, row.bLink, one)
-			m, held := row.run(w)
-			want := append([]byte(nil), held...)
-			m.Free()
-			if m.Data != nil {
-				t.Error("Free left Data readable")
-			}
-			// The duplicating rows deliver every churn frame twice; that is
-			// churn's business, the held bytes are this test's.
-			w.churn(1000)
-			if got := !bytes.Equal(held, want); got != row.recycled {
-				t.Errorf("second owner's bytes overwritten: %v, want %v", got, row.recycled)
-			}
-		})
+	for _, size := range recycledSizes {
+		for _, row := range rows {
+			t.Run(row.name+size.name, func(t *testing.T) {
+				w := newRecycleWorld(t, size.bytes, row.aLink, row.bLink, one)
+				m, held := row.run(w)
+				want := append([]byte(nil), held...)
+				m.Free()
+				if m.Data != nil {
+					t.Error("Free left Data readable")
+				}
+				// The duplicating rows deliver every churn frame twice; that is
+				// churn's business, the held bytes are this test's.
+				w.churn(1000)
+				if got := !bytes.Equal(held, want); got != row.recycled {
+					t.Errorf("second owner's bytes overwritten: %v, want %v", got, row.recycled)
+				}
+			})
+		}
 	}
 }
 
@@ -180,33 +188,35 @@ func TestRecycledBuffersHaveOneOwner(t *testing.T) {
 // credit and disturb no frame that does arrive, before or after.
 func TestDropsLeakAndCorruptNothing(t *testing.T) {
 	def := simnet.DefaultLink()
-	for _, cfg := range []Config{
-		{PoolSize: 64, RxRing: 2}, // 3 of every 5 dropped at the ring
-		{PoolSize: 2},             // 3 of every 5 dropped for want of an mbuf
-	} {
-		w := newRecycleWorld(t, def, def, cfg)
-		for round := 0; round < 200; round++ {
-			var sent [][]byte
-			for i := 0; i < 5; i++ {
-				sent = append(sent, mtu(w.b.MAC(), w.a.MAC(), byte(round*5+i)))
-			}
-			w.send(sent...)
-			ms := w.b.RxBurst(32)
-			if len(ms) != 2 {
-				t.Fatalf("%+v round %d: %d frames survived, want 2", cfg, round, len(ms))
-			}
-			for i, m := range ms {
-				if !bytes.Equal(m.Data, sent[i]) {
-					t.Fatalf("%+v round %d: frame %d arrived changed", cfg, round, i)
+	for _, size := range recycledSizes {
+		for _, cfg := range []Config{
+			{PoolSize: 64, RxRing: 2}, // 3 of every 5 dropped at the ring
+			{PoolSize: 2},             // 3 of every 5 dropped for want of an mbuf
+		} {
+			w := newRecycleWorld(t, size.bytes, def, def, cfg)
+			for round := 0; round < 200; round++ {
+				var sent [][]byte
+				for i := 0; i < 5; i++ {
+					sent = append(sent, w.frame(w.b.MAC(), w.a.MAC(), byte(round*5+i)))
 				}
-				m.Free()
+				w.send(sent...)
+				ms := w.b.RxBurst(32)
+				if len(ms) != 2 {
+					t.Fatalf("%+v round %d: %d frames survived, want 2", cfg, round, len(ms))
+				}
+				for i, m := range ms {
+					if !bytes.Equal(m.Data, sent[i]) {
+						t.Fatalf("%+v round %d: frame %d arrived changed", cfg, round, i)
+					}
+					m.Free()
+				}
+				if free := w.b.Pool().Available(); free != cfg.PoolSize {
+					t.Fatalf("%+v round %d: pool has %d of %d mbufs", cfg, round, free, cfg.PoolSize)
+				}
 			}
-			if free := w.b.Pool().Available(); free != cfg.PoolSize {
-				t.Fatalf("%+v round %d: pool has %d of %d mbufs", cfg, round, free, cfg.PoolSize)
+			if s := w.b.Stats(); s.RxRingFull+s.RxNoMbuf != 600 {
+				t.Fatalf("%+v: %d ring-full and %d no-mbuf drops, want 600 in all", cfg, s.RxRingFull, s.RxNoMbuf)
 			}
-		}
-		if s := w.b.Stats(); s.RxRingFull+s.RxNoMbuf != 600 {
-			t.Fatalf("%+v: %d ring-full and %d no-mbuf drops, want 600 in all", cfg, s.RxRingFull, s.RxNoMbuf)
 		}
 	}
 }

@@ -52,23 +52,38 @@ type Frame struct {
 // reuse: it may have a second owner, and is left to the garbage collector.
 func (f Frame) Home() *Switch { return f.home }
 
-// wireBufCap is the capacity of a recycled wire buffer: a 1500-byte MTU
-// frame with its Ethernet header and both trailers, rounded up to a Go
-// allocator size class. Only frames longer than half of it are worth a
-// retained buffer; a 54-byte ACK stays a 64-byte allocation.
-const wireBufCap = 1792
+// The fabric's copy of a frame comes from one of two classes of recycled
+// buffer. wireBufCap is a 1500-byte MTU frame with its Ethernet header and
+// both trailers, rounded up to a Go allocator size class, and serves frames
+// longer than half of it. smallBufCap serves what a stack sends when it has
+// little to say: pure acks, SYNs and FINs (82 bytes with TCP timestamps and
+// both trailers), ARP, and the paper's 64-byte echo (130 to 146 bytes), again
+// rounded up to a size class. Frames in between, and jumbo frames, are plain
+// allocations.
+const (
+	wireBufCap  = 1792
+	smallBufCap = 256
+)
 
-// maxFreeWireBufs bounds the switch's free list, and with it the memory the
-// fabric retains when idle (112 KiB): a 64 KiB message is 45 MTU frames in
-// flight before the receiver frees the first.
+// maxFreeWireBufs bounds each class's free list, and with it the memory the
+// fabric retains when idle (112 KiB and 16 KiB): a 64 KiB message is 45 MTU
+// frames in flight before the receiver frees the first, and their acks come
+// back one for every one or two of them.
 const maxFreeWireBufs = 64
 
 // Recycle takes back the buffer of a delivered frame whose Home is s, for
 // the wire copy of a later SendAt. Only the frame's final owner may call it,
 // once, and must not touch the bytes afterwards.
 func (s *Switch) Recycle(buf []byte) {
-	if cap(buf) >= wireBufCap && len(s.free) < maxFreeWireBufs {
-		s.free = append(s.free, buf[:wireBufCap])
+	switch {
+	case cap(buf) >= wireBufCap:
+		if len(s.free) < maxFreeWireBufs {
+			s.free = append(s.free, buf[:wireBufCap])
+		}
+	case cap(buf) >= smallBufCap:
+		if len(s.freeSmall) < maxFreeWireBufs {
+			s.freeSmall = append(s.freeSmall, buf[:smallBufCap])
+		}
 	}
 }
 
@@ -242,12 +257,14 @@ func (p *Port) Send(f Frame) { p.SendAt(f, p.node.Now()) }
 // virtual CPU issued the doorbell. Multi-queue devices use it so a core
 // other than the port's attach node transmits at its own local time rather
 // than the attach node's possibly-stale clock.
+//
+//demi:nonalloc
 func (p *Port) SendAt(f Frame, now sim.Time) {
 	if len(f.Data) < 14 {
 		panic("simnet: runt frame")
 	}
 	if f.Src() != p.mac {
-		panic(fmt.Sprintf("simnet: port %v sending frame with src %v", p.mac, f.Src()))
+		p.wrongSource(f)
 	}
 	p.stats.TxFrames++
 	p.stats.TxBytes += uint64(len(f.Data))
@@ -262,18 +279,22 @@ func (p *Port) SendAt(f Frame, now sim.Time) {
 	if dup {
 		f.home = nil // both deliveries share the one copy
 	}
-	eng := p.node.Engine()
-	deliver := func(t sim.Time) {
-		eng.At(t, nil, func() { p.sw.forward(f, p) })
-	}
-	deliver(at)
+	p.sw.schedule(at, f, p, nil)
 	if dup {
-		deliver(at.Add(p.up.params.Latency))
+		p.sw.schedule(at.Add(p.up.params.Latency), f, p, nil)
 	}
+}
+
+// wrongSource reports a frame sent from a port that is not its source: a bug
+// in the stack that built it.
+func (p *Port) wrongSource(f Frame) {
+	panic(fmt.Sprintf("simnet: port %v sending frame with src %v", p.mac, f.Src()))
 }
 
 // enqueue places a frame in the rx ring (or hands it to the sink),
 // dropping if the ring is full.
+//
+//demi:nonalloc
 func (p *Port) enqueue(f Frame) {
 	if p.sink != nil {
 		p.stats.RxFrames++
@@ -339,13 +360,15 @@ type ForwardHook interface {
 // broadcasts. Forwarding uses the static table built at Attach time (every
 // port's MAC is known), which matches a learned steady state.
 type Switch struct {
-	eng    *sim.Engine
-	params SwitchParams
-	ports  []*Port
-	byMAC  map[MAC]*Port
-	macSeq uint64
-	hook   ForwardHook
-	free   [][]byte // wireBufCap-sized buffers handed back by Recycle
+	eng       *sim.Engine
+	params    SwitchParams
+	ports     []*Port
+	byMAC     map[MAC]*Port
+	macSeq    uint64
+	hook      ForwardHook
+	free      [][]byte // wireBufCap-sized buffers handed back by Recycle
+	freeSmall [][]byte // smallBufCap-sized ones
+	hops      []*hop   // hop records between two frames
 
 	reg          *telemetry.Registry
 	forwarded    *telemetry.Counter // frames sent out exactly one port
@@ -355,7 +378,7 @@ type Switch struct {
 
 // NewSwitch creates a switch on the engine's fabric.
 func NewSwitch(eng *sim.Engine, params SwitchParams) *Switch {
-	s := &Switch{eng: eng, params: params, byMAC: make(map[MAC]*Port)}
+	s := &Switch{eng: eng, params: params, byMAC: make(map[MAC]*Port), hops: make([]*hop, 0, maxFreeHops)}
 	s.reg = telemetry.NewRegistry("simnet/switch")
 	s.forwarded = s.reg.Counter("switch.frames_forwarded")
 	s.flooded = s.reg.Counter("switch.frames_flooded")
@@ -408,24 +431,92 @@ func (s *Switch) Attach(node *sim.Node, params LinkParams, rxRing int) *Port {
 }
 
 // wireCopy returns the fabric's own copy of a frame's bytes, in a buffer
-// from the free list when the frame is long enough to be worth one.
+// from the free list of the class that fits it, if one does.
+//
+//demi:nonalloc
 func (s *Switch) wireCopy(data []byte) Frame {
-	if len(data) <= wireBufCap/2 || len(data) > wireBufCap {
-		return Frame{Data: append([]byte(nil), data...)}
+	var free *[][]byte // the fitting class's free list, if there is a fitting class
+	size := len(data)
+	switch {
+	case size <= smallBufCap:
+		free, size = &s.freeSmall, smallBufCap
+	case size > wireBufCap/2 && size <= wireBufCap:
+		free, size = &s.free, wireBufCap
 	}
-	var buf []byte
-	if k := len(s.free) - 1; k >= 0 {
-		buf, s.free = s.free[k], s.free[:k]
+	var f Frame
+	if free != nil {
+		f.home = s
+		if k := len(*free) - 1; k >= 0 {
+			f.Data, *free = (*free)[k][:len(data)], (*free)[:k]
+		}
+	}
+	if f.Data == nil {
+		f.Data = make([]byte, len(data), size)
+	}
+	copy(f.Data, data)
+	return f
+}
+
+// A hop is one scheduled step of a frame through the fabric: its arrival at
+// the switch from a port's up link (to is nil), or its delivery down a link
+// into a port's rx ring. The engine event that performs the step is fire,
+// bound to the record once, so scheduling a hop allocates nothing once
+// enough records exist; a frame delivered twice has a record per delivery.
+type hop struct {
+	sw       *Switch
+	f        Frame
+	from, to *Port
+	fire     func() // h.run, bound when the record is made
+}
+
+// maxFreeHops bounds the records kept between frames, as the capacity of
+// Switch.hops (64 bytes each, 16 for the bound method and 8 for the slot:
+// 11 KiB when idle). A frame holds one record at a time, so this is every
+// frame of both buffer classes in flight.
+const maxFreeHops = 2 * maxFreeWireBufs
+
+// schedule arranges one step of f at time at: into the switch from port
+// from, or, with to set, into to's rx ring (waking its node).
+//
+//demi:nonalloc
+func (s *Switch) schedule(at sim.Time, f Frame, from, to *Port) {
+	var h *hop
+	if k := len(s.hops) - 1; k >= 0 {
+		h, s.hops = s.hops[k], s.hops[:k]
 	} else {
-		buf = make([]byte, wireBufCap)
+		h = &hop{sw: s}
+		h.fire = h.run
 	}
-	buf = buf[:len(data)]
-	copy(buf, data)
-	return Frame{Data: buf, home: s}
+	h.f, h.from, h.to = f, from, to
+	var wake *sim.Node
+	if to != nil {
+		wake = to.node
+	}
+	s.eng.At(at, wake, h.fire)
+}
+
+// run performs the step. The record goes back first, emptied, because the
+// step schedules the frame's next hop and may as well use this record for
+// it.
+//
+//demi:nonalloc
+func (h *hop) run() {
+	s, f, from, to := h.sw, h.f, h.from, h.to
+	h.f, h.from, h.to = Frame{}, nil, nil
+	if len(s.hops) < cap(s.hops) {
+		s.hops = append(s.hops, h)
+	}
+	if to != nil {
+		to.enqueue(f)
+		return
+	}
+	s.forward(f, from)
 }
 
 // forward runs at the instant a frame arrives at the switch ingress and
 // schedules egress deliveries.
+//
+//demi:nonalloc
 func (s *Switch) forward(f Frame, from *Port) {
 	if s.hook != nil {
 		var to *Port
@@ -471,6 +562,8 @@ func (s *Switch) forward(f Frame, from *Port) {
 // egress sends a frame out one port, applying switch latency, the bounded
 // egress queue, and the down link's serialization/loss models, then waking
 // the destination node.
+//
+//demi:nonalloc
 func (s *Switch) egress(f Frame, to *Port) {
 	t := s.eng.Now().Add(s.params.Latency)
 	to.pruneEgress(t)
@@ -490,11 +583,8 @@ func (s *Switch) egress(f Frame, to *Port) {
 	if dup {
 		f.home = nil // both deliveries share the one copy
 	}
-	deliver := func(when sim.Time) {
-		s.eng.At(when, to.node, func() { to.enqueue(f) })
-	}
-	deliver(at)
+	s.schedule(at, f, nil, to)
 	if dup {
-		deliver(at.Add(to.down.params.Latency))
+		s.schedule(at.Add(to.down.params.Latency), f, nil, to)
 	}
 }

@@ -15,6 +15,9 @@ import (
 // be is the big-endian byte order used by every network header.
 var be = binary.BigEndian
 
+// le reads the checksum's wide loads; see sum16.
+var le = binary.LittleEndian
+
 // EtherType values used on the fabric.
 const (
 	EtherTypeIPv4 uint16 = 0x0800
