@@ -224,5 +224,55 @@ func TestEncodeCommandFormat(t *testing.T) {
 	if string(got) != want {
 		t.Errorf("encoding = %q, want %q", got, want)
 	}
-	_ = fmt.Sprintf // keep fmt imported via use
+}
+
+// The encoders size their buffer once and append digits into it; the bytes
+// on the wire are what the fmt.Sprintf form they replaced produced, for
+// every argument count and around every change in the length's digit count.
+func TestEncodersMatchFmtForm(t *testing.T) {
+	fmtCommand := func(args ...[]byte) []byte {
+		out := []byte(fmt.Sprintf("*%d\r\n", len(args)))
+		for _, a := range args {
+			out = append(out, fmt.Sprintf("$%d\r\n", len(a))...)
+			out = append(out, a...)
+			out = append(out, '\r', '\n')
+		}
+		return out
+	}
+	fmtBulk := func(b []byte) []byte {
+		if b == nil {
+			return []byte("$-1\r\n")
+		}
+		out := []byte(fmt.Sprintf("$%d\r\n", len(b)))
+		out = append(out, b...)
+		return append(out, '\r', '\n')
+	}
+	var values [][]byte
+	for _, n := range []int{0, 1, 9, 10, 99, 100, 99999} {
+		values = append(values, bytes.Repeat([]byte{'v'}, n))
+	}
+	commands := [][][]byte{{}, {[]byte("PING")}}
+	for _, v := range values {
+		commands = append(commands, [][]byte{[]byte("GET"), v}, [][]byte{[]byte("SET"), v, v}, [][]byte{v})
+	}
+	commands = append(commands, make([][]byte, 10), make([][]byte, 100)) // two- and three-digit counts, nil arguments
+	for _, args := range commands {
+		got, want := EncodeCommand(args...), fmtCommand(args...)
+		if !bytes.Equal(got, want) {
+			t.Errorf("EncodeCommand of %d arguments = %.40q, want %.40q", len(args), got, want)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("EncodeCommand of %d arguments sized its buffer %d for %d bytes", len(args), cap(got), len(got))
+		}
+	}
+	for _, v := range append(values, nil) {
+		got, want := BulkString(v), fmtBulk(v)
+		if !bytes.Equal(got, want) || (v != nil && cap(got) != len(got)) {
+			t.Errorf("BulkString of %d bytes (nil %v) = %.40q (cap %d), want %.40q", len(v), v == nil, got, cap(got), want)
+		}
+	}
+	set := [][]byte{[]byte("SET"), []byte("key:000017"), bytes.Repeat([]byte{'v'}, 64)}
+	if n := testing.AllocsPerRun(100, func() { EncodeCommand(set...) }); n != 1 {
+		t.Errorf("EncodeCommand allocates %v objects, want its buffer only", n)
+	}
 }

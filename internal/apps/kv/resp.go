@@ -127,13 +127,43 @@ func splitWords(line []byte) [][]byte {
 	return out
 }
 
-// EncodeCommand serializes a command as a RESP array of bulk strings.
+// headerLen is the length of a RESP length line: the type byte, n in
+// decimal, CRLF.
+func headerLen(n int) int {
+	digits := 1
+	for ; n >= 10; n /= 10 {
+		digits++
+	}
+	return 1 + digits + 2
+}
+
+// appendHeader appends a RESP length line.
+func appendHeader(out []byte, kind byte, n int) []byte {
+	out = append(out, kind)
+	out = strconv.AppendInt(out, int64(n), 10)
+	return append(out, '\r', '\n')
+}
+
+// appendBulk appends b as a bulk string.
+func appendBulk(out, b []byte) []byte {
+	out = appendHeader(out, respBulk, len(b))
+	out = append(out, b...)
+	return append(out, '\r', '\n')
+}
+
+// bulkLen is the encoded length of a bulk string of n bytes.
+func bulkLen(n int) int { return headerLen(n) + n + 2 }
+
+// EncodeCommand serializes a command as a RESP array of bulk strings, into
+// one buffer sized for it: every request and every AOF record is built here.
 func EncodeCommand(args ...[]byte) []byte {
-	out := []byte(fmt.Sprintf("*%d\r\n", len(args)))
+	size := headerLen(len(args))
 	for _, a := range args {
-		out = append(out, fmt.Sprintf("$%d\r\n", len(a))...)
-		out = append(out, a...)
-		out = append(out, '\r', '\n')
+		size += bulkLen(len(a))
+	}
+	out := appendHeader(make([]byte, 0, size), respArray, len(args))
+	for _, a := range args {
+		out = appendBulk(out, a)
 	}
 	return out
 }
@@ -154,9 +184,7 @@ func BulkString(b []byte) []byte {
 	if b == nil {
 		return []byte("$-1\r\n")
 	}
-	out := []byte(fmt.Sprintf("$%d\r\n", len(b)))
-	out = append(out, b...)
-	return append(out, '\r', '\n')
+	return appendBulk(make([]byte, 0, bulkLen(len(b))), b)
 }
 
 // ParseReply parses one reply from buf, returning the payload (semantics

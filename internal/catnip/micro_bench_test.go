@@ -110,3 +110,21 @@ func BenchmarkCatnipEgress(b *testing.B) {
 		l.Tokens().TryTake(op.Token())
 	}
 }
+
+// BenchmarkTokenProbe measures what a wait-set scan pays for a token that is
+// not ready: TryTakeAs over 1 024 outstanding operations, visited in turn as
+// core.Waiter's scan visits them. tcp_fanin_1k makes ≈ 2 800 of these per
+// request.
+func BenchmarkTokenProbe(b *testing.B) {
+	t := core.NewTokenTable()
+	qts := make([]core.QToken, 1024)
+	for i := range qts {
+		qts[i] = t.New().Token()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, done, err := t.TryTakeAs(qts[i%len(qts)], 0); done || err != nil {
+			b.Fatalf("probe of an outstanding token: %v, %v", done, err)
+		}
+	}
+}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"demikernel/internal/memory"
 	"demikernel/internal/sim"
@@ -44,13 +46,142 @@ func TestDoubleCompletePanics(t *testing.T) {
 	op.Complete(QEvent{})
 }
 
-func TestCancelFailsPendingOp(t *testing.T) {
+// A token is a slot and a generation: what each kind of token that is not
+// an outstanding operation's answers, and what freeing a slot does to the
+// tokens minted next. (token_equiv_test.go checks the same against the map
+// the slots replaced, over random scripts.)
+func TestTokenIsSlotAndGeneration(t *testing.T) {
 	tb := NewTokenTable()
-	op := tb.New()
-	tb.Cancel(op.Token(), 7, OpPop)
-	ev, done, _ := tb.TryTake(op.Token())
-	if !done || !errors.Is(ev.Err, ErrQueueClosed) {
-		t.Errorf("cancelled op: done=%v ev=%+v", done, ev)
+	a, b := tb.New(), tb.New()
+	if a.Token() != 1 || b.Token() != 2 {
+		t.Fatalf("a fresh table minted %#x, %#x; want 1, 2", a.Token(), b.Token())
+	}
+	bad := func(what string, qt QToken) {
+		t.Helper()
+		if _, done, err := tb.TryTake(qt); done || err != ErrBadQToken {
+			t.Errorf("TryTake(%s) = %v, %v", what, done, err)
+		}
+		if _, done, err := tb.TryTakeAs(qt, 0); done || err != ErrBadQToken {
+			t.Errorf("TryTakeAs(%s) = %v, %v", what, done, err)
+		}
+		if op, ok := tb.Lookup(qt); ok || op != nil {
+			t.Errorf("Lookup(%s) found %v", what, op)
+		}
+	}
+	bad("InvalidQToken", InvalidQToken)
+	bad("an index past the table", 3)
+	bad("the largest index", tokenIdxMask)
+	bad("a live index at a later generation", a.Token()|1<<tokenIdxBits)
+	bad("a live token with bit 63 set", a.Token()|1<<63)
+
+	a.Complete(QEvent{QD: 1})
+	if _, done, err := tb.TryTake(a.Token()); !done || err != nil {
+		t.Fatalf("redeem: %v, %v", done, err)
+	}
+	bad("a redeemed token", a.Token())
+	// The freed slot is the next one minted, one generation on; the token
+	// it had stays dead while the new operation completes and redeems once.
+	c := tb.New()
+	if want := a.Token() | 1<<tokenIdxBits; c.Token() != want {
+		t.Fatalf("the freed slot re-minted as %#x, want %#x", c.Token(), want)
+	}
+	bad("a token whose slot was re-minted", a.Token())
+	if c.Done() {
+		t.Fatal("a stale redeem touched the slot's new operation")
+	}
+	c.Complete(QEvent{QD: 3})
+	if ev, done, err := tb.TryTake(c.Token()); !done || err != nil || ev.QD != 3 {
+		t.Fatalf("the slot's new operation: %+v, %v, %v", ev, done, err)
+	}
+	bad("the new operation's token, redeemed", c.Token())
+
+	// A withdrawn operation leaves no trace: the next New mints the very
+	// same token and issue number, and completing the withdrawn one is loud.
+	issued := tb.Issued()
+	w := tb.New()
+	tb.Withdraw(w)
+	if tb.Issued() != issued {
+		t.Errorf("Issued %d after a withdrawal, %d before the call", tb.Issued(), issued)
+	}
+	if d := tb.New(); d.Token() != w.Token() || d.seq != w.seq {
+		t.Errorf("after a withdrawal New minted %#x (issue %d), want %#x (%d) again", d.Token(), d.seq, w.Token(), w.seq)
+	}
+	if !panics(func() { w.Complete(QEvent{}) }) {
+		t.Error("completing a withdrawn operation did not panic")
+	}
+	if n := tb.Outstanding(); n != 2 {
+		t.Errorf("%d outstanding, want b and the last mint", n)
+	}
+
+	// A generation wraps inside its 39 bits, never into bit 63.
+	last := NewTokenTable()
+	last.slots = []tokenSlot{{qt: tokenGenMask << tokenIdxBits}}
+	last.free = 1
+	op := last.New()
+	if op.Token()>>63 != 0 || op.Token()>>tokenIdxBits != tokenGenMask {
+		t.Fatalf("minted %#x at the last generation", op.Token())
+	}
+	op.Complete(QEvent{})
+	last.TryTake(op.Token())
+	if next := last.New(); next.Token() != 1 {
+		t.Errorf("the generation after the last minted %#x, want 1", next.Token())
+	}
+}
+
+// TestTokenCycleAllocs: on a warmed table New → Complete → TryTake costs the
+// Op — one object, in the 128-byte class — and nothing for the table; a
+// 1 024-token WaitAny with one token ready costs nothing at all.
+func TestTokenCycleAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(Op{}); size > 128 {
+		t.Errorf("Op is %d bytes: past the 128-byte size class every operation is allocated in", size)
+	}
+	if size := unsafe.Sizeof(tokenSlot{}); size != 24 {
+		t.Errorf("a slot is %d bytes, the table's doc comment says 24", size)
+	}
+	tb := NewTokenTable()
+	ev := QEvent{QD: 3, Op: OpPush}
+	cycle := func() {
+		op := tb.New()
+		op.Complete(ev)
+		if _, done, _ := tb.TryTake(op.Token()); !done {
+			t.Fatal("token did not complete")
+		}
+	}
+	cycle() // the table takes its one slot
+	const runs = 1000
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	avg := testing.AllocsPerRun(runs, cycle)
+	runtime.ReadMemStats(&m1)
+	// AllocsPerRun calls cycle runs+1 times; the measurement's own few
+	// hundred bytes are under one byte a run, and the size class after 128
+	// is 144.
+	if perRun := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1); avg != 1 || perRun >= 129 {
+		t.Errorf("a token cycle allocates %v objects, %.1f bytes; want the Op: 1 object of at most 128 bytes", avg, perRun)
+	}
+
+	ops := make([]*Op, 1024)
+	qts := make([]QToken, len(ops))
+	for i := range ops {
+		ops[i] = tb.New()
+		qts[i] = ops[i].Token()
+	}
+	spare := make([]*Op, runs+1) // minted outside the measured calls
+	for i := range spare {
+		spare[i] = tb.New()
+	}
+	w := &Waiter{Table: tb, Runner: &stubRunner{}}
+	next := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		next = (next + 389) % len(ops)
+		ops[next].Complete(ev)
+		if i, _, err := w.WaitAny(qts, -1); err != nil || i != next {
+			t.Fatalf("WaitAny = %d, %v; want %d", i, err, next)
+		}
+		ops[next], spare = spare[0], spare[1:]
+		qts[next] = ops[next].Token()
+	}); avg != 0 {
+		t.Errorf("a 1024-token WaitAny with one token ready allocates %v objects, want 0", avg)
 	}
 }
 

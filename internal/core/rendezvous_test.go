@@ -104,10 +104,14 @@ func TestRendezvousEnd(t *testing.T) {
 func TestRendezvousAllocs(t *testing.T) {
 	const runs = 100
 	tb := NewTokenTable()
-	ops := make([]Op, 0, 8*(runs+2))
+	ops := make([]*Op, 8*(runs+2)) // minted outside the measured calls
+	for i := range ops {
+		ops[i] = tb.New()
+	}
 	mint := func() *Op {
-		ops = append(ops, Op{tbl: tb})
-		return &ops[len(ops)-1]
+		op := ops[0]
+		ops = ops[1:]
+		return op
 	}
 	var r Rendezvous[QDesc]
 	cycle := func() {

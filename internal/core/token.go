@@ -6,22 +6,51 @@ import (
 	"demikernel/internal/telemetry"
 )
 
+// A QToken is a slot and a generation: the index of a TokenTable slot, plus
+// one, in its low tokenIdxBits bits and that slot's generation in the
+// tokenGenBits above them. Bit 63 is never set (demi.Combined tags storage
+// tokens there) and InvalidQToken, whose index field is zero, names no slot.
+// A slot's generation moves at every redemption, so the token just redeemed
+// and every older token for the slot have stopped matching it — until the
+// generation wraps, which at a redemption every 100 ns takes one slot
+// fifteen hours.
+const (
+	tokenIdxBits = 24
+	tokenIdxMask = 1<<tokenIdxBits - 1
+	tokenGenBits = 39
+	tokenGenMask = 1<<tokenGenBits - 1
+)
+
+// tokenSlot is what a probe reads, in line: 24 bytes.
+type tokenSlot struct {
+	// qt is the one token that names the slot now. A free slot keeps its
+	// generation here with the index field zero, which no token presented
+	// for the slot can equal, so one compare checks generation, liveness
+	// and bit 63 together.
+	qt QToken
+	op *Op // nil while the slot is free
+	// tenant is the issuing principal (0 = the host/infra tenant). A free
+	// slot keeps the free list's link here: the next free slot's index + 1.
+	tenant uint32
+	done   bool
+}
+
 // Op is one outstanding operation's state in the token table. Library OSes
 // create an Op when a libcall is issued and complete it from their I/O
-// stacks; the wait machinery redeems it.
+// stacks; the wait machinery redeems it. The table forgets an Op at
+// redemption; the stack that completed it may hold the pointer longer, which
+// is why an Op is a Go object of its own and not the slot (one 128-byte
+// object per operation: TestTokenCycleAllocs).
 type Op struct {
-	qt          QToken
-	done        bool
+	qt          QToken // names the slot the table keeps this Op in
+	seq         uint64 // issue number: 1, 2, 3, … per table, what spans carry
 	ev          QEvent
-	tbl         *TokenTable // owning table, for lifecycle timestamps
+	tbl         *TokenTable // owning table
 	issuedAt    sim.Time
 	completedAt sim.Time
 	trace       uint64 // distributed-trace context stamped by the libOS at issue
-	tenant      uint32 // issuing tenant principal (0 = the host/infra tenant)
+	done        bool
 }
-
-// Tenant returns the principal the operation was minted for.
-func (o *Op) Tenant() uint32 { return o.tenant }
 
 // Trace stamps the operation with a distributed-trace context. LibOSes call
 // it on push when the SGArray carries a sampled request's tag; pops pick the
@@ -37,16 +66,23 @@ func (o *Op) Token() QToken { return o.qt }
 func (o *Op) Done() bool { return o.done }
 
 // Complete finishes the operation with ev. Completing twice panics: an
-// I/O stack delivering two results for one token is a bug.
+// I/O stack delivering two results for one token is a bug. So is completing
+// an operation the table no longer holds — one whose libcall was refused and
+// withdrawn — and it panics the same way, before it can mark as done
+// whichever operation has the slot now.
 //
 //demi:nonalloc every push, pop and accept that finishes does so here
 func (o *Op) Complete(ev QEvent) {
 	if o.done {
 		panic("pdpix: operation completed twice")
 	}
-	o.done = true
-	o.ev = ev
 	t := o.tbl
+	s := &t.slots[o.qt&tokenIdxMask-1]
+	if s.op != o {
+		panic("pdpix: operation completed after it left the token table")
+	}
+	o.done, s.done = true, true
+	o.ev = ev
 	t.completions++
 	if t.clock != nil {
 		o.completedAt = t.clock.Now()
@@ -68,10 +104,19 @@ func (o *Op) Fail(qd QDesc, opc OpCode, err error) {
 // stamp every operation's lifecycle against a virtual clock: issue at New,
 // complete inside Complete, redeem at TryTake. Uninstrumented tables pay
 // one nil check per stage.
+//
+// The table is an array of slots and a LIFO free list threaded through the
+// free ones, so redeeming, refusing or probing a token is a bounds check and
+// a compare where a map hashed. The array grows by one slot when an
+// operation is issued with none free — more tokens outstanding than ever
+// before — and never shrinks: 24 bytes for each token of the high-water mark.
 type TokenTable struct {
-	next QToken
-	ops  map[QToken]*Op
-	// completions counts Op.Complete calls (Fail and Cancel included). An
+	slots []tokenSlot
+	free  uint32 // index + 1 of the most recently freed slot, 0 for none
+	// issued numbers operations in issue order; Withdraw hands the newest
+	// number back.
+	issued uint64
+	// completions counts Op.Complete calls (Fail included). An
 	// outstanding token's fate can only change through one, so a wait loop
 	// that found nothing ready need not look again until this moves.
 	completions uint64
@@ -91,9 +136,7 @@ type TokenTable struct {
 }
 
 // NewTokenTable returns an empty table.
-func NewTokenTable() *TokenTable {
-	return &TokenTable{ops: make(map[QToken]*Op)}
-}
+func NewTokenTable() *TokenTable { return &TokenTable{} }
 
 // Instrument attaches a virtual clock (and the issuing core's id, for span
 // labels) so operations are lifecycle-stamped. Calling it again updates the
@@ -137,32 +180,89 @@ func (t *TokenTable) Forgeries() uint64 { return t.forgeries }
 // redeemed or not. It never decreases.
 func (t *TokenTable) Completions() uint64 { return t.completions }
 
-// New allocates a fresh operation and its qtoken.
+// Issued returns the newest operation's issue number: how many operations
+// the table has minted, less the refused calls Withdraw took back.
+func (t *TokenTable) Issued() uint64 { return t.issued }
+
+// New allocates a fresh operation and its qtoken: the most recently freed
+// slot at its current generation, or a new slot when none is free. A fresh
+// table therefore mints 1, 2, 3, … until its first reuse.
 func (t *TokenTable) New() *Op {
-	t.next++
-	op := &Op{qt: t.next, tbl: t, tenant: t.issuer}
+	i := t.acquire()
+	s := &t.slots[i-1]
+	t.issued++
+	op := &Op{qt: s.qt | QToken(i), seq: t.issued, tbl: t}
 	if t.clock != nil {
 		op.issuedAt = t.clock.Now()
 	}
-	t.ops[op.qt] = op
+	s.qt, s.op, s.tenant = op.qt, op, t.issuer
 	return op
 }
 
-// Withdraw unmints op: the libcall that minted it was refused at the call
-// site, so the operation never happened. The token leaves the table and,
-// being the newest, hands its number back — a failed call is invisible to
-// later numbering.
-func (t *TokenTable) Withdraw(op *Op) {
-	delete(t.ops, op.qt)
-	if t.next == op.qt {
-		t.next--
+// acquire takes the slot on top of the free list, or grows the table by one
+// when none is free, and returns its index + 1.
+//
+//demi:nonalloc
+func (t *TokenTable) acquire() uint32 {
+	if i := t.free; i != 0 {
+		t.free = t.slots[i-1].tenant
+		return i
 	}
+	if len(t.slots) == tokenIdxMask {
+		panic("pdpix: 2^24 qtokens outstanding")
+	}
+	t.slots = append(t.slots, tokenSlot{})
+	return uint32(len(t.slots))
+}
+
+// release puts a live slot on top of the free list at generation gen.
+//
+//demi:nonalloc
+func (t *TokenTable) release(s *tokenSlot, gen QToken) {
+	i := uint32(s.qt & tokenIdxMask)
+	*s = tokenSlot{qt: gen << tokenIdxBits, tenant: t.free}
+	t.free = i
+}
+
+// Withdraw unmints op: the libcall that minted it was refused at the call
+// site, so the operation never happened. Its slot goes back on top of the
+// free list at the generation it had — nobody was handed the token — and,
+// being the newest, it hands its issue number back: a failed call is
+// invisible to later numbering, and the next New mints the very same token.
+func (t *TokenTable) Withdraw(op *Op) {
+	s := &t.slots[op.qt&tokenIdxMask-1]
+	if s.op != op {
+		panic("pdpix: withdrew an operation the token table does not hold")
+	}
+	t.release(s, op.qt>>tokenIdxBits)
+	if t.issued == op.seq {
+		t.issued--
+	}
+}
+
+// slot resolves qt to its live slot, or nil: a bounds check (InvalidQToken's
+// zero index wraps past any length) and one compare, without a hash and
+// without reading anything but the slot — not the Op, and nothing of whoever
+// holds the slot now when qt is stale or guessed.
+//
+//demi:nonalloc
+func (t *TokenTable) slot(qt QToken) *tokenSlot {
+	i := uint64(qt&tokenIdxMask) - 1
+	if i >= uint64(len(t.slots)) {
+		return nil
+	}
+	if s := &t.slots[i]; s.qt == qt {
+		return s
+	}
+	return nil
 }
 
 // Lookup returns the operation for qt, if outstanding.
 func (t *TokenTable) Lookup(qt QToken) (*Op, bool) {
-	op, ok := t.ops[qt]
-	return op, ok
+	if s := t.slot(qt); s != nil {
+		return s.op, true
+	}
+	return nil, false
 }
 
 // TryTake redeems qt if its operation has completed, removing it from the
@@ -170,12 +270,14 @@ func (t *TokenTable) Lookup(qt QToken) (*Op, bool) {
 // operation is still outstanding. TryTake does not check the principal —
 // it is the trusted-driver path (demi.Combined, bench drivers); tenant
 // code goes through TryTakeAs.
+//
+//demi:nonalloc
 func (t *TokenTable) TryTake(qt QToken) (QEvent, bool, error) {
-	op, exists := t.ops[qt]
-	if !exists {
+	s := t.slot(qt)
+	if s == nil {
 		return QEvent{}, false, ErrBadQToken
 	}
-	return t.take(qt, op)
+	return t.take(s)
 }
 
 // TryTakeAs redeems qt on behalf of tenant principal tid. A token minted
@@ -184,30 +286,37 @@ func (t *TokenTable) TryTake(qt QToken) (QEvent, bool, error) {
 // must never let one tenant steal or cancel another's completion. The
 // rejection is indistinguishable from an unknown token, so probing leaks
 // nothing about the victim's outstanding ops.
+//
+//demi:nonalloc
 func (t *TokenTable) TryTakeAs(qt QToken, tid uint32) (QEvent, bool, error) {
-	op, exists := t.ops[qt]
-	if !exists {
+	s := t.slot(qt)
+	if s == nil {
 		return QEvent{}, false, ErrBadQToken
 	}
-	if op.tenant != tid {
+	if s.tenant != tid {
 		t.forgeries++
 		if t.onForgery != nil {
-			t.onForgery(op.tenant, tid)
+			t.onForgery(s.tenant, tid)
 		}
 		return QEvent{}, false, ErrBadQToken
 	}
-	return t.take(qt, op)
+	return t.take(s)
 }
 
-// take finishes a redemption whose principal check already passed.
-func (t *TokenTable) take(qt QToken, op *Op) (QEvent, bool, error) {
-	if !op.done {
+// take finishes a redemption whose principal check already passed. A slot
+// that is not done answers from the slot alone; a done one is freed at its
+// next generation, so the token just redeemed is already stale.
+//
+//demi:nonalloc
+func (t *TokenTable) take(s *tokenSlot) (QEvent, bool, error) {
+	if !s.done {
 		return QEvent{}, false, nil
 	}
-	delete(t.ops, qt)
+	op := s.op
+	t.release(s, (op.qt>>tokenIdxBits+1)&tokenGenMask)
 	if t.rec != nil && t.clock != nil {
 		t.rec.Record(telemetry.Span{
-			Token:     uint64(qt),
+			Token:     op.seq,
 			Core:      t.coreID,
 			Op:        uint8(op.ev.Op),
 			QD:        int32(op.ev.QD),
@@ -221,27 +330,17 @@ func (t *TokenTable) take(qt QToken, op *Op) (QEvent, bool, error) {
 		if ctx == 0 {
 			ctx = op.ev.SGA.TraceCtx() // pops learn the context from the delivered data
 		}
-		t.dt.OpSpan(ctx, uint64(qt), uint8(op.ev.Op), int32(op.ev.QD),
+		t.dt.OpSpan(ctx, op.seq, uint8(op.ev.Op), int32(op.ev.QD),
 			int64(op.issuedAt), int64(op.completedAt), int64(t.clock.Now()))
 	}
 	return op.ev, true, nil
 }
 
-// Cancel fails an outstanding operation with ErrQueueClosed, so a waiter
-// redeems an error instead of hanging. No queue calls it: each closing
-// queue fails its own parked ops through Op.Fail, which needs no lookup;
-// this is the by-token form of the same thing.
-func (t *TokenTable) Cancel(qt QToken, qd QDesc, opc OpCode) {
-	if op, ok := t.ops[qt]; ok && !op.done {
-		op.Fail(qd, opc, ErrQueueClosed)
-	}
-}
-
 // Outstanding returns the number of incomplete operations.
 func (t *TokenTable) Outstanding() int {
 	n := 0
-	for _, op := range t.ops {
-		if !op.done {
+	for i := range t.slots {
+		if s := &t.slots[i]; s.op != nil && !s.done {
 			n++
 		}
 	}

@@ -111,8 +111,8 @@ func (w *refWaiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, erro
 }
 
 // secondTag marks tokens of a world's second table, as demi.Combined's
-// storTokenTag does.
-const secondTag = 1 << 30
+// storTokenTag does: bit 63, the one bit a table never sets in a token.
+const secondTag = 1 << 63
 
 // shape is how a world's waiter reaches its tokens.
 type shape int

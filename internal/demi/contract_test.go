@@ -9,6 +9,11 @@ package demi_test
 // catnip, catloop, catmint, catmem, cattree and demi.Combined through it and
 // requires the documented sentinel for every refusal.
 //
+// The token rows say what a qtoken is worth once it is not an outstanding
+// operation of the libOS it is shown to — redeemed, re-minted over, never
+// minted, minted elsewhere: ErrBadQToken, nothing consumed, nothing else
+// disturbed.
+//
 // The lifecycle table below does the same for Close: DESIGN.md §3 states
 // once what closing a queue does to parked operations, to undelivered data
 // and to the peer, and rows L1–L6 hold every libOS to it.
@@ -75,6 +80,9 @@ type world struct {
 	// pinsHeap: the stack posts its receive buffers from the application
 	// heap (Catmint), so the live count never returns to zero.
 	pinsHeap bool
+	// foreign mints a token on another instance of the libOS. Worlds with a
+	// server leave it nil: the server mints one before the client runs.
+	foreign func() core.QToken
 	// run executes the two applications to completion. The server calls
 	// listening once peers may dial.
 	run func(srv func(listening func()), cli func())
@@ -164,8 +172,11 @@ func worlds(t *testing.T) []world {
 		eng := sim.NewEngine(55)
 		n := eng.NewNode("stor")
 		l := cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<16))
+		other := eng.NewNode("other")
+		l2 := cattree.New(other, spdkdev.New(other, spdkdev.OptaneParams(), 1<<16))
 		ws = append(ws, world{name: "cattree", logs: true,
-			cli: &endpoint{os: l, tables: []*core.TokenTable{l.Tokens()}}, run: simRun(eng, nil, n)})
+			cli: &endpoint{os: l, tables: []*core.TokenTable{l.Tokens()}}, run: simRun(eng, nil, n),
+			foreign: func() core.QToken { return must(l2.Pop(must(l2.Queue()))) }})
 	}
 	{
 		eng := sim.NewEngine(56)
@@ -200,11 +211,20 @@ func worlds(t *testing.T) []world {
 	return ws
 }
 
+// must unwraps a set-up call that has no reason to fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // app wraps one endpoint's libcalls with the test's bookkeeping.
 type app struct {
-	t  *testing.T
-	os demi.LibOS
-	mq core.QDesc // an in-memory queue, the token-numbering probe
+	t      *testing.T
+	os     demi.LibOS
+	tables []*core.TokenTable // the endpoint's, for the issue sequence
+	mq     core.QDesc         // an in-memory queue, the probe's
 }
 
 func (a *app) buf() core.SGArray { return core.SGA(memory.CopyFrom(a.os.Heap(), []byte("contract"))) }
@@ -241,15 +261,15 @@ func (a *app) wait(what string, qt core.QToken, err error) core.QEvent {
 }
 
 // roundTrip pushes a buffer through the in-memory queue and pops it back,
-// returning the first and last token it minted.
-func (a *app) roundTrip() (first, last core.QToken) {
+// returning the two tokens it minted and redeemed, the pop's last.
+func (a *app) roundTrip() (pop, push core.QToken) {
 	a.t.Helper()
 	sent := a.buf()
 	pop, err := a.os.Pop(a.mq)
 	if err != nil {
 		a.t.Errorf("pop(mq): %v", err)
 	}
-	push, err := a.os.Push(a.mq, sent)
+	push, err = a.os.Push(a.mq, sent)
 	if ev := a.wait("push(mq)", push, err); ev.Err != nil {
 		a.t.Errorf("push(mq) completed with %v", ev.Err)
 	}
@@ -261,29 +281,114 @@ func (a *app) roundTrip() (first, last core.QToken) {
 	return pop, push
 }
 
+// mem is the network-side probe: the table still mints and redeems.
+func (a *app) mem() { a.roundTrip() }
+
 // popEOF pops a log at its end, which completes at once: the storage-side
-// numbering probe.
-func (a *app) popEOF(log core.QDesc) func() (core.QToken, core.QToken) {
-	return func() (core.QToken, core.QToken) {
+// probe.
+func (a *app) popEOF(log core.QDesc) func() {
+	return func() {
 		a.t.Helper()
 		qt, err := a.os.Pop(log)
 		if ev := a.wait("pop(log)", qt, err); ev.Err != nil || len(ev.SGA.Segs) != 0 {
 			a.t.Errorf("pop at the end of an empty log: %+v", ev)
 		}
-		return qt, qt
 	}
 }
 
-// refuse requires call to fail with want and to leave token numbering
-// alone: the probe's tokens before and after are consecutive.
-func (a *app) refuse(what string, want error, probe func() (core.QToken, core.QToken), call func() error) {
+// issued is how many operations the endpoint's tables have numbered.
+func (a *app) issued() (n uint64) {
+	for _, tbl := range a.tables {
+		n += tbl.Issued()
+	}
+	return n
+}
+
+// refuse requires call to fail with want and to be invisible to later
+// numbering: the issue sequence — the number an operation's spans carry; a
+// token's own value is a slot and a generation and says nothing of order —
+// stands where it stood, and the probe that follows, minting in the table
+// the refused call would have, still completes and redeems.
+func (a *app) refuse(what string, want error, probe func(), call func() error) {
 	a.t.Helper()
-	_, before := probe()
+	before := a.issued()
 	if err := call(); !errors.Is(err, want) {
 		a.t.Errorf("%s = %v, want %v", what, err, want)
 	}
-	if after, _ := probe(); after != before+1 {
-		a.t.Errorf("%s consumed a token number: probe minted %d, then %d", what, before, after)
+	if after := a.issued(); after != before {
+		a.t.Errorf("%s consumed a token number: %d issued before it, %d after", what, before, after)
+	}
+	probe()
+}
+
+// tokenRows presents the libOS with every kind of token that is not one of
+// its outstanding operations. foreign was minted by another instance.
+func (a *app) tokenRows(foreign core.QToken) {
+	t, os := a.t, a.os
+	// A token's low 24 bits name its slot, the bits above them the slot's
+	// generation (core/token.go).
+	const slotBits, slotMask = 24, 1<<24 - 1
+	lq, err := os.Queue()
+	if err != nil {
+		t.Errorf("queue: %v", err)
+		return
+	}
+	live, err := os.Pop(lq) // outstanding throughout: what a bad token must not disturb
+	if err != nil {
+		t.Errorf("pop(queue): %v", err)
+	}
+	// Alone and behind an outstanding token; a zero timeout, so that a
+	// token taken for an outstanding operation is a failure and not a hang.
+	bad := func(what string, qt core.QToken) {
+		t.Helper()
+		for _, set := range [][]core.QToken{{qt}, {live, qt}} {
+			if i, _, err := os.WaitAny(set, 0); i != -1 || !errors.Is(err, core.ErrBadQToken) {
+				t.Errorf("wait_any(%d tokens, the last %s) = %d, %v, want ErrBadQToken", len(set), what, i, err)
+			}
+		}
+	}
+
+	pop, push := a.roundTrip()
+	bad("a redeemed push", push)
+	bad("a redeemed pop", pop)
+	// The slot freed last is minted next: the stale token fails, the new
+	// operation completes and redeems once.
+	again, err := os.Pop(a.mq)
+	if err != nil || again == pop || again&slotMask != pop&slotMask {
+		t.Errorf("pop(mq) = %#x, %v; want the slot of %#x at its next generation", again, err, pop)
+	}
+	bad("a token whose slot has been re-minted", pop)
+	sent := a.buf()
+	pqt, err := os.Push(a.mq, sent)
+	a.wait("push(mq)", pqt, err)
+	if ev := a.wait("pop(mq) in a re-minted slot", again, nil); len(ev.SGA.Segs) != 1 || ev.SGA.Segs[0] != sent.Segs[0] {
+		t.Errorf("the re-minted slot's operation: %+v", ev)
+	}
+	sent.Free()
+	bad("the re-minted slot's token, redeemed", again)
+
+	bad("InvalidQToken", core.InvalidQToken)
+	bad("an index past the table", slotMask)
+	bad("an outstanding index at another generation", live+1<<slotBits)
+	if _, routes := os.(*demi.Combined); !routes {
+		bad("an outstanding token with bit 63 set", live|1<<63)
+	}
+	if _, here := a.tables[0].Lookup(foreign); here {
+		t.Errorf("test set-up: the other instance's token %#x names an operation here too", foreign)
+	} else {
+		bad("a token minted by another instance", foreign)
+	}
+
+	// None of it touched the outstanding operation.
+	sent = a.buf()
+	pqt, err = os.Push(lq, sent)
+	a.wait("push(queue)", pqt, err)
+	if ev := a.wait("the pop outstanding throughout", live, nil); len(ev.SGA.Segs) != 1 || ev.SGA.Segs[0] != sent.Segs[0] {
+		t.Errorf("the pop outstanding throughout: %+v", ev)
+	}
+	sent.Free()
+	if err := os.Close(lq); err != nil {
+		t.Errorf("close(queue): %v", err)
 	}
 }
 
@@ -295,7 +400,7 @@ func (a *app) refusals(w world) {
 		t.Errorf("queue: %v", err)
 		return
 	}
-	mem := a.roundTrip
+	mem := a.mem
 	const bad = core.QDesc(9999)
 	peer := core.Addr{IP: ipA, Port: 9}
 	qt := func(_ core.QToken, err error) error { return err }
@@ -389,7 +494,7 @@ func (a *app) refusals(w world) {
 
 // onConnection drives the refusals that need an established connection.
 func (a *app) onConnection(conn core.QDesc, peer core.Addr) {
-	os, mem := a.os, a.roundTrip
+	os, mem := a.os, a.mem
 	qt := func(_ core.QToken, err error) error { return err }
 	a.refuse("accept on a connection", core.ErrNotSupported, mem, func() error { return qt(os.Accept(conn)) })
 	// L6: a connection is not a socket any more.
@@ -405,21 +510,35 @@ func TestPDPIXContract(t *testing.T) {
 	for _, w := range worlds(t) {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
+			var foreign core.QToken // minted by another instance of the libOS
+			if w.foreign != nil {
+				foreign = w.foreign()
+			}
 			server := func(listening func()) {
-				a := &app{t: t, os: w.srv.os}
+				a := &app{t: t, os: w.srv.os, tables: w.srv.tables}
 				os := a.os
 				a.mq, _ = os.Queue()
 				lqd := a.listen(w.srv.addr)
+				// A token for the client to show its own libOS, minted
+				// before the client runs and still good here afterwards.
+				fq := must(os.Queue())
+				foreign = must(os.Pop(fq))
+				defer func() {
+					if err := os.Close(fq); err != nil {
+						t.Errorf("server close(%d): %v", fq, err)
+					}
+					a.closedOp("the pop whose token the client was shown", a.wait("pop(queue)", foreign, nil))
+				}()
 				listening()
 				qt := func(_ core.QToken, err error) error { return err }
 				if got := w.srv.state(lqd); got != w.listener {
 					t.Errorf("after Listen the descriptor holds %s, want %s", got, w.listener)
 				}
-				a.refuse("connect on a listener", core.ErrNotSupported, a.roundTrip, func() error { return qt(os.Connect(lqd, w.cli.addr)) })
+				a.refuse("connect on a listener", core.ErrNotSupported, a.mem, func() error { return qt(os.Connect(lqd, w.cli.addr)) })
 				// L6: neither is a listener.
-				a.refuse("listen on a listener", core.ErrNotSupported, a.roundTrip, func() error { return os.Listen(lqd, 8) })
-				a.refuse("bind on a listener", core.ErrNotSupported, a.roundTrip, func() error { return os.Bind(lqd, w.srv.addr) })
-				a.refuse("pop on a listener", core.ErrNotBound, a.roundTrip, func() error { return qt(os.Pop(lqd)) })
+				a.refuse("listen on a listener", core.ErrNotSupported, a.mem, func() error { return os.Listen(lqd, 8) })
+				a.refuse("bind on a listener", core.ErrNotSupported, a.mem, func() error { return os.Bind(lqd, w.srv.addr) })
+				a.refuse("pop on a listener", core.ErrNotBound, a.mem, func() error { return qt(os.Pop(lqd)) })
 				aqt, err := os.Accept(lqd)
 				ev := a.wait("accept", aqt, err)
 				if ev.Err != nil {
@@ -442,9 +561,10 @@ func TestPDPIXContract(t *testing.T) {
 				}
 			}
 			client := func() {
-				a := &app{t: t, os: w.cli.os}
+				a := &app{t: t, os: w.cli.os, tables: w.cli.tables}
 				os := a.os
 				a.refusals(w)
+				a.tokenRows(foreign)
 				if w.srv != nil {
 					qd, err := os.Socket(core.SockStream)
 					if err != nil {

@@ -70,9 +70,10 @@ type Drivable interface {
 }
 
 // storTag marks descriptors owned by the storage libOS and storTokenTag its
-// tokens. Tokens are minted sequentially per table as a uint64, so their tag
-// sits at bit 63, out of any count a run reaches: at bit 30 the 2³⁰-th
-// network operation minted a token that routed to the storage table.
+// tokens. A token is a slot index and a generation packed into the low 63
+// bits (core/token.go), so the tag sits at bit 63, the one bit no table sets:
+// at bit 30 a network token minted in a slot's 64th generation (and, when
+// tokens were a count, the 2³⁰-th one) routed to the storage table.
 const (
 	storTag      core.QDesc  = 1 << 30
 	storTokenTag core.QToken = 1 << 63
