@@ -15,7 +15,9 @@ import (
 type Client struct {
 	lib demi.LibOS
 	qd  core.QDesc
-	buf []byte
+	buf []byte         // received bytes of replies not yet returned
+	out []byte         // the request being sent
+	seg [1]*memory.Buf // every push's segment
 }
 
 // Dial connects to the server.
@@ -55,17 +57,14 @@ func (c *Client) Close() { c.lib.Close(c.qd) }
 
 // Do sends one command and waits for its reply.
 func (c *Client) Do(args ...[]byte) (Reply, error) {
-	out := memory.CopyFrom(c.lib.Heap(), EncodeCommand(args...))
-	qt, err := c.lib.Push(c.qd, core.SGA(out))
-	if err != nil {
-		out.Free()
-		return Reply{}, err
+	c.out = appendCommand(c.out[:0], args...)
+	ev, refused, err := pushCopy(c.lib, &c.seg, c.qd, c.out)
+	if refused != nil {
+		return Reply{}, refused
 	}
-	ev, err := c.lib.Wait(qt)
 	if err != nil {
 		return Reply{}, err
 	}
-	out.Free()
 	if ev.Err != nil {
 		// Failed push (connection died): surface it now rather than
 		// blocking on a reply that will never come.
@@ -73,7 +72,7 @@ func (c *Client) Do(args ...[]byte) (Reply, error) {
 	}
 	for {
 		if reply, n, ok, err := ParseReply(c.buf); ok {
-			c.buf = c.buf[n:]
+			c.buf = c.buf[:copy(c.buf, c.buf[n:])]
 			return reply, err
 		}
 		pqt, err := c.lib.Pop(c.qd)
@@ -90,7 +89,7 @@ func (c *Client) Do(args ...[]byte) (Reply, error) {
 		if len(ev.SGA.Segs) == 0 {
 			return Reply{}, core.ErrQueueClosed
 		}
-		c.buf = append(c.buf, ev.SGA.Flatten()...)
+		c.buf = appendSegs(c.buf, ev.SGA)
 		ev.SGA.Free()
 	}
 }

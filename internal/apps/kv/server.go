@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"slices"
 
 	"demikernel/internal/core"
 	"demikernel/internal/demi"
@@ -28,10 +29,24 @@ type ServerStats struct {
 	Connections      uint64
 }
 
-// connState buffers one connection's partial commands.
-type connState struct {
+// conn is one connection: its descriptor and the received bytes of
+// commands not yet complete, kept at the front of buf.
+type conn struct {
 	qd  core.QDesc
 	buf []byte
+}
+
+// server is one Server call's state, reused by every command of every
+// connection.
+type server struct {
+	l       demi.LibOS
+	store   *Store
+	logQD   core.QDesc
+	stats   *ServerStats
+	cmd     Command        // the command being served; its arguments alias a conn's buf
+	replies []byte         // the replies to one pop's commands
+	rec     []byte         // one AOF record
+	seg     [1]*memory.Buf // every push's segment
 }
 
 // Server runs the KV server until the libOS stops. Startup replays the
@@ -40,15 +55,13 @@ func Server(l demi.LibOS, cfg ServerConfig, stats *ServerStats) error {
 	if cfg.MaxConns == 0 {
 		cfg.MaxConns = 64
 	}
-	store := NewStore()
-	logQD := core.InvalidQD
+	s := &server{l: l, store: NewStore(), logQD: core.InvalidQD, stats: stats}
 	if cfg.AOFName != "" {
 		var err error
-		logQD, err = l.Open(cfg.AOFName)
-		if err != nil {
+		if s.logQD, err = l.Open(cfg.AOFName); err != nil {
 			return fmt.Errorf("kv: open aof: %w", err)
 		}
-		if err := replayAOF(l, logQD, store, stats); err != nil {
+		if err := replayAOF(l, s.logQD, s.store, stats); err != nil {
 			return fmt.Errorf("kv: aof replay: %w", err)
 		}
 	}
@@ -67,12 +80,14 @@ func Server(l demi.LibOS, cfg ServerConfig, stats *ServerStats) error {
 	if err != nil {
 		return err
 	}
+	// tokens[i] is the operation pending for conns[i]: the listener's
+	// accept at 0 (conns[0] is nil), a pop for every connection after it.
 	tokens := []core.QToken{aqt}
-	conns := map[core.QToken]*connState{}
-
-	drop := func(i int, c *connState) {
-		l.Close(c.qd)
-		tokens = append(tokens[:i], tokens[i+1:]...)
+	conns := []*conn{nil}
+	drop := func(i int) {
+		l.Close(conns[i].qd)
+		tokens = slices.Delete(tokens, i, i+1)
+		conns = slices.Delete(conns, i, i+1)
 	}
 
 	for {
@@ -83,10 +98,10 @@ func Server(l demi.LibOS, cfg ServerConfig, stats *ServerStats) error {
 		if ev.Op == core.OpAccept {
 			if ev.Err == nil {
 				stats.Connections++
-				c := &connState{qd: ev.NewQD}
+				c := &conn{qd: ev.NewQD}
 				if pqt, perr := l.Pop(c.qd); perr == nil {
 					tokens = append(tokens, pqt)
-					conns[pqt] = c
+					conns = append(conns, c)
 				}
 			}
 			if aqt, err = l.Accept(lqd); err != nil {
@@ -96,125 +111,152 @@ func Server(l demi.LibOS, cfg ServerConfig, stats *ServerStats) error {
 			continue
 		}
 		// Pop on a connection.
-		qt := tokens[i]
-		c := conns[qt]
-		delete(conns, qt)
+		c := conns[i]
 		if ev.Err != nil || len(ev.SGA.Segs) == 0 {
-			drop(i, c)
+			drop(i)
 			continue
 		}
-		c.buf = append(c.buf, ev.SGA.Flatten()...)
+		c.buf = appendSegs(c.buf, ev.SGA)
 		ev.SGA.Free()
-		reply, fatal := serveBuffered(l, store, logQD, c, stats)
+		reply, ok, fatal := s.serve(c)
 		if fatal != nil {
 			return nil
 		}
-		if reply == nil {
+		if !ok {
 			// Malformed protocol: hang up.
-			drop(i, c)
+			drop(i)
 			continue
 		}
 		if len(reply) > 0 {
-			out := memory.CopyFrom(l.Heap(), reply)
-			wqt, werr := l.Push(c.qd, core.SGA(out))
-			if werr != nil {
-				out.Free() // failed push leaves ownership with us
-				drop(i, c)
+			if _, refused, err := pushCopy(l, &s.seg, c.qd, reply); refused != nil {
+				drop(i)
 				continue
-			}
-			if _, werr := l.Wait(wqt); werr != nil {
+			} else if err != nil {
 				return nil
 			}
-			out.Free()
 		}
 		pqt, perr := l.Pop(c.qd)
 		if perr != nil {
-			drop(i, c)
+			drop(i)
 			continue
 		}
 		tokens[i] = pqt
-		conns[pqt] = c
 	}
 }
 
-// serveBuffered executes every complete command in the connection buffer,
-// returning the concatenated replies. A nil reply signals a protocol
-// error; a non-nil error signals libOS shutdown.
-func serveBuffered(l demi.LibOS, store *Store, logQD core.QDesc, c *connState, stats *ServerStats) ([]byte, error) {
-	var replies []byte
+// appendSegs appends the bytes of sga's segments to dst.
+func appendSegs(dst []byte, sga core.SGArray) []byte {
+	for _, b := range sga.Segs {
+		dst = append(dst, b.Bytes()...)
+	}
+	return dst
+}
+
+// pushCopy copies b into one DMA buffer, pushes it to qd as the one segment
+// of *seg and waits for the push. refused is Push's own error, after which
+// the buffer, never handed over, is freed; err is Wait's, which only a
+// libOS that is stopping returns.
+//
+// The caller owns *seg and reuses it for every push. That is safe because
+// each libOS the KV app runs over (Catnip, Catnap, Catmint, Cattree and the
+// kernel baselines around them) has read the array by the time the push
+// completes; on an ownership-transfer queue (Catmem, Queue()) the array
+// itself would travel on to the popper.
+func pushCopy(l demi.LibOS, seg *[1]*memory.Buf, qd core.QDesc, b []byte) (ev core.QEvent, refused, err error) {
+	buf := memory.CopyFrom(l.Heap(), b)
+	seg[0] = buf
+	qt, refused := l.Push(qd, core.SGArray{Segs: seg[:]})
+	if refused != nil {
+		buf.Free()
+		return ev, refused, nil
+	}
+	if ev, err = l.Wait(qt); err != nil {
+		return ev, nil, err
+	}
+	buf.Free()
+	return ev, nil, nil
+}
+
+// serve executes every complete command in c's buffer and returns their
+// replies, which stay valid until the next call. ok is false on a protocol
+// error; a non-nil error signals libOS shutdown. What serve consumed, it
+// removes from the front of c.buf.
+func (s *server) serve(c *conn) (replies []byte, ok bool, err error) {
+	replies = s.replies[:0]
+	off := 0
 	for {
-		cmd, n, ok, perr := ParseCommand(c.buf)
+		cmd, n, complete, perr := parseCommand(s.cmd, c.buf[off:])
 		if perr != nil {
-			return nil, nil
+			return nil, false, nil
 		}
-		if !ok {
+		if !complete {
 			break
 		}
-		c.buf = c.buf[n:]
-		stats.Commands++
-		// AOF rewrite: compact the log to one SET per live key (Redis's
-		// BGREWRITEAOF, done in the foreground as the paper's Cattree is
-		// a synchronous log).
-		if cmd.Name() == "REWRITEAOF" && logQD != core.InvalidQD {
-			if err := rewriteAOF(l, logQD, store, stats); err != nil {
-				return nil, err
-			}
-			replies = append(replies, SimpleString("OK")...)
-			continue
-		}
-		if logQD != core.InvalidQD && IsWrite(cmd.Name()) {
-			stats.Writes++
-			rec := memory.CopyFrom(l.Heap(), EncodeCommand(cmd...))
-			lqt, lerr := l.Push(logQD, core.SGA(rec))
-			if lerr != nil {
-				// Degrade, don't die: the write is refused (it was never
-				// durable) and the client told why; reads and the server
-				// itself keep going.
-				rec.Free()
-				stats.AOFErrors++
-				replies = append(replies, ErrorReply("ERR aof write failed: "+lerr.Error())...)
+		s.cmd = cmd
+		off += n
+		s.stats.Commands++
+		name := cmd.Name()
+		if s.logQD != core.InvalidQD {
+			// AOF rewrite: compact the log to one SET per live key (Redis's
+			// BGREWRITEAOF, done in the foreground as the paper's Cattree is
+			// a synchronous log).
+			if name == "REWRITEAOF" {
+				if err := s.rewriteAOF(); err != nil {
+					return nil, false, err
+				}
+				replies = appendLine(replies, respSimple, "OK")
 				continue
 			}
-			lev, lerr := l.Wait(lqt)
-			if lerr != nil {
-				return nil, lerr // waiter shutdown is fatal, not an I/O error
+			if IsWrite(name) {
+				s.stats.Writes++
+				s.rec = appendCommand(s.rec[:0], cmd...)
+				ev, failed, err := pushCopy(s.l, &s.seg, s.logQD, s.rec)
+				if err != nil {
+					return nil, false, err // waiter shutdown is fatal, not an I/O error
+				}
+				if failed == nil {
+					failed = ev.Err
+				}
+				if failed != nil {
+					// Degrade, don't die: the write is refused (it was never
+					// durable) and the client told why; reads and the server
+					// itself keep going.
+					s.stats.AOFErrors++
+					replies = appendLine(replies, respError, "ERR aof write failed: ", failed.Error())
+					continue
+				}
+				s.stats.AOFRecords++
 			}
-			rec.Free()
-			if lev.Err != nil {
-				stats.AOFErrors++
-				replies = append(replies, ErrorReply("ERR aof write failed: "+lev.Err.Error())...)
-				continue
-			}
-			stats.AOFRecords++
 		}
-		replies = append(replies, store.Execute(cmd)...)
+		replies = s.store.AppendReply(replies, cmd)
 	}
-	return replies, nil
+	c.buf = c.buf[:copy(c.buf, c.buf[off:])]
+	s.replies = replies
+	return replies, true, nil
 }
 
 // rewriteAOF truncates the log and writes a snapshot: one SET per key.
-func rewriteAOF(l demi.LibOS, logQD core.QDesc, store *Store, stats *ServerStats) error {
-	s, ok := l.(demi.StorageOS)
+func (s *server) rewriteAOF() error {
+	st, ok := s.l.(demi.StorageOS)
 	if !ok {
 		return core.ErrNotSupported
 	}
-	if err := s.Truncate(logQD); err != nil {
+	if err := st.Truncate(s.logQD); err != nil {
 		return err
 	}
-	for _, cmd := range store.Snapshot() {
-		rec := memory.CopyFrom(l.Heap(), EncodeCommand(cmd...))
-		qt, err := l.Push(logQD, core.SGA(rec))
+	for _, cmd := range s.store.Snapshot() {
+		s.rec = appendCommand(s.rec[:0], cmd...)
+		ev, refused, err := pushCopy(s.l, &s.seg, s.logQD, s.rec)
+		if refused != nil {
+			return refused
+		}
 		if err != nil {
-			rec.Free() // failed push leaves ownership with us
 			return err
 		}
-		if ev, err := l.Wait(qt); err != nil {
-			return err
-		} else if ev.Err != nil {
+		if ev.Err != nil {
 			return ev.Err
 		}
-		rec.Free()
-		stats.AOFRecords++
+		s.stats.AOFRecords++
 	}
 	return nil
 }
@@ -225,6 +267,8 @@ func replayAOF(l demi.LibOS, logQD core.QDesc, store *Store, stats *ServerStats)
 	if s, ok := l.(demi.StorageOS); ok {
 		s.Seek(logQD, 0)
 	}
+	var data []byte
+	var cmd Command
 	for {
 		pqt, err := l.Pop(logQD)
 		if err != nil {
@@ -240,14 +284,14 @@ func replayAOF(l demi.LibOS, logQD core.QDesc, store *Store, stats *ServerStats)
 		if len(ev.SGA.Segs) == 0 {
 			return nil // EOF
 		}
-		data := ev.SGA.Flatten()
+		data = appendSegs(data[:0], ev.SGA)
 		ev.SGA.Free()
-		for len(data) > 0 {
-			cmd, n, ok, perr := ParseCommand(data)
+		for off := 0; off < len(data); {
+			parsed, n, ok, perr := parseCommand(cmd, data[off:])
 			if perr != nil || !ok {
 				break
 			}
-			data = data[n:]
+			cmd, off = parsed, off+n
 			store.Execute(cmd)
 			stats.ReplayedRecords++
 		}

@@ -203,8 +203,8 @@ type conn struct {
 	tenant uint32 // owning principal (0 = host)
 	rx, tx *ring
 	peer   *conn
-	pops   []*core.Op
-	pushes []pendingPush
+	pops   sim.Ring[*core.Op]
+	pushes sim.Ring[pendingPush]
 	// closed: this side released the descriptor. peerClosed: the peer
 	// did (remaining rx data stays poppable — half-close). dead: the
 	// pair was killed by a peer-death fault.
@@ -250,7 +250,7 @@ func (c *conn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 			l.dt.Fault(ctx, l.siteRingFull, int64(l.node.Now()))
 		}
 		l.stats.Stalls++
-		c.pushes = append(c.pushes, pendingPush{op: op, sga: sga, parkedAt: l.node.Now()})
+		c.pushes.Push(pendingPush{op: op, sga: sga, parkedAt: l.node.Now()})
 		l.armStallRetry()
 		return nil
 	}
@@ -283,7 +283,7 @@ func (c *conn) Pop(op *core.Op) error {
 	case c.closed:
 		op.Fail(c.qd, core.OpPop, core.ErrQueueClosed)
 	default:
-		c.pops = append(c.pops, op)
+		c.pops.Push(op)
 	}
 	return nil
 }
@@ -293,13 +293,12 @@ func (c *conn) Pop(op *core.Op) error {
 func (c *conn) step() bool {
 	l := c.lib
 	progress := false
-	for len(c.pops) > 0 {
+	for c.pops.Len() > 0 {
 		sga, ok := c.rx.tryPop()
 		if !ok {
 			break
 		}
-		op := c.pops[0]
-		c.pops = c.pops[1:]
+		op := c.pops.Pop()
 		l.node.Charge(costmodel.ShmRingOp)
 		l.stats.Pops++
 		l.bumpPop(c.tenant)
@@ -308,18 +307,17 @@ func (c *conn) step() bool {
 		c.wakePeer()
 		progress = true
 	}
-	if len(c.pops) > 0 && (c.dead || c.peerClosed) {
-		for _, op := range c.pops {
-			if c.dead {
+	if c.pops.Len() > 0 && (c.dead || c.peerClosed) {
+		for c.pops.Len() > 0 {
+			if op := c.pops.Pop(); c.dead {
 				op.Fail(c.qd, core.OpPop, core.ErrQueueClosed)
 			} else {
 				op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop}) // EOF
 			}
 		}
-		c.pops = nil
 		progress = true
 	}
-	if len(c.pushes) > 0 {
+	if c.pushes.Len() > 0 {
 		switch {
 		case c.dead || c.closed || c.peerClosed:
 			c.failParkedPushes()
@@ -327,9 +325,8 @@ func (c *conn) step() bool {
 		case l.flts.RingFull.Active(l.node.Now()):
 			l.armStallRetry() // still stalled: retry when the window ends
 		default:
-			for len(c.pushes) > 0 && c.tx.tryPush(c.pushes[0].sga) {
-				p := c.pushes[0]
-				c.pushes = c.pushes[1:]
+			for c.pushes.Len() > 0 && c.tx.tryPush(c.pushes.Front().sga) {
+				p := c.pushes.Pop()
 				l.node.Charge(costmodel.ShmRingOp)
 				l.stats.Pushes++
 				l.bumpPush(c.tenant)
@@ -339,7 +336,7 @@ func (c *conn) step() bool {
 				c.wakePeer()
 				progress = true
 			}
-			if len(c.pushes) > 0 {
+			if c.pushes.Len() > 0 {
 				l.armStallRetry()
 			}
 		}
@@ -350,11 +347,11 @@ func (c *conn) step() bool {
 // failParkedPushes frees and fails every parked push: the queue accepted
 // the buffers and can no longer deliver them, so it frees them.
 func (c *conn) failParkedPushes() {
-	for _, p := range c.pushes {
+	for c.pushes.Len() > 0 {
+		p := c.pushes.Pop()
 		p.sga.Free()
 		p.op.Fail(c.qd, core.OpPush, core.ErrQueueClosed)
 	}
-	c.pushes = nil
 }
 
 // drainFree reclaims every undelivered buffer still in the endpoint's
@@ -377,10 +374,9 @@ func (c *conn) Close() {
 		return
 	}
 	c.closed = true
-	for _, op := range c.pops {
-		op.Fail(c.qd, core.OpPop, core.ErrQueueClosed)
+	for c.pops.Len() > 0 {
+		c.pops.Pop().Fail(c.qd, core.OpPop, core.ErrQueueClosed)
 	}
-	c.pops = nil
 	c.failParkedPushes()
 	c.drainFree()
 	if p := c.peer; p != nil {
@@ -398,10 +394,9 @@ func (c *conn) killPair() {
 			continue
 		}
 		e.dead = true
-		for _, op := range e.pops {
-			op.Fail(e.qd, core.OpPop, core.ErrQueueClosed)
+		for e.pops.Len() > 0 {
+			e.pops.Pop().Fail(e.qd, core.OpPop, core.ErrQueueClosed)
 		}
-		e.pops = nil
 		e.failParkedPushes()
 		if !e.closed {
 			e.drainFree()
@@ -412,7 +407,7 @@ func (c *conn) killPair() {
 
 // finished reports whether the endpoint can be dropped from the Step scan.
 func (c *conn) finished() bool {
-	return (c.closed || c.dead) && len(c.pops) == 0 && len(c.pushes) == 0
+	return (c.closed || c.dead) && c.pops.Len() == 0 && c.pushes.Len() == 0
 }
 
 // armStallRetry schedules a self-wakeup so parked pushes are retried

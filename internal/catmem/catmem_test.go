@@ -521,3 +521,53 @@ func TestCatmemQueue(t *testing.T) {
 	eng.Run()
 	checkClean(t, r, cli)
 }
+
+// A pop that parks on an empty ring and is then matched by the peer's push
+// allocates nothing beyond the two Ops behind its tokens: the parked
+// operations wait in rings that are reused in place (a slice re-sliced from
+// the front walked off its array and regrew for every parked pop).
+func TestCatmemParkAllocs(t *testing.T) {
+	eng, r, srv, cli := duo(14)
+	eng.Spawn(srv.Node(), func() {
+		lqd := listen(t, srv, 7014)
+		aqt, _ := srv.Accept(lqd)
+		if _, err := srv.Wait(aqt); err != nil {
+			t.Errorf("accept: %v", err)
+		}
+	})
+	eng.Spawn(cli.Node(), func() { dial(t, cli, 7014) })
+	eng.Run()
+	if len(srv.conns) != 1 || len(cli.conns) != 1 {
+		t.Fatalf("%d and %d endpoints, want one each", len(srv.conns), len(cli.conns))
+	}
+	rx, tx := srv.conns[0], cli.conns[0]
+	segs := make([]*memory.Buf, 1) // the pusher's own array: an SGA per push is not what is measured
+	payload := []byte("parked")
+	cycle := func() {
+		pop, push := srv.Tokens().New(), cli.Tokens().New()
+		rx.Pop(pop) // the ring is empty: the pop parks
+		if rx.pops.Len() != 1 {
+			t.Fatal("the pop did not park")
+		}
+		segs[0] = memory.CopyFrom(r.Heap(), payload)
+		tx.Push(push, core.SGArray{Segs: segs}, core.Addr{})
+		eng.Run()
+		for srv.Step() {
+		}
+		ev, done, err := srv.Tokens().TryTake(pop.Token())
+		if !done || err != nil || ev.SGA.TotalLen() != len(payload) {
+			t.Fatalf("the push did not complete the parked pop: done=%v err=%v", done, err)
+		}
+		ev.SGA.Free()
+		if _, done, err := cli.Tokens().TryTake(push.Token()); !done || err != nil {
+			t.Fatalf("push: done=%v err=%v", done, err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle() // the rings and the event queue reach their working size
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg > 2 {
+		t.Errorf("a parked pop matched by a push allocates %.1f objects, want at most the two Ops", avg)
+	}
+	checkClean(t, r, srv, cli)
+}

@@ -94,6 +94,7 @@ type LibOS struct {
 	parts   map[string]*partition
 	nParts  int
 	dirTail int64
+	recs    []*appendRec // append records between appends
 	reg     *telemetry.Registry
 	stats   counters
 }
@@ -155,22 +156,29 @@ func (l *LibOS) appendDirRecord(idx int, gen uint32, name string) {
 	payload[0] = byte(idx)
 	binary.BigEndian.PutUint32(payload[1:5], gen)
 	copy(payload[5:], name)
-	rec := l.frameRecord(payload, 0)
+	var hdr [recordHeaderLen]byte
+	putHeader(&hdr, 0, len(payload))
 	lba := l.dirTail
-	l.dirTail += int64(len(rec) / spdkdev.BlockSize)
-	l.dev.SubmitWrite(lba, rec, func(spdkdev.Completion) {})
+	l.dirTail += int64(blocksFor(len(payload)))
+	l.dev.SubmitWrite(lba, [][]byte{hdr[:], payload, padding(len(payload))}, nil)
 }
 
-// frameRecord builds a block-aligned record around payload with the log's
-// generation stamp.
-func (l *LibOS) frameRecord(payload []byte, gen uint32) []byte {
-	nBlocks := blocksFor(len(payload))
-	staging := make([]byte, nBlocks*spdkdev.BlockSize)
-	binary.BigEndian.PutUint32(staging[0:4], recordMagic)
-	binary.BigEndian.PutUint32(staging[4:8], gen)
-	binary.BigEndian.PutUint32(staging[8:12], uint32(len(payload)))
-	copy(staging[recordHeaderLen:], payload)
-	return staging
+// putHeader writes a record header: the magic, the log's generation stamp
+// and the payload length.
+func putHeader(hdr *[recordHeaderLen]byte, gen uint32, n int) {
+	binary.BigEndian.PutUint32(hdr[0:4], recordMagic)
+	binary.BigEndian.PutUint32(hdr[4:8], gen)
+	binary.BigEndian.PutUint32(hdr[8:12], uint32(n))
+}
+
+// zeroBlock is what pads every record to a block boundary. The device only
+// reads it.
+var zeroBlock [spdkdev.BlockSize]byte
+
+// padding returns the zeros that follow a header and n payload bytes to the
+// end of the record's last block.
+func padding(n int) []byte {
+	return zeroBlock[:blocksFor(n)*spdkdev.BlockSize-recordHeaderLen-n]
 }
 
 // Node returns the owning node.
@@ -223,7 +231,9 @@ func (l *LibOS) Block(deadline sim.Time) bool { return l.node.Park(deadline) }
 // Now returns the node clock.
 func (l *LibOS) Now() sim.Time { return l.node.Now() }
 
-// pollDevice drains the completion queue, finishing qtokens.
+// pollDevice drains the completion queue, finishing qtokens. No completion
+// handler steps the libOS, so none polls the device again while comps, the
+// device's own slice, is still being read.
 func (l *LibOS) pollDevice() bool {
 	comps := l.dev.PollCompletions(32)
 	if len(comps) == 0 {
@@ -232,8 +242,11 @@ func (l *LibOS) pollDevice() bool {
 	}
 	for _, c := range comps {
 		l.node.Charge(costmodel.SPDKComplete)
-		if fn, ok := c.Cookie.(func(spdkdev.Completion)); ok {
-			fn(c)
+		switch ck := c.Cookie.(type) {
+		case *appendRec:
+			ck.done(c)
+		case func(spdkdev.Completion):
+			ck(c)
 		}
 	}
 	return true
@@ -278,49 +291,86 @@ func blocksFor(n int) int {
 	return (total + spdkdev.BlockSize - 1) / spdkdev.BlockSize
 }
 
+// An appendRec is one append in flight and the device write's cookie.
+// Records are recycled through LibOS.recs, which never holds more than the
+// most appends ever in flight at once.
+type appendRec struct {
+	lib    *LibOS
+	qd     core.QDesc
+	op     *core.Op
+	n      int // payload bytes
+	hdr    [recordHeaderLen]byte
+	segs   []*memory.Buf // the pushed buffers, each IORef'd until the write completes
+	gather [][]byte      // hdr, the buffers' bytes, padding: what the device writes
+}
+
 // Push appends one record containing sga's bytes; the qtoken completes
-// when the record is durable.
+// when the record is durable. Nothing is copied here: the device reads the
+// pushed buffers themselves when the write completes, and the libOS
+// reference each one holds until then is what keeps an application's Free
+// right after Push from handing the bytes to someone else first (UAF
+// protection across storage, paper §4.1).
 func (lq *logQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	if to != (core.Addr{}) {
 		return core.ErrNotSupported
 	}
-	l, qd := lq.lib, lq.qd
-	payload := sga.Flatten() // staged into the block-aligned write buffer
+	l := lq.lib
+	n := sga.TotalLen()
 	l.node.Charge(costmodel.SPDKSubmit)
-	staging := l.frameRecord(payload, lq.part.gen)
-	nBlocks := int64(len(staging) / spdkdev.BlockSize)
+	nBlocks := int64(blocksFor(n))
 	if lq.part.tail+nBlocks > lq.part.size {
-		op.Fail(qd, core.OpPush, core.ErrQueueClosed) // partition full
+		op.Fail(lq.qd, core.OpPush, core.ErrQueueClosed) // partition full
 		return nil
 	}
 	lba := lq.part.base + lq.part.tail
 	lq.part.tail += nBlocks
-	// Hold libOS references until durable (UAF protection across storage).
+	r := l.newRec()
+	r.qd, r.op, r.n = lq.qd, op, n
+	putHeader(&r.hdr, lq.part.gen, n)
+	r.gather = append(r.gather, r.hdr[:])
 	for _, b := range sga.Segs {
 		b.IORef()
+		r.segs = append(r.segs, b)
+		r.gather = append(r.gather, b.Bytes())
 	}
-	err := l.dev.SubmitWrite(lba, staging, func(c spdkdev.Completion) {
-		for _, b := range sga.Segs {
-			b.IOUnref()
-		}
-		if c.Err != nil {
-			// Injected I/O error or torn write: the reserved blocks stay a
-			// hole in the log (replay stops at the bad magic) and the
-			// application learns the append failed through the qtoken.
-			op.Fail(qd, core.OpPush, c.Err)
-			return
-		}
-		l.stats.appends.Inc()
-		l.stats.bytesAppended.Add(uint64(len(payload)))
-		op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
-	})
-	if err != nil {
-		for _, b := range sga.Segs {
-			b.IOUnref()
-		}
-		op.Fail(qd, core.OpPush, err)
+	r.gather = append(r.gather, padding(n))
+	if err := l.dev.SubmitWrite(lba, r.gather, r); err != nil {
+		r.done(spdkdev.Completion{Op: spdkdev.OpWrite, Err: err})
 	}
 	return nil
+}
+
+// newRec returns an empty append record, from the free list if one is there.
+func (l *LibOS) newRec() *appendRec {
+	if k := len(l.recs) - 1; k >= 0 {
+		r := l.recs[k]
+		l.recs = l.recs[:k]
+		return r
+	}
+	return &appendRec{lib: l}
+}
+
+// done finishes the append: the buffers' references go, the record goes
+// back on the free list, and the qtoken completes or fails.
+func (r *appendRec) done(c spdkdev.Completion) {
+	l, qd, op, n := r.lib, r.qd, r.op, r.n
+	for _, b := range r.segs {
+		b.IOUnref()
+	}
+	clear(r.segs)
+	clear(r.gather)
+	r.segs, r.gather, r.op = r.segs[:0], r.gather[:0], nil
+	l.recs = append(l.recs, r)
+	if c.Err != nil {
+		// Injected I/O error or torn write: the reserved blocks stay a hole
+		// in the log (replay stops at the bad magic) and the application
+		// learns the append failed through the qtoken.
+		op.Fail(qd, core.OpPush, c.Err)
+		return
+	}
+	l.stats.appends.Inc()
+	l.stats.bytesAppended.Add(uint64(n))
+	op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
 }
 
 // Pop reads the record at the queue's cursor. At the log end it completes
@@ -420,54 +470,42 @@ func (l *LibOS) Truncate(qd core.QDesc) error {
 	return nil
 }
 
-// readRecordSync synchronously reads the record header at lba, returning
-// its payload and total blocks (ok=false at a log end or generation
-// mismatch). Control path only.
-func (l *LibOS) readRecordSync(lba int64, wantGen uint32) (payload []byte, blocks int64, ok bool, err error) {
+// readSync reads n blocks at lba, stepping the libOS until the read
+// completes; ok is false if the read could not be submitted or failed.
+// Control path only.
+func (l *LibOS) readSync(lba int64, n int) (data []byte, ok bool, err error) {
+	var c spdkdev.Completion
 	done := false
-	l.dev.SubmitRead(lba, 1, func(c spdkdev.Completion) {
-		defer func() { done = true }()
-		if c.Err != nil {
-			return // recovery treats an unreadable block as log end
-		}
-		if binary.BigEndian.Uint32(c.Data[0:4]) != recordMagic {
-			return
-		}
-		if binary.BigEndian.Uint32(c.Data[4:8]) != wantGen {
-			return
-		}
-		length := int(binary.BigEndian.Uint32(c.Data[8:12]))
-		blocks = int64(blocksFor(length))
-		if length <= spdkdev.BlockSize-recordHeaderLen {
-			payload = append([]byte(nil), c.Data[recordHeaderLen:recordHeaderLen+length]...)
-			ok = true
-			return
-		}
-		// Multi-block record: synchronous continuation.
-		inner := false
-		l.dev.SubmitRead(lba+1, int(blocks-1), func(c2 spdkdev.Completion) {
-			inner = true
-			if c2.Err != nil {
-				return
-			}
-			full := append(append([]byte{}, c.Data[recordHeaderLen:]...), c2.Data...)
-			payload = append([]byte(nil), full[:length]...)
-			ok = true
-		})
-		for !inner {
-			if !l.Step() && !l.node.Park(sim.Infinity) {
-				return
-			}
-		}
-	})
+	if l.dev.SubmitRead(lba, n, func(got spdkdev.Completion) { c, done = got, true }) != nil {
+		return nil, false, nil
+	}
 	for !done {
-		if !l.Step() {
-			if !l.node.Park(sim.Infinity) {
-				return nil, 0, false, core.ErrStopped
-			}
+		if !l.Step() && !l.node.Park(sim.Infinity) {
+			return nil, false, core.ErrStopped
 		}
 	}
-	return payload, blocks, ok, nil
+	return c.Data, c.Err == nil, nil
+}
+
+// readRecordSync synchronously reads the record header at lba, returning
+// its payload and total blocks (ok=false at a log end or generation
+// mismatch; recovery treats an unreadable block as log end). Control path
+// only.
+func (l *LibOS) readRecordSync(lba int64, wantGen uint32) (payload []byte, blocks int64, ok bool, err error) {
+	data, ok, err := l.readSync(lba, 1)
+	if !ok || binary.BigEndian.Uint32(data[0:4]) != recordMagic || binary.BigEndian.Uint32(data[4:8]) != wantGen {
+		return nil, 0, false, err
+	}
+	length := int(binary.BigEndian.Uint32(data[8:12]))
+	blocks = int64(blocksFor(length))
+	if blocks > 1 {
+		rest, ok, err := l.readSync(lba+1, int(blocks-1))
+		if !ok {
+			return nil, 0, false, err
+		}
+		data = append(data, rest...)
+	}
+	return data[recordHeaderLen : recordHeaderLen+length], blocks, true, nil
 }
 
 // Mount recovers the directory and every named log's tail after a restart.

@@ -3,8 +3,10 @@ package cattree
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"demikernel/internal/core"
+	"demikernel/internal/faults"
 	"demikernel/internal/memory"
 	"demikernel/internal/sim"
 	"demikernel/internal/spdkdev"
@@ -191,20 +193,37 @@ func TestMountRecoversAfterCrash(t *testing.T) {
 	})
 }
 
+// The device reads a pushed buffer when the write completes, not when it is
+// submitted, so the application's Free right behind Push must not hand the
+// slot to the next allocation of its size before then: the record read back
+// is what was pushed, not what the next owner wrote.
 func TestUAFProtectionAcrossStorage(t *testing.T) {
 	run(t, func(eng *sim.Engine, l *LibOS, dev *spdkdev.Device) {
 		qd, _ := l.Open("log")
 		buf := l.Heap().Alloc(2048)
+		pushed := buf.Bytes()
+		for i := range pushed {
+			pushed[i] = byte(i % 251)
+		}
+		want := bytes.Clone(pushed)
 		qt, _ := l.Push(qd, core.SGA(buf))
 		buf.Free() // immediately after push: legal
 		if l.Heap().LiveObjects() != 1 {
 			t.Fatal("buffer recycled while write in flight")
 		}
+		next := l.Heap().Alloc(2048)
+		for i := range next.Bytes() {
+			next.Bytes()[i] = 0xEE
+		}
 		if ev, err := l.Wait(qt); err != nil || ev.Err != nil {
 			t.Fatal(err)
 		}
+		next.Free()
 		if l.Heap().LiveObjects() != 0 {
 			t.Fatal("buffer leaked after durable write")
+		}
+		if got := popWait(t, l, qd); !bytes.Equal(got, want) {
+			t.Fatal("the record is not the pushed bytes: the slot was reused before the device read it")
 		}
 	})
 }
@@ -286,6 +305,110 @@ func TestPartitionFullRejectsPush(t *testing.T) {
 		ev, err := l.Wait(qt)
 		if err != nil || ev.Err == nil {
 			t.Fatalf("overflowing push accepted: %v %+v", err, ev)
+		}
+	})
+}
+
+// A warmed append of a 64-byte record, Push to Wait, allocates the Op behind
+// its token and the block the device makes durable, and nothing else: no
+// flattened copy, no staging block, no completion closure.
+func TestDurableAppendAllocs(t *testing.T) {
+	run(t, func(eng *sim.Engine, l *LibOS, dev *spdkdev.Device) {
+		qd, _ := l.Open("log")
+		segs := make([]*memory.Buf, 1) // the caller's array: an SGA per push is not what is measured
+		payload := bytes.Repeat([]byte{'r'}, 64)
+		appendOne := func() {
+			segs[0] = memory.CopyFrom(l.Heap(), payload)
+			qt, err := l.Push(qd, core.SGArray{Segs: segs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev, err := l.Wait(qt); err != nil || ev.Err != nil {
+				t.Fatalf("append: %v %v", err, ev.Err)
+			}
+			segs[0].Free()
+		}
+		for i := 0; i < 16; i++ {
+			appendOne()
+		}
+		if n := testing.AllocsPerRun(200, appendOne); n > 2 {
+			t.Errorf("a warmed 64-byte append allocates %v objects, want at most the Op and the durable block", n)
+		}
+		if len(l.recs) != 1 {
+			t.Errorf("%d append records on the free list, want the one in flight at a time", len(l.recs))
+		}
+	})
+}
+
+// The device's failure modes reach the application as they did when an
+// append was a closure over a staged copy: an injected I/O error and a torn
+// write fail the push with the device's error and leave a hole replay stops
+// at; an append lost to a crash never completes and keeps its buffer's
+// libOS reference. Every append that completes, either way, gives its
+// buffers' references back and its record to the free list exactly once,
+// and the free list holds no more records than were in flight at once.
+func TestAppendFaultPaths(t *testing.T) {
+	run(t, func(eng *sim.Engine, l *LibOS, dev *spdkdev.Device) {
+		qd, _ := l.Open("log")
+		pushWait(t, l, qd, []byte("before"))
+		live := l.Heap().LiveObjects() // pushWait's buffer, which it never frees
+		plan := faults.NewPlan(5)
+		dev.SetFaults(spdkdev.Faults{
+			IOErr:     plan.Site("io", faults.Spec{Every: 2, Max: 1}),
+			TornWrite: plan.Site("torn", faults.Spec{Every: 2, Max: 1}), // consulted only when IOErr does not fire
+		})
+		// Three appends in flight at once: the second hits the I/O error,
+		// the third the torn write (two blocks, so the tear is real).
+		bufs := []*memory.Buf{
+			memory.CopyFrom(l.Heap(), []byte("ok")),
+			memory.CopyFrom(l.Heap(), []byte("io error")),
+			memory.CopyFrom(l.Heap(), bytes.Repeat([]byte{'t'}, spdkdev.BlockSize)),
+		}
+		var qts []core.QToken
+		for _, b := range bufs {
+			qt, err := l.Push(qd, core.SGA(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Free()
+			qts = append(qts, qt)
+		}
+		for i, want := range []error{nil, spdkdev.ErrInjected, spdkdev.ErrTornWrite} {
+			if ev, err := l.Wait(qts[i]); err != nil || ev.Err != want {
+				t.Fatalf("append %d: %v, %v; want %v", i, err, ev.Err, want)
+			}
+		}
+		if n := l.Heap().LiveObjects() - live; n != 0 {
+			t.Fatalf("%d buffers still referenced after every append completed", n)
+		}
+		if len(l.recs) != 3 || l.recs[0] == l.recs[1] || l.recs[1] == l.recs[2] || l.recs[0] == l.recs[2] {
+			t.Fatalf("free list %v, want the three records once each", l.recs)
+		}
+		if s := l.Stats(); s.Appends != 2 || s.BytesAppended != uint64(len("before")+len("ok")) {
+			t.Errorf("stats = %+v", s)
+		}
+		if got := popWait(t, l, qd); string(got) != "before" {
+			t.Fatalf("first record %q", got)
+		}
+		if got := popWait(t, l, qd); string(got) != "ok" {
+			t.Fatalf("second record %q", got)
+		}
+		pqt, _ := l.Pop(qd)
+		if ev, err := l.Wait(pqt); err != nil || ev.Err != core.ErrQueueClosed {
+			t.Fatalf("the failed append's hole read as %+v, %v", ev, err)
+		}
+
+		buf := memory.CopyFrom(l.Heap(), []byte("lost"))
+		lost, _ := l.Push(qd, core.SGA(buf))
+		buf.Free()
+		dev.Crash()
+		l.WaitAny(nil, time.Millisecond) // long past the write's completion time
+		if _, done, _ := tokensPeek(l, lost); done {
+			t.Fatal("an append lost to a crash completed")
+		}
+		if !buf.IOOwned() || l.Heap().LiveObjects()-live != 1 || len(l.recs) != 2 {
+			t.Fatalf("after a crash: buffer IO-owned %v, %d live objects, %d free records; want the lost append to keep both",
+				buf.IOOwned(), l.Heap().LiveObjects()-live, len(l.recs))
 		}
 	})
 }

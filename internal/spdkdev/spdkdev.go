@@ -102,13 +102,32 @@ type Device struct {
 	params    Params
 	numBlocks int64
 	blocks    map[int64][]byte // durable contents, sparse
-	cq        []Completion
+	cq        []Completion     // completed, not yet polled; compacted in place
+	polled    []Completion     // what the last PollCompletions returned
+	free      []*command       // command records between commands
 	busyUntil sim.Time
 	inflight  int
 	epoch     uint64 // bumped by Crash to invalidate in-flight completions
 	stats     Stats
 	tel       *telemetry.Registry
 	flt       Faults
+}
+
+// A command is one submitted device command. Records are recycled through
+// Device.free, and the engine event that completes one is fire, bound to
+// the record once (simnet's hop records do the same), so submitting
+// allocates nothing once as many commands have been in flight as ever will
+// be; the free list never holds more than that many.
+type command struct {
+	d      *Device
+	epoch  uint64 // Device.epoch at submit: a crash since loses the command
+	op     Op
+	cookie any
+	err    error // ErrInjected, or ErrTornWrite for a write persisting fewer blocks
+	lba    int64
+	blocks int      // blocks read, or persisted by a write
+	gather [][]byte // a write's bytes, read when it completes
+	fire   func()   // c.run, bound when the record is made
 }
 
 // SetFaults installs (or, with the zero value, clears) the device's fault
@@ -159,10 +178,24 @@ func (d *Device) Stats() Stats { return d.stats }
 // Inflight returns the number of submitted, incomplete commands.
 func (d *Device) Inflight() int { return d.inflight }
 
+// command returns a record for a new command, from the free list if one is
+// there.
+func (d *Device) command(op Op, cookie any) *command {
+	var c *command
+	if k := len(d.free) - 1; k >= 0 {
+		c, d.free = d.free[k], d.free[:k]
+	} else {
+		c = &command{d: d}
+		c.fire = c.run
+	}
+	c.op, c.cookie = op, cookie
+	return c
+}
+
 // schedule serializes a command through the device pipeline and arranges
-// its completion. apply mutates durable state and runs at completion time
-// (so a crash before completion leaves no trace).
-func (d *Device) schedule(cost time.Duration, apply func() Completion) {
+// its completion. The command mutates durable state when it completes (so
+// a crash before completion leaves no trace).
+func (d *Device) schedule(c *command, cost time.Duration) {
 	start := d.node.Now()
 	if d.busyUntil > start {
 		start = d.busyUntil
@@ -170,14 +203,68 @@ func (d *Device) schedule(cost time.Duration, apply func() Completion) {
 	done := start.Add(cost)
 	d.busyUntil = done
 	d.inflight++
-	epoch := d.epoch
-	d.node.Engine().At(done, d.node, func() {
-		if d.epoch != epoch {
-			return // lost to a crash
-		}
+	c.epoch = d.epoch
+	d.node.Engine().At(done, d.node, c.fire)
+}
+
+// run completes the command: it applies the command's effect, queues its
+// completion and puts the record back. A command lost to a crash only goes
+// back on the free list; it never surfaces a completion.
+func (c *command) run() {
+	d := c.d
+	if c.epoch == d.epoch {
 		d.inflight--
-		d.cq = append(d.cq, apply())
-	})
+		comp := Completion{Op: c.op, Cookie: c.cookie, Err: c.err}
+		switch {
+		case c.err == ErrInjected:
+		case c.op == OpWrite:
+			d.persist(c.lba, c.blocks, c.gather)
+			d.stats.Writes++
+			d.stats.BytesWrit += uint64(c.blocks * BlockSize)
+		case c.op == OpRead:
+			comp.Data = d.read(c.lba, c.blocks)
+			d.stats.Reads++
+			d.stats.BytesRead += uint64(len(comp.Data))
+		case c.op == OpFlush:
+			d.stats.Flushes++
+		}
+		d.cq = append(d.cq, comp)
+	}
+	*c = command{d: d, fire: c.fire}
+	d.free = append(d.free, c)
+}
+
+// persist copies the first n blocks of gather's bytes into the media at lba,
+// one new block each: the media keeps nothing of the caller's.
+func (d *Device) persist(lba int64, n int, gather [][]byte) {
+	var blk []byte
+	for _, seg := range gather {
+		for len(seg) > 0 {
+			if n == 0 {
+				return
+			}
+			if blk == nil {
+				blk = make([]byte, 0, BlockSize)
+			}
+			k := min(len(seg), BlockSize-len(blk))
+			blk, seg = append(blk, seg[:k]...), seg[k:]
+			if len(blk) == BlockSize {
+				d.blocks[lba] = blk
+				blk, lba, n = nil, lba+1, n-1
+			}
+		}
+	}
+}
+
+// read returns a copy of n blocks at lba; unwritten blocks read as zeros.
+func (d *Device) read(lba int64, n int) []byte {
+	out := make([]byte, n*BlockSize)
+	for i := 0; i < n; i++ {
+		if blk, ok := d.blocks[lba+int64(i)]; ok {
+			copy(out[i*BlockSize:], blk)
+		}
+	}
+	return out
 }
 
 // checkRange validates a block range.
@@ -188,42 +275,35 @@ func (d *Device) checkRange(lba int64, nBlocks int) error {
 	return nil
 }
 
-// SubmitWrite submits an asynchronous write of data (whose length must be a
-// multiple of BlockSize) at block lba. Data is captured by reference; the
-// caller must not modify it until completion, the same DMA contract as real
-// SPDK.
-func (d *Device) SubmitWrite(lba int64, data []byte, cookie any) error {
-	if len(data)%BlockSize != 0 {
-		return fmt.Errorf("spdkdev: write of %d bytes not block-aligned", len(data))
+// SubmitWrite submits an asynchronous write, at block lba, of the bytes of
+// gather's slices laid end to end; their total length must be a multiple of
+// BlockSize. The device reads the bytes when the write completes, so the
+// caller must modify neither them nor the list until then: the DMA contract
+// of real SPDK, with the list as its scatter-gather descriptor.
+func (d *Device) SubmitWrite(lba int64, gather [][]byte, cookie any) error {
+	size := 0
+	for _, seg := range gather {
+		size += len(seg)
 	}
-	n := len(data) / BlockSize
+	if size%BlockSize != 0 {
+		return fmt.Errorf("spdkdev: write of %d bytes not block-aligned", size)
+	}
+	n := size / BlockSize
 	if err := d.checkRange(lba, n); err != nil {
 		return err
 	}
-	cost := d.params.WriteLatency + d.params.transferCost(len(data)) + d.faultCost()
+	cost := d.params.WriteLatency + d.params.transferCost(size) + d.faultCost()
 	now := d.node.Now()
-	if d.flt.IOErr.Fire(now) {
-		d.schedule(cost, func() Completion {
-			return Completion{Op: OpWrite, Cookie: cookie, Err: ErrInjected}
-		})
-		return nil
+	c := d.command(OpWrite, cookie)
+	switch {
+	case d.flt.IOErr.Fire(now):
+		c.err = ErrInjected
+	case d.flt.TornWrite.Fire(now):
+		c.err = ErrTornWrite
+		n = d.flt.TornWrite.Rand().Intn(n)
 	}
-	torn := n // blocks actually persisted; < n for a torn write
-	var tornErr error
-	if d.flt.TornWrite.Fire(now) {
-		torn = d.flt.TornWrite.Rand().Intn(n)
-		tornErr = ErrTornWrite
-	}
-	d.schedule(cost, func() Completion {
-		for i := 0; i < torn; i++ {
-			blk := make([]byte, BlockSize)
-			copy(blk, data[i*BlockSize:(i+1)*BlockSize])
-			d.blocks[lba+int64(i)] = blk
-		}
-		d.stats.Writes++
-		d.stats.BytesWrit += uint64(torn * BlockSize)
-		return Completion{Op: OpWrite, Cookie: cookie, Err: tornErr}
-	})
+	c.lba, c.blocks, c.gather = lba, n, gather
+	d.schedule(c, cost)
 	return nil
 }
 
@@ -233,23 +313,12 @@ func (d *Device) SubmitRead(lba int64, nBlocks int, cookie any) error {
 		return err
 	}
 	cost := d.params.ReadLatency + d.params.transferCost(nBlocks*BlockSize) + d.faultCost()
+	c := d.command(OpRead, cookie)
 	if d.flt.IOErr.Fire(d.node.Now()) {
-		d.schedule(cost, func() Completion {
-			return Completion{Op: OpRead, Cookie: cookie, Err: ErrInjected}
-		})
-		return nil
+		c.err = ErrInjected
 	}
-	d.schedule(cost, func() Completion {
-		out := make([]byte, nBlocks*BlockSize)
-		for i := 0; i < nBlocks; i++ {
-			if blk, ok := d.blocks[lba+int64(i)]; ok {
-				copy(out[i*BlockSize:], blk)
-			}
-		}
-		d.stats.Reads++
-		d.stats.BytesRead += uint64(len(out))
-		return Completion{Op: OpRead, Cookie: cookie, Data: out}
-	})
+	c.lba, c.blocks = lba, nBlocks
+	d.schedule(c, cost)
 	return nil
 }
 
@@ -257,25 +326,24 @@ func (d *Device) SubmitRead(lba int64, nBlocks int, cookie any) error {
 // previously submitted command has completed (the pipeline is serial, so
 // scheduling position suffices).
 func (d *Device) SubmitFlush(cookie any) {
-	d.schedule(d.params.FlushLatency+d.faultCost(), func() Completion {
-		d.stats.Flushes++
-		return Completion{Op: OpFlush, Cookie: cookie}
-	})
+	d.schedule(d.command(OpFlush, cookie), d.params.FlushLatency+d.faultCost())
 }
 
-// PollCompletions returns up to max completions. It never blocks.
+// PollCompletions returns up to max completions. It never blocks. The slice
+// is the device's and stays valid until the next call, which reuses it: a
+// caller that polls again while still reading it (from a completion
+// handler, say) must copy what it has not read yet.
 func (d *Device) PollCompletions(max int) []Completion {
-	if len(d.cq) == 0 {
+	k := min(len(d.cq), max)
+	if k == 0 {
 		return nil
 	}
-	k := len(d.cq)
-	if k > max {
-		k = max
-	}
-	out := make([]Completion, k)
-	copy(out, d.cq[:k])
-	d.cq = d.cq[k:]
-	return out
+	clear(d.polled)
+	d.polled = append(d.polled[:0], d.cq[:k]...)
+	n := copy(d.cq, d.cq[k:])
+	clear(d.cq[n:])
+	d.cq = d.cq[:n]
+	return d.polled
 }
 
 // CQPending reports whether completions are waiting.
@@ -296,7 +364,8 @@ func (d *Device) CloneBlocksInto(to *Device) {
 func (d *Device) Crash() {
 	d.epoch++
 	d.inflight = 0
-	d.cq = nil
+	clear(d.cq)
+	d.cq = d.cq[:0]
 	d.busyUntil = d.node.Now()
 	d.stats.Crashes++
 }
