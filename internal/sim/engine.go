@@ -14,14 +14,15 @@ import (
 )
 
 // Engine is the discrete-event simulator. It owns the global event heap and
-// coordinates node execution with a baton: the engine loop either processes
-// the earliest pending event or hands control to the runnable node with the
-// smallest local clock, and waits for it to park. Each node's main runs as
-// a runtime coroutine (iter.Pull), so handing the baton over and getting it
-// back are two direct switches that never enter the Go scheduler. Because
-// exactly one of {engine, a single node} executes at any time, the engine
-// state needs no locks; the coroutine switches provide the happens-before
-// edges.
+// coordinates node execution with a baton: advance processes the earliest
+// pending events until the runnable node with the smallest local clock is
+// due, and that node runs until it parks. Each node's main runs as a
+// runtime coroutine (iter.Pull). A parking node runs advance itself, on its
+// own coroutine: when the node it finds is the parker, Park returns without
+// a switch; otherwise the parker yields to Run, which steps the node found.
+// Because exactly one of {Run, a single node} executes at any time, the
+// engine state needs no locks; the coroutine switches provide the
+// happens-before edges.
 //
 // Causality invariant: every runnable node's clock is >= the engine's
 // current time, and events are executed in nondecreasing (time, seq) order,
@@ -35,7 +36,13 @@ type Engine struct {
 
 	stopRequested bool
 	stopped       bool
-	runSeq        uint64 // ticks once per baton handoff (round-robin ties)
+	runSeq        uint64 // ticks once per baton grant (round-robin ties)
+
+	// What the last node to yield from Park found runs next, and a panic
+	// an event raised inside that Park; Run steps the one and re-raises the
+	// other.
+	chosen    *Node
+	parkPanic any
 
 	eventsRun uint64
 }
@@ -127,44 +134,78 @@ func (e *Engine) minRunnable() *Node {
 // runnable node) or Stop is requested. It then releases every parked node.
 func (e *Engine) Run() {
 	defer e.shutdown() // also when a node's main panics or exits the goroutine
-	for !e.stopRequested {
-		next := e.minRunnable()
-		// Process every event at or before the next node's clock. With no
-		// runnable node, drain events until one wakes somebody.
-		for e.heap.len() > 0 {
-			top, lane := e.heap.first()
-			if next != nil && top.at > next.clock {
-				break
-			}
-			ev := e.heap.take(top, lane)
-			e.now = ev.at
-			e.eventsRun++
-			if ev.fn != nil {
-				ev.fn()
-			}
-			if t := ev.target; t != nil && t.state == stateParked {
-				t.state = stateRunnable
-				if ev.at > t.clock {
-					t.clock = ev.at
-				}
-			}
-			if e.stopRequested {
-				break
-			}
-			next = e.minRunnable()
+	n := e.advance()
+	for n != nil {
+		e.step(n)
+		if n.state == stateFinished {
+			n = e.advance()
+		} else {
+			n = e.chosen // n parked, and its Park ran advance
 		}
-		if next == nil || e.stopRequested {
-			break // quiescent or stopping
-		}
-		e.step(next)
 	}
+	if p := e.parkPanic; p != nil {
+		e.parkPanic = nil
+		e.shutdown() // as when an event panics in Run's own advance
+		panic(p)
+	}
+}
+
+// advance processes every event at or before the next runnable node's clock
+// and returns that node, the one to run next. With no runnable node it
+// drains events until one wakes somebody. It returns nil when the engine is
+// quiescent or a stop was requested.
+func (e *Engine) advance() *Node {
+	if e.stopRequested {
+		return nil
+	}
+	next := e.minRunnable()
+	for e.heap.len() > 0 {
+		top, lane := e.heap.first()
+		if next != nil && top.at > next.clock {
+			break
+		}
+		ev := e.heap.take(top, lane)
+		e.now = ev.at
+		e.eventsRun++
+		if ev.fn != nil {
+			ev.fn()
+		}
+		if t := ev.target; t != nil && t.state == stateParked {
+			t.state = stateRunnable
+			if ev.at > t.clock {
+				t.clock = ev.at
+			}
+		}
+		if e.stopRequested {
+			return nil
+		}
+		next = e.minRunnable()
+	}
+	return next
+}
+
+// advanceParked is advance run by a parking node. A panic raised by an
+// event is kept for Run, which re-raises it once every node is released,
+// and nothing is found to run: the parker yields to Run like any other.
+func (e *Engine) advanceParked() (next *Node) {
+	defer func() {
+		if p := recover(); p != nil {
+			e.parkPanic, next = p, nil
+		}
+	}()
+	return e.advance()
+}
+
+// grant gives n the baton.
+func (e *Engine) grant(n *Node) {
+	e.runSeq++
+	n.ranSeq = e.runSeq
+	n.state = stateRunning
 }
 
 // step hands the baton to n and waits until it parks or finishes.
 func (e *Engine) step(n *Node) {
-	e.runSeq++
-	n.ranSeq = e.runSeq
-	n.state = stateRunning
+	e.grant(n)
 	n.next()
 }
 

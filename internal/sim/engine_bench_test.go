@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // BenchmarkHandoff: two nodes wake each other and park; one operation is one
@@ -24,6 +25,22 @@ func BenchmarkHandoff(b *testing.B) {
 		}
 		b.StopTimer()
 		e.Stop()
+	})
+	e.Run()
+}
+
+// BenchmarkParkKeep: a lone node parks on a deadline; one operation is one
+// park whose own wake-up is the next thing due, so the node keeps the baton:
+// an At, one event and no coroutine switch.
+func BenchmarkParkKeep(b *testing.B) {
+	e := NewEngine(1)
+	n := e.NewNode("n")
+	e.Spawn(n, func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.Park(n.Now().Add(time.Nanosecond))
+		}
+		b.StopTimer()
 	})
 	e.Run()
 }

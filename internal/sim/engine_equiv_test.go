@@ -86,6 +86,11 @@ type refEngine struct {
 	stopped       bool
 	runSeq        uint64
 	eventsRun     uint64
+
+	// The node run last, and how often run's loop stepped it again right
+	// away: the schedules in which Engine.Park keeps the baton.
+	last        *refNode
+	selfResumes uint64
 }
 
 func (e *refEngine) newNode() *refNode {
@@ -153,6 +158,10 @@ func (e *refEngine) run() {
 		if next == nil || e.stopRequested {
 			break
 		}
+		if next == e.last {
+			e.selfResumes++
+		}
+		e.last = next
 		e.step(next)
 	}
 	e.stopped = true
@@ -205,6 +214,7 @@ func (n *refNode) park(deadline Time) bool {
 // script drives either implementation. target -1 means no target.
 type world interface {
 	newNode() int
+	newHost(cores int) []int
 	spawn(node int, fn func())
 	at(t Time, target int, fn func())
 	stop()
@@ -230,7 +240,13 @@ func (w realWorld) node(i int) *Node {
 	}
 	return w.e.nodes[i]
 }
-func (w realWorld) newNode() int                   { return w.e.NewNode("").id }
+func (w realWorld) newNode() int { return w.e.NewNode("").id }
+func (w realWorld) newHost(cores int) (ids []int) {
+	for _, c := range w.e.NewHost("", cores).Cores() {
+		ids = append(ids, c.id)
+	}
+	return ids
+}
 func (w realWorld) spawn(n int, fn func())         { w.e.Spawn(w.node(n), fn) }
 func (w realWorld) at(t Time, n int, fn func())    { w.e.At(t, w.node(n), fn) }
 func (w realWorld) stop()                          { w.e.Stop() }
@@ -254,7 +270,13 @@ func (w refWorld) node(i int) *refNode {
 	}
 	return w.e.nodes[i]
 }
-func (w refWorld) newNode() int                   { return w.e.newNode().id }
+func (w refWorld) newNode() int { return w.e.newNode().id }
+func (w refWorld) newHost(cores int) (ids []int) {
+	for i := 0; i < cores; i++ {
+		ids = append(ids, w.newNode())
+	}
+	return ids
+}
 func (w refWorld) spawn(n int, fn func())         { w.e.spawn(w.node(n), fn) }
 func (w refWorld) at(t Time, n int, fn func())    { w.e.at(t, w.node(n), fn) }
 func (w refWorld) stop()                          { w.e.stopRequested = true }
@@ -353,7 +375,7 @@ func (s *script) main(n, steps int) func() {
 		r := s.rng(uint64(n) + 1<<32)
 		for i := 0; i < steps; i++ {
 			ok := true
-			switch r.Intn(11) {
+			switch r.Intn(14) {
 			case 10:
 				s.storm(n, i, r)
 				ok = w.park(n, w.clock(n).Add(100*time.Microsecond)) // past every timer: the lanes drain empty and start over
@@ -388,6 +410,57 @@ func (s *script) main(n, steps int) func() {
 				case 1, 2, 3, 4, 5, 6:
 					s.spawnInside(uint64(n))
 				}
+			case 11:
+				// At to itself, then park until it (or anything earlier)
+				// wakes the node.
+				var fn func()
+				if r.Intn(2) == 0 {
+					fn = s.event(uint64(n)<<20+uint64(i)+1<<40, 1)
+				}
+				w.at(w.clock(n).Add(time.Duration(r.Intn(500))), n, fn)
+				ok = w.park(n, Infinity)
+			case 12:
+				// A deadline one nanosecond out: before every other event
+				// unless one ties with it.
+				ok = w.park(n, w.clock(n)+1)
+			case 13:
+				// Stop or Spawn from an event due at the node's own clock,
+				// which runs inside this Park unless a node behind it runs
+				// first.
+				stop, by := r.Intn(50) == 0, uint64(n)<<20+uint64(i)
+				w.at(w.clock(n), -1, func() {
+					s.note(-1, w.now())
+					if stop {
+						w.stop()
+					} else {
+						s.spawnInside(by)
+					}
+				})
+				ok = w.park(n, w.clock(n)+Time(r.Intn(3)))
+			}
+			s.note(n, w.clock(n))
+			if !ok {
+				return
+			}
+		}
+	}
+}
+
+// core returns the program of one virtual CPU of a host. The host's cores
+// draw identical streams, so they charge alike and their clocks tie at
+// every park; the least-recently-run rule alone decides which of them runs.
+func (s *script) core(n int, host uint64, steps int) func() {
+	return func() {
+		w := s.w
+		r := s.rng(host + 2<<32)
+		for i := 0; i < steps; i++ {
+			w.charge(n, time.Duration(r.Intn(4))*250)
+			var ok bool
+			if r.Intn(4) == 0 {
+				w.at(w.clock(n), n, nil) // wake itself, tied with its siblings
+				ok = w.park(n, Infinity)
+			} else {
+				ok = w.park(n, w.clock(n)) // Yield
 			}
 			s.note(n, w.clock(n))
 			if !ok {
@@ -450,6 +523,12 @@ func runScript(w world, seed uint64) outcome {
 		}
 		w.spawn(n, s.main(n, 10+r.Intn(60)))
 	}
+	if r.Intn(3) == 0 {
+		host, steps := uint64(w.nodes()), 10+r.Intn(40)
+		for _, n := range w.newHost(2 + r.Intn(3)) {
+			w.spawn(n, s.core(n, host, steps))
+		}
+	}
 	for i := r.Intn(8); i > 0; i-- {
 		w.at(Time(r.Intn(20000)), s.target(r), s.event(uint64(i), 3))
 	}
@@ -471,10 +550,11 @@ func TestEngineMatchesReference(t *testing.T) {
 	if testing.Short() {
 		seeds = 200
 	}
-	var entries, events uint64
+	var entries, events, parks, selfResumes uint64
 	var deepest int
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
-		want := runScript(refWorld{&refEngine{back: make(chan struct{})}}, seed)
+		ref := &refEngine{back: make(chan struct{})}
+		want := runScript(refWorld{ref}, seed)
 		got := runScript(realWorld{NewEngine(seed)}, seed)
 		if len(got.trace) != len(want.trace) {
 			t.Fatalf("seed %d: trace has %d entries, reference %d", seed, len(got.trace), len(want.trace))
@@ -497,11 +577,20 @@ func TestEngineMatchesReference(t *testing.T) {
 		entries += uint64(len(want.trace))
 		events += want.eventsRun
 		deepest = max(deepest, want.deepest)
+		for _, n := range want.parks {
+			parks += n
+		}
+		selfResumes += ref.selfResumes
 	}
 	// Guard against a script generator that quietly stopped exercising
-	// anything: the seeds must add up to real work.
+	// anything: the seeds must add up to real work, and both kinds of
+	// schedule after a park — the parker runs next (Engine.Park keeps the
+	// baton) and another node does — must be common.
 	if entries < uint64(seeds)*100 || events < uint64(seeds)*50 {
 		t.Fatalf("scripts too thin: %d trace entries, %d events over %d seeds", entries, events, seeds)
+	}
+	if selfResumes < parks/5 || parks-selfResumes < parks/5 {
+		t.Fatalf("of %d parks %d were followed by the parker itself: one kind of schedule is barely exercised", parks, selfResumes)
 	}
 	if deepest < 8*shallow {
 		t.Fatalf("storms too thin: at most %d events pending, and the lanes engage at %d", deepest, shallow)

@@ -245,6 +245,165 @@ func TestNodeMainGoexitDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// An event that panics inside a node's Park must surface from Run as one
+// that panics in Run does: after every node, the parker included, was
+// released with Park reporting false. The parker is not unwound by it.
+func TestEventPanicInsideParkReachesRun(t *testing.T) {
+	e := NewEngine(1)
+	server, parker := e.NewNode("server"), e.NewNode("parker")
+	released, parked, returned := false, true, false
+	e.Spawn(server, func() {
+		for server.Park(Infinity) {
+		}
+		released = true
+	})
+	e.Spawn(parker, func() {
+		// server has parked for good, so this Park runs the event.
+		e.At(parker.Now().Add(time.Microsecond), nil, func() { panic("boom") })
+		parked = parker.Park(parker.Now().Add(2 * time.Microsecond))
+		returned = true
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run()
+		t.Error("Run returned normally")
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v, want boom", got)
+	}
+	if !returned || parked {
+		t.Errorf("parker unwound by the panic or not told to stop: returned=%v Park=%v", returned, parked)
+	}
+	if !released || server.state != stateFinished || parker.state != stateFinished {
+		t.Errorf("nodes not released: server released=%v state %d, parker state %d", released, server.state, parker.state)
+	}
+}
+
+// runtime.Goexit in an event that runs inside a node's Park (what t.Fatal
+// does) ends that node's coroutine and then the goroutine that called Run;
+// Run must release the other nodes on the way rather than hang.
+func TestEventGoexitInsideParkDoesNotDeadlock(t *testing.T) {
+	e := NewEngine(1)
+	server, parker := e.NewNode("server"), e.NewNode("parker")
+	released, resumed, returned := false, false, false
+	e.Spawn(server, func() {
+		for server.Park(Infinity) {
+		}
+		released = true
+	})
+	e.Spawn(parker, func() {
+		e.At(parker.Now().Add(time.Microsecond), nil, runtime.Goexit)
+		parker.Park(parker.Now().Add(2 * time.Microsecond))
+		resumed = true
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run hung after an event inside Park called Goexit")
+	}
+	if returned || resumed {
+		t.Errorf("Goexit should have ended the parker and Run's goroutine: parker resumed=%v, Run returned=%v", resumed, returned)
+	}
+	if parker.state != stateFinished || !released || server.state != stateFinished {
+		t.Errorf("parker state %d, server released=%v state %d", parker.state, released, server.state)
+	}
+}
+
+// countSteps makes n's baton count every time Run steps n into *c.
+func countSteps(n *Node, c *uint64) {
+	next := n.next
+	n.next = func() (struct{}, bool) {
+		*c++
+		return next()
+	}
+}
+
+// A node that parks and is itself the next to run keeps the baton: a lone
+// node parking on deadlines is stepped once, to start it, however often it
+// parks. Two nodes waking each other still hand the baton over through Run
+// once per park, and every such park is resumed exactly once.
+func TestParkKeepsBaton(t *testing.T) {
+	e := NewEngine(1)
+	lone := e.NewNode("lone")
+	var steps uint64
+	const parks = 100
+	e.Spawn(lone, func() {
+		for i := 0; i < parks; i++ {
+			lone.Charge(time.Nanosecond)
+			if !lone.Park(lone.Now().Add(time.Microsecond)) {
+				t.Error("Park reported a stop")
+				return
+			}
+		}
+	})
+	countSteps(lone, &steps)
+	e.Run()
+	if steps != 1 || lone.parks != parks {
+		t.Errorf("a lone node parked %d times and was stepped %d times, want %d and 1", lone.parks, steps, parks)
+	}
+	if want := Time(parks * 1001); lone.Now() != want || e.Now() != want {
+		t.Errorf("lone node at %v, engine at %v, want both %v", lone.Now(), e.Now(), want)
+	}
+
+	e = NewEngine(1)
+	pong, ping := e.NewNode("pong"), e.NewNode("ping")
+	var pongSteps, pingSteps uint64
+	const rounds = 50
+	e.Spawn(pong, func() {
+		for pong.Park(Infinity) {
+			e.At(pong.Now(), ping, nil)
+		}
+	})
+	e.Spawn(ping, func() {
+		for i := 0; i < rounds; i++ {
+			e.At(ping.Now(), pong, nil)
+			ping.Park(Infinity)
+		}
+		e.Stop()
+	})
+	countSteps(pong, &pongSteps)
+	countSteps(ping, &pingSteps)
+	e.Run()
+	// pong's last Park is resumed by the stop; ping ends without parking.
+	if ping.parks != rounds || pong.parks != rounds+1 {
+		t.Fatalf("ping parked %d times, pong %d, want %d and %d", ping.parks, pong.parks, rounds, rounds+1)
+	}
+	if pingSteps != ping.parks+1 || pongSteps != pong.parks+1 {
+		t.Errorf("ping stepped %d times for %d parks, pong %d for %d: want one step per park plus the start",
+			pingSteps, ping.parks, pongSteps, pong.parks)
+	}
+}
+
+// A Park that keeps the baton costs nothing on the heap: its deadline goes
+// into a warmed event queue, and the event runs and the baton is granted
+// again without a closure or a switch.
+func TestParkKeepAllocs(t *testing.T) {
+	e := NewEngine(1)
+	n := e.NewNode("n")
+	var steps uint64
+	avg := -1.0
+	e.Spawn(n, func() {
+		park := func() { n.Park(n.Now().Add(time.Microsecond)) }
+		park()
+		avg = testing.AllocsPerRun(1000, park)
+	})
+	countSteps(n, &steps)
+	e.Run()
+	if steps != 1 {
+		t.Fatalf("the node was stepped %d times: its parks did not keep the baton", steps)
+	}
+	if avg != 0 {
+		t.Errorf("a Park that keeps the baton allocates %v objects, want 0", avg)
+	}
+}
+
 func TestYieldOrdersByClock(t *testing.T) {
 	// A node that charged far ahead must let a lagging node catch up on
 	// Yield.

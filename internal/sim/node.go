@@ -64,20 +64,35 @@ func (n *Node) Charge(d time.Duration) {
 // spurious: callers re-check their condition and park again. Park reports
 // false when the engine is stopping, in which case the caller must unwind
 // promptly (no further Park will block).
+//
+// The events due before the next node runs execute inside Park, on this
+// node's coroutine, so a node that is itself the next to run keeps the
+// baton without a coroutine switch. An event that panics does not unwind
+// this node: the panic surfaces from Run once every node is released, as
+// it would from an event Run executes. An event that calls runtime.Goexit
+// (t.Fatal) ends this node's coroutine and then the goroutine that called
+// Run, as a node's main that calls it does.
 func (n *Node) Park(deadline Time) bool {
-	if n.eng.stopped {
+	e := n.eng
+	if e.stopped {
 		return false
 	}
 	if deadline != Infinity {
 		if deadline < n.clock {
 			deadline = n.clock
 		}
-		n.eng.At(deadline, n, nil)
+		e.At(deadline, n, nil)
 	}
 	n.parks++
 	n.state = stateParked
+	next := e.advanceParked()
+	if next == n {
+		e.grant(n)
+		return true
+	}
+	e.chosen = next
 	n.yield(struct{}{})
-	return !n.eng.stopped
+	return !e.stopped
 }
 
 // Yield parks until the engine has processed every event up to the node's

@@ -40,6 +40,16 @@ type Faults struct {
 // BlockSize is the device's logical block size in bytes.
 const BlockSize = 512
 
+// chunkBlocks is how many blocks one chunk of the media holds: 32 KiB, Go's
+// largest small-object size class, so a chunk costs its bytes and nothing
+// more.
+const chunkBlocks = 64
+
+// A chunk is a run of the media, made on the first write to any of its
+// blocks. It holds no pointer, so the collector never scans it, and a block
+// no write reached reads as zeros.
+type chunk [chunkBlocks * BlockSize]byte
+
 // Params is the device latency model.
 type Params struct {
 	// ReadLatency and WriteLatency are fixed per-command costs.
@@ -101,7 +111,7 @@ type Device struct {
 	node      *sim.Node
 	params    Params
 	numBlocks int64
-	blocks    map[int64][]byte // durable contents, sparse
+	blocks    map[int64]*chunk // durable contents by lba/chunkBlocks, sparse
 	cq        []Completion     // completed, not yet polled; compacted in place
 	polled    []Completion     // what the last PollCompletions returned
 	free      []*command       // command records between commands
@@ -149,7 +159,7 @@ func New(node *sim.Node, params Params, numBlocks int64) *Device {
 		node:      node,
 		params:    params,
 		numBlocks: numBlocks,
-		blocks:    make(map[int64][]byte),
+		blocks:    make(map[int64]*chunk),
 	}
 	d.tel = telemetry.NewRegistry(node.Name() + "/spdk")
 	s := &d.stats
@@ -234,34 +244,47 @@ func (c *command) run() {
 	d.free = append(d.free, c)
 }
 
-// persist copies the first n blocks of gather's bytes into the media at lba,
-// one new block each: the media keeps nothing of the caller's.
+// persist copies the first n blocks of gather's bytes into the media at lba:
+// the media keeps nothing of the caller's.
 func (d *Device) persist(lba int64, n int, gather [][]byte) {
-	var blk []byte
+	var blk []byte // what the block being written still lacks
 	for _, seg := range gather {
 		for len(seg) > 0 {
-			if n == 0 {
-				return
+			if len(blk) == 0 {
+				if n == 0 {
+					return
+				}
+				blk, lba, n = d.block(lba), lba+1, n-1
 			}
-			if blk == nil {
-				blk = make([]byte, 0, BlockSize)
-			}
-			k := min(len(seg), BlockSize-len(blk))
-			blk, seg = append(blk, seg[:k]...), seg[k:]
-			if len(blk) == BlockSize {
-				d.blocks[lba] = blk
-				blk, lba, n = nil, lba+1, n-1
-			}
+			k := copy(blk, seg)
+			blk, seg = blk[k:], seg[k:]
 		}
 	}
+}
+
+// block returns the media's bytes for the block at lba, making its chunk if
+// no write has reached the chunk yet.
+func (d *Device) block(lba int64) []byte {
+	c := d.blocks[lba/chunkBlocks]
+	if c == nil {
+		c = new(chunk)
+		d.blocks[lba/chunkBlocks] = c
+	}
+	return c.block(lba)
+}
+
+// block returns the bytes of the chunk's block at lba.
+func (c *chunk) block(lba int64) []byte {
+	off := lba % chunkBlocks * BlockSize
+	return c[off : off+BlockSize]
 }
 
 // read returns a copy of n blocks at lba; unwritten blocks read as zeros.
 func (d *Device) read(lba int64, n int) []byte {
 	out := make([]byte, n*BlockSize)
-	for i := 0; i < n; i++ {
-		if blk, ok := d.blocks[lba+int64(i)]; ok {
-			copy(out[i*BlockSize:], blk)
+	for i := range int64(n) {
+		if c := d.blocks[(lba+i)/chunkBlocks]; c != nil {
+			copy(out[i*BlockSize:], c.block(lba+i))
 		}
 	}
 	return out
@@ -351,10 +374,13 @@ func (d *Device) CQPending() bool { return len(d.cq) > 0 }
 
 // CloneBlocksInto copies this device's durable contents into another
 // device, modelling the same physical disk attached after a host restart
-// (the destination usually belongs to a fresh simulation).
+// (the destination usually belongs to a fresh simulation). It copies whole
+// chunks: a destination block that shares a chunk with one this device
+// wrote takes this device's contents, zeros if it never wrote that block.
 func (d *Device) CloneBlocksInto(to *Device) {
-	for lba, blk := range d.blocks {
-		to.blocks[lba] = append([]byte(nil), blk...)
+	for i, c := range d.blocks {
+		cp := *c
+		to.blocks[i] = &cp
 	}
 }
 
