@@ -311,7 +311,9 @@ func ParseReply(buf []byte) (Reply, int, bool, error) {
 		if blen > len(buf)-n-2 {
 			return Reply{}, 0, false, nil
 		}
-		return Reply{Kind: respBulk, Bulk: append([]byte(nil), buf[n:n+blen]...)}, n + blen + 2, true, nil
+		// Not append onto nil: an empty payload would come back as the null
+		// bulk string, a missing key.
+		return Reply{Kind: respBulk, Bulk: append(make([]byte, 0, blen), buf[n:n+blen]...)}, n + blen + 2, true, nil
 	default:
 		return Reply{}, n, true, fmt.Errorf("kv: unknown reply type %q", buf[0])
 	}

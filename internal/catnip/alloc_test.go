@@ -362,3 +362,43 @@ func TestPoppedSlotsHoldNothing(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// A datagram pushed to a resolved address costs the core.Op its token names
+// and nothing else on the sending stack: the header is built in the stack's
+// scratch, the payload gathered into a buffer the stack reuses, and the push
+// completes inline. The one other object is the receiving stack's Mbuf,
+// which also frees the fabric's copy of the frame for the next; the hop
+// itself is held by simnet's TestHopPathAllocs.
+func TestUDPPushAllocs(t *testing.T) {
+	p := newHandDrivenPair()
+	a, b := p.a, p.b
+	a.SeedARP(b.cfg.IP, b.mac)
+	s, err := a.NewSocket(1, core.SockDgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sga := core.SGArray{Segs: []*memory.Buf{
+		memory.CopyFrom(a.heap, make([]byte, 64)),
+		memory.CopyFrom(a.heap, make([]byte, 1100)), // zero-copy eligible
+	}}
+	to := core.Addr{IP: b.cfg.IP, Port: 7} // nobody listens: b drops it
+	push := func() {
+		op := a.Tokens().New()
+		if err := s.(*udpSocket).Push(op, sga, to); err != nil {
+			t.Fatal(err)
+		}
+		if _, done, err := a.Tokens().TryTake(op.Token()); !done || err != nil {
+			t.Fatalf("push did not complete: done=%v err=%v", done, err)
+		}
+		p.drain(b)
+	}
+	for i := 0; i < 64; i++ {
+		push() // the gather buffer and the fabric's free list reach their size
+	}
+	if avg := testing.AllocsPerRun(200, push); avg != 2 {
+		t.Errorf("a UDP push allocates %.1f objects, want 2 (its Op, the receiver's Mbuf)", avg)
+	}
+	if s, r := a.Stats(), b.Stats(); s.CopiedTx == 0 || s.ZeroCopyTx == 0 || r.RxDroppedNoPort < 64+200 {
+		t.Errorf("the path measured was not a gathered push on the wire: sender %+v, receiver %+v", s, r)
+	}
+}

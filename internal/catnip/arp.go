@@ -35,9 +35,9 @@ type arpPending struct {
 	retries int
 }
 
-// pendingSend is a deferred IPv4 transmission. done (optional) reports the
-// outcome: nil when the frame went on the wire, ErrHostUnreachable when
-// resolution gave up.
+// pendingSend is a deferred IPv4 transmission. done reports the outcome:
+// nil when the frame went on the wire, ErrHostUnreachable when resolution
+// gave up.
 type pendingSend struct {
 	dstIP     wire.IPAddr
 	proto     uint8
@@ -87,22 +87,13 @@ func (a *arpCache) lookup(ip wire.IPAddr) (simnet.MAC, bool) {
 	return m, ok
 }
 
-// sendOrQueue transmits an IPv4 packet if the destination resolves,
-// otherwise queues it and kicks resolution. done (may be nil) is called
+// queue holds an IPv4 packet for an address not in the cache, which keeps
+// transport and payload until then, and kicks resolution. done is called
 // with nil once the packet is on the wire, or with ErrHostUnreachable if
-// resolution fails — synchronously on the warm-cache fast path.
-func (a *arpCache) sendOrQueue(dstIP wire.IPAddr, proto uint8, transport, payload []byte, ctx uint64, done func(error)) {
-	if mac, ok := a.entries[dstIP]; ok {
-		a.lib.sendIPv4(mac, dstIP, proto, transport, payload, ctx)
-		if done != nil {
-			done(nil)
-		}
-		return
-	}
+// resolution fails — synchronously while a failed one is remembered.
+func (a *arpCache) queue(dstIP wire.IPAddr, proto uint8, transport, payload []byte, ctx uint64, done func(error)) {
 	if a.negative(dstIP) {
-		if done != nil {
-			done(core.ErrHostUnreachable)
-		}
+		done(core.ErrHostUnreachable)
 		return
 	}
 	p, ok := a.pending[dstIP]
@@ -171,9 +162,7 @@ func (a *arpCache) spawnRetrier(ip wire.IPAddr) {
 			a.neg[ip] = a.lib.node.Now().Add(negCacheTTL)
 			a.lib.stats.ARPGiveUps++
 			for _, s := range p.sends {
-				if s.done != nil {
-					s.done(core.ErrHostUnreachable)
-				}
+				s.done(core.ErrHostUnreachable)
 			}
 			for _, w := range p.wakers {
 				w.Wake() // let waiters observe failure
@@ -226,9 +215,7 @@ func (a *arpCache) flush(ip wire.IPAddr, mac simnet.MAC) {
 	delete(a.pending, ip)
 	for _, s := range p.sends {
 		a.lib.sendIPv4(mac, s.dstIP, s.proto, s.transport, s.payload, s.ctx)
-		if s.done != nil {
-			s.done(nil)
-		}
+		s.done(nil)
 	}
 	for _, w := range p.wakers {
 		w.Wake()

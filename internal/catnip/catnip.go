@@ -152,6 +152,11 @@ type LibOS struct {
 	// tcpHdr is where sendTCP builds every TCP header (20 bytes and at most
 	// 40 of options); sendIPv4 has copied it into txBuf before the next one.
 	tcpHdr [wire.TCPHeaderLen + 40]byte
+	// udpHdr and udpPayload are where udpSocket.Push builds a datagram's
+	// header and gathers its payload: sendIPv4 has copied both into txBuf
+	// before the next push, and a datagram the ARP layer queues gets copies.
+	udpHdr     [wire.UDPHeaderLen]byte
+	udpPayload []byte
 
 	reg     *telemetry.Registry
 	telCwnd *telemetry.Histogram // cwnd sampled at every ack arrival
@@ -430,8 +435,7 @@ func (l *LibOS) sendIPv4(dstMAC simnet.MAC, dstIP wire.IPAddr, proto uint8, tran
 
 // sendTCP marshals h over payload and transmits the segment to dstIP at
 // dstMAC. The header is built in the stack's one scratch: sendIPv4 consumes
-// it before returning, and nothing here re-enters the stack. (UDP and ARP
-// headers are not built this way because arp.sendOrQueue can hold them.)
+// it before returning, and nothing here re-enters the stack.
 //
 //demi:nonalloc
 func (l *LibOS) sendTCP(dstMAC simnet.MAC, dstIP wire.IPAddr, h *wire.TCPHeader, payload []byte, ctx uint64) {

@@ -1,6 +1,8 @@
 package catnip
 
 import (
+	"bytes"
+
 	"demikernel/internal/core"
 	"demikernel/internal/costmodel"
 	"demikernel/internal/memory"
@@ -95,7 +97,7 @@ func (s *udpSocket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	// Gather segments. Zero-copy eligible buffers are "DMA-gathered" (no
 	// CPU charge); small ones are copied (charged), mirroring the 1 KiB
 	// zero-copy policy.
-	payload := make([]byte, 0, n)
+	payload := s.lib.udpPayload[:0]
 	for _, b := range sga.Segs {
 		if !b.ZeroCopyEligible() || s.lib.cfg.ForceCopy {
 			s.lib.node.Charge(costmodel.Memcpy(b.Len()))
@@ -105,14 +107,19 @@ func (s *udpSocket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 		}
 		payload = append(payload, b.Bytes()...)
 	}
+	s.lib.udpPayload = payload
 	h := wire.UDPHeader{SrcPort: s.localPort, DstPort: dst.Port, Length: uint16(wire.UDPHeaderLen + n)}
-	hdr := make([]byte, wire.UDPHeaderLen)
+	hdr := s.lib.udpHdr[:]
 	h.Marshal(hdr, s.lib.cfg.IP, dst.IP, payload)
-	// Completion is deferred to the ARP layer: on the warm-cache fast path
-	// the callback runs synchronously (identical behavior), and when
-	// bounded-retry resolution gives up, the push fails with
-	// ErrHostUnreachable instead of silently dropping the datagram.
-	s.lib.arp.sendOrQueue(dst.IP, wire.ProtoUDP, hdr, payload, sga.TraceCtx(), func(err error) {
+	if mac, ok := s.lib.arp.lookup(dst.IP); ok {
+		s.lib.sendIPv4(mac, dst.IP, wire.ProtoUDP, hdr, payload, sga.TraceCtx())
+		op.Complete(core.QEvent{QD: s.qd, Op: core.OpPush})
+		return nil
+	}
+	// The ARP layer holds the datagram until resolution succeeds, when the
+	// push completes, or gives up, when it fails with ErrHostUnreachable
+	// instead of silently dropping the datagram; it gets copies of its own.
+	s.lib.arp.queue(dst.IP, wire.ProtoUDP, bytes.Clone(hdr), bytes.Clone(payload), sga.TraceCtx(), func(err error) {
 		if err != nil {
 			op.Fail(s.qd, core.OpPush, err)
 			return

@@ -18,10 +18,13 @@ import (
 // pending events until the runnable node with the smallest local clock is
 // due, and that node runs until it parks. Each node's main runs as a
 // runtime coroutine (iter.Pull). A parking node runs advance itself, on its
-// own coroutine: when the node it finds is the parker, Park returns without
-// a switch; otherwise the parker yields to Run, which steps the node found.
-// Because exactly one of {Run, a single node} executes at any time, the
-// engine state needs no locks; the coroutine switches provide the
+// own coroutine, and hands the baton on with one coroutine switch: it keeps
+// it when the node found is the parker, resumes the node found when that
+// node is suspended in Park, and otherwise yields to whoever resumed it.
+// Nodes resuming nodes form a chain from Run, at most one entry per node;
+// a yield goes one level up it, towards the node found or, when there is
+// none, to Run. Because exactly one of {Run, a single node} executes at any
+// time, the engine state needs no locks; the coroutine switches provide the
 // happens-before edges.
 //
 // Causality invariant: every runnable node's clock is >= the engine's
@@ -40,9 +43,11 @@ type Engine struct {
 
 	// What the last node to yield from Park found runs next, and a panic
 	// an event raised inside that Park; Run steps the one and re-raises the
-	// other.
+	// other. dying is a node whose main panicked or called Goexit while
+	// another node had resumed it; it waits mid-unwind for Run to resume it.
 	chosen    *Node
 	parkPanic any
+	dying     *Node
 
 	eventsRun uint64
 }
@@ -88,8 +93,18 @@ func (e *Engine) Spawn(n *Node, fn func()) {
 	n.clock = e.now
 	n.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		n.yield = yield
-		defer func() { n.state = stateFinished }()
+		returned := false
+		defer func() {
+			n.state = stateFinished
+			if !returned && n.resumer != nil {
+				// Unwinding further would unwind the node that resumed
+				// this one: let Run resume it to finish the panic or Goexit.
+				e.dying = n
+				n.yield(struct{}{})
+			}
+		}()
 		fn()
+		returned = true
 	})
 }
 
@@ -137,6 +152,10 @@ func (e *Engine) Run() {
 	n := e.advance()
 	for n != nil {
 		e.step(n)
+		if d := e.dying; d != nil {
+			e.dying = nil
+			d.next() // re-raises its panic or exits this goroutine
+		}
 		if n.state == stateFinished {
 			n = e.advance()
 		} else {
@@ -207,6 +226,24 @@ func (e *Engine) grant(n *Node) {
 func (e *Engine) step(n *Node) {
 	e.grant(n)
 	n.next()
+}
+
+// resume hands the baton from the parking node by to n, which is suspended
+// in Park or not yet started, and returns the node to run once control comes
+// back: what the chain below found, or what advance finds if n's main
+// returned. It returns nil while a node below is dying.
+func (e *Engine) resume(by, n *Node) *Node {
+	e.grant(n)
+	n.resumer, by.waiting = by, true
+	n.next()
+	n.resumer, by.waiting = nil, false
+	switch {
+	case e.dying != nil:
+		return nil
+	case n.state == stateFinished:
+		return e.advanceParked()
+	}
+	return e.chosen
 }
 
 // shutdown marks the engine stopped and unblocks every parked node so its

@@ -7,8 +7,9 @@ import (
 )
 
 // BenchmarkHandoff: two nodes wake each other and park; one operation is one
-// handoff (node to engine to node), the cost every idle transition of every
-// simulated workload pays.
+// handoff, the cost every idle transition of every simulated workload pays:
+// one coroutine switch, as the parker resumes the other node or yields back
+// to the node that resumed it.
 func BenchmarkHandoff(b *testing.B) {
 	e := NewEngine(1)
 	pong, ping := e.NewNode("pong"), e.NewNode("ping") // pong starts first and is parked when ping first wakes it
@@ -27,6 +28,43 @@ func BenchmarkHandoff(b *testing.B) {
 		e.Stop()
 	})
 	e.Run()
+}
+
+// BenchmarkHandoffRing: a wake-up passes round a ring of nodes, each parking
+// once it has woken its successor; one operation is one handoff. The chain of
+// resumers grows one level per handoff down the ring and unwinds where the
+// ring closes, so a lap of k nodes costs 2(k-1) switches: a large ring
+// approaches the two switches a handoff through Run costs.
+func BenchmarkHandoffRing(b *testing.B) {
+	for _, size := range []int{2, 3, 8, 32} {
+		b.Run(fmt.Sprintf("nodes=%d", size), func(b *testing.B) {
+			e := NewEngine(1)
+			ring := make([]*Node, size)
+			for i := range ring {
+				ring[i] = e.NewNode(fmt.Sprint("r", i))
+			}
+			for i, n := range ring[1:] {
+				succ := ring[(i+2)%size]
+				e.Spawn(n, func() {
+					for n.Park(Infinity) {
+						e.At(n.Now(), succ, nil)
+					}
+				})
+			}
+			r0 := ring[0]
+			e.Spawn(r0, func() {
+				r0.Yield() // the others park first
+				b.ResetTimer()
+				for i := 0; i < b.N; i += size {
+					e.At(r0.Now(), ring[1], nil)
+					r0.Park(Infinity)
+				}
+				b.StopTimer()
+				e.Stop()
+			})
+			e.Run()
+		})
+	}
 }
 
 // BenchmarkParkKeep: a lone node parks on a deadline; one operation is one

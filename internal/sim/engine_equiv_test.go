@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -9,8 +10,8 @@ import (
 // The reference engine is the engine as it was before nodes became
 // coroutines and the event queue stopped carrying pointers: a goroutine per
 // node, two unbuffered channels for the baton, a binary heap of whole
-// events. It exists so the equivalence test below can require that the
-// rewrite changed no order and no clock.
+// events, and every handoff through run. It exists so the equivalence test
+// below can require that the rewrite changed no order and no clock.
 
 type refNode struct {
 	eng    *refEngine
@@ -135,6 +136,7 @@ func (e *refEngine) minRunnable() *refNode {
 }
 
 func (e *refEngine) run() {
+	defer e.shutdown() // also when an event panics or calls Goexit
 	for !e.stopRequested {
 		next := e.minRunnable()
 		for len(e.heap.ev) > 0 && (next == nil || e.heap.ev[0].at <= next.clock) {
@@ -164,6 +166,9 @@ func (e *refEngine) run() {
 		e.last = next
 		e.step(next)
 	}
+}
+
+func (e *refEngine) shutdown() {
 	e.stopped = true
 	for {
 		var parked *refNode
@@ -224,6 +229,7 @@ type world interface {
 	eventsRun() uint64
 	pending() int
 	nodes() int
+	nested() bool // whether a node's Park resumed the node running now
 
 	charge(node int, d time.Duration)
 	park(node int, deadline Time) bool
@@ -232,7 +238,18 @@ type world interface {
 	parks(node int) uint64
 }
 
-type realWorld struct{ e *Engine }
+type realWorld struct {
+	e *Engine
+	h *handoffs
+}
+
+// handoffs counts how the engine passed the baton between nodes: down, a
+// parker resumed another node; up, a node yielded to the node that resumed
+// it; depth, the longest chain of resumers a resume made.
+type handoffs struct {
+	down, up uint64
+	depth    int
+}
 
 func (w realWorld) node(i int) *Node {
 	if i < 0 {
@@ -247,7 +264,6 @@ func (w realWorld) newHost(cores int) (ids []int) {
 	}
 	return ids
 }
-func (w realWorld) spawn(n int, fn func())         { w.e.Spawn(w.node(n), fn) }
 func (w realWorld) at(t Time, n int, fn func())    { w.e.At(t, w.node(n), fn) }
 func (w realWorld) stop()                          { w.e.Stop() }
 func (w realWorld) run()                           { w.e.Run() }
@@ -261,6 +277,42 @@ func (w realWorld) park(n int, deadline Time) bool { return w.node(n).Park(deadl
 func (w realWorld) clock(n int) Time               { return w.node(n).Now() }
 func (w realWorld) busy(n int) time.Duration       { return w.node(n).Busy() }
 func (w realWorld) parks(n int) uint64             { return w.node(n).parks }
+
+// spawn also counts the node's handoffs into w.h, through its next and yield.
+func (w realWorld) spawn(i int, fn func()) {
+	n := w.node(i)
+	w.e.Spawn(n, func() {
+		yield := n.yield
+		n.yield = func(v struct{}) bool {
+			if n.resumer != nil {
+				w.h.up++
+			}
+			return yield(v)
+		}
+		fn()
+	})
+	next := n.next
+	n.next = func() (struct{}, bool) {
+		if n.resumer != nil {
+			w.h.down++
+			d := 0
+			for m := n; m.resumer != nil; m = m.resumer {
+				d++
+			}
+			w.h.depth = max(w.h.depth, d)
+		}
+		return next()
+	}
+}
+
+func (w realWorld) nested() bool {
+	for _, n := range w.e.nodes {
+		if n.waiting {
+			return true
+		}
+	}
+	return false
+}
 
 type refWorld struct{ e *refEngine }
 
@@ -286,6 +338,7 @@ func (w refWorld) seq() uint64                    { return w.e.seq }
 func (w refWorld) eventsRun() uint64              { return w.e.eventsRun }
 func (w refWorld) pending() int                   { return len(w.e.heap.ev) }
 func (w refWorld) nodes() int                     { return len(w.e.nodes) }
+func (w refWorld) nested() bool                   { return false }
 func (w refWorld) charge(n int, d time.Duration)  { w.node(n).charge(d) }
 func (w refWorld) park(n int, deadline Time) bool { return w.node(n).park(deadline) }
 func (w refWorld) clock(n int) Time               { return w.node(n).clock }
@@ -309,12 +362,54 @@ type script struct {
 	trace   []traceEntry
 	spawned int // nodes created from inside the simulation
 	deepest int // most events pending at the end of a storm
+
+	fatal       *fatal
+	goexited    bool // the fatal event called Goexit
+	nestedFatal bool // it ran while a node's Park had resumed another node
+}
+
+// fatal names the step at which a node schedules an event, due at its own
+// clock, that panics or calls runtime.Goexit. The event runs inside that
+// node's Park or another's, often one a third node resumed, and ends the run.
+type fatal struct {
+	node, step int
+	goexit     bool
 }
 
 const maxInsideSpawns = 6
 
 func (s *script) note(who int, clock Time) {
 	s.trace = append(s.trace, traceEntry{who, clock, s.w.seq()})
+}
+
+// noted records n's clock after an operation and reports whether n's main
+// goes on. Once the fatal event has called Goexit, released nodes return
+// without a note: Engine ends the node whose Park ran the event without
+// returning from it, which the reference, running events on its own
+// goroutine, cannot tell apart from the nodes it releases.
+func (s *script) noted(n int, ok bool) bool {
+	if !ok && s.goexited {
+		return false
+	}
+	s.note(n, s.w.clock(n))
+	return ok
+}
+
+// maybeFatal schedules the fatal event if n is at its step.
+func (s *script) maybeFatal(n, step int) {
+	f, w := s.fatal, s.w
+	if f == nil || f.node != n || f.step != step {
+		return
+	}
+	w.at(w.clock(n), -1, func() {
+		s.note(-1, w.now())
+		s.nestedFatal = w.nested()
+		if f.goexit {
+			s.goexited = true
+			runtime.Goexit()
+		}
+		panic("fatal event")
+	})
 }
 
 func (s *script) rng(actor uint64) *Rand { return NewRand(s.seed*1_000_003 + actor) }
@@ -374,6 +469,7 @@ func (s *script) main(n, steps int) func() {
 		w := s.w
 		r := s.rng(uint64(n) + 1<<32)
 		for i := 0; i < steps; i++ {
+			s.maybeFatal(n, i)
 			ok := true
 			switch r.Intn(14) {
 			case 10:
@@ -438,8 +534,7 @@ func (s *script) main(n, steps int) func() {
 				})
 				ok = w.park(n, w.clock(n)+Time(r.Intn(3)))
 			}
-			s.note(n, w.clock(n))
-			if !ok {
+			if !s.noted(n, ok) {
 				return
 			}
 		}
@@ -462,9 +557,44 @@ func (s *script) core(n int, host uint64, steps int) func() {
 			} else {
 				ok = w.park(n, w.clock(n)) // Yield
 			}
-			s.note(n, w.clock(n))
-			if !ok {
+			if !s.noted(n, ok) {
 				return
+			}
+		}
+	}
+}
+
+// ring returns the program of one member of a ring of nodes that pass a
+// wake-up round: each parks until woken, wakes its successor and parks
+// again. So each handoff resumes the next member from the parker's Park,
+// and the one that closes a lap finds a member several levels up the chain.
+// Member 0 starts the round once the others have parked. A member's main
+// returns after its laps, usually while another member has resumed it; now
+// and then one spawns a node or stops the engine.
+func (s *script) ring(members []int, i, laps int) func() {
+	return func() {
+		w := s.w
+		n, succ := members[i], members[(i+1)%len(members)]
+		r := s.rng(uint64(n) + 3<<32)
+		if i == 0 && !s.noted(n, w.park(n, w.clock(n))) {
+			return
+		}
+		for lap := 0; lap < laps; lap++ {
+			s.maybeFatal(n, lap)
+			if (i > 0 || lap > 0) && !s.noted(n, w.park(n, Infinity)) {
+				return
+			}
+			w.charge(n, time.Duration(r.Intn(300)))
+			var delay time.Duration
+			if r.Intn(4) == 0 {
+				delay = time.Duration(r.Intn(500))
+			}
+			w.at(w.clock(n).Add(delay), succ, nil)
+			switch r.Intn(150) {
+			case 0:
+				w.stop()
+			case 1, 2, 3:
+				s.spawnInside(uint64(n))
 			}
 		}
 	}
@@ -502,6 +632,7 @@ func (s *script) storm(n, step int, r *Rand) {
 }
 
 type outcome struct {
+	end       string // how run ended: returned, panicked or Goexit
 	trace     []traceEntry
 	now       Time
 	eventsRun uint64
@@ -509,6 +640,8 @@ type outcome struct {
 	busy      []time.Duration
 	parks     []uint64
 	deepest   int
+
+	nestedFatal bool
 }
 
 func runScript(w world, seed uint64) outcome {
@@ -529,14 +662,28 @@ func runScript(w world, seed uint64) outcome {
 			w.spawn(n, s.core(n, host, steps))
 		}
 	}
+	if r.Intn(2) == 0 {
+		members := make([]int, 3+r.Intn(14))
+		for i := range members {
+			members[i] = w.newNode()
+		}
+		laps := 5 + r.Intn(30)
+		for i, n := range members {
+			w.spawn(n, s.ring(members, i, laps))
+		}
+	}
 	for i := r.Intn(8); i > 0; i-- {
 		w.at(Time(r.Intn(20000)), s.target(r), s.event(uint64(i), 3))
 	}
 	if r.Intn(4) == 0 {
 		w.at(Time(r.Intn(60000)), -1, w.stop) // Stop mid-run
 	}
-	w.run()
-	out := outcome{trace: s.trace, now: w.now(), eventsRun: w.eventsRun(), deepest: s.deepest}
+	if r.Intn(5) == 0 {
+		s.fatal = &fatal{node: r.Intn(w.nodes()), step: r.Intn(8), goexit: r.Intn(2) == 0}
+	}
+	out := outcome{end: ended(w.run)}
+	out.trace, out.now, out.eventsRun, out.deepest = s.trace, w.now(), w.eventsRun(), s.deepest
+	out.nestedFatal = s.nestedFatal
 	for n := 0; n < w.nodes(); n++ {
 		out.clocks = append(out.clocks, w.clock(n))
 		out.busy = append(out.busy, w.busy(n))
@@ -545,17 +692,38 @@ func runScript(w world, seed uint64) outcome {
 	return out
 }
 
+// ended calls run on a goroutine of its own and reports how it ended.
+func ended(run func()) string {
+	how := make(chan string)
+	go func() {
+		end := "Goexit"
+		defer func() {
+			if p := recover(); p != nil {
+				end = fmt.Sprint("panicked: ", p)
+			}
+			how <- end
+		}()
+		run()
+		end = "returned"
+	}()
+	return <-how
+}
+
 func TestEngineMatchesReference(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
 		seeds = 200
 	}
 	var entries, events, parks, selfResumes uint64
-	var deepest int
+	var deepest, panics, goexits, nestedFatal int
+	var h handoffs
 	for seed := uint64(1); seed <= uint64(seeds); seed++ {
 		ref := &refEngine{back: make(chan struct{})}
 		want := runScript(refWorld{ref}, seed)
-		got := runScript(realWorld{NewEngine(seed)}, seed)
+		got := runScript(realWorld{NewEngine(seed), &h}, seed)
+		if got.end != want.end {
+			t.Fatalf("seed %d: Run %s, reference %s", seed, got.end, want.end)
+		}
 		if len(got.trace) != len(want.trace) {
 			t.Fatalf("seed %d: trace has %d entries, reference %d", seed, len(got.trace), len(want.trace))
 		}
@@ -581,6 +749,16 @@ func TestEngineMatchesReference(t *testing.T) {
 			parks += n
 		}
 		selfResumes += ref.selfResumes
+		switch want.end {
+		case "returned":
+		case "Goexit":
+			goexits++
+		default:
+			panics++
+		}
+		if got.nestedFatal {
+			nestedFatal++
+		}
 	}
 	// Guard against a script generator that quietly stopped exercising
 	// anything: the seeds must add up to real work, and both kinds of
@@ -591,6 +769,18 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 	if selfResumes < parks/5 || parks-selfResumes < parks/5 {
 		t.Fatalf("of %d parks %d were followed by the parker itself: one kind of schedule is barely exercised", parks, selfResumes)
+	}
+	// Of the parks handed to another node, many must go down the chain (the
+	// parker resumes the node) and many back up it (the node found is up
+	// the chain), some over many levels; and fatal events must end runs,
+	// some inside a Park that another node's Park had resumed.
+	handed := parks - selfResumes
+	if h.down < handed/2 || h.up < handed/2 || h.depth < 8 {
+		t.Fatalf("of %d parks handed on, %d resumed the node down the chain and %d unwound; deepest chain %d",
+			handed, h.down, h.up, h.depth)
+	}
+	if panics < seeds/50 || goexits < seeds/50 || nestedFatal < seeds/50 {
+		t.Fatalf("of %d runs %d ended in a panic and %d in Goexit, %d of them inside a nested Park", seeds, panics, goexits, nestedFatal)
 	}
 	if deepest < 8*shallow {
 		t.Fatalf("storms too thin: at most %d events pending, and the lanes engage at %d", deepest, shallow)

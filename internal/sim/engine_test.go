@@ -325,10 +325,30 @@ func countSteps(n *Node, c *uint64) {
 	}
 }
 
+// countSwitches spawns fn as n's main and counts into *c every coroutine
+// switch into or out of it that passes the baton: each call of n's next and
+// of its yield.
+func countSwitches(e *Engine, n *Node, c *uint64, fn func()) {
+	e.Spawn(n, func() {
+		yield := n.yield
+		n.yield = func(v struct{}) bool {
+			*c++
+			return yield(v)
+		}
+		fn()
+	})
+	next := n.next
+	n.next = func() (struct{}, bool) {
+		*c++
+		return next()
+	}
+}
+
 // A node that parks and is itself the next to run keeps the baton: a lone
 // node parking on deadlines is stepped once, to start it, however often it
-// parks. Two nodes waking each other still hand the baton over through Run
-// once per park, and every such park is resumed exactly once.
+// parks. Two nodes waking each other hand the baton over with one coroutine
+// switch per park: the parker resumes the other node, or yields back to the
+// node that resumed it, never both.
 func TestParkKeepsBaton(t *testing.T) {
 	e := NewEngine(1)
 	lone := e.NewNode("lone")
@@ -354,30 +374,30 @@ func TestParkKeepsBaton(t *testing.T) {
 
 	e = NewEngine(1)
 	pong, ping := e.NewNode("pong"), e.NewNode("ping")
-	var pongSteps, pingSteps uint64
+	var switches uint64
 	const rounds = 50
-	e.Spawn(pong, func() {
+	countSwitches(e, pong, &switches, func() {
 		for pong.Park(Infinity) {
 			e.At(pong.Now(), ping, nil)
 		}
 	})
-	e.Spawn(ping, func() {
+	countSwitches(e, ping, &switches, func() {
 		for i := 0; i < rounds; i++ {
 			e.At(ping.Now(), pong, nil)
 			ping.Park(Infinity)
 		}
 		e.Stop()
 	})
-	countSteps(pong, &pongSteps)
-	countSteps(ping, &pingSteps)
 	e.Run()
 	// pong's last Park is resumed by the stop; ping ends without parking.
 	if ping.parks != rounds || pong.parks != rounds+1 {
 		t.Fatalf("ping parked %d times, pong %d, want %d and %d", ping.parks, pong.parks, rounds, rounds+1)
 	}
-	if pingSteps != ping.parks+1 || pongSteps != pong.parks+1 {
-		t.Errorf("ping stepped %d times for %d parks, pong %d for %d: want one step per park plus the start",
-			pingSteps, ping.parks, pongSteps, pong.parks)
+	// Besides one switch per park: Run starts pong, and pong, finding
+	// nothing to run after the stop, yields to Run, which releases it.
+	if want := ping.parks + pong.parks + 3; switches != want {
+		t.Errorf("%d baton switches for %d parks, want %d: one per park plus pong's start, stop and release",
+			switches, ping.parks+pong.parks, want)
 	}
 }
 
@@ -401,6 +421,120 @@ func TestParkKeepAllocs(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Errorf("a Park that keeps the baton allocates %v objects, want 0", avg)
+	}
+}
+
+// A handoff down the chain of resumers, and one back up it, costs nothing on
+// the heap: three nodes pass a wake-up round a ring, so each park either
+// resumes the next node or unwinds to the one up the chain that is due.
+func TestNestedHandoffAllocs(t *testing.T) {
+	e := NewEngine(1)
+	ring := []*Node{e.NewNode("r0"), e.NewNode("r1"), e.NewNode("r2")}
+	var nested uint64
+	for i, n := range ring[1:] {
+		succ := ring[(i+2)%len(ring)]
+		e.Spawn(n, func() {
+			for n.Park(Infinity) {
+				if n.resumer != nil {
+					nested++
+				}
+				e.At(n.Now(), succ, nil)
+			}
+		})
+	}
+	r0, avg := ring[0], -1.0
+	e.Spawn(r0, func() {
+		r0.Yield() // r1 and r2 park first
+		lap := func() {
+			e.At(r0.Now(), ring[1], nil)
+			if !r0.Park(Infinity) {
+				t.Error("the ring stalled")
+			}
+		}
+		lap()
+		avg = testing.AllocsPerRun(1000, lap)
+		e.Stop()
+	})
+	e.Run()
+	if nested < 1000 {
+		t.Fatalf("r1 and r2 were resumed by another node %d times in 1 001 laps: the handoffs did not nest", nested)
+	}
+	if avg != 0 {
+		t.Errorf("a lap of three nested handoffs allocates %v objects, want 0", avg)
+	}
+}
+
+// A node that dies two resumes deep — its main panics or calls Goexit, or an
+// event inside its Park does — must not unwind the nodes that resumed it:
+// every other node is released with Park reporting false, and Run re-raises
+// the panic or ends its goroutine, as when Run itself had resumed the node.
+func TestNestedDeathReachesRun(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		event bool // the death is an event run inside the dying node's Park
+		die   func()
+		want  any // what Run re-raises; nil for Goexit
+	}{
+		{"main-panic", false, func() { panic("boom") }, "boom"},
+		{"main-goexit", false, runtime.Goexit, nil},
+		{"event-panic", true, func() { panic("boom") }, "boom"},
+		{"event-goexit", true, runtime.Goexit, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(1)
+			a, b, d := e.NewNode("a"), e.NewNode("b"), e.NewNode("dying")
+			parked := map[*Node]bool{}
+			for _, n := range []*Node{a, b} {
+				e.Spawn(n, func() {
+					parked[n] = true
+					for n.Park(Infinity) {
+					}
+					parked[n] = false
+				})
+			}
+			deep := false
+			e.Spawn(d, func() {
+				// a resumed b, and b's Park resumed this node.
+				deep = d.resumer == b && b.resumer == a
+				d.Charge(time.Microsecond)
+				if c.event {
+					e.At(d.Now(), nil, c.die)
+					if d.Yield() {
+						t.Error("Park reported true after an event inside it died")
+					}
+					return
+				}
+				c.die()
+			})
+			var got any
+			returned := false
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				defer func() { got = recover() }()
+				e.Run()
+				returned = true
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run hung after a nested node died")
+			}
+			if !deep {
+				t.Fatal("the dying node was not two resumes deep")
+			}
+			if returned || got != c.want {
+				t.Errorf("Run returned=%v recovered %v, want %v", returned, got, c.want)
+			}
+			for _, n := range []*Node{a, b} {
+				if parked[n] || n.state != stateFinished {
+					t.Errorf("%s not released through Park reporting false: still parked=%v, state %d", n.name, parked[n], n.state)
+				}
+			}
+			if d.state != stateFinished || !d.Stopped() {
+				t.Errorf("dying node in state %d, engine stopped=%v", d.state, d.Stopped())
+			}
+		})
 	}
 }
 

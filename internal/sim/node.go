@@ -35,6 +35,12 @@ type Node struct {
 	// until it parks or returns; the main calls yield to park.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
+
+	// The chain of nodes resuming nodes: the node whose Park resumed this
+	// one (nil when Run did), and whether this one's Park is itself
+	// suspended resuming another.
+	resumer *Node
+	waiting bool
 }
 
 // Name returns the node's diagnostic name.
@@ -66,10 +72,12 @@ func (n *Node) Charge(d time.Duration) {
 // promptly (no further Park will block).
 //
 // The events due before the next node runs execute inside Park, on this
-// node's coroutine, so a node that is itself the next to run keeps the
-// baton without a coroutine switch. An event that panics does not unwind
-// this node: the panic surfaces from Run once every node is released, as
-// it would from an event Run executes. An event that calls runtime.Goexit
+// node's coroutine, and Park passes the baton on itself with one coroutine
+// switch: a node that is itself the next to run keeps it, one suspended in
+// Park is resumed from here, and for one up the chain of resumers, or none,
+// this node yields one level up. An event that panics does not unwind this
+// node: the panic surfaces from Run once every node is released, as it
+// would from an event Run executes. An event that calls runtime.Goexit
 // (t.Fatal) ends this node's coroutine and then the goroutine that called
 // Run, as a node's main that calls it does.
 func (n *Node) Park(deadline Time) bool {
@@ -86,13 +94,16 @@ func (n *Node) Park(deadline Time) bool {
 	n.parks++
 	n.state = stateParked
 	next := e.advanceParked()
-	if next == n {
-		e.grant(n)
-		return true
+	for next != n {
+		if next == nil || next.waiting {
+			e.chosen = next
+			n.yield(struct{}{})
+			return !e.stopped
+		}
+		next = e.resume(n, next)
 	}
-	e.chosen = next
-	n.yield(struct{}{})
-	return !e.stopped
+	e.grant(n)
+	return true
 }
 
 // Yield parks until the engine has processed every event up to the node's
