@@ -1,9 +1,9 @@
 // Package catloop is the TCP-loopback library OS: real Catnip TCP state
-// machines running over an in-process wire instead of a NIC. It is the
-// POSIX-compatible counterpart to catmem for co-located services — the same
-// sockets, handshakes, retransmission timers and congestion control as
-// cross-host Catnip, but frames hop between stacks through one address
-// space, paying a memcpy and a wakeup rather than PCIe and a switch.
+// machines on one host, joined by a fabric that models an in-process wire
+// instead of a NIC and a switch. It is the POSIX-compatible counterpart to
+// catmem for co-located services — the same sockets, handshakes,
+// retransmission timers and congestion control as cross-host Catnip, but a
+// frame's one hop costs a memcpy and a wakeup rather than PCIe and a switch.
 //
 // Architecturally this is the control experiment for the service-chain
 // benchmark: catmem shows what intra-host communication costs when the
@@ -13,8 +13,6 @@
 package catloop
 
 import (
-	"time"
-
 	"demikernel/internal/catnip"
 	"demikernel/internal/costmodel"
 	"demikernel/internal/demi"
@@ -24,121 +22,35 @@ import (
 	"demikernel/internal/wire"
 )
 
-// Hub is the in-process wire: every attached stack's frames are routed by
-// destination MAC to a peer's receive queue after the loopback latency.
+// Hub is the in-process wire: a simnet switch whose one hop costs the
+// loopback latency, with every stack on a dpdkdev port joined by a link that
+// costs nothing.
 type Hub struct {
-	eng     *sim.Engine
-	latency time.Duration
-	devs    []*loopDev
-	libs    []*LibOS
-	tap     func(frame []byte)
+	sw   *simnet.Switch
+	libs []*LibOS
 }
 
 // NewHub returns an empty loopback hub on eng.
 func NewHub(eng *sim.Engine) *Hub {
-	return &Hub{eng: eng, latency: costmodel.LoopbackWire}
-}
-
-// SetTap installs fn to observe every frame at the instant the hub delivers
-// it to a peer's receive queue — the loopback wire's equivalent of a port
-// mirror. Tests use it to assert what actually crosses the wire (e.g. that
-// load/trace trailers survive the hop intact). A nil fn removes the tap.
-func (h *Hub) SetTap(fn func(frame []byte)) { h.tap = fn }
-
-// loopDev adapts the hub to catnip.Device: one rx queue of raw frames,
-// filled by peers' TxBursts.
-type loopDev struct {
-	hub  *Hub
-	node *sim.Node
-	mac  simnet.MAC
-	rxq  [][]byte
-}
-
-// MAC returns the device's synthetic locally-administered address.
-func (d *loopDev) MAC() simnet.MAC { return d.mac }
-
-// RxBurst drains up to max queued frames. The mbufs carry no pool — frames
-// were copied at Tx time, so Free is a no-op and nothing leaks.
-func (d *loopDev) RxBurst(max int) []*dpdkdev.Mbuf {
-	n := len(d.rxq)
-	if n == 0 {
-		return nil
-	}
-	if n > max {
-		n = max
-	}
-	out := make([]*dpdkdev.Mbuf, n)
-	for i := 0; i < n; i++ {
-		out[i] = &dpdkdev.Mbuf{Data: d.rxq[i]}
-		d.rxq[i] = nil
-	}
-	d.rxq = d.rxq[n:]
-	return out
-}
-
-// TxBurst routes frames to peers by destination MAC. Each frame is copied
-// once — the in-process wire's memcpy — because the sender's stack may
-// reuse its buffer the moment TxBurst returns.
-func (d *loopDev) TxBurst(frames [][]byte) int {
-	for _, f := range frames {
-		if len(f) < 6 {
-			continue
-		}
-		var dst simnet.MAC
-		copy(dst[:], f[:6])
-		cp := make([]byte, len(f))
-		copy(cp, f)
-		if dst.IsBroadcast() {
-			for _, p := range d.hub.devs {
-				if p != d {
-					p.deliver(cp)
-				}
-			}
-			continue
-		}
-		for _, p := range d.hub.devs {
-			if p.mac == dst {
-				p.deliver(cp)
-				break
-			}
-		}
-	}
-	return len(frames)
-}
-
-// deliver schedules the frame's arrival on the peer after the wire
-// latency; the event wakes the peer node, whose next poll picks it up.
-func (p *loopDev) deliver(frame []byte) {
-	h := p.hub
-	h.eng.At(h.eng.Now().Add(h.latency), p.node, func() {
-		if h.tap != nil {
-			h.tap(frame)
-		}
-		p.rxq = append(p.rxq, frame)
-	})
+	return &Hub{sw: simnet.NewSwitch(eng, simnet.SwitchParams{Latency: costmodel.LoopbackWire})}
 }
 
 // LibOS is a Catnip instance bound to the loopback hub. It embeds the full
 // stack — applications use it exactly like cross-host Catnip.
 type LibOS struct {
 	*catnip.LibOS
-	dev *loopDev
+	port *dpdkdev.Port
 }
 
 // New attaches a new TCP-loopback instance for node to the hub. ARP is
 // seeded both ways with every existing instance: co-located processes
 // share a neighbor table by construction, so no resolution traffic flows.
 func New(hub *Hub, node *sim.Node, ip wire.IPAddr) *LibOS {
-	dev := &loopDev{
-		hub:  hub,
-		node: node,
-		mac:  simnet.MAC{0x02, 0, 0, 0, 0, byte(len(hub.devs) + 1)},
-	}
-	hub.devs = append(hub.devs, dev)
-	l := &LibOS{LibOS: catnip.NewOnDevice(node, dev, catnip.DefaultConfig(ip)), dev: dev}
+	port := dpdkdev.Attach(hub.sw, node, simnet.LinkParams{}, 1<<16, 0)
+	l := &LibOS{LibOS: catnip.New(node, port, catnip.DefaultConfig(ip)), port: port}
 	for _, peer := range hub.libs {
-		l.SeedARP(peer.IP(), peer.dev.mac)
-		peer.SeedARP(ip, dev.mac)
+		l.SeedARP(peer.IP(), peer.port.MAC())
+		peer.SeedARP(ip, port.MAC())
 	}
 	hub.libs = append(hub.libs, l)
 	return l

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"demikernel/internal/core"
+	"demikernel/internal/costmodel"
 	"demikernel/internal/memory"
 	"demikernel/internal/sim"
 	"demikernel/internal/wire"
@@ -69,7 +71,7 @@ func echoServer(t *testing.T, l *LibOS, port uint16) func() {
 }
 
 // TestLoopbackTCPEcho runs a real TCP handshake, echo and teardown with
-// both stacks in one process, no NIC or switch involved.
+// both stacks in one process, no NIC involved.
 func TestLoopbackTCPEcho(t *testing.T) {
 	eng, la, lb := pair(1)
 	eng.Spawn(lb.Node(), echoServer(t, lb, 80))
@@ -227,5 +229,52 @@ func TestLoopbackDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same-seed telemetry differs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
+	}
+}
+
+// TestFrameLeavesAtSenderClock: a frame enters the wire at the sender's own
+// clock, after the work that built it, not at the instant the sender's
+// quantum began. The sender charges 10 µs before pushing one datagram, so a
+// wire stamped with the engine's clock would deliver it about 10 µs before
+// it was sent.
+func TestFrameLeavesAtSenderClock(t *testing.T) {
+	eng, la, lb := pair(3)
+	const port = 600
+	var sent, popped sim.Time
+	eng.Spawn(lb.Node(), func() {
+		qd, _ := lb.Socket(core.SockDgram)
+		if err := lb.Bind(qd, lb.Addr(port)); err != nil {
+			t.Errorf("bind: %v", err)
+			return
+		}
+		pqt, _ := lb.Pop(qd)
+		ev, err := lb.Wait(pqt)
+		if err != nil || ev.Err != nil {
+			t.Errorf("pop: %v %v", err, ev.Err)
+			return
+		}
+		popped = lb.Node().Now()
+		ev.SGA.Free()
+	})
+	eng.Spawn(la.Node(), func() {
+		qd, _ := la.Socket(core.SockDgram)
+		la.Node().Charge(10 * time.Microsecond)
+		msg := la.Heap().Alloc(32)
+		qt, err := la.PushTo(qd, core.SGA(msg), core.Addr{IP: ipB, Port: port})
+		sent = la.Node().Now()
+		msg.Free()
+		if err != nil {
+			t.Errorf("push: %v", err)
+			return
+		}
+		la.Wait(qt)
+	})
+	eng.Run()
+	if popped == 0 {
+		t.Fatal("datagram never popped")
+	}
+	if earliest := sent.Add(costmodel.LoopbackWire); popped < earliest {
+		t.Fatalf("pop completed at %v, before the push at %v plus the %v wire (%v early)",
+			popped, sent, costmodel.LoopbackWire, earliest.Sub(popped))
 	}
 }

@@ -5,14 +5,33 @@ import (
 
 	"demikernel/internal/core"
 	"demikernel/internal/sim"
+	"demikernel/internal/simnet"
 	"demikernel/internal/wire"
 )
 
+// trailerTap is a switch hook that counts, at the hub's ingress, the frames
+// that carry a load trailer and forwards every frame unchanged.
+type trailerTap struct {
+	carried, bare int
+	srv           uint16
+	load          uint32
+}
+
+func (tap *trailerTap) Forward(f simnet.Frame, _ *simnet.Port) (simnet.Frame, *simnet.Port, bool) {
+	if s, l, ok := wire.ParseLoadTrailer(f.Data); ok {
+		tap.carried++
+		tap.srv, tap.load = s, l
+	} else {
+		tap.bare++
+	}
+	return f, nil, true
+}
+
 // TestLoadTrailerCarriedAcrossLoopback pins the header-carry contract: a
 // stack with a load probe installed appends the load trailer to every IPv4
-// frame it sends over the loopback wire, the trailer arrives intact at the
-// peer (observed via the hub tap), and the peer's parser — which trims to
-// the IPv4 TotalLen — never surfaces it to the application.
+// frame it sends over the loopback wire, the trailer crosses the wire intact
+// (observed by a hook on the hub's switch), and the peer's parser — which
+// trims to the IPv4 TotalLen — never surfaces it to the application.
 func TestLoadTrailerCarriedAcrossLoopback(t *testing.T) {
 	eng := sim.NewEngine(11)
 	hub := NewHub(eng)
@@ -25,17 +44,8 @@ func TestLoadTrailerCarriedAcrossLoopback(t *testing.T) {
 		return 9, load
 	})
 
-	var carried, bare int
-	var lastSrv uint16
-	var lastLoad uint32
-	hub.SetTap(func(frame []byte) {
-		if s, l, ok := wire.ParseLoadTrailer(frame); ok {
-			carried++
-			lastSrv, lastLoad = s, l
-		} else {
-			bare++
-		}
-	})
+	tap := &trailerTap{}
+	hub.sw.SetHook(tap)
 
 	const port = 700
 	const rounds = 3
@@ -67,7 +77,6 @@ func TestLoadTrailerCarriedAcrossLoopback(t *testing.T) {
 		}
 	})
 
-	var got int
 	eng.Spawn(cli.Node(), func() {
 		qd, _ := cli.Socket(core.SockDgram)
 		for i := 0; i < rounds; i++ {
@@ -96,13 +105,13 @@ func TestLoadTrailerCarriedAcrossLoopback(t *testing.T) {
 	})
 	eng.Run()
 
-	if got = carried; got != rounds {
-		t.Errorf("frames carrying load trailer = %d, want %d (one per server reply)", got, rounds)
+	if tap.carried != rounds {
+		t.Errorf("frames carrying load trailer = %d, want %d (one per server reply)", tap.carried, rounds)
 	}
-	if bare != rounds {
-		t.Errorf("bare frames = %d, want %d (client requests carry no trailer)", bare, rounds)
+	if tap.bare != rounds {
+		t.Errorf("bare frames = %d, want %d (client requests carry no trailer)", tap.bare, rounds)
 	}
-	if lastSrv != 9 || lastLoad != uint32(rounds) {
-		t.Errorf("last trailer = (server %d, load %d), want (9, %d)", lastSrv, lastLoad, rounds)
+	if tap.srv != 9 || tap.load != uint32(rounds) {
+		t.Errorf("last trailer = (server %d, load %d), want (9, %d)", tap.srv, tap.load, rounds)
 	}
 }

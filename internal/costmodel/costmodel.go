@@ -86,7 +86,7 @@ const (
 )
 
 // Intra-host transport costs (catmem shared-memory queues and the catloop
-// in-process wire).
+// in-process wire, a simnet switch hop between zero-cost links).
 const (
 	// ShmRingOp is one lock-free ring slot operation (enqueue or dequeue)
 	// on a shared-memory queue: an index update plus one cache-line write.
@@ -97,7 +97,8 @@ const (
 	ShmHandoff = 100 * time.Nanosecond
 	// LoopbackWire is the in-process wire latency of the catloop hub: a
 	// frame handed between two TCP stacks in one address space (memcpy
-	// plus a wakeup, no NIC or PCIe crossing).
+	// plus a wakeup, no NIC or PCIe crossing). It is the hub switch's one
+	// hop, counted from the sender's clock after the frame is built.
 	LoopbackWire = 300 * time.Nanosecond
 )
 

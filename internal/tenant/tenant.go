@@ -17,9 +17,8 @@
 //   - flow-table entries, in-flight qtokens and push rate are quota'd
 //     here, rejected with core.ErrTenantQuota at the call site (the
 //     caller keeps buffer ownership; nothing is left outstanding).
-//   - poll cycles and dispatch slots are shared weighted-fair (sched WFQ,
-//     reqsched.Dispatcher WFQ), so a flooding tenant cannot monopolize
-//     the datapath.
+//   - poll cycles are shared weighted-fair (sched WFQ), so a flooding
+//     tenant cannot monopolize the datapath.
 //
 // Tenant id 0 is the host: the trusted infrastructure principal, never
 // limited, and the only principal that may bypass Views.
@@ -36,8 +35,7 @@ import (
 // Limits are one tenant's resource caps. Zero values mean unlimited
 // (except Weight, where zero means weight 1).
 type Limits struct {
-	// Weight is the tenant's weighted-fair share of poll cycles and
-	// dispatch slots.
+	// Weight is the tenant's weighted-fair share of poll cycles.
 	Weight uint32
 	// HeapBytes caps the tenant's live DMA-heap bytes.
 	HeapBytes int64
