@@ -2,17 +2,21 @@
 // API implemented over the legacy OS kernel, so Demikernel applications can
 // be developed, tested and run without kernel-bypass hardware. It runs on
 // the real operating system — Go's net package over loopback and ordinary
-// files for the storage log — and, like the paper's Catnap, it trades CPU
-// for latency by polling rather than sleeping in epoll.
+// files for the storage log.
 //
-// Internal reader goroutines stand in for the kernel's readiness
-// machinery; every PDPIX-visible mutation still happens on the application
-// thread inside Step, so the datapath state needs no locks.
+// Unlike the paper's Catnap, it does not poll. Each socket has one reader
+// goroutine that blocks in the kernel, reads into one buffer kept for the
+// socket's life, and hands the application thread a copy of what it read;
+// Block sleeps on a channel until a reader or a timer wakes it. A Block that
+// spins instead starves the readers on a two-core host (EXPERIMENTS.md,
+// finding (c)). Every PDPIX-visible mutation still happens on the
+// application thread inside Step, so the datapath state needs no locks.
 //
 // Catnap is single-host: PDPIX addresses map to 127.0.0.1:port.
 package catnap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -155,6 +159,7 @@ type tcpQueue struct {
 	qd   core.QDesc
 	conn net.Conn
 	rx   core.Rendezvous[[]byte] // bytes read from the kernel and parked pops
+	iov  net.Buffers             // Push's gather list, reused
 }
 
 // listenQueue is a listening TCP socket.
@@ -343,13 +348,16 @@ func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
 	return nil
 }
 
-// readLoop pulls bytes from the kernel into the receive queue.
+// readLoop pulls bytes from the kernel into the receive queue. It reads into
+// one buffer for the connection's life and hands the application thread a
+// copy of exactly the bytes each read returned, so the next read may reuse
+// the buffer.
 func (q *tcpQueue) readLoop() {
+	buf := make([]byte, 16<<10)
 	for {
-		buf := make([]byte, 16<<10)
 		n, err := q.conn.Read(buf)
 		if n > 0 {
-			data := buf[:n]
+			data := bytes.Clone(buf[:n])
 			q.lib.enqueue(func() { q.deliver(data) })
 		}
 		if err != nil {
@@ -392,14 +400,16 @@ func (l *LibOS) handUp(op *core.Op, qd core.QDesc, data []byte, from core.Addr) 
 // are drained, see EOF.
 func (q *tcpQueue) hangup() { q.rx.End(q.qd, core.OpPop, nil) }
 
+// readLoop pulls datagrams from the kernel, through one buffer for the
+// socket's life, copying each out as tcpQueue.readLoop does.
 func (q *udpQueue) readLoop() {
+	buf := make([]byte, 64<<10)
 	for {
-		buf := make([]byte, 64<<10)
 		n, from, err := q.conn.ReadFromUDP(buf)
 		if err != nil {
 			return
 		}
-		data := buf[:n]
+		data := bytes.Clone(buf[:n])
 		var a core.Addr
 		if from != nil {
 			a = core.Addr{IP: [4]byte{127, 0, 0, 1}, Port: uint16(from.Port)}
@@ -437,15 +447,25 @@ func (q *udpQueue) Close() {
 	q.rx.End(q.qd, core.OpPop, core.ErrQueueClosed)
 }
 
-// Push writes sga to the connection. On the kernel path the write copies
-// (no zero-copy through POSIX; paper Table 1), and the op completes when
-// the kernel accepts the bytes.
+// Push writes sga to the connection straight from the heap: one write for one
+// segment, one writev for several. The kernel copies the bytes (no zero-copy
+// through POSIX; paper Table 1), and the op completes when it accepts them.
 func (q *tcpQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	if to != (core.Addr{}) {
 		return core.ErrNotSupported
 	}
-	n, err := q.conn.Write(sga.Flatten())
-	q.lib.sent(op, q.qd, n, err)
+	if len(sga.Segs) == 1 {
+		n, err := q.conn.Write(sga.Segs[0].Bytes())
+		q.lib.sent(op, q.qd, n, err)
+		return nil
+	}
+	q.iov = q.iov[:0]
+	for _, b := range sga.Segs {
+		q.iov = append(q.iov, b.Bytes())
+	}
+	iov := q.iov // WriteTo consumes the slice it is handed; q.iov keeps its array
+	n, err := iov.WriteTo(q.conn)
+	q.lib.sent(op, q.qd, int(n), err)
 	return nil
 }
 
@@ -557,24 +577,42 @@ func (q *fileQueue) append(op *core.Op, data []byte) {
 	op.Complete(core.QEvent{QD: q.qd, Op: core.OpPush})
 }
 
-// Pop returns the record at the cursor, or EOF.
+// Pop returns the record at the cursor, or EOF (no segments).
 func (q *fileQueue) Pop(op *core.Op) error {
+	ev := core.QEvent{QD: q.qd, Op: core.OpPop}
+	if rec := q.next(); rec != nil {
+		ev.SGA = core.SGA(rec)
+	}
+	op.Complete(ev)
+	return nil
+}
+
+// next reads the record at the cursor into the heap and moves the cursor
+// past it. It returns nil at EOF, and a header whose length runs past the end
+// of the file is a torn tail, so EOF too: the cursor stays on it, and nothing
+// is allocated for the length it claims.
+func (q *fileQueue) next() *memory.Buf {
 	var hdr [4]byte
 	if _, err := q.f.ReadAt(hdr[:], q.cursor); err != nil {
-		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop}) // EOF
 		return nil
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	data := make([]byte, n)
-	if _, err := q.f.ReadAt(data, q.cursor+4); err != nil {
-		op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop})
+	n := int64(binary.BigEndian.Uint32(hdr[:]))
+	if fi, err := q.f.Stat(); err != nil || q.cursor+4+n > fi.Size() {
 		return nil
 	}
-	q.cursor += 4 + int64(n)
+	var rec *memory.Buf
+	if n == 0 {
+		rec = memory.CopyFrom(q.lib.heap, nil) // an empty record is one empty segment, not EOF
+	} else {
+		rec = q.lib.heap.Alloc(int(n))
+		if _, err := q.f.ReadAt(rec.Bytes(), q.cursor+4); err != nil {
+			rec.Free()
+			return nil
+		}
+	}
+	q.cursor += 4 + n
 	q.lib.stats.FileReads++
-	op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop,
-		SGA: core.SGA(memory.CopyFrom(q.lib.heap, data))})
-	return nil
+	return rec
 }
 
 // Seek moves a log queue's read cursor to a byte offset.
