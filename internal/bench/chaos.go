@@ -1,22 +1,19 @@
 package bench
 
-// Chaos soak experiment: four application pairs (Catnip echo, Redis-style
-// KV with an AOF on Cattree/SPDK, Catmint echo over RDMA, and a co-located
-// Catmem shared-memory echo) run concurrently on one switch while a
-// deterministic fault plan injects every fault class the devices support —
-// RX/TX stalls, link flaps, bit corruption and device resets on the DPDK
-// port; I/O errors, latency spikes and torn writes on the SPDK disk; QP
-// errors on the RDMA NIC; DMA-heap exhaustion; and ring-full stalls plus
-// abrupt peer death on the shared-memory queues. The
-// invariants checked afterwards are the robustness story: no accepted
-// request is lost or corrupted, every qtoken completes or errors, no buffer
-// leaks, and the same seed replays byte-for-byte.
+// The chaos soak: four application pairs (Catnip echo, Redis-style KV with
+// an AOF on Cattree/SPDK, Catmint echo over RDMA, and a co-located Catmem
+// shared-memory echo) run concurrently on one switch while a deterministic
+// fault plan injects every fault class the devices support — RX/TX stalls,
+// link flaps, bit corruption and device resets on the DPDK port; I/O errors,
+// latency spikes and torn writes on the SPDK disk; QP errors on the RDMA
+// NIC; DMA-heap exhaustion; and ring-full stalls plus abrupt peer death on
+// the shared-memory queues. Beside the checks every soak passes (soak.go), no
+// accepted request may be lost or corrupted.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -30,74 +27,54 @@ import (
 	"demikernel/internal/memory"
 	"demikernel/internal/rdmadev"
 	"demikernel/internal/spdkdev"
-	"demikernel/internal/telemetry"
 	"demikernel/internal/wire"
 )
 
-// ChaosOpts configures one chaos soak run.
-type ChaosOpts struct {
-	Seed       uint64
-	EchoRounds int // Catnip TCP echo rounds
-	KVOps      int // KV operations (2/3 SET, 1/3 GET)
-	MintRounds int // Catmint RDMA echo rounds
-	ShmRounds  int // Catmem shared-memory echo rounds
-	MsgSize    int
-	ValueSize  int
+// The chaos world's workload, sized so every fault site fires.
+const (
+	chaosEchoRounds = 2500  // Catnip TCP echo rounds
+	chaosKVOps      = 1000  // KV operations, 2/3 SET and 1/3 GET
+	chaosMintRounds = 1500  // Catmint RDMA echo rounds
+	chaosShmRounds  = 20000 // Catmem shared-memory echo rounds
+)
+
+// chaosFaults is the chaos world's fault table. After keeps every site
+// quiet through connection setup, Every-N triggers are deterministic in the
+// op stream, and Max caps give the stack room to recover between faults.
+var chaosFaults = []faultSite{
+	{"dpdk.rx_stall", faults.Spec{After: time.Millisecond, Every: 2003, Duration: 20 * time.Microsecond, Max: 3}},
+	{"dpdk.tx_stall", faults.Spec{After: time.Millisecond, Every: 293, Duration: 20 * time.Microsecond, Max: 3}},
+	{"dpdk.corrupt", faults.Spec{After: time.Millisecond, Every: 211, Max: 6}},
+	{"dpdk.reset", faults.Spec{After: 2 * time.Millisecond, Every: 701, Max: 2}},
+	{"dpdk.link_flap", faults.Spec{After: time.Millisecond, Every: 401, Duration: 15 * time.Microsecond, Max: 2}},
+	{"spdk.io_err", faults.Spec{After: time.Millisecond, Every: 89, Max: 4}},
+	{"spdk.latency", faults.Spec{After: time.Millisecond, Every: 131, Duration: 100 * time.Microsecond, Max: 4}},
+	{"spdk.torn_write", faults.Spec{After: time.Millisecond, Every: 223, Max: 2}},
+	{"rdma.qp_error", faults.Spec{After: time.Millisecond, Every: 601, Max: 2}},
+	{"mem.exhaust", faults.Spec{After: time.Millisecond, Every: 397, Max: 3}},
+	{"catmem.ring_full", faults.Spec{After: time.Millisecond, Every: 283, Duration: 25 * time.Microsecond, Max: 3}},
+	{"catmem.peer_death", faults.Spec{After: time.Millisecond, Every: 499, Max: 2}},
 }
 
-// DefaultChaosOpts sizes the soak so every fault site fires at least once.
-func DefaultChaosOpts() ChaosOpts {
-	return ChaosOpts{
-		Seed:       41,
-		EchoRounds: 2500,
-		KVOps:      1000,
-		MintRounds: 1500,
-		ShmRounds:  20000,
-		MsgSize:    64,
-		ValueSize:  64,
-	}
+// chaosSoak is the chaos scenario; CI runs its seeds under -race.
+var chaosSoak = &soakScenario{
+	name:   "chaos",
+	seeds:  []uint64{41, 42, 43},
+	run:    runChaos,
+	title:  "Chaos soak: deterministic fault injection across four stacks",
+	note:   "every run twice per seed; 'replay' requires byte-identical telemetry dumps",
+	header: []string{"seed", "echo ok/err", "kv ok/degr/err", "mint ok/err", "shm ok/err", "fault classes", "replay"},
 }
 
-// chaosSites is every fault class the plan injects; the soak fails unless
-// each fired at least once (otherwise the run proved nothing about it).
-var chaosSites = []string{
-	"dpdk.rx_stall", "dpdk.tx_stall", "dpdk.link_flap", "dpdk.corrupt", "dpdk.reset",
-	"spdk.io_err", "spdk.latency", "spdk.torn_write",
-	"rdma.qp_error",
-	"mem.exhaust",
-	"catmem.ring_full", "catmem.peer_death",
-}
+// Chaos is the demi-bench runner.
+func Chaos() ([]*Table, error) { return chaosSoak.table() }
 
-// ChaosReport is one run's outcome.
-type ChaosReport struct {
-	Seed uint64
-	// OK counts client operations that completed and verified; Errs counts
-	// operations that failed visibly (connection reset/timeout) and were
-	// retried on a fresh connection; KVDegraded counts writes the server
-	// refused with an AOF error reply.
-	EchoOK, EchoErrs         int
-	KVOK, KVDegraded, KVErrs int
-	MintOK, MintErrs         int
-	ShmOK, ShmErrs           int
-	// Faults maps each site to how often it fired.
-	Faults map[string]uint64
-	// Outstanding is the client stacks' unconsumed qtokens (must be 0).
-	Outstanding int
-	// LiveBufs is live DMA-heap objects on the Catnip client heaps after
-	// the world drains (must be 0).
-	LiveBufs int
-	// Telemetry is the full deterministic telemetry dump; two runs with
-	// the same seed must produce identical bytes.
-	Telemetry string
-}
-
-// RunChaos builds the cluster, injects the plan, runs every workload to
-// completion and verifies the soak invariants. Invariant violations are
-// returned as errors.
-func RunChaos(opts ChaosOpts) (*ChaosReport, error) {
-	plan := faults.NewPlan(opts.Seed)
-	tb := NewTestbed(opts.Seed, SwitchEth())
-
+// runChaos builds the chaos world, arms its fault table and runs every
+// workload to completion.
+func runChaos(seed uint64) (*soakRun, error) {
+	w := &soakWorld{}
+	site := w.sites(seed, chaosFaults)
+	tb := NewTestbed(seed, SwitchEth())
 	echoSrv := tb.NewStack(SysCatnipTCP(), "echo-srv", wire.IPAddr{10, 30, 0, 1})
 	echoCli := tb.NewStack(SysCatnipTCP(), "echo-cli", wire.IPAddr{10, 30, 0, 2})
 	kvSrv := tb.NewStack(catnipCattreeTCP(), "kv-srv", wire.IPAddr{10, 30, 0, 3})
@@ -105,153 +82,61 @@ func RunChaos(opts ChaosOpts) (*ChaosReport, error) {
 	mintSrv := tb.NewStack(SysCatmint(0), "mint-srv", wire.IPAddr{10, 30, 0, 5})
 	mintCli := tb.NewStack(SysCatmint(0), "mint-cli", wire.IPAddr{10, 30, 0, 6})
 	tb.SeedARP()
-
 	// Co-located shared-memory pair: same host, so no switch attachment —
 	// only a catmem region between the two nodes.
 	region := catmem.NewRegion(tb.Eng)
 	shmSrv := region.New(tb.Eng.NewNode("shm-srv"))
 	shmCli := region.New(tb.Eng.NewNode("shm-cli"))
 
-	// Fault plan. After gates every site past connection setup; Every-N
-	// triggers are deterministic in the op stream; Max caps give the stack
-	// room to recover between faults.
-	ms := time.Millisecond
-	echoCli.Port.SetFaults(dpdkdev.Faults{
-		RxStall: plan.Site("dpdk.rx_stall", faults.Spec{After: ms, Every: 2003, Duration: 20 * time.Microsecond, Max: 3}),
-		TxStall: plan.Site("dpdk.tx_stall", faults.Spec{After: ms, Every: 293, Duration: 20 * time.Microsecond, Max: 3}),
-	})
-	echoSrv.Port.SetFaults(dpdkdev.Faults{
-		Corrupt:  plan.Site("dpdk.corrupt", faults.Spec{After: ms, Every: 211, Max: 6}),
-		Reset:    plan.Site("dpdk.reset", faults.Spec{After: 2 * ms, Every: 701, Max: 2}),
-		LinkFlap: plan.Site("dpdk.link_flap", faults.Spec{After: ms, Every: 401, Duration: 15 * time.Microsecond, Max: 2}),
-	})
-	kvSrv.Disk.SetFaults(spdkdev.Faults{
-		IOErr:     plan.Site("spdk.io_err", faults.Spec{After: ms, Every: 89, Max: 4}),
-		Latency:   plan.Site("spdk.latency", faults.Spec{After: ms, Every: 131, Duration: 100 * time.Microsecond, Max: 4}),
-		TornWrite: plan.Site("spdk.torn_write", faults.Spec{After: ms, Every: 223, Max: 2}),
-	})
-	mintSrv.NIC.SetFaults(rdmadev.Faults{
-		QPError: plan.Site("rdma.qp_error", faults.Spec{After: ms, Every: 601, Max: 2}),
-	})
-	memSite := plan.Site("mem.exhaust", faults.Spec{After: ms, Every: 397, Max: 3})
-	echoSrv.OS.Heap().SetAllocFault(func(int) bool { return memSite.Fire(echoSrv.Node.Now()) })
-	shmCli.SetFaults(catmem.Faults{
-		RingFull:  plan.Site("catmem.ring_full", faults.Spec{After: ms, Every: 283, Duration: 25 * time.Microsecond, Max: 3}),
-		PeerDeath: plan.Site("catmem.peer_death", faults.Spec{After: ms, Every: 499, Max: 2}),
-	})
+	echoCli.Port.SetFaults(dpdkdev.Faults{RxStall: site["dpdk.rx_stall"], TxStall: site["dpdk.tx_stall"]})
+	echoSrv.Port.SetFaults(dpdkdev.Faults{Corrupt: site["dpdk.corrupt"], Reset: site["dpdk.reset"], LinkFlap: site["dpdk.link_flap"]})
+	kvSrv.Disk.SetFaults(spdkdev.Faults{IOErr: site["spdk.io_err"], Latency: site["spdk.latency"], TornWrite: site["spdk.torn_write"]})
+	mintSrv.NIC.SetFaults(rdmadev.Faults{QPError: site["rdma.qp_error"]})
+	echoSrv.OS.Heap().SetAllocFault(func(int) bool { return site["mem.exhaust"].Fire(echoSrv.Node.Now()) })
+	shmCli.SetFaults(catmem.Faults{RingFull: site["catmem.ring_full"], PeerDeath: site["catmem.peer_death"]})
 
-	// Servers.
 	echoAddr := core.Addr{IP: echoSrv.IP, Port: 7100}
-	tb.Eng.Spawn(echoSrv.Node, func() {
-		echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr})
-	})
+	tb.Eng.Spawn(echoSrv.Node, func() { echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr}) })
 	kvAddr := core.Addr{IP: kvSrv.IP, Port: 6379}
-	// The AOF lives under a per-run temp dir, removed on completion, so
-	// concurrent or aborted soaks can't collide or litter the repo. The
-	// name stays out of telemetry, so replay byte-identity is unaffected.
-	aofName, aofCleanup, err := tempAOF()
-	if err != nil {
-		return nil, err
-	}
-	defer aofCleanup()
 	var kvStats kv.ServerStats
-	tb.Eng.Spawn(kvSrv.Node, func() {
-		kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: aofName}, &kvStats)
-	})
+	tb.Eng.Spawn(kvSrv.Node, func() { kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: soakAOF}, &kvStats) })
 	mintAddr := core.Addr{IP: mintSrv.IP, Port: 7200}
-	tb.Eng.Spawn(mintSrv.Node, func() {
-		echo.Server(mintSrv.OS, echo.ServerConfig{Addr: mintAddr})
-	})
+	tb.Eng.Spawn(mintSrv.Node, func() { echo.Server(mintSrv.OS, echo.ServerConfig{Addr: mintAddr}) })
 	shmAddr := core.Addr{Port: 7300}
 	tb.Eng.Spawn(shmSrv.Node(), func() { chaosShmServer(shmSrv, shmAddr) })
 
-	// Clients.
-	rep := &ChaosReport{Seed: opts.Seed, Faults: map[string]uint64{}}
-	var echoErr, kvErr, mintErr, shmErr error
-	tb.Eng.Spawn(echoCli.Node, func() {
-		rep.EchoOK, rep.EchoErrs, echoErr = chaosEchoClient(echoCli.OS, echoAddr, opts.EchoRounds, opts.MsgSize)
-	})
-	tb.Eng.Spawn(kvCli.Node, func() {
-		rep.KVOK, rep.KVDegraded, rep.KVErrs, kvErr = chaosKVClient(kvCli.OS, kvAddr, opts.KVOps, opts.ValueSize)
-	})
-	tb.Eng.Spawn(mintCli.Node, func() {
-		rep.MintOK, rep.MintErrs, mintErr = chaosEchoClient(mintCli.OS, mintAddr, opts.MintRounds, opts.MsgSize)
-	})
-	tb.Eng.Spawn(shmCli.Node(), func() {
-		rep.ShmOK, rep.ShmErrs, shmErr = chaosShmClient(shmCli, shmAddr, opts.ShmRounds, opts.MsgSize)
-	})
+	echoC, kvC := heapClient(echoCli.OS, echoAddr, false), &chaosKV{}
+	mintC, shmC := heapClient(mintCli.OS, mintAddr, false), heapClient(shmCli, shmAddr, true)
+	errs := make([]error, 4)
+	tb.Eng.Spawn(echoCli.Node, func() { errs[0] = echoC.run(chaosEchoRounds) })
+	tb.Eng.Spawn(kvCli.Node, func() { errs[1] = kvC.run(kvCli.OS, kvAddr) })
+	tb.Eng.Spawn(mintCli.Node, func() { errs[2] = mintC.run(chaosMintRounds) })
+	tb.Eng.Spawn(shmCli.Node(), func() { errs[3] = shmC.run(chaosShmRounds) })
 	tb.Eng.Run()
-
-	for _, e := range []error{echoErr, kvErr, mintErr, shmErr} {
-		if e != nil {
-			return rep, e
-		}
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	if kvStats.AOFErrors == 0 {
-		return rep, fmt.Errorf("chaos: disk faults fired but the KV server never degraded an AOF write")
+		return nil, errors.New("disk faults fired but the KV server never degraded an AOF write")
 	}
 
-	// Every fault class must have been observed.
-	for _, name := range chaosSites {
-		n := plan.Fired(name)
-		rep.Faults[name] = n
-		if n == 0 {
-			return rep, fmt.Errorf("chaos: fault site %q never fired", name)
-		}
-	}
-
-	// Every client qtoken completed or errored; nothing is in flight.
-	for _, st := range []*Stack{echoCli, kvCli, mintCli} {
-		if tok, ok := st.OS.(interface{ Tokens() *core.TokenTable }); ok {
-			rep.Outstanding += tok.Tokens().Outstanding()
-		}
-	}
-	rep.Outstanding += shmCli.Tokens().Outstanding()
-	if rep.Outstanding != 0 {
-		return rep, fmt.Errorf("chaos: %d qtokens still outstanding on client stacks", rep.Outstanding)
-	}
-
-	// Zero buffer leaks on the Catnip client heaps (Catmint legitimately
-	// keeps receive buffers posted to the NIC). The catmem region's shared
-	// heap must also drain: every handed-off buffer has exactly one owner,
-	// and peer-death teardown reclaims in-flight rings.
-	for _, st := range []*Stack{echoCli, kvCli} {
-		rep.LiveBufs += st.OS.Heap().LiveObjects()
-	}
-	rep.LiveBufs += region.Heap().LiveObjects()
-	if rep.LiveBufs != 0 {
-		return rep, fmt.Errorf("chaos: %d DMA buffers leaked on client heaps", rep.LiveBufs)
-	}
-
-	// Deterministic telemetry dump: stacks, devices, then the fault plan.
-	var sb strings.Builder
-	dump := func(name string, reg *telemetry.Registry) {
-		if reg == nil {
-			return
-		}
-		fmt.Fprintf(&sb, "== %s ==\n", name)
-		reg.Snapshot().WriteText(&sb)
-	}
-	for _, st := range []struct {
-		name string
-		s    *Stack
-	}{{"echo-srv", echoSrv}, {"echo-cli", echoCli}, {"kv-srv", kvSrv}, {"kv-cli", kvCli}, {"mint-srv", mintSrv}, {"mint-cli", mintCli}} {
-		dump(st.name, stackTelemetry(st.s.OS))
-		if st.s.Port != nil {
-			dump(st.name+"/port", st.s.Port.Telemetry())
-		}
-		if st.s.NIC != nil {
-			dump(st.name+"/nic", st.s.NIC.Telemetry())
-		}
-		if st.s.Disk != nil {
-			dump(st.name+"/disk", st.s.Disk.Telemetry())
-		}
-	}
-	dump("shm-srv", shmSrv.Telemetry())
-	dump("shm-cli", shmCli.Telemetry())
-	dump("faults", plan.Telemetry())
-	rep.Telemetry = sb.String()
-	return rep, nil
+	w.tokens = []*core.TokenTable{echoCli.OS.(tokener).Tokens(), kvCli.OS.(tokener).Tokens(), mintCli.OS.(tokener).Tokens(), shmCli.Tokens()}
+	// Catmint keeps receive buffers posted to the NIC, so its heap is not
+	// checked. The catmem region's must drain: every handed-off buffer has
+	// exactly one owner, and peer-death teardown reclaims in-flight rings.
+	w.heaps = []*memory.Heap{echoCli.OS.Heap(), kvCli.OS.Heap(), region.Heap()}
+	w.dumpStacks(true, echoSrv, echoCli, kvSrv, kvCli, mintSrv, mintCli)
+	w.dump("shm-srv", shmSrv.Telemetry())
+	w.dump("shm-cli", shmCli.Telemetry())
+	w.dump("faults", w.plan.Telemetry())
+	return &soakRun{worlds: []*soakWorld{w}, row: []string{
+		fmt.Sprintf("%d/%d", echoC.ok, echoC.errs),
+		fmt.Sprintf("%d/%d/%d", kvC.ok, kvC.degraded, kvC.errs),
+		fmt.Sprintf("%d/%d", mintC.ok, mintC.errs),
+		fmt.Sprintf("%d/%d", shmC.ok, shmC.errs),
+		// The soak driver refuses the run unless every site fired.
+		fmt.Sprintf("%d/%d", len(chaosFaults), len(chaosFaults)),
+	}}, nil
 }
 
 // chaosShmServer echoes on a catmem listener forever, re-accepting after
@@ -260,13 +145,7 @@ func RunChaos(opts ChaosOpts) (*ChaosReport, error) {
 // push consumes it — the server never frees a successfully pushed buffer.
 func chaosShmServer(l *catmem.LibOS, addr core.Addr) {
 	qd, err := l.Socket(core.SockStream)
-	if err != nil {
-		return
-	}
-	if err := l.Bind(qd, addr); err != nil {
-		return
-	}
-	if err := l.Listen(qd, 8); err != nil {
+	if err != nil || errors.Join(l.Bind(qd, addr), l.Listen(qd, 8)) != nil {
 		return
 	}
 	for {
@@ -274,8 +153,8 @@ func chaosShmServer(l *catmem.LibOS, addr core.Addr) {
 		if err != nil {
 			return
 		}
-		ev, err := l.Wait(aqt)
-		if err != nil || ev.Err != nil {
+		ev, err := await(l, aqt)
+		if err != nil {
 			return // engine stopping
 		}
 		conn := ev.NewQD
@@ -296,7 +175,7 @@ func chaosShmServer(l *catmem.LibOS, addr core.Addr) {
 				pev.SGA.Free() // call-level error: ownership stayed here
 				break
 			}
-			if wev, werr := l.Wait(wqt); werr != nil || wev.Err != nil {
+			if _, err := await(l, wqt); err != nil {
 				break // failed push ops are freed by the queue
 			}
 		}
@@ -304,377 +183,98 @@ func chaosShmServer(l *catmem.LibOS, addr core.Addr) {
 	}
 }
 
-// chaosShmRound pushes one patterned message through the shared-memory
-// echo pair and verifies the reply. Unlike chaosEchoRound, ownership of
-// the pushed buffer transfers to the queue — no free on success or on an
-// operation-level failure.
-func chaosShmRound(l *catmem.LibOS, qd core.QDesc, round, size int) error {
-	msg := memory.CopyFrom(l.Heap(), chaosPattern(round, size))
-	qt, err := l.Push(qd, core.SGA(msg))
-	if err != nil {
-		msg.Free() // call-level error: ownership stayed here
-		return err
-	}
-	ev, err := l.Wait(qt)
-	if err != nil {
-		return err
-	}
-	if ev.Err != nil {
-		return ev.Err
-	}
-	pqt, err := l.Pop(qd)
-	if err != nil {
-		return err
-	}
-	pev, err := l.Wait(pqt)
-	if err != nil {
-		return err
-	}
-	if pev.Err != nil {
-		return pev.Err
-	}
-	if len(pev.SGA.Segs) == 0 {
-		return core.ErrQueueClosed
-	}
-	got := pev.SGA.Flatten()
-	pev.SGA.Free()
-	if !bytes.Equal(got, chaosPattern(round, size)) {
-		return fmt.Errorf("chaos: shm round %d reply corrupted", round)
-	}
-	return nil
+// chaosKV is the chaos world's KV client: versioned SETs and verifying GETs
+// (one op in three), then every key read back. An accepted write lost or
+// corrupted fails the soak; a write the server refused because its AOF
+// failed, and a dead connection, are counted and survived.
+type chaosKV struct {
+	ok, degraded, errs int
 }
 
-// chaosShmClient runs verified shared-memory echo rounds, redialing after
-// every injected peer death.
-func chaosShmClient(l *catmem.LibOS, server core.Addr, rounds, size int) (ok, errs int, err error) {
-	conn, err := chaosConnect(l, server, 8)
-	if err != nil {
-		return ok, errs, err
-	}
-	for i := 0; i < rounds; i++ {
-		rerr := chaosShmRound(l, conn, i, size)
-		if rerr == nil {
-			ok++
-			continue
-		}
-		if strings.Contains(rerr.Error(), "corrupted") {
-			return ok, errs, rerr
-		}
-		errs++
-		l.Close(conn)
-		if conn, err = chaosConnect(l, server, 8); err != nil {
-			return ok, errs, err
-		}
-	}
-	l.Close(conn)
-	return ok, errs, nil
-}
-
-// tempAOF returns a per-run AOF path in a fresh temp dir and the cleanup
-// that removes it. The storage stack is simulated, so the name is only a
-// namespace key — but a unique path keeps concurrent soaks collision-free
-// and nothing behind on abort.
-func tempAOF() (string, func(), error) {
-	dir, err := os.MkdirTemp("", "demi-chaos-")
-	if err != nil {
-		return "", nil, fmt.Errorf("chaos: aof temp dir: %w", err)
-	}
-	return filepath.Join(dir, "chaos.aof"), func() { os.RemoveAll(dir) }, nil
-}
-
-// stackTelemetry digs the telemetry registry out of a libOS (unwrapping the
-// net+storage combination).
-func stackTelemetry(os demi.LibOS) *telemetry.Registry {
-	if c, ok := os.(*demi.Combined); ok {
-		os = c.Net.(demi.LibOS)
-	}
-	if t, ok := os.(interface{ Telemetry() *telemetry.Registry }); ok {
-		return t.Telemetry()
-	}
-	return nil
-}
-
-// chaosPattern is round r's payload: deterministic and position-dependent,
-// so truncation, reordering and corruption all fail the compare.
-func chaosPattern(r, size int) []byte {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = byte(r*31 + i*7 + 5)
-	}
-	return b
-}
-
-// chaosConnect dials with bounded retries (connections die under fault
-// injection; a fresh one usually works).
-func chaosConnect(l demi.LibOS, server core.Addr, attempts int) (core.QDesc, error) {
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		qd, err := l.Socket(core.SockStream)
-		if err != nil {
-			return core.InvalidQD, err
-		}
-		cqt, err := l.Connect(qd, server)
-		if err != nil {
-			l.Close(qd)
-			lastErr = err
-			continue
-		}
-		ev, err := l.Wait(cqt)
-		if err != nil {
-			return core.InvalidQD, err
-		}
-		if ev.Err != nil {
-			l.Close(qd)
-			lastErr = ev.Err
-			continue
-		}
-		return qd, nil
-	}
-	return core.InvalidQD, fmt.Errorf("chaos: connect failed after %d attempts: %w", attempts, lastErr)
-}
-
-// chaosEchoRound pushes one patterned message and verifies the echo
-// byte-for-byte.
-func chaosEchoRound(l demi.LibOS, qd core.QDesc, round, size int) error {
-	msg := memory.CopyFrom(l.Heap(), chaosPattern(round, size))
-	qt, err := l.Push(qd, core.SGA(msg))
-	if err != nil {
-		msg.Free()
-		return err
-	}
-	ev, err := l.Wait(qt)
-	if err != nil {
-		return err
-	}
-	msg.Free()
-	if ev.Err != nil {
-		return ev.Err
-	}
-	want := chaosPattern(round, size)
-	got := make([]byte, 0, size)
-	for len(got) < size {
-		pqt, err := l.Pop(qd)
-		if err != nil {
-			return err
-		}
-		ev, err := l.Wait(pqt)
-		if err != nil {
-			return err
-		}
-		if ev.Err != nil {
-			return ev.Err
-		}
-		if len(ev.SGA.Segs) == 0 {
-			return core.ErrQueueClosed
-		}
-		got = append(got, ev.SGA.Flatten()...)
-		ev.SGA.Free()
-	}
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("chaos: round %d reply corrupted (stack checksums failed to catch it)", round)
-	}
-	return nil
-}
-
-// chaosEchoClient runs rounds of verified echo, reconnecting whenever the
-// connection dies under injection. A data-integrity failure is returned as
-// err (it fails the soak); connection errors are counted and survived.
-func chaosEchoClient(l demi.LibOS, server core.Addr, rounds, size int) (ok, errs int, err error) {
-	conn, err := chaosConnect(l, server, 8)
-	if err != nil {
-		return ok, errs, err
-	}
-	for i := 0; i < rounds; i++ {
-		rerr := chaosEchoRound(l, conn, i, size)
-		if rerr == nil {
-			ok++
-			continue
-		}
-		if strings.Contains(rerr.Error(), "corrupted") {
-			return ok, errs, rerr
-		}
-		errs++
-		l.Close(conn)
-		if conn, err = chaosConnect(l, server, 8); err != nil {
-			return ok, errs, err
-		}
-	}
-	l.Close(conn)
-	return ok, errs, nil
-}
-
-// --- KV workload with versioned, self-describing values ---
-
-const chaosKeys = 16
-
-func chaosKey(k int) []byte { return []byte(fmt.Sprintf("chaos:key%02d", k)) }
-
-// chaosValue encodes (key, version) in the value and pads with a pattern,
-// so a read can verify both which write it observes and that no byte
-// changed in flight or at rest.
-func chaosValue(k, ver, size int) []byte {
-	v := []byte(fmt.Sprintf("key=%02d ver=%08d ", k, ver))
-	for i := len(v); i < size; i++ {
-		v = append(v, byte(k*17+i*3+ver))
-	}
-	if len(v) > size {
-		v = v[:size]
-	}
-	return v
-}
-
-// chaosCheckValue verifies a GET result: it must be exactly the encoding of
-// an attempted version no older than the last acknowledged write. (A write
-// that errored at the client may still have been applied if only its reply
-// was lost — hence "attempted", not "acknowledged".)
-func chaosCheckValue(k int, v []byte, attempted []int, lastOK, size int) error {
-	if v == nil {
-		if lastOK >= 0 {
-			return fmt.Errorf("chaos: key %d lost (last acked write ver=%d)", k, lastOK)
-		}
-		return nil
-	}
-	var gotK, ver int
-	if _, err := fmt.Sscanf(string(v), "key=%02d ver=%08d", &gotK, &ver); err != nil || gotK != k {
-		return fmt.Errorf("chaos: key %d holds garbage %q", k, v)
-	}
-	if ver < lastOK {
-		return fmt.Errorf("chaos: key %d regressed to ver=%d (acked ver=%d)", k, ver, lastOK)
-	}
-	for _, a := range attempted {
-		if a == ver {
-			if !bytes.Equal(v, chaosValue(k, ver, size)) {
-				return fmt.Errorf("chaos: key %d ver=%d corrupted", k, ver)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("chaos: key %d holds never-written ver=%d", k, ver)
-}
-
-// chaosDial dials the KV server with bounded retries.
-func chaosDial(l demi.LibOS, server core.Addr, attempts int) (*kv.Client, error) {
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		cl, err := kv.Dial(l, server)
-		if err == nil {
-			return cl, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("chaos: kv dial failed after %d attempts: %w", attempts, lastErr)
-}
-
-// isDegradedReply reports whether a KV error is the server refusing a write
-// because its AOF failed (a well-formed degraded reply, not a dead
-// connection).
-func isDegradedReply(err error) bool {
-	return strings.Contains(err.Error(), "aof write failed")
-}
-
-// chaosKVClient interleaves versioned SETs and verifying GETs, then reads
-// every key back. Lost or corrupted accepted writes fail the soak; refused
-// writes (AOF degraded) and connection errors are counted and survived.
-func chaosKVClient(l demi.LibOS, server core.Addr, ops, valueSize int) (ok, degraded, errs int, err error) {
-	attempted := make([][]int, chaosKeys)
-	lastOK := make([]int, chaosKeys)
+func (c *chaosKV) run(l demi.LibOS, server core.Addr) error {
+	// A version is the op that wrote it, so one set holds every key's.
+	attempted, lastOK := make(map[int]bool), make([]int, kvKeys)
 	for i := range lastOK {
 		lastOK[i] = -1
 	}
-	cl, err := chaosDial(l, server, 8)
+	cl, err := dialKV(l, server)
 	if err != nil {
-		return ok, degraded, errs, err
-	}
-	reconnect := func() error {
-		cl.Close()
-		cl, err = chaosDial(l, server, 8)
 		return err
 	}
-	for i := 0; i < ops; i++ {
-		k := i % chaosKeys
+	redial := func() error {
+		c.errs++
+		cl.Close()
+		cl, err = dialKV(l, server)
+		return err
+	}
+	for i := 0; i < chaosKVOps; i++ {
+		k := i % kvKeys
 		if i%3 == 2 {
-			v, gerr := cl.Get(chaosKey(k))
+			v, gerr := cl.Get(kvKey(k))
 			if gerr != nil {
-				errs++
-				if rerr := reconnect(); rerr != nil {
-					return ok, degraded, errs, rerr
+				if err := redial(); err != nil {
+					return err
 				}
 				continue
 			}
-			if cerr := chaosCheckValue(k, v, attempted[k], lastOK[k], valueSize); cerr != nil {
-				return ok, degraded, errs, cerr
+			if err := checkVersion(k, v, attempted, lastOK[k]); err != nil {
+				return err
 			}
-			ok++
+			c.ok++
 			continue
 		}
-		attempted[k] = append(attempted[k], i)
-		serr := cl.Set(chaosKey(k), chaosValue(k, i, valueSize))
-		switch {
+		attempted[i] = true
+		switch serr := cl.Set(kvKey(k), kvValue(k, i)); {
 		case serr == nil:
 			lastOK[k] = i
-			ok++
-		case isDegradedReply(serr):
-			degraded++
+			c.ok++
+		case strings.Contains(serr.Error(), "aof write failed"):
+			c.degraded++
 		default:
-			errs++
-			if rerr := reconnect(); rerr != nil {
-				return ok, degraded, errs, rerr
+			if err := redial(); err != nil {
+				return err
 			}
 		}
 	}
-	// Final read-back: every key must hold an intact attempted version at
-	// least as new as its last acknowledged write.
-	for k := 0; k < chaosKeys; k++ {
-		v, gerr := cl.Get(chaosKey(k))
+	// Every key must hold an intact attempted version at least as new as
+	// its last acknowledged write.
+	for k := 0; k < kvKeys; k++ {
+		v, gerr := cl.Get(kvKey(k))
 		if gerr != nil {
-			errs++
-			if rerr := reconnect(); rerr != nil {
-				return ok, degraded, errs, rerr
+			if err := redial(); err != nil {
+				return err
 			}
-			if v, gerr = cl.Get(chaosKey(k)); gerr != nil {
-				return ok, degraded, errs, fmt.Errorf("chaos: final readback of key %d: %w", k, gerr)
+			if v, gerr = cl.Get(kvKey(k)); gerr != nil {
+				return fmt.Errorf("final readback of key %d: %w", k, gerr)
 			}
 		}
-		if cerr := chaosCheckValue(k, v, attempted[k], lastOK[k], valueSize); cerr != nil {
-			return ok, degraded, errs, cerr
+		if err := checkVersion(k, v, attempted, lastOK[k]); err != nil {
+			return err
 		}
 	}
 	cl.Close()
-	return ok, degraded, errs, nil
+	return nil
 }
 
-// ChaosSeeds are the fixed seeds the soak replays (also pinned in CI).
-var ChaosSeeds = []uint64{41, 42, 43}
-
-// Chaos is the demi-bench runner: each seed runs twice and the two
-// telemetry dumps must match byte-for-byte.
-func Chaos() ([]*Table, error) {
-	t := &Table{
-		Title:  "Chaos soak: deterministic fault injection across four stacks",
-		Note:   "every run twice per seed; 'replay' requires byte-identical telemetry dumps",
-		Header: []string{"seed", "echo ok/err", "kv ok/degr/err", "mint ok/err", "shm ok/err", "fault classes", "replay"},
+// checkVersion verifies a GET of key k: it must be exactly the encoding of
+// an attempted version no older than the last acknowledged write. (A write
+// that errored at the client may still have been applied if only its reply
+// was lost — hence "attempted", not "acknowledged".)
+func checkVersion(k int, v []byte, attempted map[int]bool, lastOK int) error {
+	var gotK, ver int
+	switch _, err := fmt.Sscanf(string(v), "key=%02d ver=%08d", &gotK, &ver); {
+	case v == nil && lastOK >= 0:
+		return fmt.Errorf("key %d lost (last acked write ver=%d): %w", k, lastOK, errCorrupted)
+	case v == nil:
+		return nil
+	case err != nil || gotK != k:
+		return fmt.Errorf("key %d holds garbage %q: %w", k, v, errCorrupted)
+	case ver < lastOK:
+		return fmt.Errorf("key %d regressed to ver=%d (acked ver=%d): %w", k, ver, lastOK, errCorrupted)
+	case !attempted[ver] || ver%kvKeys != k:
+		return fmt.Errorf("key %d holds never-written ver=%d: %w", k, ver, errCorrupted)
+	case !bytes.Equal(v, kvValue(k, ver)):
+		return fmt.Errorf("key %d ver=%d: %w", k, ver, errCorrupted)
 	}
-	for _, seed := range ChaosSeeds {
-		opts := DefaultChaosOpts()
-		opts.Seed = seed
-		r1, err := RunChaos(opts)
-		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d: %w", seed, err)
-		}
-		r2, err := RunChaos(opts)
-		if err != nil {
-			return nil, fmt.Errorf("chaos seed %d (replay): %w", seed, err)
-		}
-		if r1.Telemetry != r2.Telemetry {
-			return nil, fmt.Errorf("chaos seed %d: replay diverged (telemetry dumps differ)", seed)
-		}
-		t.AddRow(fmt.Sprintf("%d", seed),
-			fmt.Sprintf("%d/%d", r1.EchoOK, r1.EchoErrs),
-			fmt.Sprintf("%d/%d/%d", r1.KVOK, r1.KVDegraded, r1.KVErrs),
-			fmt.Sprintf("%d/%d", r1.MintOK, r1.MintErrs),
-			fmt.Sprintf("%d/%d", r1.ShmOK, r1.ShmErrs),
-			fmt.Sprintf("%d/%d", len(r1.Faults), len(chaosSites)),
-			"byte-identical")
-	}
-	return []*Table{t}, nil
+	return nil
 }

@@ -1,130 +1,113 @@
 package bench
 
 import (
-	"fmt"
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"demikernel/internal/apps/echo"
-	"demikernel/internal/apps/kv"
-	"demikernel/internal/apps/txnstore"
 	"demikernel/internal/core"
-	"demikernel/internal/sim"
+	"demikernel/internal/dpdkdev"
+	"demikernel/internal/faults"
+	"demikernel/internal/memory"
 	"demikernel/internal/wire"
-	"demikernel/internal/ycsb"
 )
 
-// TestSoakMixedWorkloads runs an echo pair, a Redis pair (with AOF) and a
-// TxnStore cluster concurrently on one switch: eight hosts, three
-// applications, two device classes, all interleaved through one
-// deterministic engine. It shakes out cross-stack interference bugs no
-// single-app test reaches.
-func TestSoakMixedWorkloads(t *testing.T) {
-	tb := NewTestbed(1234, SwitchEth())
-
-	// --- echo pair (Catnip TCP) ---
-	echoSrv := tb.NewStack(SysCatnipTCP(), "echo-srv", wire.IPAddr{10, 20, 0, 1})
-	echoCli := tb.NewStack(SysCatnipTCP(), "echo-cli", wire.IPAddr{10, 20, 0, 2})
-
-	// --- Redis pair with AOF (Catnip×Cattree) ---
-	kvSys := catnipCattreeTCP()
-	kvSrv := tb.NewStack(kvSys, "kv-srv", wire.IPAddr{10, 20, 0, 3})
-	kvCli := tb.NewStack(SysCatnipTCP(), "kv-cli", wire.IPAddr{10, 20, 0, 4})
-
-	// --- TxnStore cluster (client + 3 replicas, Catnip) ---
-	txnCli := tb.NewStack(SysCatnipTCP(), "txn-cli", wire.IPAddr{10, 20, 0, 5})
-	var txnAddrs []core.Addr
-	var txnStacks []*Stack
-	for i := 0; i < 3; i++ {
-		ip := wire.IPAddr{10, 20, 0, byte(6 + i)}
-		st := tb.NewStack(SysCatnipTCP(), fmt.Sprintf("txn-replica%d", i), ip)
-		txnStacks = append(txnStacks, st)
-		txnAddrs = append(txnAddrs, core.Addr{IP: ip, Port: 7000})
-	}
-	tb.SeedARP()
-
-	// Servers.
-	echoAddr := core.Addr{IP: echoSrv.IP, Port: 7100}
-	tb.Eng.Spawn(echoSrv.Node, func() {
-		echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr})
-	})
-	kvAddr := core.Addr{IP: kvSrv.IP, Port: 6379}
-	var kvStats kv.ServerStats
-	tb.Eng.Spawn(kvSrv.Node, func() {
-		kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: "soak.aof"}, &kvStats)
-	})
-	for i, st := range txnStacks {
-		r := txnstore.NewReplica()
-		st, addr := st, txnAddrs[i]
-		tb.Eng.Spawn(st.Node, func() { r.Serve(st.OS, addr) })
-	}
-
-	// Clients.
-	const rounds = 300
-	echoDone, kvDone, txnDone := false, false, false
-	tb.Eng.Spawn(echoCli.Node, func() {
-		res, err := echo.Client(echoCli.OS, echoAddr, 128, rounds, 10, echoCli.Node)
-		if err != nil || len(res.RTTs) != rounds {
-			t.Errorf("echo client: %v (%d rounds)", err, len(res.RTTs))
-			return
-		}
-		echoDone = true
-	})
-	tb.Eng.Spawn(kvCli.Node, func() {
-		c, err := kv.Dial(kvCli.OS, kvAddr)
-		if err != nil {
-			t.Errorf("kv dial: %v", err)
-			return
-		}
-		rng := sim.NewRand(5)
-		for i := 0; i < rounds; i++ {
-			key := ycsb.Key(rng.Intn(64))
-			if i%2 == 0 {
-				if err := c.Set(key, []byte("soak-value")); err != nil {
-					t.Errorf("kv set: %v", err)
-					return
+// TestSoaks runs every soak scenario over its pinned seeds through the
+// soak driver: each seed twice, both runs settled with their fault and attack
+// tables covered, and the two telemetry dumps byte-identical. CI runs it
+// under -race.
+func TestSoaks(t *testing.T) {
+	for _, sc := range soaks {
+		t.Run(sc.name, func(t *testing.T) {
+			for _, seed := range sc.seeds {
+				row, err := sc.soak(seed)
+				if err != nil {
+					t.Fatal(err)
 				}
-			} else if _, err := c.Get(key); err != nil {
-				t.Errorf("kv get: %v", err)
-				return
+				t.Logf("seed %d: %s", seed, strings.Join(row, "  "))
 			}
+		})
+	}
+}
+
+// The soaks are trusted to catch leaks, stranded tokens, silent fault sites,
+// attacks nobody tried and runs that do not replay. A tiny world run through
+// the soak driver with one of those planted must be refused for it, and the world
+// without one accepted.
+func TestSoaksRefuseMutants(t *testing.T) {
+	for _, tc := range []struct{ mutant, want string }{
+		{"", ""},
+		{"leaked buffer", "DMA buffers leaked"},
+		{"outstanding pop", "qtokens still outstanding"},
+		{"silent fault site", "never fired"},
+		{"attack never tried", "never rejected"},
+		{"counter differs between runs", "replay diverged"},
+	} {
+		runs := 0
+		sc := &soakScenario{name: "tiny", run: func(seed uint64) (*soakRun, error) {
+			runs++
+			return tinyWorld(seed, tc.mutant, runs)
+		}}
+		_, err := sc.soak(1)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("unmutated world refused: %v", err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("mutant %q: soak driver returned %v, want an error saying %q", tc.mutant, err, tc.want)
 		}
-		c.Close()
-		kvDone = true
-	})
-	tb.Eng.Spawn(txnCli.Node, func() {
-		c, err := txnstore.Dial(txnCli.OS, txnAddrs, sim.NewRand(6))
-		if err != nil {
-			t.Errorf("txn dial: %v", err)
+	}
+}
+
+// tinyWorld is one Catnip echo pair with a one-row fault table and a
+// one-class attack table (a guessed qtoken), with mutant planted; run is
+// which run of the seed this is.
+func tinyWorld(seed uint64, mutant string, run int) (*soakRun, error) {
+	w := &soakWorld{}
+	spec := faults.Spec{Every: 29, Max: 1}
+	if mutant == "silent fault site" {
+		spec.After = time.Hour
+	}
+	site := w.sites(seed, []faultSite{{"dpdk.corrupt", spec}})
+	tb := NewTestbed(seed, SwitchEth())
+	srv := tb.NewStack(SysCatnipTCP(), "srv", wire.IPAddr{10, 50, 0, 1})
+	cli := tb.NewStack(SysCatnipTCP(), "cli", wire.IPAddr{10, 50, 0, 2})
+	tb.SeedARP()
+	srv.Port.SetFaults(dpdkdev.Faults{Corrupt: site["dpdk.corrupt"]})
+	addr := core.Addr{IP: srv.IP, Port: 7}
+	tb.Eng.Spawn(srv.Node, func() { echo.Server(srv.OS, echo.ServerConfig{Addr: addr}) })
+
+	c, rounds := heapClient(cli.OS, addr, false), 50
+	if mutant == "counter differs between runs" {
+		rounds += run // an input that changes between runs of one seed
+	}
+	rejected := attackCount{name: "guessed qtoken"}
+	var planted []any // what a mutant leaves behind
+	err := errUnfinished
+	tb.Eng.Spawn(cli.Node, func() {
+		if err = c.run(rounds); err != nil {
 			return
 		}
-		for i := 0; i < rounds/3; i++ {
-			txn := c.Begin()
-			key := ycsb.Key(i % 16)
-			v, err := txn.Get(key)
-			if err != nil {
-				t.Errorf("txn get: %v", err)
-				return
-			}
-			next := append([]byte(nil), v...)
-			next = append(next, byte(i))
-			txn.Put(key, next)
-			if ok, err := txn.Commit(); err != nil || !ok {
-				t.Errorf("txn commit %d: ok=%v err=%v", i, ok, err)
-				return
+		if mutant != "attack never tried" {
+			if _, werr := cli.OS.Wait(core.QToken(1 << 40)); errors.Is(werr, core.ErrBadQToken) {
+				rejected.n++
 			}
 		}
-		c.Close()
-		txnDone = true
+		switch mutant {
+		case "leaked buffer":
+			planted = append(planted, memory.CopyFrom(cli.OS.Heap(), []byte("leak")))
+		case "outstanding pop":
+			qd, _ := dial(cli.OS, addr)
+			qt, _ := cli.OS.Pop(qd)
+			planted = append(planted, qt)
+		}
 	})
 	tb.Eng.Run()
-	if !echoDone || !kvDone || !txnDone {
-		t.Fatalf("clients finished: echo=%v kv=%v txn=%v", echoDone, kvDone, txnDone)
+	if err != nil {
+		return nil, err
 	}
-	if kvStats.AOFRecords == 0 {
-		t.Error("kv AOF never written during soak")
-	}
-	// Determinism across the whole mixed world.
-	if tb.Eng.EventsRun() == 0 {
-		t.Error("no events processed")
-	}
+	w.tokens, w.heaps, w.attacks = []*core.TokenTable{cli.OS.(tokener).Tokens()}, []*memory.Heap{cli.OS.Heap()}, []attackCount{rejected}
+	w.dumpStacks(true, srv, cli)
+	return &soakRun{worlds: []*soakWorld{w}}, nil
 }

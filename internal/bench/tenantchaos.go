@@ -1,28 +1,26 @@
 package bench
 
-// Adversarial-tenant chaos soak (the multi-tenant isolation gate): three
+// The adversarial-tenant soak (the multi-tenant isolation gate): three
 // tenants share one Catnip stack — a well-behaved echo victim, a
 // well-behaved KV victim, and a hostile tenant that floods the flow table,
 // forges qtokens against the victims' table, abuses its heap quota, double-
-// and foreign-frees buffers, and bursts past its push-rate cap. The run
-// asserts the isolation contract end to end: every attack is rejected with
-// its documented sentinel error, the victims lose nothing and leak
-// nothing, the victims' p99 under attack stays within TenantP99Bound of a
-// same-seed solo baseline (DESIGN.md §12), and same-seed replay is
-// byte-identical.
+// and foreign-frees buffers, and bursts past its push-rate cap. Each seed
+// runs a solo world (the victims alone) and a contended one (the attacker
+// beside them). Beside the checks every soak passes (soak.go), the victims lose
+// nothing and their p99 under attack stays within TenantP99Bound of the
+// solo world's (DESIGN.md §12).
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
-	"time"
 
 	"demikernel/internal/apps/echo"
 	"demikernel/internal/apps/kv"
 	"demikernel/internal/core"
 	"demikernel/internal/demi"
 	"demikernel/internal/memory"
+	"demikernel/internal/sim"
 	"demikernel/internal/tenant"
 	"demikernel/internal/wire"
 )
@@ -32,616 +30,343 @@ import (
 // of the same-seed solo baseline. Stated (and explained) in DESIGN.md §12.
 const TenantP99Bound = 3.0
 
-// TenantChaosOpts configures one adversarial-tenant soak run.
-type TenantChaosOpts struct {
-	Seed      uint64
-	Rounds    int // victim echo rounds (one latency sample each)
-	KVOps     int // victim KV SET+GET pairs, interleaved
-	MsgSize   int
-	ValueSize int
+// The victims' workload, sized so every attack class fires many times while
+// staying fast enough for -race CI.
+const (
+	tenantRounds = 2000 // victim echo rounds, one latency sample each
+	tenantKVOps  = 500  // victim KV SET+GET pairs, spread over the rounds
+)
+
+// The attack classes, in the order the demi-bench table reports their
+// rejections.
+const (
+	attackFlood       = iota // connect past the flow quota
+	attackForgery            // redeem a victim's or a guessed qtoken
+	attackAlloc              // allocate past the heap quota
+	attackDoubleFree         // free a buffer twice
+	attackForeignFree        // free a victim's buffer
+	attackRate               // push past the rate bucket
+	nAttacks
+)
+
+// attackClasses is the attack table: each class's name and the sentinel
+// that must reject it. The soak fails on any other outcome, and if a class
+// is never rejected at all.
+var attackClasses = [nAttacks]struct {
+	name string
+	want error
+}{
+	attackFlood:       {"connect flood", core.ErrTenantQuota},
+	attackForgery:     {"qtoken forgery", core.ErrBadQToken},
+	attackAlloc:       {"alloc abuse", memory.ErrNoMem},
+	attackDoubleFree:  {"double free", memory.ErrDoubleFree},
+	attackForeignFree: {"foreign free", memory.ErrForeignBuf},
+	attackRate:        {"push-rate burst", core.ErrTenantQuota},
 }
 
-// DefaultTenantChaosOpts sizes the soak so every attack class fires many
-// times while staying fast enough for -race CI.
-func DefaultTenantChaosOpts() TenantChaosOpts {
-	return TenantChaosOpts{
-		Seed:      41,
-		Rounds:    2000,
-		KVOps:     500,
-		MsgSize:   64,
-		ValueSize: 64,
-	}
+// tenantSoak is the adversarial-tenant scenario; CI runs its seeds under
+// -race.
+var tenantSoak = &soakScenario{
+	name:   "tenant",
+	seeds:  []uint64{41, 42, 43},
+	run:    runTenant,
+	title:  "Adversarial-tenant soak: hostile tenant co-resident with echo/kv victims",
+	note:   fmt.Sprintf("victim p99 bound %.1fx solo; every run twice per seed; 'replay' requires byte-identical telemetry", TenantP99Bound),
+	header: []string{"seed", "victim ok/err", "kv ok/err", "attacks rejected (flood/forge/alloc/dfree/ffree/rate)", "solo p99", "attacked p99", "replay"},
 }
 
-// TenantChaosReport is one run's outcome (solo baseline + contended run).
-type TenantChaosReport struct {
-	Seed                 uint64
-	VictimOK, VictimErrs int // echo victim rounds
-	KVOK, KVErrs         int // kv victim operations
-	AttackerOK           int // the attacker's own legitimate traffic
+// TenantChaos is the demi-bench runner.
+func TenantChaos() ([]*Table, error) { return tenantSoak.table() }
 
-	// Rejections by attack class; the soak fails if any is zero (the run
-	// would have proved nothing about that attack).
-	FloodRejects       int // connect flood -> ErrTenantQuota
-	ForgeryRejects     int // cross-tenant + guessed qtokens -> ErrBadQToken
-	AllocRejects       int // alloc abuse -> ErrNoMem
-	DoubleFreeRejects  int // double free -> ErrDoubleFree
-	ForeignFreeRejects int // freeing a victim's buffer -> ErrForeignBuf
-	RateRejects        int // push burst past the bucket -> ErrTenantQuota
-
-	SoloP99, ContendedP99 time.Duration
-
-	Outstanding int // shared-stack qtokens unconsumed after drain (must be 0)
-	LiveBufs    int // shared-stack DMA buffers live after drain (must be 0)
-
-	// Telemetry is the deterministic dump of both runs; two invocations
-	// with the same seed must produce identical bytes.
-	Telemetry string
-}
-
-// tenantWorld is the per-run outcome of one world execution.
+// tenantWorld is one tenant world: what the soak driver checks, and the
+// victims' and attacker's counts.
 type tenantWorld struct {
-	victimOK, victimErrs int
-	kvOK, kvErrs         int
-	attackerOK           int
-	flood, forgery       int
-	alloc, dfree, ffree  int
-	rate                 int
-	hist                 Hist
-	outstanding          int
-	liveBufs             int
-	telemetry            string
-	err                  error
+	soakWorld
+	victim  *echoClient
+	kvOK    int
+	rejects [nAttacks]int
+	hist    Hist // victim echo round latencies
 }
 
-// attackErr wraps an isolation failure: an attack that was NOT rejected,
-// or was rejected with the wrong sentinel.
-func attackErr(attack string, got error, want error) error {
-	return fmt.Errorf("tenantchaos: %s attack: got %v, want %v", attack, got, want)
+// runTenant runs the solo world and the contended world on one seed.
+func runTenant(seed uint64) (*soakRun, error) {
+	solo, err := runTenantWorld(seed, false)
+	cont, cerr := runTenantWorld(seed, true)
+	if err := errors.Join(err, cerr); err != nil {
+		return nil, err
+	}
+	// The victims must not lose a single operation to the attacker.
+	if v := cont.victim; v.errs != 0 || v.ok != tenantRounds {
+		return nil, fmt.Errorf("victim lost rounds under attack: %d ok, %d errs of %d", v.ok, v.errs, tenantRounds)
+	}
+	soloP99, contP99 := solo.hist.P99(), cont.hist.P99()
+	if float64(contP99) > TenantP99Bound*float64(soloP99) {
+		return nil, fmt.Errorf("victim p99 %v exceeds %.1fx solo baseline %v", contP99, TenantP99Bound, soloP99)
+	}
+	for c, n := range cont.rejects {
+		cont.attacks = append(cont.attacks, attackCount{attackClasses[c].name, n})
+	}
+	solo.label, cont.label = "solo", "contended"
+	r := cont.rejects
+	return &soakRun{worlds: []*soakWorld{&solo.soakWorld, &cont.soakWorld}, row: []string{
+		fmt.Sprintf("%d/%d", cont.victim.ok, cont.victim.errs),
+		fmt.Sprintf("%d/0", cont.kvOK), // a KV victim error fails the soak
+		fmt.Sprintf("%d/%d/%d/%d/%d/%d", r[0], r[1], r[2], r[3], r[4], r[5]),
+		fmt.Sprint(soloP99), fmt.Sprint(contP99),
+	}}, nil
 }
 
-// runTenantWorld executes one world: two victim tenants (echo + KV) on a
-// shared Catnip stack, with the hostile tenant active only when attack is
-// set. The victim-side call sequence is identical in both modes, so the
-// solo run is a true baseline.
-func runTenantWorld(opts TenantChaosOpts, attack bool) *tenantWorld {
+// runTenantWorld runs one world: the two victim tenants (echo and KV) on a
+// shared Catnip stack, and the hostile tenant beside them when attack is
+// set. The victims make the same calls either way, so the solo world is a
+// true baseline.
+func runTenantWorld(seed uint64, attack bool) (*tenantWorld, error) {
 	w := &tenantWorld{}
-	tb := NewTestbed(opts.Seed, SwitchEth())
+	tb := NewTestbed(seed, SwitchEth())
 	echoSrv := tb.NewStack(SysCatnipTCP(), "mt-echo-srv", wire.IPAddr{10, 40, 0, 1})
 	kvSrv := tb.NewStack(catnipCattreeTCP(), "mt-kv-srv", wire.IPAddr{10, 40, 0, 2})
 	host := tb.NewStack(SysCatnipTCP(), "mt-host", wire.IPAddr{10, 40, 0, 3})
 	tb.SeedARP()
+	netos := host.OS.(demi.NetOS)
 
-	netos, ok := host.OS.(demi.NetOS)
-	if !ok {
-		w.err = fmt.Errorf("tenantchaos: shared stack is not a NetOS")
-		return w
-	}
-
-	// Tenants: the victims get 4x the attacker's scheduler weight; the
-	// attacker gets tight caps so every abuse lands on a quota edge.
+	// The victims get 4x the attacker's scheduler weight; the attacker gets
+	// tight caps so every abuse lands on a quota edge.
 	treg := tenant.NewRegistry()
 	treg.AttachTable(netos.Tokens())
 	victim := treg.New(1, "echo-victim", tenant.Limits{Weight: 4})
-	kvVict := treg.New(2, "kv-victim", tenant.Limits{Weight: 4})
-	hostile := treg.New(3, "attacker", tenant.Limits{
-		Weight:    1,
-		HeapBytes: 64 << 10,
-		MaxFlows:  4,
-		MaxTokens: 16,
-		PushRate:  200000, // 200k pushes/s
-		PushBurst: 4,
-	})
-	hostReg := stackTelemetry(host.OS)
-	victim.Publish(hostReg)
-	kvVict.Publish(hostReg)
-	hostile.Publish(hostReg)
-	vv := tenant.NewView(victim, netos)
-	kvv := tenant.NewView(kvVict, netos)
-	av := tenant.NewView(hostile, netos)
+	kvVictim := treg.New(2, "kv-victim", tenant.Limits{Weight: 4})
+	hostile := treg.New(3, "attacker", tenant.Limits{Weight: 1, HeapBytes: 64 << 10, MaxFlows: 4, MaxTokens: 16, PushRate: 200000, PushBurst: 4})
+	w.tenants, w.tenantHeap = []*tenant.Tenant{victim, kvVictim, hostile}, host.OS.Heap()
+	w.tokens, w.heaps = []*core.TokenTable{netos.Tokens()}, []*memory.Heap{host.OS.Heap()}
+	for _, tn := range w.tenants {
+		tn.Publish(stackTelemetry(host.OS))
+	}
+	vv, kvv, av := tenant.NewView(victim, netos), tenant.NewView(kvVictim, netos), tenant.NewView(hostile, netos)
+	if !attack {
+		av = nil
+	}
 
 	// Servers (trusted hosts, host principal).
 	echoAddr := core.Addr{IP: echoSrv.IP, Port: 7400}
-	tb.Eng.Spawn(echoSrv.Node, func() {
-		echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr})
-	})
+	tb.Eng.Spawn(echoSrv.Node, func() { echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr}) })
 	kvAddr := core.Addr{IP: kvSrv.IP, Port: 6380}
-	aofName, aofCleanup, err := tempAOF()
-	if err != nil {
-		w.err = err
-		return w
-	}
-	defer aofCleanup()
 	var kvStats kv.ServerStats
-	tb.Eng.Spawn(kvSrv.Node, func() {
-		kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: aofName}, &kvStats)
-	})
+	tb.Eng.Spawn(kvSrv.Node, func() { kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: soakAOF}, &kvStats) })
 
 	// The shared host's single node main interleaves all three tenants.
-	tb.Eng.Spawn(host.Node, func() {
-		w.err = tenantWorldMain(w, opts, attack, host, vv, kvv, av, echoAddr, kvAddr)
-	})
+	var err error
+	tb.Eng.Spawn(host.Node, func() { err = w.main(host.Node, vv, kvv, av, echoAddr, kvAddr) })
 	tb.Eng.Run()
-	if w.err != nil {
-		return w
-	}
-
-	// Leak accounting on the shared stack: every qtoken consumed, every
-	// DMA buffer freed, every tenant's region drained.
-	w.outstanding = netos.Tokens().Outstanding()
-	w.liveBufs = host.OS.Heap().LiveObjects()
-	for _, tn := range []*tenant.Tenant{victim, kvVict, hostile} {
-		if used := host.OS.Heap().TenantStats(tn.ID()).Used; used != 0 {
-			w.err = fmt.Errorf("tenantchaos: tenant %d leaked %d heap bytes", tn.ID(), used)
-			return w
-		}
-		if n := tn.Flows(); n != 0 {
-			w.err = fmt.Errorf("tenantchaos: tenant %d leaked %d flow charges", tn.ID(), n)
-			return w
-		}
-		if n := tn.InFlight(); n != 0 {
-			w.err = fmt.Errorf("tenantchaos: tenant %d leaked %d token charges", tn.ID(), n)
-			return w
-		}
-	}
-
-	// Deterministic telemetry dump: shared stack (tenant counters
-	// included), then the servers.
-	var sb strings.Builder
-	for _, st := range []struct {
-		name string
-		s    *Stack
-	}{{"mt-host", host}, {"mt-echo-srv", echoSrv}, {"mt-kv-srv", kvSrv}} {
-		fmt.Fprintf(&sb, "== %s ==\n", st.name)
-		stackTelemetry(st.s.OS).Snapshot().WriteText(&sb)
-	}
-	w.telemetry = sb.String()
-	return w
+	w.dumpStacks(false, host, echoSrv, kvSrv)
+	return w, err
 }
 
-// tenantWorldMain is the shared host's node main: victim echo rounds with
-// per-round latency samples, interleaved KV victim ops, and (in attack
-// mode) one hostile-tenant action between rounds.
-func tenantWorldMain(w *tenantWorld, opts TenantChaosOpts, attack bool,
-	host *Stack, vv, kvv, av *tenant.View, echoAddr, kvAddr core.Addr) error {
-
-	// Victim setup: one long-lived echo connection plus a canary buffer
-	// the attacker will try to free out from under it.
-	echoConn, err := chaosConnect(vv, echoAddr, 8)
-	if err != nil {
-		return fmt.Errorf("tenantchaos: victim dial: %w", err)
+// main is the shared host's node main: victim echo rounds with a latency
+// sample each, KV victim ops spread among them and, when av is set, one
+// hostile action after every round.
+func (w *tenantWorld) main(node *sim.Node, vv, kvv, av *tenant.View, echoAddr, kvAddr core.Addr) error {
+	th := vv.TenantHeap() // a free the region refuses fails the round
+	w.victim = &echoClient{l: vv, server: echoAddr, alloc: th.TryCopyFrom, free: th.TryFree}
+	if err := w.victim.connect(); err != nil {
+		return fmt.Errorf("victim dial: %w", err)
 	}
-	canary := vv.TenantHeap().CopyFrom([]byte("victim canary"))
-	canaryLive := true
-	defer func() {
-		// Error exits anywhere below must not strand the canary slot; the
-		// happy path frees it explicitly as part of teardown verification.
-		if canaryLive {
-			vv.TenantHeap().TryFree(canary)
-		}
-	}()
-	kvCl, err := chaosDial(kvv, kvAddr, 8)
+	// A canary buffer the attacker will try to free out from under the
+	// victim (the foreign-free class); the victim frees it on the way out.
+	canary := th.CopyFrom([]byte("victim canary"))
+	defer th.TryFree(canary)
+	kvCl, err := dialKV(kvv, kvAddr)
 	if err != nil {
-		return fmt.Errorf("tenantchaos: kv victim dial: %w", err)
+		return fmt.Errorf("kv victim dial: %w", err)
 	}
-
-	// Attacker setup: fill the flow quota (its held connections also keep
-	// four extra TCP coroutine sets competing for the scheduler), keep one
-	// for its own traffic.
+	// The attacker fills its flow quota (the held connections also keep
+	// four extra TCP coroutine sets competing for the scheduler) and keeps
+	// one for its own traffic.
 	var atk *attacker
-	if attack {
-		if atk, err = newAttacker(av, echoAddr, opts.MsgSize); err != nil {
-			return err
+	if av != nil {
+		atk = &attacker{v: av, addr: echoAddr, rejects: &w.rejects, canary: canary}
+		for i := 0; i < av.Tenant().Limits().MaxFlows; i++ {
+			qd, err := dial(av, echoAddr)
+			if err != nil {
+				return fmt.Errorf("attacker dial %d: %w", i, err)
+			}
+			atk.held = append(atk.held, qd)
 		}
-		atk.canary = canary // the victim buffer it will try to free
 	}
 
-	for i := 0; i < opts.Rounds; i++ {
-		// Every 8th round the attacker forges against the victim's live
-		// pop token mid-round (the strongest forgery: the op exists and is
-		// owned by another tenant).
+	for i := 0; i < tenantRounds; i++ {
+		// Every 8th round the attacker forges against the victim's live pop
+		// token mid-round (the strongest forgery: the op exists and another
+		// tenant owns it).
 		var forge func(core.QToken) error
 		if atk != nil && i%8 == 1 {
-			forge = func(qt core.QToken) error { return atk.forge(w, qt) }
+			forge = atk.forge
 		}
-		start := host.Node.Now()
-		rerr := tenantEchoRound(vv, echoConn, i, opts.MsgSize, forge)
-		w.hist.Add(host.Node.Now().Sub(start))
-		if rerr != nil {
-			w.victimErrs++
-			if strings.Contains(rerr.Error(), "corrupted") || strings.Contains(rerr.Error(), "forgery") {
-				return rerr
-			}
-			vv.Close(echoConn)
-			if echoConn, err = chaosConnect(vv, echoAddr, 8); err != nil {
+		start := node.Now()
+		err := w.victim.round(i, forge)
+		w.hist.Add(node.Now().Sub(start))
+		if err != nil {
+			return err
+		}
+		if i%(tenantRounds/tenantKVOps+1) == 0 {
+			if err := w.kvOp(kvCl); err != nil {
 				return err
 			}
-		} else {
-			w.victimOK++
 		}
-
-		// KV victim: SET then verifying GET, spread across the run.
-		if opts.KVOps > 0 && i%(opts.Rounds/opts.KVOps+1) == 0 {
-			if kerr := tenantKVOp(kvCl, w, opts.ValueSize); kerr != nil {
-				return kerr
-			}
-		}
-
-		// One hostile action per round, cycling through the attack
-		// classes deterministically.
 		if atk != nil {
-			if aerr := atk.step(w, i); aerr != nil {
-				return aerr
+			if err := atk.step(i); err != nil {
+				return err
 			}
 		}
 	}
 
-	// Drain and verify teardown: the victims release everything; the
-	// attacker's cleanup must leave nothing behind either.
-	canaryLive = false
-	if err := vv.TenantHeap().TryFree(canary); err != nil {
-		return fmt.Errorf("tenantchaos: canary free: %w", err)
-	}
+	// Teardown: the victims release everything, and the attacker's exit
+	// must release every flow charge, like any tenant's.
 	kvCl.Close()
-	if err := vv.Close(echoConn); err != nil {
-		return fmt.Errorf("tenantchaos: victim close: %w", err)
+	err = vv.Close(w.victim.conn)
+	for j := 0; atk != nil && j < len(atk.held); j++ {
+		err = errors.Join(err, av.Close(atk.held[j]))
 	}
-	if atk != nil {
-		atk.canary = nil
-		if err := atk.teardown(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
-// tenantEchoRound is one verified victim echo round through its view. The
-// optional forge callback is handed the victim's live pop token so the
-// co-resident attacker can attempt redemption mid-flight; the round then
-// proves the token still completes for its owner.
-func tenantEchoRound(v *tenant.View, qd core.QDesc, round, size int, forge func(core.QToken) error) error {
-	msg, err := v.TenantHeap().TryCopyFrom(chaosPattern(round, size))
+// kvOp is one victim KV SET and a GET that must return it. With no fault
+// injection here, any error fails the soak.
+func (w *tenantWorld) kvOp(cl *kv.Client) error {
+	k := w.kvOK % kvKeys
+	val := kvValue(k, w.kvOK)
+	if err := cl.Set(kvKey(k), val); err != nil {
+		return fmt.Errorf("kv set: %w", err)
+	}
+	got, err := cl.Get(kvKey(k))
 	if err != nil {
-		return fmt.Errorf("tenantchaos: victim alloc failed under attack: %w", err)
-	}
-	qt, err := v.Push(qd, core.SGA(msg))
-	if err != nil {
-		msg.Free()
-		return err
-	}
-	if ev, err := v.Wait(qt); err != nil {
-		return err
-	} else if ev.Err != nil {
-		msg.Free()
-		return ev.Err
-	}
-	msg.Free()
-	want := chaosPattern(round, size)
-	got := make([]byte, 0, size)
-	for len(got) < size {
-		pqt, err := v.Pop(qd)
-		if err != nil {
-			return err
-		}
-		if forge != nil {
-			if ferr := forge(pqt); ferr != nil {
-				return ferr
-			}
-			forge = nil
-		}
-		ev, err := v.Wait(pqt)
-		if err != nil {
-			return err
-		}
-		if ev.Err != nil {
-			return ev.Err
-		}
-		if len(ev.SGA.Segs) == 0 {
-			return core.ErrQueueClosed
-		}
-		got = append(got, ev.SGA.Flatten()...)
-		for _, b := range ev.SGA.Segs {
-			if ferr := v.TenantHeap().TryFree(b); ferr != nil {
-				return fmt.Errorf("tenantchaos: victim rx free: %w", ferr)
-			}
-		}
-	}
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("tenantchaos: round %d reply corrupted", round)
-	}
-	return nil
-}
-
-// tenantKVOp is one victim KV SET followed by a verifying GET. With no
-// fault injection in this soak, any error or mismatch fails the run.
-func tenantKVOp(cl *kv.Client, w *tenantWorld, valueSize int) error {
-	k := w.kvOK % chaosKeys
-	val := chaosValue(k, w.kvOK, valueSize)
-	if err := cl.Set(chaosKey(k), val); err != nil {
-		w.kvErrs++
-		return fmt.Errorf("tenantchaos: kv set: %w", err)
-	}
-	got, err := cl.Get(chaosKey(k))
-	if err != nil {
-		w.kvErrs++
-		return fmt.Errorf("tenantchaos: kv get: %w", err)
+		return fmt.Errorf("kv get: %w", err)
 	}
 	if !bytes.Equal(got, val) {
-		return fmt.Errorf("tenantchaos: kv key %d corrupted under attack", k)
+		return fmt.Errorf("kv key %d under attack: %w", k, errCorrupted)
 	}
 	w.kvOK++
 	return nil
 }
 
-// attacker is the hostile tenant's state: a full flow table, a working
-// connection for its own traffic, and a scratch heap region.
+// attacker is the hostile tenant: a full flow table, the first of whose
+// connections carries its own traffic, and a scratch heap region.
 type attacker struct {
-	v      *tenant.View
-	addr   core.Addr
-	size   int
-	held   []core.QDesc  // connections pinning the flow quota
-	conn   core.QDesc    // the attacker's own working connection
-	round  int           // its own echo round counter
-	canary *memory.Buf   // victim buffer it keeps trying to free
-	hoard  []*memory.Buf // alloc-abuse hoard (freed every cycle)
+	v       *tenant.View
+	addr    core.Addr
+	rejects *[nAttacks]int
+	held    []core.QDesc // connections pinning the flow quota
+	round   int          // its own echo round counter
+	canary  *memory.Buf  // victim buffer it keeps trying to free
 }
 
-// newAttacker dials until the attacker's flow quota is exactly full: the
-// last dial must be rejected with ErrTenantQuota.
-func newAttacker(v *tenant.View, addr core.Addr, size int) (*attacker, error) {
-	a := &attacker{v: v, addr: addr, size: size}
-	max := v.Tenant().Limits().MaxFlows
-	for i := 0; i < max; i++ {
-		qd, err := chaosConnect(v, addr, 8)
-		if err != nil {
-			return nil, fmt.Errorf("tenantchaos: attacker dial %d: %w", i, err)
-		}
-		a.held = append(a.held, qd)
+// expect counts err as a rejection of class, or fails the soak if it is not
+// the class's sentinel.
+func (a *attacker) expect(class int, err error) error {
+	c := attackClasses[class]
+	if !errors.Is(err, c.want) {
+		return fmt.Errorf("%w: %s attack: got %v, want %v", errIsolation, c.name, err, c.want)
 	}
-	a.conn = a.held[0]
-	return a, nil
+	a.rejects[class]++
+	return nil
 }
 
-// forge attempts to redeem the victim's live qtoken under the attacker's
-// principal, plus neighboring guessed token values. Every attempt must be
-// rejected with ErrBadQToken, and the guess must not consume the op.
-func (a *attacker) forge(w *tenantWorld, victimQT core.QToken) error {
+// forge tries to redeem the victim's live qtoken under the attacker's
+// principal, and its two neighbours. Each must be rejected without
+// consuming the op.
+func (a *attacker) forge(victimQT core.QToken) error {
 	for _, qt := range []core.QToken{victimQT, victimQT + 1, victimQT - 1} {
-		if _, err := a.v.Wait(qt); !errors.Is(err, core.ErrBadQToken) {
-			return attackErr("forgery", err, core.ErrBadQToken)
+		_, err := a.v.Wait(qt)
+		if err := a.expect(attackForgery, err); err != nil {
+			return err
 		}
-		w.forgery++
 	}
 	return nil
 }
 
-// step runs one hostile action, cycling deterministically through the
-// attack classes. Every class asserts its documented sentinel.
-func (a *attacker) step(w *tenantWorld, i int) error {
+// step runs one hostile action, cycling through the attack classes.
+func (a *attacker) step(i int) error {
+	th := a.v.TenantHeap()
 	switch i % 5 {
-	case 0: // connect flood: the flow table is pinned full, so dial -> quota
+	case 0: // connect flood: the flow table is pinned full
 		qd, err := a.v.Socket(core.SockStream)
 		if err != nil {
 			return err
 		}
-		if qt, err := a.v.Connect(qd, a.addr); err == nil {
-			// The quota failed to reject: settle the stray connect so its
-			// token is not stranded, then report the missing enforcement.
-			a.v.Wait(qt)
-			return attackErr("connect flood", nil, core.ErrTenantQuota)
-		} else if !errors.Is(err, core.ErrTenantQuota) {
-			return attackErr("connect flood", err, core.ErrTenantQuota)
+		qt, err := a.v.Connect(qd, a.addr)
+		if err == nil {
+			a.v.Wait(qt) // the quota failed: settle the stray connect's token
 		}
-		w.flood++
-		return a.v.Close(qd)
+		return errors.Join(a.expect(attackFlood, err), a.v.Close(qd))
 	case 1: // alloc abuse: hoard until the region quota rejects, then release
-		for {
-			b, err := a.v.TenantHeap().TryAlloc(4096)
-			if err != nil {
-				if !errors.Is(err, memory.ErrNoMem) {
-					return attackErr("alloc abuse", err, memory.ErrNoMem)
-				}
-				w.alloc++
-				break
-			}
-			a.hoard = append(a.hoard, b)
-			if len(a.hoard) > 1<<12 {
-				return fmt.Errorf("tenantchaos: heap quota never enforced")
+		var hoard []*memory.Buf
+		b, err := th.TryAlloc(4096)
+		for ; err == nil; b, err = th.TryAlloc(4096) {
+			if hoard = append(hoard, b); len(hoard) > 1<<12 {
+				break // the quota never rejected: err is nil, and expect says so
 			}
 		}
-		for _, b := range a.hoard {
-			if err := a.v.TenantHeap().TryFree(b); err != nil {
-				return fmt.Errorf("tenantchaos: attacker hoard free: %w", err)
-			}
+		err = a.expect(attackAlloc, err)
+		for _, b := range hoard {
+			err = errors.Join(err, th.TryFree(b))
 		}
-		a.hoard = a.hoard[:0]
-		return nil
-	case 2: // double free + foreign free
-		b, err := a.v.TenantHeap().TryAlloc(64)
+		return err
+	case 2: // double free, then a free of the victim's canary
+		b, err := th.TryAlloc(64)
 		if err != nil {
-			return fmt.Errorf("tenantchaos: attacker alloc: %w", err)
+			return fmt.Errorf("attacker alloc: %w", err)
 		}
-		if err := a.v.TenantHeap().TryFree(b); err != nil {
+		if err := th.TryFree(b); err != nil {
 			return err
 		}
-		if err := a.v.TenantHeap().TryFree(b); !errors.Is(err, memory.ErrDoubleFree) {
-			return attackErr("double free", err, memory.ErrDoubleFree)
-		}
-		w.dfree++
-		if a.canary != nil {
-			if err := a.v.TenantHeap().TryFree(a.canary); !errors.Is(err, memory.ErrForeignBuf) {
-				return attackErr("foreign free", err, memory.ErrForeignBuf)
-			}
-			w.ffree++
-		}
-		return nil
+		return errors.Join(a.expect(attackDoubleFree, th.TryFree(b)), a.expect(attackForeignFree, th.TryFree(a.canary)))
 	case 3: // push-rate burst: pushes past the bucket depth must be rejected
 		var accepted []core.QToken
 		var sent []*memory.Buf
-		rejected := 0
 		for k := 0; k < 8; k++ {
-			buf, err := a.v.TenantHeap().TryCopyFrom(chaosPattern(a.round, a.size))
+			buf, err := th.TryCopyFrom(soakPattern(a.round))
 			if err != nil {
-				return fmt.Errorf("tenantchaos: attacker burst alloc: %w", err)
+				return fmt.Errorf("attacker burst alloc: %w", err)
 			}
-			qt, perr := a.v.Push(a.conn, core.SGA(buf))
+			qt, perr := a.v.Push(a.held[0], core.SGA(buf))
 			if perr != nil {
 				// Complete-or-error: the rejected caller keeps the buffer.
-				if ferr := a.v.TenantHeap().TryFree(buf); ferr != nil {
-					return fmt.Errorf("tenantchaos: rejected push lost the buffer: %w", ferr)
+				if err := errors.Join(th.TryFree(buf), a.expect(attackRate, perr)); err != nil {
+					return err
 				}
-				if !errors.Is(perr, core.ErrTenantQuota) {
-					return attackErr("push-rate burst", perr, core.ErrTenantQuota)
-				}
-				rejected++
 				continue
 			}
 			accepted = append(accepted, qt)
 			sent = append(sent, buf)
 		}
-		w.rate += rejected
-		// Settle its own traffic: wait out the pushes (ownership of the
-		// acked buffers returns here, so free them), pop the echoes.
+		// Settle its own traffic: wait out the pushes (the acked buffers are
+		// its own again), then pop the echoes.
 		for j, qt := range accepted {
-			ev, err := a.v.Wait(qt)
-			if err != nil {
-				return fmt.Errorf("tenantchaos: attacker push wait: %w", err)
-			}
-			if ev.Err != nil {
-				return fmt.Errorf("tenantchaos: attacker push failed: %w", ev.Err)
-			}
-			if ferr := a.v.TenantHeap().TryFree(sent[j]); ferr != nil {
-				return fmt.Errorf("tenantchaos: attacker push buf free: %w", ferr)
+			_, err := await(a.v, qt)
+			if err = errors.Join(err, th.TryFree(sent[j])); err != nil {
+				return fmt.Errorf("attacker push: %w", err)
 			}
 		}
-		need := len(accepted) * a.size
-		for got := 0; got < need; {
-			pqt, err := a.v.Pop(a.conn)
+		for got := 0; got < len(accepted)*soakMsgSize; {
+			pqt, err := a.v.Pop(a.held[0])
 			if err != nil {
-				return fmt.Errorf("tenantchaos: attacker pop: %w", err)
+				return fmt.Errorf("attacker pop: %w", err)
 			}
-			ev, err := a.v.Wait(pqt)
-			if err != nil || ev.Err != nil {
-				return fmt.Errorf("tenantchaos: attacker pop wait: %v %v", err, ev.Err)
+			ev, err := await(a.v, pqt)
+			if err != nil {
+				return fmt.Errorf("attacker pop: %w", err)
 			}
 			got += ev.SGA.TotalLen()
 			ev.SGA.Free()
 		}
 		a.round++
-		w.attackerOK++
 		return nil
-	default: // guessed-token scan: redemption probing leaks nothing
-		for g := core.QToken(1); g <= 3; g++ {
-			if _, _, err := a.v.TryTake(core.QToken(uint64(a.round*31) + uint64(g)*1009)); !errors.Is(err, core.ErrBadQToken) {
-				return attackErr("token scan", err, core.ErrBadQToken)
+	default: // token scan: guessed tokens redeem nothing
+		for g := uint64(1); g <= 3; g++ {
+			_, _, err := a.v.TryTake(core.QToken(uint64(a.round*31) + g*1009))
+			if err := a.expect(attackForgery, err); err != nil {
+				return err
 			}
-			w.forgery++
 		}
 		return nil
 	}
-}
-
-// teardown closes the attacker's connections; like any tenant, its exit
-// must release every flow charge.
-func (a *attacker) teardown() error {
-	for _, qd := range a.held {
-		if err := a.v.Close(qd); err != nil {
-			return fmt.Errorf("tenantchaos: attacker close: %w", err)
-		}
-	}
-	return nil
-}
-
-// RunTenantChaos runs the solo baseline and the contended world on the
-// same seed and verifies every isolation invariant.
-func RunTenantChaos(opts TenantChaosOpts) (*TenantChaosReport, error) {
-	solo := runTenantWorld(opts, false)
-	if solo.err != nil {
-		return nil, fmt.Errorf("tenantchaos seed %d (solo): %w", opts.Seed, solo.err)
-	}
-	cont := runTenantWorld(opts, true)
-	rep := &TenantChaosReport{
-		Seed:     opts.Seed,
-		VictimOK: cont.victimOK, VictimErrs: cont.victimErrs,
-		KVOK: cont.kvOK, KVErrs: cont.kvErrs,
-		AttackerOK:   cont.attackerOK,
-		FloodRejects: cont.flood, ForgeryRejects: cont.forgery,
-		AllocRejects: cont.alloc, DoubleFreeRejects: cont.dfree,
-		ForeignFreeRejects: cont.ffree, RateRejects: cont.rate,
-		SoloP99: solo.hist.P99(), ContendedP99: cont.hist.P99(),
-		Outstanding: cont.outstanding, LiveBufs: cont.liveBufs,
-		Telemetry: "--- solo ---\n" + solo.telemetry + "--- contended ---\n" + cont.telemetry,
-	}
-	if cont.err != nil {
-		return rep, fmt.Errorf("tenantchaos seed %d: %w", opts.Seed, cont.err)
-	}
-
-	// The victims must not lose a single operation to the attacker.
-	if rep.VictimErrs != 0 || rep.VictimOK != opts.Rounds {
-		return rep, fmt.Errorf("tenantchaos seed %d: victim lost rounds under attack: %d ok, %d errs of %d",
-			opts.Seed, rep.VictimOK, rep.VictimErrs, opts.Rounds)
-	}
-	if rep.KVErrs != 0 || rep.KVOK == 0 {
-		return rep, fmt.Errorf("tenantchaos seed %d: kv victim: %d ok, %d errs", opts.Seed, rep.KVOK, rep.KVErrs)
-	}
-	// Every attack class must have fired and been rejected.
-	for _, c := range []struct {
-		name string
-		n    int
-	}{
-		{"connect flood", rep.FloodRejects}, {"qtoken forgery", rep.ForgeryRejects},
-		{"alloc abuse", rep.AllocRejects}, {"double free", rep.DoubleFreeRejects},
-		{"foreign free", rep.ForeignFreeRejects}, {"push-rate burst", rep.RateRejects},
-	} {
-		if c.n == 0 {
-			return rep, fmt.Errorf("tenantchaos seed %d: attack class %q never exercised", opts.Seed, c.name)
-		}
-	}
-	// No leaks on the shared stack.
-	if rep.Outstanding != 0 || rep.LiveBufs != 0 {
-		return rep, fmt.Errorf("tenantchaos seed %d: %d outstanding qtokens, %d live bufs",
-			opts.Seed, rep.Outstanding, rep.LiveBufs)
-	}
-	// The stated interference bound.
-	if float64(rep.ContendedP99) > TenantP99Bound*float64(rep.SoloP99) {
-		return rep, fmt.Errorf("tenantchaos seed %d: victim p99 %v exceeds %.1fx solo baseline %v",
-			opts.Seed, rep.ContendedP99, TenantP99Bound, rep.SoloP99)
-	}
-	return rep, nil
-}
-
-// TenantChaosSeeds are the fixed seeds the soak replays (pinned in CI).
-var TenantChaosSeeds = []uint64{41, 42, 43}
-
-// TenantChaos is the demi-bench runner: each seed runs twice and the two
-// telemetry dumps must match byte-for-byte.
-func TenantChaos() ([]*Table, error) {
-	t := &Table{
-		Title:  "Adversarial-tenant soak: hostile tenant co-resident with echo/kv victims",
-		Note:   fmt.Sprintf("victim p99 bound %.1fx solo; every run twice per seed; 'replay' requires byte-identical telemetry", TenantP99Bound),
-		Header: []string{"seed", "victim ok/err", "kv ok/err", "attacks rejected (flood/forge/alloc/dfree/ffree/rate)", "solo p99", "attacked p99", "replay"},
-	}
-	for _, seed := range TenantChaosSeeds {
-		opts := DefaultTenantChaosOpts()
-		opts.Seed = seed
-		r1, err := RunTenantChaos(opts)
-		if err != nil {
-			return nil, err
-		}
-		r2, err := RunTenantChaos(opts)
-		if err != nil {
-			return nil, fmt.Errorf("replay: %w", err)
-		}
-		if r1.Telemetry != r2.Telemetry {
-			return nil, fmt.Errorf("tenantchaos seed %d: replay diverged", seed)
-		}
-		t.AddRow(fmt.Sprintf("%d", seed),
-			fmt.Sprintf("%d/%d", r1.VictimOK, r1.VictimErrs),
-			fmt.Sprintf("%d/%d", r1.KVOK, r1.KVErrs),
-			fmt.Sprintf("%d/%d/%d/%d/%d/%d", r1.FloodRejects, r1.ForgeryRejects,
-				r1.AllocRejects, r1.DoubleFreeRejects, r1.ForeignFreeRejects, r1.RateRejects),
-			fmt.Sprintf("%v", r1.SoloP99), fmt.Sprintf("%v", r1.ContendedP99),
-			"byte-identical")
-	}
-	return []*Table{t}, nil
 }

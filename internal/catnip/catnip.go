@@ -47,8 +47,9 @@ type Config struct {
 	// for fewer ack packets. Zero acks immediately — the µs-scale
 	// default, since µs RTTs cannot absorb classic 40 ms delayed acks.
 	DelayedAck time.Duration
-	// ZeroCopy disables the copy-based slow path when true for buffers
-	// over the threshold; always true except in the ablation benchmark.
+	// ForceCopy charges a copy for every transmitted segment, even from a
+	// buffer eligible for zero-copy transmit. The kernel baselines set it,
+	// and so does the zero-copy ablation.
 	ForceCopy bool
 	// Per-packet CPU costs. Defaults are Catnip's measured costs
 	// (costmodel); baselines modelling other stacks override them.
@@ -72,7 +73,7 @@ type Tracer interface {
 // queue pair.
 //
 // Frame ownership. TxBurst must be done with the frames' bytes when it
-// returns (dpdkdev and catloop copy them onto their wire): the stack builds
+// returns (dpdkdev copies them onto the fabric): the stack builds
 // every IPv4 frame in one reused buffer and overwrites it on the next send.
 // Mbuf.Data is the caller's only until Mbuf.Free, which hands the buffer
 // back to the fabric for a later frame — so an rx frame may be forwarded

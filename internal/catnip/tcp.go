@@ -270,4 +270,7 @@ type tcpConn struct {
 	peerClosed    bool
 	appClosed     bool
 	finQueued     bool
+	// wndScaled: both SYNs carried the window-scale option, so windows are
+	// scaled both ways (RFC 7323 §2.2); sndWndScale is 0 while it is false.
+	wndScaled bool
 }

@@ -20,6 +20,19 @@ func seqGE(a, b uint32) bool { return int32(a-b) >= 0 }
 // rcvWndScaleShift is the window scale we advertise (x128).
 const rcvWndScaleShift = 7
 
+// maxWndScaleShift is the largest shift RFC 7323 §2.3 allows; a larger one
+// from a peer is used as this one.
+const maxWndScaleShift = 14
+
+// peerWndScale records the window-scale option of the peer's SYN or SYN-ACK:
+// scaling is on only if it carried one (our SYN always does).
+func (c *tcpConn) peerWndScale(opt wire.TCPOptions) {
+	if opt.HasWScale {
+		c.sndWndScale = uint(min(opt.WScale, maxWndScaleShift))
+		c.wndScaled = true
+	}
+}
+
 // maxSegsPerPop bounds the segments returned by one pop completion.
 const maxSegsPerPop = 16
 
@@ -63,10 +76,10 @@ func (c *tcpConn) advertisedWnd() int {
 }
 
 // wireWindow encodes the advertised window for the header (unscaled in SYN
-// segments, per RFC 7323).
+// segments, and in every segment when the peer does not scale, per RFC 7323).
 func (c *tcpConn) wireWindow(syn bool) uint16 {
 	w := c.advertisedWnd()
-	if !syn {
+	if !syn && c.wndScaled {
 		w >>= rcvWndScaleShift
 	}
 	if w > 0xffff {
@@ -345,8 +358,9 @@ func (c *tcpConn) transmit(seg *segment) {
 	if seg.syn {
 		flags |= wire.TCPSyn
 		opt.MSS = uint16(c.lib.cfg.MSS)
+		// A SYN-ACK offers the option only if the SYN did (RFC 7323 §2.2).
 		opt.WScale = rcvWndScaleShift
-		opt.HasWScale = true
+		opt.HasWScale = c.state != stateSynRcvd || c.wndScaled
 		if c.state == stateSynRcvd {
 			flags |= wire.TCPAck
 		}

@@ -74,9 +74,7 @@ func (ln *tcpListener) handleSyn(eth wire.EthHeader, ip wire.IPv4Header, h wire.
 		c.mss = int(h.Opt.MSS)
 		c.cc.init(c.mss)
 	}
-	if h.Opt.HasWScale {
-		c.sndWndScale = uint(h.Opt.WScale)
-	}
+	c.peerWndScale(h.Opt)
 	c.sndWnd = int(h.Window) // unscaled in SYN
 	ln.lib.conns[tuple] = c
 	ln.synCount++
@@ -149,9 +147,7 @@ func (c *tcpConn) receiveSynSent(h wire.TCPHeader) {
 		c.mss = int(h.Opt.MSS)
 		c.cc.init(c.mss)
 	}
-	if h.Opt.HasWScale {
-		c.sndWndScale = uint(h.Opt.WScale)
-	}
+	c.peerWndScale(h.Opt)
 	c.sndUna = h.Ack
 	c.sndWnd = int(h.Window) // unscaled in SYN
 	c.dropAckedSegments()
