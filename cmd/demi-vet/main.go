@@ -1,9 +1,8 @@
 // Command demi-vet runs the repository's static analyzers over the module:
-// qtoken discipline, buffer ownership, sim-world determinism,
-// //demi:nonalloc hot-path allocation checks, //demi:stateguard
-// complete-or-error mutation, poll-path blocking discipline, capability
-// escape confinement, and the //demi: marker grammar itself. It is built
-// exclusively on the standard library's go/parser, go/ast and go/types.
+// qtoken discipline, buffer ownership, sim-world determinism and
+// //demi:nonalloc hot-path allocation checks, plus the //demi: marker
+// grammar itself. It is built exclusively on the standard library's
+// go/parser, go/ast and go/types.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Package analysis implements demi-vet, the repository's static analyzer.
-// It enforces, at build time, the contracts the paper states and the chaos
-// soak (PR 4) can only probe empirically at run time:
+// It enforces, at build time, the contracts the paper states and the soaks
+// can only probe empirically at run time:
 //
 //   - qtoken discipline: every qtoken produced by push/pop/accept/connect
 //     must flow into a Wait call, be returned, or be stored — never dropped
@@ -15,25 +15,16 @@
 //   - nonalloc: functions annotated //demi:nonalloc are rejected if they
 //     contain allocating constructs or call into code that may allocate
 //     (nonalloc.go).
-//   - stateguard: struct fields annotated //demi:stateguard may not be
-//     written on any path that returns a non-nil error (stateguard.go).
-//   - polldiscipline: coroutine Poll methods and //demi:nonalloc functions
-//     may not, transitively, touch channels, acquire mutexes, spawn
-//     goroutines, or spin in unbounded loops (polldiscipline.go).
-//   - capescape: tracked capabilities (*memory.Buf, core.QToken,
-//     *tenant.View) may not escape to package variables, exported
-//     non-//demi:carrier struct fields, or closures that outlive the call
-//     (capescape.go).
 //
-// An eighth analyzer, annot, checks the //demi: markers themselves: a
+// A fifth analyzer, annot, checks the //demi:nonalloc marker itself: a
 // misspelled, detached or misplaced marker is a finding instead of a
 // silently disabled check (annot.go).
 //
-// The qtoken, ownership, stateguard and capescape rules sit on a shared
-// dataflow core: a per-function control-flow graph (cfg.go) and an
-// interprocedural summary engine (summary.go) that fixpoints parameter
-// ownership modes, owned results and poll facts over the module call
-// graph. Summaries are memoized on first use, so Run is sequential.
+// The qtoken and ownership rules sit on a shared dataflow core: a
+// per-function control-flow graph (cfg.go) and an interprocedural summary
+// engine (summary.go) that fixpoints parameter ownership modes and owned
+// results over the module call graph. Summaries are memoized on first use,
+// so Run is sequential.
 //
 // The analyzer is built exclusively on the standard library's go/parser,
 // go/ast and go/types (with the source importer for the standard library),
@@ -98,17 +89,14 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 	})
 }
 
-// DefaultAnalyzers returns the seven contract analyzers with their default
-// configuration, plus the annotation check they all depend on.
+// DefaultAnalyzers returns the four contract analyzers with their default
+// configuration, plus the annotation check nonalloc depends on.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		QTokenAnalyzer(),
 		OwnershipAnalyzer(),
 		DeterminismAnalyzer(nil),
 		NonAllocAnalyzer(),
-		StateguardAnalyzer(),
-		PolldisciplineAnalyzer(),
-		CapescapeAnalyzer(),
 		AnnotAnalyzer(),
 	}
 }

@@ -160,38 +160,17 @@ func TestDTraceFixture(t *testing.T) {
 	runFixture(t, "dtracefix", NonAllocAnalyzer())
 }
 
-// TestStateguardFixture pins the complete-or-error mutation contract on
-// //demi:stateguard fields, including path-sensitive guard placement.
-func TestStateguardFixture(t *testing.T) {
-	runFixture(t, "stateguardfix", StateguardAnalyzer())
-}
-
-// TestPolldisciplineFixture pins the run-to-completion contract on Poll
-// methods and //demi:nonalloc functions: channel ops, helper-reached
-// mutexes, goroutine spawns, and unbounded loops.
-func TestPolldisciplineFixture(t *testing.T) {
-	runFixture(t, "pollfix", PolldisciplineAnalyzer())
-}
-
-// TestCapescapeFixture pins capability confinement: package-variable
-// stores, non-//demi:carrier exported fields, and escaping closures are
-// findings; carriers, unexported fields, and scheduler-argument closures
-// are not.
-func TestCapescapeFixture(t *testing.T) {
-	runFixture(t, "capescapefix", CapescapeAnalyzer())
-}
-
 // TestAnnotFixture pins the loud-marker rule: a //demi: line with an
-// unknown name or a value, one a blank line has detached, and one on the
-// wrong kind of declaration are findings; the legal forms and prose that
-// merely quotes a marker are not.
+// unknown name or a value (a deleted check's marker included), one a blank
+// line has detached, and one on the wrong kind of declaration are findings;
+// the legal form and prose that merely quotes a marker are not.
 func TestAnnotFixture(t *testing.T) {
 	runFixture(t, "annotfix", AnnotAnalyzer())
 }
 
-// TestAnnotationsReadCold asks the three annotation accessors about a
-// package on a module nothing has been run over: they index on demand, so
-// none is "only valid after" some earlier pass.
+// TestAnnotationsReadCold asks the annotation accessor about a package on a
+// module nothing has been run over: it indexes on demand, so it is not
+// "only valid after" some earlier pass.
 func TestAnnotationsReadCold(t *testing.T) {
 	root, path, err := FindModuleRoot(".")
 	if err != nil {
@@ -203,21 +182,6 @@ func TestAnnotationsReadCold(t *testing.T) {
 		t.Fatalf("loading annotfix: %v", err)
 	}
 	scope := pkg.Types.Scope()
-	record := scope.Lookup("Record").(*types.TypeName)
-	for _, c := range []struct {
-		typ     string
-		carrier bool
-	}{{"Record", true}, {"Grouped", true}, {"Plain", false}} {
-		if got := m.IsCarrier(scope.Lookup(c.typ).(*types.TypeName)); got != c.carrier {
-			t.Errorf("IsCarrier(%s) = %v, want %v", c.typ, got, c.carrier)
-		}
-	}
-	fields := record.Type().Underlying().(*types.Struct)
-	for i, guarded := range []bool{true, true, false} { // Seq, Ack, Len
-		if got := m.IsGuardedField(fields.Field(i)); got != guarded {
-			t.Errorf("IsGuardedField(Record.%s) = %v, want %v", fields.Field(i).Name(), got, guarded)
-		}
-	}
 	for _, c := range []struct {
 		fn       string
 		nonalloc bool
@@ -330,7 +294,6 @@ func TestFindingsIndependentOfOrder(t *testing.T) {
 				forgetSummaries(m)
 				m.ParamModes(fn)
 				m.OwnedResults(fn)
-				m.PollFacts(fn)
 				m.allocates(fn)
 				if got := renderFindings(Run(m, []*Package{pkg}, DefaultAnalyzers())); got != want {
 					t.Errorf("%s entered from %s first: findings differ\n--- declaration order\n%s--- %s first\n%s", fixture, fd.Name.Name, want, fd.Name.Name, got)

@@ -6,19 +6,11 @@ import (
 	"strings"
 )
 
-// annot.go owns the demi-vet source annotations:
+// annot.go owns the demi-vet source annotation, of which there is one:
 //
 //	//demi:nonalloc [rationale]       in a function's doc comment: the
 //	                                  function may not allocate, directly
 //	                                  or transitively (nonalloc.go).
-//	//demi:stateguard [rationale]     in a struct field's doc or line
-//	                                  comment: the field may not be written
-//	                                  on any path that returns a non-nil
-//	                                  error (complete-or-error).
-//	//demi:carrier [rationale]        in a type's doc comment: its exported
-//	                                  fields are sanctioned transfer records
-//	                                  for tracked values (SGArray, QEvent),
-//	                                  not capability escapes.
 //
 // Grammar: the comment line starts with //demi:<name>, no space before
 // demi — the directive form gofmt keeps at the end of a doc comment;
@@ -53,59 +45,27 @@ func hasMarker(doc *ast.CommentGroup, name string) bool {
 // markerHomes says where each marker is read; markerSites visits exactly
 // those places, so the index and the annot check cannot drift apart.
 var markerHomes = map[string]string{
-	"nonalloc":   "a function's doc comment",
-	"stateguard": "a struct field's doc or line comment",
-	"carrier":    "a type's doc comment",
+	"nonalloc": "a function's doc comment",
 }
 
 // markerSites calls visit(name, comments, id) for every place in f where
 // marker name is read, id being the identifier it would annotate.
 func markerSites(f *ast.File, visit func(name string, doc *ast.CommentGroup, id *ast.Ident)) {
 	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			visit("nonalloc", d.Doc, d.Name)
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				// A sole type's doc comment attaches to the GenDecl; grouped
-				// (parenthesized) types carry their own.
-				doc := ts.Doc
-				if doc == nil && len(d.Specs) == 1 {
-					doc = d.Doc
-				}
-				visit("carrier", doc, ts.Name)
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					for _, name := range field.Names {
-						visit("stateguard", field.Doc, name)
-						visit("stateguard", field.Comment, name)
-					}
-				}
-			}
+		if fd, ok := decl.(*ast.FuncDecl); ok {
+			visit("nonalloc", fd.Doc, fd.Name)
 		}
 	}
 }
 
-// indexAnnotations records one file's annotated objects (see index).
+// indexAnnotations records one file's annotated functions (see index).
 func (m *Module) indexAnnotations(p *Package, f *ast.File) {
 	markerSites(f, func(name string, doc *ast.CommentGroup, id *ast.Ident) {
 		if !hasMarker(doc, name) {
 			return
 		}
-		switch obj := p.Info.Defs[id].(type) {
-		case *types.Func:
-			m.nonalloc[obj] = true
-		case *types.Var:
-			m.guarded[obj] = true
-		case *types.TypeName:
-			m.carriers[obj] = true
+		if fn, ok := p.Info.Defs[id].(*types.Func); ok {
+			m.nonalloc[fn] = true
 		}
 	})
 }
@@ -114,25 +74,6 @@ func (m *Module) indexAnnotations(p *Package, f *ast.File) {
 func (m *Module) IsNonAlloc(fn *types.Func) bool {
 	m.index()
 	return m.nonalloc[fn]
-}
-
-// IsGuardedField reports whether v is a //demi:stateguard struct field.
-func (m *Module) IsGuardedField(v *types.Var) bool {
-	m.index()
-	return m.guarded[v]
-}
-
-// HasGuardedFields reports whether any //demi:stateguard field is indexed
-// (lets the stateguard analyzer skip modules without annotations).
-func (m *Module) HasGuardedFields() bool {
-	m.index()
-	return len(m.guarded) > 0
-}
-
-// IsCarrier reports whether the named type is annotated //demi:carrier.
-func (m *Module) IsCarrier(tn *types.TypeName) bool {
-	m.index()
-	return m.carriers[tn]
 }
 
 // AnnotAnalyzer makes the annotation grammar loud. A marker the index does
@@ -163,7 +104,7 @@ func runAnnot(p *Pass) {
 					p.Reportf(c.Slash, "move it into "+where+", with no blank line between the comment and the declaration",
 						"//demi:%s is not read here: it belongs in %s", name, where)
 				} else {
-					p.Reportf(c.Slash, "the markers are //demi:nonalloc, //demi:stateguard and //demi:carrier, each optionally followed by a space and a rationale",
+					p.Reportf(c.Slash, "the one marker is //demi:nonalloc, optionally followed by a space and a rationale",
 						"unknown annotation //demi:%s", name)
 				}
 			}

@@ -38,10 +38,8 @@ type Module struct {
 	// Cross-package indexes, built lazily by index().
 	decls    map[*types.Func]*ast.FuncDecl
 	declPkg  map[*types.Func]*Package
-	nonalloc map[*types.Func]bool     // //demi:nonalloc functions
-	guarded  map[*types.Var]bool      // //demi:stateguard fields
-	carriers map[*types.TypeName]bool // //demi:carrier types
-	indexed  int                      // number of packages already indexed
+	nonalloc map[*types.Func]bool // //demi:nonalloc functions
+	indexed  int                  // number of packages already indexed
 
 	allocMemo map[*types.Func]int8 // allocation summary memo (see nonalloc.go)
 
@@ -243,7 +241,7 @@ func (m *Module) LookupNamed(pathSuffix, name string) *types.Named {
 }
 
 // index builds (or extends, after fixture loads) the cross-package maps
-// from *types.Func to declaration, and the annotation sets (annot.go).
+// from *types.Func to declaration, and the annotation set (annot.go).
 // Every accessor that reads them calls it first, so they answer on a
 // freshly loaded module.
 func (m *Module) index() {
@@ -251,8 +249,6 @@ func (m *Module) index() {
 		m.decls = make(map[*types.Func]*ast.FuncDecl)
 		m.declPkg = make(map[*types.Func]*Package)
 		m.nonalloc = make(map[*types.Func]bool)
-		m.guarded = make(map[*types.Var]bool)
-		m.carriers = make(map[*types.TypeName]bool)
 	}
 	for ; m.indexed < len(m.Pkgs); m.indexed++ {
 		p := m.Pkgs[m.indexed]

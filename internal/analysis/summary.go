@@ -10,13 +10,11 @@ import (
 // summary.go is the interprocedural half of the engine: a fixpoint over the
 // module call graph computing, per function, (1) how each tracked parameter
 // (*memory.Buf, core.QToken) is treated — borrowed, always consumed,
-// consumed only on success, or inconsistently consumed across paths; (2)
-// whether results carry a freshly-owned tracked value, making the
-// function's call sites producers; and (3) poll-discipline facts (channel
-// operations, mutex acquisition, go statements, unbounded loops) closed
-// over static calls. All three are recursive solutions over finite
+// consumed only on success, or inconsistently consumed across paths; and
+// (2) whether results carry a freshly-owned tracked value, making the
+// function's call sites producers. Both are recursive solutions over finite
 // lattices, memoized on first use; cycles resolve to documented defaults
-// (parameters: consumes; owned results: not a producer; flags: clean).
+// (parameters: consumes; owned results: not a producer).
 
 // ParamMode says how a callee treats a tracked parameter.
 type ParamMode int8
@@ -63,23 +61,6 @@ const (
 	numTrackKinds
 )
 
-// An offense records where a poll-discipline violation enters a function:
-// directly (Via == nil) or through a call to Via.
-type offense struct {
-	Pos token.Pos
-	Via *types.Func
-}
-
-func (o offense) found() bool { return o.Pos != token.NoPos && o.Pos != 0 }
-
-// pollFacts are the transitively-closed poll-discipline facts.
-type pollFacts struct {
-	Chan offense // channel send/receive/range, select
-	Lock offense // sync.Mutex/RWMutex acquisition
-	Go   offense // go statement
-	Loop offense // unbounded for{} with no exit
-}
-
 // paramInfo is one tracked parameter's summary.
 type paramInfo struct {
 	Mode ParamMode
@@ -100,8 +81,6 @@ type summaries struct {
 	inParam map[*types.Func]bool
 	owned   map[*types.Func]*[numTrackKinds]bool
 	inOwned map[*types.Func]bool
-	facts   map[*types.Func]*pollFacts
-	inFacts map[*types.Func]bool
 
 	exitClasses map[*ast.FuncDecl]map[*ast.ReturnStmt]exitClass
 	cfgs        map[*ast.BlockStmt]*CFG
@@ -114,8 +93,6 @@ func (m *Module) summaryState() *summaries {
 			inParam:     make(map[*types.Func]bool),
 			owned:       make(map[*types.Func]*[numTrackKinds]bool),
 			inOwned:     make(map[*types.Func]bool),
-			facts:       make(map[*types.Func]*pollFacts),
-			inFacts:     make(map[*types.Func]bool),
 			exitClasses: make(map[*ast.FuncDecl]map[*ast.ReturnStmt]exitClass),
 			cfgs:        make(map[*ast.BlockStmt]*CFG),
 		}
@@ -651,159 +628,4 @@ func (m *Module) exprYieldsOwned(pkg *Package, fd *ast.FuncDecl, e ast.Expr) boo
 		return owned
 	}
 	return false
-}
-
-// PollFacts computes the transitively-closed poll-discipline facts of fn.
-func (m *Module) PollFacts(fn *types.Func) pollFacts {
-	m.index()
-	s := m.summaryState()
-	if f, ok := s.facts[fn]; ok {
-		return *f
-	}
-	var facts pollFacts
-	fd := m.decls[fn]
-	if fd == nil || fd.Body == nil || s.inFacts[fn] {
-		return facts // external or recursion: assumed clean; nonalloc covers externals
-	}
-	s.inFacts[fn] = true
-	defer delete(s.inFacts, fn)
-
-	pkg := m.declPkg[fn]
-	merge := func(dst *offense, pos token.Pos, via *types.Func) {
-		if !dst.found() {
-			*dst = offense{Pos: pos, Via: via}
-		}
-	}
-	walkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // a closure runs on its own schedule
-		}
-		switch x := n.(type) {
-		case *ast.SendStmt:
-			merge(&facts.Chan, x.Pos(), nil)
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				merge(&facts.Chan, x.Pos(), nil)
-			}
-		case *ast.SelectStmt:
-			merge(&facts.Chan, x.Pos(), nil)
-		case *ast.RangeStmt:
-			if tv, ok := pkg.Info.Types[x.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					merge(&facts.Chan, x.Pos(), nil)
-				}
-			}
-		case *ast.GoStmt:
-			merge(&facts.Go, x.Pos(), nil)
-		case *ast.ForStmt:
-			if x.Cond == nil && !loopHasExit(x) {
-				merge(&facts.Loop, x.Pos(), nil)
-			}
-		case *ast.CallExpr:
-			if callee := staticCallee(pkg.Info, x); callee != nil {
-				if isSyncAcquire(callee) {
-					merge(&facts.Lock, x.Pos(), nil)
-				} else if callee.Pkg() != nil && m.decls[callee] != nil {
-					sub := m.PollFacts(callee)
-					if sub.Chan.found() {
-						merge(&facts.Chan, x.Pos(), callee)
-					}
-					if sub.Lock.found() {
-						merge(&facts.Lock, x.Pos(), callee)
-					}
-					if sub.Go.found() {
-						merge(&facts.Go, x.Pos(), callee)
-					}
-					if sub.Loop.found() {
-						merge(&facts.Loop, x.Pos(), callee)
-					}
-				}
-			}
-		}
-		return true
-	})
-	s.facts[fn] = &facts
-	return facts
-}
-
-// isSyncAcquire matches blocking lock acquisition on sync.Mutex/RWMutex.
-func isSyncAcquire(fn *types.Func) bool {
-	if fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return false
-	}
-	switch fn.Name() {
-	case "Lock", "RLock":
-		return true
-	}
-	return false
-}
-
-// loopHasExit reports whether a condition-less for loop can terminate:
-// a return, an unlabeled break at its own level, or any labeled
-// break/goto (assumed to leave it).
-func loopHasExit(loop *ast.ForStmt) bool {
-	exits := false
-	depth := 0
-	var scan func(stmts []ast.Stmt)
-	scan = func(stmts []ast.Stmt) {
-		for _, s := range stmts {
-			if exits {
-				return
-			}
-			switch x := s.(type) {
-			case *ast.ReturnStmt:
-				exits = true
-			case *ast.BranchStmt:
-				switch {
-				case x.Label != nil:
-					exits = true // labeled break/continue/goto: assume it leaves
-				case x.Tok == token.BREAK && depth == 0:
-					exits = true
-				}
-			case *ast.BlockStmt:
-				scan(x.List)
-			case *ast.IfStmt:
-				scan(x.Body.List)
-				if x.Else != nil {
-					scan([]ast.Stmt{x.Else})
-				}
-			case *ast.ForStmt:
-				depth++
-				scan(x.Body.List)
-				depth--
-			case *ast.RangeStmt:
-				depth++
-				scan(x.Body.List)
-				depth--
-			case *ast.SwitchStmt:
-				depth++
-				for _, c := range x.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						scan(cc.Body)
-					}
-				}
-				depth--
-			case *ast.TypeSwitchStmt:
-				depth++
-				for _, c := range x.Body.List {
-					if cc, ok := c.(*ast.CaseClause); ok {
-						scan(cc.Body)
-					}
-				}
-				depth--
-			case *ast.SelectStmt:
-				depth++
-				for _, c := range x.Body.List {
-					if cc, ok := c.(*ast.CommClause); ok {
-						scan(cc.Body)
-					}
-				}
-				depth--
-			case *ast.LabeledStmt:
-				scan([]ast.Stmt{x.Stmt})
-			}
-		}
-	}
-	scan(loop.Body.List)
-	return exits
 }

@@ -1,24 +1,26 @@
 // Package annotfix seeds //demi: marker mistakes for the annot analyzer
-// tests: names nothing reads, markers a blank line has detached from their
-// declaration, and markers on the wrong kind of declaration — each of which
-// the index skips, silently switching off the check the author asked for.
-// The legal forms beside them are what TestAnnotationsReadCold reads.
+// tests: names nothing reads (misspellings, and the markers of checks that
+// were deleted), markers a blank line has detached from their declaration,
+// and markers on the wrong kind of declaration — each of which the index
+// skips, silently switching off the check the author asked for. The legal
+// form beside them is what TestAnnotationsReadCold reads.
 package annotfix
 
-// Record is a sanctioned transfer record.
+// Record is a transfer record. //demi:carrier and //demi:stateguard were
+// read by checks that no longer exist, so a leftover one is unknown.
 //
-//demi:carrier legal: a type's doc comment
+//demi:carrier no longer a marker // want `unknown annotation //demi:carrier`
 type Record struct {
 	// Seq only advances when the operation it counts completed.
 	//
-	//demi:stateguard legal: a field's doc comment
+	//demi:stateguard no longer a marker // want `unknown annotation //demi:stateguard`
 	Seq uint32
-	Ack uint32 //demi:stateguard legal: a field's line comment
+	Ack uint32 //demi:stateguard nor in a line comment // want `unknown annotation //demi:stateguard`
 	Len int
 }
 
 type (
-	//demi:carrier legal: a grouped type carries its own doc comment
+	//demi:carrier nor on a grouped type // want `unknown annotation //demi:carrier`
 	Grouped struct{ N int }
 )
 
@@ -51,13 +53,13 @@ func detached(r *Record) int { return r.Len }
 //
 //demi:nonalloc wrong kind of declaration // want `//demi:nonalloc is not read here: it belongs in a function's doc comment`
 type Plain struct {
-	//demi:carrier fields are not carriers // want `//demi:carrier is not read here: it belongs in a type's doc comment`
+	//demi:carrier fields are not carriers // want `unknown annotation //demi:carrier`
 	N int
 }
 
 // guardless is a function, not a field.
 //
-//demi:stateguard wrong kind of declaration // want `//demi:stateguard is not read here: it belongs in a struct field's doc or line comment`
+//demi:stateguard on a function // want `unknown annotation //demi:stateguard`
 func guardless(r *Record) {
 	//demi:nonalloc markers inside a body annotate nothing // want `//demi:nonalloc is not read here`
 	r.Len++

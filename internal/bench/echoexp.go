@@ -9,6 +9,7 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/memory"
 	"demikernel/internal/rdmadev"
+	"demikernel/internal/sim"
 	"demikernel/internal/simnet"
 	"demikernel/internal/telemetry"
 	"demikernel/internal/wire"
@@ -142,7 +143,7 @@ func RunRawRDMAEcho(msgSize, rounds int) EchoRow {
 			if qp, ok = l.Accept(); ok {
 				break
 			}
-			if !nr.Park(simInfinity()) {
+			if !nr.Park(sim.Infinity) {
 				return
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"demikernel/internal/apps/echo"
-	"demikernel/internal/baseline"
 	"demikernel/internal/core"
 )
 
@@ -180,6 +179,3 @@ func RunLoad(sys System, nClients, roundsPerClient int) (float64, *Hist, error) 
 	}
 	return tput, h, nil
 }
-
-// baselineUnused silences the import when raw series are inlined.
-var _ = baseline.EnvNative

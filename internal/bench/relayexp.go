@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"demikernel/internal/apps/relay"
 	"demikernel/internal/baseline"
@@ -110,7 +109,3 @@ func Fig10() (*Table, error) {
 	}
 	return t, nil
 }
-
-// relayDropGuard documents the timing dependency: the generator is
-// closed-loop so the relay can never be overrun.
-var _ = time.Nanosecond

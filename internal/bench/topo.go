@@ -181,16 +181,11 @@ func SysIOUring() System {
 		port := tb.newDPDK(n, LinkDPDK())
 		k := baseline.NewIOUring(n, port, ip)
 		tb.trackCatnip(k.Inner().(*catnip.LibOS), ip, port.MAC())
-		return combineKernel(k, stor, n)
+		if stor != nil {
+			panic("bench: storage not wired for io_uring")
+		}
+		return k
 	}}
-}
-
-// combineKernel keeps non-storage io_uring simple (storage unused there).
-func combineKernel(k demi.LibOS, stor demi.StorOS, n *sim.Node) demi.LibOS {
-	if stor != nil {
-		panic("bench: storage not wired for this baseline")
-	}
-	return k
 }
 
 // SysCatnap is the polled kernel path (simulated Catnap).
@@ -332,6 +327,3 @@ func SysSplitCore() System {
 }
 
 func wireAddr(ip wire.IPAddr) core.Addr { return core.Addr{IP: ip} }
-
-// simInfinity avoids importing sim at every call site.
-func simInfinity() sim.Time { return sim.Infinity }

@@ -235,8 +235,8 @@ type tcpConn struct {
 
 	// Receive state.
 	irs uint32
-	//demi:stateguard rcvNxt acknowledges bytes to the peer; advancing it on
-	// a failed delivery desynchronizes the sequence space permanently.
+	// rcvNxt acknowledges bytes to the peer; advancing it on a failed
+	// delivery desynchronizes the sequence space permanently.
 	rcvNxt    uint32
 	recvQ     fifo[*memory.Buf]
 	recvBytes int

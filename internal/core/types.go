@@ -84,8 +84,6 @@ func (o OpCode) String() string {
 // QEvent is the completion of one asynchronous operation. Completions are
 // the PDPIX transfer record: a pop's received buffers ride the event to the
 // caller, who owns them on redemption.
-//
-//demi:carrier
 type QEvent struct {
 	QD    QDesc
 	Op    OpCode
@@ -98,8 +96,6 @@ type QEvent struct {
 // SGArray is a scatter-gather array of DMA-capable buffers, the unit of
 // PDPIX I/O. Push transfers ownership of every segment to the library OS
 // until the operation completes; Pop returns segments owned by the caller.
-//
-//demi:carrier the scatter-gather array IS the I/O ownership-transfer unit.
 type SGArray struct {
 	Segs []*memory.Buf
 }

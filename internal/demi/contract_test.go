@@ -378,6 +378,32 @@ func (a *app) tokenRows(foreign core.QToken) {
 	} else {
 		bad("a token minted by another instance", foreign)
 	}
+	// An outstanding operation of this very table, minted for another
+	// tenant: the wait redeems as the host tenant, and tenancy is strict
+	// equality (TryTakeAs's issuer compare). demi.Combined redeems through
+	// TryTake, the trusted-driver path, so it has no such row.
+	if _, routes := os.(*demi.Combined); !routes {
+		const other = 7
+		tbl := a.tables[0]
+		tq, err := os.Queue()
+		if err != nil {
+			t.Errorf("queue: %v", err)
+			return
+		}
+		tbl.SetIssuer(other)
+		theirs, err := os.Pop(tq)
+		tbl.SetIssuer(0)
+		if err != nil {
+			t.Errorf("pop(queue) for tenant %d: %v", other, err)
+		}
+		bad("another tenant's outstanding token", theirs)
+		if err := os.Close(tq); err != nil {
+			t.Errorf("close(queue): %v", err)
+		}
+		if ev, done, err := tbl.TryTakeAs(theirs, other); !done || err != nil || !errors.Is(ev.Err, core.ErrQueueClosed) {
+			t.Errorf("tenant %d redeeming its closed pop = %+v, %v, %v", other, ev, done, err)
+		}
+	}
 
 	// None of it touched the outstanding operation.
 	sent = a.buf()

@@ -64,8 +64,6 @@ const (
 // CQE is a completion queue entry. Completion entries hand the posted
 // receive buffer back to the poller; ownership transfers with the entry by
 // the verbs contract.
-//
-//demi:carrier
 type CQE struct {
 	QPN uint32
 	Op  Opcode

@@ -58,10 +58,9 @@ type Tenant struct {
 	name string
 	lim  Limits
 
-	//demi:stateguard quota accounting must match reality: charging a flow
-	// on a rejected acquire leaks quota the tenant never got.
-	flows int // live flow-table entries (and reservations)
-	//demi:stateguard same complete-or-error contract as flows.
+	// Quota accounting must match reality: charging a flow or a token on a
+	// rejected acquire leaks quota the tenant never got.
+	flows  int // live flow-table entries (and reservations)
 	tokens int // in-flight qtokens
 
 	// Push-rate token bucket in "nanopushes" (1e9 per push), refilled

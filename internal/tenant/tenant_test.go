@@ -222,6 +222,9 @@ func TestFlowQuotaChurn(t *testing.T) {
 		if _, err := dial(); !errors.Is(err, core.ErrTenantQuota) {
 			t.Fatalf("over-cap connect: got %v, want ErrTenantQuota", err)
 		}
+		if got := r.ta.Flows(); got != maxFlows {
+			t.Fatalf("flows after the rejected connect = %d, want %d", got, maxFlows)
+		}
 		// Releasing one flow re-opens the cap.
 		if err := r.va.Close(held[0]); err != nil {
 			t.Fatalf("release: %v", err)
@@ -255,6 +258,9 @@ func TestTokenQuota(t *testing.T) {
 		}
 		if _, err := r.va.Pop(qd); !errors.Is(err, core.ErrTenantQuota) {
 			t.Fatalf("second in-flight op: got %v, want ErrTenantQuota", err)
+		}
+		if got := r.ta.InFlight(); got != 1 {
+			t.Fatalf("in-flight after the rejected mint = %d, want 1", got)
 		}
 		if _, err := r.va.Wait(qt); err != nil {
 			t.Fatalf("wait: %v", err)

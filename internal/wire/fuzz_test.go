@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
+
+	"demikernel/internal/simnet"
 )
 
 // Parsers face attacker-controlled bytes from the wire: none may panic,
@@ -80,4 +83,119 @@ func TestTCPOptionMalformedLengths(t *testing.T) {
 		_, _, err := ParseTCP(buf, src, dst)
 		_ = err // error or success both fine; no panic, no hang
 	}
+}
+
+// FuzzParseFrame drives the parsers with whole Ethernet frames. Random bytes
+// almost never carry a valid checksum, so TestParsersNeverPanicOnRandomBytes
+// stops at the checksum check; this target first recomputes the IPv4 header
+// checksum and the TCP or UDP checksum (a zero UDP checksum, "none", stays
+// zero), so the fuzzer's bytes reach option and length parsing. No parser
+// may panic, and a TCP or UDP header that parses must marshal back to bytes
+// that parse to the same header and payload.
+func FuzzParseFrame(f *testing.F) {
+	for _, frame := range seedFrames() {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		frame = append([]byte(nil), frame...) // the checksums are fixed in place
+		_, pkt, err := ParseEth(frame)
+		if err != nil {
+			return
+		}
+		ParseARP(pkt)
+		if len(pkt) < IPv4HeaderLen {
+			return
+		}
+		if ihl := int(pkt[0]&0xf) * 4; ihl >= IPv4HeaderLen && ihl <= len(pkt) {
+			be.PutUint16(pkt[10:12], 0)
+			be.PutUint16(pkt[10:12], Checksum(pkt[:ihl]))
+		}
+		ip, seg, err := ParseIPv4(pkt)
+		if err != nil {
+			return
+		}
+		switch ip.Proto {
+		case ProtoTCP:
+			if len(seg) >= TCPHeaderLen {
+				if hlen := int(seg[12]>>4) * 4; hlen >= TCPHeaderLen && hlen <= len(seg) {
+					be.PutUint16(seg[16:18], 0)
+					be.PutUint16(seg[16:18], TransportChecksum(ip.Src, ip.Dst, ProtoTCP, seg[:hlen], seg[hlen:]))
+				}
+			}
+			h, payload, err := ParseTCP(seg, ip.Src, ip.Dst)
+			if err != nil {
+				return
+			}
+			out := make([]byte, h.MarshalLen()+len(payload))
+			n := h.Marshal(out, ip.Src, ip.Dst, payload)
+			copy(out[n:], payload)
+			h2, payload2, err := ParseTCP(out, ip.Src, ip.Dst)
+			if err != nil || h2 != h || !bytes.Equal(payload2, payload) {
+				t.Fatalf("TCP %+v with %d payload bytes re-marshalled to %x: parsed back as %+v, %d bytes, %v", h, len(payload), out, h2, len(payload2), err)
+			}
+		case ProtoUDP:
+			if len(seg) >= UDPHeaderLen && be.Uint16(seg[6:8]) != 0 {
+				if l := int(be.Uint16(seg[4:6])); l >= UDPHeaderLen && l <= len(seg) {
+					be.PutUint16(seg[6:8], 0)
+					ck := TransportChecksum(ip.Src, ip.Dst, ProtoUDP, seg[:UDPHeaderLen], seg[UDPHeaderLen:l])
+					if ck == 0 {
+						ck = 0xffff
+					}
+					be.PutUint16(seg[6:8], ck)
+				}
+			}
+			h, payload, err := ParseUDP(seg, ip.Src, ip.Dst)
+			if err != nil {
+				return
+			}
+			out := make([]byte, UDPHeaderLen+len(payload))
+			h.Marshal(out, ip.Src, ip.Dst, payload)
+			copy(out[UDPHeaderLen:], payload)
+			h2, payload2, err := ParseUDP(out, ip.Src, ip.Dst)
+			if err != nil || h2 != h || !bytes.Equal(payload2, payload) {
+				t.Fatalf("UDP %+v with %d payload bytes re-marshalled to %x: parsed back as %+v, %d bytes, %v", h, len(payload), out, h2, len(payload2), err)
+			}
+		}
+	})
+}
+
+// seedFrames are the frames the stacks emit: a TCP SYN carrying every
+// option Catnip sends, a data segment with timestamps, a UDP datagram and
+// an ARP request.
+func seedFrames() [][]byte {
+	src, dst := IPAddr{10, 0, 0, 1}, IPAddr{10, 0, 0, 2}
+	eth := func(typ uint16, body []byte) []byte {
+		h := EthHeader{Dst: simnet.MAC{2, 0, 0, 0, 0, 2}, Src: simnet.MAC{2, 0, 0, 0, 0, 1}, EtherType: typ}
+		b := make([]byte, EthHeaderLen+len(body))
+		h.Marshal(b)
+		copy(b[EthHeaderLen:], body)
+		return b
+	}
+	ipv4 := func(proto uint8, seg []byte) []byte {
+		h := IPv4Header{TotalLen: uint16(IPv4HeaderLen + len(seg)), TTL: 64, Flags: DontFragment, Proto: proto, Src: src, Dst: dst}
+		b := make([]byte, IPv4HeaderLen+len(seg))
+		h.Marshal(b)
+		copy(b[IPv4HeaderLen:], seg)
+		return eth(EtherTypeIPv4, b)
+	}
+	tcp := func(h TCPHeader, payload []byte) []byte {
+		b := make([]byte, h.MarshalLen()+len(payload))
+		n := h.Marshal(b, src, dst, payload)
+		copy(b[n:], payload)
+		return ipv4(ProtoTCP, b)
+	}
+	syn := TCPHeader{SrcPort: 49152, DstPort: 80, Seq: 1, Flags: TCPSyn, Window: 65535,
+		Opt: TCPOptions{MSS: 1460, WScale: 7, HasWScale: true, TSVal: 1, HasTimestamp: true}}
+	data := TCPHeader{SrcPort: 49152, DstPort: 80, Seq: 2, Ack: 9, Flags: TCPAck | TCPPsh, Window: 512,
+		Opt: TCPOptions{TSVal: 2, TSEcr: 1, HasTimestamp: true}}
+	payload := []byte("GET / HTTP/1.0\r\n\r\n")
+	udpPayload := []byte("ping")
+	u := UDPHeader{SrcPort: 5000, DstPort: 6000, Length: uint16(UDPHeaderLen + len(udpPayload))}
+	ub := make([]byte, UDPHeaderLen+len(udpPayload))
+	u.Marshal(ub, src, dst, udpPayload)
+	copy(ub[UDPHeaderLen:], udpPayload)
+	arp := ARPHeader{Op: ARPRequest, SenderHW: simnet.MAC{2, 0, 0, 0, 0, 1}, SenderIP: src, TargetIP: dst}
+	ab := make([]byte, ARPHeaderLen)
+	arp.Marshal(ab)
+	return [][]byte{tcp(syn, nil), tcp(data, payload), ipv4(ProtoUDP, ub), eth(EtherTypeARP, ab)}
 }
