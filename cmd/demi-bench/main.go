@@ -8,8 +8,12 @@
 // Flags may appear before or after the experiment name:
 //
 //	-json       also write every table to BENCH_results.json
-//	-telemetry  dump each experiment's telemetry (registry snapshots +
-//	            qtoken flight-recorder spans) to stdout after its tables
+//	-telemetry  dump every simulated world an experiment runs (registry
+//	            snapshots + qtoken flight-recorder spans) to stdout as the
+//	            world finishes, ahead of the experiment's tables
+//
+// A smoke check of one table is `go run ./cmd/demi-bench <experiment>`; the
+// tables are deterministic, so two runs print the same bytes.
 package main
 
 import (

@@ -142,7 +142,7 @@ func TestRawDPDKPing(t *testing.T) {
 	na, nb := eng.NewNode("pinger"), eng.NewNode("fwd")
 	pa := dpdkdev.Attach(sw, na, simnet.DefaultLink(), 1024, 0)
 	pb := dpdkdev.Attach(sw, nb, simnet.DefaultLink(), 1024, 0)
-	eng.Spawn(nb, TestpmdForwarder(pb))
+	eng.Spawn(nb, MessageForwarder(pb, 1))
 	var rtts []time.Duration
 	eng.Spawn(na, func() {
 		rtts = RawDPDKPing(pa, pb.MAC(), 64, 100)

@@ -14,35 +14,6 @@ import (
 // Raw device loops: the paper's testpmd (DPDK L2 forwarder) and perftest
 // (RDMA ping-pong), the "native" performance floors with no OS at all.
 
-// TestpmdForwarder returns an application main that echoes every frame at
-// L2, swapping the Ethernet addresses — exactly what testpmd's iofwd mode
-// does. It runs until the engine stops.
-func TestpmdForwarder(port *dpdkdev.Port) func() {
-	return func() {
-		node := port.Node()
-		for {
-			mbufs := port.RxBurst(32)
-			if len(mbufs) == 0 {
-				node.Charge(costmodel.PollEmpty)
-				if !node.Park(sim.Infinity) {
-					return
-				}
-				continue
-			}
-			for _, m := range mbufs {
-				node.Charge(costmodel.RawDPDKPerPacket)
-				// Swap dst/src MACs in place and bounce the frame.
-				var tmp [6]byte
-				copy(tmp[:], m.Data[0:6])
-				copy(m.Data[0:6], m.Data[6:12])
-				copy(m.Data[6:12], tmp[:])
-				port.TxBurst([][]byte{m.Data})
-				m.Free()
-			}
-		}
-	}
-}
-
 // rawMTU is the Ethernet payload per frame for the raw DPDK ping (NetPIPE
 // over DPDK segments messages into MTU frames, as any L2 path must).
 const rawMTU = 1500
@@ -95,9 +66,11 @@ func RawDPDKPing(port *dpdkdev.Port, peer simnet.MAC, size, count int) []time.Du
 	return rtts
 }
 
-// MessageForwarder returns an application main that buffers nFrames
-// frames (one NetPIPE message) and then echoes them all, preserving
-// message semantics for the bandwidth sweep.
+// MessageForwarder returns an application main that echoes frames at L2,
+// swapping the Ethernet addresses as testpmd's iofwd mode does. It buffers
+// nFrames frames (one NetPIPE message) and then echoes them all, preserving
+// message semantics for the bandwidth sweep; with nFrames 1 it is testpmd.
+// It runs until the engine stops.
 func MessageForwarder(port *dpdkdev.Port, nFrames int) func() {
 	return func() {
 		node := port.Node()

@@ -43,8 +43,14 @@ func TestFig5Shape(t *testing.T) {
 	shenango := rtt(SysShenango())
 	catnipTCP := rtt(SysCatnipTCP())
 	catmint := rtt(SysCatmint(0))
-	rawDPDK := RunRawDPDKEcho(64, 300).Avg
-	rawRDMA := RunRawRDMAEcho(64, 300).Avg
+	raw := func(run func(int, int) (EchoRow, error)) time.Duration {
+		row, err := run(64, 300)
+		if err != nil {
+			t.Fatalf("%s: %v", row.System, err)
+		}
+		return row.Avg
+	}
+	rawDPDK, rawRDMA := raw(RunRawDPDKEcho), raw(RunRawRDMAEcho)
 	t.Logf("linux=%v catnap=%v shenango=%v catnipTCP=%v catmint=%v rawDPDK=%v rawRDMA=%v",
 		linux, catnap, shenango, catnipTCP, catmint, rawDPDK, rawRDMA)
 	if !(linux > catnap && catnap > shenango && shenango > catnipTCP) {
@@ -159,19 +165,21 @@ func TestFig12Shape(t *testing.T) {
 // TestFig9SaturationShape: throughput grows with offered load and then
 // saturates while latency climbs.
 func TestFig9SaturationShape(t *testing.T) {
-	t1, h1, err := RunLoad(SysCatnipTCP(), 1, 200)
-	if err != nil {
-		t.Fatal(err)
+	load := func(clients int) EchoRow {
+		opts := DefaultEchoOpts()
+		opts.Rounds, opts.Warmup, opts.Clients, opts.Seed = 200, 20, clients, uint64(100+clients)
+		row, err := RunEcho(SysCatnipTCP(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row
 	}
-	t16, h16, err := RunLoad(SysCatnipTCP(), 16, 200)
-	if err != nil {
-		t.Fatal(err)
+	r1, r16 := load(1), load(16)
+	t.Logf("1 client: %.0f ops/s @%v; 16 clients: %.0f ops/s @%v", r1.Throughput, r1.Avg, r16.Throughput, r16.Avg)
+	if r16.Throughput < 2*r1.Throughput {
+		t.Errorf("throughput did not scale with load: %.0f -> %.0f", r1.Throughput, r16.Throughput)
 	}
-	t.Logf("1 client: %.0f ops/s @%v; 16 clients: %.0f ops/s @%v", t1, h1.Mean(), t16, h16.Mean())
-	if t16 < 2*t1 {
-		t.Errorf("throughput did not scale with load: %.0f -> %.0f", t1, t16)
-	}
-	if h16.Mean() < h1.Mean() {
+	if r16.Avg < r1.Avg {
 		t.Error("latency should not improve under heavy load")
 	}
 }

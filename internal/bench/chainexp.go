@@ -2,12 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"demikernel/internal/apps/chain"
 	"demikernel/internal/catloop"
 	"demikernel/internal/catmem"
 	"demikernel/internal/core"
+	"demikernel/internal/demi"
 	"demikernel/internal/dtrace"
 	"demikernel/internal/sim"
 	"demikernel/internal/telemetry"
@@ -26,18 +26,20 @@ type chainResult struct {
 	hists map[string]*telemetry.Histogram
 }
 
-// chainStacks carries the transport-specific pieces of one instantiated
-// chain: the ownership discipline and the leak check over its heap(s).
-type chainStacks struct {
-	handoff bool
-	heapOf  func() int // live-object count across the transport's heap(s)
-}
-
 const (
 	chainKeys    = 16
 	chainValSize = 64
 	chainWarmup  = 64
 )
+
+// chainLibOS is what the chain needs of a stage's libOS: the PDPIX
+// surface, its node for CPU accounting, its registry and its trace hop.
+type chainLibOS interface {
+	demi.LibOS
+	Node() *sim.Node
+	Telemetry() *telemetry.Registry
+	AttachDTrace(*dtrace.Hop)
+}
 
 // runChain drives the relay -> cache -> kv chain once over the given
 // transport and returns its measurement. When tr is non-nil, every stage's
@@ -45,107 +47,59 @@ const (
 // sampled requests stitch into end-to-end waterfalls.
 func runChain(transport string, rounds int, tr *dtrace.Tracer) (chainResult, error) {
 	eng := sim.NewEngine(77)
-	var stacks chainStacks
-	var addrs [3]core.Addr // relay, cache, kv listen addresses
+	// stage builds stage i's libOS on a new node; ip is its address (a
+	// catmem queue has none).
+	var stage func(i int, name string) chainLibOS
+	ip := func(i int) wire.IPAddr { return wire.IPAddr{} }
 	switch transport {
 	case "catmem":
 		region := catmem.NewRegion(eng)
-		kv := region.New(eng.NewNode("kv"))
-		cache := region.New(eng.NewNode("cache"))
-		relay := region.New(eng.NewNode("relay"))
-		cli := region.New(eng.NewNode("client"))
-		kv.AttachDTrace(tr.Hop("kv"))
-		cache.AttachDTrace(tr.Hop("cache"))
-		relay.AttachDTrace(tr.Hop("relay"))
-		cli.AttachDTrace(tr.Hop("client"))
-		stacks = chainStacks{handoff: true, heapOf: region.Heap().LiveObjects}
-		addrs = [3]core.Addr{{Port: 1}, {Port: 2}, {Port: 3}}
-		return finishChain(eng, stacks, addrs, kv, cache, relay, cli, rounds, tr)
+		stage = func(i int, name string) chainLibOS { return region.New(eng.NewNode(name)) }
 	case "catloop":
 		hub := catloop.NewHub(eng)
-		ips := [4]wire.IPAddr{
-			{127, 0, 0, 1}, {127, 0, 0, 2}, {127, 0, 0, 3}, {127, 0, 0, 4},
-		}
-		kv := catloop.New(hub, eng.NewNode("kv"), ips[0])
-		cache := catloop.New(hub, eng.NewNode("cache"), ips[1])
-		relay := catloop.New(hub, eng.NewNode("relay"), ips[2])
-		cli := catloop.New(hub, eng.NewNode("client"), ips[3])
-		kv.AttachDTrace(tr.Hop("kv"))
-		cache.AttachDTrace(tr.Hop("cache"))
-		relay.AttachDTrace(tr.Hop("relay"))
-		cli.AttachDTrace(tr.Hop("client"))
-		stacks = chainStacks{
-			handoff: false,
-			heapOf: func() int {
-				return kv.Heap().LiveObjects() + cache.Heap().LiveObjects() +
-					relay.Heap().LiveObjects() + cli.Heap().LiveObjects()
-			},
-		}
-		addrs = [3]core.Addr{
-			{IP: ips[2], Port: 1}, {IP: ips[1], Port: 2}, {IP: ips[0], Port: 3},
-		}
-		return finishChain(eng, stacks, addrs, kv, cache, relay, cli, rounds, tr)
+		ip = func(i int) wire.IPAddr { return wire.IPAddr{127, 0, 0, byte(i + 1)} }
+		stage = func(i int, name string) chainLibOS { return catloop.New(hub, eng.NewNode(name), ip(i)) }
 	default:
 		return chainResult{}, fmt.Errorf("chain: unknown transport %q", transport)
 	}
-}
-
-// chainLibOS is the slice of the libOS surface the chain stages need plus
-// the node identity for CPU accounting.
-type chainLibOS interface {
-	core.LibOS
-	PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error)
-	Node() *sim.Node
-	Telemetry() *telemetry.Registry
-}
-
-func finishChain(eng *sim.Engine, stacks chainStacks, addrs [3]core.Addr,
-	kv, cache, relay, cli chainLibOS, rounds int, tr *dtrace.Tracer) (chainResult, error) {
-	var kvSt, cacheSt, relaySt chain.Stats
-	var stageErr error
-	keep := func(err error) {
-		if err != nil && stageErr == nil {
-			stageErr = err
-		}
+	handoff := transport == "catmem" // shared memory hands buffers over
+	w := &world{title: "chain over " + transport, eng: eng, untilIdle: true}
+	var libs [4]chainLibOS
+	var traces [4]chain.Trace
+	for i, name := range []string{"kv", "cache", "relay", "client"} {
+		libs[i] = stage(i, name)
+		hop := tr.Hop(name)
+		libs[i].AttachDTrace(hop)
+		traces[i] = chain.Trace{Hop: hop, Clock: libs[i].Node()}
+		w.stacks = append(w.stacks, &Stack{OS: libs[i], Node: libs[i].Node()})
 	}
-	kvTr := chain.Trace{Hop: tr.Hop("kv"), Clock: kv.Node()}
-	cacheTr := chain.Trace{Hop: tr.Hop("cache"), Clock: cache.Node()}
-	relayTr := chain.Trace{Hop: tr.Hop("relay"), Clock: relay.Node()}
-	cliTr := chain.Trace{Hop: tr.Hop("client"), Clock: cli.Node()}
-	eng.Spawn(kv.Node(), func() {
-		keep(chain.KV(kv, addrs[2], stacks.handoff, chainKeys, chainValSize, &kvSt, kvTr))
-	})
-	eng.Spawn(cache.Node(), func() {
-		keep(chain.Cache(cache, addrs[1], addrs[2], stacks.handoff, &cacheSt, cacheTr))
-	})
-	eng.Spawn(relay.Node(), func() {
-		keep(chain.Relay(relay, addrs[0], addrs[1], stacks.handoff, &relaySt, relayTr))
-	})
+	kv, cache, relay, cli := libs[0], libs[1], libs[2], libs[3]
+	relayAddr, cacheAddr, kvAddr := core.Addr{IP: ip(2), Port: 1}, core.Addr{IP: ip(1), Port: 2}, core.Addr{IP: ip(0), Port: 3}
+	var kvSt, cacheSt, relaySt chain.Stats
 	var res chain.Result
-	eng.Spawn(cli.Node(), func() {
-		var err error
-		res, err = chain.Client(cli, addrs[0], stacks.handoff,
-			rounds, chainWarmup, chainKeys, chainValSize, cli.Node(), cliTr)
-		keep(err)
-	})
-	eng.Run()
-	if stageErr != nil {
-		return chainResult{}, stageErr
+	w.servers = []proc{
+		{w.stacks[0], func() error { return chain.KV(kv, kvAddr, handoff, chainKeys, chainValSize, &kvSt, traces[0]) }},
+		{w.stacks[1], func() error { return chain.Cache(cache, cacheAddr, kvAddr, handoff, &cacheSt, traces[1]) }},
+		{w.stacks[2], func() error { return chain.Relay(relay, relayAddr, cacheAddr, handoff, &relaySt, traces[2]) }},
+	}
+	w.clients = []proc{{w.stacks[3], func() (err error) {
+		res, err = chain.Client(cli, relayAddr, handoff, rounds, chainWarmup, chainKeys, chainValSize, cli.Node(), traces[3])
+		return err
+	}}}
+	if err := w.run(); err != nil {
+		return chainResult{}, err
+	}
+	// Every stage has closed, so every heap must have drained.
+	for _, st := range w.stacks {
+		if n := st.OS.Heap().LiveObjects(); n != 0 {
+			return chainResult{}, fmt.Errorf("chain leaked %d buffers on %s", n, st.Node.Name())
+		}
 	}
 	total := float64(rounds + chainWarmup)
 	h := &Hist{}
-	for _, d := range res.RTTs {
-		h.Add(d)
-	}
-	if n := stacks.heapOf(); n != 0 {
-		return chainResult{}, fmt.Errorf("chain leaked %d buffers", n)
-	}
-	name := "catmem"
-	if !stacks.handoff {
-		name = "catloop"
-	}
+	h.AddAll(res.RTTs)
 	r := chainResult{
-		transport: name,
+		transport: transport,
 		rtt:       h,
 		relayNs:   float64(relay.Node().Busy()) / total,
 		cacheNs:   float64(cache.Node().Busy()) / total,
@@ -153,35 +107,12 @@ func finishChain(eng *sim.Engine, stacks chainStacks, addrs [3]core.Addr,
 		hitRate:   100 * float64(cacheSt.Hits) / float64(cacheSt.Requests),
 	}
 	if tr != nil {
-		r.hists = map[string]*telemetry.Histogram{
-			"kv":     kv.Telemetry().Histogram("core.qtoken_latency_ns"),
-			"cache":  cache.Telemetry().Histogram("core.qtoken_latency_ns"),
-			"relay":  relay.Telemetry().Histogram("core.qtoken_latency_ns"),
-			"client": cli.Telemetry().Histogram("core.qtoken_latency_ns"),
+		r.hists = make(map[string]*telemetry.Histogram)
+		for _, l := range libs {
+			r.hists[l.Node().Name()] = l.Telemetry().Histogram("core.qtoken_latency_ns")
 		}
 	}
 	return r, nil
-}
-
-// ChainRun is one transport's headline numbers, exported for the root
-// benchmark harness.
-type ChainRun struct {
-	RTTAvg, RTTP99 time.Duration
-	RelayNsPerReq  float64
-}
-
-// RunChain drives the service chain once over the named transport
-// ("catmem" or "catloop").
-func RunChain(transport string, rounds int) (ChainRun, error) {
-	r, err := runChain(transport, rounds, nil)
-	if err != nil {
-		return ChainRun{}, err
-	}
-	return ChainRun{
-		RTTAvg:        r.rtt.Mean(),
-		RTTP99:        r.rtt.P99(),
-		RelayNsPerReq: r.relayNs,
-	}, nil
 }
 
 // Chain benchmarks the three-stage microservice chain over the two

@@ -1,8 +1,16 @@
 package bench
 
 import (
+	"time"
+
 	"demikernel/internal/dtrace"
 )
+
+// ChainRun is one transport's headline numbers.
+type ChainRun struct {
+	RTTAvg, RTTP99 time.Duration
+	RelayNsPerReq  float64
+}
 
 // TracedChain is one traced run of the service chain: the headline numbers,
 // the tracer holding every sampled request's events and retained roots, and

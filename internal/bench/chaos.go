@@ -24,7 +24,6 @@ import (
 	"demikernel/internal/demi"
 	"demikernel/internal/dpdkdev"
 	"demikernel/internal/faults"
-	"demikernel/internal/memory"
 	"demikernel/internal/rdmadev"
 	"demikernel/internal/spdkdev"
 	"demikernel/internal/wire"
@@ -72,8 +71,6 @@ func Chaos() ([]*Table, error) { return chaosSoak.table() }
 // runChaos builds the chaos world, arms its fault table and runs every
 // workload to completion.
 func runChaos(seed uint64) (*soakRun, error) {
-	w := &soakWorld{}
-	site := w.sites(seed, chaosFaults)
 	tb := NewTestbed(seed, SwitchEth())
 	echoSrv := tb.NewStack(SysCatnipTCP(), "echo-srv", wire.IPAddr{10, 30, 0, 1})
 	echoCli := tb.NewStack(SysCatnipTCP(), "echo-cli", wire.IPAddr{10, 30, 0, 2})
@@ -87,6 +84,10 @@ func runChaos(seed uint64) (*soakRun, error) {
 	region := catmem.NewRegion(tb.Eng)
 	shmSrv := region.New(tb.Eng.NewNode("shm-srv"))
 	shmCli := region.New(tb.Eng.NewNode("shm-cli"))
+	shmSrvSt, shmCliSt := &Stack{OS: shmSrv, Node: shmSrv.Node()}, &Stack{OS: shmCli, Node: shmCli.Node()}
+	w := &soakWorld{world: world{title: "chaos", eng: tb.Eng, untilIdle: true,
+		stacks: []*Stack{echoSrv, echoCli, kvSrv, kvCli, mintSrv, mintCli, shmSrvSt, shmCliSt}}}
+	site := w.sites(seed, chaosFaults)
 
 	echoCli.Port.SetFaults(dpdkdev.Faults{RxStall: site["dpdk.rx_stall"], TxStall: site["dpdk.tx_stall"]})
 	echoSrv.Port.SetFaults(dpdkdev.Faults{Corrupt: site["dpdk.corrupt"], Reset: site["dpdk.reset"], LinkFlap: site["dpdk.link_flap"]})
@@ -96,39 +97,35 @@ func runChaos(seed uint64) (*soakRun, error) {
 	shmCli.SetFaults(catmem.Faults{RingFull: site["catmem.ring_full"], PeerDeath: site["catmem.peer_death"]})
 
 	echoAddr := core.Addr{IP: echoSrv.IP, Port: 7100}
-	tb.Eng.Spawn(echoSrv.Node, func() { echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr}) })
 	kvAddr := core.Addr{IP: kvSrv.IP, Port: 6379}
-	var kvStats kv.ServerStats
-	tb.Eng.Spawn(kvSrv.Node, func() { kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: soakAOF}, &kvStats) })
 	mintAddr := core.Addr{IP: mintSrv.IP, Port: 7200}
-	tb.Eng.Spawn(mintSrv.Node, func() { echo.Server(mintSrv.OS, echo.ServerConfig{Addr: mintAddr}) })
 	shmAddr := core.Addr{Port: 7300}
-	tb.Eng.Spawn(shmSrv.Node(), func() { chaosShmServer(shmSrv, shmAddr) })
-
+	var kvStats kv.ServerStats
+	w.servers = []proc{
+		{echoSrv, func() error { return echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr}) }},
+		{kvSrv, func() error {
+			return kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: soakAOF}, &kvStats)
+		}},
+		{mintSrv, func() error { return echo.Server(mintSrv.OS, echo.ServerConfig{Addr: mintAddr}) }},
+		{shmSrvSt, func() error { chaosShmServer(shmSrv, shmAddr); return nil }},
+	}
 	echoC, kvC := heapClient(echoCli.OS, echoAddr, false), &chaosKV{}
 	mintC, shmC := heapClient(mintCli.OS, mintAddr, false), heapClient(shmCli, shmAddr, true)
-	errs := make([]error, 4)
-	tb.Eng.Spawn(echoCli.Node, func() { errs[0] = echoC.run(chaosEchoRounds) })
-	tb.Eng.Spawn(kvCli.Node, func() { errs[1] = kvC.run(kvCli.OS, kvAddr) })
-	tb.Eng.Spawn(mintCli.Node, func() { errs[2] = mintC.run(chaosMintRounds) })
-	tb.Eng.Spawn(shmCli.Node(), func() { errs[3] = shmC.run(chaosShmRounds) })
-	tb.Eng.Run()
-	if err := errors.Join(errs...); err != nil {
+	w.clients = []proc{
+		{echoCli, func() error { return echoC.run(chaosEchoRounds) }},
+		{kvCli, func() error { return kvC.run(kvCli.OS, kvAddr) }},
+		{mintCli, func() error { return mintC.run(chaosMintRounds) }},
+		{shmCliSt, func() error { return shmC.run(chaosShmRounds) }},
+	}
+	// The clients must settle (world.go); the catmem region's heap is the
+	// shm client's, so it must drain too: every handed-off buffer has
+	// exactly one owner, and peer-death teardown reclaims in-flight rings.
+	if err := w.run(); err != nil {
 		return nil, err
 	}
 	if kvStats.AOFErrors == 0 {
 		return nil, errors.New("disk faults fired but the KV server never degraded an AOF write")
 	}
-
-	w.tokens = []*core.TokenTable{echoCli.OS.(tokener).Tokens(), kvCli.OS.(tokener).Tokens(), mintCli.OS.(tokener).Tokens(), shmCli.Tokens()}
-	// Catmint keeps receive buffers posted to the NIC, so its heap is not
-	// checked. The catmem region's must drain: every handed-off buffer has
-	// exactly one owner, and peer-death teardown reclaims in-flight rings.
-	w.heaps = []*memory.Heap{echoCli.OS.Heap(), kvCli.OS.Heap(), region.Heap()}
-	w.dumpStacks(true, echoSrv, echoCli, kvSrv, kvCli, mintSrv, mintCli)
-	w.dump("shm-srv", shmSrv.Telemetry())
-	w.dump("shm-cli", shmCli.Telemetry())
-	w.dump("faults", w.plan.Telemetry())
 	return &soakRun{worlds: []*soakWorld{w}, row: []string{
 		fmt.Sprintf("%d/%d", echoC.ok, echoC.errs),
 		fmt.Sprintf("%d/%d/%d", kvC.ok, kvC.degraded, kvC.errs),

@@ -11,55 +11,26 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"demikernel/internal/rack"
 	"demikernel/internal/reqsched"
 )
 
-// RackOpts configures the rack sweep.
-type RackOpts struct {
-	Servers, CoresPerServer, Clients int
-	Requests                         int
-	MeanThink                        time.Duration
-	MaxSize                          int
-	Reserved                         int // DARC reserved cores per host
-	Seed                             uint64
-}
-
-// DefaultRackOpts sizes the rack so the policy gaps are unambiguous while
-// staying fast enough for the full bench run.
-func DefaultRackOpts() RackOpts {
-	return RackOpts{
-		Servers:        8,
-		CoresPerServer: 2,
-		Clients:        48,
-		Requests:       150,
-		MeanThink:      time.Microsecond,
-		MaxSize:        64 << 10,
-		Reserved:       1,
-		Seed:           42,
-	}
-}
-
-// runRack executes one cell of the policy matrix.
-func runRack(opts RackOpts, placer rack.Placer, host reqsched.Policy) (*rack.Result, error) {
-	cfg := rack.DefaultConfig()
-	cfg.Servers = opts.Servers
-	cfg.CoresPerServer = opts.CoresPerServer
-	cfg.Clients = opts.Clients
-	cfg.Placer = placer
-	cfg.HostPolicy = host
-	cfg.Seed = opts.Seed
-	cfg.Workload.Requests = opts.Requests
-	cfg.Workload.MeanThink = opts.MeanThink
-	cfg.Workload.MaxSize = opts.MaxSize
-	return rack.Run(cfg)
-}
+// rackReserved is how many cores per host DARC reserves for short
+// requests.
+const rackReserved = 1
 
 // Rack runs the policy matrix and renders the comparison tables.
 func Rack() ([]*Table, error) {
-	opts := DefaultRackOpts()
+	// The rack is sized so the policy gaps are unambiguous while staying
+	// fast enough for the full bench run.
+	cfg := rack.DefaultConfig()
+	cfg.Clients = 48
+	cfg.Workload.Requests = 150
+	cfg.Workload.MeanThink = time.Microsecond
+	cfg.Workload.MaxSize = 64 << 10
 	type cell struct {
 		placer rack.Placer
 		host   reqsched.Policy
@@ -68,17 +39,17 @@ func Rack() ([]*Table, error) {
 		{rack.Random{}, reqsched.FCFS{}},
 		{&rack.RoundRobin{}, reqsched.FCFS{}},
 		{rack.PowerOfK{K: 2}, reqsched.FCFS{}},
-		{rack.Random{}, reqsched.DARC{Reserved: opts.Reserved}},
-		{&rack.RoundRobin{}, reqsched.DARC{Reserved: opts.Reserved}},
-		{rack.PowerOfK{K: 2}, reqsched.DARC{Reserved: opts.Reserved}},
+		{rack.Random{}, reqsched.DARC{Reserved: rackReserved}},
+		{&rack.RoundRobin{}, reqsched.DARC{Reserved: rackReserved}},
+		{rack.PowerOfK{K: 2}, reqsched.DARC{Reserved: rackReserved}},
 	}
 
 	matrix := &Table{
 		Title: "Rack: two-layer scheduling, ToR placement x host dispatch",
 		Note: fmt.Sprintf("%d hosts x %d cores, %d closed-loop clients, %d KV GETs each; "+
 			"bounded-Pareto values to %dKiB; DARC reserves %d core(s) for shorts",
-			opts.Servers, opts.CoresPerServer, opts.Clients, opts.Requests,
-			opts.MaxSize>>10, opts.Reserved),
+			cfg.Servers, cfg.CoresPerServer, cfg.Clients, cfg.Workload.Requests,
+			cfg.Workload.MaxSize>>10, rackReserved),
 		Header: []string{"ToR placement", "host dispatch", "short p50 (µs)", "short p99 (µs)", "short p999 (µs)", "long p99 (µs)", "elapsed (ms)"},
 	}
 	spread := &Table{
@@ -87,7 +58,8 @@ func Rack() ([]*Table, error) {
 		Header: []string{"ToR placement", "host dispatch", "placements min/max", "resyncs", "peak host load min/max"},
 	}
 	for _, c := range cells {
-		res, err := runRack(opts, c.placer, c.host)
+		cfg.Placer, cfg.HostPolicy = c.placer, c.host
+		res, err := rack.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("rack %s/%s: %w", c.placer.Name(), c.host.Name(), err)
 		}
@@ -97,28 +69,10 @@ func Rack() ([]*Table, error) {
 			Micros(rack.Quantile(res.ShortLats, 0.999)),
 			Micros(rack.Quantile(res.LongLats, 0.99)),
 			fmt.Sprintf("%.3f", res.Elapsed.Seconds()*1e3))
-		pmin, pmax := res.Placements[0], res.Placements[0]
-		for _, p := range res.Placements[1:] {
-			if p < pmin {
-				pmin = p
-			}
-			if p > pmax {
-				pmax = p
-			}
-		}
-		lmin, lmax := res.MaxLoads[0], res.MaxLoads[0]
-		for _, l := range res.MaxLoads[1:] {
-			if l < lmin {
-				lmin = l
-			}
-			if l > lmax {
-				lmax = l
-			}
-		}
 		spread.AddRow(res.Placer, res.HostPolicy,
-			fmt.Sprintf("%d / %d", pmin, pmax),
+			fmt.Sprintf("%d / %d", slices.Min(res.Placements), slices.Max(res.Placements)),
 			fmt.Sprintf("%d", res.Resyncs),
-			fmt.Sprintf("%d / %d", lmin, lmax))
+			fmt.Sprintf("%d / %d", slices.Min(res.MaxLoads), slices.Max(res.MaxLoads)))
 		if telemetrySink != nil {
 			fmt.Fprintf(telemetrySink, "\n-- telemetry: rack %s + %s --\n", res.Placer, res.HostPolicy)
 			fmt.Fprint(telemetrySink, res.TelemetryText)

@@ -8,18 +8,16 @@ import (
 	"demikernel/internal/reqsched"
 )
 
-// smokeRackOpts is a topology small enough for -race CI.
-func smokeRackOpts(seed uint64) RackOpts {
-	return RackOpts{
-		Servers:        4,
-		CoresPerServer: 2,
-		Clients:        8,
-		Requests:       50,
-		MeanThink:      2 * time.Microsecond,
-		MaxSize:        32 << 10,
-		Reserved:       1,
-		Seed:           seed,
-	}
+// smokeRackConfig is a topology small enough for -race CI, running
+// power-of-2 placement over DARC.
+func smokeRackConfig(seed uint64) rack.Config {
+	cfg := rack.DefaultConfig()
+	cfg.Servers, cfg.Clients, cfg.Seed = 4, 8, seed
+	cfg.HostPolicy = reqsched.DARC{Reserved: rackReserved}
+	cfg.Workload.Requests = 50
+	cfg.Workload.MeanThink = 2 * time.Microsecond
+	cfg.Workload.MaxSize = 32 << 10
+	return cfg
 }
 
 // TestRackSmoke drives the two-layer rack at small scale across three
@@ -27,19 +25,19 @@ func smokeRackOpts(seed uint64) RackOpts {
 // same telemetry text and the same latency stream.
 func TestRackSmoke(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42} {
-		opts := smokeRackOpts(seed)
-		a, err := runRack(opts, rack.PowerOfK{K: 2}, reqsched.DARC{Reserved: opts.Reserved})
+		cfg := smokeRackConfig(seed)
+		a, err := rack.Run(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		total := opts.Clients * opts.Requests
+		total := cfg.Clients * cfg.Workload.Requests
 		if got := len(a.ShortLats) + len(a.LongLats); got != total {
 			t.Fatalf("seed %d: completed %d of %d requests", seed, got, total)
 		}
 		if a.Resyncs == 0 {
 			t.Fatalf("seed %d: ToR absorbed no load trailers", seed)
 		}
-		b, err := runRack(opts, rack.PowerOfK{K: 2}, reqsched.DARC{Reserved: opts.Reserved})
+		b, err := rack.Run(cfg)
 		if err != nil {
 			t.Fatalf("seed %d replay: %v", seed, err)
 		}

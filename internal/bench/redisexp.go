@@ -42,56 +42,50 @@ func RunRedis(sys System, opts RedisOpts) (getOps, setOps float64, err error) {
 
 func runRedisPass(sys System, opts RedisOpts, pass string) (float64, error) {
 	tb := NewTestbed(11, SwitchEth())
-	serverIP := wire.IPAddr{10, 11, 0, 1}
-	clientIP := wire.IPAddr{10, 11, 0, 2}
 	sys.Storage = opts.AOF
-	srv := tb.NewStack(sys, "redis", serverIP)
+	srv := tb.NewStack(sys, "redis", wire.IPAddr{10, 11, 0, 1})
 	// Client and server machines use matching configurations (paper §7.1:
 	// "some Demikernel libOSes require both clients and servers run the
 	// same libOS").
-	cliSys := sys
-	cliSys.Storage = false
-	cli := tb.NewStack(cliSys, "bench-client", clientIP)
+	sys.Storage = false
+	cli := tb.NewStack(sys, "bench-client", wire.IPAddr{10, 11, 0, 2})
 	tb.SeedARP()
-	addr := core.Addr{IP: serverIP, Port: 6379}
+	addr := core.Addr{IP: srv.IP, Port: 6379}
 	cfg := kv.ServerConfig{Addr: addr}
 	if opts.AOF {
 		cfg.AOFName = "appendonly.aof"
 	}
 	var stats kv.ServerStats
-	tb.Eng.Spawn(srv.Node, func() { kv.Server(srv.OS, cfg, &stats) })
-
 	var res kv.BenchResult
-	var cerr error
-	tb.Eng.Spawn(cli.Node, func() {
-		defer tb.Eng.Stop()
-		c, err := kv.Dial(cli.OS, addr)
-		if err != nil {
-			cerr = err
-			return
-		}
-		rng := sim.NewRand(17)
-		keys := ycsb.NewUniform(opts.Keys, rng)
-		// Preload a slice of the keyspace so GETs hit.
-		for i := 0; i < opts.Keys/10; i++ {
-			if err := c.Set(ycsb.Key(i), make([]byte, opts.ValueSize)); err != nil {
-				cerr = err
-				return
+	w := &world{title: fmt.Sprintf("redis %s on %s", pass, sys.Name), eng: tb.Eng, stacks: []*Stack{srv, cli},
+		servers: []proc{{srv, func() error { return kv.Server(srv.OS, cfg, &stats) }}},
+		clients: []proc{{cli, func() error {
+			c, err := kv.Dial(cli.OS, addr)
+			if err != nil {
+				return err
 			}
-		}
-		isSet := func(i int) bool { return pass == "SET" }
-		keyFn := func(i int) []byte {
-			if pass == "GET" {
-				return ycsb.Key(keys.Next() % (opts.Keys / 10))
+			defer c.Close()
+			rng := sim.NewRand(17)
+			keys := ycsb.NewUniform(opts.Keys, rng)
+			// Preload a slice of the keyspace so GETs hit.
+			for i := 0; i < opts.Keys/10; i++ {
+				if err := c.Set(ycsb.Key(i), make([]byte, opts.ValueSize)); err != nil {
+					return err
+				}
 			}
-			return ycsb.Key(keys.Next())
-		}
-		res, cerr = c.Benchmark(opts.Ops, opts.ValueSize, keyFn, isSet, cli.Node)
-		c.Close()
-	})
-	tb.Eng.Run()
-	if cerr != nil {
-		return 0, cerr
+			isSet := func(i int) bool { return pass == "SET" }
+			keyFn := func(i int) []byte {
+				if pass == "GET" {
+					return ycsb.Key(keys.Next() % (opts.Keys / 10))
+				}
+				return ycsb.Key(keys.Next())
+			}
+			res, err = c.Benchmark(opts.Ops, opts.ValueSize, keyFn, isSet, cli.Node)
+			return err
+		}}},
+	}
+	if err := w.run(); err != nil {
+		return 0, err
 	}
 	return res.OpsPerSec(), nil
 }
@@ -105,29 +99,19 @@ func Fig11() (*Table, error) {
 		Header: []string{"system", "mode", "GET kops/s", "SET kops/s"},
 	}
 	opts := DefaultRedisOpts()
-	type cfg struct {
-		sys  System
-		mode string
-		aof  bool
-	}
-	cfgs := []cfg{
-		{SysLinux(baseline.EnvNative), "in-memory", false},
-		{SysCatnap(baseline.EnvNative), "in-memory", false},
-		{SysCatmint(0), "in-memory", false},
-		{SysCatnipTCP(), "in-memory", false},
-		{SysLinux(baseline.EnvNative), "AOF (fsync/SET)", true},
-		{SysCatnap(baseline.EnvNative), "AOF (fsync/SET)", true},
-		{catmintCattree(), "AOF (fsync/SET)", true},
-		{catnipCattreeTCP(), "AOF (fsync/SET)", true},
-	}
-	for _, c := range cfgs {
-		o := opts
-		o.AOF = c.aof
-		get, set, err := RunRedis(c.sys, o)
-		if err != nil {
-			return nil, err
+	for _, aof := range []bool{false, true} {
+		opts.AOF = aof
+		mode, catmint, catnip := "in-memory", SysCatmint(0), SysCatnipTCP()
+		if opts.AOF {
+			mode, catmint, catnip = "AOF (fsync/SET)", catmintCattree(), catnipCattreeTCP()
 		}
-		t.AddRow(c.sys.Name, c.mode, fmt.Sprintf("%.0f", get/1e3), fmt.Sprintf("%.0f", set/1e3))
+		for _, sys := range []System{SysLinux(baseline.EnvNative), SysCatnap(baseline.EnvNative), catmint, catnip} {
+			get, set, err := RunRedis(sys, opts)
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(sys.Name, mode, fmt.Sprintf("%.0f", get/1e3), fmt.Sprintf("%.0f", set/1e3))
+		}
 	}
 	return t, nil
 }

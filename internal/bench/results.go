@@ -89,13 +89,6 @@ func (t *Table) ToJSON() TableJSON {
 	return tj
 }
 
-// JSON renders the table as indented JSON.
-func (t *Table) JSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.ToJSON())
-}
-
 // WriteTablesJSON renders several tables as one JSON array (the
 // BENCH_results.json document).
 func WriteTablesJSON(w io.Writer, tables []*Table) error {

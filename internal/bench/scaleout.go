@@ -10,6 +10,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"demikernel/internal/apps/echo"
@@ -113,25 +114,29 @@ func (c *scaleOutCluster) localAddr(j int) core.Addr {
 	return core.Addr{IP: c.clients[j].IP, Port: sport}
 }
 
-// run spawns one client body per flow and runs the engine until all flows
-// finish.
-func (c *scaleOutCluster) run(body func(j int) error) error {
-	var firstErr error
-	remaining := len(c.clients)
-	for j := range c.clients {
-		j := j
-		c.eng.Spawn(c.clients[j].Node, func() {
-			if err := body(j); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("flow %d: %w", j, err)
-			}
-			remaining--
-			if remaining == 0 {
-				c.eng.Stop()
-			}
-		})
+// run runs serve on every server core and body for every flow, each on
+// its client's node, until the last flow returns.
+func (c *scaleOutCluster) run(title string, serve func(*multicore.Core) error, body func(j int) error) error {
+	w := &world{title: title, eng: c.eng}
+	for _, sc := range c.grp.Cores {
+		sc, st := sc, &Stack{OS: sc.OS, Node: sc.Node}
+		if sc.ID == 0 {
+			st.Port = c.grp.Port // the cores share one RSS port, on core 0's node
+		}
+		w.stacks = append(w.stacks, st)
+		w.servers = append(w.servers, proc{st, func() error { return serve(sc) }})
 	}
-	c.eng.Run()
-	return firstErr
+	for j, st := range c.clients {
+		j := j
+		w.stacks = append(w.stacks, st)
+		w.clients = append(w.clients, proc{st, func() error {
+			if err := body(j); err != nil {
+				return fmt.Errorf("flow %d: %w", j, err)
+			}
+			return nil
+		}})
+	}
+	return w.run()
 }
 
 // finish folds per-flow throughputs and latencies into a row.
@@ -150,26 +155,17 @@ func (c *scaleOutCluster) finish(cores int, tput []float64, rtts [][]time.Durati
 		h.AddAll(rtts[j])
 	}
 	row.Avg, row.P99 = h.Mean(), h.P99()
-	if telemetrySink != nil {
-		fmt.Fprintf(telemetrySink, "\n-- telemetry: scale-out %d cores --\n", cores)
-		for _, snap := range c.grp.CoreTelemetry() {
-			snap.WriteText(telemetrySink)
-		}
-		c.grp.MergedTelemetry().WriteText(telemetrySink)
-		c.grp.Port.Telemetry().Snapshot().WriteText(telemetrySink)
-	}
 	return row
 }
 
 // RunScaleOutEcho measures 64B-style echo across cores server cores.
 func RunScaleOutEcho(cores int, opts ScaleOutOpts) (ScaleOutRow, error) {
 	c := newScaleOutCluster(cores, opts)
-	c.grp.Spawn(func(sc *multicore.Core) {
-		echo.Server(sc.OS, echo.ServerConfig{Addr: c.svc, MaxConns: 2 * opts.FlowsPerCore})
-	})
 	tput := make([]float64, len(c.clients))
 	rtts := make([][]time.Duration, len(c.clients))
-	err := c.run(func(j int) error {
+	err := c.run(fmt.Sprintf("scale-out echo, %d cores", cores), func(sc *multicore.Core) error {
+		return echo.Server(sc.OS, echo.ServerConfig{Addr: c.svc, MaxConns: 2 * opts.FlowsPerCore})
+	}, func(j int) error {
 		res, err := echo.ClientFrom(c.clients[j].OS, c.localAddr(j), c.svc,
 			opts.MsgSize, opts.Rounds, opts.Warmup, c.clients[j].Node)
 		if err != nil {
@@ -192,14 +188,13 @@ func RunScaleOutEcho(cores int, opts ScaleOutOpts) (ScaleOutRow, error) {
 // shard per core); each flow works a private key space on its serving core.
 func RunScaleOutKV(cores int, set bool, opts ScaleOutOpts) (ScaleOutRow, error) {
 	c := newScaleOutCluster(cores, opts)
-	c.grp.Spawn(func(sc *multicore.Core) {
-		var stats kv.ServerStats
-		kv.Server(sc.OS, kv.ServerConfig{Addr: c.svc, MaxConns: 2 * opts.FlowsPerCore}, &stats)
-	})
 	const keysPerFlow = 16
 	tput := make([]float64, len(c.clients))
 	rtts := make([][]time.Duration, len(c.clients))
-	err := c.run(func(j int) error {
+	err := c.run(fmt.Sprintf("scale-out kv (set=%v), %d cores", set, cores), func(sc *multicore.Core) error {
+		var stats kv.ServerStats
+		return kv.Server(sc.OS, kv.ServerConfig{Addr: c.svc, MaxConns: 2 * opts.FlowsPerCore}, &stats)
+	}, func(j int) error {
 		cl, err := kv.DialFrom(c.clients[j].OS, c.localAddr(j), c.svc)
 		if err != nil {
 			return err
@@ -231,20 +226,6 @@ func RunScaleOutKV(cores int, set bool, opts ScaleOutOpts) (ScaleOutRow, error) 
 	return c.finish(cores, tput, rtts), nil
 }
 
-// minMax returns the smallest and largest per-core throughput share.
-func minMax(v []float64) (lo, hi float64) {
-	lo, hi = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // kops formats ops/s as thousands.
 func kops(v float64) string { return fmt.Sprintf("%.1f", v/1e3) }
 
@@ -269,7 +250,7 @@ func ScaleOut() ([]*Table, error) {
 			base = row.Aggregate
 		}
 		widest = row
-		lo, hi := minMax(row.PerCore)
+		lo, hi := slices.Min(row.PerCore), slices.Max(row.PerCore)
 		echoT.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", row.Flows),
 			kops(row.Aggregate), kops(lo)+" / "+kops(hi),
 			Micros(row.Avg), Micros(row.P99),

@@ -3,9 +3,9 @@ package bench
 // The soak driver. Every soak is a scenario — the chaos world under fault
 // injection (chaos.go), the tenant worlds under attack (tenantchaos.go) and
 // the mixed-workload world (below) — and the soak driver runs each the same way:
-// it builds a seed's worlds on a Testbed and runs them; checks that each
-// settled (no client qtoken outstanding, no client buffer live, no tenant
-// charge left), that every fault site in its table fired and every attack
+// it builds a seed's worlds and runs them to idle through the world driver
+// (world.go), which requires every client settled; checks that no tenant
+// charge is left, that every fault site in its table fired and every attack
 // class in its table was rejected; dumps the telemetry in a fixed order; and
 // runs the seed again to require a byte-identical dump. A soak that fails
 // names a seed that replays the failure (paper §6.3).
@@ -24,7 +24,6 @@ import (
 	"demikernel/internal/faults"
 	"demikernel/internal/memory"
 	"demikernel/internal/sim"
-	"demikernel/internal/telemetry"
 	"demikernel/internal/tenant"
 	"demikernel/internal/wire"
 	"demikernel/internal/ycsb"
@@ -65,22 +64,19 @@ type soakRun struct {
 	row    []string
 }
 
-// soakWorld is what the soak driver checks and dumps of one world.
+// soakWorld is one soak world: what the world driver runs, checks and
+// dumps, and what the soak driver checks beyond the clients settling.
 type soakWorld struct {
+	world
 	label string // the world's header in the dump; "" when a seed runs one world
 
-	tokens []*core.TokenTable // client token tables: nothing outstanding
-	heaps  []*memory.Heap     // client heaps and shared regions: nothing live
 	// tenants, and the heap their bytes are charged to: no flow, token or
 	// byte left charged.
 	tenants    []*tenant.Tenant
 	tenantHeap *memory.Heap
 
-	plan    *faults.Plan
 	faults  []faultSite   // every site must have fired
 	attacks []attackCount // every class must have been rejected
-
-	dumped strings.Builder // the telemetry dump, in a fixed order
 }
 
 // faultSite is one row of a world's fault table.
@@ -106,49 +102,9 @@ func (w *soakWorld) sites(seed uint64, table []faultSite) map[string]*faults.Sit
 	return s
 }
 
-// dump adds reg to the world's dump under name (nil is skipped). All
-// values are virtual time, so a seed's two runs must dump the same bytes.
-func (w *soakWorld) dump(name string, reg *telemetry.Registry) {
-	if reg != nil {
-		fmt.Fprintf(&w.dumped, "== %s ==\n", name)
-		reg.Snapshot().WriteText(&w.dumped)
-	}
-}
-
-// dumpStacks adds each stack's libOS registry under its node's name and,
-// with devices, its port's, NIC's and disk's.
-func (w *soakWorld) dumpStacks(devices bool, stacks ...*Stack) {
-	for _, st := range stacks {
-		name := st.Node.Name()
-		w.dump(name, stackTelemetry(st.OS))
-		if !devices {
-			continue
-		}
-		if st.Port != nil {
-			w.dump(name+"/port", st.Port.Telemetry())
-		}
-		if st.NIC != nil {
-			w.dump(name+"/nic", st.NIC.Telemetry())
-		}
-		if st.Disk != nil {
-			w.dump(name+"/disk", st.Disk.Telemetry())
-		}
-	}
-}
-
-// check returns the first way the world failed to settle or to cover its
-// fault and attack tables.
+// check returns the first way the world left a tenant charged or failed to
+// cover its fault and attack tables.
 func (w *soakWorld) check() error {
-	for _, t := range w.tokens {
-		if n := t.Outstanding(); n != 0 {
-			return fmt.Errorf("%d qtokens still outstanding on a client", n)
-		}
-	}
-	for _, h := range w.heaps {
-		if n := h.LiveObjects(); n != 0 {
-			return fmt.Errorf("%d DMA buffers leaked on a client heap", n)
-		}
-	}
 	for _, tn := range w.tenants {
 		if used, flows, toks := w.tenantHeap.TenantStats(tn.ID()).Used, tn.Flows(), tn.InFlight(); used != 0 || flows != 0 || toks != 0 {
 			return fmt.Errorf("tenant %d leaked %d heap bytes, %d flow and %d token charges", tn.ID(), used, flows, toks)
@@ -174,7 +130,7 @@ func (r *soakRun) dump() string {
 		if w.label != "" {
 			fmt.Fprintf(&sb, "--- %s ---\n", w.label)
 		}
-		sb.WriteString(w.dumped.String())
+		w.dump(&sb, nil)
 	}
 	return sb.String()
 }
@@ -210,15 +166,6 @@ func (sc *soakScenario) table() ([]*Table, error) {
 		t.AddRow(append(append([]string{fmt.Sprint(seed)}, row...), "byte-identical")...)
 	}
 	return []*Table{t}, nil
-}
-
-// stackTelemetry digs the telemetry registry out of a libOS (unwrapping the
-// net+storage combination).
-func stackTelemetry(os demi.LibOS) *telemetry.Registry {
-	if t, ok := components(os)[0].(telemetrer); ok {
-		return t.Telemetry()
-	}
-	return nil
 }
 
 // soakPattern is round r's echo payload: deterministic and
@@ -411,9 +358,6 @@ var mixedSoak = &soakScenario{name: "mixed", seeds: []uint64{1234}, run: runMixe
 
 const mixedRounds = 300
 
-// errUnfinished is a client that never returned.
-var errUnfinished = errors.New("client never finished")
-
 func runMixed(seed uint64) (*soakRun, error) {
 	tb := NewTestbed(seed, SwitchEth())
 	echoSrv := tb.NewStack(SysCatnipTCP(), "echo-srv", wire.IPAddr{10, 20, 0, 1})
@@ -421,40 +365,39 @@ func runMixed(seed uint64) (*soakRun, error) {
 	kvSrv := tb.NewStack(catnipCattreeTCP(), "kv-srv", wire.IPAddr{10, 20, 0, 3})
 	kvCli := tb.NewStack(SysCatnipTCP(), "kv-cli", wire.IPAddr{10, 20, 0, 4})
 	txnCli := tb.NewStack(SysCatnipTCP(), "txn-cli", wire.IPAddr{10, 20, 0, 5})
-	stacks := []*Stack{echoSrv, echoCli, kvSrv, kvCli, txnCli}
+	w := &soakWorld{world: world{title: "mixed", eng: tb.Eng, untilIdle: true,
+		stacks: []*Stack{echoSrv, echoCli, kvSrv, kvCli, txnCli}}}
 	var txnAddrs []core.Addr
 	for i := 0; i < 3; i++ {
 		st := tb.NewStack(SysCatnipTCP(), fmt.Sprintf("txn-replica%d", i), wire.IPAddr{10, 20, 0, byte(6 + i)})
 		r, addr := txnstore.NewReplica(), core.Addr{IP: st.IP, Port: 7000}
-		tb.Eng.Spawn(st.Node, func() { r.Serve(st.OS, addr) })
-		stacks, txnAddrs = append(stacks, st), append(txnAddrs, addr)
+		w.servers = append(w.servers, proc{st, func() error { return r.Serve(st.OS, addr) }})
+		w.stacks, txnAddrs = append(w.stacks, st), append(txnAddrs, addr)
 	}
 	tb.SeedARP()
 
 	echoAddr := core.Addr{IP: echoSrv.IP, Port: 7100}
-	tb.Eng.Spawn(echoSrv.Node, func() { echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr}) })
 	kvAddr := core.Addr{IP: kvSrv.IP, Port: 6379}
 	var kvStats kv.ServerStats
-	tb.Eng.Spawn(kvSrv.Node, func() { kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: soakAOF}, &kvStats) })
-
-	errs := []error{errUnfinished, errUnfinished, errUnfinished}
-	tb.Eng.Spawn(echoCli.Node, func() { _, errs[0] = echo.Client(echoCli.OS, echoAddr, 128, mixedRounds, 10, echoCli.Node) })
-	tb.Eng.Spawn(kvCli.Node, func() { errs[1] = mixedKV(kvCli.OS, kvAddr) })
-	tb.Eng.Spawn(txnCli.Node, func() { errs[2] = mixedTxn(txnCli.OS, txnAddrs) })
-	tb.Eng.Run()
-	if err := errors.Join(errs...); err != nil {
+	w.servers = append(w.servers,
+		proc{echoSrv, func() error { return echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr}) }},
+		proc{kvSrv, func() error {
+			return kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: soakAOF}, &kvStats)
+		}})
+	w.clients = []proc{
+		{echoCli, func() error {
+			_, err := echo.Client(echoCli.OS, echoAddr, 128, mixedRounds, 10, echoCli.Node)
+			return err
+		}},
+		{kvCli, func() error { return mixedKV(kvCli.OS, kvAddr) }},
+		{txnCli, func() error { return mixedTxn(txnCli.OS, txnAddrs) }},
+	}
+	if err := w.run(); err != nil {
 		return nil, err
 	}
 	if kvStats.AOFRecords == 0 {
 		return nil, errors.New("kv AOF never written")
 	}
-
-	w := &soakWorld{}
-	for _, st := range []*Stack{echoCli, kvCli, txnCli} {
-		w.tokens = append(w.tokens, st.OS.(tokener).Tokens())
-		w.heaps = append(w.heaps, st.OS.Heap())
-	}
-	w.dumpStacks(true, stacks...)
 	return &soakRun{worlds: []*soakWorld{w}, row: []string{fmt.Sprintf("%d AOF records", kvStats.AOFRecords)}}, nil
 }
 

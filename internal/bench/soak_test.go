@@ -64,19 +64,18 @@ func TestSoaksRefuseMutants(t *testing.T) {
 // one-class attack table (a guessed qtoken), with mutant planted; run is
 // which run of the seed this is.
 func tinyWorld(seed uint64, mutant string, run int) (*soakRun, error) {
-	w := &soakWorld{}
+	tb := NewTestbed(seed, SwitchEth())
+	srv := tb.NewStack(SysCatnipTCP(), "srv", wire.IPAddr{10, 50, 0, 1})
+	cli := tb.NewStack(SysCatnipTCP(), "cli", wire.IPAddr{10, 50, 0, 2})
+	tb.SeedARP()
+	w := &soakWorld{world: world{title: "tiny", eng: tb.Eng, untilIdle: true, stacks: []*Stack{srv, cli}}}
 	spec := faults.Spec{Every: 29, Max: 1}
 	if mutant == "silent fault site" {
 		spec.After = time.Hour
 	}
 	site := w.sites(seed, []faultSite{{"dpdk.corrupt", spec}})
-	tb := NewTestbed(seed, SwitchEth())
-	srv := tb.NewStack(SysCatnipTCP(), "srv", wire.IPAddr{10, 50, 0, 1})
-	cli := tb.NewStack(SysCatnipTCP(), "cli", wire.IPAddr{10, 50, 0, 2})
-	tb.SeedARP()
 	srv.Port.SetFaults(dpdkdev.Faults{Corrupt: site["dpdk.corrupt"]})
 	addr := core.Addr{IP: srv.IP, Port: 7}
-	tb.Eng.Spawn(srv.Node, func() { echo.Server(srv.OS, echo.ServerConfig{Addr: addr}) })
 
 	c, rounds := heapClient(cli.OS, addr, false), 50
 	if mutant == "counter differs between runs" {
@@ -84,10 +83,10 @@ func tinyWorld(seed uint64, mutant string, run int) (*soakRun, error) {
 	}
 	rejected := attackCount{name: "guessed qtoken"}
 	var planted []any // what a mutant leaves behind
-	err := errUnfinished
-	tb.Eng.Spawn(cli.Node, func() {
-		if err = c.run(rounds); err != nil {
-			return
+	w.servers = []proc{{srv, func() error { return echo.Server(srv.OS, echo.ServerConfig{Addr: addr}) }}}
+	w.clients = []proc{{cli, func() error {
+		if err := c.run(rounds); err != nil {
+			return err
 		}
 		if mutant != "attack never tried" {
 			if _, werr := cli.OS.Wait(core.QToken(1 << 40)); errors.Is(werr, core.ErrBadQToken) {
@@ -102,12 +101,11 @@ func tinyWorld(seed uint64, mutant string, run int) (*soakRun, error) {
 			qt, _ := cli.OS.Pop(qd)
 			planted = append(planted, qt)
 		}
-	})
-	tb.Eng.Run()
-	if err != nil {
+		return nil
+	}}}
+	if err := w.run(); err != nil {
 		return nil, err
 	}
-	w.tokens, w.heaps, w.attacks = []*core.TokenTable{cli.OS.(tokener).Tokens()}, []*memory.Heap{cli.OS.Heap()}, []attackCount{rejected}
-	w.dumpStacks(true, srv, cli)
+	w.attacks = []attackCount{rejected}
 	return &soakRun{worlds: []*soakWorld{w}}, nil
 }

@@ -67,7 +67,7 @@ func TestTelemetryDumpAcrossSystems(t *testing.T) {
 		if !strings.Contains(dump, "flight recorder") {
 			t.Errorf("%s: dump has no flight-recorder section", sys.Name)
 		}
-		if !strings.Contains(dump, "-- telemetry: "+sys.Name+"/server --") {
+		if !strings.Contains(dump, "-- telemetry: "+sys.Name+" --\n== server ==\n") {
 			t.Errorf("%s: dump has no server section", sys.Name)
 		}
 	}
@@ -128,10 +128,9 @@ func TestScaleOutMergedTelemetry(t *testing.T) {
 // the test can inspect the group afterwards (RunScaleOutEcho builds and
 // discards its own cluster).
 func runScaleOutEchoOn(c *scaleOutCluster, opts ScaleOutOpts) error {
-	c.grp.Spawn(func(sc *multicore.Core) {
-		echo.Server(sc.OS, echo.ServerConfig{Addr: c.svc, MaxConns: 2 * opts.FlowsPerCore})
-	})
-	return c.run(func(j int) error {
+	return c.run("scale-out echo", func(sc *multicore.Core) error {
+		return echo.Server(sc.OS, echo.ServerConfig{Addr: c.svc, MaxConns: 2 * opts.FlowsPerCore})
+	}, func(j int) error {
 		_, err := echo.ClientFrom(c.clients[j].OS, c.localAddr(j), c.svc,
 			opts.MsgSize, opts.Rounds, opts.Warmup, c.clients[j].Node)
 		return err

@@ -106,7 +106,6 @@ func runTenant(seed uint64) (*soakRun, error) {
 	for c, n := range cont.rejects {
 		cont.attacks = append(cont.attacks, attackCount{attackClasses[c].name, n})
 	}
-	solo.label, cont.label = "solo", "contended"
 	r := cont.rejects
 	return &soakRun{worlds: []*soakWorld{&solo.soakWorld, &cont.soakWorld}, row: []string{
 		fmt.Sprintf("%d/%d", cont.victim.ok, cont.victim.errs),
@@ -121,13 +120,18 @@ func runTenant(seed uint64) (*soakRun, error) {
 // set. The victims make the same calls either way, so the solo world is a
 // true baseline.
 func runTenantWorld(seed uint64, attack bool) (*tenantWorld, error) {
-	w := &tenantWorld{}
 	tb := NewTestbed(seed, SwitchEth())
 	echoSrv := tb.NewStack(SysCatnipTCP(), "mt-echo-srv", wire.IPAddr{10, 40, 0, 1})
 	kvSrv := tb.NewStack(catnipCattreeTCP(), "mt-kv-srv", wire.IPAddr{10, 40, 0, 2})
 	host := tb.NewStack(SysCatnipTCP(), "mt-host", wire.IPAddr{10, 40, 0, 3})
 	tb.SeedARP()
 	netos := host.OS.(demi.NetOS)
+	label := "solo"
+	if attack {
+		label = "contended"
+	}
+	w := &tenantWorld{soakWorld: soakWorld{label: label, world: world{title: "tenant " + label, eng: tb.Eng,
+		untilIdle: true, stacks: []*Stack{host, echoSrv, kvSrv}, noDevices: true}}}
 
 	// The victims get 4x the attacker's scheduler weight; the attacker gets
 	// tight caps so every abuse lands on a quota edge.
@@ -137,7 +141,6 @@ func runTenantWorld(seed uint64, attack bool) (*tenantWorld, error) {
 	kvVictim := treg.New(2, "kv-victim", tenant.Limits{Weight: 4})
 	hostile := treg.New(3, "attacker", tenant.Limits{Weight: 1, HeapBytes: 64 << 10, MaxFlows: 4, MaxTokens: 16, PushRate: 200000, PushBurst: 4})
 	w.tenants, w.tenantHeap = []*tenant.Tenant{victim, kvVictim, hostile}, host.OS.Heap()
-	w.tokens, w.heaps = []*core.TokenTable{netos.Tokens()}, []*memory.Heap{host.OS.Heap()}
 	for _, tn := range w.tenants {
 		tn.Publish(stackTelemetry(host.OS))
 	}
@@ -146,19 +149,19 @@ func runTenantWorld(seed uint64, attack bool) (*tenantWorld, error) {
 		av = nil
 	}
 
-	// Servers (trusted hosts, host principal).
+	// Servers (trusted hosts, host principal); the shared host's single
+	// node main interleaves all three tenants.
 	echoAddr := core.Addr{IP: echoSrv.IP, Port: 7400}
-	tb.Eng.Spawn(echoSrv.Node, func() { echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr}) })
 	kvAddr := core.Addr{IP: kvSrv.IP, Port: 6380}
 	var kvStats kv.ServerStats
-	tb.Eng.Spawn(kvSrv.Node, func() { kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: soakAOF}, &kvStats) })
-
-	// The shared host's single node main interleaves all three tenants.
-	var err error
-	tb.Eng.Spawn(host.Node, func() { err = w.main(host.Node, vv, kvv, av, echoAddr, kvAddr) })
-	tb.Eng.Run()
-	w.dumpStacks(false, host, echoSrv, kvSrv)
-	return w, err
+	w.servers = []proc{
+		{echoSrv, func() error { return echo.Server(echoSrv.OS, echo.ServerConfig{Addr: echoAddr}) }},
+		{kvSrv, func() error {
+			return kv.Server(kvSrv.OS, kv.ServerConfig{Addr: kvAddr, AOFName: soakAOF}, &kvStats)
+		}},
+	}
+	w.clients = []proc{{host, func() error { return w.main(host.Node, vv, kvv, av, echoAddr, kvAddr) }}}
+	return w, w.run()
 }
 
 // main is the shared host's node main: victim echo rounds with a latency

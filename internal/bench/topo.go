@@ -98,6 +98,12 @@ type System struct {
 	Build   func(tb *Testbed, node *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS
 }
 
+// named is s under the name a table prints for it.
+func (s System) named(name string) System {
+	s.Name = name
+	return s
+}
+
 // NewStack builds a host running sys.
 func (tb *Testbed) NewStack(sys System, name string, ip wire.IPAddr) *Stack {
 	node := tb.Eng.NewNode(name)
@@ -162,17 +168,7 @@ func combine(net demi.NetOS, stor demi.StorOS) demi.LibOS {
 
 // SysLinux is the POSIX/epoll kernel path.
 func SysLinux(env baseline.Env) System {
-	return System{Name: "Linux", Build: func(tb *Testbed, n *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS {
-		port := tb.newDPDK(n, LinkDPDK())
-		if stor != nil {
-			k := baseline.NewLinuxWithStorage(n, port, ip, env, stor)
-			tb.trackCatnip(k.Inner().(*demi.Combined).Net.(*catnip.LibOS), ip, port.MAC())
-			return k
-		}
-		k := baseline.NewLinux(n, port, ip, env)
-		tb.trackCatnip(k.Inner().(*catnip.LibOS), ip, port.MAC())
-		return k
-	}}
+	return kernelSys("Linux", env, baseline.NewLinux, baseline.NewLinuxWithStorage)
 }
 
 // SysIOUring is the io_uring kernel path.
@@ -190,15 +186,23 @@ func SysIOUring() System {
 
 // SysCatnap is the polled kernel path (simulated Catnap).
 func SysCatnap(env baseline.Env) System {
-	return System{Name: "Catnap", Build: func(tb *Testbed, n *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS {
+	return kernelSys("Catnap", env, baseline.NewCatnapSim, baseline.NewCatnapSimWithStorage)
+}
+
+// kernelSys is a kernel path over Catnip's stack at in-kernel costs: built
+// by build, or by buildStor when the stack has a storage log.
+func kernelSys(name string, env baseline.Env,
+	build func(*sim.Node, *dpdkdev.Port, wire.IPAddr, baseline.Env) *baseline.Kernelized,
+	buildStor func(*sim.Node, *dpdkdev.Port, wire.IPAddr, baseline.Env, demi.StorOS) *baseline.Kernelized) System {
+	return System{Name: name, Build: func(tb *Testbed, n *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS {
 		port := tb.newDPDK(n, LinkDPDK())
+		var k *baseline.Kernelized
 		if stor != nil {
-			k := baseline.NewCatnapSimWithStorage(n, port, ip, env, stor)
-			tb.trackCatnip(k.Inner().(*demi.Combined).Net.(*catnip.LibOS), ip, port.MAC())
-			return k
+			k = buildStor(n, port, ip, env, stor)
+		} else {
+			k = build(n, port, ip, env)
 		}
-		k := baseline.NewCatnapSim(n, port, ip, env)
-		tb.trackCatnip(k.Inner().(*catnip.LibOS), ip, port.MAC())
+		tb.trackCatnip(components(k)[0].(*catnip.LibOS), ip, port.MAC())
 		return k
 	}}
 }

@@ -27,78 +27,69 @@ func DefaultTxnOpts() TxnOpts {
 // stack: 1 client, 3 replicas.
 func RunTxnStore(sys System, opts TxnOpts) (*Hist, error) {
 	tb := NewTestbed(13, SwitchEth())
-	clientIP := wire.IPAddr{10, 12, 0, 100}
-	cli := tb.NewStack(sys, "txn-client", clientIP)
+	cli := tb.NewStack(sys, "txn-client", wire.IPAddr{10, 12, 0, 100})
+	w := &world{title: "txnstore on " + sys.Name, eng: tb.Eng, stacks: []*Stack{cli}}
 	var addrs []core.Addr
-	var replicaStacks []*Stack
 	for i := 0; i < 3; i++ {
-		ip := wire.IPAddr{10, 12, 0, byte(1 + i)}
-		st := tb.NewStack(sys, fmt.Sprintf("replica%d", i), ip)
-		replicaStacks = append(replicaStacks, st)
-		addrs = append(addrs, core.Addr{IP: ip, Port: 7000})
+		st := tb.NewStack(sys, fmt.Sprintf("replica%d", i), wire.IPAddr{10, 12, 0, byte(1 + i)})
+		r, addr := txnstore.NewReplica(), core.Addr{IP: st.IP, Port: 7000}
+		w.servers = append(w.servers, proc{st, func() error { return r.Serve(st.OS, addr) }})
+		w.stacks, addrs = append(w.stacks, st), append(addrs, addr)
 	}
 	tb.SeedARP()
-	for i, st := range replicaStacks {
-		r := txnstore.NewReplica()
-		st := st
-		addr := addrs[i]
-		tb.Eng.Spawn(st.Node, func() { r.Serve(st.OS, addr) })
-	}
 	h := &Hist{}
-	var cerr error
-	tb.Eng.Spawn(cli.Node, func() {
-		defer tb.Eng.Stop()
-		rng := sim.NewRand(23)
-		c, err := txnstore.Dial(cli.OS, addrs, rng.Fork())
-		if err != nil {
-			cerr = err
-			return
-		}
-		// Preload keys through the protocol so replicas agree.
-		value := make([]byte, opts.ValueSize)
-		for i := 0; i < opts.Keys/10; i++ {
-			txn := c.Begin()
-			txn.Put(ycsb.Key(i), value)
-			if ok, err := txn.Commit(); err != nil || !ok {
-				cerr = fmt.Errorf("preload: %v", err)
-				return
-			}
-		}
-		var keys ycsb.KeyChooser = ycsb.NewUniform(opts.Keys/10, rng.Fork())
-		if opts.Zipf {
-			keys = ycsb.NewZipf(opts.Keys/10, 0.99, rng.Fork())
-		}
-		w := ycsb.WorkloadF(keys, rng.Fork())
-		for i := 0; i < opts.Txns; i++ {
-			op := w.Next()
-			start := cli.Node.Now()
-			txn := c.Begin()
-			v, err := txn.Get(ycsb.Key(op.Key))
-			if err != nil {
-				cerr = err
-				return
-			}
-			if op.Kind == ycsb.OpRMW {
-				mod := append([]byte(nil), v...)
-				if len(mod) == 0 {
-					mod = make([]byte, opts.ValueSize)
-				}
-				mod[0]++
-				txn.Put(ycsb.Key(op.Key), mod)
-				if _, err := txn.Commit(); err != nil {
-					cerr = err
-					return
-				}
-			}
-			h.Add(cli.Node.Now().Sub(start))
-		}
-		c.Close()
-	})
-	tb.Eng.Run()
-	if cerr != nil {
-		return nil, fmt.Errorf("%s: %w", sys.Name, cerr)
+	w.clients = []proc{{cli, func() error { return runTxns(cli, addrs, opts, h) }}}
+	if err := w.run(); err != nil {
+		return nil, fmt.Errorf("%s: %w", sys.Name, err)
 	}
 	return h, nil
+}
+
+// runTxns is the TxnStore client: it preloads a tenth of the keys, then
+// runs opts.Txns workload F transactions, adding each one's latency to h.
+func runTxns(cli *Stack, replicas []core.Addr, opts TxnOpts, h *Hist) error {
+	rng := sim.NewRand(23)
+	c, err := txnstore.Dial(cli.OS, replicas, rng.Fork())
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	// Preload keys through the protocol so replicas agree.
+	value := make([]byte, opts.ValueSize)
+	for i := 0; i < opts.Keys/10; i++ {
+		txn := c.Begin()
+		txn.Put(ycsb.Key(i), value)
+		if ok, err := txn.Commit(); err != nil || !ok {
+			return fmt.Errorf("preload: %v", err)
+		}
+	}
+	var keys ycsb.KeyChooser = ycsb.NewUniform(opts.Keys/10, rng.Fork())
+	if opts.Zipf {
+		keys = ycsb.NewZipf(opts.Keys/10, 0.99, rng.Fork())
+	}
+	w := ycsb.WorkloadF(keys, rng.Fork())
+	for i := 0; i < opts.Txns; i++ {
+		op := w.Next()
+		start := cli.Node.Now()
+		txn := c.Begin()
+		v, err := txn.Get(ycsb.Key(op.Key))
+		if err != nil {
+			return err
+		}
+		if op.Kind == ycsb.OpRMW {
+			mod := append([]byte(nil), v...)
+			if len(mod) == 0 {
+				mod = make([]byte, opts.ValueSize)
+			}
+			mod[0]++
+			txn.Put(ycsb.Key(op.Key), mod)
+			if _, err := txn.Commit(); err != nil {
+				return err
+			}
+		}
+		h.Add(cli.Node.Now().Sub(start))
+	}
+	return nil
 }
 
 // Fig12 regenerates Figure 12: TxnStore YCSB-t latency across transports.
@@ -109,22 +100,13 @@ func Fig12() (*Table, error) {
 		Header: []string{"system", "avg (µs)", "p99 (µs)"},
 	}
 	opts := DefaultTxnOpts()
-	for _, sys := range []System{
-		SysLinux(baseline.EnvNative),
-		SysTxnStoreRDMA(),
-		SysCatnap(baseline.EnvNative),
-		SysCatmint(0),
-		SysCatnipTCP(),
-	} {
-		name := sys.Name
-		if name == "Linux" {
-			name = "Linux (TCP)"
-		}
+	for _, sys := range []System{SysLinux(baseline.EnvNative).named("Linux (TCP)"), SysTxnStoreRDMA(),
+		SysCatnap(baseline.EnvNative), SysCatmint(0), SysCatnipTCP()} {
 		h, err := RunTxnStore(sys, opts)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, Micros(h.Mean()), Micros(h.P99()))
+		t.AddRow(sys.Name, Micros(h.Mean()), Micros(h.P99()))
 	}
 	return t, nil
 }

@@ -75,7 +75,7 @@ func (p *handDrivenPair) drain(l *LibOS) {
 func TestSegmentPathAllocs(t *testing.T) {
 	p := newHandDrivenPair()
 	a, b := p.a, p.b
-	buf := memory.CopyFrom(a.heap, make([]byte, a.cfg.MSS))
+	buf := memory.CopyFrom(a.heap, make([]byte, tcpMSS))
 	segment := func() {
 		push, pop := a.Tokens().New(), b.Tokens().New()
 		p.cb.Pop(pop)
@@ -83,7 +83,7 @@ func TestSegmentPathAllocs(t *testing.T) {
 		p.drain(b) // the segment arrives, completes the pop and is acknowledged
 		p.drain(a) // the ack arrives and completes the push
 		ev, done, err := b.Tokens().TryTake(pop.Token())
-		if !done || err != nil || ev.SGA.TotalLen() != a.cfg.MSS {
+		if !done || err != nil || ev.SGA.TotalLen() != tcpMSS {
 			t.Fatalf("segment did not complete the pop: done=%v err=%v len=%d", done, err, ev.SGA.TotalLen())
 		}
 		ev.SGA.Free()

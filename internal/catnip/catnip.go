@@ -33,15 +33,6 @@ import (
 type Config struct {
 	// IP is the interface address.
 	IP wire.IPAddr
-	// MSS is the TCP maximum segment size.
-	MSS int
-	// RecvBufSize is the TCP receive buffer (advertised window ceiling).
-	RecvBufSize int
-	// RTOMin and RTOInit bound the retransmission timer (datacenter
-	// tuning; RFC 6298 structure with tighter constants).
-	RTOMin, RTOInit, RTOMax time.Duration
-	// MSL is the maximum segment lifetime governing TIME_WAIT (2*MSL).
-	MSL time.Duration
 	// DelayedAck, when non-zero, defers pure acknowledgments up to this
 	// long (or until a second segment arrives), trading a little latency
 	// for fewer ack packets. Zero acks immediately — the µs-scale
@@ -86,16 +77,20 @@ type Device interface {
 	TxBurst(frames [][]byte) int
 }
 
+// TCP constants: datacenter tuning of RFC 6298's timer structure.
+const (
+	tcpMSS     = 1460                 // maximum segment size
+	tcpRecvBuf = 256 << 10            // receive buffer: the advertised window's ceiling
+	rtoInit    = 5 * time.Millisecond // the retransmission timer starts here
+	rtoMin     = 1 * time.Millisecond // and stays within [rtoMin, rtoMax]
+	rtoMax     = 200 * time.Millisecond
+	tcpMSL     = 10 * time.Millisecond // maximum segment lifetime; TIME_WAIT lasts 2*MSL
+)
+
 // DefaultConfig returns datacenter-tuned defaults.
 func DefaultConfig(ip wire.IPAddr) Config {
 	return Config{
 		IP:             ip,
-		MSS:            1460,
-		RecvBufSize:    256 << 10,
-		RTOMin:         1 * time.Millisecond,
-		RTOInit:        5 * time.Millisecond,
-		RTOMax:         200 * time.Millisecond,
-		MSL:            10 * time.Millisecond,
 		TCPIngressCost: costmodel.TCPIngress,
 		TCPEgressCost:  costmodel.TCPEgress,
 		UDPIngressCost: costmodel.UDPIngress,
@@ -137,6 +132,8 @@ type LibOS struct {
 	sched *sched.Scheduler
 	cfg   Config
 	rng   *sim.Rand
+	// recvBufSize is the TCP receive buffer: tcpRecvBuf, which tests lower.
+	recvBufSize int
 
 	arp       *arpCache
 	udpPorts  map[uint16]*udpSocket
@@ -197,6 +194,7 @@ func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
 		sched:         sched.New(),
 		cfg:           cfg,
 		rng:           node.Engine().Rand().Fork(),
+		recvBufSize:   tcpRecvBuf,
 		udpPorts:      make(map[uint16]*udpSocket),
 		listeners:     make(map[uint16]*tcpListener),
 		conns:         make(map[fourTuple]*tcpConn),

@@ -142,7 +142,7 @@ func TestSegmentBurstTrace(t *testing.T) {
 	ls.SeedARP(ipB, pc.MAC())
 	lc.SeedARP(ipA, ps.MAC())
 
-	msg := make([]byte, 12*lc.cfg.MSS+lc.cfg.MSS/2)
+	msg := make([]byte, 12*tcpMSS+tcpMSS/2)
 	for i := range msg {
 		msg[i] = byte(i * 7)
 	}

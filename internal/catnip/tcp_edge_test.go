@@ -13,7 +13,7 @@ import (
 func TestZeroWindowPersistProbe(t *testing.T) {
 	eng, la, lb := pair(t, 41, simnet.DefaultLink(), true)
 	// Tiny receive buffer so the window closes fast.
-	lb.cfg.RecvBufSize = 4096
+	lb.recvBufSize = 4096
 	const total = 64 << 10
 	received := 0
 	eng.Spawn(lb.Node(), func() {

@@ -46,7 +46,7 @@ func newTCPConn(l *LibOS, qd core.QDesc, tuple fourTuple, tenant uint32, tidx ui
 		lib:    l,
 		qd:     qd,
 		tuple:  tuple,
-		mss:    l.cfg.MSS,
+		mss:    tcpMSS,
 		iss:    uint32(l.rng.Uint64()),
 		tenant: tenant,
 		tidx:   tidx,
@@ -55,7 +55,7 @@ func newTCPConn(l *LibOS, qd core.QDesc, tuple fourTuple, tenant uint32, tidx ui
 	c.sndUna = c.iss
 	c.sndNxt = c.iss + 1 // SYN consumes one sequence number
 	c.queuedSeq = c.iss + 1
-	c.rto = newRTOEstimator(l.cfg.RTOInit, l.cfg.RTOMin, l.cfg.RTOMax)
+	c.rto = newRTOEstimator(rtoInit, rtoMin, rtoMax)
 	c.cc.init(c.mss)
 	c.spawnCoroutines()
 	return c
@@ -68,7 +68,7 @@ func (c *tcpConn) nowTS() uint32 {
 
 // advertisedWnd returns our receive window in bytes.
 func (c *tcpConn) advertisedWnd() int {
-	w := c.lib.cfg.RecvBufSize - c.recvBytes - c.oooBytes
+	w := c.lib.recvBufSize - c.recvBytes - c.oooBytes
 	if w < 0 {
 		w = 0
 	}
@@ -357,7 +357,7 @@ func (c *tcpConn) transmit(seg *segment) {
 	var opt wire.TCPOptions
 	if seg.syn {
 		flags |= wire.TCPSyn
-		opt.MSS = uint16(c.lib.cfg.MSS)
+		opt.MSS = uint16(tcpMSS)
 		// A SYN-ACK offers the option only if the SYN did (RFC 7323 §2.2).
 		opt.WScale = rcvWndScaleShift
 		opt.HasWScale = c.state != stateSynRcvd || c.wndScaled

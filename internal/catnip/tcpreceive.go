@@ -257,7 +257,7 @@ func (c *tcpConn) processPayload(seq uint32, payload []byte) {
 	case seqGT(seq, c.rcvNxt):
 		// Future data: hold for reassembly if window allows.
 		c.lib.stats.TCPOutOfOrder++
-		if c.oooBytes+len(payload) <= c.lib.cfg.RecvBufSize {
+		if c.oooBytes+len(payload) <= c.lib.recvBufSize {
 			c.insertOOO(seq, payload)
 		}
 		c.ackPending = true // duplicate ack triggers fast retransmit
@@ -371,7 +371,7 @@ func (c *tcpConn) advanceCloseStates() {
 // enterTimeWait starts the 2*MSL quiet period.
 func (c *tcpConn) enterTimeWait() {
 	c.state = stateTimeWait
-	c.timeWaitUntil = c.lib.node.Now().Add(2 * c.lib.cfg.MSL)
+	c.timeWaitUntil = c.lib.node.Now().Add(2 * tcpMSL)
 	c.wakeAt(c.timeWaitUntil, &c.closerWake, &c.closerH)
 	c.closerH.Wake()
 }

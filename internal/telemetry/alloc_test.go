@@ -10,7 +10,6 @@ import "testing"
 func TestHotPathAllocs(t *testing.T) {
 	r := NewRegistry("alloc")
 	c := r.Counter("c")
-	g := r.Gauge("g")
 	h := r.Histogram("h")
 	fr := NewFlightRecorder(1024, 8)
 	span := Span{Token: 1, Op: OpPop, Issued: 10, Completed: 1200, Redeemed: 1300}
@@ -21,8 +20,6 @@ func TestHotPathAllocs(t *testing.T) {
 	}{
 		{"Counter.Inc", func() { c.Inc() }},
 		{"Counter.Add", func() { c.Add(3) }},
-		{"Gauge.Set", func() { g.Set(42) }},
-		{"Gauge.Add", func() { g.Add(-1) }},
 		{"Histogram.Observe", func() { h.Observe(1234) }},
 		{"FlightRecorder.Record", func() { fr.Record(span) }},
 	}

@@ -1,5 +1,5 @@
 // Package telemetry is the microsecond-scale observability subsystem: a
-// registry of named counters, gauges and log-linear latency histograms that
+// registry of named counters, sampled gauges and log-linear latency histograms that
 // are allocation-free on the datapath, plus a fixed-capacity flight
 // recorder of qtoken lifecycle spans (flight.go) and exporters in aligned
 // text, JSON and Prometheus text format (export.go, http.go).
@@ -9,7 +9,7 @@
 // dispatch); because kernel-bypass datapaths also bypass the kernel's
 // observability, the datapath OS must carry its own. Design rules:
 //
-//   - Hot-path operations (Counter.Inc/Add, Gauge.Set, Histogram.Observe,
+//   - Hot-path operations (Counter.Inc/Add, Histogram.Observe,
 //     FlightRecorder.Record) perform zero Go heap allocations and take no
 //     locks. Demikernel datapaths are single-threaded per core by design,
 //     so metrics are plain per-core structs; multi-core views are built by
@@ -41,22 +41,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
 
-// A Gauge is an instantaneous signed value (queue depth, occupancy).
-type Gauge struct{ v int64 }
-
-// Set replaces the value.
-//
-//demi:nonalloc
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Add adjusts the value by d (negative to decrease).
-//
-//demi:nonalloc
-func (g *Gauge) Add(d int64) { g.v += d }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v }
-
 // A Registry names and owns one domain's metrics — typically one core's
 // libOS or one device. Metric creation and snapshotting may allocate;
 // operating on the returned metrics does not. Registries are not
@@ -64,7 +48,6 @@ func (g *Gauge) Value() int64 { return g.v }
 type Registry struct {
 	name     string
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	samples  map[string]func() int64
 }
@@ -74,7 +57,6 @@ func NewRegistry(name string) *Registry {
 	return &Registry{
 		name:     name,
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		samples:  make(map[string]func() int64),
 	}
@@ -91,16 +73,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -127,9 +99,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Counters = append(s.Counters, CounterVal{Name: name, Value: c.v})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeVal{Name: name, Value: g.v})
-	}
 	for name, fn := range r.samples {
 		s.Gauges = append(s.Gauges, GaugeVal{Name: name, Value: fn()})
 	}

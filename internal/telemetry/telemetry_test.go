@@ -17,12 +17,8 @@ func TestRegistryBasics(t *testing.T) {
 	if r.Counter("rx") != c {
 		t.Fatalf("Counter(rx) did not return the same counter")
 	}
-	g := r.Gauge("depth")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Fatalf("gauge = %d, want 5", g.Value())
-	}
+	depth := int64(5)
+	r.Sample("depth", func() int64 { return depth })
 	live := int64(3)
 	r.Sample("live", func() int64 { return live })
 
@@ -34,7 +30,7 @@ func TestRegistryBasics(t *testing.T) {
 		t.Fatalf("snapshot gauges = %+v", s.Gauges)
 	}
 	// Sorted by name: depth < live.
-	if s.Gauges[0].Name != "depth" || s.Gauges[1].Name != "live" || s.Gauges[1].Value != 3 {
+	if s.Gauges[0].Name != "depth" || s.Gauges[0].Value != 5 || s.Gauges[1].Name != "live" || s.Gauges[1].Value != 3 {
 		t.Fatalf("snapshot gauges = %+v", s.Gauges)
 	}
 }
@@ -87,7 +83,7 @@ func TestHistogramBucketRoundTrip(t *testing.T) {
 func TestMerge(t *testing.T) {
 	a := NewRegistry("cpu0")
 	a.Counter("rx").Add(10)
-	a.Gauge("depth").Set(2)
+	a.Sample("depth", func() int64 { return 2 })
 	ha := a.Histogram("lat")
 	for i := int64(0); i < 100; i++ {
 		ha.Observe(100)
@@ -95,7 +91,7 @@ func TestMerge(t *testing.T) {
 	b := NewRegistry("cpu1")
 	b.Counter("rx").Add(5)
 	b.Counter("tx").Add(1)
-	b.Gauge("depth").Set(3)
+	b.Sample("depth", func() int64 { return 3 })
 	hb := b.Histogram("lat")
 	for i := int64(0); i < 100; i++ {
 		hb.Observe(900)
@@ -203,7 +199,7 @@ func TestExportersDeterministic(t *testing.T) {
 		r := NewRegistry("node/os")
 		r.Counter("tcp.retransmits").Add(3)
 		r.Counter("rx.frames").Add(99)
-		r.Gauge("ooo-depth").Set(2)
+		r.Sample("ooo-depth", func() int64 { return 2 })
 		h := r.Histogram("qtoken.latency_ns")
 		for i := int64(0); i < 1000; i++ {
 			h.Observe(i * 13 % 7919)
