@@ -101,10 +101,9 @@ type LibOS struct {
 	flts   Faults
 	stats  Stats
 
-	conns     []*conn     // creation order: Step scans deterministically
+	conns     []*conn     // creation order: Poll scans deterministically
 	listens   []*listener // ditto
 	tstats    map[uint32]*tenantStats
-	reg       *telemetry.Registry
 	stallHist *telemetry.Histogram
 	// stallWakeAt dedupes retry wakeups while a RingFull window holds
 	// pushes parked.
@@ -122,18 +121,19 @@ func (r *Region) New(node *sim.Node) *LibOS {
 		node:   node,
 		tstats: make(map[uint32]*tenantStats),
 	}
-	l.reg = telemetry.NewRegistry(node.Name() + "/catmem")
-	l.stallHist = l.reg.Histogram("catmem.push_stall_ns")
-	// Queue() descriptors share the rings' high-water mark.
-	l.FrontEnd = core.NewFrontEnd(l, node, l.reg, r.slots)
+	reg := telemetry.NewRegistry(node.Name() + "/catmem")
+	l.stallHist = reg.Histogram("catmem.push_stall_ns")
+	// Queue() descriptors share the rings' high-water mark. The front end's
+	// scheduler stays empty: Poll is the whole quantum.
+	l.FrontEnd.Init(l, node, r.heap, reg, r.slots)
 	s := &l.stats
-	l.reg.Sample("catmem.connects", func() int64 { return int64(s.Connects) })
-	l.reg.Sample("catmem.accepts", func() int64 { return int64(s.Accepts) })
-	l.reg.Sample("catmem.pushes", func() int64 { return int64(s.Pushes) })
-	l.reg.Sample("catmem.pops", func() int64 { return int64(s.Pops) })
-	l.reg.Sample("catmem.stalls", func() int64 { return int64(s.Stalls) })
-	l.reg.Sample("catmem.peer_deaths", func() int64 { return int64(s.PeerDeaths) })
-	r.heap.PublishTelemetry(l.reg, node.Name()+".mem")
+	reg.Sample("catmem.connects", func() int64 { return int64(s.Connects) })
+	reg.Sample("catmem.accepts", func() int64 { return int64(s.Accepts) })
+	reg.Sample("catmem.pushes", func() int64 { return int64(s.Pushes) })
+	reg.Sample("catmem.pops", func() int64 { return int64(s.Pops) })
+	reg.Sample("catmem.stalls", func() int64 { return int64(s.Stalls) })
+	reg.Sample("catmem.peer_deaths", func() int64 { return int64(s.PeerDeaths) })
+	r.heap.PublishTelemetry(reg, node.Name()+".mem")
 	return l
 }
 
@@ -151,14 +151,8 @@ func (l *LibOS) AttachDTrace(h *dtrace.Hop) {
 	l.sitePeerDeath = h.Label("fault:catmem.peer_death")
 }
 
-// Telemetry returns the instance's metric registry.
-func (l *LibOS) Telemetry() *telemetry.Registry { return l.reg }
-
 // Node returns the owning simulated host.
 func (l *LibOS) Node() *sim.Node { return l.node }
-
-// Heap returns the region's shared heap.
-func (l *LibOS) Heap() *memory.Heap { return l.region.heap }
 
 // Stats returns a snapshot of instance counters.
 func (l *LibOS) Stats() Stats { return l.stats }
@@ -184,7 +178,7 @@ type listener struct {
 	tenant uint32 // accepted endpoints inherit the listener's principal
 	// rx holds server-side endpoints awaiting accept and parked accepts.
 	// Connect feeds it from the client's node, so it is matched only in
-	// this instance's Accept and Step.
+	// this instance's Accept and Poll.
 	rx core.Rendezvous[*conn]
 }
 
@@ -405,7 +399,7 @@ func (c *conn) killPair() {
 	c.wakePeer()
 }
 
-// finished reports whether the endpoint can be dropped from the Step scan.
+// finished reports whether the endpoint can be dropped from the Poll scan.
 func (c *conn) finished() bool {
 	return (c.closed || c.dead) && c.pops.Len() == 0 && c.pushes.Len() == 0
 }
@@ -426,10 +420,11 @@ func (l *LibOS) armStallRetry() {
 	l.region.eng.At(l.stallWakeAt, l.node, nil)
 }
 
-// --- Runner (drives the Waiter) ---
+// --- core.Stack and the rendezvous control path ---
 
-// Step delivers rendezvous completions and ring progress for one quantum.
-func (l *LibOS) Step() bool {
+// Poll delivers rendezvous completions and ring progress for one quantum,
+// which it charges itself.
+func (l *LibOS) Poll() bool {
 	l.node.Charge(costmodel.SchedQuantum)
 	for _, ln := range l.listens {
 		if ln.match() {
@@ -452,18 +447,6 @@ func (l *LibOS) Step() bool {
 	l.conns = kept
 	return progress
 }
-
-// Block parks the node until an event (peer push/pop, rendezvous, stall
-// retry) or the deadline.
-func (l *LibOS) Block(deadline sim.Time) bool { return l.node.Park(deadline) }
-
-// Now returns the node's virtual clock.
-func (l *LibOS) Now() sim.Time { return l.node.Now() }
-
-// --- core.Stack and the rendezvous control path ---
-
-// Libcall charges one library call.
-func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
 
 // NewSocket builds a stream socket (shared-memory queues are
 // connection-oriented; there is no datagram flavor).
@@ -540,13 +523,13 @@ func (ln *listener) Close() {
 	}
 }
 
-// adopt adds a connected endpoint to the Step scan and publishes its
+// adopt adds a connected endpoint to the Poll scan and publishes its
 // depth gauge (descriptor numbering is deterministic, so gauge names
 // replay identically).
 func (l *LibOS) adopt(c *conn) {
 	l.conns = append(l.conns, c)
 	r := c.rx
-	l.reg.Sample(fmt.Sprintf("catmem.q%d.depth", c.qd), func() int64 { return int64(r.depth()) })
+	l.Telemetry().Sample(fmt.Sprintf("catmem.q%d.depth", c.qd), func() int64 { return int64(r.depth()) })
 }
 
 // Connect performs the rendezvous: a duplex ring pair is carved, the
@@ -571,7 +554,7 @@ func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
 	ln.rx.Arrive(srv) // cannot refuse: a closed listener has left the region
 	l.stats.Connects++
 	op.Complete(core.QEvent{QD: s.qd, Op: core.OpConnect, NewQD: s.qd})
-	cli.wakePeer() // let the listener's Step deliver the accept
+	cli.wakePeer() // let the listener's Poll deliver the accept
 	return nil
 }
 

@@ -22,8 +22,8 @@ func (l *LibOS) RegisterTenant(tid, weight uint32) {
 	ts := &tenantStats{}
 	l.tstats[tid] = ts
 	prefix := fmt.Sprintf("tenant.%d.catmem.", tid)
-	l.reg.Sample(prefix+"pushes", func() int64 { return int64(ts.pushes) })
-	l.reg.Sample(prefix+"pops", func() int64 { return int64(ts.pops) })
+	l.Telemetry().Sample(prefix+"pushes", func() int64 { return int64(ts.pushes) })
+	l.Telemetry().Sample(prefix+"pops", func() int64 { return int64(ts.pops) })
 }
 
 func (l *LibOS) bumpPush(tid uint32) {

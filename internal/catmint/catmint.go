@@ -33,8 +33,6 @@ type Config struct {
 	// buffers fall below it (paper: "the fast-path coroutine checks the
 	// remaining receive buffers on each incoming I/O").
 	RefillThreshold int
-	// CMPort is the device-level connection-manager port.
-	CMPort uint16
 	// Book resolves PDPIX addresses to NIC MACs; instances of one
 	// simulation share a book. New creates one when nil.
 	Book *AddrBook
@@ -47,7 +45,7 @@ type Config struct {
 // address book.
 func DefaultConfig(book *AddrBook) Config {
 	return Config{
-		MaxMsgSize: 64 << 10, RecvDepth: 64, RefillThreshold: 16, CMPort: 1, Book: book,
+		MaxMsgSize: 64 << 10, RecvDepth: 64, RefillThreshold: 16, Book: book,
 		PostSendCost: costmodel.RDMAPostSend, PollCQECost: costmodel.RDMAPollCQE,
 	}
 }
@@ -64,6 +62,10 @@ const (
 
 // msgHeaderLen is type(1) + connID(4) + aux(4).
 const msgHeaderLen = 9
+
+// cmPort is the device-level connection-manager port every instance
+// listens on and dials.
+const cmPort = 1
 
 // Stats counts libOS activity. It is a snapshot view: the live counters are
 // registry-backed (Telemetry()), and Stats() rebuilds this struct from them
@@ -110,18 +112,15 @@ func newCounters(reg *telemetry.Registry) counters {
 // LibOS is a Catmint instance for one node + RDMA NIC.
 type LibOS struct {
 	core.FrontEnd
-	node  *sim.Node
-	nic   *rdmadev.NIC
-	heap  *memory.Heap
-	sched *sched.Scheduler
-	cfg   Config
+	node *sim.Node
+	nic  *rdmadev.NIC
+	cfg  Config
 
 	cmListener *rdmadev.Listener
 	book       *AddrBook
 	links      map[simnet.MAC]*peerLink
 	listeners  map[uint16]*listener
 	nextConnID uint32
-	reg        *telemetry.Registry
 	stats      counters
 }
 
@@ -134,22 +133,20 @@ func New(node *sim.Node, nic *rdmadev.NIC, cfg Config) *LibOS {
 	l := &LibOS{
 		node:      node,
 		nic:       nic,
-		sched:     sched.New(),
 		cfg:       cfg,
 		book:      cfg.Book,
 		links:     make(map[simnet.MAC]*peerLink),
 		listeners: make(map[uint16]*listener),
 	}
-	l.reg = telemetry.NewRegistry(node.Name() + "/catmint")
-	l.stats = newCounters(l.reg)
-	l.heap = memory.NewHeap(nic.RegisterMemory)
-	l.heap.PublishTelemetry(l.reg, "mem")
-	l.FrontEnd = core.NewFrontEnd(l, node, l.reg, 0)
-	sc := l.sched
-	l.reg.Sample("sched.polls", func() int64 { return int64(sc.Stats().Polls) })
-	l.reg.Sample("sched.empty_scans", func() int64 { return int64(sc.Stats().EmptyScans) })
+	reg := telemetry.NewRegistry(node.Name() + "/catmint")
+	l.stats = newCounters(reg)
+	l.FrontEnd.Init(l, node, memory.NewHeap(nic.RegisterMemory), reg, 0)
+	l.Heap().PublishTelemetry(reg, "mem")
+	sc := l.Sched()
+	reg.Sample("sched.polls", func() int64 { return int64(sc.Stats().Polls) })
+	reg.Sample("sched.empty_scans", func() int64 { return int64(sc.Stats().EmptyScans) })
 	var err error
-	l.cmListener, err = nic.ListenCM(cfg.CMPort)
+	l.cmListener, err = nic.ListenCM(cmPort)
 	if err != nil {
 		panic("catmint: CM port in use: " + err.Error())
 	}
@@ -161,9 +158,6 @@ func (l *LibOS) Node() *sim.Node { return l.node }
 
 // MAC returns the NIC address (Catmint endpoints are addressed by MAC).
 func (l *LibOS) MAC() simnet.MAC { return l.nic.MAC() }
-
-// Heap returns the DMA-capable application heap.
-func (l *LibOS) Heap() *memory.Heap { return l.heap }
 
 // Stats returns a snapshot rebuilt from the registry-backed counters.
 func (l *LibOS) Stats() Stats {
@@ -179,13 +173,6 @@ func (l *LibOS) Stats() Stats {
 		RecvBufsReposted: l.stats.recvBufsReposted.Value(),
 	}
 }
-
-// Telemetry returns the libOS's metric registry.
-func (l *LibOS) Telemetry() *telemetry.Registry { return l.reg }
-
-// SchedStats returns the per-core coroutine scheduler's counters
-// (demikernel.SchedStatser) for utilization breakdowns.
-func (l *LibOS) SchedStats() sched.Stats { return l.sched.Stats() }
 
 // peerLink is the multiplexed transport to one remote device: one QP, a
 // credit table each way, and the per-link flow-control coroutine.
@@ -261,25 +248,10 @@ type socket struct {
 	bound bool
 }
 
-// --- Runner ---
+// --- core.Stack ---
 
-// Step runs one scheduler quantum or polls the completion queue.
-func (l *LibOS) Step() bool {
-	if l.sched.Runnable() {
-		l.node.Charge(costmodel.SchedQuantum)
-		return l.sched.RunOne()
-	}
-	return l.pollDevice()
-}
-
-// Block parks the node until an event or deadline.
-func (l *LibOS) Block(deadline sim.Time) bool { return l.node.Park(deadline) }
-
-// Now returns the node clock.
-func (l *LibOS) Now() sim.Time { return l.node.Now() }
-
-// pollDevice drains CM arrivals, completions and credit-unblocked sends.
-func (l *LibOS) pollDevice() bool {
+// Poll drains CM arrivals, completions and credit-unblocked sends.
+func (l *LibOS) Poll() bool {
 	progress := false
 	// Control path: accept inbound device connections.
 	for l.cmListener.Pending() {
@@ -324,7 +296,7 @@ func (l *LibOS) setupLink(qp *rdmadev.QP) *peerLink {
 		l.postRecv(pl)
 	}
 	pl.granted = uint64(l.cfg.RecvDepth)
-	pl.flowH = l.sched.Spawn(sched.Background, sched.Func(pl.pollFlow))
+	pl.flowH = l.Sched().Spawn(sched.Background, sched.Func(pl.pollFlow))
 	// HELLO does not consume credits (control bootstrap).
 	hdr := buildHeader(msgHello, pl.grantRkey, uint32(pl.granted))
 	l.node.Charge(l.cfg.PostSendCost)
@@ -382,7 +354,7 @@ func buildHeader(typ byte, connID, aux uint32) [msgHeaderLen]byte {
 
 // postRecv allocates and posts one receive buffer.
 func (l *LibOS) postRecv(pl *peerLink) {
-	buf := l.heap.Alloc(l.cfg.MaxMsgSize + msgHeaderLen)
+	buf := l.Heap().Alloc(l.cfg.MaxMsgSize + msgHeaderLen)
 	buf.IORef() // owned by the device until a CQE hands it back
 	pl.qp.PostRecv(buf, pl)
 	pl.posted++
@@ -566,7 +538,7 @@ func (l *LibOS) handleMessage(pl *peerLink, buf *memory.Buf, length int) {
 		// it reproduces the paper's observed throughput gap between
 		// Catmint and raw perftest at large messages (Figure 8).
 		l.node.Charge(costmodel.Memcpy(length - msgHeaderLen))
-		payload := memory.CopyFrom(l.heap, data[msgHeaderLen:])
+		payload := memory.CopyFrom(l.Heap(), data[msgHeaderLen:])
 		buf.IOUnref()
 		buf.Free()
 		if c.rx.Arrive(payload) {
@@ -592,7 +564,7 @@ func (l *LibOS) linkTo(remote simnet.MAC) (*peerLink, error) {
 	if pl, ok := l.links[remote]; ok {
 		return pl, nil
 	}
-	qp, err := l.nic.ConnectCM(remote, l.cfg.CMPort)
+	qp, err := l.nic.ConnectCM(remote, cmPort)
 	if err != nil {
 		return nil, core.ErrConnRefused
 	}

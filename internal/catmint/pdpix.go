@@ -2,7 +2,6 @@ package catmint
 
 import (
 	"demikernel/internal/core"
-	"demikernel/internal/costmodel"
 	"demikernel/internal/simnet"
 )
 
@@ -113,9 +112,6 @@ func (ln *listener) Close() {
 }
 
 // --- core.Stack and the unconnected socket ---
-
-// Libcall charges one library call.
-func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
 
 // NewSocket builds a stream socket (Catmint has no datagram support; RDMA
 // RC is connection-oriented).

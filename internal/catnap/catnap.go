@@ -7,10 +7,11 @@
 // Unlike the paper's Catnap, it does not poll. Each socket has one reader
 // goroutine that blocks in the kernel, reads into one buffer kept for the
 // socket's life, and hands the application thread a copy of what it read;
-// Block sleeps on a channel until a reader or a timer wakes it. A Block that
-// spins instead starves the readers on a two-core host (EXPERIMENTS.md,
-// finding (c)). Every PDPIX-visible mutation still happens on the
-// application thread inside Step, so the datapath state needs no locks.
+// the host's Park sleeps on a channel until a reader or a timer wakes it. A
+// Park that spins instead starves the readers on a two-core host
+// (EXPERIMENTS.md, finding (c)). Every PDPIX-visible mutation still happens
+// on the application thread inside Poll, so the datapath state needs no
+// locks.
 //
 // Catnap is single-host: PDPIX addresses map to 127.0.0.1:port.
 package catnap
@@ -42,81 +43,103 @@ type Stats struct {
 // LibOS is a Catnap instance.
 type LibOS struct {
 	core.FrontEnd
-	clock *sim.WallClock
-	heap  *memory.Heap
+	host osHost
 
 	// pending carries completions from reader goroutines to the
-	// application thread; activity wakes Block.
-	pending  chan func()
-	activity chan struct{}
-	closed   atomic.Bool
+	// application thread; each one wakes the host.
+	pending chan func()
 
 	dir   string // directory for storage log files
 	stats Stats
-	reg   *telemetry.Registry
+}
+
+// osHost is the real OS Catnap runs on (core.Host): the wall clock, no
+// modelled CPU cost, and a Park that sleeps until a reader goroutine, a
+// timer or Shutdown wakes it.
+type osHost struct {
+	*sim.WallClock
+	activity chan struct{}
+	closed   atomic.Bool
+}
+
+// Charge charges nothing: the real CPU has already spent the time.
+func (*osHost) Charge(time.Duration) {}
+
+// Park waits (real time) for activity or the deadline.
+func (h *osHost) Park(deadline sim.Time) bool {
+	if h.closed.Load() {
+		return false
+	}
+	if deadline == sim.Infinity {
+		<-h.activity
+		return !h.closed.Load()
+	}
+	d := deadline.Sub(h.Now())
+	if d <= 0 {
+		return true
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-h.activity:
+	case <-t.C:
+	}
+	return !h.closed.Load()
+}
+
+func (h *osHost) wake() {
+	select {
+	case h.activity <- struct{}{}:
+	default:
+	}
 }
 
 // New builds a Catnap libOS. dir is where storage logs live ("" disables
 // the storage stack).
 func New(dir string) *LibOS {
 	l := &LibOS{
-		clock:    sim.NewWallClock(),
-		heap:     memory.NewHeap(nil),
-		pending:  make(chan func(), 4096),
-		activity: make(chan struct{}, 1),
-		dir:      dir,
+		host:    osHost{WallClock: sim.NewWallClock(), activity: make(chan struct{}, 1)},
+		pending: make(chan func(), 4096),
+		dir:     dir,
 	}
-	l.reg = telemetry.NewRegistry("catnap")
+	// The registry's timestamps are wall-clock, so its dumps are not
+	// deterministic, unlike the simulated stacks'. Traces are single-hop: the
+	// kernel path cannot carry the context across the wire (no trailer on
+	// kernel sockets). The heap is plain memory: the kernel path copies
+	// anyway, as the paper notes — POSIX is not zero-copy.
+	reg := telemetry.NewRegistry("catnap")
+	l.FrontEnd.Init(l, &l.host, memory.NewHeap(nil), reg, 0)
 	s := &l.stats
-	l.reg.Sample("catnap.tcp_accepts", func() int64 { return int64(s.TCPAccepts) })
-	l.reg.Sample("catnap.tcp_connects", func() int64 { return int64(s.TCPConnects) })
-	l.reg.Sample("catnap.bytes_in", func() int64 { return int64(s.BytesIn) })
-	l.reg.Sample("catnap.bytes_out", func() int64 { return int64(s.BytesOut) })
-	l.reg.Sample("catnap.file_appends", func() int64 { return int64(s.FileAppends) })
-	l.reg.Sample("catnap.file_reads", func() int64 { return int64(s.FileReads) })
-	l.reg.Sample("catnap.rx_alloc_drops", func() int64 { return int64(s.RxAllocDrops) })
-	l.heap.PublishTelemetry(l.reg, "mem")
-	// Traces are single-hop here: the kernel path cannot carry the context
-	// across the wire (no trailer on kernel sockets).
-	l.FrontEnd = core.NewFrontEnd(l, l.clock, l.reg, 0)
+	reg.Sample("catnap.tcp_accepts", func() int64 { return int64(s.TCPAccepts) })
+	reg.Sample("catnap.tcp_connects", func() int64 { return int64(s.TCPConnects) })
+	reg.Sample("catnap.bytes_in", func() int64 { return int64(s.BytesIn) })
+	reg.Sample("catnap.bytes_out", func() int64 { return int64(s.BytesOut) })
+	reg.Sample("catnap.file_appends", func() int64 { return int64(s.FileAppends) })
+	reg.Sample("catnap.file_reads", func() int64 { return int64(s.FileReads) })
+	reg.Sample("catnap.rx_alloc_drops", func() int64 { return int64(s.RxAllocDrops) })
+	l.Heap().PublishTelemetry(reg, "mem")
 	return l
 }
-
-// Telemetry returns the libOS's metric registry. Timestamps here are
-// wall-clock (Catnap runs on the real OS), so dumps are not deterministic —
-// unlike the simulated stacks.
-func (l *LibOS) Telemetry() *telemetry.Registry { return l.reg }
-
-// Heap returns the application heap (plain memory: the kernel path copies
-// anyway, as the paper notes — POSIX is not zero-copy).
-func (l *LibOS) Heap() *memory.Heap { return l.heap }
 
 // Stats returns a snapshot.
 func (l *LibOS) Stats() Stats { return l.stats }
 
 // Shutdown stops the libOS; subsequent waits fail with ErrStopped.
 func (l *LibOS) Shutdown() {
-	l.closed.Store(true)
-	l.wake()
+	l.host.closed.Store(true)
+	l.host.wake()
 }
 
 // enqueue hands a completion closure to the application thread.
 func (l *LibOS) enqueue(fn func()) {
 	l.pending <- fn
-	l.wake()
+	l.host.wake()
 }
 
-func (l *LibOS) wake() {
-	select {
-	case l.activity <- struct{}{}:
-	default:
-	}
-}
+// --- core.Stack and the socket control path ---
 
-// --- Runner ---
-
-// Step executes one queued completion on the application thread.
-func (l *LibOS) Step() bool {
+// Poll executes one queued completion on the application thread.
+func (l *LibOS) Poll() bool {
 	select {
 	case fn := <-l.pending:
 		fn()
@@ -125,31 +148,6 @@ func (l *LibOS) Step() bool {
 		return false
 	}
 }
-
-// Block waits (real time) for activity or the deadline.
-func (l *LibOS) Block(deadline sim.Time) bool {
-	if l.closed.Load() {
-		return false
-	}
-	if deadline == sim.Infinity {
-		<-l.activity
-		return !l.closed.Load()
-	}
-	d := deadline.Sub(l.Now())
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-l.activity:
-	case <-t.C:
-	}
-	return !l.closed.Load()
-}
-
-// Now returns wall-clock time since the libOS started.
-func (l *LibOS) Now() sim.Time { return l.clock.Now() }
 
 // --- Queue state ---
 
@@ -203,11 +201,6 @@ type fileQueue struct {
 
 // loopback renders a PDPIX address on the loopback interface.
 func loopback(a core.Addr) string { return fmt.Sprintf("127.0.0.1:%d", a.Port) }
-
-// --- core.Stack and the socket control path ---
-
-// Libcall charges nothing: Catnap runs on the wall clock.
-func (l *LibOS) Libcall() {}
 
 // NewSocket builds an unbound socket placeholder.
 func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
@@ -386,7 +379,7 @@ func (q *tcpQueue) match() {
 // the heap exhausted the pop fails (the application sees ENOMEM) and handUp
 // reports false: the data is still the queue's.
 func (l *LibOS) handUp(op *core.Op, qd core.QDesc, data []byte, from core.Addr) bool {
-	buf, err := memory.TryCopyFrom(l.heap, data)
+	buf, err := memory.TryCopyFrom(l.Heap(), data)
 	if err != nil {
 		l.stats.RxAllocDrops++
 		op.Fail(qd, core.OpPop, err)
@@ -602,9 +595,9 @@ func (q *fileQueue) next() *memory.Buf {
 	}
 	var rec *memory.Buf
 	if n == 0 {
-		rec = memory.CopyFrom(q.lib.heap, nil) // an empty record is one empty segment, not EOF
+		rec = memory.CopyFrom(q.lib.Heap(), nil) // an empty record is one empty segment, not EOF
 	} else {
-		rec = q.lib.heap.Alloc(int(n))
+		rec = q.lib.Heap().Alloc(int(n))
 		if _, err := q.f.ReadAt(rec.Bytes(), q.cursor+4); err != nil {
 			rec.Free()
 			return nil

@@ -75,7 +75,7 @@ func (p *handDrivenPair) drain(l *LibOS) {
 func TestSegmentPathAllocs(t *testing.T) {
 	p := newHandDrivenPair()
 	a, b := p.a, p.b
-	buf := memory.CopyFrom(a.heap, make([]byte, tcpMSS))
+	buf := memory.CopyFrom(a.Heap(), make([]byte, tcpMSS))
 	segment := func() {
 		push, pop := a.Tokens().New(), b.Tokens().New()
 		p.cb.Pop(pop)
@@ -131,7 +131,7 @@ func TestTimerArmAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, arm); avg != 0 {
 		t.Errorf("arming a connection's three timers allocates %.1f objects, want 0", avg)
 	}
-	if !p.a.sched.Runnable() {
+	if !p.a.Sched().Runnable() {
 		t.Error("the timers woke nothing")
 	}
 }
@@ -378,8 +378,8 @@ func TestUDPPushAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sga := core.SGArray{Segs: []*memory.Buf{
-		memory.CopyFrom(a.heap, make([]byte, 64)),
-		memory.CopyFrom(a.heap, make([]byte, 1100)), // zero-copy eligible
+		memory.CopyFrom(a.Heap(), make([]byte, 64)),
+		memory.CopyFrom(a.Heap(), make([]byte, 1100)), // zero-copy eligible
 	}}
 	to := core.Addr{IP: b.cfg.IP, Port: 7} // nobody listens: b drops it
 	push := func() {

@@ -152,7 +152,7 @@ func (a *arpCache) spawnRetrier(ip wire.IPAddr) {
 	const maxRetries = 10
 	var h sched.Handle
 	wake := func() { h.Wake() }
-	h = a.lib.sched.Spawn(sched.Background, sched.Func(func(ctx *sched.Context) sched.Poll {
+	h = a.lib.Sched().Spawn(sched.Background, sched.Func(func(ctx *sched.Context) sched.Poll {
 		p, ok := a.pending[ip]
 		if !ok {
 			return sched.Done // resolved and flushed

@@ -7,11 +7,12 @@
 // node's virtual clock, so a given trace of packets and timings replays
 // identically (paper: "the Catnip TCP stack is deterministic").
 //
-// Execution model: application Wait calls drive the scheduler loop. Step
-// runs runnable coroutines (application first, then background protocol
-// coroutines) and, when none are runnable, performs the fast-path poll of
-// the device — the same priority order as the paper's fast-path coroutine,
-// which is "always runnable" at the lowest priority.
+// Execution model: application Wait calls drive the front end's scheduler
+// loop (core.FrontEnd.Step). It runs runnable coroutines (application first,
+// then background protocol coroutines) and, when none are runnable, calls
+// Poll, the fast-path poll of the device — the same priority order as the
+// paper's fast-path coroutine, which is "always runnable" at the lowest
+// priority.
 package catnip
 
 import (
@@ -126,12 +127,10 @@ type Stats struct {
 // LibOS is the Catnip library OS instance for one node + device queue.
 type LibOS struct {
 	core.FrontEnd
-	node  *sim.Node
-	port  Device
-	heap  *memory.Heap
-	sched *sched.Scheduler
-	cfg   Config
-	rng   *sim.Rand
+	node *sim.Node
+	port Device
+	cfg  Config
+	rng  *sim.Rand
 	// recvBufSize is the TCP receive buffer: tcpRecvBuf, which tests lower.
 	recvBufSize int
 
@@ -156,7 +155,6 @@ type LibOS struct {
 	udpHdr     [wire.UDPHeaderLen]byte
 	udpPayload []byte
 
-	reg     *telemetry.Registry
 	telCwnd *telemetry.Histogram // cwnd sampled at every ack arrival
 	telOOO  *telemetry.Histogram // OOO-queue depth sampled at every insert
 
@@ -190,8 +188,6 @@ func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
 		node:          node,
 		port:          dev,
 		mac:           dev.MAC(),
-		heap:          memory.NewHeap(nil),
-		sched:         sched.New(),
 		cfg:           cfg,
 		rng:           node.Engine().Rand().Fork(),
 		recvBufSize:   tcpRecvBuf,
@@ -211,48 +207,48 @@ func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
 // zero hot-path cost). The flight recorder and core id are attached later
 // by whoever owns the run (bench harness, multicore group).
 func (l *LibOS) initTelemetry() {
-	l.reg = telemetry.NewRegistry(l.node.Name() + "/catnip")
-	l.telCwnd = l.reg.Histogram("catnip.tcp.cwnd_bytes")
-	l.telOOO = l.reg.Histogram("catnip.tcp.ooo_depth")
-	l.FrontEnd = core.NewFrontEnd(l, l.node, l.reg, 0)
+	reg := telemetry.NewRegistry(l.node.Name() + "/catnip")
+	l.telCwnd = reg.Histogram("catnip.tcp.cwnd_bytes")
+	l.telOOO = reg.Histogram("catnip.tcp.ooo_depth")
+	l.FrontEnd.Init(l, l.node, memory.NewHeap(nil), reg, 0)
 
 	s := &l.stats
-	l.reg.Sample("catnip.rx_frames", func() int64 { return int64(s.RxFrames) })
-	l.reg.Sample("catnip.tx_frames", func() int64 { return int64(s.TxFrames) })
-	l.reg.Sample("catnip.rx_tcp", func() int64 { return int64(s.RxTCP) })
-	l.reg.Sample("catnip.rx_udp", func() int64 { return int64(s.RxUDP) })
-	l.reg.Sample("catnip.rx_arp", func() int64 { return int64(s.RxARP) })
-	l.reg.Sample("catnip.tcp.retransmits", func() int64 { return int64(s.TCPRetransmits) })
-	l.reg.Sample("catnip.tcp.fast_retransmits", func() int64 { return int64(s.TCPFastRetransmits) })
-	l.reg.Sample("catnip.tcp.out_of_order", func() int64 { return int64(s.TCPOutOfOrder) })
-	l.reg.Sample("catnip.tcp.dup_acks_sent", func() int64 { return int64(s.TCPDupAcksSent) })
-	l.reg.Sample("catnip.tcp.pure_acks", func() int64 { return int64(s.PureAcks) })
-	l.reg.Sample("catnip.tcp.window_probes", func() int64 { return int64(s.WindowProbes) })
-	l.reg.Sample("catnip.rx_dropped_no_port", func() int64 { return int64(s.RxDroppedNoPort) })
-	l.reg.Sample("catnip.rx_bad_checksum", func() int64 { return int64(s.RxBadChecksum) })
-	l.reg.Sample("catnip.rx_checksum_drops", func() int64 { return int64(s.RxChecksumDrops) })
-	l.reg.Sample("catnip.rx_alloc_drops", func() int64 { return int64(s.RxAllocDrops) })
-	l.reg.Sample("catnip.arp_giveups", func() int64 { return int64(s.ARPGiveUps) })
-	l.reg.Sample("catnip.tx_zero_copy", func() int64 { return int64(s.ZeroCopyTx) })
-	l.reg.Sample("catnip.tx_copied", func() int64 { return int64(s.CopiedTx) })
+	reg.Sample("catnip.rx_frames", func() int64 { return int64(s.RxFrames) })
+	reg.Sample("catnip.tx_frames", func() int64 { return int64(s.TxFrames) })
+	reg.Sample("catnip.rx_tcp", func() int64 { return int64(s.RxTCP) })
+	reg.Sample("catnip.rx_udp", func() int64 { return int64(s.RxUDP) })
+	reg.Sample("catnip.rx_arp", func() int64 { return int64(s.RxARP) })
+	reg.Sample("catnip.tcp.retransmits", func() int64 { return int64(s.TCPRetransmits) })
+	reg.Sample("catnip.tcp.fast_retransmits", func() int64 { return int64(s.TCPFastRetransmits) })
+	reg.Sample("catnip.tcp.out_of_order", func() int64 { return int64(s.TCPOutOfOrder) })
+	reg.Sample("catnip.tcp.dup_acks_sent", func() int64 { return int64(s.TCPDupAcksSent) })
+	reg.Sample("catnip.tcp.pure_acks", func() int64 { return int64(s.PureAcks) })
+	reg.Sample("catnip.tcp.window_probes", func() int64 { return int64(s.WindowProbes) })
+	reg.Sample("catnip.rx_dropped_no_port", func() int64 { return int64(s.RxDroppedNoPort) })
+	reg.Sample("catnip.rx_bad_checksum", func() int64 { return int64(s.RxBadChecksum) })
+	reg.Sample("catnip.rx_checksum_drops", func() int64 { return int64(s.RxChecksumDrops) })
+	reg.Sample("catnip.rx_alloc_drops", func() int64 { return int64(s.RxAllocDrops) })
+	reg.Sample("catnip.arp_giveups", func() int64 { return int64(s.ARPGiveUps) })
+	reg.Sample("catnip.tx_zero_copy", func() int64 { return int64(s.ZeroCopyTx) })
+	reg.Sample("catnip.tx_copied", func() int64 { return int64(s.CopiedTx) })
 
-	sc := l.sched
-	l.reg.Sample("sched.polls", func() int64 { return int64(sc.Stats().Polls) })
-	l.reg.Sample("sched.empty_scans", func() int64 { return int64(sc.Stats().EmptyScans) })
-	l.reg.Sample("sched.spawned", func() int64 { return int64(sc.Stats().Spawned) })
-	l.reg.Sample("sched.completed", func() int64 { return int64(sc.Stats().Completed) })
+	sc := l.Sched()
+	reg.Sample("sched.polls", func() int64 { return int64(sc.Stats().Polls) })
+	reg.Sample("sched.empty_scans", func() int64 { return int64(sc.Stats().EmptyScans) })
+	reg.Sample("sched.spawned", func() int64 { return int64(sc.Stats().Spawned) })
+	reg.Sample("sched.completed", func() int64 { return int64(sc.Stats().Completed) })
 	for c := sched.Class(0); int(c) < sched.NumClasses; c++ {
 		c := c
 		name := sched.ClassName(c)
-		l.reg.Sample("sched.polls."+name, func() int64 { return int64(sc.Stats().PollsByClass[c]) })
-		l.reg.Sample("sched.runnable."+name, func() int64 { return int64(sc.Ready(c)) })
+		reg.Sample("sched.polls."+name, func() int64 { return int64(sc.Stats().PollsByClass[c]) })
+		reg.Sample("sched.runnable."+name, func() int64 { return int64(sc.Ready(c)) })
 		// Time-in-state: every poll charges one SchedQuantum of virtual CPU.
-		l.reg.Sample("sched.class_time_ns."+name, func() int64 {
+		reg.Sample("sched.class_time_ns."+name, func() int64 {
 			return int64(sc.Stats().PollsByClass[c]) * int64(costmodel.SchedQuantum)
 		})
 	}
 
-	l.heap.PublishTelemetry(l.reg, "mem")
+	l.Heap().PublishTelemetry(reg, "mem")
 }
 
 // AttachDTrace connects the stack to a distributed-trace hop: redeemed
@@ -269,53 +265,23 @@ func (l *LibOS) AttachDTrace(h *dtrace.Hop) {
 // reply frames; a nil probe (the default) keeps frames trailer-free.
 func (l *LibOS) SetLoadProbe(p LoadProbe) { l.loadProbe = p }
 
-// Telemetry returns the stack's metric registry.
-func (l *LibOS) Telemetry() *telemetry.Registry { return l.reg }
-
 // Node returns the owning simulated host.
 func (l *LibOS) Node() *sim.Node { return l.node }
 
 // IP returns the interface address.
 func (l *LibOS) IP() wire.IPAddr { return l.cfg.IP }
 
-// Heap returns the DMA-capable application heap.
-func (l *LibOS) Heap() *memory.Heap { return l.heap }
-
 // Stats returns a snapshot of stack counters.
 func (l *LibOS) Stats() Stats { return l.stats }
-
-// SchedStats returns the per-core coroutine scheduler's counters
-// (demikernel.SchedStatser) for utilization breakdowns.
-func (l *LibOS) SchedStats() sched.Stats { return l.sched.Stats() }
 
 // Addr returns the interface address with the given port.
 func (l *LibOS) Addr(port uint16) core.Addr { return core.Addr{IP: l.cfg.IP, Port: port} }
 
-// --- Runner (drives the Waiter) ---
+// --- core.Stack: what the PDPIX front end needs from the stack ---
 
-// Step runs one scheduler quantum: a runnable coroutine if any (application
-// and background work first), otherwise the device fast path. It reports
-// whether any work was done.
-func (l *LibOS) Step() bool {
-	if l.sched.Runnable() {
-		l.node.Charge(costmodel.SchedQuantum)
-		return l.sched.RunOne()
-	}
-	return l.pollDevice()
-}
-
-// Block parks the node until an event (frame arrival, timer) or the
-// deadline. It reports false when the simulation is stopping.
-func (l *LibOS) Block(deadline sim.Time) bool {
-	return l.node.Park(deadline)
-}
-
-// Now returns the node's virtual clock.
-func (l *LibOS) Now() sim.Time { return l.node.Now() }
-
-// pollDevice is the fast-path poll (paper Figure 4, step 4): drain an rx
-// burst and process each frame to completion.
-func (l *LibOS) pollDevice() bool {
+// Poll is the fast-path poll (paper Figure 4, step 4): drain an rx burst
+// and process each frame to completion.
+func (l *LibOS) Poll() bool {
 	mbufs := l.port.RxBurst(32)
 	if len(mbufs) == 0 {
 		l.node.Charge(costmodel.PollEmpty)
@@ -487,11 +453,6 @@ func (l *LibOS) allocEphemeral() (uint16, error) {
 	}
 	return 0, core.ErrAddrNotAvail
 }
-
-// --- core.Stack: what the PDPIX front end needs from the stack ---
-
-// Libcall charges one library call.
-func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
 
 // NewSocket builds a TCP (SockStream) or UDP (SockDgram) socket queue owned
 // by the tenant whose libcall is in flight (scheduler index 0 for the host

@@ -98,7 +98,7 @@ func BenchmarkCatnipEgress(b *testing.B) {
 	c.cc.init(c.mss)
 	l.conns[tuple] = c
 
-	buf := memory.CopyFrom(l.heap, make([]byte, 64))
+	buf := memory.CopyFrom(l.Heap(), make([]byte, 64))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op := l.Tokens().New()

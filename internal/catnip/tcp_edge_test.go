@@ -259,7 +259,7 @@ func TestManySequentialConnections(t *testing.T) {
 
 // schedLen exposes the background coroutine count for leak checks.
 func (l *LibOS) schedLen() int {
-	return l.sched.Len(sched.App) + l.sched.Len(sched.Background) + l.sched.Len(sched.FastPath)
+	return l.Sched().Len(sched.App) + l.Sched().Len(sched.Background) + l.Sched().Len(sched.FastPath)
 }
 
 func TestDelayedAckReducesPureAcks(t *testing.T) {

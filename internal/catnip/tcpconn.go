@@ -109,7 +109,7 @@ func (c *tcpConn) startConnect() {
 		c.sendSyn()
 		return
 	}
-	c.lib.sched.SpawnTenant(sched.Background, c.tidx, sched.Func(func(ctx *sched.Context) sched.Poll {
+	c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(func(ctx *sched.Context) sched.Poll {
 		if mac, ok := c.lib.arp.lookup(c.tuple.remoteIP); ok {
 			c.remoteMAC = mac
 			c.macKnown = true
@@ -137,10 +137,10 @@ func (c *tcpConn) sendSyn() {
 // spawnCoroutines starts the connection's four background coroutines
 // (paper §6.3): sender, retransmitter, pure-ack sender, close manager.
 func (c *tcpConn) spawnCoroutines() {
-	c.senderH = c.lib.sched.SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollSender))
-	c.retransH = c.lib.sched.SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollRetransmit))
-	c.ackH = c.lib.sched.SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollAck))
-	c.closerH = c.lib.sched.SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollCloser))
+	c.senderH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollSender))
+	c.retransH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollRetransmit))
+	c.ackH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollAck))
+	c.closerH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollCloser))
 }
 
 // --- Application-facing operations ---

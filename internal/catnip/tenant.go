@@ -28,7 +28,7 @@ func (l *LibOS) RegisterTenant(tid uint32, weight uint32) {
 		idx = uint8(len(l.tenantIdx) + 1)
 		l.tenantIdx[tid] = idx
 	}
-	l.sched.SetTenantWeight(int(idx), weight)
+	l.Sched().SetTenantWeight(int(idx), weight)
 }
 
 // tenantHeapFor returns the tenant-charged heap capability, nil for the
@@ -37,7 +37,7 @@ func (l *LibOS) tenantHeapFor(tid uint32) *memory.TenantHeap {
 	if tid == 0 {
 		return nil
 	}
-	return l.heap.Tenant(tid)
+	return l.Heap().Tenant(tid)
 }
 
 // copyIn copies an rx payload into the connection's owning tenant's heap
@@ -47,7 +47,7 @@ func (c *tcpConn) copyIn(p []byte) (*memory.Buf, error) {
 	if c.theap != nil {
 		return c.theap.TryCopyFrom(p)
 	}
-	return memory.TryCopyFrom(c.lib.heap, p)
+	return memory.TryCopyFrom(c.lib.Heap(), p)
 }
 
 // copyIn is the datagram analogue of tcpConn.copyIn.
@@ -55,5 +55,5 @@ func (s *udpSocket) copyIn(p []byte) (*memory.Buf, error) {
 	if s.theap != nil {
 		return s.theap.TryCopyFrom(p)
 	}
-	return memory.TryCopyFrom(s.lib.heap, p)
+	return memory.TryCopyFrom(s.lib.Heap(), p)
 }

@@ -18,7 +18,7 @@ func tenantRig(tid uint32, quota int64) (*LibOS, *tcpConn) {
 	port := dpdkdev.Attach(sw, node, simnet.DefaultLink(), 1024, 0)
 	l := New(node, port, DefaultConfig(wire.IPAddr{10, 0, 0, 1}))
 	l.RegisterTenant(tid, 1)
-	l.heap.SetTenantQuota(tid, quota)
+	l.Heap().SetTenantQuota(tid, quota)
 	tuple := fourTuple{localPort: 80, remoteIP: wire.IPAddr{10, 0, 0, 2}, remotePort: 9999}
 	c := newTCPConn(l, 1, tuple, tid, l.tenantIdx[tid])
 	c.state = stateEstablished
@@ -50,13 +50,13 @@ func TestTenantRxQuotaNoStateAdvance(t *testing.T) {
 	if l.stats.RxAllocDrops != 1 {
 		t.Fatalf("RxAllocDrops = %d, want 1", l.stats.RxAllocDrops)
 	}
-	if got := l.heap.TenantStats(7).Rejects; got != 1 {
+	if got := l.Heap().TenantStats(7).Rejects; got != 1 {
 		t.Fatalf("tenant heap rejects = %d, want 1", got)
 	}
 
 	// Raising the quota models memory freeing up: the retransmitted
 	// segment is accepted at the same sequence and state advances.
-	l.heap.SetTenantQuota(7, 1<<20)
+	l.Heap().SetTenantQuota(7, 1<<20)
 	c.processPayload(before, payload)
 	if want := before + uint32(len(payload)); c.rcvNxt != want {
 		t.Fatalf("rcvNxt after retransmit = %d, want %d", c.rcvNxt, want)
@@ -65,7 +65,7 @@ func TestTenantRxQuotaNoStateAdvance(t *testing.T) {
 		t.Fatalf("recvQ = %d bufs, want 1", c.recvQ.len())
 	}
 	// The accepted bytes are charged to the owning tenant's region.
-	if used := l.heap.TenantStats(7).Used; used < int64(len(payload)) {
+	if used := l.Heap().TenantStats(7).Used; used < int64(len(payload)) {
 		t.Fatalf("tenant used = %d, want >= %d", used, len(payload))
 	}
 }
@@ -76,14 +76,14 @@ func TestTenantRxQuotaNoStateAdvance(t *testing.T) {
 func TestTenantRxChargesOwningTenant(t *testing.T) {
 	l, c := tenantRig(3, 1<<20)
 	c.processPayload(c.rcvNxt, make([]byte, 256))
-	if used := l.heap.TenantStats(3).Used; used < 256 {
+	if used := l.Heap().TenantStats(3).Used; used < 256 {
 		t.Fatalf("tenant 3 used = %d, want >= 256", used)
 	}
 	// Freeing the delivered buffer credits the same account.
 	for c.recvQ.len() > 0 {
 		c.recvQ.pop().Free()
 	}
-	if used := l.heap.TenantStats(3).Used; used != 0 {
+	if used := l.Heap().TenantStats(3).Used; used != 0 {
 		t.Fatalf("tenant 3 used after free = %d, want 0", used)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/costmodel"
 	"demikernel/internal/memory"
-	"demikernel/internal/sched"
 	"demikernel/internal/sim"
 	"demikernel/internal/spdkdev"
 	"demikernel/internal/telemetry"
@@ -86,16 +85,13 @@ type partition struct {
 // LibOS is a Cattree instance for one node + NVMe device.
 type LibOS struct {
 	core.FrontEnd
-	node  *sim.Node
-	dev   *spdkdev.Device
-	heap  *memory.Heap
-	sched *sched.Scheduler
+	node *sim.Node
+	dev  *spdkdev.Device
 
 	parts   map[string]*partition
 	nParts  int
 	dirTail int64
 	recs    []*appendRec // append records between appends
-	reg     *telemetry.Registry
 	stats   counters
 }
 
@@ -105,22 +101,17 @@ func New(node *sim.Node, dev *spdkdev.Device) *LibOS {
 	l := &LibOS{
 		node:  node,
 		dev:   dev,
-		heap:  memory.NewHeap(nil),
-		sched: sched.New(),
 		parts: make(map[string]*partition),
 	}
-	l.reg = telemetry.NewRegistry(node.Name() + "/cattree")
-	l.stats = newCounters(l.reg)
-	l.heap.PublishTelemetry(l.reg, "mem")
-	l.FrontEnd = core.NewFrontEnd(l, node, l.reg, 0)
-	sc := l.sched
-	l.reg.Sample("sched.polls", func() int64 { return int64(sc.Stats().Polls) })
-	l.reg.Sample("sched.empty_scans", func() int64 { return int64(sc.Stats().EmptyScans) })
+	reg := telemetry.NewRegistry(node.Name() + "/cattree")
+	l.stats = newCounters(reg)
+	l.FrontEnd.Init(l, node, memory.NewHeap(nil), reg, 0)
+	l.Heap().PublishTelemetry(reg, "mem")
+	sc := l.Sched()
+	reg.Sample("sched.polls", func() int64 { return int64(sc.Stats().Polls) })
+	reg.Sample("sched.empty_scans", func() int64 { return int64(sc.Stats().EmptyScans) })
 	return l
 }
-
-// Telemetry returns the libOS's metric registry.
-func (l *LibOS) Telemetry() *telemetry.Registry { return l.reg }
 
 // partitionSize returns each data partition's size in blocks.
 func (l *LibOS) partitionSize() int64 {
@@ -184,9 +175,6 @@ func padding(n int) []byte {
 // Node returns the owning node.
 func (l *LibOS) Node() *sim.Node { return l.node }
 
-// Heap returns the DMA-capable heap.
-func (l *LibOS) Heap() *memory.Heap { return l.heap }
-
 // Stats returns a snapshot.
 func (l *LibOS) Stats() Stats {
 	return Stats{
@@ -197,10 +185,6 @@ func (l *LibOS) Stats() Stats {
 		RecoveredRecs: l.stats.recoveredRecs.Value(),
 	}
 }
-
-// SchedStats returns the per-core coroutine scheduler's counters
-// (demikernel.SchedStatser) for utilization breakdowns.
-func (l *LibOS) SchedStats() sched.Stats { return l.sched.Stats() }
 
 // TailBlock returns the first free block of the named log (its end), or
 // zero for an unknown name.
@@ -214,27 +198,12 @@ func (l *LibOS) TailBlock(name string) int64 {
 // Logs returns the number of named logs.
 func (l *LibOS) Logs() int { return l.nParts }
 
-// --- Runner ---
+// --- core.Stack ---
 
-// Step runs one scheduler quantum or polls device completions.
-func (l *LibOS) Step() bool {
-	if l.sched.Runnable() {
-		l.node.Charge(costmodel.SchedQuantum)
-		return l.sched.RunOne()
-	}
-	return l.pollDevice()
-}
-
-// Block parks the node.
-func (l *LibOS) Block(deadline sim.Time) bool { return l.node.Park(deadline) }
-
-// Now returns the node clock.
-func (l *LibOS) Now() sim.Time { return l.node.Now() }
-
-// pollDevice drains the completion queue, finishing qtokens. No completion
+// Poll drains the completion queue, finishing qtokens. No completion
 // handler steps the libOS, so none polls the device again while comps, the
 // device's own slice, is still being read.
-func (l *LibOS) pollDevice() bool {
+func (l *LibOS) Poll() bool {
 	comps := l.dev.PollCompletions(32)
 	if len(comps) == 0 {
 		l.node.Charge(costmodel.PollEmpty)
@@ -259,9 +228,6 @@ type logQueue struct {
 	part     *partition
 	curBlock int64 // read cursor within the partition (records are padded)
 }
-
-// Libcall charges one library call (core.Stack).
-func (l *LibOS) Libcall() { l.node.Charge(costmodel.Libcall) }
 
 // NewSocket is unsupported: Cattree is storage-only; use an integration
 // libOS (demi.Combined) for network+storage.
@@ -423,7 +389,7 @@ func (lq *logQueue) Pop(op *core.Op) error {
 // finishRead completes a pop with the record payload.
 func (l *LibOS) finishRead(op *core.Op, qd core.QDesc, payload []byte) {
 	l.stats.reads.Inc()
-	buf := memory.CopyFrom(l.heap, payload)
+	buf := memory.CopyFrom(l.Heap(), payload)
 	op.Complete(core.QEvent{QD: qd, Op: core.OpPop, SGA: core.SGA(buf)})
 }
 

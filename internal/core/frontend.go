@@ -3,7 +3,10 @@ package core
 import (
 	"time"
 
+	"demikernel/internal/costmodel"
 	"demikernel/internal/dtrace"
+	"demikernel/internal/memory"
+	"demikernel/internal/sched"
 	"demikernel/internal/sim"
 	"demikernel/internal/telemetry"
 )
@@ -54,48 +57,108 @@ func (Unconnected) Push(_ *Op, _ SGArray, to Addr) error {
 // Pop refuses: there is no peer.
 func (Unconnected) Pop(*Op) error { return ErrNotBound }
 
-// Stack is the device-specific half of a library OS: the runner the wait
-// loop drives, the cost of entering the library, and the socket queues of
-// its transport. Everything else a PDPIX call does is the FrontEnd's.
+// Host is the machine a library OS runs on: a clock, a CPU its work is
+// charged to, and a way to wait for the next event. A *sim.Node is one host
+// (virtual time, modelled costs); Catnap's real OS is the other (the wall
+// clock, free charges, a sleep until one of its reader goroutines wakes it).
+type Host interface {
+	sim.Clock
+	// Charge bills d of CPU work to the host.
+	Charge(d time.Duration)
+	// Park waits until new work may exist or the deadline passes, whichever
+	// is first. It reports false if the host is stopping.
+	Park(deadline sim.Time) bool
+}
+
+// Stack is the device-specific half of a library OS: its device fast path
+// and the socket queues of its transport. Everything else a PDPIX call or a
+// wait does is the FrontEnd's.
 type Stack interface {
-	Runner
-	// Libcall charges one library call (nothing on a wall-clock stack).
-	Libcall()
+	// Poll runs the device fast path once (paper Figure 4, step 4), charging
+	// its own cost, and reports whether it did any work. The front end's
+	// loop polls only when no coroutine is runnable.
+	Poll() bool
 	// NewSocket builds the queue behind a new socket descriptor qd, or
 	// ErrNotSupported for a transport the stack lacks. A tenant-aware stack
 	// reads the owning principal from Tokens().Issuer().
 	NewSocket(qd QDesc, t SockType) (Queue, error)
 }
 
-// FrontEnd is the PDPIX entry surface shared by every library OS (paper
-// §5.1, Figure 3: one PDPIX layer over a device-specific I/O stack). A
-// libOS embeds it by value and implements Stack; the front end owns the
-// descriptor table, the token table, the wait loop, the in-memory queues
-// and the call discipline documented on LibOS, so that discipline has one
-// implementation.
+// FrontEnd is the generic half of every library OS (paper §5.1, Figure 3:
+// one PDPIX layer, one scheduler and one allocator over a device-specific
+// I/O stack). A libOS embeds it by value, implements Stack and calls Init
+// on the embedded field; the front end owns the host loop, the heap, the
+// coroutine scheduler, the metric registry, the descriptor table, the token
+// table, the in-memory queues and the call discipline documented on LibOS,
+// so each has one implementation.
 type FrontEnd struct {
 	stack    Stack
+	host     Host
+	heap     *memory.Heap
+	sched    *sched.Scheduler
+	reg      *telemetry.Registry
 	tokens   *TokenTable
 	qds      *QDescTable
 	waiter   Waiter
 	queueCap int
 }
 
-// NewFrontEnd builds the front end of stack. Operations are stamped against
-// clock and their issue-to-complete latency recorded in reg; queueCap bounds
-// Queue() descriptors (0 = unbounded).
-func NewFrontEnd(stack Stack, clock sim.Clock, reg *telemetry.Registry, queueCap int) FrontEnd {
+// Init builds the front end of stack on host, in place: its wait loop
+// drives f itself, so f must not be copied afterwards. heap is the
+// application heap; reg is the libOS's metric registry, which also receives
+// issue-to-complete latencies; queueCap bounds Queue() descriptors (0 =
+// unbounded).
+func (f *FrontEnd) Init(stack Stack, host Host, heap *memory.Heap, reg *telemetry.Registry, queueCap int) {
 	t := NewTokenTable()
-	t.Instrument(clock, 0)
+	t.Instrument(host, 0)
 	t.SetLatencyHist(reg.Histogram("core.qtoken_latency_ns"))
-	return FrontEnd{
+	*f = FrontEnd{
 		stack:    stack,
+		host:     host,
+		heap:     heap,
+		sched:    sched.New(),
+		reg:      reg,
 		tokens:   t,
 		qds:      NewQDescTable(),
-		waiter:   Waiter{Table: t, Runner: stack},
 		queueCap: queueCap,
 	}
+	f.waiter = Waiter{Table: t, Runner: f}
 }
+
+// Step runs one scheduler quantum: a runnable coroutine if any, charged one
+// SchedQuantum (application and background work first), otherwise the
+// stack's device fast path. It reports whether any work was done.
+func (f *FrontEnd) Step() bool {
+	if f.sched.Runnable() {
+		f.host.Charge(costmodel.SchedQuantum)
+		return f.sched.RunOne()
+	}
+	return f.stack.Poll()
+}
+
+// Block parks the host until new work may exist or the deadline passes. It
+// reports false when the host is stopping.
+func (f *FrontEnd) Block(deadline sim.Time) bool { return f.host.Park(deadline) }
+
+// Now returns the host clock.
+func (f *FrontEnd) Now() sim.Time { return f.host.Now() }
+
+// Libcall charges one library call to the host.
+func (f *FrontEnd) Libcall() { f.host.Charge(costmodel.Libcall) }
+
+// Heap returns the application heap (PDPIX malloc/free are Heap.Alloc and
+// Buf.Free).
+func (f *FrontEnd) Heap() *memory.Heap { return f.heap }
+
+// Sched returns the coroutine scheduler Step runs.
+func (f *FrontEnd) Sched() *sched.Scheduler { return f.sched }
+
+// SchedStats returns the scheduler's counters (demikernel.SchedStatser) for
+// utilization breakdowns.
+func (f *FrontEnd) SchedStats() sched.Stats { return f.sched.Stats() }
+
+// Telemetry returns the libOS's metric registry.
+func (f *FrontEnd) Telemetry() *telemetry.Registry { return f.reg }
 
 // Tokens returns the qtoken table (flight-recorder attachment, leak checks,
 // demi.Combined). Its issuer is the tenant bracket: ops minted and sockets
@@ -113,7 +176,7 @@ func (f *FrontEnd) AttachDTrace(h *dtrace.Hop) { f.tokens.SetDTrace(h) }
 
 // enter starts a libcall on an existing descriptor.
 func (f *FrontEnd) enter(qd QDesc) (Queue, error) {
-	f.stack.Libcall()
+	f.Libcall()
 	q, ok := f.qds.Lookup(qd)
 	if !ok {
 		return nil, ErrBadQDesc
@@ -133,7 +196,7 @@ func (f *FrontEnd) issued(op *Op, err error) (QToken, error) {
 
 // Socket creates a socket queue of the stack's transport.
 func (f *FrontEnd) Socket(t SockType) (QDesc, error) {
-	f.stack.Libcall()
+	f.Libcall()
 	q, err := f.stack.NewSocket(f.qds.Next(), t)
 	if err != nil {
 		return InvalidQD, err
@@ -143,14 +206,14 @@ func (f *FrontEnd) Socket(t SockType) (QDesc, error) {
 
 // Queue creates an in-memory queue.
 func (f *FrontEnd) Queue() (QDesc, error) {
-	f.stack.Libcall()
+	f.Libcall()
 	return f.qds.Insert(NewBoundedMemQueue(f.qds.Next(), f.queueCap)), nil
 }
 
 // Open is unsupported unless the libOS has a storage stack, which then
 // declares its own.
 func (f *FrontEnd) Open(name string) (QDesc, error) {
-	f.stack.Libcall()
+	f.Libcall()
 	return InvalidQD, ErrNotSupported
 }
 
@@ -208,7 +271,7 @@ func (f *FrontEnd) Connect(qd QDesc, addr Addr) (QToken, error) {
 
 // Close releases a queue; its pending operations fail with ErrQueueClosed.
 func (f *FrontEnd) Close(qd QDesc) error {
-	f.stack.Libcall()
+	f.Libcall()
 	q, ok := f.qds.Remove(qd)
 	if !ok {
 		return ErrBadQDesc
@@ -225,7 +288,7 @@ func (f *FrontEnd) Push(qd QDesc, sga SGArray) (QToken, error) {
 
 // PushTo is Push with an explicit datagram destination (demi_pushto).
 func (f *FrontEnd) PushTo(qd QDesc, sga SGArray, to Addr) (QToken, error) {
-	f.stack.Libcall()
+	f.Libcall()
 	if len(sga.Segs) == 0 {
 		return InvalidQToken, ErrEmptySGA
 	}

@@ -3,20 +3,42 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
+	"demikernel/internal/costmodel"
 	"demikernel/internal/memory"
+	"demikernel/internal/sched"
+	"demikernel/internal/sim"
 	"demikernel/internal/telemetry"
 )
 
-// fakeStack is a Stack with nothing underneath: it counts libcall charges
-// and builds fakeQueues.
-type fakeStack struct {
-	stubRunner
-	FrontEnd
-	libcalls int
+// fakeHost records every charge.
+type fakeHost struct {
+	now     sim.Time
+	charged []time.Duration
 }
 
-func (s *fakeStack) Libcall() { s.libcalls++ }
+func (h *fakeHost) Now() sim.Time { return h.now }
+
+func (h *fakeHost) Charge(d time.Duration) {
+	h.charged = append(h.charged, d)
+	h.now = h.now.Add(d)
+}
+
+func (*fakeHost) Park(sim.Time) bool { return false }
+
+// fakeStack is a Stack with nothing underneath: it counts polls and builds
+// fakeQueues.
+type fakeStack struct {
+	FrontEnd
+	host  fakeHost
+	polls int
+}
+
+func (s *fakeStack) Poll() bool {
+	s.polls++
+	return false
+}
 
 func (s *fakeStack) NewSocket(qd QDesc, t SockType) (Queue, error) {
 	if t != SockStream {
@@ -27,7 +49,7 @@ func (s *fakeStack) NewSocket(qd QDesc, t SockType) (Queue, error) {
 
 func newFakeStack() *fakeStack {
 	s := &fakeStack{}
-	s.FrontEnd = NewFrontEnd(s, &s.stubRunner, telemetry.NewRegistry("fake"), 0)
+	s.FrontEnd.Init(s, &s.host, memory.NewHeap(nil), telemetry.NewRegistry("fake"), 0)
 	return s
 }
 
@@ -94,12 +116,12 @@ func TestFrontEndDispatch(t *testing.T) {
 		func() (QToken, error) { return s.PushTo(qd, sga, Addr{Port: 1}) },
 		func() (QToken, error) { return s.Pop(qd) },
 	} {
-		before := s.libcalls
+		before := len(s.host.charged)
 		if _, err := call(); err != nil {
 			t.Errorf("call %d: %v", i, err)
 		}
-		if s.libcalls != before+1 {
-			t.Errorf("call %d charged %d libcalls, want 1", i, s.libcalls-before)
+		if got := s.host.charged[before:]; len(got) != 1 || got[0] != costmodel.Libcall {
+			t.Errorf("call %d charged %v, want one libcall (%v)", i, got, costmodel.Libcall)
 		}
 	}
 	want := []string{"bind", "listen", "accept", "connect", "push", "push", "pop"}
@@ -121,6 +143,33 @@ func TestFrontEndDispatch(t *testing.T) {
 		t.Errorf("trace stamps: push %d, pop %d; want 42, 0", q.pending[2].trace, q.pending[4].trace)
 	}
 	sga.Free()
+}
+
+// TestFrontEndStep pins the one loop every libOS runs: a runnable coroutine
+// runs before the device is polled and is charged exactly one SchedQuantum;
+// with nothing runnable, Step polls the stack once and charges nothing of
+// its own.
+func TestFrontEndStep(t *testing.T) {
+	s := newFakeStack()
+	ran, pollsSeen := 0, -1
+	s.Sched().Spawn(sched.App, sched.Func(func(*sched.Context) sched.Poll {
+		ran++
+		pollsSeen = s.polls
+		return sched.Done
+	}))
+	if !s.Step() || ran != 1 || pollsSeen != 0 || s.polls != 0 {
+		t.Fatalf("runnable coroutine: ran %d, saw %d polls, %d polls after; want 1, 0, 0", ran, pollsSeen, s.polls)
+	}
+	if got := s.host.charged; len(got) != 1 || got[0] != costmodel.SchedQuantum {
+		t.Errorf("coroutine quantum charged %v, want one SchedQuantum (%v)", got, costmodel.SchedQuantum)
+	}
+	s.host.charged = nil
+	if s.Step() || s.polls != 1 {
+		t.Errorf("idle Step: %d polls, want 1", s.polls)
+	}
+	if len(s.host.charged) != 0 {
+		t.Errorf("idle Step charged %v itself, want nothing", s.host.charged)
+	}
 }
 
 func TestFrontEndWithdrawsRefusedCalls(t *testing.T) {

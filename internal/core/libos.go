@@ -71,9 +71,9 @@ type LibOS interface {
 	Heap() *memory.Heap
 }
 
-// Runner is the engine-facing side of a library OS: the generic wait loop
-// drives it. Step runs one scheduler quantum; Block waits for an external
-// event when nothing is runnable.
+// Runner is what the generic wait loop drives: a libOS's FrontEnd, or
+// demi.Combined over two of them. Step runs one scheduler quantum; Block
+// waits for an external event when nothing is runnable.
 type Runner interface {
 	// Step performs one unit of datapath work (runs one coroutine). It
 	// reports whether anything ran.

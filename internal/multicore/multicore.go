@@ -39,15 +39,11 @@ type Config struct {
 	Cores int
 	// Link is the NIC attachment; zero value means simnet.DefaultLink.
 	Link simnet.LinkParams
-	// PoolSize bounds the port's shared mbuf pool (0 means 1<<16).
-	PoolSize int
-	// RxRing bounds each queue's rx descriptor ring (0 = unbounded).
-	// Bound it in overload experiments so drops surface in QueueStats.
-	RxRing int
-	// Stack builds each core's Catnip config; nil means
-	// catnip.DefaultConfig.
-	Stack func(ip wire.IPAddr) catnip.Config
 }
+
+// poolSize bounds the port's shared mbuf pool; each queue's rx ring is
+// unbounded.
+const poolSize = 1 << 16
 
 // A Core is one virtual CPU with its private stack and queue pair.
 type Core struct {
@@ -86,18 +82,9 @@ func New(eng *sim.Engine, sw *simnet.Switch, name string, ip wire.IPAddr, cfg Co
 	if link == (simnet.LinkParams{}) {
 		link = simnet.DefaultLink()
 	}
-	poolSize := cfg.PoolSize
-	if poolSize == 0 {
-		poolSize = 1 << 16
-	}
-	mkcfg := cfg.Stack
-	if mkcfg == nil {
-		mkcfg = catnip.DefaultConfig
-	}
 	host := eng.NewHost(name, cores)
 	port := dpdkdev.AttachQueues(sw, host.Core(0), link, dpdkdev.Config{
 		PoolSize: poolSize,
-		RxRing:   cfg.RxRing,
 		Queues:   cores,
 	})
 	g := &Group{Name: name, IP: ip, Host: host, Port: port}
@@ -105,7 +92,7 @@ func New(eng *sim.Engine, sw *simnet.Switch, name string, ip wire.IPAddr, cfg Co
 		node := host.Core(i)
 		q := port.Queue(i)
 		q.SetOwner(node)
-		os := catnip.NewOnDevice(node, q, mkcfg(ip))
+		os := catnip.NewOnDevice(node, q, catnip.DefaultConfig(ip))
 		// Re-label the core's qtoken spans with its index (the stack
 		// self-instruments as core 0).
 		os.Tokens().Instrument(node, i)

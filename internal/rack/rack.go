@@ -55,10 +55,6 @@ type Config struct {
 	Workload Workload
 	// Seed drives every stochastic choice.
 	Seed uint64
-	// SwitchTxCap bounds ToR egress queues (0 = unbounded; bound it to
-	// surface hotspot drops, but closed-loop clients then need the
-	// servers' overload replies to keep cycling).
-	SwitchTxCap int
 	// Trace samples requests end-to-end through the ToR hop (every 64th).
 	Trace bool
 }
@@ -84,7 +80,6 @@ type Result struct {
 	Resyncs             uint64
 	MaxLoads            []int // per-server peak dispatcher load
 	Elapsed             time.Duration
-	EgressDrops         uint64
 	// TelemetryText is the canonical text rendering of every registry in
 	// the run (ToR, switch, per-server merged stacks) — the byte-identity
 	// artifact replay tests compare.
@@ -100,10 +95,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("rack: need at least one server and one client")
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	sw := simnet.NewSwitch(eng, simnet.SwitchParams{
-		Latency:    450 * time.Nanosecond,
-		TxQueueCap: cfg.SwitchTxCap,
-	})
+	// ToR egress queues are unbounded: closed-loop clients would need the
+	// servers' overload replies to keep cycling past hotspot drops.
+	sw := simnet.NewSwitch(eng, simnet.SwitchParams{Latency: 450 * time.Nanosecond})
 	vipMAC := sw.NextMAC()
 
 	var tracer *dtrace.Tracer
@@ -192,9 +186,6 @@ func Run(cfg Config) (*Result, error) {
 	res.Elapsed = eng.Now().Sub(0)
 	for _, s := range servers {
 		res.MaxLoads = append(res.MaxLoads, s.Disp.MaxLoad())
-	}
-	for _, p := range sw.Ports() {
-		res.EgressDrops += p.Stats().EgressDrops
 	}
 	sort.Slice(res.ShortLats, func(i, k int) bool { return res.ShortLats[i] < res.ShortLats[k] })
 	sort.Slice(res.LongLats, func(i, k int) bool { return res.LongLats[i] < res.LongLats[k] })
