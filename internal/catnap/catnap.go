@@ -1,29 +1,30 @@
 // Package catnap is Demikernel's POSIX library OS (paper §6.1): the PDPIX
 // API implemented over the legacy OS kernel, so Demikernel applications can
 // be developed, tested and run without kernel-bypass hardware. It runs on
-// the real operating system — Go's net package over loopback and ordinary
-// files for the storage log.
+// the real operating system — loopback sockets and ordinary files for the
+// storage log.
 //
-// Unlike the paper's Catnap, it does not poll. Each socket has one reader
-// goroutine that blocks in the kernel, reads into one buffer kept for the
-// socket's life, and hands the application thread a copy of what it read;
-// the host's Park sleeps on a channel until a reader or a timer wakes it. A
-// Park that spins instead starves the readers on a two-core host
-// (EXPERIMENTS.md, finding (c)). Every PDPIX-visible mutation still happens
-// on the application thread inside Poll, so the datapath state needs no
-// locks.
+// Like every other libOS it runs on its application thread alone. Its
+// device is one epoll instance with every socket in it, edge-triggered. A
+// pop or an accept tries the kernel once, without blocking, and parks only
+// when the socket is dry; Poll hands each socket epoll reports its parked
+// operations, and the host's Park sleeps in epoll_wait. Bytes nobody popped
+// stay in the kernel, so TCP flow control holds the peer back.
 //
-// Catnap is single-host: PDPIX addresses map to 127.0.0.1:port.
+// Catnap is Linux-only (epoll) and single-host: PDPIX addresses map to
+// 127.0.0.1:port.
 package catnap
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
+	"io"
+	"math"
 	"net"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"demikernel/internal/core"
@@ -43,64 +44,65 @@ type Stats struct {
 // LibOS is a Catnap instance.
 type LibOS struct {
 	core.FrontEnd
-	host osHost
-
-	// pending carries completions from reader goroutines to the
-	// application thread; each one wakes the host.
-	pending chan func()
-
-	dir   string // directory for storage log files
+	host  osHost
+	socks map[int32]*sock // the sockets in the epoll set, by descriptor
+	dir   string          // directory for storage log files
 	stats Stats
 }
 
 // osHost is the real OS Catnap runs on (core.Host): the wall clock, no
-// modelled CPU cost, and a Park that sleeps until a reader goroutine, a
-// timer or Shutdown wakes it.
+// modelled CPU cost, and a Park that sleeps in epoll_wait until a socket is
+// readable, the deadline passes or Shutdown writes to the wake pipe.
 type osHost struct {
 	*sim.WallClock
-	activity chan struct{}
-	closed   atomic.Bool
+	ep     int    // the epoll instance
+	wake   [2]int // Shutdown writes wake[1]; epoll watches wake[0]
+	closed atomic.Bool
+	events [64]syscall.EpollEvent
+	ready  []syscall.EpollEvent // what the last epoll_wait reported, for Poll
 }
 
 // Charge charges nothing: the real CPU has already spent the time.
 func (*osHost) Charge(time.Duration) {}
 
-// Park waits (real time) for activity or the deadline.
+// Park sleeps in epoll_wait until a socket is readable or the deadline
+// passes, rounded up to epoll_wait's millisecond. After Shutdown the wake
+// pipe stays readable, so it does not sleep at all.
 func (h *osHost) Park(deadline sim.Time) bool {
-	if h.closed.Load() {
-		return false
+	ms := -1
+	if deadline != sim.Infinity {
+		d := deadline.Sub(h.Now())
+		if d <= 0 {
+			return true
+		}
+		ms = int(min((d+time.Millisecond-1)/time.Millisecond, math.MaxInt32))
 	}
-	if deadline == sim.Infinity {
-		<-h.activity
-		return !h.closed.Load()
-	}
-	d := deadline.Sub(h.Now())
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-h.activity:
-	case <-t.C:
-	}
+	h.wait(ms)
 	return !h.closed.Load()
 }
 
-func (h *osHost) wake() {
-	select {
-	case h.activity <- struct{}{}:
-	default:
-	}
+// wait keeps what one epoll_wait of at most ms milliseconds reports.
+func (h *osHost) wait(ms int) {
+	n, _ := syscall.EpollWait(h.ep, h.events[:], ms) // -1, nothing, when interrupted
+	h.ready = h.events[:max(n, 0)]
 }
 
 // New builds a Catnap libOS. dir is where storage logs live ("" disables
 // the storage stack).
 func New(dir string) *LibOS {
-	l := &LibOS{
-		host:    osHost{WallClock: sim.NewWallClock(), activity: make(chan struct{}, 1)},
-		pending: make(chan func(), 4096),
-		dir:     dir,
+	l := &LibOS{host: osHost{WallClock: sim.NewWallClock()}, socks: map[int32]*sock{}, dir: dir}
+	// The epoll instance and the wake pipe live as long as the process:
+	// Shutdown may run on another thread while Park sleeps on them.
+	h := &l.host
+	var err error
+	if h.ep, err = syscall.EpollCreate1(syscall.EPOLL_CLOEXEC); err == nil {
+		err = syscall.Pipe2(h.wake[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC)
+	}
+	if err == nil {
+		err = syscall.EpollCtl(h.ep, syscall.EPOLL_CTL_ADD, h.wake[0], &syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(h.wake[0])})
+	}
+	if err != nil {
+		panic("catnap: " + err.Error())
 	}
 	// The registry's timestamps are wall-clock, so its dumps are not
 	// deterministic, unlike the simulated stacks'. Traces are single-hop: the
@@ -108,7 +110,7 @@ func New(dir string) *LibOS {
 	// kernel sockets). The heap is plain memory: the kernel path copies
 	// anyway, as the paper notes — POSIX is not zero-copy.
 	reg := telemetry.NewRegistry("catnap")
-	l.FrontEnd.Init(l, &l.host, memory.NewHeap(nil), reg, 0)
+	l.FrontEnd.Init(l, h, memory.NewHeap(nil), reg, 0)
 	s := &l.stats
 	reg.Sample("catnap.tcp_accepts", func() int64 { return int64(s.TCPAccepts) })
 	reg.Sample("catnap.tcp_connects", func() int64 { return int64(s.TCPConnects) })
@@ -124,62 +126,101 @@ func New(dir string) *LibOS {
 // Stats returns a snapshot.
 func (l *LibOS) Stats() Stats { return l.stats }
 
-// Shutdown stops the libOS; subsequent waits fail with ErrStopped.
+// Shutdown stops the libOS; subsequent waits fail with ErrStopped. It is
+// the one call another thread may make.
 func (l *LibOS) Shutdown() {
 	l.host.closed.Store(true)
-	l.host.wake()
-}
-
-// enqueue hands a completion closure to the application thread.
-func (l *LibOS) enqueue(fn func()) {
-	l.pending <- fn
-	l.host.wake()
+	syscall.Write(l.host.wake[1], []byte{1})
 }
 
 // --- core.Stack and the socket control path ---
 
-// Poll executes one queued completion on the application thread.
+// Poll hands each socket epoll reported its parked operations: the events
+// Park kept, or else those of an epoll_wait that does not sleep.
 func (l *LibOS) Poll() bool {
-	select {
-	case fn := <-l.pending:
-		fn()
-		return true
-	default:
-		return false
+	if len(l.host.ready) == 0 {
+		l.host.wait(0)
 	}
+	work := false
+	for _, ev := range l.host.ready {
+		if s := l.socks[ev.Fd]; s != nil {
+			s.dry = false
+			s.hup = s.hup || ev.Events&(syscall.EPOLLRDHUP|syscall.EPOLLHUP|syscall.EPOLLERR) != 0
+			s.pull()
+			work = true
+		}
+	}
+	l.host.ready = nil
+	return work
+}
+
+// sock is a socket in the epoll set, edge-triggered: Poll hears of it only
+// when the kernel has something new for it.
+type sock struct {
+	fd   int
+	dry  bool   // the last try found the kernel empty; epoll says when it is not
+	hup  bool   // epoll reported the peer's hangup: a short read is not dry
+	pull func() // serves the queue's parked operations from the kernel
+}
+
+// watch adds conn's socket to the epoll set and files s under its
+// descriptor for Poll; if that fails it closes conn. Closing the socket
+// takes it out of the set; its queue's Close unfiles s first, before the
+// descriptor can be reused.
+func (l *LibOS) watch(conn interface {
+	syscall.Conn
+	io.Closer
+}, s *sock, pull func()) error {
+	rc, _ := conn.SyscallConn() // an open socket has a descriptor to control
+	rc.Control(func(fd uintptr) { s.fd = int(fd) })
+	ev := syscall.EpollEvent{Events: syscall.EPOLLIN | syscall.EPOLLRDHUP | 1<<31, Fd: int32(s.fd)} // 1<<31 is EPOLLET
+	if err := syscall.EpollCtl(l.host.ep, syscall.EPOLL_CTL_ADD, s.fd, &ev); err != nil {
+		conn.Close()
+		return err
+	}
+	s.pull = pull
+	l.socks[int32(s.fd)] = s
+	return nil
 }
 
 // --- Queue state ---
 
-// tcpQueue is a connected TCP socket.
-type tcpQueue struct {
+// rxQueue is what a TCP connection and a UDP socket share: the socket, and
+// parked pops served one non-blocking read each through its one buffer.
+// Bytes nobody asked for stay in the kernel.
+type rxQueue struct {
+	sock
 	lib  *LibOS
 	qd   core.QDesc
-	conn net.Conn
-	rx   core.Rendezvous[[]byte] // bytes read from the kernel and parked pops
-	iov  net.Buffers             // Push's gather list, reused
+	conn net.Conn // a *net.TCPConn or a *net.UDPConn
+	buf  []byte
+	rx   core.Rendezvous[arrival] // parked pops, and a read the heap could not take
+	read func()                   // one read: arrive, mark the socket dry, or end the stream
 }
+
+// arrival is one read: bytes of the stream, or a datagram and its sender.
+type arrival struct {
+	from core.Addr
+	data []byte
+}
+
+// tcpQueue is a connected TCP socket.
+type tcpQueue struct {
+	rxQueue
+	iov net.Buffers // Push's gather list, reused
+}
+
+// udpQueue is a UDP socket.
+type udpQueue struct{ rxQueue }
 
 // listenQueue is a listening TCP socket.
 type listenQueue struct {
 	core.Unconnected
+	sock
 	lib *LibOS
 	qd  core.QDesc
-	ln  net.Listener
-	rx  core.Rendezvous[net.Conn] // kernel-accepted connections and parked accepts
-}
-
-// udpQueue is a UDP socket.
-type udpQueue struct {
-	lib  *LibOS
-	qd   core.QDesc
-	conn *net.UDPConn
-	rx   core.Rendezvous[udpDatagram] // received datagrams and parked pops
-}
-
-type udpDatagram struct {
-	from core.Addr
-	data []byte
+	ln  *net.TCPListener
+	rx  core.Rendezvous[*net.TCPConn] // parked accepts
 }
 
 // sockQueue is an unbound socket placeholder created by Socket.
@@ -199,8 +240,10 @@ type fileQueue struct {
 	cursor int64
 }
 
-// loopback renders a PDPIX address on the loopback interface.
-func loopback(a core.Addr) string { return fmt.Sprintf("127.0.0.1:%d", a.Port) }
+// loopback is a PDPIX port on the loopback interface.
+func loopback(port uint16) netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), port)
+}
 
 // NewSocket builds an unbound socket placeholder.
 func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
@@ -211,27 +254,28 @@ func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
 }
 
 // become swaps the socket's descriptor over to the UDP queue around conn.
-func (s *sockQueue) become(conn *net.UDPConn) *udpQueue {
-	u := &udpQueue{lib: s.lib, qd: s.qd, conn: conn}
+func (s *sockQueue) become(conn *net.UDPConn, err error) (*udpQueue, error) {
+	if err != nil {
+		return nil, err
+	}
+	u := &udpQueue{rxQueue{lib: s.lib, qd: s.qd, conn: conn, buf: make([]byte, 64<<10)}}
+	u.read = u.recv
+	if err := s.lib.watch(conn, &u.sock, u.pull); err != nil {
+		return nil, err
+	}
 	s.lib.Queues().Replace(s.qd, u)
-	go u.readLoop()
-	return u
+	return u, nil
 }
 
 // Bind records the local port.
 func (s *sockQueue) Bind(addr core.Addr) error {
 	s.port = addr.Port
-	if s.typ == core.SockDgram {
-		// Datagram sockets bind eagerly so pops can start.
-		uaddr, err := net.ResolveUDPAddr("udp", loopback(core.Addr{Port: s.port}))
-		if err != nil {
-			return err
-		}
-		conn, err := net.ListenUDP("udp", uaddr)
-		if err != nil {
-			return core.ErrInUse
-		}
-		s.become(conn)
+	if s.typ != core.SockDgram {
+		return nil
+	}
+	// Datagram sockets bind eagerly so pops can start.
+	if _, err := s.become(net.ListenUDP("udp", net.UDPAddrFromAddrPort(loopback(s.port)))); err != nil {
+		return core.ErrInUse
 	}
 	return nil
 }
@@ -242,202 +286,171 @@ func (s *sockQueue) Listen(backlog int) error {
 	if s.typ != core.SockStream {
 		return core.ErrNotSupported
 	}
-	ln, err := net.Listen("tcp", loopback(core.Addr{Port: s.port}))
+	ln, err := net.ListenTCP("tcp", net.TCPAddrFromAddrPort(loopback(s.port)))
 	if err != nil {
 		return core.ErrInUse
 	}
 	lq := &listenQueue{lib: s.lib, qd: s.qd, ln: ln}
+	if err := s.lib.watch(ln, &lq.sock, lq.pull); err != nil {
+		return err
+	}
 	s.lib.Queues().Replace(s.qd, lq)
-	go lq.acceptLoop()
 	return nil
 }
 
 // Close releases an unbound socket; it holds nothing.
 func (s *sockQueue) Close() {}
 
-// acceptLoop feeds inbound connections to the application thread.
-func (lq *listenQueue) acceptLoop() {
-	for {
-		conn, err := lq.ln.Accept()
+// Accept asks for the next inbound connection.
+func (lq *listenQueue) Accept(op *core.Op) error {
+	lq.rx.Park(op, lq.qd, core.OpAccept)
+	lq.pull()
+	return nil
+}
+
+// pull accepts from the kernel, without blocking, for the parked accepts
+// until none is left or the backlog is empty. Connections nobody asked for
+// wait in the backlog.
+func (lq *listenQueue) pull() {
+	for lq.rx.Parked() > 0 && !lq.dry {
+		fd, _, err := syscall.Accept4(lq.fd, syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC)
 		if err != nil {
+			lq.dry = true // EAGAIN, or a failure the next connection retries
 			return
 		}
-		lq.lib.enqueue(func() { lq.established(conn) })
-	}
-}
-
-// established takes a connection the kernel accepted; one that lands after
-// Close is hung up on.
-func (lq *listenQueue) established(conn net.Conn) {
-	if !lq.rx.Arrive(conn) {
-		conn.Close()
-		return
-	}
-	lq.lib.stats.TCPAccepts++
-	lq.match()
-}
-
-// match wraps the oldest accepted connection in its queue and completes the
-// oldest parked accept with it.
-func (lq *listenQueue) match() {
-	if conn, op, ok := lq.rx.Match(); ok {
-		q := &tcpQueue{lib: lq.lib, conn: conn}
+		f := os.NewFile(uintptr(fd), "")
+		c, err := net.FileConn(f)
+		f.Close()
+		if err != nil {
+			continue // the connection is gone; the accept waits for the next
+		}
+		lq.rx.Arrive(c.(*net.TCPConn)) // an accept is parked, so the listener is open
+		conn, op, _ := lq.rx.Match()
+		q, err := lq.lib.newTCP(conn, nil)
+		if err != nil {
+			op.Fail(lq.qd, core.OpAccept, err)
+			continue
+		}
 		q.qd = lq.lib.Queues().Insert(q)
-		go q.readLoop()
+		lq.lib.stats.TCPAccepts++
 		op.Complete(core.QEvent{QD: lq.qd, Op: core.OpAccept, NewQD: q.qd})
 	}
 }
 
-// Accept asks for the next inbound connection.
-func (lq *listenQueue) Accept(op *core.Op) error {
-	lq.rx.Park(op, lq.qd, core.OpAccept)
-	lq.match()
-	return nil
-}
-
-// Close stops listening, fails parked accepts and hangs up on the
-// connections nobody accepted.
+// Close stops listening and fails parked accepts; closing the socket resets
+// the connections nobody accepted.
 func (lq *listenQueue) Close() {
+	delete(lq.lib.socks, int32(lq.fd))
 	lq.ln.Close()
 	lq.rx.End(lq.qd, core.OpAccept, core.ErrQueueClosed)
-	for conn, ok := lq.rx.Take(); ok; conn, ok = lq.rx.Take() {
-		conn.Close()
+}
+
+// newTCP wraps a connected socket, unless err says there is none, in its
+// queue and watches it.
+func (l *LibOS) newTCP(conn *net.TCPConn, err error) (*tcpQueue, error) {
+	if err != nil {
+		return nil, err
 	}
+	q := &tcpQueue{rxQueue: rxQueue{lib: l, conn: conn, buf: make([]byte, 16<<10)}}
+	q.read = q.recv
+	return q, l.watch(conn, &q.sock, q.pull)
 }
 
 // Connect dials the remote address; the descriptor becomes the connection.
+// A loopback dial completes or is refused inside the kernel, so the connect
+// completes inside the call.
 func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
-	l, qd := s.lib, s.qd
+	var err error
 	if s.typ == core.SockDgram {
 		// Datagram connect: bind an ephemeral port and fix the peer.
-		uaddr, _ := net.ResolveUDPAddr("udp", loopback(addr))
-		conn, err := net.DialUDP("udp", nil, uaddr)
-		if err != nil {
-			op.Fail(qd, core.OpConnect, core.ErrConnRefused)
-			return nil
+		_, err = s.become(net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(loopback(addr.Port))))
+	} else {
+		var q *tcpQueue
+		if q, err = s.lib.newTCP(net.DialTCP("tcp", nil, net.TCPAddrFromAddrPort(loopback(addr.Port)))); err == nil {
+			q.qd = s.qd
+			s.lib.Queues().Replace(s.qd, q)
+			s.lib.stats.TCPConnects++
 		}
-		s.become(conn)
-		op.Complete(core.QEvent{QD: qd, Op: core.OpConnect, NewQD: qd})
+	}
+	if err != nil {
+		op.Fail(s.qd, core.OpConnect, core.ErrConnRefused)
 		return nil
 	}
-	go func() {
-		conn, err := net.Dial("tcp", loopback(addr))
-		l.enqueue(func() {
-			if err != nil {
-				op.Fail(qd, core.OpConnect, core.ErrConnRefused)
-				return
-			}
-			t := &tcpQueue{lib: l, qd: qd, conn: conn}
-			if !l.Queues().Replace(qd, t) {
-				conn.Close() // closed while dialling: the descriptor stays closed
-				op.Fail(qd, core.OpConnect, core.ErrQueueClosed)
-				return
-			}
-			l.stats.TCPConnects++
-			go t.readLoop()
-			op.Complete(core.QEvent{QD: qd, Op: core.OpConnect, NewQD: qd})
-		})
-	}()
+	op.Complete(core.QEvent{QD: s.qd, Op: core.OpConnect, NewQD: s.qd})
 	return nil
 }
 
-// readLoop pulls bytes from the kernel into the receive queue. It reads into
-// one buffer for the connection's life and hands the application thread a
-// copy of exactly the bytes each read returned, so the next read may reuse
-// the buffer.
-func (q *tcpQueue) readLoop() {
-	buf := make([]byte, 16<<10)
-	for {
-		n, err := q.conn.Read(buf)
-		if n > 0 {
-			data := bytes.Clone(buf[:n])
-			q.lib.enqueue(func() { q.deliver(data) })
-		}
-		if err != nil {
-			q.lib.enqueue(func() { q.hangup() })
-			return
-		}
+// Pop asks for the next inbound bytes or datagram.
+func (q *rxQueue) Pop(op *core.Op) error {
+	q.rx.Park(op, q.qd, core.OpPop)
+	q.pull()
+	return nil
+}
+
+// pull serves the parked pops: a read the heap could not take first, then
+// one read each from the kernel, until none is left or the socket is dry.
+func (q *rxQueue) pull() {
+	for q.match(); q.rx.Parked() > 0 && q.rx.Ready() == 0 && !q.dry; q.match() {
+		q.read()
 	}
 }
 
-// deliver takes bytes the kernel handed up; after Close they are dropped.
-func (q *tcpQueue) deliver(data []byte) {
-	q.lib.stats.BytesIn += uint64(len(data))
-	if q.rx.Arrive(data) {
-		q.match()
+// match completes the oldest parked pop with the oldest read, copied into
+// the application heap. With the heap exhausted the pop fails (the
+// application sees ENOMEM) and the read waits for the next pop: the kernel
+// has already acked it.
+func (q *rxQueue) match() {
+	a, op, ok := q.rx.Match()
+	if !ok {
+		return
 	}
-}
-
-// match completes the oldest parked pop with the oldest queued read.
-func (q *tcpQueue) match() {
-	if data, op, ok := q.rx.Match(); ok && !q.lib.handUp(op, q.qd, data, core.Addr{}) {
-		q.rx.Return(data) // the kernel already acked these bytes: a later pop delivers them
-	}
-}
-
-// handUp completes a pop with data copied into the application heap. With
-// the heap exhausted the pop fails (the application sees ENOMEM) and handUp
-// reports false: the data is still the queue's.
-func (l *LibOS) handUp(op *core.Op, qd core.QDesc, data []byte, from core.Addr) bool {
-	buf, err := memory.TryCopyFrom(l.Heap(), data)
+	buf, err := memory.TryCopyFrom(q.lib.Heap(), a.data)
 	if err != nil {
-		l.stats.RxAllocDrops++
-		op.Fail(qd, core.OpPop, err)
-		return false
+		q.lib.stats.RxAllocDrops++
+		op.Fail(q.qd, core.OpPop, err)
+		q.rx.Return(a)
+		return
 	}
-	op.Complete(core.QEvent{QD: qd, Op: core.OpPop, SGA: core.SGA(buf), From: from})
-	return true
+	op.Complete(core.QEvent{QD: q.qd, Op: core.OpPop, SGA: core.SGA(buf), From: a.from})
 }
 
-// hangup ends the stream: parked pops, and later ones once the queued reads
-// are drained, see EOF.
-func (q *tcpQueue) hangup() { q.rx.End(q.qd, core.OpPop, nil) }
-
-// readLoop pulls datagrams from the kernel, through one buffer for the
-// socket's life, copying each out as tcpQueue.readLoop does.
-func (q *udpQueue) readLoop() {
-	buf := make([]byte, 64<<10)
-	for {
-		n, from, err := q.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
-		}
-		data := bytes.Clone(buf[:n])
-		var a core.Addr
-		if from != nil {
-			a = core.Addr{IP: [4]byte{127, 0, 0, 1}, Port: uint16(from.Port)}
-		}
-		q.lib.enqueue(func() { q.deliver(a, data) })
-	}
-}
-
-// deliver takes a datagram the kernel handed up; after Close it is dropped.
-func (q *udpQueue) deliver(from core.Addr, data []byte) {
-	q.lib.stats.BytesIn += uint64(len(data))
-	if q.rx.Arrive(udpDatagram{from: from, data: data}) {
-		q.match()
-	}
-}
-
-// match completes the oldest parked pop with the oldest queued datagram.
-func (q *udpQueue) match() {
-	if d, op, ok := q.rx.Match(); ok && !q.lib.handUp(op, q.qd, d.data, d.from) {
-		q.rx.Return(d)
-	}
-}
-
-// Close hangs up and fails parked pops. Reads nobody popped are plain Go
-// memory and go with the queue.
-func (q *tcpQueue) Close() {
+// Close hangs up and fails parked pops; what the kernel still held goes
+// with the socket.
+func (q *rxQueue) Close() {
+	delete(q.lib.socks, int32(q.fd))
 	q.conn.Close()
 	q.rx.End(q.qd, core.OpPop, core.ErrQueueClosed)
 }
 
-// Close releases the socket and fails parked pops; queued datagrams go with
-// the queue.
-func (q *udpQueue) Close() {
-	q.conn.Close()
-	q.rx.End(q.qd, core.OpPop, core.ErrQueueClosed)
+// recv reads the stream once. A short read means dry, unless the peer has
+// hung up and the next read is its end of stream.
+func (q *tcpQueue) recv() {
+	n, err := syscall.Read(q.fd, q.buf)
+	switch {
+	case n > 0:
+		q.dry = n < len(q.buf) && !q.hup
+		q.lib.stats.BytesIn += uint64(n)
+		q.rx.Arrive(arrival{data: q.buf[:n]})
+	case err == syscall.EAGAIN:
+		q.dry = true
+	default: // end of stream, or the connection failed: pops see EOF
+		q.rx.End(q.qd, core.OpPop, nil)
+	}
+}
+
+// recv reads one datagram.
+func (q *udpQueue) recv() {
+	n, from, err := syscall.Recvfrom(q.fd, q.buf, 0)
+	if err != nil {
+		q.dry = true // EAGAIN, or the socket's pending error, now cleared
+		return
+	}
+	a := arrival{data: q.buf[:n]}
+	if sa, ok := from.(*syscall.SockaddrInet4); ok {
+		a.from = core.Addr{IP: sa.Addr, Port: uint16(sa.Port)}
+	}
+	q.lib.stats.BytesIn += uint64(n)
+	q.rx.Arrive(a)
 }
 
 // Push writes sga to the connection straight from the heap: one write for one
@@ -463,17 +476,19 @@ func (q *tcpQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 }
 
 // Push sends one datagram, to the explicit destination if there is one and
-// to the connected peer otherwise.
+// to the connected peer otherwise: one segment straight from the heap,
+// several joined first.
 func (q *udpQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
+	b := sga.Segs[0].Bytes()
+	if len(sga.Segs) > 1 {
+		b = sga.Flatten()
+	}
 	var n int
 	var err error
-	if to != (core.Addr{}) {
-		var uaddr *net.UDPAddr
-		if uaddr, err = net.ResolveUDPAddr("udp", loopback(to)); err == nil {
-			n, err = q.conn.WriteToUDP(sga.Flatten(), uaddr)
-		}
+	if to == (core.Addr{}) {
+		n, err = q.conn.Write(b)
 	} else {
-		n, err = q.conn.Write(sga.Flatten())
+		n, err = q.conn.(*net.UDPConn).WriteToUDPAddrPort(b, loopback(to.Port))
 	}
 	q.lib.sent(op, q.qd, n, err)
 	return nil
@@ -495,26 +510,12 @@ func (s *sockQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	if s.typ != core.SockDgram || to == (core.Addr{}) {
 		return s.Unconnected.Push(op, sga, to)
 	}
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	u, err := s.become(net.ListenUDP("udp", net.UDPAddrFromAddrPort(loopback(0))))
 	if err != nil {
 		op.Fail(s.qd, core.OpPush, err)
 		return nil
 	}
-	return s.become(conn).Push(op, sga, to)
-}
-
-// Pop asks for the next inbound bytes on the connection.
-func (q *tcpQueue) Pop(op *core.Op) error {
-	q.rx.Park(op, q.qd, core.OpPop)
-	q.match()
-	return nil
-}
-
-// Pop asks for the next datagram.
-func (q *udpQueue) Pop(op *core.Op) error {
-	q.rx.Park(op, q.qd, core.OpPop)
-	q.match()
-	return nil
+	return u.Push(op, sga, to)
 }
 
 // --- Storage log over a kernel file ---
@@ -550,19 +551,17 @@ func (q *fileQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 func (q *fileQueue) append(op *core.Op, data []byte) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := q.f.Seek(0, 2); err != nil {
-		op.Fail(q.qd, core.OpPush, err)
-		return
+	_, err := q.f.Seek(0, io.SeekEnd)
+	if err == nil {
+		_, err = q.f.Write(hdr[:])
 	}
-	if _, err := q.f.Write(hdr[:]); err != nil {
-		op.Fail(q.qd, core.OpPush, err)
-		return
+	if err == nil {
+		_, err = q.f.Write(data)
 	}
-	if _, err := q.f.Write(data); err != nil {
-		op.Fail(q.qd, core.OpPush, err)
-		return
+	if err == nil {
+		err = q.f.Sync()
 	}
-	if err := q.f.Sync(); err != nil {
+	if err != nil {
 		op.Fail(q.qd, core.OpPush, err)
 		return
 	}

@@ -60,7 +60,7 @@ func (Unconnected) Pop(*Op) error { return ErrNotBound }
 // Host is the machine a library OS runs on: a clock, a CPU its work is
 // charged to, and a way to wait for the next event. A *sim.Node is one host
 // (virtual time, modelled costs); Catnap's real OS is the other (the wall
-// clock, free charges, a sleep until one of its reader goroutines wakes it).
+// clock, free charges, a sleep in epoll_wait).
 type Host interface {
 	sim.Clock
 	// Charge bills d of CPU work to the host.

@@ -76,6 +76,10 @@ func (r *Rendezvous[T]) Take() (v T, ok bool) {
 // in-memory queue's high-water mark).
 func (r *Rendezvous[T]) Ready() int { return r.ready.Len() }
 
+// Parked returns the number of operations waiting for an arrival (Catnap
+// reads the kernel only for them).
+func (r *Rendezvous[T]) Parked() int { return r.parked.Len() }
+
 // End stops arrivals and completes every parked operation, an opc on
 // descriptor qd, with the verdict err: ErrQueueClosed when the descriptor is
 // released, nil (an empty event) at end of stream, the transport's error

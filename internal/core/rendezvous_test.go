@@ -24,8 +24,8 @@ func TestRendezvousMatchesInOrder(t *testing.T) {
 	a, b := tb.New(), tb.New()
 	r.Park(a, 1, OpPop)
 	r.Park(b, 1, OpPop)
-	if _, _, ok := r.Match(); ok {
-		t.Fatal("matched with no arrival")
+	if _, _, ok := r.Match(); ok || r.Parked() != 2 {
+		t.Fatalf("matched with no arrival; %d operations parked, want 2", r.Parked())
 	}
 	for _, v := range []int{10, 20, 30} {
 		if !r.Arrive(v) {
@@ -38,8 +38,8 @@ func TestRendezvousMatchesInOrder(t *testing.T) {
 			t.Fatalf("match %d = %d, token %d, %v", i, v, op.Token(), ok)
 		}
 	}
-	if _, _, ok := r.Match(); ok || r.Ready() != 1 {
-		t.Fatalf("matched with no parked op; %d arrivals left, want 1", r.Ready())
+	if _, _, ok := r.Match(); ok || r.Ready() != 1 || r.Parked() != 0 {
+		t.Fatalf("matched with no parked op; %d arrivals left, want 1; %d parked, want 0", r.Ready(), r.Parked())
 	}
 	// An arrival its operation could not take goes back to the head.
 	r.Arrive(40)

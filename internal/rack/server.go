@@ -119,7 +119,7 @@ func (s *Server) handle(c *multicore.Core, ev core.QEvent) {
 	}
 	comp := completion{id: id, size: size, from: ev.From, ctx: ev.SGA.TraceCtx()}
 	coreID, node := c.ID, c.Node
-	admitted := s.Disp.Submit(s.w.ClassFor(size), ServiceFor(size), func(_, end sim.Time) {
+	admitted := s.Disp.Submit(node.Now(), s.w.ClassFor(size), ServiceFor(size), func(_, end sim.Time) {
 		s.eng.At(end, node, func() {
 			s.cq[coreID] = append(s.cq[coreID], comp)
 		})

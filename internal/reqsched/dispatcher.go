@@ -80,13 +80,15 @@ func (d *Dispatcher) Dispatched() uint64 { return d.dispatched }
 // MaxLoad returns the highest Load observed across the run.
 func (d *Dispatcher) MaxLoad() int { return d.maxLoad }
 
-// Submit offers one request to the server. It reports false when the queue
+// Submit offers one request to the server at now, the submitter's clock: a
+// rack server core runs ahead of the engine, and service must not start
+// before the request was submitted. It reports false when the queue
 // bound rejects it (the caller owns the overload response — a rack server
 // still answers, with an error, so the client is never left hanging). done,
 // if non-nil, runs as an engine event at completion time with the request's
 // service interval; wire a target node wakeup inside it if a parked core
 // must notice.
-func (d *Dispatcher) Submit(c Class, service time.Duration, done func(start, end sim.Time)) bool {
+func (d *Dispatcher) Submit(now sim.Time, c Class, service time.Duration, done func(start, end sim.Time)) bool {
 	if d.queueCap > 0 && len(d.queue) >= d.queueCap {
 		d.dropped++
 		return false
@@ -95,15 +97,15 @@ func (d *Dispatcher) Submit(c Class, service time.Duration, done func(start, end
 	if l := d.Load(); l > d.maxLoad {
 		d.maxLoad = l
 	}
-	d.dispatch()
+	d.dispatch(now)
 	return true
 }
 
 // dispatch assigns queued requests to idle, admissible workers, preserving
 // FCFS order within each admissible class: a request is skipped only when
 // no idle worker may take it now (long requests must not block shorts bound
-// for reserved cores).
-func (d *Dispatcher) dispatch() {
+// for reserved cores). Service starts from now.
+func (d *Dispatcher) dispatch(now sim.Time) {
 	for i := 0; i < len(d.queue); {
 		r := d.queue[i]
 		assigned := -1
@@ -118,17 +120,17 @@ func (d *Dispatcher) dispatch() {
 			continue
 		}
 		d.queue = append(d.queue[:i], d.queue[i+1:]...)
-		d.startService(r, assigned)
+		d.startService(now, r, assigned)
 	}
 }
 
-// startService runs one request on an idle worker: cross-core handoff,
-// then service, then the completion event.
-func (d *Dispatcher) startService(r pendingReq, wi int) {
+// startService runs one request on an idle worker from now: cross-core
+// handoff, then service, then the completion event.
+func (d *Dispatcher) startService(now sim.Time, r pendingReq, wi int) {
 	d.busy[wi] = true
 	d.inService++
 	d.dispatched++
-	start := d.eng.Now().Add(DispatchCost)
+	start := now.Add(DispatchCost)
 	end := start.Add(r.service)
 	d.eng.At(end, nil, func() {
 		d.busy[wi] = false
@@ -136,6 +138,6 @@ func (d *Dispatcher) startService(r pendingReq, wi int) {
 		if r.done != nil {
 			r.done(start, end)
 		}
-		d.dispatch()
+		d.dispatch(end)
 	})
 }

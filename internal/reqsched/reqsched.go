@@ -134,7 +134,7 @@ func Run(seed uint64, workers int, policy Policy, w Workload, queueCap int) Resu
 				r.Class = Long
 				r.Service = w.LongService
 			}
-			if !d.Submit(r.Class, r.Service, func(_, end sim.Time) {
+			if !d.Submit(eng.Now(), r.Class, r.Service, func(_, end sim.Time) {
 				lat := end.Sub(r.arrived)
 				if r.Class == Short {
 					res.ShortLats = append(res.ShortLats, lat)
