@@ -40,20 +40,20 @@ import (
 const DefaultRingSlots = 64
 
 // Region models one shared-memory segment: the heap buffers travel
-// through, the rendezvous namespace, and the engine that sequences the
-// attached instances. All libOS instances of one host share a Region.
+// through and the rendezvous namespace. All libOS instances of one host
+// share a Region.
 type Region struct {
-	eng       *sim.Engine
 	heap      *memory.Heap
 	slots     int
 	handoff   time.Duration
 	listeners map[uint16]*listener
 }
 
-// NewRegion returns an empty shared-memory region on eng.
+// NewRegion returns an empty shared-memory region. eng is unused: each
+// instance reaches its engine only through its timer. The parameter stays
+// for the callers that pass it.
 func NewRegion(eng *sim.Engine) *Region {
 	return &Region{
-		eng:       eng,
 		heap:      memory.NewHeap(nil),
 		slots:     DefaultRingSlots,
 		handoff:   costmodel.ShmHandoff,
@@ -97,7 +97,10 @@ type Stats struct {
 type LibOS struct {
 	core.FrontEnd
 	region *Region
-	node   *sim.Node
+	// wakeAt wakes this instance at host time t (a nil callback is a pure
+	// wakeup): how a peer's push reaches it, and how a stalled push is
+	// retried.
+	wakeAt func(t sim.Time, fn func())
 	flts   Faults
 	stats  Stats
 
@@ -118,7 +121,7 @@ type LibOS struct {
 func (r *Region) New(node *sim.Node) *LibOS {
 	l := &LibOS{
 		region: r,
-		node:   node,
+		wakeAt: node.WakeAt,
 		tstats: make(map[uint32]*tenantStats),
 	}
 	reg := telemetry.NewRegistry(node.Name() + "/catmem")
@@ -151,8 +154,10 @@ func (l *LibOS) AttachDTrace(h *dtrace.Hop) {
 	l.sitePeerDeath = h.Label("fault:catmem.peer_death")
 }
 
-// Node returns the owning simulated host.
-func (l *LibOS) Node() *sim.Node { return l.node }
+// Node returns the simulated host the instance runs on, for wiring
+// (spawning an application on it), or nil when its host is not a simulated
+// one.
+func (l *LibOS) Node() *sim.Node { n, _ := l.Host().(*sim.Node); return n }
 
 // Stats returns a snapshot of instance counters.
 func (l *LibOS) Stats() Stats { return l.stats }
@@ -214,7 +219,7 @@ func (c *conn) wakePeer() {
 		return
 	}
 	l := c.lib
-	l.region.eng.At(l.node.Now().Add(l.region.handoff), p.lib.node, nil)
+	p.lib.wakeAt(l.Now().Add(l.region.handoff), nil)
 }
 
 // Push hands sga to the peer. Ownership of the segments passes to the
@@ -231,26 +236,26 @@ func (c *conn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 		op.Fail(c.qd, core.OpPush, core.ErrQueueClosed)
 		return nil
 	}
-	if l.flts.PeerDeath.Fire(l.node.Now()) {
-		l.dt.Fault(ctx, l.sitePeerDeath, int64(l.node.Now()))
+	if l.flts.PeerDeath.Fire(l.Now()) {
+		l.dt.Fault(ctx, l.sitePeerDeath, int64(l.Now()))
 		c.killPair()
 		sga.Free()
 		op.Fail(c.qd, core.OpPush, core.ErrQueueClosed)
 		return nil
 	}
-	l.node.Charge(costmodel.ShmRingOp)
-	if l.flts.RingFull.Active(l.node.Now()) || !c.tx.tryPush(sga) {
-		if l.flts.RingFull.Active(l.node.Now()) {
-			l.dt.Fault(ctx, l.siteRingFull, int64(l.node.Now()))
+	l.Charge(costmodel.ShmRingOp)
+	if l.flts.RingFull.Active(l.Now()) || !c.tx.tryPush(sga) {
+		if l.flts.RingFull.Active(l.Now()) {
+			l.dt.Fault(ctx, l.siteRingFull, int64(l.Now()))
 		}
 		l.stats.Stalls++
-		c.pushes.Push(pendingPush{op: op, sga: sga, parkedAt: l.node.Now()})
+		c.pushes.Push(pendingPush{op: op, sga: sga, parkedAt: l.Now()})
 		l.armStallRetry()
 		return nil
 	}
 	l.stats.Pushes++
 	l.bumpPush(c.tenant)
-	l.dt.RingPush(ctx, int64(l.node.Now()))
+	l.dt.RingPush(ctx, int64(l.Now()))
 	op.Complete(core.QEvent{QD: c.qd, Op: core.OpPush})
 	c.wakePeer()
 	return nil
@@ -260,11 +265,11 @@ func (c *conn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 // parks it.
 func (c *conn) Pop(op *core.Op) error {
 	l := c.lib
-	l.node.Charge(costmodel.ShmRingOp)
+	l.Charge(costmodel.ShmRingOp)
 	if sga, ok := c.rx.tryPop(); ok {
 		l.stats.Pops++
 		l.bumpPop(c.tenant)
-		l.dt.RingPop(sga.TraceCtx(), int64(l.node.Now()))
+		l.dt.RingPop(sga.TraceCtx(), int64(l.Now()))
 		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop, SGA: sga})
 		c.wakePeer() // freed a slot: peer may have parked pushes
 		return nil
@@ -293,10 +298,10 @@ func (c *conn) step() bool {
 			break
 		}
 		op := c.pops.Pop()
-		l.node.Charge(costmodel.ShmRingOp)
+		l.Charge(costmodel.ShmRingOp)
 		l.stats.Pops++
 		l.bumpPop(c.tenant)
-		l.dt.RingPop(sga.TraceCtx(), int64(l.node.Now()))
+		l.dt.RingPop(sga.TraceCtx(), int64(l.Now()))
 		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop, SGA: sga})
 		c.wakePeer()
 		progress = true
@@ -316,16 +321,16 @@ func (c *conn) step() bool {
 		case c.dead || c.closed || c.peerClosed:
 			c.failParkedPushes()
 			progress = true
-		case l.flts.RingFull.Active(l.node.Now()):
+		case l.flts.RingFull.Active(l.Now()):
 			l.armStallRetry() // still stalled: retry when the window ends
 		default:
 			for c.pushes.Len() > 0 && c.tx.tryPush(c.pushes.Front().sga) {
 				p := c.pushes.Pop()
-				l.node.Charge(costmodel.ShmRingOp)
+				l.Charge(costmodel.ShmRingOp)
 				l.stats.Pushes++
 				l.bumpPush(c.tenant)
-				l.dt.RingPush(p.sga.TraceCtx(), int64(l.node.Now()))
-				l.stallHist.Observe(int64(l.node.Now().Sub(p.parkedAt)))
+				l.dt.RingPush(p.sga.TraceCtx(), int64(l.Now()))
+				l.stallHist.Observe(int64(l.Now().Sub(p.parkedAt)))
 				p.op.Complete(core.QEvent{QD: c.qd, Op: core.OpPush})
 				c.wakePeer()
 				progress = true
@@ -408,7 +413,7 @@ func (c *conn) finished() bool {
 // after a RingFull window even if no peer activity wakes the node. One
 // wakeup is kept in flight at a time.
 func (l *LibOS) armStallRetry() {
-	now := l.node.Now()
+	now := l.Now()
 	if l.stallWakeAt > now {
 		return
 	}
@@ -417,7 +422,7 @@ func (l *LibOS) armStallRetry() {
 		d = l.region.handoff
 	}
 	l.stallWakeAt = now.Add(d)
-	l.region.eng.At(l.stallWakeAt, l.node, nil)
+	l.wakeAt(l.stallWakeAt, nil)
 }
 
 // --- core.Stack and the rendezvous control path ---
@@ -425,7 +430,7 @@ func (l *LibOS) armStallRetry() {
 // Poll delivers rendezvous completions and ring progress for one quantum,
 // which it charges itself.
 func (l *LibOS) Poll() bool {
-	l.node.Charge(costmodel.SchedQuantum)
+	l.Charge(costmodel.SchedQuantum)
 	for _, ln := range l.listens {
 		if ln.match() {
 			return true

@@ -112,9 +112,8 @@ func newCounters(reg *telemetry.Registry) counters {
 // LibOS is a Catmint instance for one node + RDMA NIC.
 type LibOS struct {
 	core.FrontEnd
-	node *sim.Node
-	nic  *rdmadev.NIC
-	cfg  Config
+	nic *rdmadev.NIC
+	cfg Config
 
 	cmListener *rdmadev.Listener
 	book       *AddrBook
@@ -131,7 +130,6 @@ func New(node *sim.Node, nic *rdmadev.NIC, cfg Config) *LibOS {
 		cfg.Book = NewAddrBook()
 	}
 	l := &LibOS{
-		node:      node,
 		nic:       nic,
 		cfg:       cfg,
 		book:      cfg.Book,
@@ -153,8 +151,9 @@ func New(node *sim.Node, nic *rdmadev.NIC, cfg Config) *LibOS {
 	return l
 }
 
-// Node returns the owning node.
-func (l *LibOS) Node() *sim.Node { return l.node }
+// Node returns the simulated host the libOS runs on, for wiring (spawning
+// an application on it), or nil when its host is not a simulated one.
+func (l *LibOS) Node() *sim.Node { n, _ := l.Host().(*sim.Node); return n }
 
 // MAC returns the NIC address (Catmint endpoints are addressed by MAC).
 func (l *LibOS) MAC() simnet.MAC { return l.nic.MAC() }
@@ -261,7 +260,7 @@ func (l *LibOS) Poll() bool {
 	}
 	cqes := l.nic.PollCQ(32)
 	for _, cqe := range cqes {
-		l.node.Charge(l.cfg.PollCQECost)
+		l.Charge(l.cfg.PollCQECost)
 		l.handleCQE(cqe)
 		progress = true
 	}
@@ -273,7 +272,7 @@ func (l *LibOS) Poll() bool {
 		}
 	}
 	if !progress {
-		l.node.Charge(costmodel.PollEmpty)
+		l.Charge(costmodel.PollEmpty)
 	}
 	return progress
 }
@@ -299,7 +298,7 @@ func (l *LibOS) setupLink(qp *rdmadev.QP) *peerLink {
 	pl.flowH = l.Sched().Spawn(sched.Background, sched.Func(pl.pollFlow))
 	// HELLO does not consume credits (control bootstrap).
 	hdr := buildHeader(msgHello, pl.grantRkey, uint32(pl.granted))
-	l.node.Charge(l.cfg.PostSendCost)
+	l.Charge(l.cfg.PostSendCost)
 	if err := qp.PostSend(nil, hdr[:]); err != nil {
 		pl.fail(err)
 	}
@@ -379,7 +378,7 @@ func (pl *peerLink) pollFlow(ctx *sched.Context) sched.Poll {
 	if pl.ready {
 		var g [8]byte
 		binary.LittleEndian.PutUint64(g[:], pl.granted)
-		l.node.Charge(l.cfg.PostSendCost)
+		l.Charge(l.cfg.PostSendCost)
 		if err := pl.qp.PostWrite(pl.peerRkey, 0, g[:]); err != nil {
 			pl.fail(err)
 			return sched.Done
@@ -413,12 +412,12 @@ func (pl *peerLink) drainPending() {
 				b.Rkey() // get_rkey: lazy registration on first I/O
 				l.stats.zeroCopyTx.Inc()
 			} else {
-				l.node.Charge(costmodel.Memcpy(b.Len()))
+				l.Charge(costmodel.Memcpy(b.Len()))
 				l.stats.copiedTx.Inc()
 			}
 			segs = append(segs, b.Bytes())
 		}
-		l.node.Charge(l.cfg.PostSendCost)
+		l.Charge(l.cfg.PostSendCost)
 		if err := pl.qp.PostSend(ps, segs...); err != nil {
 			for _, b := range ps.sga.Segs {
 				b.IOUnref()
@@ -537,7 +536,7 @@ func (l *LibOS) handleMessage(pl *peerLink, buf *memory.Buf, length int) {
 		// This copy is charged: it is Catmint's per-byte receive cost, and
 		// it reproduces the paper's observed throughput gap between
 		// Catmint and raw perftest at large messages (Figure 8).
-		l.node.Charge(costmodel.Memcpy(length - msgHeaderLen))
+		l.Charge(costmodel.Memcpy(length - msgHeaderLen))
 		payload := memory.CopyFrom(l.Heap(), data[msgHeaderLen:])
 		buf.IOUnref()
 		buf.Free()
@@ -575,7 +574,7 @@ func (l *LibOS) linkTo(remote simnet.MAC) (*peerLink, error) {
 			return nil, core.ErrConnRefused
 		}
 		if !l.Step() {
-			if !l.node.Park(sim.Infinity) {
+			if !l.Block(sim.Infinity) {
 				return nil, core.ErrStopped
 			}
 		}

@@ -348,7 +348,7 @@ func TestPoppedSlotsHoldNothing(t *testing.T) {
 		for _, l := range []*LibOS{la, lb} {
 			for _, c := range l.conns {
 				if n := vacated(&c.sendQ) + vacated(&c.retransQ) + vacated(&c.pushOps) + vacated(&c.recvQ) + vacated(&c.pops); n != 0 {
-					t.Errorf("%s: %d vacated queue slots still hold what was popped from them", l.node.Name(), n)
+					t.Errorf("%s: %d vacated queue slots still hold what was popped from them", l.Node().Name(), n)
 				}
 				sent += len(c.sendQ.buf) + len(c.retransQ.buf) + len(c.pushOps.buf)
 				received += len(c.recvQ.buf) + len(c.pops.buf)

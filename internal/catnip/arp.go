@@ -74,7 +74,7 @@ func (a *arpCache) negative(ip wire.IPAddr) bool {
 	if !ok {
 		return false
 	}
-	if a.lib.node.Now() >= exp {
+	if a.lib.Now() >= exp {
 		delete(a.neg, ip)
 		return false
 	}
@@ -159,7 +159,7 @@ func (a *arpCache) spawnRetrier(ip wire.IPAddr) {
 		}
 		if p.retries >= maxRetries {
 			delete(a.pending, ip)
-			a.neg[ip] = a.lib.node.Now().Add(negCacheTTL)
+			a.neg[ip] = a.lib.Now().Add(negCacheTTL)
 			a.lib.stats.ARPGiveUps++
 			for _, s := range p.sends {
 				s.done(core.ErrHostUnreachable)
@@ -171,7 +171,7 @@ func (a *arpCache) spawnRetrier(ip wire.IPAddr) {
 		}
 		p.retries++
 		a.request(ip)
-		a.lib.timerWake(a.lib.node.Now().Add(interval), wake)
+		a.lib.wakeAt(a.lib.Now().Add(interval), wake)
 		return sched.Pending
 	}))
 }

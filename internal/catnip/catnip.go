@@ -127,10 +127,15 @@ type Stats struct {
 // LibOS is the Catnip library OS instance for one node + device queue.
 type LibOS struct {
 	core.FrontEnd
-	node *sim.Node
 	port Device
 	cfg  Config
 	rng  *sim.Rand
+	// wakeAt runs a callback, which wakes a coroutine, at host time t.
+	// Spurious wakes are fine; coroutines recheck their deadlines. The timer
+	// is never cancelled, so it keeps the callback, and what it captures,
+	// reachable until t: callers build one wake per coroutine and pass it to
+	// every arm, not a closure per arm.
+	wakeAt func(t sim.Time, wake func())
 	// recvBufSize is the TCP receive buffer: tcpRecvBuf, which tests lower.
 	recvBufSize int
 
@@ -184,12 +189,18 @@ func New(node *sim.Node, port *dpdkdev.Port, cfg Config) *LibOS {
 // particular one dpdkdev.Queue of an RSS multi-queue port, giving a
 // shared-nothing per-core stack (internal/multicore).
 func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
+	return newLibOS(node, node.WakeAt, node.Engine().Rand().Fork(), node.Name(), dev, cfg)
+}
+
+// newLibOS builds the stack on host: wakeAt is its timer, rng its own
+// random stream, name its registry's prefix.
+func newLibOS(host core.Host, wakeAt func(sim.Time, func()), rng *sim.Rand, name string, dev Device, cfg Config) *LibOS {
 	l := &LibOS{
-		node:          node,
 		port:          dev,
 		mac:           dev.MAC(),
 		cfg:           cfg,
-		rng:           node.Engine().Rand().Fork(),
+		rng:           rng,
+		wakeAt:        wakeAt,
 		recvBufSize:   tcpRecvBuf,
 		udpPorts:      make(map[uint16]*udpSocket),
 		listeners:     make(map[uint16]*tcpListener),
@@ -197,7 +208,7 @@ func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
 		nextEphemeral: 32768,
 	}
 	l.arp = newARPCache(l)
-	l.initTelemetry()
+	l.initTelemetry(host, name)
 	return l
 }
 
@@ -206,11 +217,11 @@ func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
 // stack, scheduler and allocator counters as sampled gauges (pull model —
 // zero hot-path cost). The flight recorder and core id are attached later
 // by whoever owns the run (bench harness, multicore group).
-func (l *LibOS) initTelemetry() {
-	reg := telemetry.NewRegistry(l.node.Name() + "/catnip")
+func (l *LibOS) initTelemetry(host core.Host, name string) {
+	reg := telemetry.NewRegistry(name + "/catnip")
 	l.telCwnd = reg.Histogram("catnip.tcp.cwnd_bytes")
 	l.telOOO = reg.Histogram("catnip.tcp.ooo_depth")
-	l.FrontEnd.Init(l, l.node, memory.NewHeap(nil), reg, 0)
+	l.FrontEnd.Init(l, host, memory.NewHeap(nil), reg, 0)
 
 	s := &l.stats
 	reg.Sample("catnip.rx_frames", func() int64 { return int64(s.RxFrames) })
@@ -265,8 +276,9 @@ func (l *LibOS) AttachDTrace(h *dtrace.Hop) {
 // reply frames; a nil probe (the default) keeps frames trailer-free.
 func (l *LibOS) SetLoadProbe(p LoadProbe) { l.loadProbe = p }
 
-// Node returns the owning simulated host.
-func (l *LibOS) Node() *sim.Node { return l.node }
+// Node returns the simulated host the stack runs on, for wiring (spawning
+// an application on it), or nil when its host is not a simulated one.
+func (l *LibOS) Node() *sim.Node { n, _ := l.Host().(*sim.Node); return n }
 
 // IP returns the interface address.
 func (l *LibOS) IP() wire.IPAddr { return l.cfg.IP }
@@ -284,7 +296,7 @@ func (l *LibOS) Addr(port uint16) core.Addr { return core.Addr{IP: l.cfg.IP, Por
 func (l *LibOS) Poll() bool {
 	mbufs := l.port.RxBurst(32)
 	if len(mbufs) == 0 {
-		l.node.Charge(costmodel.PollEmpty)
+		l.Charge(costmodel.PollEmpty)
 		return false
 	}
 	for _, m := range mbufs {
@@ -298,7 +310,7 @@ func (l *LibOS) Poll() bool {
 func (l *LibOS) handleFrame(data []byte) {
 	l.stats.RxFrames++
 	if l.cfg.Tracer != nil {
-		l.cfg.Tracer.RecordFrame('R', l.node.Now(), data)
+		l.cfg.Tracer.RecordFrame('R', l.Now(), data)
 	}
 	eth, payload, err := wire.ParseEth(data)
 	if err != nil {
@@ -307,7 +319,7 @@ func (l *LibOS) handleFrame(data []byte) {
 	switch eth.EtherType {
 	case wire.EtherTypeARP:
 		l.stats.RxARP++
-		l.node.Charge(costmodel.ARPProcess)
+		l.Charge(costmodel.ARPProcess)
 		l.arp.handle(payload)
 	case wire.EtherTypeIPv4:
 		l.handleIPv4(eth, payload)
@@ -333,18 +345,18 @@ func (l *LibOS) handleIPv4(eth wire.EthHeader, payload []byte) {
 	if l.dt != nil && len(payload) >= int(ip.TotalLen)+wire.TraceTrailerLen {
 		if ctx := wire.ParseTraceTrailer(payload[ip.TotalLen:]); ctx != 0 {
 			l.rxCtx = ctx
-			l.dt.WireRx(ctx, int64(l.node.Now()))
+			l.dt.WireRx(ctx, int64(l.Now()))
 			defer func() { l.rxCtx = 0 }()
 		}
 	}
 	switch ip.Proto {
 	case wire.ProtoUDP:
 		l.stats.RxUDP++
-		l.node.Charge(l.cfg.UDPIngressCost)
+		l.Charge(l.cfg.UDPIngressCost)
 		l.handleUDP(ip, body)
 	case wire.ProtoTCP:
 		l.stats.RxTCP++
-		l.node.Charge(l.cfg.TCPIngressCost)
+		l.Charge(l.cfg.TCPIngressCost)
 		l.handleTCP(eth, ip, body)
 	}
 }
@@ -388,7 +400,7 @@ func (l *LibOS) sendIPv4(dstMAC simnet.MAC, dstIP wire.IPAddr, proto uint8, tran
 	n += copy(frame[n:], payload)
 	if ctx != 0 {
 		wire.PutTraceTrailer(frame[n:], ctx)
-		l.dt.WireTx(ctx, int64(l.node.Now()))
+		l.dt.WireTx(ctx, int64(l.Now()))
 		n += wire.TraceTrailerLen
 	}
 	if l.loadProbe != nil {
@@ -415,22 +427,11 @@ func (l *LibOS) sendTCP(dstMAC simnet.MAC, dstIP wire.IPAddr, h *wire.TCPHeader,
 //demi:nonalloc
 func (l *LibOS) txFrame(frame []byte) {
 	if l.cfg.Tracer != nil {
-		l.cfg.Tracer.RecordFrame('T', l.node.Now(), frame)
+		l.cfg.Tracer.RecordFrame('T', l.Now(), frame)
 	}
 	l.txBurst[0] = frame
 	l.port.TxBurst(l.txBurst[:])
 	l.stats.TxFrames++
-}
-
-// timerWake arranges for wake, which wakes a coroutine, to run at virtual
-// time t. Spurious wakes are fine; coroutines recheck their deadlines. The
-// timer is never cancelled, so it keeps wake — and what wake captures —
-// reachable until t: callers build one wake per coroutine and pass it to
-// every arm, not a closure per arm.
-//
-//demi:nonalloc
-func (l *LibOS) timerWake(t sim.Time, wake func()) {
-	l.node.Engine().At(t, l.node, wake)
 }
 
 // allocEphemeral returns an unused local port, or ErrAddrNotAvail when the

@@ -63,7 +63,7 @@ func newTCPConn(l *LibOS, qd core.QDesc, tuple fourTuple, tenant uint32, tidx ui
 
 // nowTS returns the RFC 7323 timestamp value: microseconds of virtual time.
 func (c *tcpConn) nowTS() uint32 {
-	return uint32(time.Duration(c.lib.node.Now()) / time.Microsecond)
+	return uint32(time.Duration(c.lib.Now()) / time.Microsecond)
 }
 
 // advertisedWnd returns our receive window in bytes.
@@ -265,7 +265,7 @@ func (c *tcpConn) armPersist() {
 	if d < 5*time.Millisecond {
 		d = 5 * time.Millisecond
 	}
-	c.persistDeadline = c.lib.node.Now().Add(d)
+	c.persistDeadline = c.lib.Now().Add(d)
 	c.persistArmed = true
 	c.wakeAt(c.persistDeadline, &c.retransWake, &c.retransH)
 }
@@ -315,7 +315,7 @@ func (c *tcpConn) trySend() {
 		it.buf.IORef() // segment's reference, held until acked
 		seg := segment{seq: c.sndNxt, length: n, buf: it.buf, off: it.off}
 		if !it.buf.ZeroCopyEligible() || c.lib.cfg.ForceCopy {
-			c.lib.node.Charge(costmodel.Memcpy(n))
+			c.lib.Charge(costmodel.Memcpy(n))
 			c.lib.stats.CopiedTx++
 		} else {
 			c.lib.stats.ZeroCopyTx++
@@ -391,9 +391,9 @@ func (c *tcpConn) transmit(seg *segment) {
 		payload = seg.buf.Bytes()[seg.off : seg.off+seg.length]
 		ctx = seg.buf.TraceCtx() // the pushed buffer's trace context rides the segment
 	}
-	c.lib.node.Charge(c.lib.cfg.TCPEgressCost)
+	c.lib.Charge(c.lib.cfg.TCPEgressCost)
 	c.lib.sendTCP(c.remoteMAC, c.tuple.remoteIP, &h, payload, ctx)
-	seg.sentAt = c.lib.node.Now()
+	seg.sentAt = c.lib.Now()
 	c.ackPending = false // data segments carry the ack
 	c.segsSinceAck = 0
 	c.ackArmed = false
@@ -414,7 +414,7 @@ func (c *tcpConn) sendPureAck() {
 		Window:  c.wireWindow(false),
 		Opt:     wire.TCPOptions{HasTimestamp: true, TSVal: c.nowTS(), TSEcr: c.tsRecent},
 	}
-	c.lib.node.Charge(c.lib.cfg.TCPEgressCost)
+	c.lib.Charge(c.lib.cfg.TCPEgressCost)
 	c.lib.sendTCP(c.remoteMAC, c.tuple.remoteIP, &h, nil, 0)
 	c.lib.stats.PureAcks++
 	c.ackPending = false
@@ -429,7 +429,7 @@ func (c *tcpConn) armRTO() {
 		c.rtoArmed = false
 		return
 	}
-	c.rtoDeadline = c.lib.node.Now().Add(c.rto.value())
+	c.rtoDeadline = c.lib.Now().Add(c.rto.value())
 	if !c.rtoArmed {
 		c.rtoArmed = true
 	}
@@ -447,7 +447,7 @@ func (c *tcpConn) wakeAt(t sim.Time, wake *func(), h *sched.Handle) {
 	if *wake == nil {
 		*wake = func() { h.Wake() }
 	}
-	c.lib.timerWake(t, *wake)
+	c.lib.wakeAt(t, *wake)
 }
 
 // fastRetransmit resends the oldest unacked segment after three duplicate

@@ -196,7 +196,7 @@ func (c *tcpConn) processAck(h wire.TCPHeader, payloadLen int) {
 				c.cc.exitRecovery()
 			}
 		} else {
-			c.cc.onAck(int(acked), c.lib.node.Now())
+			c.cc.onAck(int(acked), c.lib.Now())
 		}
 		c.lib.telCwnd.Observe(int64(c.cc.window()))
 		c.armRTO()
@@ -371,7 +371,7 @@ func (c *tcpConn) advanceCloseStates() {
 // enterTimeWait starts the 2*MSL quiet period.
 func (c *tcpConn) enterTimeWait() {
 	c.state = stateTimeWait
-	c.timeWaitUntil = c.lib.node.Now().Add(2 * tcpMSL)
+	c.timeWaitUntil = c.lib.Now().Add(2 * tcpMSL)
 	c.wakeAt(c.timeWaitUntil, &c.closerWake, &c.closerH)
 	c.closerH.Wake()
 }
@@ -455,7 +455,7 @@ func (c *tcpConn) pollRetransmit(ctx *sched.Context) sched.Poll {
 	if c.state == stateClosed {
 		return sched.Done
 	}
-	now := c.lib.node.Now()
+	now := c.lib.Now()
 	// Persist timer: probe a zero window when nothing is in flight.
 	if c.retransQ.len() == 0 {
 		if c.persistArmed && c.sendQ.len() > 0 && c.usableWindow() <= 0 {
@@ -508,7 +508,7 @@ func (c *tcpConn) pollAck(ctx *sched.Context) sched.Poll {
 		return sched.Pending
 	}
 	d := c.lib.cfg.DelayedAck
-	now := c.lib.node.Now()
+	now := c.lib.Now()
 	if d > 0 && c.segsSinceAck < 2 && c.state == stateEstablished {
 		if !c.ackArmed {
 			c.ackArmed = true
@@ -531,7 +531,7 @@ func (c *tcpConn) pollCloser(ctx *sched.Context) sched.Poll {
 	case stateClosed:
 		return sched.Done
 	case stateTimeWait:
-		now := c.lib.node.Now()
+		now := c.lib.Now()
 		if now >= c.timeWaitUntil {
 			c.teardown(nil)
 			return sched.Done

@@ -93,14 +93,14 @@ func (s *udpSocket) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 		op.Fail(s.qd, core.OpPush, err)
 		return nil
 	}
-	s.lib.node.Charge(s.lib.cfg.UDPEgressCost)
+	s.lib.Charge(s.lib.cfg.UDPEgressCost)
 	// Gather segments. Zero-copy eligible buffers are "DMA-gathered" (no
 	// CPU charge); small ones are copied (charged), mirroring the 1 KiB
 	// zero-copy policy.
 	payload := s.lib.udpPayload[:0]
 	for _, b := range sga.Segs {
 		if !b.ZeroCopyEligible() || s.lib.cfg.ForceCopy {
-			s.lib.node.Charge(costmodel.Memcpy(b.Len()))
+			s.lib.Charge(costmodel.Memcpy(b.Len()))
 			s.lib.stats.CopiedTx++
 		} else {
 			s.lib.stats.ZeroCopyTx++

@@ -12,13 +12,14 @@
 // partition zero records name-to-partition assignments so Mount recovers
 // everything after a crash.
 //
-// Records are self-describing — [magic, length, payload] padded to the
-// block size — so Mount can recover each log tail by scanning forward,
-// which the Redis AOF recovery path uses.
+// Records are self-describing — [magic, generation, length, checksum,
+// payload] padded to the block size — so Mount can recover each log tail by
+// scanning forward, which the Redis AOF recovery path uses.
 package cattree
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"sort"
 
 	"demikernel/internal/core"
@@ -32,11 +33,16 @@ import (
 // recordMagic marks a valid log record header.
 const recordMagic uint32 = 0xCA77EE00
 
-// recordHeaderLen is magic(4) + generation(4) + length(4). The generation
-// is the log's truncation epoch: records from before a truncate keep their
-// old generation, so recovery scans stop at them even though their magic
-// is intact.
-const recordHeaderLen = 12
+// recordHeaderLen is magic(4) + generation(4) + length(4) + checksum(4).
+// The generation is the log's truncation epoch: records from before a
+// truncate keep their old generation, so recovery scans stop at them even
+// though their magic is intact. The checksum is a CRC-32C over the first
+// twelve header bytes and the payload: a torn append whose first block
+// persisted has an intact magic, and fails it.
+const recordHeaderLen = 16
+
+// castagnoli is the CRC-32C table of record checksums.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Stats counts libOS activity. It is a snapshot view: the live counters are
 // registry-backed (Telemetry()), and Stats() rebuilds this struct from them
@@ -85,8 +91,7 @@ type partition struct {
 // LibOS is a Cattree instance for one node + NVMe device.
 type LibOS struct {
 	core.FrontEnd
-	node *sim.Node
-	dev  *spdkdev.Device
+	dev *spdkdev.Device
 
 	parts   map[string]*partition
 	nParts  int
@@ -99,7 +104,6 @@ type LibOS struct {
 // Mount from application context to recover existing logs.
 func New(node *sim.Node, dev *spdkdev.Device) *LibOS {
 	l := &LibOS{
-		node:  node,
 		dev:   dev,
 		parts: make(map[string]*partition),
 	}
@@ -148,18 +152,36 @@ func (l *LibOS) appendDirRecord(idx int, gen uint32, name string) {
 	binary.BigEndian.PutUint32(payload[1:5], gen)
 	copy(payload[5:], name)
 	var hdr [recordHeaderLen]byte
-	putHeader(&hdr, 0, len(payload))
+	putHeader(&hdr, 0, [][]byte{payload})
 	lba := l.dirTail
 	l.dirTail += int64(blocksFor(len(payload)))
 	l.dev.SubmitWrite(lba, [][]byte{hdr[:], payload, padding(len(payload))}, nil)
 }
 
-// putHeader writes a record header: the magic, the log's generation stamp
-// and the payload length.
-func putHeader(hdr *[recordHeaderLen]byte, gen uint32, n int) {
+// putHeader writes the header of a record whose payload is the pieces laid
+// end to end: the magic, the log's generation stamp, the payload length and
+// the checksum.
+func putHeader(hdr *[recordHeaderLen]byte, gen uint32, payload [][]byte) {
+	n := 0
+	for _, p := range payload {
+		n += len(p)
+	}
 	binary.BigEndian.PutUint32(hdr[0:4], recordMagic)
 	binary.BigEndian.PutUint32(hdr[4:8], gen)
 	binary.BigEndian.PutUint32(hdr[8:12], uint32(n))
+	sum := crc32.Update(0, castagnoli, hdr[:12])
+	for _, p := range payload {
+		sum = crc32.Update(sum, castagnoli, p)
+	}
+	binary.BigEndian.PutUint32(hdr[12:16], sum)
+}
+
+// recordPayload returns the payload of the whole record data starts with,
+// and whether its checksum holds.
+func recordPayload(data []byte) ([]byte, bool) {
+	payload := data[recordHeaderLen : recordHeaderLen+binary.BigEndian.Uint32(data[8:12])]
+	sum := crc32.Update(crc32.Update(0, castagnoli, data[:12]), castagnoli, payload)
+	return payload, sum == binary.BigEndian.Uint32(data[12:16])
 }
 
 // zeroBlock is what pads every record to a block boundary. The device only
@@ -172,8 +194,9 @@ func padding(n int) []byte {
 	return zeroBlock[:blocksFor(n)*spdkdev.BlockSize-recordHeaderLen-n]
 }
 
-// Node returns the owning node.
-func (l *LibOS) Node() *sim.Node { return l.node }
+// Node returns the simulated host the libOS runs on, for wiring (spawning
+// an application on it), or nil when its host is not a simulated one.
+func (l *LibOS) Node() *sim.Node { n, _ := l.Host().(*sim.Node); return n }
 
 // Stats returns a snapshot.
 func (l *LibOS) Stats() Stats {
@@ -206,11 +229,11 @@ func (l *LibOS) Logs() int { return l.nParts }
 func (l *LibOS) Poll() bool {
 	comps := l.dev.PollCompletions(32)
 	if len(comps) == 0 {
-		l.node.Charge(costmodel.PollEmpty)
+		l.Charge(costmodel.PollEmpty)
 		return false
 	}
 	for _, c := range comps {
-		l.node.Charge(costmodel.SPDKComplete)
+		l.Charge(costmodel.SPDKComplete)
 		switch ck := c.Cookie.(type) {
 		case *appendRec:
 			ck.done(c)
@@ -282,7 +305,7 @@ func (lq *logQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	}
 	l := lq.lib
 	n := sga.TotalLen()
-	l.node.Charge(costmodel.SPDKSubmit)
+	l.Charge(costmodel.SPDKSubmit)
 	nBlocks := int64(blocksFor(n))
 	if lq.part.tail+nBlocks > lq.part.size {
 		op.Fail(lq.qd, core.OpPush, core.ErrQueueClosed) // partition full
@@ -292,13 +315,13 @@ func (lq *logQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	lq.part.tail += nBlocks
 	r := l.newRec()
 	r.qd, r.op, r.n = lq.qd, op, n
-	putHeader(&r.hdr, lq.part.gen, n)
 	r.gather = append(r.gather, r.hdr[:])
 	for _, b := range sga.Segs {
 		b.IORef()
 		r.segs = append(r.segs, b)
 		r.gather = append(r.gather, b.Bytes())
 	}
+	putHeader(&r.hdr, lq.part.gen, r.gather[1:])
 	r.gather = append(r.gather, padding(n))
 	if err := l.dev.SubmitWrite(lba, r.gather, r); err != nil {
 		r.done(spdkdev.Completion{Op: spdkdev.OpWrite, Err: err})
@@ -347,7 +370,7 @@ func (lq *logQueue) Pop(op *core.Op) error {
 		op.Complete(core.QEvent{QD: qd, Op: core.OpPop}) // EOF
 		return nil
 	}
-	l.node.Charge(costmodel.SPDKSubmit)
+	l.Charge(costmodel.SPDKSubmit)
 	// Read one block to learn the record length, then the rest if needed.
 	rel := lq.curBlock
 	lba := lq.part.base + rel
@@ -362,22 +385,18 @@ func (lq *logQueue) Pop(op *core.Op) error {
 			op.Fail(qd, core.OpPop, core.ErrQueueClosed)
 			return
 		}
-		length := int(binary.BigEndian.Uint32(c.Data[8:12]))
-		nBlocks := blocksFor(length)
-		lq.curBlock = rel + int64(nBlocks)
+		nBlocks := blocksFor(int(binary.BigEndian.Uint32(c.Data[8:12])))
 		if nBlocks == 1 {
-			l.finishRead(op, qd, c.Data[recordHeaderLen:recordHeaderLen+length])
+			lq.finishPop(op, rel, c.Data)
 			return
 		}
 		// Multi-block record: read the remainder.
-		rest := nBlocks - 1
-		l.dev.SubmitRead(lba+1, rest, func(c2 spdkdev.Completion) {
+		l.dev.SubmitRead(lba+1, nBlocks-1, func(c2 spdkdev.Completion) {
 			if c2.Err != nil {
 				op.Fail(qd, core.OpPop, c2.Err)
 				return
 			}
-			full := append(append([]byte{}, c.Data[recordHeaderLen:]...), c2.Data...)
-			l.finishRead(op, qd, full[:length])
+			lq.finishPop(op, rel, append(append([]byte{}, c.Data...), c2.Data...))
 		})
 	})
 	if err != nil {
@@ -386,11 +405,19 @@ func (lq *logQueue) Pop(op *core.Op) error {
 	return nil
 }
 
-// finishRead completes a pop with the record payload.
-func (l *LibOS) finishRead(op *core.Op, qd core.QDesc, payload []byte) {
-	l.stats.reads.Inc()
-	buf := memory.CopyFrom(l.Heap(), payload)
-	op.Complete(core.QEvent{QD: qd, Op: core.OpPop, SGA: core.SGA(buf)})
+// finishPop completes a pop with the payload of the record data holds,
+// which starts at block rel of the log, and moves the cursor past it. A
+// record whose checksum fails, a torn append, fails the pop as a hole does.
+func (lq *logQueue) finishPop(op *core.Op, rel int64, data []byte) {
+	payload, ok := recordPayload(data)
+	if !ok {
+		op.Fail(lq.qd, core.OpPop, core.ErrQueueClosed)
+		return
+	}
+	lq.curBlock = rel + int64(blocksFor(len(payload)))
+	lq.lib.stats.reads.Inc()
+	buf := memory.CopyFrom(lq.lib.Heap(), payload)
+	op.Complete(core.QEvent{QD: lq.qd, Op: core.OpPop, SGA: core.SGA(buf)})
 }
 
 // Seek moves the queue's read cursor to the given block offset within its
@@ -446,7 +473,7 @@ func (l *LibOS) readSync(lba int64, n int) (data []byte, ok bool, err error) {
 		return nil, false, nil
 	}
 	for !done {
-		if !l.Step() && !l.node.Park(sim.Infinity) {
+		if !l.Step() && !l.Block(sim.Infinity) {
 			return nil, false, core.ErrStopped
 		}
 	}
@@ -454,16 +481,15 @@ func (l *LibOS) readSync(lba int64, n int) (data []byte, ok bool, err error) {
 }
 
 // readRecordSync synchronously reads the record header at lba, returning
-// its payload and total blocks (ok=false at a log end or generation
-// mismatch; recovery treats an unreadable block as log end). Control path
-// only.
+// its payload and total blocks (ok=false at a log end, a generation
+// mismatch or a failed checksum; recovery treats an unreadable block as log
+// end). Control path only.
 func (l *LibOS) readRecordSync(lba int64, wantGen uint32) (payload []byte, blocks int64, ok bool, err error) {
 	data, ok, err := l.readSync(lba, 1)
 	if !ok || binary.BigEndian.Uint32(data[0:4]) != recordMagic || binary.BigEndian.Uint32(data[4:8]) != wantGen {
 		return nil, 0, false, err
 	}
-	length := int(binary.BigEndian.Uint32(data[8:12]))
-	blocks = int64(blocksFor(length))
+	blocks = int64(blocksFor(int(binary.BigEndian.Uint32(data[8:12]))))
 	if blocks > 1 {
 		rest, ok, err := l.readSync(lba+1, int(blocks-1))
 		if !ok {
@@ -471,7 +497,8 @@ func (l *LibOS) readRecordSync(lba int64, wantGen uint32) (payload []byte, block
 		}
 		data = append(data, rest...)
 	}
-	return data[recordHeaderLen : recordHeaderLen+length], blocks, true, nil
+	payload, ok = recordPayload(data)
+	return payload, blocks, ok, nil
 }
 
 // Mount recovers the directory and every named log's tail after a restart.

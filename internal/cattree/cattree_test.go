@@ -413,3 +413,35 @@ func TestAppendFaultPaths(t *testing.T) {
 		}
 	})
 }
+
+// A torn append whose first block persisted has an intact magic, generation
+// and length. Its checksum fails, so a remount ends the log before it and
+// does not replay the blocks the tear left unwritten as the record.
+func TestTornRecordDoesNotReplay(t *testing.T) {
+	rec := bytes.Repeat([]byte("torn"), 384) // 1 536 bytes: four blocks with the header
+	for seed := uint64(1); seed <= 15; seed++ {
+		run(t, func(eng *sim.Engine, l *LibOS, dev *spdkdev.Device) {
+			qd, _ := l.Open("log")
+			dev.SetFaults(spdkdev.Faults{TornWrite: faults.NewPlan(seed).Site("torn", faults.Spec{Every: 1, Max: 1})})
+			qt, err := l.Push(qd, core.SGA(memory.CopyFrom(l.Heap(), rec)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev, err := l.Wait(qt); err != nil || ev.Err != spdkdev.ErrTornWrite {
+				t.Fatalf("seed %d: append %v, %v; want a torn write", seed, err, ev.Err)
+			}
+			l2 := New(l.Node(), dev)
+			if err := l2.Mount(); err != nil {
+				t.Fatal(err)
+			}
+			qd2, _ := l2.Open("log")
+			if got := popWait(t, l2, qd2); got != nil {
+				t.Errorf("seed %d: the torn append replayed as %d bytes", seed, len(got))
+			}
+			pqt, _ := l.Pop(qd)
+			if ev, err := l.Wait(pqt); err != nil || ev.Err != core.ErrQueueClosed {
+				t.Errorf("seed %d: the torn append read back as %+v, %v", seed, ev, err)
+			}
+		})
+	}
+}

@@ -141,7 +141,17 @@ func (f *FrontEnd) Step() bool {
 func (f *FrontEnd) Block(deadline sim.Time) bool { return f.host.Park(deadline) }
 
 // Now returns the host clock.
+//
+//demi:nonalloc
 func (f *FrontEnd) Now() sim.Time { return f.host.Now() }
+
+// Charge bills d of the stack's own work to the host.
+//
+//demi:nonalloc
+func (f *FrontEnd) Charge(d time.Duration) { f.host.Charge(d) }
+
+// Host returns the machine the library OS runs on.
+func (f *FrontEnd) Host() Host { return f.host }
 
 // Libcall charges one library call to the host.
 func (f *FrontEnd) Libcall() { f.host.Charge(costmodel.Libcall) }

@@ -49,6 +49,10 @@ func (n *Node) Name() string { return n.name }
 // Engine returns the engine this node belongs to.
 func (n *Node) Engine() *Engine { return n.eng }
 
+// WakeAt runs fn, which may be nil, on this node at t, waking it if it is
+// parked: the timer a library OS is handed at construction.
+func (n *Node) WakeAt(t Time, fn func()) { n.eng.At(t, n, fn) }
+
 // Now implements Clock: the node's local virtual time.
 func (n *Node) Now() Time { return n.clock }
 
