@@ -232,16 +232,9 @@ type Kernelized struct {
 func Wrap(inner demi.Drivable, node *sim.Node, prof Profile) *Kernelized {
 	k := &Kernelized{inner: inner, node: node, prof: prof, storageWriteCost: costmodel.KernelBlockIO}
 	k.waiter = core.Waiter{
+		Table:   inner.Tokens(),
 		Runner:  inner,
-		Take:    inner.TryTake,
 		OnEnter: func() { node.Charge(prof.WaitCost) },
-	}
-	// An inner that offers neither count is rescanned after every step.
-	switch s := inner.(type) {
-	case interface{ Completions() uint64 }: // demi.Combined
-		k.waiter.Completions = s.Completions
-	case interface{ Tokens() *core.TokenTable }: // a network libOS
-		k.waiter.Completions = s.Tokens().Completions
 	}
 	if !prof.Polling {
 		k.waiter.OnWake = func() { node.Charge(prof.WakeCost + prof.WaitCost) }
@@ -258,19 +251,13 @@ func (k *Kernelized) Inner() demi.Drivable { return k.inner }
 // Seek moves a storage cursor (lseek syscall).
 func (k *Kernelized) Seek(qd core.QDesc, off int64) error {
 	k.syscall()
-	if s, ok := k.inner.(demi.StorageOS); ok {
-		return s.Seek(qd, off)
-	}
-	return core.ErrNotSupported
+	return k.inner.Seek(qd, off)
 }
 
 // Truncate truncates the log (ftruncate syscall).
 func (k *Kernelized) Truncate(qd core.QDesc) error {
 	k.syscall()
-	if s, ok := k.inner.(demi.StorageOS); ok {
-		return s.Truncate(qd)
-	}
-	return core.ErrNotSupported
+	return k.inner.Truncate(qd)
 }
 
 func (k *Kernelized) syscall() { k.node.Charge(k.prof.SyscallCost) }

@@ -15,7 +15,6 @@ import (
 // values, quorum writes to 3 replicas; scaled op count).
 type TxnOpts struct {
 	Keys, Txns, ValueSize int
-	Zipf                  bool
 }
 
 // DefaultTxnOpts scales the paper's configuration.
@@ -63,11 +62,7 @@ func runTxns(cli *Stack, replicas []core.Addr, opts TxnOpts, h *Hist) error {
 			return fmt.Errorf("preload: %v", err)
 		}
 	}
-	var keys ycsb.KeyChooser = ycsb.NewUniform(opts.Keys/10, rng.Fork())
-	if opts.Zipf {
-		keys = ycsb.NewZipf(opts.Keys/10, 0.99, rng.Fork())
-	}
-	w := ycsb.WorkloadF(keys, rng.Fork())
+	w := ycsb.WorkloadF(ycsb.NewUniform(opts.Keys/10, rng.Fork()), rng.Fork())
 	for i := 0; i < opts.Txns; i++ {
 		op := w.Next()
 		start := cli.Node.Now()

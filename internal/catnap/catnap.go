@@ -520,18 +520,17 @@ func (s *sockQueue) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 
 // --- Storage log over a kernel file ---
 
-// Open opens (creating if absent) the named storage log.
-func (l *LibOS) Open(name string) (core.QDesc, error) {
+// OpenLog opens (creating if absent) the named storage log; a libOS built
+// without a log directory has none.
+func (l *LibOS) OpenLog(qd core.QDesc, name string) (core.Queue, error) {
 	if l.dir == "" {
-		return core.InvalidQD, core.ErrNotSupported
+		return nil, core.ErrNotSupported
 	}
 	f, err := os.OpenFile(filepath.Join(l.dir, name), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return core.InvalidQD, err
+		return nil, err
 	}
-	q := &fileQueue{lib: l, f: f}
-	q.qd = l.Queues().Insert(q)
-	return q.qd, nil
+	return &fileQueue{lib: l, qd: qd, f: f}, nil
 }
 
 // Close closes the log file.
@@ -607,38 +606,17 @@ func (q *fileQueue) next() *memory.Buf {
 	return rec
 }
 
-// Seek moves a log queue's read cursor to a byte offset.
-func (l *LibOS) Seek(qd core.QDesc, offset int64) error {
-	fq, err := l.fileQueue(qd)
-	if err != nil {
-		return err
-	}
-	fq.cursor = offset
+// SeekTo moves the read cursor to a byte offset.
+func (q *fileQueue) SeekTo(offset int64) error {
+	q.cursor = offset
 	return nil
 }
 
-// fileQueue resolves qd to a storage log.
-func (l *LibOS) fileQueue(qd core.QDesc) (*fileQueue, error) {
-	q, ok := l.Queues().Lookup(qd)
-	if !ok {
-		return nil, core.ErrBadQDesc
-	}
-	fq, ok := q.(*fileQueue)
-	if !ok {
-		return nil, core.ErrNotSupported
-	}
-	return fq, nil
-}
-
 // Truncate empties the log.
-func (l *LibOS) Truncate(qd core.QDesc) error {
-	fq, err := l.fileQueue(qd)
-	if err != nil {
+func (q *fileQueue) Truncate() error {
+	if err := q.f.Truncate(0); err != nil {
 		return err
 	}
-	if err := fq.f.Truncate(0); err != nil {
-		return err
-	}
-	fq.cursor = 0
+	q.cursor = 0
 	return nil
 }

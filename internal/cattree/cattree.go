@@ -258,17 +258,14 @@ func (l *LibOS) NewSocket(core.QDesc, core.SockType) (core.Queue, error) {
 	return nil, core.ErrNotSupported
 }
 
-// Open opens the named log, allocating a partition on first use. Opens of
-// the same name share the log but keep independent cursors.
-func (l *LibOS) Open(name string) (core.QDesc, error) {
-	l.Libcall()
+// OpenLog opens the named log, allocating a partition on first use. Opens
+// of the same name share the log but keep independent cursors.
+func (l *LibOS) OpenLog(qd core.QDesc, name string) (core.Queue, error) {
 	p, err := l.getPartition(name)
 	if err != nil {
-		return core.InvalidQD, err
+		return nil, err
 	}
-	q := &logQueue{lib: l, part: p}
-	q.qd = l.Queues().Insert(q)
-	return q.qd, nil
+	return &logQueue{lib: l, qd: qd, part: p}, nil
 }
 
 // Close releases the log queue; the log itself stays on the device.
@@ -420,45 +417,23 @@ func (lq *logQueue) finishPop(op *core.Op, rel int64, data []byte) {
 	op.Complete(core.QEvent{QD: lq.qd, Op: core.OpPop, SGA: core.SGA(buf)})
 }
 
-// Seek moves the queue's read cursor to the given block offset within its
-// log (0 rewinds to the head).
-func (l *LibOS) Seek(qd core.QDesc, block int64) error {
-	lq, err := l.logQueue(qd)
-	if err != nil {
-		return err
-	}
+// SeekTo moves the read cursor to the given block offset within the log
+// (0 rewinds to the head).
+func (lq *logQueue) SeekTo(block int64) error {
 	lq.curBlock = block
 	return nil
 }
 
-// logQueue starts a storage-only libcall: it charges the call and resolves
-// qd to a log.
-func (l *LibOS) logQueue(qd core.QDesc) (*logQueue, error) {
-	l.Libcall()
-	q, ok := l.Queues().Lookup(qd)
-	if !ok {
-		return nil, core.ErrBadQDesc
-	}
-	lq, ok := q.(*logQueue)
-	if !ok {
-		return nil, core.ErrNotSupported
-	}
-	return lq, nil
-}
-
-// Truncate garbage-collects the queue's log: its tail resets to zero.
-// (The paper's truncate moves the GC point; a full reset is the
-// degenerate, sufficient case for its workloads.)
-func (l *LibOS) Truncate(qd core.QDesc) error {
-	lq, err := l.logQueue(qd)
-	if err != nil {
-		return err
-	}
-	lq.part.tail = 0
-	lq.part.gen++
+// Truncate garbage-collects the log: its tail resets to zero. (The paper's
+// truncate moves the GC point; a full reset is the degenerate, sufficient
+// case for its workloads.)
+func (lq *logQueue) Truncate() error {
+	l, p := lq.lib, lq.part
+	p.tail = 0
+	p.gen++
 	// Persist the new generation so recovery ignores pre-truncate records.
-	idx := int((lq.part.base - dirBlocks) / l.partitionSize())
-	l.appendDirRecord(idx, lq.part.gen, lq.part.name)
+	idx := int((p.base - dirBlocks) / l.partitionSize())
+	l.appendDirRecord(idx, p.gen, p.name)
 	l.stats.truncates.Inc()
 	return nil
 }

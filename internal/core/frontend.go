@@ -40,6 +40,13 @@ type (
 	Acceptor interface{ Accept(op *Op) error }
 	// Connector is a queue that can be connected to a remote address.
 	Connector interface{ Connect(op *Op, addr Addr) error }
+	// Log is a storage log: a read cursor that moves, in the log's own
+	// units (blocks on Cattree, bytes on Catnap), and a log that can be
+	// garbage-collected.
+	Log interface {
+		SeekTo(offset int64) error
+		Truncate() error
+	}
 )
 
 // Unconnected is embedded by queue states that carry no data yet (unbound
@@ -82,6 +89,14 @@ type Stack interface {
 	// ErrNotSupported for a transport the stack lacks. A tenant-aware stack
 	// reads the owning principal from Tokens().Issuer().
 	NewSocket(qd QDesc, t SockType) (Queue, error)
+}
+
+// LogStack is a Stack with a storage device (Cattree, Catnap).
+type LogStack interface {
+	Stack
+	// OpenLog builds the Log queue behind a new descriptor qd: an open of
+	// the log named name, created if absent, with a cursor of its own.
+	OpenLog(qd QDesc, name string) (Queue, error)
 }
 
 // FrontEnd is the generic half of every library OS (paper §5.1, Figure 3:
@@ -180,6 +195,18 @@ func (f *FrontEnd) Tokens() *TokenTable { return f.tokens }
 // it).
 func (f *FrontEnd) Queues() *QDescTable { return f.qds }
 
+// Adopt makes f issue its tokens and descriptors from another front end's
+// tables, and wait on them: two stacks on one node become one namespace
+// (demi.Combined), so one wait covers the operations of both. It panics
+// once f has issued a token or a descriptor from its own.
+func (f *FrontEnd) Adopt(tokens *TokenTable, qds *QDescTable) {
+	if f.tokens.Issued() != 0 || f.qds.next != 0 {
+		panic("pdpix: Adopt after the front end has issued from its own tables")
+	}
+	f.tokens, f.qds = tokens, qds
+	f.waiter.Table = tokens
+}
+
 // AttachDTrace emits a distributed-trace op span for every redeemed
 // operation carrying a trace context. A nil hop keeps the libOS untraced.
 func (f *FrontEnd) AttachDTrace(h *dtrace.Hop) { f.tokens.SetDTrace(h) }
@@ -220,11 +247,49 @@ func (f *FrontEnd) Queue() (QDesc, error) {
 	return f.qds.Insert(NewBoundedMemQueue(f.qds.Next(), f.queueCap)), nil
 }
 
-// Open is unsupported unless the libOS has a storage stack, which then
-// declares its own.
+// Open opens a storage log on a stack that has a storage device.
 func (f *FrontEnd) Open(name string) (QDesc, error) {
 	f.Libcall()
-	return InvalidQD, ErrNotSupported
+	s, ok := f.stack.(LogStack)
+	if !ok {
+		return InvalidQD, ErrNotSupported
+	}
+	q, err := s.OpenLog(f.qds.Next(), name)
+	if err != nil {
+		return InvalidQD, err
+	}
+	return f.qds.Insert(q), nil
+}
+
+// Seek moves a log's read cursor to offset, in the log's own units.
+func (f *FrontEnd) Seek(qd QDesc, offset int64) error {
+	l, err := f.log(qd)
+	if err != nil {
+		return err
+	}
+	return l.SeekTo(offset)
+}
+
+// Truncate garbage-collects a log.
+func (f *FrontEnd) Truncate(qd QDesc) error {
+	l, err := f.log(qd)
+	if err != nil {
+		return err
+	}
+	return l.Truncate()
+}
+
+// log starts a libcall on a log descriptor.
+func (f *FrontEnd) log(qd QDesc) (Log, error) {
+	q, err := f.enter(qd)
+	if err != nil {
+		return nil, err
+	}
+	l, ok := q.(Log)
+	if !ok {
+		return nil, ErrNotSupported
+	}
+	return l, nil
 }
 
 // Bind assigns the socket's local address.

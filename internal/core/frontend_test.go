@@ -223,11 +223,15 @@ func TestFrontEndCheckOrder(t *testing.T) {
 		{"pop(bad)", qt(s.Pop(99)), ErrBadQDesc},
 		{"bind(bad)", s.Bind(99, Addr{}), ErrBadQDesc},
 		{"close(bad)", s.Close(99), ErrBadQDesc},
+		{"seek(bad)", s.Seek(99, 0), ErrBadQDesc},
+		{"truncate(bad)", s.Truncate(99), ErrBadQDesc},
 		{"bind(bare)", s.Bind(bare, Addr{}), ErrNotSupported},
 		{"listen(bare)", s.Listen(bare, 1), ErrNotSupported},
 		{"accept(bare)", qt(s.Accept(bare)), ErrNotSupported},
 		{"connect(bare)", qt(s.Connect(bare, Addr{})), ErrNotSupported},
 		{"pushto(bare)", qt(s.PushTo(bare, some, Addr{Port: 1})), ErrNotSupported},
+		{"seek(bare)", s.Seek(bare, 0), ErrNotSupported},
+		{"truncate(bare)", s.Truncate(bare), ErrNotSupported},
 		{"push(bare)", qt(s.Push(bare, some)), ErrNotBound},
 		{"pop(bare)", qt(s.Pop(bare)), ErrNotBound},
 		{"open", func() error { _, err := s.Open("log"); return err }(), ErrNotSupported},
@@ -246,6 +250,30 @@ func TestFrontEndCheckOrder(t *testing.T) {
 	if s.Tokens().Outstanding() != 0 {
 		t.Error("a refused call left an op outstanding")
 	}
+}
+
+// TestFrontEndAdopt: a front end that adopts another's tables issues its
+// descriptors and tokens from them, so the other's wait redeems its
+// operations; adopting after issuing from its own tables is a bug.
+func TestFrontEndAdopt(t *testing.T) {
+	a, b := newFakeStack(), newFakeStack()
+	a.Queue()
+	b.Adopt(a.Tokens(), a.Queues())
+	qd, _ := b.Queue()
+	if q, ok := a.Queues().Lookup(qd); qd != 2 || !ok {
+		t.Fatalf("b's queue is descriptor %d, %T in a's table; want 2", qd, q)
+	}
+	pop, _ := b.Pop(qd)
+	b.Close(qd)
+	if ev, err := a.Wait(pop); err != nil || !errors.Is(ev.Err, ErrQueueClosed) {
+		t.Errorf("a's wait on b's pop = %+v, %v", ev, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Adopt after issuing a descriptor did not panic")
+		}
+	}()
+	a.Adopt(b.Tokens(), b.Queues())
 }
 
 func TestFrontEndCloseFailsPendingOps(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 
 // A QToken is a slot and a generation: the index of a TokenTable slot, plus
 // one, in its low tokenIdxBits bits and that slot's generation in the
-// tokenGenBits above them. Bit 63 is never set (demi.Combined tags storage
-// tokens there) and InvalidQToken, whose index field is zero, names no slot.
+// tokenGenBits above them. Bit 63 is never set, and InvalidQToken, whose
+// index field is zero, names no slot.
 // A slot's generation moves at every redemption, so the token just redeemed
 // and every older token for the slot have stopped matching it — until the
 // generation wraps, which at a redemption every 100 ns takes one slot

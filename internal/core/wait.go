@@ -20,14 +20,6 @@ type Waiter struct {
 	// The zero value is the host tenant, which redeems only host-minted
 	// tokens — tenancy is strict equality, never a wildcard.
 	Tenant uint32
-	// Take and Completions stand in for Table.TryTakeAs(qt, Tenant) and
-	// Table.Completions when the tokens live elsewhere: demi.Combined
-	// routes between two tables, baseline.Kernelized redeems through the
-	// stack it wraps. Completions must advance whenever an operation Take
-	// can redeem completes; without one, every Step and Block is followed
-	// by a rescan.
-	Take        func(QToken) (QEvent, bool, error)
-	Completions func() uint64
 	// OnEnter runs once per wait call, after the deadline is fixed; OnWake
 	// runs after every Block that returned true. The kernel-path baselines
 	// charge epoll_wait and wakeup latency there.
@@ -65,7 +57,7 @@ func (w *Waiter) Wait(qt QToken) (QEvent, error) {
 func (w *Waiter) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, error) {
 	deadline := w.enter(timeout)
 	for {
-		seen, _ := w.progress()
+		seen := w.Table.completions
 		for k := range qts {
 			i := (w.rr + k) % len(qts)
 			var ev QEvent
@@ -97,7 +89,7 @@ func (w *Waiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) 
 	got := make([]bool, len(qts))
 	remaining := len(qts)
 	for {
-		seen, _ := w.progress()
+		seen := w.Table.completions
 		for i, qt := range qts {
 			if got[i] {
 				continue
@@ -140,26 +132,8 @@ func (w *Waiter) enter(timeout time.Duration) sim.Time {
 //
 //demi:nonalloc
 func (w *Waiter) take(qt QToken, into *QEvent) (done bool, err error) {
-	if w.Take != nil {
-		*into, done, err = w.Take(qt)
-	} else {
-		*into, done, err = w.Table.TryTakeAs(qt, w.Tenant)
-	}
+	*into, done, err = w.Table.TryTakeAs(qt, w.Tenant)
 	return done, err
-}
-
-// progress returns the completion count of whatever take redeems from; ok
-// is false when it is unknown.
-//
-//demi:nonalloc
-func (w *Waiter) progress() (n uint64, ok bool) {
-	if w.Take == nil {
-		return w.Table.completions, true
-	}
-	if w.Completions == nil {
-		return 0, false
-	}
-	return w.Completions(), true
 }
 
 // run drives the Runner after a scan that found nothing ready — Step while
@@ -180,7 +154,7 @@ func (w *Waiter) run(seen uint64, deadline sim.Time) error {
 				w.OnWake()
 			}
 		}
-		if n, ok := w.progress(); !ok || n != seen {
+		if w.Table.completions != seen {
 			return nil
 		}
 	}

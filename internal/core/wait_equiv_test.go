@@ -15,8 +15,8 @@ import (
 // nothing. This file checks that claim against the loop the Waiter replaced:
 // refWaiter rescans after every Step and Block, and both are driven through
 // the same scripted world — completions injected from Step and from Block,
-// waits nested inside Step, a second token table, timeouts, redeemed and
-// foreign tokens — and must produce the same results, the same Step/Block
+// waits nested inside Step, timeouts, redeemed and foreign tokens — and
+// must produce the same results, the same Step/Block
 // call counts, the same rotation and the same forgery count.
 
 // waitFamily is what a world's script calls: the gated Waiter or refWaiter.
@@ -110,27 +110,13 @@ func (w *refWaiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, erro
 	return events, nil
 }
 
-// secondTag marks tokens of a world's second table, as demi.Combined's
-// storTokenTag does: bit 63, the one bit a table never sets in a token.
-const secondTag = 1 << 63
-
-// shape is how a world's waiter reaches its tokens.
-type shape int
-
-const (
-	oneTable  shape = iota // Waiter{Table, Runner, Tenant}
-	twoTables              // Take routes by tag, Completions sums both tables
-	ungated                // Take without Completions: rescan every time
-	numShapes
-)
-
-// world is one scripted run: token tables, a Runner whose Step and Block
+// world is one scripted run: a token table, a Runner whose Step and Block
 // complete operations as a seeded script says, and the wait implementation
 // under test. Two worlds built from one seed stay in lockstep for as long as
 // their waiters make the same calls.
 type world struct {
 	rng      *rand.Rand
-	tables   [2]*TokenTable
+	table    *TokenTable
 	pending  []*Op // minted, not yet completed
 	minted   []QToken
 	now      sim.Time
@@ -144,49 +130,27 @@ type world struct {
 
 const worldTenant = 7
 
-func newWorld(seed int64, sh shape, gated bool) *world {
-	wd := &world{rng: rand.New(rand.NewSource(seed))}
-	wd.tables[0], wd.tables[1] = NewTokenTable(), NewTokenTable()
-	wd.tables[0].SetIssuer(worldTenant)
-	take := func(qt QToken) (QEvent, bool, error) {
-		if qt&secondTag != 0 {
-			return wd.tables[1].TryTake(qt &^ secondTag)
-		}
-		return wd.tables[0].TryTakeAs(qt, worldTenant)
-	}
+func newWorld(seed int64, gated bool) *world {
+	wd := &world{rng: rand.New(rand.NewSource(seed)), table: NewTokenTable()}
+	wd.table.SetIssuer(worldTenant)
 	onEnter, onWake := func() { wd.enters++ }, func() { wd.wakes++ }
 	if !gated {
+		take := func(qt QToken) (QEvent, bool, error) { return wd.table.TryTakeAs(qt, worldTenant) }
 		ref := &refWaiter{take: take, r: wd, onEnter: onEnter, onWake: onWake}
 		wd.w, wd.rotation = ref, func() int { return ref.rr }
 		return wd
 	}
-	w := &Waiter{Table: wd.tables[0], Runner: wd, Tenant: worldTenant, OnEnter: onEnter, OnWake: onWake}
-	switch sh {
-	case twoTables:
-		w.Take = take
-		w.Completions = func() uint64 { return wd.tables[0].Completions() + wd.tables[1].Completions() }
-	case ungated:
-		w.Take = take
-	}
+	w := &Waiter{Table: wd.table, Runner: wd, Tenant: worldTenant, OnEnter: onEnter, OnWake: onWake}
 	wd.w, wd.rotation = w, func() int { return w.rr }
 	return wd
 }
 
-// mint issues an operation on one of the tables and returns its (tagged)
-// token.
-func (wd *world) mint(sh shape) QToken {
-	k := 0
-	if sh != oneTable && wd.rng.Intn(3) == 0 {
-		k = 1
-	}
-	op := wd.tables[k].New()
+// mint issues an operation and returns its token.
+func (wd *world) mint() QToken {
+	op := wd.table.New()
 	wd.pending = append(wd.pending, op)
-	qt := op.Token()
-	if k == 1 {
-		qt |= secondTag
-	}
-	wd.minted = append(wd.minted, qt)
-	return qt
+	wd.minted = append(wd.minted, op.Token())
+	return op.Token()
 }
 
 // completeOne completes a random pending operation, half of them as
@@ -222,7 +186,7 @@ func (wd *world) Step() bool {
 		if wd.rng.Intn(4) == 0 {
 			qt = wd.minted[wd.rng.Intn(len(wd.minted))]
 		} else {
-			op := wd.tables[0].New()
+			op := wd.table.New()
 			wd.pending = append(wd.pending, op)
 			qt = op.Token()
 		}
@@ -254,20 +218,20 @@ func (wd *world) Block(deadline sim.Time) bool {
 }
 
 // script runs a seed's sequence of waits and returns everything observable.
-func (wd *world) script(sh shape) []string {
+func (wd *world) script() []string {
 	rng := wd.rng
 	var live []QToken
 	for n := 2 + rng.Intn(30); n > 0; n-- {
-		live = append(live, wd.mint(sh))
+		live = append(live, wd.mint())
 	}
 	for n := rng.Intn(4); n > 0; n-- {
 		wd.completeOne() // complete before the first scan
 	}
 	if rng.Intn(3) == 0 {
 		// A token of another tenant, guessed by this one.
-		wd.tables[0].SetIssuer(worldTenant + 1)
-		live = append(live, wd.tables[0].New().Token())
-		wd.tables[0].SetIssuer(worldTenant)
+		wd.table.SetIssuer(worldTenant + 1)
+		live = append(live, wd.table.New().Token())
+		wd.table.SetIssuer(worldTenant)
 		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	}
 	for round := 0; round < 12 && len(live) > 0; round++ {
@@ -310,33 +274,31 @@ func (wd *world) script(sh shape) []string {
 			}
 		}
 		for n := rng.Intn(3); n > 0 || len(live) == 0; n-- {
-			live = append(live, wd.mint(sh))
+			live = append(live, wd.mint())
 		}
 	}
 	wd.log = append(wd.log, fmt.Sprintf("steps %d blocks %d enters %d wakes %d rr %d forgeries %d now %d",
 		wd.steps, wd.blocks, wd.enters, wd.wakes, wd.rotation(),
-		wd.tables[0].Forgeries()+wd.tables[1].Forgeries(), wd.now))
+		wd.table.Forgeries(), wd.now))
 	return wd.log
 }
 
 func TestGatedWaitMatchesAlwaysRescan(t *testing.T) {
 	mustOccur := []string{"nested", "all <nil>", ErrTimeout.Error(), ErrBadQToken.Error(), ErrStopped.Error()}
 	seen := map[string]int{}
-	for sh := shape(0); sh < numShapes; sh++ {
-		for seed := int64(1); seed <= 400; seed++ {
-			want := newWorld(seed, sh, false).script(sh)
-			got := newWorld(seed, sh, true).script(sh)
-			if len(got) != len(want) {
-				t.Fatalf("shape %d seed %d: %d log lines, reference %d\n got: %q\nwant: %q", sh, seed, len(got), len(want), got, want)
+	for seed := int64(1); seed <= 400; seed++ {
+		want := newWorld(seed, false).script()
+		got := newWorld(seed, true).script()
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log lines, reference %d\n got: %q\nwant: %q", seed, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d line %d:\n got: %s\nwant: %s", seed, i, got[i], want[i])
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("shape %d seed %d line %d:\n got: %s\nwant: %s", sh, seed, i, got[i], want[i])
-				}
-				for _, what := range mustOccur {
-					if strings.Contains(want[i], what) {
-						seen[what]++
-					}
+			for _, what := range mustOccur {
+				if strings.Contains(want[i], what) {
+					seen[what]++
 				}
 			}
 		}
@@ -349,8 +311,12 @@ func TestGatedWaitMatchesAlwaysRescan(t *testing.T) {
 	}
 }
 
-// TestGateSkipsRescans pins the point of the gate: a wait over n outstanding
-// tokens probes them once, however many Steps run before a completion.
+// TestGateSkipsRescans pins the point of the gate: after the scan at entry,
+// a wait looks at its tokens again only once the table's completion count
+// has moved, however many Steps run first. The first Step marks a waited
+// slot done behind the count's back: a wait that rescanned after any Step
+// would redeem it there, and the 1 000 idle Steps that follow must leave it
+// where it is until the real completion.
 func TestGateSkipsRescans(t *testing.T) {
 	tb := NewTokenTable()
 	var qts []QToken
@@ -359,22 +325,23 @@ func TestGateSkipsRescans(t *testing.T) {
 		last = tb.New()
 		qts = append(qts, last.Token())
 	}
-	probes := 0
-	idle := 1000
+	slot := &tb.slots[last.qt&tokenIdxMask-1]
 	r := &stubRunner{}
-	for i := 0; i < idle; i++ {
-		r.work = append(r.work, func() {})
+	r.work = append(r.work, func() { slot.done = true })
+	for i := 0; i < 1000; i++ {
+		r.work = append(r.work, func() {
+			if slot.op != last {
+				t.Fatal("an idle Step found the slot redeemed")
+			}
+		})
 	}
 	r.work = append(r.work, func() { last.Complete(QEvent{QD: 5}) })
-	w := &Waiter{Runner: r, Completions: tb.Completions, Take: func(qt QToken) (QEvent, bool, error) {
-		probes++
-		return tb.TryTake(qt)
-	}}
+	w := &Waiter{Table: tb, Runner: r}
 	if i, ev, err := w.WaitAny(qts, -1); err != nil || i != 63 || ev.QD != 5 {
-		t.Fatalf("WaitAny = %d, %+v, %v", i, ev, err)
+		t.Fatalf("WaitAny = %d, %+v, %v; want the completed operation", i, ev, err)
 	}
-	if probes != 2*len(qts) {
-		t.Errorf("%d probes over %d idle steps, want one scan at entry and one after the completion (%d)", probes, idle, 2*len(qts))
+	if len(r.work) != 0 {
+		t.Errorf("the wait returned with %d Steps of work left", len(r.work))
 	}
 }
 

@@ -73,10 +73,6 @@ type world struct {
 	// listener and conn are the types a socket descriptor holds after
 	// Listen, and after Connect or an accept: one object per queue state.
 	listener, conn string
-	// routed: control calls on a storage descriptor are not checked.
-	// demi.Combined sends every control call to its network side, where a
-	// storage descriptor does not exist.
-	routed bool
 	// pinsHeap: the stack posts its receive buffers from the application
 	// heap (Catmint), so the live count never returns to zero.
 	pinsHeap bool
@@ -184,9 +180,9 @@ func worlds(t *testing.T) []world {
 		mk := func(l *catnip.LibOS) *endpoint {
 			n := l.Node()
 			c := demi.NewCombined(l, cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<16)))
-			return &endpoint{os: c, tables: []*core.TokenTable{c.Net.Tokens(), c.Stor.Tokens()}, queues: l.Queues(), addr: l.Addr(7000)}
+			return &endpoint{os: c, tables: []*core.TokenTable{c.Tokens()}, queues: l.Queues(), addr: l.Addr(7000)}
 		}
-		ws = append(ws, world{name: "combined", logs: true, routed: true, listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
+		ws = append(ws, world{name: "combined", logs: true, listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
 			srv: mk(srv), cli: mk(cli),
 			run: simRun(eng, srv.Node(), cli.Node())})
 	}
@@ -370,9 +366,7 @@ func (a *app) tokenRows(foreign core.QToken) {
 	bad("InvalidQToken", core.InvalidQToken)
 	bad("an index past the table", slotMask)
 	bad("an outstanding index at another generation", live+1<<slotBits)
-	if _, routes := os.(*demi.Combined); !routes {
-		bad("an outstanding token with bit 63 set", live|1<<63)
-	}
+	bad("an outstanding token with bit 63 set", live|1<<63)
 	if _, here := a.tables[0].Lookup(foreign); here {
 		t.Errorf("test set-up: the other instance's token %#x names an operation here too", foreign)
 	} else {
@@ -380,9 +374,8 @@ func (a *app) tokenRows(foreign core.QToken) {
 	}
 	// An outstanding operation of this very table, minted for another
 	// tenant: the wait redeems as the host tenant, and tenancy is strict
-	// equality (TryTakeAs's issuer compare). demi.Combined redeems through
-	// TryTake, the trusted-driver path, so it has no such row.
-	if _, routes := os.(*demi.Combined); !routes {
+	// equality (TryTakeAs's issuer compare).
+	{
 		const other = 7
 		tbl := a.tables[0]
 		tq, err := os.Queue()
@@ -498,19 +491,17 @@ func (a *app) refusals(w world) {
 			return
 		}
 		stor := a.popEOF(log)
-		badLog := log + 1000 // keeps Combined's storage tag
+		badLog := log + 1000
 		a.refuse("pop(bad log)", core.ErrBadQDesc, stor, func() error { return qt(os.Pop(badLog)) })
 		a.refuse("push(bad log)", core.ErrBadQDesc, stor, push(func(s core.SGArray) (core.QToken, error) { return os.Push(badLog, s) }))
 		a.refuse("push(bad log, empty)", core.ErrEmptySGA, stor, func() error { return qt(os.Push(badLog, core.SGArray{})) })
 		a.refuse("push(log, empty)", core.ErrEmptySGA, stor, func() error { return qt(os.Push(log, core.SGArray{})) })
 		a.refuse("pushto(log, empty)", core.ErrEmptySGA, stor, func() error { return qt(os.PushTo(log, core.SGArray{}, peer)) })
 		a.refuse("pushto(log)", core.ErrNotSupported, stor, push(func(s core.SGArray) (core.QToken, error) { return os.PushTo(log, s, peer) }))
-		if !w.routed {
-			a.refuse("bind(log)", core.ErrNotSupported, stor, func() error { return os.Bind(log, peer) })
-			a.refuse("listen(log)", core.ErrNotSupported, stor, func() error { return os.Listen(log, 1) })
-			a.refuse("accept(log)", core.ErrNotSupported, stor, func() error { return qt(os.Accept(log)) })
-			a.refuse("connect(log)", core.ErrNotSupported, stor, func() error { return qt(os.Connect(log, peer)) })
-		}
+		a.refuse("bind(log)", core.ErrNotSupported, stor, func() error { return os.Bind(log, peer) })
+		a.refuse("listen(log)", core.ErrNotSupported, stor, func() error { return os.Listen(log, 1) })
+		a.refuse("accept(log)", core.ErrNotSupported, stor, func() error { return qt(os.Accept(log)) })
+		a.refuse("connect(log)", core.ErrNotSupported, stor, func() error { return qt(os.Connect(log, peer)) })
 		if err := os.Close(log); err != nil {
 			t.Errorf("close(log): %v", err)
 		}

@@ -3,8 +3,9 @@
 // the network×storage integration (paper §5.5: Catnip×Cattree and
 // Catmint×Cattree): one node runs both stacks, the scheduler splits the
 // fast path between the NIC and the NVMe completion queues round-robin,
-// and a single wait call spans qtokens from both — which is what lets
-// Redis receive a PUT, log it to disk, and reply without a copy or context
+// and both stacks issue from one token table and one descriptor table, so
+// a single wait call spans qtokens from both — which is what lets Redis
+// receive a PUT, log it to disk, and reply without a copy or context
 // switch.
 package demi
 
@@ -25,18 +26,22 @@ type LibOS interface {
 	PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error)
 }
 
-// StorageOS is implemented by libOSes with a storage log (Cattree, Catnap,
-// Combined): cursor control and log truncation beyond plain push/pop.
+// StorageOS is cursor control and log truncation beyond plain push/pop.
+// Every library OS answers it through its front end (core.FrontEnd), with
+// ErrNotSupported on a descriptor that is not a log; so do Combined and the
+// kernel-path baselines.
 type StorageOS interface {
 	Seek(qd core.QDesc, offset int64) error
 	Truncate(qd core.QDesc) error
 }
 
 // NetOS is the libOS-internal contract Combined needs from a network
-// libOS (Catnip or Catmint satisfy it).
+// libOS (Catnip or Catmint satisfy it): the tables its storage side adopts.
 type NetOS interface {
 	LibOS
+	StorageOS
 	Tokens() *core.TokenTable
+	Queues() *core.QDescTable
 	Step() bool
 	Block(deadline sim.Time) bool
 	Now() sim.Time
@@ -45,8 +50,7 @@ type NetOS interface {
 // StorOS is the libOS-internal contract for the storage side (Cattree).
 type StorOS interface {
 	LibOS
-	StorageOS
-	Tokens() *core.TokenTable
+	Adopt(tokens *core.TokenTable, qds *core.QDescTable)
 	Step() bool
 	Mount() error
 }
@@ -59,41 +63,36 @@ type SchedStatser interface {
 }
 
 // Drivable is a libOS whose wait loop can be driven externally (the
-// baseline wrappers run core.Waiter over it to charge kernel-path costs).
-// Combined and the network libOSes satisfy it.
+// baseline wrappers run core.Waiter over its token table to charge
+// kernel-path costs). Combined and the network libOSes satisfy it.
 type Drivable interface {
 	LibOS
+	StorageOS
+	Tokens() *core.TokenTable
 	TryTake(qt core.QToken) (core.QEvent, bool, error)
 	Step() bool
 	Block(deadline sim.Time) bool
 	Now() sim.Time
 }
 
-// storTag marks descriptors owned by the storage libOS and storTokenTag its
-// tokens. A token is a slot index and a generation packed into the low 63
-// bits (core/token.go), so the tag sits at bit 63, the one bit no table sets:
-// at bit 30 a network token minted in a slot's 64th generation (and, when
-// tokens were a count, the 2³⁰-th one) routed to the storage table.
-const (
-	storTag      core.QDesc  = 1 << 30
-	storTokenTag core.QToken = 1 << 63
-)
-
-// Combined is a network×storage datapath OS on one node.
+// Combined is a network×storage datapath OS on one node: the storage libOS
+// issues its tokens and descriptors from the network libOS's tables, so the
+// two stacks are one namespace behind one wait loop.
 type Combined struct {
 	Net  NetOS
 	Stor StorOS
 	// pollNetNext alternates the fast path between devices.
 	pollNetNext bool
-	// waiter is the shared wait loop over both token tables.
+	// waiter is the wait loop over the shared token table.
 	waiter core.Waiter
 }
 
 // NewCombined integrates a network and a storage libOS running on the same
-// node.
+// node. stor must not have issued a token or a descriptor yet.
 func NewCombined(net NetOS, stor StorOS) *Combined {
+	stor.Adopt(net.Tokens(), net.Queues())
 	c := &Combined{Net: net, Stor: stor}
-	c.waiter = core.Waiter{Runner: c, Take: c.TryTake, Completions: c.Completions}
+	c.waiter = core.Waiter{Table: net.Tokens(), Runner: c}
 	return c
 }
 
@@ -104,33 +103,11 @@ func (c *Combined) Heap() *memory.Heap { return c.Net.Heap() }
 // Mount recovers the storage log (control path).
 func (c *Combined) Mount() error { return c.Stor.Mount() }
 
-// --- descriptor/token tagging ---
+// Tokens returns the shared token table.
+func (c *Combined) Tokens() *core.TokenTable { return c.Net.Tokens() }
 
-func isStorQD(qd core.QDesc) bool    { return qd&storTag != 0 }
-func tagQD(qd core.QDesc) core.QDesc { return qd | storTag }
-func untagQD(qd core.QDesc) core.QDesc {
-	return qd &^ storTag
-}
-
-func isStorQT(qt core.QToken) bool     { return qt&storTokenTag != 0 }
-func tagQT(qt core.QToken) core.QToken { return qt | storTokenTag }
-func untagQT(qt core.QToken) core.QToken {
-	return qt &^ storTokenTag
-}
-
-// retagEvent rewrites a storage event into the combined namespace. NewQD
-// must be retagged too: an accept-style completion carrying an untagged
-// descriptor would route the application's next operation on it to the
-// wrong libOS.
-func retagEvent(ev core.QEvent) core.QEvent {
-	ev.QD = tagQD(ev.QD)
-	if ev.NewQD > 0 {
-		ev.NewQD = tagQD(ev.NewQD)
-	}
-	return ev
-}
-
-// --- PDPIX: network calls pass through ---
+// --- PDPIX: one namespace, so every call but Open and a log's Push is the
+// network front end's ---
 
 // Socket creates a network socket.
 func (c *Combined) Socket(t core.SockType) (core.QDesc, error) { return c.Net.Socket(t) }
@@ -149,92 +126,50 @@ func (c *Combined) Connect(qd core.QDesc, a core.Addr) (core.QToken, error) {
 	return c.Net.Connect(qd, a)
 }
 
-// Queue creates an in-memory queue (on the network side).
+// Queue creates an in-memory queue.
 func (c *Combined) Queue() (core.QDesc, error) { return c.Net.Queue() }
 
-// Open opens the storage log.
-func (c *Combined) Open(name string) (core.QDesc, error) {
-	qd, err := c.Stor.Open(name)
-	if err != nil {
-		return core.InvalidQD, err
-	}
-	return tagQD(qd), nil
-}
+// Open opens a storage log.
+func (c *Combined) Open(name string) (core.QDesc, error) { return c.Stor.Open(name) }
 
-// Seek moves a storage cursor.
-func (c *Combined) Seek(qd core.QDesc, off int64) error {
-	if !isStorQD(qd) {
-		return core.ErrNotSupported
-	}
-	return c.Stor.Seek(untagQD(qd), off)
-}
+// Seek moves a log's read cursor.
+func (c *Combined) Seek(qd core.QDesc, off int64) error { return c.Net.Seek(qd, off) }
 
-// Truncate garbage-collects the log.
-func (c *Combined) Truncate(qd core.QDesc) error {
-	if !isStorQD(qd) {
-		return core.ErrNotSupported
-	}
-	return c.Stor.Truncate(untagQD(qd))
-}
+// Truncate garbage-collects a log.
+func (c *Combined) Truncate(qd core.QDesc) error { return c.Net.Truncate(qd) }
 
-// Close releases a queue on whichever side owns it.
-func (c *Combined) Close(qd core.QDesc) error {
-	if isStorQD(qd) {
-		return c.Stor.Close(untagQD(qd))
-	}
-	return c.Net.Close(qd)
-}
+// Close releases a queue.
+func (c *Combined) Close(qd core.QDesc) error { return c.Net.Close(qd) }
 
-// storToken moves a storage-side libcall's token into the combined namespace.
-func storToken(qt core.QToken, err error) (core.QToken, error) {
-	if err != nil {
-		return core.InvalidQToken, err
-	}
-	return tagQT(qt), nil
-}
-
-// Push dispatches to the owning libOS.
+// Push submits outbound data. A push to a log goes through the storage
+// libOS, so that a decorator of StorOS sees the durable writes.
 func (c *Combined) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
-	if isStorQD(qd) {
-		return storToken(c.Stor.Push(untagQD(qd), sga))
+	if c.IsStorageQD(qd) {
+		return c.Stor.Push(qd, sga)
 	}
 	return c.Net.Push(qd, sga)
 }
 
-// PushTo dispatches a datagram push; a log refuses it like any stream queue.
+// PushTo submits a datagram; a log refuses it like any stream queue.
 func (c *Combined) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	if isStorQD(qd) {
-		return storToken(c.Stor.PushTo(untagQD(qd), sga, to))
-	}
 	return c.Net.PushTo(qd, sga, to)
 }
 
-// Pop dispatches to the owning libOS.
-func (c *Combined) Pop(qd core.QDesc) (core.QToken, error) {
-	if isStorQD(qd) {
-		return storToken(c.Stor.Pop(untagQD(qd)))
-	}
-	return c.Net.Pop(qd)
+// Pop asks for the next inbound data.
+func (c *Combined) Pop(qd core.QDesc) (core.QToken, error) { return c.Net.Pop(qd) }
+
+// IsStorageQD reports whether qd is an open log.
+func (c *Combined) IsStorageQD(qd core.QDesc) bool {
+	q, _ := c.Net.Queues().Lookup(qd)
+	_, log := q.(core.Log)
+	return log
 }
 
 // --- Integrated wait machinery ---
 
-// TryTake redeems a token from whichever table owns it.
+// TryTake redeems a completed token without blocking.
 func (c *Combined) TryTake(qt core.QToken) (core.QEvent, bool, error) {
-	if isStorQT(qt) {
-		ev, done, err := c.Stor.Tokens().TryTake(untagQT(qt))
-		if done {
-			ev = retagEvent(ev)
-		}
-		return ev, done, err
-	}
 	return c.Net.Tokens().TryTake(qt)
-}
-
-// Completions counts the operations completed on either side; a wait over
-// Combined's tokens rescans them only when it has moved.
-func (c *Combined) Completions() uint64 {
-	return c.Net.Tokens().Completions() + c.Stor.Tokens().Completions()
 }
 
 // Step alternates the two stacks' fast paths (paper §5.5: round-robin CPU
@@ -252,9 +187,6 @@ func (c *Combined) Block(deadline sim.Time) bool { return c.Net.Block(deadline) 
 
 // Now returns the node clock.
 func (c *Combined) Now() sim.Time { return c.Net.Now() }
-
-// IsStorageQD reports whether qd belongs to the storage side.
-func (c *Combined) IsStorageQD(qd core.QDesc) bool { return isStorQD(qd) }
 
 // SchedStats sums the scheduler counters of both stacks (each side runs
 // its own scheduler; one core drives both).

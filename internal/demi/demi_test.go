@@ -140,7 +140,7 @@ func TestCombinedStorageTokensDoNotCollideWithNet(t *testing.T) {
 			return
 		}
 		// Interleave a network memqueue op and a storage op; tokens from
-		// both tables must resolve independently.
+		// both stacks share one table and must resolve independently.
 		mq, _ := ca.Queue()
 		nqt, _ := ca.Push(mq, core.SGA(memory.CopyFrom(ca.Heap(), []byte("net"))))
 		sqt, err := ca.Push(logQD, core.SGA(memory.CopyFrom(ca.Heap(), []byte("disk"))))
@@ -156,8 +156,8 @@ func TestCombinedStorageTokensDoNotCollideWithNet(t *testing.T) {
 		if evs[0].Err != nil || evs[1].Err != nil {
 			t.Errorf("events: %+v", evs)
 		}
-		if !isStorQD(evs[1].QD) {
-			t.Error("storage event not tagged")
+		if evs[1].QD != logQD {
+			t.Errorf("storage event on descriptor %d, want the log's %d", evs[1].QD, logQD)
 		}
 		// Read the record back through the combined API.
 		ca.Seek(logQD, 0)
@@ -196,7 +196,8 @@ func TestCombinedErrors(t *testing.T) {
 	eng, ca, cb, _ := combinedPair(t)
 	_ = cb
 	eng.Spawn(caNode(ca), func() {
-		if err := ca.Seek(1, 0); !errors.Is(err, core.ErrNotSupported) {
+		sock, _ := ca.Socket(core.SockStream)
+		if err := ca.Seek(sock, 0); !errors.Is(err, core.ErrNotSupported) {
 			t.Errorf("Seek on net qd: %v", err)
 		}
 	})

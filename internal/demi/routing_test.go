@@ -1,290 +1,192 @@
 package demi
 
 import (
-	"fmt"
+	"errors"
 	"testing"
-	"time"
 
+	"demikernel/internal/catnip"
+	"demikernel/internal/cattree"
 	"demikernel/internal/core"
+	"demikernel/internal/dpdkdev"
 	"demikernel/internal/memory"
 	"demikernel/internal/sim"
+	"demikernel/internal/simnet"
+	"demikernel/internal/spdkdev"
 )
 
-// fakeSide is a scripted libOS half: every call is recorded with the
-// descriptor it saw, and tokens come from a real core.TokenTable so the
-// combined TryTake path is exercised end to end.
-type fakeSide struct {
-	name   string
-	tokens *core.TokenTable
-	calls  []string
-	// nextNewQD is delivered as the NewQD of accept/open-style
-	// completions.
-	nextNewQD core.QDesc
+// seenStor decorates a storage libOS the way a tracer does: it wraps
+// StorOS.Push and records the descriptor of every push that reaches it.
+type seenStor struct {
+	StorOS
+	pushes []core.QDesc
 }
 
-func (f *fakeSide) record(op string, qd core.QDesc) {
-	f.calls = append(f.calls, fmt.Sprintf("%s(%d)", op, qd))
+func (s *seenStor) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
+	s.pushes = append(s.pushes, qd)
+	return s.StorOS.Push(qd, sga)
 }
 
-func (f *fakeSide) Socket(t core.SockType) (core.QDesc, error) { return 1, nil }
-func (f *fakeSide) Bind(qd core.QDesc, a core.Addr) error      { f.record("bind", qd); return nil }
-func (f *fakeSide) Listen(qd core.QDesc, b int) error          { f.record("listen", qd); return nil }
-func (f *fakeSide) Queue() (core.QDesc, error)                 { return 2, nil }
-func (f *fakeSide) Open(name string) (core.QDesc, error)       { return 3, nil }
-
-func (f *fakeSide) Accept(qd core.QDesc) (core.QToken, error) {
-	f.record("accept", qd)
-	op := f.tokens.New()
-	op.Complete(core.QEvent{QD: qd, Op: core.OpAccept, NewQD: f.nextNewQD})
-	return op.Token(), nil
+// decoratedPair is combinedPair with the client's Cattree behind a seenStor.
+func decoratedPair(t *testing.T) (eng *sim.Engine, cli, srv *Combined, seen *seenStor) {
+	t.Helper()
+	eng = sim.NewEngine(32)
+	sw := simnet.NewSwitch(eng, simnet.DefaultSwitch())
+	na, nb := eng.NewNode("a"), eng.NewNode("b")
+	pa := dpdkdev.Attach(sw, na, simnet.DefaultLink(), 8192, 0)
+	pb := dpdkdev.Attach(sw, nb, simnet.DefaultLink(), 8192, 0)
+	la := catnip.New(na, pa, catnip.DefaultConfig(ipA))
+	lb := catnip.New(nb, pb, catnip.DefaultConfig(ipB))
+	la.SeedARP(ipB, pb.MAC())
+	lb.SeedARP(ipA, pa.MAC())
+	seen = &seenStor{StorOS: cattree.New(na, spdkdev.New(na, spdkdev.OptaneParams(), 1<<16))}
+	cli = NewCombined(la, seen)
+	srv = NewCombined(lb, cattree.New(nb, spdkdev.New(nb, spdkdev.OptaneParams(), 1<<16)))
+	return eng, cli, srv, seen
 }
 
-func (f *fakeSide) Connect(qd core.QDesc, a core.Addr) (core.QToken, error) {
-	f.record("connect", qd)
-	op := f.tokens.New()
-	op.Complete(core.QEvent{QD: qd, Op: core.OpConnect})
-	return op.Token(), nil
-}
-
-func (f *fakeSide) Close(qd core.QDesc) error { f.record("close", qd); return nil }
-
-func (f *fakeSide) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
-	f.record("push", qd)
-	op := f.tokens.New()
-	op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
-	return op.Token(), nil
-}
-
-func (f *fakeSide) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	f.record("pushto", qd)
-	op := f.tokens.New()
-	op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
-	return op.Token(), nil
-}
-
-func (f *fakeSide) Pop(qd core.QDesc) (core.QToken, error) {
-	f.record("pop", qd)
-	op := f.tokens.New()
-	op.Complete(core.QEvent{QD: qd, Op: core.OpPop})
-	return op.Token(), nil
-}
-
-func (f *fakeSide) Wait(qt core.QToken) (core.QEvent, error) { panic("unused") }
-func (f *fakeSide) WaitAny(qts []core.QToken, d time.Duration) (int, core.QEvent, error) {
-	panic("unused")
-}
-func (f *fakeSide) WaitAll(qts []core.QToken, d time.Duration) ([]core.QEvent, error) {
-	panic("unused")
-}
-func (f *fakeSide) Heap() *memory.Heap                { return nil }
-func (f *fakeSide) Tokens() *core.TokenTable          { return f.tokens }
-func (f *fakeSide) Step() bool                        { return false }
-func (f *fakeSide) Block(deadline sim.Time) bool      { return false }
-func (f *fakeSide) Now() sim.Time                     { return 0 }
-func (f *fakeSide) Mount() error                      { return nil }
-func (f *fakeSide) Seek(qd core.QDesc, o int64) error { f.record("seek", qd); return nil }
-func (f *fakeSide) Truncate(qd core.QDesc) error      { f.record("truncate", qd); return nil }
-
-func newFakes() (*Combined, *fakeSide, *fakeSide) {
-	net := &fakeSide{name: "net", tokens: core.NewTokenTable()}
-	stor := &fakeSide{name: "stor", tokens: core.NewTokenTable()}
-	return NewCombined(net, stor), net, stor
-}
-
-// TestCombinedTagRouting drives each PDPIX call through Combined and
-// checks which side saw it and with which (untagged) descriptor, plus
-// whether the returned token carries the storage tag.
-func TestCombinedTagRouting(t *testing.T) {
-	const stQD = core.QDesc(7) // a storage-side descriptor, pre-tagging
-
-	cases := []struct {
-		name     string
-		invoke   func(c *Combined) (core.QToken, error)
-		wantSide string // "net" or "stor"
-		wantCall string // recorded call on that side
-		wantTag  bool   // returned token carries storTokenTag
-	}{
-		{
-			name: "push untagged routes to net",
-			invoke: func(c *Combined) (core.QToken, error) {
-				return c.Push(5, core.SGArray{})
-			},
-			wantSide: "net", wantCall: "push(5)", wantTag: false,
-		},
-		{
-			name: "push tagged routes to stor untagged",
-			invoke: func(c *Combined) (core.QToken, error) {
-				return c.Push(stQD|storTag, core.SGArray{})
-			},
-			wantSide: "stor", wantCall: "push(7)", wantTag: true,
-		},
-		{
-			name: "pop untagged routes to net",
-			invoke: func(c *Combined) (core.QToken, error) {
-				return c.Pop(5)
-			},
-			wantSide: "net", wantCall: "pop(5)", wantTag: false,
-		},
-		{
-			name: "pop tagged routes to stor untagged",
-			invoke: func(c *Combined) (core.QToken, error) {
-				return c.Pop(stQD | storTag)
-			},
-			wantSide: "stor", wantCall: "pop(7)", wantTag: true,
-		},
-		{
-			name: "accept stays on net",
-			invoke: func(c *Combined) (core.QToken, error) {
-				return c.Accept(5)
-			},
-			wantSide: "net", wantCall: "accept(5)", wantTag: false,
-		},
-		{
-			name: "connect stays on net",
-			invoke: func(c *Combined) (core.QToken, error) {
-				return c.Connect(5, core.Addr{})
-			},
-			wantSide: "net", wantCall: "connect(5)", wantTag: false,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, net, stor := newFakes()
-			qt, err := tc.invoke(c)
-			if err != nil {
-				t.Fatalf("invoke: %v", err)
+// sink accepts one connection on srv and pops from it until end of stream,
+// reporting the accepted descriptor.
+func sink(t *testing.T, srv *Combined, accepted func(core.QDesc)) func() {
+	return func() {
+		lqd, _ := srv.Socket(core.SockStream)
+		srv.Bind(lqd, core.Addr{IP: ipB, Port: 80})
+		srv.Listen(lqd, 4)
+		aqt, _ := srv.Accept(lqd)
+		ev, err := srv.Wait(aqt)
+		if err != nil || ev.Err != nil {
+			t.Errorf("accept: %v, %v", err, ev.Err)
+			return
+		}
+		accepted(ev.NewQD)
+		for {
+			pqt, _ := srv.Pop(ev.NewQD)
+			pev, err := srv.Wait(pqt)
+			if err != nil || pev.Err != nil || len(pev.SGA.Segs) == 0 {
+				break
 			}
-			want, other := net, stor
-			if tc.wantSide == "stor" {
-				want, other = stor, net
-			}
-			if len(want.calls) != 1 || want.calls[0] != tc.wantCall {
-				t.Fatalf("%s calls = %v, want [%s]", tc.wantSide, want.calls, tc.wantCall)
-			}
-			if len(other.calls) != 0 {
-				t.Fatalf("wrong side also called: %v", other.calls)
-			}
-			if got := isStorQT(qt); got != tc.wantTag {
-				t.Fatalf("token tag = %v, want %v", got, tc.wantTag)
-			}
-			// The combined table must redeem the token it handed out.
-			ev, done, terr := c.TryTake(qt)
-			if terr != nil || !done {
-				t.Fatalf("TryTake: done=%v err=%v", done, terr)
-			}
-			if tc.wantTag && ev.QD&storTag == 0 {
-				t.Fatalf("storage event QD %d not retagged", ev.QD)
-			}
-		})
+			pev.SGA.Free()
+		}
+		srv.Close(ev.NewQD)
+		srv.Close(lqd)
 	}
 }
 
-// TestCombinedCloseSeekTruncateRouting checks the descriptor-routed
-// control calls.
+// TestCombinedLogPushesReachStor holds the one routing Combined keeps: a
+// decorator of its storage libOS sees exactly the pushes to logs, none to
+// sockets or in-memory queues, and every event of a log carries the
+// descriptor Open returned.
+func TestCombinedLogPushesReachStor(t *testing.T) {
+	eng, cli, srv, seen := decoratedPair(t)
+	eng.Spawn(cbNode(srv), sink(t, srv, func(core.QDesc) {}))
+	eng.Spawn(caNode(cli), func() {
+		log, err := cli.Open("seen.log")
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		mq, _ := cli.Queue()
+		sock, _ := cli.Socket(core.SockStream)
+		cqt, _ := cli.Connect(sock, core.Addr{IP: ipB, Port: 80})
+		if ev, err := cli.Wait(cqt); err != nil || ev.Err != nil {
+			t.Errorf("connect: %v, %v", err, ev.Err)
+			return
+		}
+		mpop, _ := cli.Pop(mq)
+		for _, qd := range []core.QDesc{sock, mq, log, log} {
+			msg := core.SGA(memory.CopyFrom(cli.Heap(), []byte("rec")))
+			qt, err := cli.Push(qd, msg)
+			ev, werr := cli.Wait(qt)
+			if err != nil || werr != nil || ev.Err != nil || ev.QD != qd {
+				t.Errorf("push(%d) = %+v, %v, %v", qd, ev, err, werr)
+			}
+			if qd != mq {
+				msg.Free()
+			}
+		}
+		if ev, err := cli.Wait(mpop); err != nil || ev.QD != mq {
+			t.Errorf("pop(mq) = %+v, %v", ev, err)
+		} else {
+			ev.SGA.Free()
+		}
+		if err := cli.Seek(log, 0); err != nil {
+			t.Errorf("seek(log): %v", err)
+		}
+		for i := 0; i < 3; i++ { // two records, then the end of the log
+			pqt, err := cli.Pop(log)
+			ev, werr := cli.Wait(pqt)
+			if err != nil || werr != nil || ev.Err != nil || ev.QD != log || (len(ev.SGA.Segs) == 0) != (i == 2) {
+				t.Errorf("pop(log) #%d = %+v, %v, %v", i, ev, err, werr)
+			}
+			ev.SGA.Free()
+		}
+		cli.Close(sock)
+		cli.Close(mq)
+		cli.Close(log)
+		if len(seen.pushes) != 2 || seen.pushes[0] != log || seen.pushes[1] != log {
+			t.Errorf("the storage libOS saw pushes to %v, want the log %d twice", seen.pushes, log)
+		}
+	})
+	eng.Run()
+}
+
+// TestCombinedCloseSeekTruncateRouting: the log calls reach a log through
+// the shared descriptor table, and a descriptor that is not a log, or no
+// longer one, answers as the documented check order says.
 func TestCombinedCloseSeekTruncateRouting(t *testing.T) {
-	c, net, stor := newFakes()
-	if err := c.Close(9); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(9 | storTag); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Seek(9|storTag, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Truncate(9 | storTag); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Seek(9, 0); err != core.ErrNotSupported {
-		t.Fatalf("seek on net qd = %v, want ErrNotSupported", err)
-	}
-	if err := c.Truncate(9); err != core.ErrNotSupported {
-		t.Fatalf("truncate on net qd = %v, want ErrNotSupported", err)
-	}
-	if len(net.calls) != 1 || net.calls[0] != "close(9)" {
-		t.Fatalf("net calls = %v", net.calls)
-	}
-	wantStor := []string{"close(9)", "seek(9)", "truncate(9)"}
-	if len(stor.calls) != len(wantStor) {
-		t.Fatalf("stor calls = %v, want %v", stor.calls, wantStor)
-	}
-	for i, w := range wantStor {
-		if stor.calls[i] != w {
-			t.Fatalf("stor calls = %v, want %v", stor.calls, wantStor)
+	eng, cli, _, _ := decoratedPair(t)
+	eng.Spawn(caNode(cli), func() {
+		log, _ := cli.Open("r.log")
+		mq, _ := cli.Queue()
+		if err := cli.Seek(log, 100); err != nil {
+			t.Errorf("seek(log): %v", err)
 		}
+		if err := cli.Truncate(log); err != nil {
+			t.Errorf("truncate(log): %v", err)
+		}
+		if err := cli.Seek(mq, 0); !errors.Is(err, core.ErrNotSupported) {
+			t.Errorf("seek(mq) = %v, want ErrNotSupported", err)
+		}
+		if err := cli.Truncate(mq); !errors.Is(err, core.ErrNotSupported) {
+			t.Errorf("truncate(mq) = %v, want ErrNotSupported", err)
+		}
+		if err := cli.Close(log); err != nil {
+			t.Errorf("close(log): %v", err)
+		}
+		if err := cli.Seek(log, 0); !errors.Is(err, core.ErrBadQDesc) {
+			t.Errorf("seek(closed log) = %v, want ErrBadQDesc", err)
+		}
+		if err := cli.Truncate(log); !errors.Is(err, core.ErrBadQDesc) {
+			t.Errorf("truncate(closed log) = %v, want ErrBadQDesc", err)
+		}
+		cli.Close(mq)
+	})
+	eng.Run()
+	if n := cli.Stor.(*seenStor).StorOS.(*cattree.LibOS).Stats().Truncates; n != 1 {
+		t.Errorf("%d truncates reached the log, want 1", n)
 	}
 }
 
-// TestCombinedRetagsNewQD: a storage-side completion carrying a NewQD must
-// surface it tagged, and the tagged descriptor must route back to the
-// storage side — the full round trip an application performs.
-func TestCombinedRetagsNewQD(t *testing.T) {
-	c, _, stor := newFakes()
-	stor.nextNewQD = 11
-
-	// Drive an accept-style completion through the storage table via the
-	// tagged path (Combined has no storage accept call, so mint the token
-	// directly and redeem it through the combined namespace).
-	qt, err := stor.Accept(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, done, err := c.TryTake(tagQT(qt))
-	if err != nil || !done {
-		t.Fatalf("TryTake: done=%v err=%v", done, err)
-	}
-	if ev.QD != tagQD(4) {
-		t.Fatalf("event QD = %d, want tagged 4", ev.QD)
-	}
-	if ev.NewQD != tagQD(11) {
-		t.Fatalf("event NewQD = %d, want tagged 11", ev.NewQD)
-	}
-	// The tagged NewQD routes back to the storage side, untagged.
-	stor.calls = nil
-	if _, err := c.Push(ev.NewQD, core.SGArray{}); err != nil {
-		t.Fatal(err)
-	}
-	if len(stor.calls) != 1 || stor.calls[0] != "push(11)" {
-		t.Fatalf("stor calls = %v, want [push(11)]", stor.calls)
-	}
-}
-
-// TestCombinedNetNewQDUntouched: network completions must pass through
-// retag-free — tagging a net accept's NewQD would route it to storage.
+// TestCombinedNetNewQDUntouched: a network completion's NewQD is the
+// descriptor the network stack installed, a connection and not a log.
 func TestCombinedNetNewQDUntouched(t *testing.T) {
-	c, net, _ := newFakes()
-	net.nextNewQD = 13
-	qt, err := c.Accept(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, done, err := c.TryTake(qt)
-	if err != nil || !done {
-		t.Fatalf("TryTake: done=%v err=%v", done, err)
-	}
-	if ev.NewQD != 13 {
-		t.Fatalf("net NewQD = %d, want 13 untagged", ev.NewQD)
-	}
-}
-
-// Tokens are sequential uint64 counts per table: the storage tag must route
-// every count a table can reach, and survive the round trip. At bit 30 (the
-// descriptor tag's bit) a network token of 2³⁰ read as a storage token and a
-// storage token past 2³⁰ lost a bit on the way back.
-func TestTokenTagRoundTrip(t *testing.T) {
-	for _, qt := range []core.QToken{
-		1, 1<<30 - 1, 1 << 30, 1<<30 + 1, 1<<30 | 12345,
-		1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<32 | 1<<30 | 7, 1<<62 + 1,
-	} {
-		if isStorQT(qt) {
-			t.Errorf("network token %#x routes to the storage table", qt)
+	eng, cli, srv, _ := decoratedPair(t)
+	var conn core.QDesc
+	eng.Spawn(cbNode(srv), sink(t, srv, func(qd core.QDesc) {
+		conn = qd
+		if q, ok := srv.Net.Queues().Lookup(qd); !ok || srv.IsStorageQD(qd) {
+			t.Errorf("accepted descriptor %d holds %T (live %v)", qd, q, ok)
 		}
-		tagged := tagQT(qt)
-		if !isStorQT(tagged) {
-			t.Errorf("storage token %#x, tagged %#x, routes to the network table", qt, tagged)
+	}))
+	eng.Spawn(caNode(cli), func() {
+		sock, _ := cli.Socket(core.SockStream)
+		cqt, _ := cli.Connect(sock, core.Addr{IP: ipB, Port: 80})
+		if ev, err := cli.Wait(cqt); err != nil || ev.Err != nil {
+			t.Errorf("connect: %v, %v", err, ev.Err)
 		}
-		if got := untagQT(tagged); got != qt {
-			t.Errorf("storage token %#x comes back from its tag as %#x", qt, got)
-		}
+		cli.Close(sock)
+	})
+	eng.Run()
+	if conn == 0 {
+		t.Fatal("the server accepted nothing")
 	}
 }
