@@ -1,8 +1,6 @@
 // Command demi-vet runs the repository's static analyzers over the module:
-// qtoken discipline, buffer ownership, sim-world determinism and
-// //demi:nonalloc hot-path allocation checks, plus the //demi: marker
-// grammar itself. It is built exclusively on the standard library's
-// go/parser, go/ast and go/types.
+// qtoken discipline and buffer ownership. It is built exclusively on the
+// standard library's go/parser, go/ast and go/types.
 //
 // Usage:
 //
@@ -12,9 +10,8 @@
 //	go run ./cmd/demi-vet -github ./...         # GitHub workflow annotations
 //	go run ./cmd/demi-vet -budget 25s ./...     # fail if the run exceeds 25s
 //
-// Exit status: 0 no findings, 1 findings (or stale allowlist entries, or
-// -budget exceeded), 2 usage or load errors. Audited exceptions live in
-// analysis.allow at the module root (override with -allow).
+// Exit status: 0 no findings, 1 findings (or -budget exceeded), 2 usage or
+// load errors.
 package main
 
 import (
@@ -36,7 +33,6 @@ func main() {
 func run(args []string) int {
 	start := time.Now()
 	fs := flag.NewFlagSet("demi-vet", flag.ContinueOnError)
-	allowPath := fs.String("allow", "", "allowlist file (default <module-root>/analysis.allow)")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	github := fs.Bool("github", false, "emit findings as GitHub workflow ::error annotations")
 	budget := fs.Duration("budget", 0, "fail (exit 1) if the whole run exceeds this wall time")
@@ -59,7 +55,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	pkgs, wholeModule, err := selectPackages(mod, cwd, patterns)
+	pkgs, err := selectPackages(mod, cwd, patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "demi-vet:", err)
 		return 2
@@ -69,16 +65,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	if *allowPath == "" {
-		*allowPath = filepath.Join(mod.Root, "analysis.allow")
-	}
-	allow, err := analysis.LoadAllowlist(*allowPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "demi-vet:", err)
-		return 2
-	}
-
-	findings := allow.Filter(analysis.Run(mod, pkgs, analysis.DefaultAnalyzers()))
+	findings := analysis.Run(mod, pkgs, analysis.DefaultAnalyzers())
 	switch {
 	case *jsonOut:
 		if err := printJSON(findings); err != nil {
@@ -98,15 +85,6 @@ func run(args []string) int {
 	if len(findings) > 0 {
 		fmt.Fprintf(os.Stderr, "demi-vet: %d finding(s)\n", len(findings))
 		status = 1
-	}
-	// Stale allowlist entries only count against a whole-module run: a
-	// partial run legitimately misses the findings other entries suppress.
-	if wholeModule {
-		for _, e := range allow.Unused() {
-			fmt.Fprintf(os.Stderr, "demi-vet: %s:%d: stale allowlist entry (%s %s %q) suppresses nothing — delete it\n",
-				*allowPath, e.Line, e.Analyzer, e.File, e.Contains)
-			status = 1
-		}
 	}
 	// The wall-clock regression gate: CI runs with -budget so that analysis
 	// slowdowns (a summary blow-up, an accidental quadratic walk) fail the
@@ -164,8 +142,7 @@ func printGitHub(f analysis.Finding) {
 // selectPackages resolves the command-line patterns against the loaded
 // module. "./..." (or a bare directory with /... suffix) selects every
 // package under that directory; a plain directory selects its package.
-func selectPackages(mod *analysis.Module, cwd string, patterns []string) ([]*analysis.Package, bool, error) {
-	whole := false
+func selectPackages(mod *analysis.Module, cwd string, patterns []string) ([]*analysis.Package, error) {
 	var roots []string // absolute dir prefixes selecting package trees
 	var exact []string // absolute dirs selecting single packages
 	for _, pat := range patterns {
@@ -178,19 +155,16 @@ func selectPackages(mod *analysis.Module, cwd string, patterns []string) ([]*ana
 			abs, err = dir, nil
 		}
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if recursive {
 			if abs == mod.Root {
-				whole = true
+				return mod.Pkgs, nil
 			}
 			roots = append(roots, abs)
 		} else {
 			exact = append(exact, abs)
 		}
-	}
-	if whole {
-		return mod.Pkgs, true, nil
 	}
 	var out []*analysis.Package
 	for _, p := range mod.Pkgs {
@@ -210,5 +184,5 @@ func selectPackages(mod *analysis.Module, cwd string, patterns []string) ([]*ana
 			out = append(out, p)
 		}
 	}
-	return out, false, nil
+	return out, nil
 }

@@ -1,6 +1,6 @@
 // Package analysis implements demi-vet, the repository's static analyzer.
-// It enforces, at build time, the contracts the paper states and the soaks
-// can only probe empirically at run time:
+// It enforces, at build time, the two PDPIX contracts whose breaches no
+// test catches at run time (DESIGN.md §8 lists the planted defects):
 //
 //   - qtoken discipline: every qtoken produced by push/pop/accept/connect
 //     must flow into a Wait call, be returned, or be stored — never dropped
@@ -9,18 +9,8 @@
 //     afterward, and every allocated buffer must be freed, pushed, returned
 //     or stored on all paths — including push-failure paths, where
 //     ownership does not transfer (ownership.go).
-//   - determinism: packages in the simulated world may not read the wall
-//     clock, use global math/rand, or feed map-iteration order into an
-//     output sink (determinism.go).
-//   - nonalloc: functions annotated //demi:nonalloc are rejected if they
-//     contain allocating constructs or call into code that may allocate
-//     (nonalloc.go).
 //
-// A fifth analyzer, annot, checks the //demi:nonalloc marker itself: a
-// misspelled, detached or misplaced marker is a finding instead of a
-// silently disabled check (annot.go).
-//
-// The qtoken and ownership rules sit on a shared dataflow core: a
+// Both rules sit on a shared dataflow core: a
 // per-function control-flow graph (cfg.go) and an interprocedural summary
 // engine (summary.go) that fixpoints parameter ownership modes and owned
 // results over the module call graph. Summaries are memoized on first use,
@@ -42,7 +32,7 @@ import (
 type Finding struct {
 	Analyzer string // which analyzer produced it
 	Pos      token.Position
-	File     string // module-root-relative path, stable for allowlisting
+	File     string // module-root-relative path
 	Message  string
 	Hint     string // how to fix it
 }
@@ -89,16 +79,9 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 	})
 }
 
-// DefaultAnalyzers returns the four contract analyzers with their default
-// configuration, plus the annotation check nonalloc depends on.
+// DefaultAnalyzers returns the two contract analyzers.
 func DefaultAnalyzers() []*Analyzer {
-	return []*Analyzer{
-		QTokenAnalyzer(),
-		OwnershipAnalyzer(),
-		DeterminismAnalyzer(nil),
-		NonAllocAnalyzer(),
-		AnnotAnalyzer(),
-	}
+	return []*Analyzer{QTokenAnalyzer(), OwnershipAnalyzer()}
 }
 
 // Run executes the analyzers over the given packages, returning findings

@@ -137,61 +137,6 @@ func TestTenantFixture(t *testing.T) {
 	runFixture(t, "tenantfix", OwnershipAnalyzer(), QTokenAnalyzer())
 }
 
-func TestDeterminismFixture(t *testing.T) {
-	runFixture(t, "determfix", DeterminismAnalyzer([]string{"determfix"}))
-}
-
-// TestRackFixture pins the determinism contract over the rack subsystem's
-// temptations: wall-clock placement stamps, math/rand tie breaking, and
-// map-ordered telemetry output.
-func TestRackFixture(t *testing.T) {
-	runFixture(t, "rackfix", DeterminismAnalyzer([]string{"rackfix"}))
-}
-
-func TestNonAllocFixture(t *testing.T) {
-	runFixture(t, "nonallocfix", NonAllocAnalyzer())
-}
-
-// TestDTraceFixture pins the tracer record-path contract: arena events are
-// written in place, retention appends are capacity-guarded, and labels are
-// pre-interned ids — per-event map writes, appends, and string building are
-// findings.
-func TestDTraceFixture(t *testing.T) {
-	runFixture(t, "dtracefix", NonAllocAnalyzer())
-}
-
-// TestAnnotFixture pins the loud-marker rule: a //demi: line with an
-// unknown name or a value (a deleted check's marker included), one a blank
-// line has detached, and one on the wrong kind of declaration are findings;
-// the legal form and prose that merely quotes a marker are not.
-func TestAnnotFixture(t *testing.T) {
-	runFixture(t, "annotfix", AnnotAnalyzer())
-}
-
-// TestAnnotationsReadCold asks the annotation accessor about a package on a
-// module nothing has been run over: it indexes on demand, so it is not
-// "only valid after" some earlier pass.
-func TestAnnotationsReadCold(t *testing.T) {
-	root, path, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newModule(root, path)
-	pkg, err := m.LoadDir(filepath.Join("testdata", "src", "annotfix"))
-	if err != nil {
-		t.Fatalf("loading annotfix: %v", err)
-	}
-	scope := pkg.Types.Scope()
-	for _, c := range []struct {
-		fn       string
-		nonalloc bool
-	}{{"hot", true}, {"typo", false}, {"valued", false}, {"detached", false}} {
-		if got := m.IsNonAlloc(scope.Lookup(c.fn).(*types.Func)); got != c.nonalloc {
-			t.Errorf("IsNonAlloc(%s) = %v, want %v", c.fn, got, c.nonalloc)
-		}
-	}
-}
-
 // TestInterprocFixture pins the interprocedural engine's headline wins:
 // leaks through borrowing helpers, owned results of wrapper allocators,
 // path-sensitive leaks of helper-produced buffers, and tokens stranded
@@ -200,21 +145,12 @@ func TestInterprocFixture(t *testing.T) {
 	runFixture(t, "interprocfix", OwnershipAnalyzer(), QTokenAnalyzer())
 }
 
-// TestModuleClean is the acceptance gate: demi-vet with the checked-in
-// allowlist reports nothing on the module itself, and every allowlist
-// entry still earns its keep.
+// TestModuleClean is the acceptance gate: demi-vet reports nothing on the
+// module itself.
 func TestModuleClean(t *testing.T) {
 	m, pkgs := loadSharedModule(t)
-	allow, err := LoadAllowlist(filepath.Join(m.Root, "analysis.allow"))
-	if err != nil {
-		t.Fatalf("LoadAllowlist: %v", err)
-	}
-	findings := allow.Filter(Run(m, pkgs, DefaultAnalyzers()))
-	for _, f := range findings {
+	for _, f := range Run(m, pkgs, DefaultAnalyzers()) {
 		t.Errorf("module is not demi-vet clean: %s", f)
-	}
-	for _, e := range allow.Unused() {
-		t.Errorf("analysis.allow:%d: stale entry (%s %s %q) suppresses nothing", e.Line, e.Analyzer, e.File, e.Contains)
 	}
 }
 
@@ -231,10 +167,7 @@ func renderFindings(fs []Finding) string {
 
 // forgetSummaries drops every memo, so the next query computes from
 // nothing, in whatever order it is asked.
-func forgetSummaries(m *Module) {
-	m.sums = nil
-	m.allocMemo = make(map[*types.Func]int8)
-}
+func forgetSummaries(m *Module) { m.sums = nil }
 
 // TestFindingsIndependentOfOrder holds the sequential engine to what the
 // snapshot engine was for: summaries are memoized in the order they are
@@ -245,17 +178,26 @@ func forgetSummaries(m *Module) {
 func TestFindingsIndependentOfOrder(t *testing.T) {
 	m, pkgs := loadSharedModule(t)
 
+	// The module is clean, so the seeded fixtures ride along: their
+	// findings are what the orders must agree on.
 	sorted := append([]*Package(nil), pkgs...)
+	for _, fixture := range []string{"qtokenfix", "ownerfix", "catmemfix", "frontendfix", "tenantfix", "interprocfix", "sumfix"} {
+		pkg, err := m.LoadDir(filepath.Join("testdata", "src", fixture))
+		if err != nil {
+			t.Fatalf("loading %s: %v", fixture, err)
+		}
+		sorted = append(sorted, pkg)
+	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
 	forgetSummaries(m)
 	want := renderFindings(Run(m, sorted, DefaultAnalyzers()))
 	if want == "" {
-		t.Fatal("the module reports nothing before the allowlist: the comparison would be vacuous")
+		t.Fatal("the module and its fixtures report nothing: the comparison would be vacuous")
 	}
 	check := func(name string, order []*Package) {
 		forgetSummaries(m)
 		if got := renderFindings(Run(m, order, DefaultAnalyzers())); got != want {
-			t.Errorf("module, %s package order: findings differ from sorted order\n--- sorted\n%s--- %s\n%s", name, want, name, got)
+			t.Errorf("module and fixtures, %s package order: findings differ from sorted order\n--- sorted\n%s--- %s\n%s", name, want, name, got)
 		}
 	}
 	reversed := append([]*Package(nil), sorted...)
@@ -294,64 +236,10 @@ func TestFindingsIndependentOfOrder(t *testing.T) {
 				forgetSummaries(m)
 				m.ParamModes(fn)
 				m.OwnedResults(fn)
-				m.allocates(fn)
 				if got := renderFindings(Run(m, []*Package{pkg}, DefaultAnalyzers())); got != want {
 					t.Errorf("%s entered from %s first: findings differ\n--- declaration order\n%s--- %s first\n%s", fixture, fd.Name.Name, want, fd.Name.Name, got)
 				}
 			}
 		}
-	}
-}
-
-func TestAllowlistParse(t *testing.T) {
-	al, err := ParseAllowlist(strings.NewReader(`
-# comment
-determinism internal/sim/time.go time.Now  # rationale
-nonalloc sched.go dynamic call
-`), "test")
-	if err != nil {
-		t.Fatalf("ParseAllowlist: %v", err)
-	}
-	if len(al.Entries) != 2 {
-		t.Fatalf("got %d entries, want 2", len(al.Entries))
-	}
-	if e := al.Entries[0]; e.Analyzer != "determinism" || e.File != "internal/sim/time.go" || e.Contains != "time.Now" {
-		t.Errorf("entry 0 parsed as %+v", e)
-	}
-	if e := al.Entries[1]; e.Contains != "dynamic call" {
-		t.Errorf("entry 1 message substring = %q, want with spaces", e.Contains)
-	}
-
-	if _, err := ParseAllowlist(strings.NewReader("tooshort entry\n"), "test"); err == nil {
-		t.Error("malformed line should be a parse error")
-	}
-}
-
-func TestAllowlistFilterAndUnused(t *testing.T) {
-	al := &Allowlist{Entries: []AllowEntry{
-		{Analyzer: "qtoken", File: "a.go", Contains: "dropped", Line: 1},
-		{Analyzer: "qtoken", File: "b.go", Contains: "dropped", Line: 2},
-	}}
-	findings := []Finding{
-		{Analyzer: "qtoken", File: "pkg/a.go", Message: "qtoken is dropped"},
-		{Analyzer: "ownership", File: "pkg/a.go", Message: "buffer dropped"},
-	}
-	kept := al.Filter(findings)
-	if len(kept) != 1 || kept[0].Analyzer != "ownership" {
-		t.Fatalf("Filter kept %v, want only the ownership finding", kept)
-	}
-	unused := al.Unused()
-	if len(unused) != 1 || unused[0].Line != 2 {
-		t.Fatalf("Unused = %v, want only the b.go entry", unused)
-	}
-}
-
-func TestLoadAllowlistMissingFile(t *testing.T) {
-	al, err := LoadAllowlist(filepath.Join(t.TempDir(), "nope.allow"))
-	if err != nil {
-		t.Fatalf("missing allowlist should be empty, got error %v", err)
-	}
-	if len(al.Entries) != 0 {
-		t.Fatalf("missing allowlist has %d entries", len(al.Entries))
 	}
 }

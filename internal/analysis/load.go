@@ -22,8 +22,8 @@ type Package struct {
 }
 
 // A Module holds every loaded package of one Go module plus the
-// cross-package indexes the analyzers share (function declarations,
-// //demi: annotations, allocation summaries). Loading uses only
+// cross-package indexes the analyzers share (function declarations and
+// the interprocedural summaries). Loading uses only
 // the standard library: go/parser for syntax, go/types for semantics,
 // and the stdlib source importer for standard-library dependencies.
 type Module struct {
@@ -36,12 +36,9 @@ type Module struct {
 	std    types.Importer
 
 	// Cross-package indexes, built lazily by index().
-	decls    map[*types.Func]*ast.FuncDecl
-	declPkg  map[*types.Func]*Package
-	nonalloc map[*types.Func]bool // //demi:nonalloc functions
-	indexed  int                  // number of packages already indexed
-
-	allocMemo map[*types.Func]int8 // allocation summary memo (see nonalloc.go)
+	decls   map[*types.Func]*ast.FuncDecl
+	declPkg map[*types.Func]*Package
+	indexed int // number of packages already indexed
 
 	sums *summaries // interprocedural summary engine state (see summary.go)
 }
@@ -116,12 +113,11 @@ func LoadModule(dir string) (*Module, error) {
 func newModule(root, modPath string) *Module {
 	fset := token.NewFileSet()
 	return &Module{
-		Fset:      fset,
-		Root:      root,
-		Path:      modPath,
-		byPath:    make(map[string]*Package),
-		std:       importer.ForCompiler(fset, "source", nil),
-		allocMemo: make(map[*types.Func]int8),
+		Fset:   fset,
+		Root:   root,
+		Path:   modPath,
+		byPath: make(map[string]*Package),
+		std:    importer.ForCompiler(fset, "source", nil),
 	}
 }
 
@@ -241,14 +237,12 @@ func (m *Module) LookupNamed(pathSuffix, name string) *types.Named {
 }
 
 // index builds (or extends, after fixture loads) the cross-package maps
-// from *types.Func to declaration, and the annotation set (annot.go).
-// Every accessor that reads them calls it first, so they answer on a
-// freshly loaded module.
+// from *types.Func to declaration. Every accessor that reads them calls it
+// first, so they answer on a freshly loaded module.
 func (m *Module) index() {
 	if m.decls == nil {
 		m.decls = make(map[*types.Func]*ast.FuncDecl)
 		m.declPkg = make(map[*types.Func]*Package)
-		m.nonalloc = make(map[*types.Func]bool)
 	}
 	for ; m.indexed < len(m.Pkgs); m.indexed++ {
 		p := m.Pkgs[m.indexed]
@@ -261,7 +255,6 @@ func (m *Module) index() {
 					}
 				}
 			}
-			m.indexAnnotations(p, f)
 		}
 	}
 }

@@ -561,7 +561,7 @@ func checkWritesAfterPush(p *Pass, prod producer, pushPos token.Pos) {
 // staticCallee resolves a call to its *types.Func when the callee is a
 // plain function or a method on a concrete value. A method of an
 // instantiated generic type resolves to its declaration (Origin), which is
-// what the module's declaration and annotation tables are keyed by.
+// what the module's declaration table is keyed by.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -29,6 +29,24 @@ func TestStoreBasicOps(t *testing.T) {
 	}
 }
 
+// Snapshot lists its keys in key order, whatever order the map holds them
+// in: an AOF rewrite is the same bytes on every run.
+func TestSnapshotInKeyOrder(t *testing.T) {
+	s := NewStore()
+	for i := 31; i >= 0; i-- {
+		s.Execute(Command{[]byte("SET"), []byte(fmt.Sprintf("key%02d", i)), []byte("v")})
+	}
+	snap := s.Snapshot()
+	if len(snap) != 32 {
+		t.Fatalf("snapshot has %d commands, want 32", len(snap))
+	}
+	for i, cmd := range snap {
+		if want := fmt.Sprintf("key%02d", i); string(cmd[1]) != want {
+			t.Fatalf("snapshot command %d sets %q, want %q", i, cmd[1], want)
+		}
+	}
+}
+
 func TestStoreIncrDecr(t *testing.T) {
 	s := NewStore()
 	for want := int64(1); want <= 3; want++ {

@@ -9,6 +9,7 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/demi"
 	"demikernel/internal/dpdkdev"
+	"demikernel/internal/memory"
 	"demikernel/internal/sim"
 	"demikernel/internal/simnet"
 	"demikernel/internal/spdkdev"
@@ -241,4 +242,30 @@ func TestAOFRewriteCompactsLog(t *testing.T) {
 	if got := store.Execute(Command{[]byte("GET"), []byte("hot")}); !bytes.Equal(got, BulkString([]byte{49})) {
 		t.Errorf("hot after compacted replay = %q", got)
 	}
+}
+
+// A push the libOS refuses leaves the buffer with pushCopy, which frees it:
+// the heap holds as many objects after as before.
+func TestPushCopyRefusedFreesBuffer(t *testing.T) {
+	eng, _, lc, _ := cluster(t)
+	eng.Spawn(lc.Node(), func() {
+		qd, err := lc.Socket(core.SockStream)
+		if err != nil {
+			t.Errorf("socket: %v", err)
+			return
+		}
+		if err := lc.Close(qd); err != nil {
+			t.Errorf("close: %v", err)
+			return
+		}
+		var seg [1]*memory.Buf
+		live := lc.Heap().LiveObjects()
+		if _, refused, _ := pushCopy(lc, &seg, qd, []byte("+OK\r\n")); refused == nil {
+			t.Error("push to a closed descriptor was not refused")
+		}
+		if n := lc.Heap().LiveObjects(); n != live {
+			t.Errorf("heap holds %d objects after a refused push, %d before", n, live)
+		}
+	})
+	eng.Run()
 }

@@ -85,9 +85,8 @@ func Server(l demi.LibOS, addr core.Addr, stats *Stats) error {
 			ok := memory.CopyFrom(l.Heap(), []byte{OpAllocateOK})
 			if qt, err := l.PushTo(qd, core.SGA(ok), ev.From); err == nil {
 				l.Wait(qt)
-			} else {
-				ok.Free() // failed push leaves ownership with us
 			}
+			ok.Free() // completed or refused, the push leaves the buffer with us
 		case OpData:
 			if len(msg) < dataHeaderLen {
 				stats.DroppedMalformed++
@@ -107,7 +106,9 @@ func Server(l demi.LibOS, addr core.Addr, stats *Stats) error {
 				fwd.Free() // failed push leaves ownership with us
 				continue
 			}
-			if _, err := l.Wait(qt); err != nil {
+			_, err = l.Wait(qt)
+			fwd.Free() // the push has completed: the buffer comes home
+			if err != nil {
 				return nil
 			}
 			stats.Relayed++

@@ -90,6 +90,11 @@ func TestRelayForwardsBetweenSessions(t *testing.T) {
 	if stats.Allocations != 1 || stats.Relayed != 5 {
 		t.Errorf("stats = %+v", stats)
 	}
+	// The server frees what it pushed once the push has completed: the
+	// ALLOCATE-OK reply and every forwarded packet.
+	if n := lr.Heap().LiveObjects(); n != 0 {
+		t.Errorf("relay heap holds %d buffers after the run, want 0", n)
+	}
 }
 
 func TestRelayDropsUnknownSessionAndMalformed(t *testing.T) {

@@ -5,7 +5,7 @@ package bench
 // run, which runs it one way: it starts the server mains, then the client
 // mains, each on its own node; stops when the last client returns, or at
 // idle for a world whose closes count; requires every client to have
-// settled (no qtoken outstanding, no buffer live); and, with a telemetry
+// settled (no qtoken unredeemed, no buffer live); and, with a telemetry
 // sink set, dumps the world there with its flight recorders. The rack
 // experiment builds its world inside internal/rack and is the exception.
 
@@ -95,9 +95,9 @@ func (w *world) run() error {
 	return nil
 }
 
-// settled returns the first client that left a qtoken outstanding or a
-// buffer live. Catmint keeps receive buffers posted to the NIC, so its heap
-// is not checked.
+// settled returns the first client that left a qtoken unredeemed, complete
+// or not, or a buffer live. Catmint keeps receive buffers posted to the
+// NIC, so its heap is not checked.
 func (w *world) settled() error {
 	for _, p := range w.clients {
 		if p.st.OS == nil {
@@ -106,7 +106,7 @@ func (w *world) settled() error {
 		parts := components(p.st.OS)
 		for _, c := range parts {
 			if t, ok := c.(tokener); ok {
-				if n := t.Tokens().Outstanding(); n != 0 {
+				if n := t.Tokens().Unredeemed(); n != 0 {
 					return fmt.Errorf("%d qtokens still outstanding on a client", n)
 				}
 			}

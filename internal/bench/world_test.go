@@ -20,6 +20,7 @@ func TestWorldRefusesUnsettledClients(t *testing.T) {
 		{"", ""},
 		{"leaked buffer", "1 DMA buffers leaked on a client heap"},
 		{"dropped token", "1 qtokens still outstanding on a client"},
+		{"unredeemed push", "1 qtokens still outstanding on a client"},
 	} {
 		tb := NewTestbed(1, SwitchEth())
 		srv := tb.NewStack(SysCatnipTCP(), "srv", wire.IPAddr{10, 60, 0, 1})
@@ -41,6 +42,17 @@ func TestWorldRefusesUnsettledClients(t *testing.T) {
 						return err
 					}
 					_, err = cli.OS.Pop(qd)
+					return err
+				case "unredeemed push":
+					// A datagram to a resolved address completes at once;
+					// its token is never waited on.
+					qd, err := cli.OS.Socket(core.SockDgram)
+					if err != nil {
+						return err
+					}
+					buf := memory.CopyFrom(cli.OS.Heap(), []byte("x"))
+					defer buf.Free()
+					_, err = cli.OS.PushTo(qd, core.SGA(buf), core.Addr{IP: srv.IP, Port: 9})
 					return err
 				}
 				return nil

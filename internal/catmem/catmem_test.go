@@ -546,7 +546,7 @@ func TestCatmemParkAllocs(t *testing.T) {
 	cycle := func() {
 		pop, push := srv.Tokens().New(), cli.Tokens().New()
 		rx.Pop(pop) // the ring is empty: the pop parks
-		if rx.pops.Len() != 1 {
+		if rx.pops.Len() != 1 || rx.rx.depth() != 0 {
 			t.Fatal("the pop did not park")
 		}
 		segs[0] = memory.CopyFrom(r.Heap(), payload)

@@ -20,7 +20,6 @@ func newRing(capacity int) *ring {
 	return &ring{slots: make([]core.SGArray, capacity)}
 }
 
-//demi:nonalloc ring ops run on the per-I/O fast path of both endpoints
 func (r *ring) tryPush(sga core.SGArray) bool {
 	if r.count == len(r.slots) {
 		return false
@@ -34,7 +33,6 @@ func (r *ring) tryPush(sga core.SGArray) bool {
 	return true
 }
 
-//demi:nonalloc ring ops run on the per-I/O fast path of both endpoints
 func (r *ring) tryPop() (core.SGArray, bool) {
 	if r.count == 0 {
 		return core.SGArray{}, false
@@ -49,5 +47,4 @@ func (r *ring) tryPop() (core.SGArray, bool) {
 	return sga, true
 }
 
-//demi:nonalloc sampled by the per-queue depth gauges at snapshot time
 func (r *ring) depth() int { return r.count }

@@ -368,8 +368,6 @@ func (l *LibOS) handleIPv4(eth wire.EthHeader, payload []byte) {
 // the distributed-trace trailer past the IPv4 packet — invisible to the
 // receiving stack's parser (which trims to TotalLen) but carried by the
 // frame, so the trace context crosses the wire with the request.
-//
-//demi:nonalloc every segment, datagram and ack leaves through here
 func (l *LibOS) sendIPv4(dstMAC simnet.MAC, dstIP wire.IPAddr, proto uint8, transport, payload []byte, ctx uint64) {
 	l.ipID++
 	total := wire.IPv4HeaderLen + len(transport) + len(payload)
@@ -413,8 +411,6 @@ func (l *LibOS) sendIPv4(dstMAC simnet.MAC, dstIP wire.IPAddr, proto uint8, tran
 // sendTCP marshals h over payload and transmits the segment to dstIP at
 // dstMAC. The header is built in the stack's one scratch: sendIPv4 consumes
 // it before returning, and nothing here re-enters the stack.
-//
-//demi:nonalloc
 func (l *LibOS) sendTCP(dstMAC simnet.MAC, dstIP wire.IPAddr, h *wire.TCPHeader, payload []byte, ctx uint64) {
 	hdr := l.tcpHdr[:h.MarshalLen()]
 	h.Marshal(hdr, l.cfg.IP, dstIP, payload)
@@ -423,8 +419,6 @@ func (l *LibOS) sendTCP(dstMAC simnet.MAC, dstIP wire.IPAddr, h *wire.TCPHeader,
 
 // txFrame records and transmits one frame. The frame is the caller's again
 // on return (see Device).
-//
-//demi:nonalloc
 func (l *LibOS) txFrame(frame []byte) {
 	if l.cfg.Tracer != nil {
 		l.cfg.Tracer.RecordFrame('T', l.Now(), frame)

@@ -20,8 +20,6 @@ func (f *fifo[T]) at(i int) *T { return &f.buf[(int(f.head)+i)&(len(f.buf)-1)] }
 
 // push appends v and returns its place in the queue, good until the next
 // push.
-//
-//demi:nonalloc
 func (f *fifo[T]) push(v T) *T {
 	if int(f.n) == len(f.buf) {
 		f.grow()
@@ -43,8 +41,6 @@ func (f *fifo[T]) grow() {
 // pop removes and returns the oldest element, zeroing its slot: the buffer
 // lives as long as the connection, and must not keep what was popped from it
 // reachable.
-//
-//demi:nonalloc
 func (f *fifo[T]) pop() T {
 	var zero T
 	p := f.at(0)

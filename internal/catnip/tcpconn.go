@@ -204,8 +204,6 @@ func (c *tcpConn) completePop(op *core.Op) {
 }
 
 // completePops drains waiting pops against queued data (and EOF).
-//
-//demi:nonalloc
 func (c *tcpConn) completePops() {
 	for c.pops.len() > 0 {
 		if c.recvQ.len() > 0 {
@@ -287,8 +285,6 @@ func (c *tcpConn) sendProbe() {
 }
 
 // trySend segments queued data into the usable window and transmits it.
-//
-//demi:nonalloc
 func (c *tcpConn) trySend() {
 	if !c.macKnown || c.err != nil {
 		return
@@ -350,8 +346,6 @@ func (c *tcpConn) trySend() {
 }
 
 // transmit builds and sends one segment, arming the RTO.
-//
-//demi:nonalloc
 func (c *tcpConn) transmit(seg *segment) {
 	flags := uint8(0)
 	var opt wire.TCPOptions
@@ -402,8 +396,6 @@ func (c *tcpConn) transmit(seg *segment) {
 
 // sendPureAck transmits an empty ACK (window updates, delayed acks,
 // duplicate acks).
-//
-//demi:nonalloc
 func (c *tcpConn) sendPureAck() {
 	h := wire.TCPHeader{
 		SrcPort: c.tuple.localPort,
@@ -441,8 +433,6 @@ func (c *tcpConn) armRTO() {
 // built the first time that coroutine is armed: 16 bytes holding a pointer
 // into the connection, so a resident timer keeps its connection reachable
 // until it fires (and h.Wake is a no-op once the coroutine is gone).
-//
-//demi:nonalloc
 func (c *tcpConn) wakeAt(t sim.Time, wake *func(), h *sched.Handle) {
 	if *wake == nil {
 		*wake = func() { h.Wake() }

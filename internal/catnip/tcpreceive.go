@@ -217,8 +217,6 @@ func (c *tcpConn) processAck(h wire.TCPHeader, payloadLen int) {
 // dropAckedSegments releases fully acknowledged segments and their buffer
 // references (the libOS half of use-after-free protection: a zero-copy
 // buffer can only recycle once its last segment is acked; paper §5.3).
-//
-//demi:nonalloc
 func (c *tcpConn) dropAckedSegments() {
 	for c.retransQ.len() > 0 {
 		seg := c.retransQ.at(0)
@@ -237,8 +235,6 @@ func (c *tcpConn) dropAckedSegments() {
 
 // completePushOps finishes push qtokens whose last byte is acknowledged:
 // the application regains buffer ownership here.
-//
-//demi:nonalloc
 func (c *tcpConn) completePushOps() {
 	for c.pushOps.len() > 0 && seqLE(c.pushOps.at(0).endSeq, c.sndUna) {
 		c.pushOps.pop().op.Complete(core.QEvent{QD: c.qd, Op: core.OpPush})
@@ -277,8 +273,6 @@ func (c *tcpConn) processPayload(seq uint32, payload []byte) {
 // charged (paper §5.3's zero-copy receive). With the heap exhausted the
 // segment is dropped without advancing rcvNxt: no ack covers it, so the
 // peer retransmits once memory frees up.
-//
-//demi:nonalloc
 func (c *tcpConn) deliver(payload []byte) {
 	if c.appClosed {
 		c.rcvNxt += uint32(len(payload)) // the descriptor is gone: acknowledge and discard

@@ -288,6 +288,41 @@ func TestMountRecoversMultipleNamedLogs(t *testing.T) {
 	})
 }
 
+// Mount scans the named logs' tails in name order, so a read fault on the
+// k-th read lands on the same log on every mount: the scan treats the
+// unreadable block as that log's end, and only that log comes back short.
+func TestMountScansLogsInNameOrder(t *testing.T) {
+	run(t, func(eng *sim.Engine, l *LibOS, dev *spdkdev.Device) {
+		const logs = 8
+		names := []string{"h", "c", "f", "a", "e", "g", "b", "d"}
+		for _, name := range names {
+			qd, _ := l.Open(name)
+			pushWait(t, l, qd, []byte(name+"1"))
+			pushWait(t, l, qd, []byte(name+"2"))
+		}
+		// The directory takes logs+1 reads; each log two records and its
+		// end. The fault hits the fourth log's second record.
+		const faultAt = logs + 1 + 3*3 + 2
+		l2 := New(l.Node(), dev)
+		for mount := 0; mount < 8; mount++ {
+			dev.SetFaults(spdkdev.Faults{IOErr: faults.NewPlan(1).Site("io", faults.Spec{Every: faultAt, Max: 1})})
+			if err := l2.Mount(); err != nil {
+				t.Fatal(err)
+			}
+			dev.SetFaults(spdkdev.Faults{})
+			for _, name := range names {
+				want := int64(2)
+				if name == "d" {
+					want = 1
+				}
+				if got := l2.parts[name].tail; got != want {
+					t.Fatalf("mount %d: log %q recovered %d blocks, want %d", mount, name, got, want)
+				}
+			}
+		}
+	})
+}
+
 func TestPartitionFullRejectsPush(t *testing.T) {
 	run(t, func(eng *sim.Engine, l *LibOS, dev *spdkdev.Device) {
 		qd, _ := l.Open("tiny")

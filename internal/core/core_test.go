@@ -139,12 +139,14 @@ func TestTokenCycleAllocs(t *testing.T) {
 		t.Errorf("a slot is %d bytes, the table's doc comment says 24", size)
 	}
 	tb := NewTokenTable()
-	ev := QEvent{QD: 3, Op: OpPush}
+	ev := QEvent{QD: 3, Op: OpPop, SGA: SGA(memory.CopyFrom(memory.NewHeap(nil), []byte("x")))}
 	cycle := func() {
 		op := tb.New()
+		op.Trace(7)
+		ev.SGA.SetTraceCtx(uint64(op.Token()))
 		op.Complete(ev)
-		if _, done, _ := tb.TryTake(op.Token()); !done {
-			t.Fatal("token did not complete")
+		if got, done, _ := tb.TryTake(op.Token()); !done || got.SGA.TraceCtx() != uint64(op.Token()) {
+			t.Fatal("token did not complete with its data")
 		}
 	}
 	cycle() // the table takes its one slot

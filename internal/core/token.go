@@ -55,8 +55,6 @@ type Op struct {
 // Trace stamps the operation with a distributed-trace context. LibOSes call
 // it on push when the SGArray carries a sampled request's tag; pops pick the
 // context up from the delivered SGA at redeem instead.
-//
-//demi:nonalloc
 func (o *Op) Trace(ctx uint64) { o.trace = ctx }
 
 // Token returns the operation's qtoken.
@@ -70,8 +68,6 @@ func (o *Op) Done() bool { return o.done }
 // an operation the table no longer holds — one whose libcall was refused and
 // withdrawn — and it panics the same way, before it can mark as done
 // whichever operation has the slot now.
-//
-//demi:nonalloc every push, pop and accept that finishes does so here
 func (o *Op) Complete(ev QEvent) {
 	if o.done {
 		panic("pdpix: operation completed twice")
@@ -201,8 +197,6 @@ func (t *TokenTable) New() *Op {
 
 // acquire takes the slot on top of the free list, or grows the table by one
 // when none is free, and returns its index + 1.
-//
-//demi:nonalloc
 func (t *TokenTable) acquire() uint32 {
 	if i := t.free; i != 0 {
 		t.free = t.slots[i-1].tenant
@@ -216,8 +210,6 @@ func (t *TokenTable) acquire() uint32 {
 }
 
 // release puts a live slot on top of the free list at generation gen.
-//
-//demi:nonalloc
 func (t *TokenTable) release(s *tokenSlot, gen QToken) {
 	i := uint32(s.qt & tokenIdxMask)
 	*s = tokenSlot{qt: gen << tokenIdxBits, tenant: t.free}
@@ -244,8 +236,6 @@ func (t *TokenTable) Withdraw(op *Op) {
 // zero index wraps past any length) and one compare, without a hash and
 // without reading anything but the slot — not the Op, and nothing of whoever
 // holds the slot now when qt is stale or guessed.
-//
-//demi:nonalloc
 func (t *TokenTable) slot(qt QToken) *tokenSlot {
 	i := uint64(qt&tokenIdxMask) - 1
 	if i >= uint64(len(t.slots)) {
@@ -270,8 +260,6 @@ func (t *TokenTable) Lookup(qt QToken) (*Op, bool) {
 // operation is still outstanding. TryTake does not check the principal —
 // it is the trusted-driver path (demi.Combined, bench drivers); tenant
 // code goes through TryTakeAs.
-//
-//demi:nonalloc
 func (t *TokenTable) TryTake(qt QToken) (QEvent, bool, error) {
 	s := t.slot(qt)
 	if s == nil {
@@ -286,8 +274,6 @@ func (t *TokenTable) TryTake(qt QToken) (QEvent, bool, error) {
 // must never let one tenant steal or cancel another's completion. The
 // rejection is indistinguishable from an unknown token, so probing leaks
 // nothing about the victim's outstanding ops.
-//
-//demi:nonalloc
 func (t *TokenTable) TryTakeAs(qt QToken, tid uint32) (QEvent, bool, error) {
 	s := t.slot(qt)
 	if s == nil {
@@ -306,8 +292,6 @@ func (t *TokenTable) TryTakeAs(qt QToken, tid uint32) (QEvent, bool, error) {
 // take finishes a redemption whose principal check already passed. A slot
 // that is not done answers from the slot alone; a done one is freed at its
 // next generation, so the token just redeemed is already stale.
-//
-//demi:nonalloc
 func (t *TokenTable) take(s *tokenSlot) (QEvent, bool, error) {
 	if !s.done {
 		return QEvent{}, false, nil
@@ -341,6 +325,18 @@ func (t *TokenTable) Outstanding() int {
 	n := 0
 	for i := range t.slots {
 		if s := &t.slots[i]; s.op != nil && !s.done {
+			n++
+		}
+	}
+	return n
+}
+
+// Unredeemed returns the number of operations the table still holds:
+// those outstanding and those completed whose token nobody has redeemed.
+func (t *TokenTable) Unredeemed() int {
+	n := 0
+	for i := range t.slots {
+		if t.slots[i].op != nil {
 			n++
 		}
 	}

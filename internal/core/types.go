@@ -132,8 +132,6 @@ func (s SGArray) Free() {
 
 // TraceCtx returns the distributed-trace context riding with the array (the
 // first segment's tag), 0 when untraced or empty.
-//
-//demi:nonalloc
 func (s SGArray) TraceCtx() uint64 {
 	if len(s.Segs) == 0 || s.Segs[0] == nil {
 		return 0
@@ -143,8 +141,6 @@ func (s SGArray) TraceCtx() uint64 {
 
 // SetTraceCtx tags every segment with the distributed-trace context, so the
 // tag survives whichever segment a downstream hop inspects.
-//
-//demi:nonalloc
 func (s SGArray) SetTraceCtx(ctx uint64) {
 	for _, b := range s.Segs {
 		if b != nil {

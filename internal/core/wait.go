@@ -34,8 +34,6 @@ type Waiter struct {
 }
 
 // Wait blocks until qt completes and returns its event.
-//
-//demi:nonalloc
 func (w *Waiter) Wait(qt QToken) (QEvent, error) {
 	one := [1]QToken{qt}
 	_, ev, err := w.WaitAny(one[:], -1)
@@ -52,8 +50,6 @@ func (w *Waiter) Wait(qt QToken) (QEvent, error) {
 // that only when an operation has completed since the last scan: a token
 // found outstanding stays so until then, so the work of a wait follows
 // completions, not the size of the wait set.
-//
-//demi:nonalloc
 func (w *Waiter) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, error) {
 	deadline := w.enter(timeout)
 	for {
@@ -113,8 +109,6 @@ func (w *Waiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) 
 }
 
 // enter fixes a wait call's deadline.
-//
-//demi:nonalloc
 func (w *Waiter) enter(timeout time.Duration) sim.Time {
 	deadline := sim.Infinity
 	if timeout >= 0 {
@@ -129,8 +123,6 @@ func (w *Waiter) enter(timeout time.Duration) sim.Time {
 // take redeems qt into *into. The event goes out through a pointer because
 // a scan calls this once per token: returned by value through one more call
 // level, the event's copy cost a 1 024-token wait a fifth of its time.
-//
-//demi:nonalloc
 func (w *Waiter) take(qt QToken, into *QEvent) (done bool, err error) {
 	*into, done, err = w.Table.TryTakeAs(qt, w.Tenant)
 	return done, err
@@ -139,8 +131,6 @@ func (w *Waiter) take(qt QToken, into *QEvent) (done bool, err error) {
 // run drives the Runner after a scan that found nothing ready — Step while
 // anything is runnable, Block when nothing is — until the completion count
 // moves past seen, the one thing that can make the next scan differ.
-//
-//demi:nonalloc
 func (w *Waiter) run(seen uint64, deadline sim.Time) error {
 	for {
 		if !w.Runner.Step() {

@@ -8,9 +8,10 @@
 // with critical-path accounting (stitch.go) and serializes them as a
 // deterministic binary or Chrome trace_event JSON (export.go).
 //
-// The record path is //demi:nonalloc and costs one nil check plus one
-// compare when tracing is off: every Hop method returns immediately for a
-// nil receiver or a zero context, so an unsampled request records nothing.
+// The record path allocates nothing (TestRecordPathAllocs) and costs one
+// nil check plus one compare when tracing is off: every Hop method returns
+// immediately for a nil receiver or a zero context, so an unsampled request
+// records nothing.
 // All timestamps are virtual-time nanoseconds passed in by the caller —
 // the package never consults a clock, keeping same-seed runs byte-identical.
 package dtrace
@@ -75,8 +76,6 @@ type Root struct {
 }
 
 // Dur returns the request's end-to-end duration in nanoseconds.
-//
-//demi:nonalloc
 func (r Root) Dur() int64 { return r.End - r.Start }
 
 // Config sizes a Tracer.
@@ -144,8 +143,6 @@ func New(cfg Config) *Tracer {
 }
 
 // Enabled reports whether the tracer can sample at all. Nil-safe.
-//
-//demi:nonalloc
 func (t *Tracer) Enabled() bool { return t != nil && t.sampleEvery != 0 }
 
 // Hop registers a named hop (one libOS instance or app stage location) and
@@ -185,8 +182,6 @@ func (t *Tracer) Name(id uint8) string {
 // returns its trace context: a fresh nonzero trace ID when sampled, 0
 // otherwise. Deterministic: every Nth request by arrival order is sampled
 // and IDs are sequential.
-//
-//demi:nonalloc
 func (t *Tracer) StartRequest() uint64 {
 	if t == nil || t.sampleEvery == 0 {
 		return 0
@@ -209,8 +204,6 @@ func (t *Tracer) Finished() uint64 { return t.finished }
 func (t *Tracer) Evicted() uint64  { return t.evicted }
 
 // record appends one event to the arena ring.
-//
-//demi:nonalloc every traced observation lands here
 func (t *Tracer) record(trace, token uint64, kind, hop, label uint8, qd int32, t0, t1, t2 int64) {
 	if t.wrapped {
 		t.evicted++
@@ -235,8 +228,6 @@ func (t *Tracer) record(trace, token uint64, kind, hop, label uint8, qd int32, t
 // retain files a finished root into the recent ring and the top-k slowest
 // table. Mirrors telemetry.FlightRecorder.Record: fixed capacity, linear
 // min scan, and a strict > comparison so ties keep the earlier request.
-//
-//demi:nonalloc
 func (t *Tracer) retain(r Root) {
 	t.finished++
 	t.recent[t.rnext] = r
@@ -263,8 +254,6 @@ func (t *Tracer) retain(r Root) {
 // FaultAt records an un-attributed fault firing (a device or transport
 // site with no request context at hand). Stitching attaches it to every
 // trace whose root interval contains the instant.
-//
-//demi:nonalloc
 func (t *Tracer) FaultAt(site uint8, at int64) {
 	if t == nil || t.sampleEvery == 0 {
 		return
@@ -356,8 +345,6 @@ func (h *Hop) Tracer() *Tracer {
 // issued → completed (in-OS, the datapath + wire/ring time) → redeemed
 // (the wait/sched handoff back to the application). Same stage semantics
 // as the telemetry flight recorder.
-//
-//demi:nonalloc
 func (h *Hop) OpSpan(ctx, token uint64, op uint8, qd int32, issued, completed, redeemed int64) {
 	if h == nil || ctx == 0 {
 		return
@@ -366,8 +353,6 @@ func (h *Hop) OpSpan(ctx, token uint64, op uint8, qd int32, issued, completed, r
 }
 
 // WireTx records a traced frame leaving this hop's stack at the instant.
-//
-//demi:nonalloc
 func (h *Hop) WireTx(ctx uint64, at int64) {
 	if h == nil || ctx == 0 {
 		return
@@ -376,8 +361,6 @@ func (h *Hop) WireTx(ctx uint64, at int64) {
 }
 
 // WireRx records a traced frame entering this hop's stack at the instant.
-//
-//demi:nonalloc
 func (h *Hop) WireRx(ctx uint64, at int64) {
 	if h == nil || ctx == 0 {
 		return
@@ -386,8 +369,6 @@ func (h *Hop) WireRx(ctx uint64, at int64) {
 }
 
 // RingPush records a traced SGArray entering a shared-memory ring.
-//
-//demi:nonalloc
 func (h *Hop) RingPush(ctx uint64, at int64) {
 	if h == nil || ctx == 0 {
 		return
@@ -396,8 +377,6 @@ func (h *Hop) RingPush(ctx uint64, at int64) {
 }
 
 // RingPop records a traced SGArray leaving a shared-memory ring.
-//
-//demi:nonalloc
 func (h *Hop) RingPop(ctx uint64, at int64) {
 	if h == nil || ctx == 0 {
 		return
@@ -409,8 +388,6 @@ func (h *Hop) RingPop(ctx uint64, at int64) {
 // instant, with the egress server index the switch chose in QD — the
 // placement decision lands in the waterfall, so a request's tail can be
 // read back to "the ToR steered it to a loaded server".
-//
-//demi:nonalloc
 func (h *Hop) Switch(ctx uint64, at int64, server int32) {
 	if h == nil || ctx == 0 {
 		return
@@ -419,8 +396,6 @@ func (h *Hop) Switch(ctx uint64, at int64, server int32) {
 }
 
 // AppSpan records one application stage interval (label from Label).
-//
-//demi:nonalloc
 func (h *Hop) AppSpan(ctx uint64, stage uint8, from, to int64) {
 	if h == nil || ctx == 0 {
 		return
@@ -429,8 +404,6 @@ func (h *Hop) AppSpan(ctx uint64, stage uint8, from, to int64) {
 }
 
 // Fault records a fault firing inside the traced request (site from Label).
-//
-//demi:nonalloc
 func (h *Hop) Fault(ctx uint64, site uint8, at int64) {
 	if h == nil || ctx == 0 {
 		return
@@ -440,8 +413,6 @@ func (h *Hop) Fault(ctx uint64, site uint8, at int64) {
 
 // EndRequest finishes a sampled request: records its root event on this
 // hop and files it into the retention tables.
-//
-//demi:nonalloc
 func (h *Hop) EndRequest(ctx uint64, start, end int64) {
 	if h == nil || ctx == 0 {
 		return

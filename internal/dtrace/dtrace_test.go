@@ -278,24 +278,45 @@ func TestBinaryCorruptCount(t *testing.T) {
 }
 
 // TestChromeJSON: the Chrome trace_event export is valid JSON with the
-// expected event phases.
+// expected event phases, lists its traces in ascending order, and is the
+// same bytes on every call.
 func TestChromeJSON(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, Events: 128, Recent: 8, Slowest: 4})
-	synthTrace(tr)
-	var buf bytes.Buffer
+	tr := New(Config{SampleEvery: 1, Events: 1 << 10, Recent: 32, Slowest: 4})
+	for i := 0; i < 16; i++ {
+		synthTrace(tr)
+	}
+	var buf, again bytes.Buffer
 	if err := tr.WriteChromeJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if err := tr.WriteChromeJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
+		t.Fatal("two exports of the same tracer differ")
 	}
 	var evs []map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
 		t.Fatalf("chrome export is not valid JSON: %v\n%s", err, buf.Bytes())
 	}
 	phases := map[string]int{}
+	var pids []float64
 	for _, e := range evs {
 		phases[e["ph"].(string)]++
+		if e["name"] == "process_name" {
+			pids = append(pids, e["pid"].(float64))
+		}
 	}
 	if phases["X"] == 0 || phases["M"] == 0 {
 		t.Fatalf("phases = %v, want complete (X) and metadata (M) events", phases)
+	}
+	if len(pids) != 16 {
+		t.Fatalf("export holds %d traces, want 16", len(pids))
+	}
+	for i := 1; i < len(pids); i++ {
+		if pids[i] <= pids[i-1] {
+			t.Fatalf("traces out of order: %v", pids)
+		}
 	}
 }
 
@@ -306,12 +327,16 @@ func TestRecordPathAllocs(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, Events: 1 << 12, Recent: 64, Slowest: 8})
 	h := tr.Hop("h")
 	live := testing.AllocsPerRun(200, func() {
+		if !tr.Enabled() {
+			t.Fatal("a tracer sampling every request reports itself disabled")
+		}
 		ctx := tr.StartRequest()
 		h.OpSpan(ctx, 1, 1, 1, 0, 5, 6)
 		h.WireTx(ctx, 5)
 		h.WireRx(ctx, 20)
 		h.RingPush(ctx, 21)
 		h.RingPop(ctx, 22)
+		h.Switch(ctx, 23, 2)
 		h.AppSpan(ctx, 1, 25, 40)
 		h.Fault(ctx, 1, 30)
 		h.EndRequest(ctx, 0, 100)
@@ -324,6 +349,7 @@ func TestRecordPathAllocs(t *testing.T) {
 	disabled := testing.AllocsPerRun(200, func() {
 		off.OpSpan(0, 1, 1, 1, 0, 5, 6)
 		off.WireTx(0, 5)
+		off.Switch(0, 23, 2)
 		off.AppSpan(0, 1, 25, 40)
 		off.EndRequest(0, 0, 100)
 	})

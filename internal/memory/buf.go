@@ -20,13 +20,9 @@ type Buf struct {
 }
 
 // SetTraceCtx tags the buffer with a distributed-trace context (0 clears).
-//
-//demi:nonalloc
 func (b *Buf) SetTraceCtx(ctx uint64) { b.trace = ctx }
 
 // TraceCtx returns the buffer's distributed-trace context, 0 if untraced.
-//
-//demi:nonalloc
 func (b *Buf) TraceCtx() uint64 { return b.trace }
 
 // Bytes returns the buffer's contents. The application must not modify a

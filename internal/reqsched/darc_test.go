@@ -137,6 +137,9 @@ func TestDispatcherEmptyQueue(t *testing.T) {
 	}
 }
 
+// sinkLoad keeps the load reads from being optimized away.
+var sinkLoad int
+
 // TestDispatcherQueueCapAndLoad pins the bounded-queue contract: with one
 // worker and cap 2, the fourth concurrent submit is rejected, and Load
 // reflects queued plus in-service throughout.
@@ -155,6 +158,10 @@ func TestDispatcherQueueCapAndLoad(t *testing.T) {
 		if d.Load() != 3 || d.Queued() != 2 || d.InService() != 1 {
 			t.Errorf("load=%d queued=%d inService=%d, want 3/2/1",
 				d.Load(), d.Queued(), d.InService())
+		}
+		// Load is read per reply on a rack server's datapath.
+		if n := testing.AllocsPerRun(100, func() { sinkLoad = d.Load() + d.Queued() + d.InService() }); n != 0 {
+			t.Errorf("the load reads allocate %v per call, want 0", n)
 		}
 	})
 	eng.Run()

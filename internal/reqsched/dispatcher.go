@@ -57,18 +57,12 @@ func (d *Dispatcher) Policy() Policy { return d.policy }
 // Load returns the instantaneous outstanding-request count: queued plus in
 // service. This is the load signal a rack server piggybacks to the ToR on
 // every reply (RackSched's per-server state).
-//
-//demi:nonalloc
 func (d *Dispatcher) Load() int { return len(d.queue) + d.inService }
 
 // Queued returns the number of requests waiting for a worker.
-//
-//demi:nonalloc
 func (d *Dispatcher) Queued() int { return len(d.queue) }
 
 // InService returns the number of requests currently executing.
-//
-//demi:nonalloc
 func (d *Dispatcher) InService() int { return d.inService }
 
 // Dropped returns the number of requests rejected by the queue bound.

@@ -83,8 +83,6 @@ type Waker struct {
 }
 
 // Wake sets the coroutine's readiness bit.
-//
-//demi:nonalloc wakes happen per packet on the I/O fast path
 func (w Waker) Wake() {
 	b := w.block
 	if b != nil && b.occupied&(1<<w.slot) != 0 && b.gens[w.slot] == w.gen {
@@ -138,7 +136,7 @@ type Stats struct {
 
 // MaxTenants is the number of dense tenant indices the scheduler's
 // weighted-fair state is sized for (index 0 is the host tenant). Fixed
-// arrays, not maps: runClass is //demi:nonalloc.
+// arrays, not maps: a switch allocates nothing (TestRunOneAllocs).
 const MaxTenants = 16
 
 // Scheduler runs one core's coroutines. It is single-threaded by design.
@@ -281,8 +279,6 @@ func (s *Scheduler) SpawnTenant(c Class, tenant uint8, co Coroutine) Handle {
 // whether one ran. FastPath coroutines are polled even when their readiness
 // bit is clear only if they were spawned ready — by convention fast paths
 // always return Yield, so they stay ready.
-//
-//demi:nonalloc the paper's 12-cycle context switch leaves no room for the allocator
 func (s *Scheduler) RunOne() bool {
 	for c := Class(0); c < numClasses; c++ {
 		if s.runClass(c) {
@@ -296,8 +292,6 @@ func (s *Scheduler) RunOne() bool {
 // runClass finds and polls one ready coroutine in class c, scanning
 // round-robin from the slot after the last one run so same-class
 // coroutines cannot starve each other.
-//
-//demi:nonalloc the waker-block iteration is the scheduler's innermost loop
 func (s *Scheduler) runClass(c Class) bool {
 	if s.wfq {
 		return s.runClassWFQ(c)
@@ -336,8 +330,6 @@ func (s *Scheduler) runClass(c Class) bool {
 // time (polls/weight, compared by cross-multiplication — no division or
 // floats on the hot path), then round-robin within that tenant via its own
 // cursor. Ties go to the lower tenant index, deterministically.
-//
-//demi:nonalloc same innermost loop as runClass, fixed arrays only
 func (s *Scheduler) runClassWFQ(c Class) bool {
 	blocks := s.classes[c]
 	n := len(blocks)
@@ -396,10 +388,8 @@ func (s *Scheduler) runClassWFQ(c Class) bool {
 }
 
 // poll runs one coroutine slot and applies its result. The Coroutine.Poll
-// dispatch is the one dynamic call on the path; the allowlist carries it
-// (every Poll implementation is audited by the alloc-guard benchmark).
-//
-//demi:nonalloc
+// dispatch is the one dynamic call on the path; what each Poll
+// implementation allocates is its own package's guard's business.
 func (s *Scheduler) poll(c Class, blk *wakerBlock, slot uint) {
 	bit := uint64(1) << slot
 	blk.ready &^= bit // clear before polling: wakes during poll are kept

@@ -104,3 +104,35 @@ func TestWFQOffByDefault(t *testing.T) {
 		t.Fatal("nonzero tenant spawn did not arm WFQ")
 	}
 }
+
+// TestRunOneAllocs: on a warmed scheduler a switch allocates nothing, under
+// the plain round-robin scan and under weighted-fair picking alike, and
+// neither does a wake that makes a parked coroutine ready again.
+func TestRunOneAllocs(t *testing.T) {
+	plain := New()
+	plain.Spawn(FastPath, &yielder{})
+
+	wfq := New()
+	wfq.SetTenantWeight(1, 3)
+	wfq.SetTenantWeight(2, 1)
+	wfq.SpawnTenant(Background, 1, &yielder{})
+	wfq.SpawnTenant(Background, 2, &yielder{})
+
+	parked := New()
+	h := parked.Spawn(Background, Func(func(*Context) Poll { return Pending }))
+	parked.RunOne()
+
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"RunOne", func() { plain.RunOne() }},
+		{"RunOne under WFQ", func() { wfq.RunOne() }},
+		{"Wake then RunOne", func() { h.Wake(); parked.RunOne() }},
+	} {
+		tc.fn() // warm
+		if n := testing.AllocsPerRun(1000, tc.fn); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
+		}
+	}
+}

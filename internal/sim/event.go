@@ -78,8 +78,6 @@ func (h *eventHeap) len() int { return h.n + h.laned }
 
 // push allocates only when the heap is deeper than it has ever been or a
 // lane outgrows its buffer. Callers push in increasing seq.
-//
-//demi:nonalloc every Park with a deadline and every packet hop pushes an event
 func (h *eventHeap) push(e event) {
 	if h.n+h.laned >= shallow {
 		// Best fit. An empty lane's tail of 0 fits any event and loses to
@@ -119,8 +117,6 @@ func (h *eventHeap) push(e event) {
 // first returns the earliest event's key (slot is meaningful only to the
 // heap) and the lane it heads, or -1 for the heap's root. The queue must not
 // be empty.
-//
-//demi:nonalloc
 func (h *eventHeap) first() (eventKey, int) {
 	k, lane := eventKey{at: Infinity, seq: ^uint64(0)}, -1
 	if h.n > 0 {
@@ -141,8 +137,6 @@ func (h *eventHeap) first() (eventKey, int) {
 }
 
 // take removes and returns the event first found: top, heading lane.
-//
-//demi:nonalloc
 func (h *eventHeap) take(top eventKey, lane int) event {
 	if lane >= 0 {
 		l := &h.lane[lane]
@@ -170,8 +164,6 @@ func (h *eventHeap) take(top eventKey, lane int) event {
 }
 
 // siftDown places k, starting from the vacated root.
-//
-//demi:nonalloc
 func (h *eventHeap) siftDown(k eventKey) {
 	keys := h.keys[:h.n]
 	i := 0

@@ -24,8 +24,6 @@ func (r *Ring[T]) index(i int) int {
 }
 
 // Push appends v at the tail.
-//
-//demi:nonalloc every event in a lane and every frame on the fabric passes through one
 func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
 		r.resize(max(8, r.n+r.n/2))
@@ -47,8 +45,6 @@ func (r *Ring[T]) PushFront(v T) {
 // Shrink cuts the buffer by a third if it is longer than keep and under a
 // third full: for a queue whose load can move elsewhere for good, where
 // holding on to the high-water length would be holding on to nothing.
-//
-//demi:nonalloc
 func (r *Ring[T]) Shrink(keep int) {
 	if c := len(r.buf); c > keep && r.n < c/3 {
 		r.resize(c - c/3)
@@ -68,8 +64,6 @@ func (r *Ring[T]) Front() *T { return &r.buf[r.head] }
 
 // Pop removes and returns the oldest element, zeroing its slot so the ring
 // retains nothing the element pointed to.
-//
-//demi:nonalloc
 func (r *Ring[T]) Pop() T {
 	var zero T
 	v := r.buf[r.head]

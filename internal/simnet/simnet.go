@@ -257,8 +257,6 @@ func (p *Port) Send(f Frame) { p.SendAt(f, p.node.Now()) }
 // virtual CPU issued the doorbell. Multi-queue devices use it so a core
 // other than the port's attach node transmits at its own local time rather
 // than the attach node's possibly-stale clock.
-//
-//demi:nonalloc
 func (p *Port) SendAt(f Frame, now sim.Time) {
 	if len(f.Data) < 14 {
 		panic("simnet: runt frame")
@@ -293,8 +291,6 @@ func (p *Port) wrongSource(f Frame) {
 
 // enqueue places a frame in the rx ring (or hands it to the sink),
 // dropping if the ring is full.
-//
-//demi:nonalloc
 func (p *Port) enqueue(f Frame) {
 	if p.sink != nil {
 		p.stats.RxFrames++
@@ -432,8 +428,6 @@ func (s *Switch) Attach(node *sim.Node, params LinkParams, rxRing int) *Port {
 
 // wireCopy returns the fabric's own copy of a frame's bytes, in a buffer
 // from the free list of the class that fits it, if one does.
-//
-//demi:nonalloc
 func (s *Switch) wireCopy(data []byte) Frame {
 	var free *[][]byte // the fitting class's free list, if there is a fitting class
 	size := len(data)
@@ -477,8 +471,6 @@ const maxFreeHops = 2 * maxFreeWireBufs
 
 // schedule arranges one step of f at time at: into the switch from port
 // from, or, with to set, into to's rx ring (waking its node).
-//
-//demi:nonalloc
 func (s *Switch) schedule(at sim.Time, f Frame, from, to *Port) {
 	var h *hop
 	if k := len(s.hops) - 1; k >= 0 {
@@ -498,8 +490,6 @@ func (s *Switch) schedule(at sim.Time, f Frame, from, to *Port) {
 // run performs the step. The record goes back first, emptied, because the
 // step schedules the frame's next hop and may as well use this record for
 // it.
-//
-//demi:nonalloc
 func (h *hop) run() {
 	s, f, from, to := h.sw, h.f, h.from, h.to
 	h.f, h.from, h.to = Frame{}, nil, nil
@@ -515,8 +505,6 @@ func (h *hop) run() {
 
 // forward runs at the instant a frame arrives at the switch ingress and
 // schedules egress deliveries.
-//
-//demi:nonalloc
 func (s *Switch) forward(f Frame, from *Port) {
 	if s.hook != nil {
 		var to *Port
@@ -562,8 +550,6 @@ func (s *Switch) forward(f Frame, from *Port) {
 // egress sends a frame out one port, applying switch latency, the bounded
 // egress queue, and the down link's serialization/loss models, then waking
 // the destination node.
-//
-//demi:nonalloc
 func (s *Switch) egress(f Frame, to *Port) {
 	t := s.eng.Now().Add(s.params.Latency)
 	to.pruneEgress(t)

@@ -45,19 +45,13 @@ type Span struct {
 
 // InOS is the issue→complete stage: time inside the datapath OS (and, for
 // network pops, on the wire).
-//
-//demi:nonalloc
 func (s Span) InOS() int64 { return s.Completed - s.Issued }
 
 // RedeemDelay is the complete→redeem stage: time until the wait loop
 // handed the completion back.
-//
-//demi:nonalloc
 func (s Span) RedeemDelay() int64 { return s.Redeemed - s.Completed }
 
 // Total is the full issue→redeem latency.
-//
-//demi:nonalloc
 func (s Span) Total() int64 { return s.Redeemed - s.Issued }
 
 // A FlightRecorder keeps the last capacity qtoken spans in a ring plus the
@@ -87,8 +81,6 @@ func NewFlightRecorder(capacity, k int) *FlightRecorder {
 
 // Record adds one completed span. Zero allocations: the ring and top-k
 // table are preallocated.
-//
-//demi:nonalloc every redeemed qtoken records a span
 func (f *FlightRecorder) Record(s Span) {
 	f.total++
 	f.ring[f.next] = s

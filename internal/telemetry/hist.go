@@ -16,8 +16,6 @@ const (
 )
 
 // bucketFor maps a non-negative value to its bucket index.
-//
-//demi:nonalloc
 func bucketFor(v int64) int {
 	u := uint64(v)
 	if u < histSub {
@@ -53,8 +51,6 @@ type Histogram struct {
 }
 
 // Observe records one value. Negative values clamp to zero.
-//
-//demi:nonalloc histograms record per-I/O latencies on the datapath
 func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0

@@ -29,13 +29,9 @@ import "sort"
 type Counter struct{ v uint64 }
 
 // Inc adds one.
-//
-//demi:nonalloc counters are incremented per I/O on the datapath
 func (c *Counter) Inc() { c.v++ }
 
 // Add adds n.
-//
-//demi:nonalloc
 func (c *Counter) Add(n uint64) { c.v += n }
 
 // Value returns the current count.

@@ -20,8 +20,6 @@ type ARPHeader struct {
 
 // Marshal writes the packet into b (>= ARPHeaderLen) and returns the bytes
 // consumed.
-//
-//demi:nonalloc wire codecs run per packet
 func (h *ARPHeader) Marshal(b []byte) int {
 	be.PutUint16(b[0:2], 1)      // hardware type: Ethernet
 	be.PutUint16(b[2:4], 0x0800) // protocol type: IPv4
@@ -36,8 +34,6 @@ func (h *ARPHeader) Marshal(b []byte) int {
 }
 
 // ParseARP parses an ARP packet.
-//
-//demi:nonalloc wire codecs run per packet
 func ParseARP(b []byte) (ARPHeader, error) {
 	if len(b) < ARPHeaderLen {
 		return ARPHeader{}, ErrTruncated

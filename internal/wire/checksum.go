@@ -5,8 +5,6 @@ import "math/bits"
 // Checksum computes the RFC 1071 internet checksum over b: the one's
 // complement of the one's-complement sum of 16-bit words. A buffer with a
 // valid embedded checksum sums to zero.
-//
-//demi:nonalloc wire codecs run per packet
 func Checksum(b []byte) uint16 {
 	return finish(sum16(b, 0))
 }
@@ -29,8 +27,6 @@ func Checksum(b []byte) uint16 {
 // zero only for all-zero input and a zero acc, as the word-at-a-time sum is:
 // an add that wraps to zero leaves its carry set, and a fold maps only zero
 // to zero.
-//
-//demi:nonalloc wire codecs run per packet
 func sum16(b []byte, acc uint32) uint32 {
 	var s0, s1, c0, c1 uint64
 	for len(b) >= 64 {
@@ -70,8 +66,6 @@ func sum16(b []byte, acc uint32) uint32 {
 }
 
 // finish folds carries and complements the accumulator.
-//
-//demi:nonalloc wire codecs run per packet
 func finish(acc uint32) uint16 {
 	for acc > 0xffff {
 		acc = (acc >> 16) + (acc & 0xffff)
@@ -80,8 +74,6 @@ func finish(acc uint32) uint16 {
 }
 
 // pseudoHeaderSum computes the partial sum of the TCP/UDP pseudo-header.
-//
-//demi:nonalloc wire codecs run per packet
 func pseudoHeaderSum(src, dst IPAddr, proto uint8, length int) uint32 {
 	var acc uint32
 	acc = sum16(src[:], acc)
@@ -93,8 +85,6 @@ func pseudoHeaderSum(src, dst IPAddr, proto uint8, length int) uint32 {
 
 // TransportChecksum computes the UDP/TCP checksum over the pseudo-header,
 // transport header and payload. The checksum field inside hdr must be zero.
-//
-//demi:nonalloc wire codecs run per packet
 func TransportChecksum(src, dst IPAddr, proto uint8, hdr, payload []byte) uint16 {
 	acc := pseudoHeaderSum(src, dst, proto, len(hdr)+len(payload))
 	acc = sum16(hdr, acc)
@@ -106,8 +96,6 @@ func TransportChecksum(src, dst IPAddr, proto uint8, hdr, payload []byte) uint16
 
 // VerifyTransportChecksum reports whether the checksum embedded in hdr is
 // consistent with the pseudo-header and payload.
-//
-//demi:nonalloc wire codecs run per packet
 func VerifyTransportChecksum(src, dst IPAddr, proto uint8, hdr, payload []byte) bool {
 	acc := pseudoHeaderSum(src, dst, proto, len(hdr)+len(payload))
 	acc = sum16(hdr, acc)

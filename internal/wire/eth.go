@@ -42,8 +42,6 @@ type EthHeader struct {
 
 // Marshal writes the header into b, which must be at least EthHeaderLen
 // bytes, and returns the bytes consumed.
-//
-//demi:nonalloc wire codecs run per packet
 func (h *EthHeader) Marshal(b []byte) int {
 	copy(b[0:6], h.Dst[:])
 	copy(b[6:12], h.Src[:])
@@ -52,8 +50,6 @@ func (h *EthHeader) Marshal(b []byte) int {
 }
 
 // ParseEth parses an Ethernet header and returns it with the payload.
-//
-//demi:nonalloc wire codecs run per packet
 func ParseEth(b []byte) (EthHeader, []byte, error) {
 	if len(b) < EthHeaderLen {
 		return EthHeader{}, nil, ErrTruncated

@@ -48,8 +48,6 @@ const DontFragment = 0b010
 
 // Marshal writes the header into b (>= IPv4HeaderLen bytes), computing the
 // header checksum, and returns the bytes consumed.
-//
-//demi:nonalloc wire codecs run per packet
 func (h *IPv4Header) Marshal(b []byte) int {
 	b[0] = 0x45 // version 4, IHL 5
 	b[1] = h.TOS
@@ -67,8 +65,6 @@ func (h *IPv4Header) Marshal(b []byte) int {
 
 // ParseIPv4 parses an IPv4 header, validates version, length and checksum,
 // and returns the header with its payload (trimmed to TotalLen).
-//
-//demi:nonalloc wire codecs run per packet
 func ParseIPv4(b []byte) (IPv4Header, []byte, error) {
 	if len(b) < IPv4HeaderLen {
 		return IPv4Header{}, nil, ErrTruncated

@@ -58,8 +58,6 @@ type TCPHeader struct {
 }
 
 // optLen returns the encoded, padded length of the options block.
-//
-//demi:nonalloc wire codecs run per packet
 func (h *TCPHeader) optLen() int {
 	n := 0
 	if h.Opt.MSS != 0 {
@@ -75,14 +73,10 @@ func (h *TCPHeader) optLen() int {
 }
 
 // MarshalLen returns the total header length including options.
-//
-//demi:nonalloc wire codecs run per packet
 func (h *TCPHeader) MarshalLen() int { return TCPHeaderLen + h.optLen() }
 
 // Marshal writes the header (with options and checksum) into b, which must
 // be at least MarshalLen bytes, and returns the bytes consumed.
-//
-//demi:nonalloc wire codecs run per packet
 func (h *TCPHeader) Marshal(b []byte, src, dst IPAddr, payload []byte) int {
 	hlen := h.MarshalLen()
 	be.PutUint16(b[0:2], h.SrcPort)
@@ -120,8 +114,6 @@ func (h *TCPHeader) Marshal(b []byte, src, dst IPAddr, payload []byte) int {
 
 // ParseTCP parses a TCP header with options, verifies the checksum, and
 // returns the header and payload.
-//
-//demi:nonalloc wire codecs run per packet
 func ParseTCP(b []byte, src, dst IPAddr) (TCPHeader, []byte, error) {
 	if len(b) < TCPHeaderLen {
 		return TCPHeader{}, nil, ErrTruncated
@@ -147,7 +139,6 @@ func ParseTCP(b []byte, src, dst IPAddr) (TCPHeader, []byte, error) {
 	return h, b[hlen:], nil
 }
 
-//demi:nonalloc wire codecs run per packet
 func parseTCPOptions(o []byte, opt *TCPOptions) error {
 	for len(o) > 0 {
 		switch o[0] {

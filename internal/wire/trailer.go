@@ -29,8 +29,6 @@ const (
 
 // PutTraceTrailer writes the distributed-trace trailer for ctx into b
 // (len(b) >= TraceTrailerLen).
-//
-//demi:nonalloc
 func PutTraceTrailer(b []byte, ctx uint64) {
 	b[0] = traceMagic0
 	b[1] = traceMagic1
@@ -39,8 +37,6 @@ func PutTraceTrailer(b []byte, ctx uint64) {
 
 // ParseTraceTrailer returns the trace context from b, or 0 when b does not
 // start with a trace trailer.
-//
-//demi:nonalloc
 func ParseTraceTrailer(b []byte) uint64 {
 	if len(b) < TraceTrailerLen || b[0] != traceMagic0 || b[1] != traceMagic1 {
 		return 0
@@ -58,8 +54,6 @@ const (
 
 // PutLoadTrailer writes the load-tracking trailer into b
 // (len(b) >= LoadTrailerLen).
-//
-//demi:nonalloc
 func PutLoadTrailer(b []byte, server uint16, outstanding uint32) {
 	b[0] = loadMagic0
 	b[1] = loadMagic1
@@ -69,8 +63,6 @@ func PutLoadTrailer(b []byte, server uint16, outstanding uint32) {
 
 // ParseLoadTrailer reads a load trailer from the last LoadTrailerLen bytes
 // of frame, reporting ok=false when none is present.
-//
-//demi:nonalloc
 func ParseLoadTrailer(frame []byte) (server uint16, outstanding uint32, ok bool) {
 	if len(frame) < LoadTrailerLen {
 		return 0, 0, false
@@ -84,8 +76,6 @@ func ParseLoadTrailer(frame []byte) (server uint16, outstanding uint32, ok bool)
 
 // StripLoadTrailer returns frame with its trailing load trailer removed,
 // reporting whether one was present.
-//
-//demi:nonalloc
 func StripLoadTrailer(frame []byte) ([]byte, bool) {
 	if _, _, ok := ParseLoadTrailer(frame); !ok {
 		return frame, false

@@ -12,8 +12,6 @@ type UDPHeader struct {
 // Marshal writes the header into b (>= UDPHeaderLen), computing the
 // checksum over the pseudo-header and payload, and returns the bytes
 // consumed.
-//
-//demi:nonalloc wire codecs run per packet
 func (h *UDPHeader) Marshal(b []byte, src, dst IPAddr, payload []byte) int {
 	be.PutUint16(b[0:2], h.SrcPort)
 	be.PutUint16(b[2:4], h.DstPort)
@@ -29,8 +27,6 @@ func (h *UDPHeader) Marshal(b []byte, src, dst IPAddr, payload []byte) int {
 
 // ParseUDP parses a UDP header, verifies the checksum (unless zero) and
 // returns the header and payload trimmed to the UDP length.
-//
-//demi:nonalloc wire codecs run per packet
 func ParseUDP(b []byte, src, dst IPAddr) (UDPHeader, []byte, error) {
 	if len(b) < UDPHeaderLen {
 		return UDPHeader{}, nil, ErrTruncated
