@@ -8,8 +8,10 @@
 // device is one epoll instance with every socket in it, edge-triggered. A
 // pop or an accept tries the kernel once, without blocking, and parks only
 // when the socket is dry; Poll hands each socket epoll reports its parked
-// operations, and the host's Park sleeps in epoll_wait. Bytes nobody popped
-// stay in the kernel, so TCP flow control holds the peer back.
+// operations. The host's Park waits in Go's runtime poller for the epoll
+// instance to turn readable, so a parked libOS holds no thread and nothing in
+// Catnap sleeps in a system call. Bytes nobody popped stay in the kernel, so
+// TCP flow control holds the peer back.
 //
 // Catnap is Linux-only (epoll) and single-host: PDPIX addresses map to
 // 127.0.0.1:port.
@@ -17,13 +19,12 @@ package catnap
 
 import (
 	"encoding/binary"
+	"errors"
 	"io"
-	"math"
 	"net"
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -51,39 +52,45 @@ type LibOS struct {
 }
 
 // osHost is the real OS Catnap runs on (core.Host): the wall clock, no
-// modelled CPU cost, and a Park that sleeps in epoll_wait until a socket is
-// readable, the deadline passes or Shutdown writes to the wake pipe.
+// modelled CPU cost, and a Park that waits in Go's runtime poller until the
+// epoll instance reports a socket, the deadline passes or Shutdown closes it.
+// A parked goroutine holds no thread, and the peer that wakes it can run it on
+// the thread already running instead of waking a sleeping one.
 type osHost struct {
 	*sim.WallClock
-	ep     int    // the epoll instance
-	wake   [2]int // Shutdown writes wake[1]; epoll watches wake[0]
-	closed atomic.Bool
+	ep     *os.File        // the epoll instance, non-blocking, in the runtime poller
+	rc     syscall.RawConn // ep's; every use of the descriptor runs under it
 	events [64]syscall.EpollEvent
 	ready  []syscall.EpollEvent // what the last epoll_wait reported, for Poll
+	// The callbacks handed to rc, built once: built per call they escape to
+	// the heap on every park and poll.
+	probe func(fd uintptr) bool // one epoll_wait; false parks until ep is readable
+	poll  func(fd uintptr)      // one epoll_wait
 }
 
 // Charge charges nothing: the real CPU has already spent the time.
 func (*osHost) Charge(time.Duration) {}
 
-// Park sleeps in epoll_wait until a socket is readable or the deadline
-// passes, rounded up to epoll_wait's millisecond. After Shutdown the wake
-// pipe stays readable, so it does not sleep at all.
+// Park waits in the runtime poller until the epoll instance has something to
+// report or the deadline passes. It probes first, so an event that arrived
+// since the last Poll is not slept through. After Shutdown it does not wait.
 func (h *osHost) Park(deadline sim.Time) bool {
-	ms := -1
+	var t time.Time // none
 	if deadline != sim.Infinity {
 		d := deadline.Sub(h.Now())
 		if d <= 0 {
 			return true
 		}
-		ms = int(min((d+time.Millisecond-1)/time.Millisecond, math.MaxInt32))
+		t = time.Now().Add(d)
 	}
-	h.wait(ms)
-	return !h.closed.Load()
+	h.ep.SetReadDeadline(t)   // fails only once closed, and then so does Read
+	err := h.rc.Read(h.probe) // nil, the deadline, or the closed file
+	return err == nil || errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-// wait keeps what one epoll_wait of at most ms milliseconds reports.
-func (h *osHost) wait(ms int) {
-	n, _ := syscall.EpollWait(h.ep, h.events[:], ms) // -1, nothing, when interrupted
+// wait keeps what one epoll_wait that does not sleep reports.
+func (h *osHost) wait(ep uintptr) {
+	n, _ := syscall.EpollWait(int(ep), h.events[:], 0) // -1, nothing, when interrupted
 	h.ready = h.events[:max(n, 0)]
 }
 
@@ -91,19 +98,18 @@ func (h *osHost) wait(ms int) {
 // the storage stack).
 func New(dir string) *LibOS {
 	l := &LibOS{host: osHost{WallClock: sim.NewWallClock()}, socks: map[int32]*sock{}, dir: dir}
-	// The epoll instance and the wake pipe live as long as the process:
-	// Shutdown may run on another thread while Park sleeps on them.
 	h := &l.host
-	var err error
-	if h.ep, err = syscall.EpollCreate1(syscall.EPOLL_CLOEXEC); err == nil {
-		err = syscall.Pipe2(h.wake[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC)
-	}
+	ep, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 	if err == nil {
-		err = syscall.EpollCtl(h.ep, syscall.EPOLL_CTL_ADD, h.wake[0], &syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(h.wake[0])})
+		err = syscall.SetNonblock(ep, true)
 	}
 	if err != nil {
 		panic("catnap: " + err.Error())
 	}
+	h.ep = os.NewFile(uintptr(ep), "epoll")
+	h.rc, _ = h.ep.SyscallConn() // an open file has a descriptor to control
+	h.probe = func(fd uintptr) bool { h.wait(fd); return len(h.ready) > 0 }
+	h.poll = h.wait
 	// The registry's timestamps are wall-clock, so its dumps are not
 	// deterministic, unlike the simulated stacks'. Traces are single-hop: the
 	// kernel path cannot carry the context across the wire (no trailer on
@@ -127,11 +133,10 @@ func New(dir string) *LibOS {
 func (l *LibOS) Stats() Stats { return l.stats }
 
 // Shutdown stops the libOS; subsequent waits fail with ErrStopped. It is
-// the one call another thread may make.
-func (l *LibOS) Shutdown() {
-	l.host.closed.Store(true)
-	syscall.Write(l.host.wake[1], []byte{1})
-}
+// the one call another thread may make. It closes the epoll instance, which
+// ends a parked wait; the runtime closes the descriptor once no call on it is
+// running, so none reaches a reused descriptor number.
+func (l *LibOS) Shutdown() { l.host.ep.Close() }
 
 // --- core.Stack and the socket control path ---
 
@@ -139,7 +144,7 @@ func (l *LibOS) Shutdown() {
 // Park kept, or else those of an epoll_wait that does not sleep.
 func (l *LibOS) Poll() bool {
 	if len(l.host.ready) == 0 {
-		l.host.wait(0)
+		l.host.rc.Control(l.host.poll) // runs nothing once closed: no events
 	}
 	work := false
 	for _, ev := range l.host.ready {
@@ -174,7 +179,10 @@ func (l *LibOS) watch(conn interface {
 	rc, _ := conn.SyscallConn() // an open socket has a descriptor to control
 	rc.Control(func(fd uintptr) { s.fd = int(fd) })
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN | syscall.EPOLLRDHUP | 1<<31, Fd: int32(s.fd)} // 1<<31 is EPOLLET
-	if err := syscall.EpollCtl(l.host.ep, syscall.EPOLL_CTL_ADD, s.fd, &ev); err != nil {
+	// Control runs nothing once Shutdown has closed the epoll instance.
+	err := os.ErrClosed
+	l.host.rc.Control(func(ep uintptr) { err = syscall.EpollCtl(int(ep), syscall.EPOLL_CTL_ADD, s.fd, &ev) })
+	if err != nil {
 		conn.Close()
 		return err
 	}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +110,95 @@ func TestShutdownUnblocksWaiters(t *testing.T) {
 				t.Fatal("waiter not unblocked by Shutdown")
 			}
 		})
+	}
+}
+
+// A parked Catnap holds no thread: four libOSes parked in Wait on an accept,
+// each from its own goroutine, wait in the runtime poller ([IO wait]), not in
+// a system call ([syscall]) that pins a thread each.
+func TestParkHoldsNoThread(t *testing.T) {
+	const n = 4
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		l := New("")
+		qd := listen(t, l, freePort(t))
+		aqt, _ := l.Accept(qd)
+		go func() { _, err := l.Wait(aqt); done <- err }()
+		defer func() {
+			l.Shutdown()
+			if err := <-done; !errors.Is(err, core.ErrStopped) {
+				t.Errorf("wait returned %v, want ErrStopped", err)
+			}
+			l.Close(qd)
+		}()
+	}
+	var states map[string]int
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if states = parkStates(); states["IO wait"] == n {
+			return
+		}
+	}
+	t.Errorf("goroutines parked in Catnap by state: %v, want %d in IO wait", states, n)
+}
+
+// parkStates counts the goroutines whose stack holds osHost.Park by their
+// scheduling state ("IO wait", "syscall", ...).
+func parkStates() map[string]int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	states := map[string]int{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, "catnap.(*osHost).Park") {
+			continue
+		}
+		// "goroutine 7 [IO wait, 2 minutes]:"
+		_, state, _ := strings.Cut(g, "[")
+		state, _, _ = strings.Cut(state, "]")
+		state, _, _ = strings.Cut(state, ",")
+		states[state]++
+	}
+	return states
+}
+
+// Shutdown releases the descriptors New took: eight libOSes built, used and
+// shut down, one with a waiter parked across its Shutdown, leave the process
+// holding no more descriptors than before.
+func TestShutdownReleasesDescriptors(t *testing.T) {
+	fds := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd:", err)
+		}
+		return len(ents)
+	}
+	freePort(t) // the runtime's own poller is up before the count
+	before := fds()
+	for i := 0; i < 8; i++ {
+		l := New("")
+		if i == 3 {
+			lqd := listen(t, l, freePort(t))
+			aqt, _ := l.Accept(lqd)
+			done := make(chan error, 1)
+			go func() { _, err := l.Wait(aqt); done <- err }()
+			for deadline := time.Now().Add(2 * time.Second); len(parkStates()) == 0 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			l.Shutdown()
+			if err := <-done; !errors.Is(err, core.ErrStopped) {
+				t.Errorf("wait returned %v, want ErrStopped", err)
+			}
+			l.Close(lqd)
+			continue
+		}
+		qd, peer := acceptPeer(t, l, freePort(t))
+		l.Close(qd)
+		peer.Close()
+		l.Shutdown()
+	}
+	// Another test's unreachable files may be finalized meanwhile, so the
+	// count may fall.
+	if after := fds(); after > before {
+		t.Errorf("%d descriptors open after eight New+Shutdown cycles, %d before", after, before)
 	}
 }
 
