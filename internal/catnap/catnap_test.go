@@ -138,8 +138,8 @@ func TestConnectRefused(t *testing.T) {
 	}
 }
 
-// A wait times out no earlier than asked and not much later, also below
-// epoll_wait's millisecond.
+// A wait times out no earlier than asked and not much later, also below a
+// millisecond.
 func TestWaitAnyTimeout(t *testing.T) {
 	l := New("")
 	defer l.Shutdown()

@@ -159,6 +159,9 @@ type LibOS struct {
 	// before the next push, and a datagram the ARP layer queues gets copies.
 	udpHdr     [wire.UDPHeaderLen]byte
 	udpPayload []byte
+	// popSegs is the rest of the array every pop's segment slice is cut
+	// from (popSegments).
+	popSegs []*memory.Buf
 
 	telCwnd *telemetry.Histogram // cwnd sampled at every ack arrival
 	telOOO  *telemetry.Histogram // OOO-queue depth sampled at every insert
@@ -288,6 +291,24 @@ func (l *LibOS) Stats() Stats { return l.stats }
 
 // Addr returns the interface address with the given port.
 func (l *LibOS) Addr(port uint16) core.Addr { return core.Addr{IP: l.cfg.IP, Port: port} }
+
+// popSegments is how many segment pointers one allocation makes for pops'
+// SGArrays: each pop takes its slice from the current array and no slice is
+// handed out twice, so pops cost the Go allocator one array per popSegments
+// segments instead of one slice each.
+const popSegments = 32
+
+// popSlice returns a slice of n segment pointers (n at most popSegments) for
+// one pop's SGArray. Its capacity is n, so an application that appends to a
+// popped SGArray reallocates instead of writing into the next pop's segments.
+func (l *LibOS) popSlice(n int) []*memory.Buf {
+	if len(l.popSegs) < n {
+		l.popSegs = make([]*memory.Buf, popSegments)
+	}
+	s := l.popSegs[:n:n]
+	l.popSegs = l.popSegs[n:]
+	return s
+}
 
 // --- core.Stack: what the PDPIX front end needs from the stack ---
 

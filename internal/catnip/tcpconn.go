@@ -190,7 +190,7 @@ func (c *tcpConn) Pop(op *core.Op) error {
 // window update if the receive window had collapsed.
 func (c *tcpConn) completePop(op *core.Op) {
 	wasSmall := c.advertisedWnd() < c.mss
-	segs := make([]*memory.Buf, min(c.recvQ.len(), maxSegsPerPop))
+	segs := c.lib.popSlice(min(c.recvQ.len(), maxSegsPerPop))
 	for i := range segs {
 		segs[i] = c.recvQ.pop()
 		c.recvBytes -= segs[i].Len()

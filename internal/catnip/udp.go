@@ -139,7 +139,9 @@ func (s *udpSocket) Pop(op *core.Op) error {
 // match hands the oldest queued datagram to the oldest parked pop.
 func (s *udpSocket) match() {
 	if d, op, ok := s.rx.Match(); ok {
-		op.Complete(core.QEvent{QD: s.qd, Op: core.OpPop, SGA: core.SGA(d.buf), From: d.from})
+		segs := s.lib.popSlice(1)
+		segs[0] = d.buf
+		op.Complete(core.QEvent{QD: s.qd, Op: core.OpPop, SGA: core.SGArray{Segs: segs}, From: d.from})
 	}
 }
 

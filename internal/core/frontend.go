@@ -67,7 +67,7 @@ func (Unconnected) Pop(*Op) error { return ErrNotBound }
 // Host is the machine a library OS runs on: a clock, a CPU its work is
 // charged to, and a way to wait for the next event. A *sim.Node is one host
 // (virtual time, modelled costs); Catnap's real OS is the other (the wall
-// clock, free charges, a sleep in epoll_wait).
+// clock, free charges, a wait in Go's runtime poller).
 type Host interface {
 	sim.Clock
 	// Charge bills d of CPU work to the host.

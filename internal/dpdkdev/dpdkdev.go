@@ -45,7 +45,9 @@ type Faults struct {
 // reference the frame delivered by the fabric; Tx mbufs are built by the
 // stack. Pool accounting mirrors DPDK's rte_mempool: the stack must Free rx
 // mbufs back or the pool runs dry, and Data is the stack's only until Free —
-// the buffer then carries a later frame, as a mempool's does.
+// the buffer then carries a later frame, as a mempool's does. The header
+// itself is never handed out again (see rxHeaders), so a stale *Mbuf stays
+// freed rather than becoming a later frame's.
 type Mbuf struct {
 	Data []byte
 	pool *MbufPool
@@ -284,6 +286,7 @@ type Queue struct {
 	owner   *sim.Node
 	ring    sim.Ring[simnet.Frame]
 	burst   []*Mbuf // RxBurst's result, reused by the next call
+	hdrs    []Mbuf  // headers not yet handed out; see rxHeaders
 	rxLimit int
 	tel     queueCounters
 }
@@ -330,6 +333,13 @@ func (q *Queue) deliver(f simnet.Frame) {
 	}
 }
 
+// rxHeaders is how many Mbuf headers one allocation makes: Catnip's burst
+// size. RxBurst hands each header out once and never again — a recycled
+// header would turn a read through a freed *Mbuf into a read of the next
+// frame — so a queue costs the Go allocator one array per rxHeaders frames
+// instead of one object per frame.
+const rxHeaders = 32
+
 // RxBurst polls up to max frames from this queue's rx ring into fresh
 // mbufs, DPDK's rte_rx_burst. It returns nil immediately when the ring is
 // empty. The returned slice (not the mbufs) is valid until the next RxBurst
@@ -356,7 +366,13 @@ func (q *Queue) RxBurst(max int) []*Mbuf {
 			continue
 		}
 		q.port.pool.free--
-		out = append(out, &Mbuf{Data: f.Data, pool: q.port.pool, home: f.Home()})
+		if len(q.hdrs) == 0 {
+			q.hdrs = make([]Mbuf, rxHeaders)
+		}
+		m := &q.hdrs[0]
+		q.hdrs = q.hdrs[1:]
+		*m = Mbuf{Data: f.Data, pool: q.port.pool, home: f.Home()}
+		out = append(out, m)
 		q.tel.rxPackets.Inc()
 		q.tel.rxBytes.Add(uint64(len(f.Data)))
 	}

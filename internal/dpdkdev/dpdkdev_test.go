@@ -102,3 +102,49 @@ func TestRxBurstRespectsMax(t *testing.T) {
 		t.Errorf("RxBurst(4) returned %d", len(ms))
 	}
 }
+
+// RxBurst hands out every Mbuf header once: over several header arrays'
+// worth of frames, in bursts of every size, no *Mbuf comes back twice, so a
+// stale pointer to a freed header never reads a later frame. Free still
+// clears Data, and a second Free returns no credit.
+func TestRxHeadersHandedOutOnce(t *testing.T) {
+	eng, a, b := setup(t, 64, 0)
+	seen := make(map[*Mbuf]bool)
+	received := 0
+	for burst := 1; received < 5*rxHeaders; burst = burst%7 + 1 {
+		var frames [][]byte
+		for i := 0; i < burst; i++ {
+			frames = append(frames, frameTo(b.MAC(), a.MAC(), byte(received+i)))
+		}
+		a.TxBurst(frames)
+		eng.Run()
+		ms := b.RxBurst(32)
+		if len(ms) != burst {
+			t.Fatalf("a burst of %d frames came back as %d", burst, len(ms))
+		}
+		for i, m := range ms {
+			if seen[m] {
+				t.Fatalf("frame %d: RxBurst handed out a header it had handed out before", received+i)
+			}
+			seen[m] = true
+			if m.Data[14] != byte(received+i) {
+				t.Fatalf("frame %d carries the bytes of frame %d", received+i, m.Data[14])
+			}
+		}
+		for _, m := range ms {
+			m.Free()
+			if m.Data != nil {
+				t.Fatal("Data survives Free")
+			}
+			credit := b.Pool().Available()
+			m.Free()
+			if b.Pool().Available() != credit {
+				t.Fatal("a second Free returned credit to the pool")
+			}
+		}
+		received += len(ms)
+	}
+	if b.Pool().Available() != 64 {
+		t.Errorf("pool holds %d credits after every frame was freed, want 64", b.Pool().Available())
+	}
+}

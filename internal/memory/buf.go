@@ -85,8 +85,8 @@ func (b *Buf) TryFree() error {
 func (b *Buf) Tenant() uint32 { return b.sb.tenant }
 
 // IORef takes a library-OS reference on the buffer. The first reference
-// sets the bitmap bit; further concurrent references spill to the
-// superblock's reference table.
+// sets the bitmap bit; further concurrent references are counted in the
+// superblock's reference table, one counter per slot.
 func (b *Buf) IORef() {
 	if b.IOOwned() {
 		b.sb.ioExtra[b.idx]++
@@ -101,12 +101,8 @@ func (b *Buf) IOUnref() {
 	if !b.IOOwned() {
 		panic("memory: IOUnref without reference (slot " + b.sb.refString(b.idx) + ")")
 	}
-	if n := b.sb.ioExtra[b.idx]; n > 0 {
-		if n == 1 {
-			delete(b.sb.ioExtra, b.idx)
-		} else {
-			b.sb.ioExtra[b.idx] = n - 1
-		}
+	if b.sb.ioExtra[b.idx] > 0 {
+		b.sb.ioExtra[b.idx]--
 		return
 	}
 	b.sb.ioRef &^= b.bit()

@@ -96,10 +96,11 @@ type superblock struct {
 	// appRef and ioRef are the per-object reference bitmaps (paper §5.3):
 	// one bit for the application's reference, one for the library OS's.
 	// Additional concurrent libOS references (e.g. a buffer in flight on
-	// two queues) spill into ioExtra, the paper's "reference table".
+	// two queues) are counted in ioExtra, the paper's "reference table":
+	// one counter per slot, so taking or dropping one touches no map.
 	appRef  uint64
 	ioRef   uint64
-	ioExtra map[int]int
+	ioExtra []uint32
 
 	registered bool
 	rkey       uint32
@@ -282,7 +283,7 @@ func (h *Heap) newSuperblock(objSize, count int) *superblock {
 		bufs:     make([]Buf, count),
 		nextFree: make([]int, count),
 		charged:  make([]int64, count),
-		ioExtra:  make(map[int]int),
+		ioExtra:  make([]uint32, count),
 	}
 	for i := range sb.bufs {
 		sb.bufs[i] = Buf{sb: sb, idx: i}
@@ -367,7 +368,7 @@ func (sb *superblock) ensureRegistered() uint32 {
 // the app, the libOS, or both). Exposed for tests and leak checks.
 func (h *Heap) LiveObjects() int { return h.stats.Live }
 
-// refCount is a test/debug helper describing a slot's reference state.
+// refString is a test/debug helper describing a slot's reference state.
 func (sb *superblock) refString(idx int) string {
 	bit := uint64(1) << uint(idx)
 	return fmt.Sprintf("app=%v io=%v extra=%d",
