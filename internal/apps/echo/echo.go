@@ -8,6 +8,7 @@ package echo
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"demikernel/internal/core"
@@ -46,10 +47,13 @@ type pending struct {
 	sga  core.SGArray // kindPush: buffers to release on completion
 }
 
-// connAcc accumulates a partial message for MessageSize framing.
+// connAcc accumulates a partial message for MessageSize framing. It lives
+// as long as its connection: segs collects the next message while the
+// previous one's reply is in flight, and spare is the segment slice of a
+// delivered reply, which the message after it collects into.
 type connAcc struct {
-	segs  []*memory.Buf
-	bytes int
+	segs, spare []*memory.Buf
+	bytes       int
 }
 
 // Server runs the echo server until the libOS stops. One thread serves
@@ -79,15 +83,17 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 		}
 	}
 
+	// state[i] is what tokens[i] stands for: the two are appended and
+	// removed together.
 	tokens := make([]core.QToken, 0, 2*cfg.MaxConns+1)
-	state := make(map[core.QToken]pending)
+	state := make([]pending, 0, cap(tokens))
 	add := func(qt core.QToken, p pending) {
 		tokens = append(tokens, qt)
-		state[qt] = p
+		state = append(state, p)
 	}
 	remove := func(i int) {
-		delete(state, tokens[i])
-		tokens = append(tokens[:i], tokens[i+1:]...)
+		tokens = slices.Delete(tokens, i, i+1)
+		state = slices.Delete(state, i, i+1) // zeroes the vacated slot: it keeps no reply reachable
 	}
 
 	acc := make(map[core.QDesc]*connAcc)
@@ -103,7 +109,7 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 		if err != nil {
 			return nil // stopped
 		}
-		p := state[tokens[i]]
+		p := state[i]
 		switch p.kind {
 		case kindAccept:
 			remove(i)
@@ -120,11 +126,18 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 		case kindPush:
 			remove(i)
 			p.sga.Free() // reply delivered: buffers come home
+			if a := acc[p.conn]; a != nil && a.spare == nil {
+				clear(p.sga.Segs)
+				a.spare = p.sga.Segs[:0]
+			}
 
 		case kindPop:
 			remove(i)
 			if ev.Err != nil || len(ev.SGA.Segs) == 0 {
-				delete(acc, p.conn)
+				if a := acc[p.conn]; a != nil {
+					core.SGArray{Segs: a.segs}.Free() // a partial message nobody will echo
+					delete(acc, p.conn)
+				}
 				l.Close(p.conn) // error or EOF
 				continue
 			}
@@ -144,8 +157,7 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 					continue
 				}
 				ev.SGA = core.SGArray{Segs: a.segs}
-				acc[p.conn] = nil
-				delete(acc, p.conn)
+				a.segs, a.spare, a.bytes = a.spare, nil, 0
 			}
 			// Optional synchronous logging before the reply (Figure 7:
 			// NIC -> app -> disk -> NIC without copies). Durability is

@@ -295,7 +295,7 @@ func (l *LibOS) setupLink(qp *rdmadev.QP) *peerLink {
 		l.postRecv(pl)
 	}
 	pl.granted = uint64(l.cfg.RecvDepth)
-	pl.flowH = l.Sched().Spawn(sched.Background, sched.Func(pl.pollFlow))
+	pl.flowH = l.Sched().Spawn(sched.Background, (*flowCo)(pl))
 	// HELLO does not consume credits (control bootstrap).
 	hdr := buildHeader(msgHello, pl.grantRkey, uint32(pl.granted))
 	l.Charge(l.cfg.PostSendCost)
@@ -359,6 +359,13 @@ func (l *LibOS) postRecv(pl *peerLink) {
 	pl.posted++
 	l.stats.recvBufsReposted.Inc()
 }
+
+// flowCo is a link's flow-control coroutine: the link itself under a
+// pointer type whose Poll is pollFlow, which an interface holds without the
+// object a method value would cost.
+type flowCo peerLink
+
+func (pl *flowCo) Poll(ctx *sched.Context) sched.Poll { return (*peerLink)(pl).pollFlow(ctx) }
 
 // pollFlow is the per-link flow-control coroutine (paper §6.2): it reposts
 // receive buffers and pushes the new grant to the sender with a one-sided

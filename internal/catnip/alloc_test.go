@@ -1,6 +1,7 @@
 package catnip
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/dpdkdev"
 	"demikernel/internal/memory"
+	"demikernel/internal/sched"
 	"demikernel/internal/sim"
 	"demikernel/internal/simnet"
 	"demikernel/internal/wire"
@@ -146,16 +148,18 @@ func TestTimerArmAllocs(t *testing.T) {
 // connectionAllocs is the most Go heap objects one short connection may
 // cost — connect, accept, the server's pop seeing end of stream, both sides
 // closed — both stacks, both applications and the fabric counted. Measured:
-// 20.3 objects. Per end, the connection and the method values of its four
-// coroutines (10), the first slot of its retransmission queue and the wake
-// callback of its RTO timer (4); the client's socket, the slot the server's
-// pop parks in and TIME_WAIT's wake callback (3); an Op each for connect,
-// accept and pop (3); the six frames' dpdkdev.Mbuf headers, 6/32 of an
-// array of 32 never reused. (26.2 when each header was an object of its
-// own; 57.2 when every SYN, FIN and ack also cost a header, a wire copy, two
-// hop closures and a timer closure, and the retransmission queue a new array
-// for each of them.) Lower it when the number falls.
-const connectionAllocs = 21
+// 9.34 objects. Per end, the connection and the wake callback of its RTO
+// timer (4); the client's socket and TIME_WAIT's wake callback (2); an Op
+// each for connect, accept and pop (3); the six frames' dpdkdev.Mbuf
+// headers, 6/32 of an array of 32 never reused. The four coroutines are the
+// connection under four pointer types, and its queues' buffers are ones
+// that closed connections let go of (DESIGN.md §3). (20.34 when each
+// coroutine was a method value and each queue's first buffer a new array;
+// 26.2 when each header was an object of its own; 57.2 when every SYN, FIN
+// and ack also cost a header, a wire copy, two hop closures and a timer
+// closure, and the retransmission queue a new array for each of them.)
+// Lower it when the number falls.
+const connectionAllocs = 10
 
 // mustWait waits for the token a libcall returned and fails the test unless
 // both the call and the operation succeeded.
@@ -225,12 +229,14 @@ func TestConnectionAllocs(t *testing.T) {
 // connection that carried one 64-byte echo and then went idle may keep live,
 // everything that grows with connections counted (the connection, its
 // coroutines' scheduler slots, its queues' first buffers, its descriptor and
-// demux entries, its share of the tables holding them). Measured: 1 051 to
-// 1 070 bytes from run to run; 1 267 when the connection's queues were
-// slices that slid off their arrays (each keeping the last thing popped from
-// it reachable) and every timer arm left a closure behind. tcp_fanin_1k's live heap is 2 048 of
-// these, and may rise 10 %: 146 bytes an end.
-const idleConnectionBytes = 1100
+// demux entries, its share of the tables holding them). Measured: 1 005 to
+// 1 006 bytes from run to run; 1 051 to 1 070 when each of its four
+// coroutines was a 16-byte method value, and 1 267 when the connection's
+// queues were slices that slid off their arrays (each keeping the last thing
+// popped from it reachable) and every timer arm left a closure behind.
+// tcp_fanin_1k's live heap is 2 048 of these, and may rise 10 %: 122 bytes
+// an end.
+const idleConnectionBytes = 1050
 
 // The cost is the slope between a few connections and many on fresh worlds,
 // as in TestConnectionAllocs, taken after a collection with both stacks
@@ -369,6 +375,199 @@ func TestPoppedSlotsHoldNothing(t *testing.T) {
 		la.WaitAny(nil, 100*time.Millisecond)
 	})
 	eng.Run()
+}
+
+// bufferCheck looks at every queue buffer two stacks hold, on their free
+// lists and in their live connections' queues: a listed buffer must be all
+// zero values, no buffer may be in two places at once, and a live queue's
+// vacated slots must hold nothing. It counts the buffers a live queue holds
+// that an earlier look found on a free list.
+type bufferCheck struct {
+	t      *testing.T
+	listed map[any]bool // first slots of buffers seen on a free list
+	reused int
+}
+
+func (bc *bufferCheck) check(stacks ...*LibOS) {
+	held := make(map[any]string)
+	for _, l := range stacks {
+		s, name := &l.spares, l.Node().Name()
+		checkListed(bc, name, &s.sendItems, held)
+		checkListed(bc, name, &s.segments, held)
+		checkListed(bc, name, &s.pushOps, held)
+		checkListed(bc, name, &s.bufs, held)
+		checkListed(bc, name, &s.ops, held)
+	}
+	for _, l := range stacks {
+		for tuple, c := range l.conns {
+			where := fmt.Sprintf("%s's connection %v", l.Node().Name(), tuple)
+			checkHeld(bc, where, &c.sendQ, held)
+			checkHeld(bc, where, &c.retransQ, held)
+			checkHeld(bc, where, &c.pushOps, held)
+			checkHeld(bc, where, &c.recvQ, held)
+			checkHeld(bc, where, &c.pops, held)
+		}
+	}
+}
+
+func checkListed[T comparable](bc *bufferCheck, stack string, s *spares[T], held map[any]string) {
+	var zero T
+	for _, buf := range s.bufs {
+		for i := range buf {
+			if buf[i] != zero {
+				bc.t.Fatalf("%s: a buffer on the free list holds %v in slot %d", stack, buf[i], i)
+			}
+		}
+		k := any(&buf[0])
+		if w, ok := held[k]; ok {
+			bc.t.Fatalf("%s: a buffer on the free list is also on %s", stack, w)
+		}
+		held[k] = stack + "'s free list"
+		bc.listed[k] = true
+	}
+}
+
+func checkHeld[T comparable](bc *bufferCheck, where string, f *fifo[T], held map[any]string) {
+	if f.buf == nil {
+		return
+	}
+	if n := vacated(f); n != 0 {
+		bc.t.Fatalf("%s: %d vacated queue slots hold something", where, n)
+	}
+	k := any(&f.buf[0])
+	if w, ok := held[k]; ok {
+		bc.t.Fatalf("%s holds a queue buffer that is also on %s", where, w)
+	}
+	held[k] = where
+	if bc.listed[k] {
+		delete(bc.listed, k)
+		bc.reused++
+	}
+}
+
+// A queue buffer a stack takes back from a closed connection is empty, and
+// belongs to one queue at a time. Connections churn in three ways, so that
+// every queue is let go of both empty and not: the server echoes and sees
+// end of stream; it closes with a pop parked; it closes with data nobody
+// popped. Every microsecond of the run, and after every call the
+// applications make, bufferCheck looks at both stacks.
+func TestQueueBuffersReusedEmpty(t *testing.T) {
+	eng, srv, cli := pair(t, 5, simnet.DefaultLink(), true)
+	bc := &bufferCheck{t: t, listed: make(map[any]bool)}
+	const conns = 150
+	running := 2
+	var tick func()
+	tick = func() {
+		bc.check(srv, cli)
+		if running > 0 {
+			eng.At(eng.Now().Add(time.Microsecond), nil, tick)
+		}
+	}
+	eng.At(0, nil, tick)
+	wait := func(l *LibOS, qt core.QToken, err error) core.QEvent {
+		ev := mustWait(t, l, qt, err)
+		bc.check(srv, cli)
+		return ev
+	}
+	eng.Spawn(srv.Node(), func() {
+		lqd, _ := srv.Socket(core.SockStream)
+		srv.Bind(lqd, srv.Addr(80))
+		srv.Listen(lqd, 8)
+		for i := 0; i < conns; i++ {
+			aqt, err := srv.Accept(lqd)
+			conn := wait(srv, aqt, err).NewQD
+			switch i % 3 {
+			case 0:
+				pqt, err := srv.Pop(conn)
+				ev := wait(srv, pqt, err)
+				wqt, err := srv.Push(conn, ev.SGA)
+				wait(srv, wqt, err)
+				ev.SGA.Free()
+				pqt, err = srv.Pop(conn)
+				wait(srv, pqt, err) // end of stream
+			case 1:
+				srv.Pop(conn) // parked when Close fails it
+			case 2:
+				srv.WaitAny(nil, 50*time.Microsecond) // the data arrives
+			}
+			srv.Close(conn)
+			bc.check(srv, cli)
+		}
+		running--
+		srv.WaitAny(nil, 3*tcpMSL)
+	})
+	eng.Spawn(cli.Node(), func() {
+		for i := 0; i < conns; i++ {
+			qd, _ := cli.Socket(core.SockStream)
+			cqt, err := cli.Connect(qd, srv.Addr(80))
+			wait(cli, cqt, err)
+			buf := memory.CopyFrom(cli.Heap(), make([]byte, 64))
+			wqt, err := cli.Push(qd, core.SGA(buf))
+			buf.Free()
+			wait(cli, wqt, err)
+			pqt, err := cli.Pop(qd)
+			wait(cli, pqt, err).SGA.Free() // the echo, or end of stream
+			cli.Close(qd)
+			bc.check(srv, cli)
+		}
+		running--
+		cli.WaitAny(nil, 3*tcpMSL)
+	})
+	eng.Run()
+	bc.check(srv, cli)
+	if len(srv.conns)+len(cli.conns) != 0 {
+		t.Fatalf("%d and %d connections still open", len(srv.conns), len(cli.conns))
+	}
+	t.Logf("%d queue buffers seen on a free list and then in a live queue", bc.reused)
+	if bc.reused < conns {
+		t.Errorf("only %d queue buffers were seen reused over %d connections", bc.reused, conns)
+	}
+}
+
+// Every coroutine a connection spawns exits once the connection is closed:
+// after a few hundred connections, each closed and out of TIME_WAIT, both
+// stacks run as many background coroutines as before the first.
+func TestConnectionCoroutinesExit(t *testing.T) {
+	eng, srv, cli := pair(t, 7, simnet.DefaultLink(), true)
+	srvStart, cliStart := srv.Sched().Len(sched.Background), cli.Sched().Len(sched.Background)
+	const conns = 300
+	peak := 0
+	eng.Spawn(srv.Node(), func() {
+		lqd, _ := srv.Socket(core.SockStream)
+		srv.Bind(lqd, srv.Addr(80))
+		srv.Listen(lqd, 8)
+		for i := 0; i < conns; i++ {
+			aqt, err := srv.Accept(lqd)
+			conn := mustWait(t, srv, aqt, err).NewQD
+			pqt, err := srv.Pop(conn)
+			mustWait(t, srv, pqt, err) // end of stream: the client closed
+			srv.Close(conn)
+		}
+		srv.WaitAny(nil, 3*tcpMSL)
+	})
+	eng.Spawn(cli.Node(), func() {
+		for i := 0; i < conns; i++ {
+			qd, _ := cli.Socket(core.SockStream)
+			cqt, err := cli.Connect(qd, srv.Addr(80))
+			mustWait(t, cli, cqt, err)
+			peak = max(peak, cli.Sched().Len(sched.Background))
+			cli.Close(qd)
+		}
+		cli.WaitAny(nil, 3*tcpMSL) // every TIME_WAIT runs out
+	})
+	eng.Run()
+	if len(srv.conns)+len(cli.conns) != 0 {
+		t.Fatalf("%d and %d connections still open", len(srv.conns), len(cli.conns))
+	}
+	if peak < cliStart+4*conns/2 {
+		t.Fatalf("the client ran at most %d background coroutines: the connections did not overlap", peak)
+	}
+	if got := srv.Sched().Len(sched.Background); got != srvStart {
+		t.Errorf("server: %d background coroutines after every connection closed, %d before", got, srvStart)
+	}
+	if got := cli.Sched().Len(sched.Background); got != cliStart {
+		t.Errorf("client: %d background coroutines after every connection closed, %d before", got, cliStart)
+	}
 }
 
 // A datagram pushed to a resolved address costs the core.Op its token names

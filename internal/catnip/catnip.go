@@ -162,6 +162,9 @@ type LibOS struct {
 	// popSegs is the rest of the array every pop's segment slice is cut
 	// from (popSegments).
 	popSegs []*memory.Buf
+	// spares holds the buffers closed connections' queues let go of, for
+	// the queues of the connections opened next.
+	spares queueSpares
 
 	telCwnd *telemetry.Histogram // cwnd sampled at every ack arrival
 	telOOO  *telemetry.Histogram // OOO-queue depth sampled at every insert

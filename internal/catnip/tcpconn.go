@@ -5,7 +5,6 @@ import (
 
 	"demikernel/internal/core"
 	"demikernel/internal/costmodel"
-	"demikernel/internal/memory"
 	"demikernel/internal/sched"
 	"demikernel/internal/sim"
 	"demikernel/internal/wire"
@@ -57,6 +56,12 @@ func newTCPConn(l *LibOS, qd core.QDesc, tuple fourTuple, tenant uint32, tidx ui
 	c.queuedSeq = c.iss + 1
 	c.rto = newRTOEstimator(rtoInit, rtoMin, rtoMax)
 	c.cc.init(c.mss)
+	s := &l.spares
+	c.sendQ.take(&s.sendItems)
+	c.retransQ.take(&s.segments)
+	c.pushOps.take(&s.pushOps)
+	c.recvQ.take(&s.bufs)
+	c.pops.take(&s.ops)
 	c.spawnCoroutines()
 	return c
 }
@@ -137,11 +142,26 @@ func (c *tcpConn) sendSyn() {
 // spawnCoroutines starts the connection's four background coroutines
 // (paper §6.3): sender, retransmitter, pure-ack sender, close manager.
 func (c *tcpConn) spawnCoroutines() {
-	c.senderH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollSender))
-	c.retransH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollRetransmit))
-	c.ackH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollAck))
-	c.closerH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, sched.Func(c.pollCloser))
+	c.senderH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, (*senderCo)(c))
+	c.retransH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, (*retransCo)(c))
+	c.ackH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, (*ackCo)(c))
+	c.closerH = c.lib.Sched().SpawnTenant(sched.Background, c.tidx, (*closerCo)(c))
 }
+
+// The four coroutines are the connection itself under four pointer types,
+// one per Poll. A pointer in an interface allocates nothing, where a method
+// value such as sched.Func(c.pollSender) is an object of its own.
+type (
+	senderCo  tcpConn
+	retransCo tcpConn
+	ackCo     tcpConn
+	closerCo  tcpConn
+)
+
+func (c *senderCo) Poll(ctx *sched.Context) sched.Poll  { return (*tcpConn)(c).pollSender(ctx) }
+func (c *retransCo) Poll(ctx *sched.Context) sched.Poll { return (*tcpConn)(c).pollRetransmit(ctx) }
+func (c *ackCo) Poll(ctx *sched.Context) sched.Poll     { return (*tcpConn)(c).pollAck(ctx) }
+func (c *closerCo) Poll(ctx *sched.Context) sched.Poll  { return (*tcpConn)(c).pollCloser(ctx) }
 
 // --- Application-facing operations ---
 
@@ -244,7 +264,7 @@ func (c *tcpConn) failPops(err error) {
 	for c.pops.len() > 0 {
 		c.pops.pop().Fail(c.qd, core.OpPop, err)
 	}
-	c.pops = fifo[*core.Op]{}
+	c.pops.release(&c.lib.spares.ops)
 }
 
 // freeRecvQ frees the data nobody popped and lets go of the queue's storage.
@@ -252,7 +272,8 @@ func (c *tcpConn) freeRecvQ() {
 	for c.recvQ.len() > 0 {
 		c.recvQ.pop().Free()
 	}
-	c.recvQ, c.recvBytes = fifo[*memory.Buf]{}, 0
+	c.recvQ.release(&c.lib.spares.bufs)
+	c.recvBytes = 0
 }
 
 // --- Transmission ---

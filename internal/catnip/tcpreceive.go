@@ -362,9 +362,14 @@ func (c *tcpConn) advanceCloseStates() {
 	}
 }
 
-// enterTimeWait starts the 2*MSL quiet period.
+// enterTimeWait starts the 2*MSL quiet period. Our FIN is acknowledged and
+// the application has closed, so no queue is used again: their buffers go
+// to the connections opened meanwhile instead of waiting out the period.
 func (c *tcpConn) enterTimeWait() {
 	c.state = stateTimeWait
+	c.retransQ.release(&c.lib.spares.segments)
+	c.sendQ.release(&c.lib.spares.sendItems)
+	c.pushOps.release(&c.lib.spares.pushOps)
 	c.timeWaitUntil = c.lib.Now().Add(2 * tcpMSL)
 	c.wakeAt(c.timeWaitUntil, &c.closerWake, &c.closerH)
 	c.closerH.Wake()
@@ -404,15 +409,15 @@ func (c *tcpConn) teardown(err error) {
 			seg.buf.IOUnref()
 		}
 	}
-	c.retransQ = fifo[segment]{}
+	c.retransQ.release(&c.lib.spares.segments)
 	for c.sendQ.len() > 0 {
 		c.sendQ.pop().buf.IOUnref()
 	}
-	c.sendQ = fifo[sendItem]{}
+	c.sendQ.release(&c.lib.spares.sendItems)
 	for c.pushOps.len() > 0 {
 		c.pushOps.pop().op.Fail(c.qd, core.OpPush, c.err)
 	}
-	c.pushOps = fifo[pushOp]{}
+	c.pushOps.release(&c.lib.spares.pushOps)
 	if err == nil {
 		// Graceful close: waiting pops see EOF.
 		c.peerClosed = true
