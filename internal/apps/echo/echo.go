@@ -164,16 +164,15 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 			// part of the request's critical path, so this wait is
 			// semantic, not incidental.
 			if logQD != core.InvalidQD {
-				lqt, lerr := l.Push(logQD, ev.SGA)
-				if lerr != nil {
-					return lerr
-				}
-				if lev, lerr := l.Wait(lqt); lerr != nil || lev.Err != nil {
-					return fmt.Errorf("echo: log write failed: %v %v", lerr, lev.Err)
+				if err := logSync(l, logQD, ev.SGA); err != nil {
+					ev.SGA.Free()
+					return err
 				}
 			}
 			wqt, werr := l.Push(p.conn, ev.SGA)
 			if werr != nil {
+				ev.SGA.Free() // a refused push leaves the buffers with us
+				delete(acc, p.conn)
 				l.Close(p.conn)
 				continue
 			}
@@ -183,6 +182,18 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 			}
 		}
 	}
+}
+
+// logSync pushes sga to the storage log and waits until it is durable.
+func logSync(l demi.LibOS, logQD core.QDesc, sga core.SGArray) error {
+	qt, err := l.Push(logQD, sga)
+	if err != nil {
+		return err
+	}
+	if ev, err := l.Wait(qt); err != nil || ev.Err != nil {
+		return fmt.Errorf("echo: log write failed: %v %v", err, ev.Err)
+	}
+	return nil
 }
 
 // ClientResult holds a closed-loop client's measurements.

@@ -39,16 +39,14 @@ func ServerUDP(l demi.LibOS, cfg ServerConfig) error {
 			continue
 		}
 		if logQD != core.InvalidQD {
-			lqt, lerr := l.Push(logQD, ev.SGA)
-			if lerr != nil {
-				return lerr
-			}
-			if lev, lerr := l.Wait(lqt); lerr != nil || lev.Err != nil {
-				return lerr
+			if err := logSync(l, logQD, ev.SGA); err != nil {
+				ev.SGA.Free()
+				return err
 			}
 		}
 		wqt, werr := l.PushTo(qd, ev.SGA, ev.From)
 		if werr != nil {
+			ev.SGA.Free() // a refused push leaves the buffers with us
 			continue
 		}
 		if _, werr := l.Wait(wqt); werr != nil {

@@ -95,6 +95,11 @@ func TestRelayForwardsBetweenSessions(t *testing.T) {
 	if n := lr.Heap().LiveObjects(); n != 0 {
 		t.Errorf("relay heap holds %d buffers after the run, want 0", n)
 	}
+	// The run ends at idle with the server parked on its next pop: every
+	// token it holds besides that one is a completed push nobody waited on.
+	if n := lr.Tokens().Unredeemed() - lr.Tokens().Outstanding(); n != 0 {
+		t.Errorf("relay holds %d completed qtokens nobody redeemed, want 0", n)
+	}
 }
 
 func TestRelayDropsUnknownSessionAndMalformed(t *testing.T) {

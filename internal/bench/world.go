@@ -5,9 +5,10 @@ package bench
 // run, which runs it one way: it starts the server mains, then the client
 // mains, each on its own node; stops when the last client returns, or at
 // idle for a world whose closes count; requires every client to have
-// settled (no qtoken unredeemed, no buffer live); and, with a telemetry
-// sink set, dumps the world there with its flight recorders. The rack
-// experiment builds its world inside internal/rack and is the exception.
+// settled (no qtoken unredeemed, no buffer live) and, at idle, every server
+// (no completed qtoken unredeemed); and, with a telemetry sink set, dumps
+// the world there with its flight recorders. The rack experiment builds its
+// world inside internal/rack and is the exception.
 
 import (
 	"errors"
@@ -97,7 +98,12 @@ func (w *world) run() error {
 
 // settled returns the first client that left a qtoken unredeemed, complete
 // or not, or a buffer live. Catmint keeps receive buffers posted to the
-// NIC, so its heap is not checked.
+// NIC, so its heap is not checked. In a world run to idle it then returns
+// the first server that holds a completed qtoken nobody redeemed; its
+// parked accepts and pops are incomplete, so they do not count. A world
+// that stops at its last client's return is not checked there: WaitAny
+// hands back one completed token per call, so a correct server can still
+// hold a completed one at that instant.
 func (w *world) settled() error {
 	for _, p := range w.clients {
 		if p.st.OS == nil {
@@ -116,6 +122,21 @@ func (w *world) settled() error {
 		}
 		if n := p.st.OS.Heap().LiveObjects(); n != 0 {
 			return fmt.Errorf("%d DMA buffers leaked on a client heap", n)
+		}
+	}
+	if !w.untilIdle {
+		return nil
+	}
+	for _, p := range w.servers {
+		if p.st.OS == nil {
+			continue
+		}
+		for _, c := range components(p.st.OS) {
+			if t, ok := c.(tokener); ok {
+				if n := t.Tokens().Unredeemed() - t.Tokens().Outstanding(); n != 0 {
+					return fmt.Errorf("%d completed qtokens never redeemed on a server", n)
+				}
+			}
 		}
 	}
 	return nil

@@ -7,28 +7,44 @@ import (
 
 	"demikernel/internal/apps/echo"
 	"demikernel/internal/core"
+	"demikernel/internal/demi"
 	"demikernel/internal/memory"
 	"demikernel/internal/wire"
 )
 
-// Every world the driver runs must leave its clients settled. A tiny echo
-// world that stops when its client returns, with a leaked client buffer or
-// a client token nobody redeems planted, must fail the run for it, and the
-// world without one must pass.
+// Every world the driver runs must leave its clients settled, and a world
+// run to idle its servers too. A tiny echo world that stops when its client
+// returns, with a leaked client buffer or a client token nobody redeems
+// planted, must fail the run for it; so must the same world run to idle
+// with a completed server token nobody redeems planted. Each world without
+// one must pass.
 func TestWorldRefusesUnsettledClients(t *testing.T) {
-	for _, tc := range []struct{ mutant, want string }{
-		{"", ""},
-		{"leaked buffer", "1 DMA buffers leaked on a client heap"},
-		{"dropped token", "1 qtokens still outstanding on a client"},
-		{"unredeemed push", "1 qtokens still outstanding on a client"},
+	for _, tc := range []struct {
+		mutant    string
+		untilIdle bool
+		want      string
+	}{
+		{"", false, ""},
+		{"leaked buffer", false, "1 DMA buffers leaked on a client heap"},
+		{"dropped token", false, "1 qtokens still outstanding on a client"},
+		{"unredeemed push", false, "1 qtokens still outstanding on a client"},
+		{"", true, ""},
+		{"unredeemed server push", true, "1 completed qtokens never redeemed on a server"},
 	} {
 		tb := NewTestbed(1, SwitchEth())
 		srv := tb.NewStack(SysCatnipTCP(), "srv", wire.IPAddr{10, 60, 0, 1})
 		cli := tb.NewStack(SysCatnipTCP(), "cli", wire.IPAddr{10, 60, 0, 2})
 		tb.SeedARP()
 		addr := core.Addr{IP: srv.IP, Port: 7}
-		w := &world{title: "tiny " + tc.mutant, eng: tb.Eng, stacks: []*Stack{srv, cli},
-			servers: []proc{{srv, func() error { return echo.Server(srv.OS, echo.ServerConfig{Addr: addr}) }}},
+		w := &world{title: "tiny " + tc.mutant, eng: tb.Eng, stacks: []*Stack{srv, cli}, untilIdle: tc.untilIdle,
+			servers: []proc{{srv, func() error {
+				if tc.mutant == "unredeemed server push" {
+					if err := pushUnwaited(srv.OS, core.Addr{IP: cli.IP, Port: 9}); err != nil {
+						return err
+					}
+				}
+				return echo.Server(srv.OS, echo.ServerConfig{Addr: addr})
+			}}},
 			clients: []proc{{cli, func() error {
 				if _, err := echo.Client(cli.OS, addr, 64, 20, 2, cli.Node); err != nil {
 					return err
@@ -44,16 +60,7 @@ func TestWorldRefusesUnsettledClients(t *testing.T) {
 					_, err = cli.OS.Pop(qd)
 					return err
 				case "unredeemed push":
-					// A datagram to a resolved address completes at once;
-					// its token is never waited on.
-					qd, err := cli.OS.Socket(core.SockDgram)
-					if err != nil {
-						return err
-					}
-					buf := memory.CopyFrom(cli.OS.Heap(), []byte("x"))
-					defer buf.Free()
-					_, err = cli.OS.PushTo(qd, core.SGA(buf), core.Addr{IP: srv.IP, Port: 9})
-					return err
+					return pushUnwaited(cli.OS, core.Addr{IP: srv.IP, Port: 9})
 				}
 				return nil
 			}}},
@@ -61,11 +68,24 @@ func TestWorldRefusesUnsettledClients(t *testing.T) {
 		err := w.run()
 		switch {
 		case tc.want == "" && err != nil:
-			t.Errorf("settled world refused: %v", err)
+			t.Errorf("settled world (untilIdle %v) refused: %v", tc.untilIdle, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: run returned %v, want an error saying %q", tc.mutant, err, tc.want)
 		}
 	}
+}
+
+// pushUnwaited sends a datagram to a resolved address, which completes at
+// once, and never waits on its token.
+func pushUnwaited(l demi.LibOS, to core.Addr) error {
+	qd, err := l.Socket(core.SockDgram)
+	if err != nil {
+		return err
+	}
+	buf := memory.CopyFrom(l.Heap(), []byte("x"))
+	defer buf.Free()
+	_, err = l.PushTo(qd, core.SGA(buf), to)
+	return err
 }
 
 // TestTelemetryReachesEveryWorld runs every driver-backed runner at a small
