@@ -213,11 +213,16 @@ func Client(l demi.LibOS, server core.Addr, msgSize, rounds, warmup int, clock s
 // ClientFrom is Client with an explicit local endpoint, bound before
 // connecting. Scale-out harnesses pick the source port so the flow's RSS
 // hash steers it at a chosen server core; the zero Addr means "any".
-func ClientFrom(l demi.LibOS, local, server core.Addr, msgSize, rounds, warmup int, clock sim.Clock) (ClientResult, error) {
+func ClientFrom(l demi.LibOS, local, server core.Addr, msgSize, rounds, warmup int, clock sim.Clock) (_ ClientResult, err error) {
 	qd, err := l.Socket(core.SockStream)
 	if err != nil {
 		return ClientResult{}, err
 	}
+	defer func() {
+		if err != nil {
+			l.Close(qd) // the server's pop sees end of stream
+		}
+	}()
 	if local != (core.Addr{}) {
 		if err := l.Bind(qd, local); err != nil {
 			return ClientResult{}, err

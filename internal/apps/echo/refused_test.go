@@ -28,12 +28,18 @@ func (refusing) PushTo(core.QDesc, core.SGArray, core.Addr) (core.QToken, error)
 	return 0, errRefused
 }
 
-// Both clients report a refused push and free the message they offered.
+// Both clients report a refused push, free the message they offered and
+// close their socket, so the stream server's pop sees end of stream.
 func TestClientFreesRefusedPush(t *testing.T) {
 	for _, dgram := range []bool{false, true} {
 		eng, ls, lc := pair(t)
 		addr := core.Addr{IP: ipS, Port: 80}
-		eng.Spawn(ls.Node(), func() { Server(ls, ServerConfig{Addr: addr}) })
+		eof := false
+		if dgram {
+			eng.Spawn(ls.Node(), func() { ServerUDP(ls, ServerConfig{Addr: addr}) })
+		} else {
+			eng.Spawn(ls.Node(), func() { eof = popsEndOfStream(t, ls, addr) })
+		}
 		var cerr error
 		eng.Spawn(lc.Node(), func() {
 			client := Client
@@ -49,7 +55,32 @@ func TestClientFreesRefusedPush(t *testing.T) {
 		if n := lc.Heap().LiveObjects(); n != 0 {
 			t.Errorf("datagram %v: %d client buffers live after a refused push", dgram, n)
 		}
+		if n := lc.Queues().Len(); n != 0 {
+			t.Errorf("datagram %v: %d client descriptors open after a refused push", dgram, n)
+		}
+		if !dgram && !eof {
+			t.Error("the server's pop did not see end of stream after the client's refused push")
+		}
 	}
+}
+
+// popsEndOfStream accepts one connection at addr and reports whether its
+// first pop sees end of stream.
+func popsEndOfStream(t *testing.T, l *catnip.LibOS, addr core.Addr) bool {
+	lqd, _ := l.Socket(core.SockStream)
+	if err := l.Bind(lqd, addr); err != nil {
+		t.Errorf("bind: %v", err)
+		return false
+	}
+	l.Listen(lqd, 1)
+	aqt, _ := l.Accept(lqd)
+	ev, err := l.Wait(aqt)
+	if err != nil || ev.Err != nil {
+		return false
+	}
+	pqt, _ := l.Pop(ev.NewQD)
+	ev, err = l.Wait(pqt)
+	return err == nil && ev.Err == nil && len(ev.SGA.Segs) == 0
 }
 
 // The stream server frees a message whose reply push is refused, framed or

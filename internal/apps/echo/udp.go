@@ -57,11 +57,16 @@ func ServerUDP(l demi.LibOS, cfg ServerConfig) error {
 }
 
 // ClientUDP runs a closed-loop datagram echo client against server.
-func ClientUDP(l demi.LibOS, server core.Addr, msgSize, rounds, warmup int, clock sim.Clock) (ClientResult, error) {
+func ClientUDP(l demi.LibOS, server core.Addr, msgSize, rounds, warmup int, clock sim.Clock) (_ ClientResult, err error) {
 	qd, err := l.Socket(core.SockDgram)
 	if err != nil {
 		return ClientResult{}, err
 	}
+	defer func() {
+		if err != nil {
+			l.Close(qd)
+		}
+	}()
 	res := ClientResult{RTTs: make([]time.Duration, 0, rounds)}
 	var measuredStart sim.Time
 	for i := 0; i < rounds+warmup; i++ {

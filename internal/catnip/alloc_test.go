@@ -133,12 +133,11 @@ func TestTimerArmAllocs(t *testing.T) {
 	arm := func() {
 		c.wakeAt(p.eng.Now().Add(c.rto.value()), &c.retransWake, &c.retransH)
 		c.wakeAt(p.eng.Now().Add(c.rto.value()), &c.ackWake, &c.ackH)
-		c.wakeAt(p.eng.Now().Add(c.rto.value()), &c.closerWake, &c.closerH)
 		p.eng.Run() // the timers fire; the queue is as deep as it was
 	}
 	arm()
 	if avg := testing.AllocsPerRun(200, arm); avg != 0 {
-		t.Errorf("arming a connection's three timers allocates %.1f objects, want 0", avg)
+		t.Errorf("arming a connection's two timers allocates %.1f objects, want 0", avg)
 	}
 	if !p.a.Sched().Runnable() {
 		t.Error("the timers woke nothing")
@@ -148,18 +147,20 @@ func TestTimerArmAllocs(t *testing.T) {
 // connectionAllocs is the most Go heap objects one short connection may
 // cost — connect, accept, the server's pop seeing end of stream, both sides
 // closed — both stacks, both applications and the fabric counted. Measured:
-// 9.34 objects. Per end, the connection and the wake callback of its RTO
-// timer (4); the client's socket and TIME_WAIT's wake callback (2); an Op
-// each for connect, accept and pop (3); the six frames' dpdkdev.Mbuf
-// headers, 6/32 of an array of 32 never reused. The four coroutines are the
-// connection under four pointer types, and its queues' buffers are ones
-// that closed connections let go of (DESIGN.md §3). (20.34 when each
-// coroutine was a method value and each queue's first buffer a new array;
-// 26.2 when each header was an object of its own; 57.2 when every SYN, FIN
-// and ack also cost a header, a wire copy, two hop closures and a timer
-// closure, and the retransmission queue a new array for each of them.)
-// Lower it when the number falls.
-const connectionAllocs = 10
+// 8.25 objects. Per end, the connection and the wake callback of its RTO
+// timer (4); the client's socket (1); an Op each for connect, accept and pop
+// (3); the six frames' dpdkdev.Mbuf headers, 6/32 of an array of 32 never
+// reused; the rest is the growth of the client's TIME_WAIT table, whose
+// records are values in a map and a FIFO. The four coroutines are the
+// connection under four pointer types, its queues' buffers are ones that
+// closed connections let go of, and TIME_WAIT arms no timer (DESIGN.md §3).
+// (9.34 when a connection waited out TIME_WAIT itself, behind a wake
+// callback of its own; 20.34 when each coroutine was a method value and each
+// queue's first buffer a new array; 26.2 when each header was an object of
+// its own; 57.2 when every SYN, FIN and ack also cost a header, a wire copy,
+// two hop closures and a timer closure, and the retransmission queue a new
+// array for each of them.) Lower it when the number falls.
+const connectionAllocs = 9
 
 // mustWait waits for the token a libcall returned and fails the test unless
 // both the call and the operation succeeded.
@@ -524,28 +525,35 @@ func TestQueueBuffersReusedEmpty(t *testing.T) {
 	}
 }
 
-// Every coroutine a connection spawns exits once the connection is closed:
-// after a few hundred connections, each closed and out of TIME_WAIT, both
+// Every coroutine a connection spawns exits once the connection is closed,
+// and TIME_WAIT keeps none: it is a record in the stack's table. While three
+// hundred connections close within one 2*MSL, the client never runs more
+// than two connections' coroutines and ends up holding a record for each;
+// 2*MSL later, once one more connection has ended, it holds none, and both
 // stacks run as many background coroutines as before the first.
 func TestConnectionCoroutinesExit(t *testing.T) {
 	eng, srv, cli := pair(t, 7, simnet.DefaultLink(), true)
 	srvStart, cliStart := srv.Sched().Len(sched.Background), cli.Sched().Len(sched.Background)
 	const conns = 300
-	peak := 0
+	peak, records := 0, 0
+	var spent time.Duration
 	eng.Spawn(srv.Node(), func() {
 		lqd, _ := srv.Socket(core.SockStream)
 		srv.Bind(lqd, srv.Addr(80))
 		srv.Listen(lqd, 8)
-		for i := 0; i < conns; i++ {
+		for i := 0; i <= conns; i++ {
 			aqt, err := srv.Accept(lqd)
 			conn := mustWait(t, srv, aqt, err).NewQD
-			pqt, err := srv.Pop(conn)
-			mustWait(t, srv, pqt, err) // end of stream: the client closed
-			srv.Close(conn)
+			if i < conns {
+				pqt, err := srv.Pop(conn)
+				mustWait(t, srv, pqt, err) // end of stream: the client closed
+			}
+			srv.Close(conn) // the last connection the server closes first
 		}
 		srv.WaitAny(nil, 3*tcpMSL)
 	})
 	eng.Spawn(cli.Node(), func() {
+		start := cli.Now()
 		for i := 0; i < conns; i++ {
 			qd, _ := cli.Socket(core.SockStream)
 			cqt, err := cli.Connect(qd, srv.Addr(80))
@@ -553,14 +561,33 @@ func TestConnectionCoroutinesExit(t *testing.T) {
 			peak = max(peak, cli.Sched().Len(sched.Background))
 			cli.Close(qd)
 		}
-		cli.WaitAny(nil, 3*tcpMSL) // every TIME_WAIT runs out
+		cli.WaitAny(nil, 100*time.Microsecond) // the last FIN arrives
+		spent, records = cli.Now().Sub(start), len(cli.timeWait)
+		cli.WaitAny(nil, 2*tcpMSL) // every record runs out
+		qd, _ := cli.Socket(core.SockStream)
+		cqt, err := cli.Connect(qd, srv.Addr(80))
+		mustWait(t, cli, cqt, err)
+		pqt, err := cli.Pop(qd)
+		mustWait(t, cli, pqt, err) // end of stream: the server closed
+		cli.Close(qd)              // so this one ends in LAST_ACK, not TIME_WAIT
+		cli.WaitAny(nil, tcpMSL)
 	})
 	eng.Run()
+	t.Logf("%d connections closed in %v; the client ran at most %d background coroutines, %d before", conns, spent, peak, cliStart)
+	if spent >= 2*tcpMSL {
+		t.Fatalf("the connections took %v, longer than 2*MSL: they did not overlap in TIME_WAIT", spent)
+	}
+	if records != conns {
+		t.Errorf("the client held %d TIME_WAIT records after %d connections closed, want %d", records, conns, conns)
+	}
+	if peak > cliStart+8 {
+		t.Errorf("the client ran %d background coroutines, %d before the first connection: TIME_WAIT holds coroutines", peak, cliStart)
+	}
+	if n := len(cli.timeWait) + cli.timeWaitQ.len(); n != 0 {
+		t.Errorf("%d TIME_WAIT records and expiry entries left 2*MSL after the last close", n)
+	}
 	if len(srv.conns)+len(cli.conns) != 0 {
 		t.Fatalf("%d and %d connections still open", len(srv.conns), len(cli.conns))
-	}
-	if peak < cliStart+4*conns/2 {
-		t.Fatalf("the client ran at most %d background coroutines: the connections did not overlap", peak)
 	}
 	if got := srv.Sched().Len(sched.Background); got != srvStart {
 		t.Errorf("server: %d background coroutines after every connection closed, %d before", got, srvStart)

@@ -143,6 +143,11 @@ type LibOS struct {
 	udpPorts  map[uint16]*udpSocket
 	listeners map[uint16]*tcpListener
 	conns     map[fourTuple]*tcpConn
+	// timeWait holds the connections in TIME_WAIT as records; timeWaitQ lists
+	// them in expiry order, the order they entered in (every period is 2*MSL).
+	// An expired record is absent, and erased as the next connection ends.
+	timeWait  map[fourTuple]timeWait
+	timeWaitQ fifo[timeWaitEntry]
 
 	nextEphemeral uint16
 	ipID          uint16
@@ -211,6 +216,7 @@ func newLibOS(host core.Host, wakeAt func(sim.Time, func()), rng *sim.Rand, name
 		udpPorts:      make(map[uint16]*udpSocket),
 		listeners:     make(map[uint16]*tcpListener),
 		conns:         make(map[fourTuple]*tcpConn),
+		timeWait:      make(map[fourTuple]timeWait),
 		nextEphemeral: 32768,
 	}
 	l.arp = newARPCache(l)
@@ -291,6 +297,11 @@ func (l *LibOS) IP() wire.IPAddr { return l.cfg.IP }
 
 // Stats returns a snapshot of stack counters.
 func (l *LibOS) Stats() Stats { return l.stats }
+
+// nowTS returns the RFC 7323 timestamp value: microseconds of virtual time.
+func (l *LibOS) nowTS() uint32 {
+	return uint32(time.Duration(l.Now()) / time.Microsecond)
+}
 
 // Addr returns the interface address with the given port.
 func (l *LibOS) Addr(port uint16) core.Addr { return core.Addr{IP: l.cfg.IP, Port: port} }

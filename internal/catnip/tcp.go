@@ -28,7 +28,6 @@ const (
 	stateFinWait1
 	stateFinWait2
 	stateClosing
-	stateTimeWait
 	stateCloseWait
 	stateLastAck
 )
@@ -88,7 +87,8 @@ func (s *tcpSocket) Connect(op *core.Op, addr core.Addr) error {
 		s.bound = true
 	}
 	tuple := fourTuple{localPort: s.localPort, remoteIP: addr.IP, remotePort: addr.Port}
-	if _, exists := s.lib.conns[tuple]; exists {
+	_, open := s.lib.conns[tuple]
+	if _, waiting := s.lib.timeWaitRecord(tuple); open || waiting {
 		return core.ErrInUse
 	}
 	c := newTCPConn(s.lib, s.qd, tuple, s.tenant, s.tidx)
@@ -201,7 +201,8 @@ type oooSegment struct {
 // tcpConn is one TCP connection (paper §6.3) and the queue state of a
 // connected socket. One background coroutine each for sending when the
 // window reopens, retransmission, pure acks, and close-state management,
-// exactly the paper's four.
+// exactly the paper's four. A connection that reaches TIME_WAIT ends there,
+// and a timeWait record stands in for it.
 //
 // A stack of idle connections is mostly this struct, so its flags sit
 // together at the end of the group they belong to instead of each padding a
@@ -258,19 +259,36 @@ type tcpConn struct {
 
 	senderH, retransH, ackH, closerH sched.Handle
 	// What a timer runs to wake the coroutine it was armed for; see wakeAt.
-	retransWake, ackWake, closerWake func()
+	retransWake, ackWake func()
 
-	segsSinceAck  int
-	ackDeadline   sim.Time
-	timeWaitUntil sim.Time
-	connectOp     *core.Op
-	err           error
-	ackPending    bool
-	ackArmed      bool
-	peerClosed    bool
-	appClosed     bool
-	finQueued     bool
+	segsSinceAck int
+	ackDeadline  sim.Time
+	connectOp    *core.Op
+	err          error
+	ackPending   bool
+	ackArmed     bool
+	peerClosed   bool
+	appClosed    bool
+	finQueued    bool
 	// wndScaled: both SYNs carried the window-scale option, so windows are
 	// scaled both ways (RFC 7323 §2.2); sndWndScale is 0 while it is false.
 	wndScaled bool
+}
+
+// timeWait is what a connection leaves behind for TIME_WAIT's 2*MSL (RFC 793
+// p. 22): enough to acknowledge the peer's FIN again should our final ACK be
+// lost, and to keep the four-tuple from being reused meanwhile. The
+// connection, its coroutines, its queues and its demux entry are gone.
+type timeWait struct {
+	remoteMAC      simnet.MAC
+	window         uint16 // the advertised window, as on the wire
+	sndNxt, rcvNxt uint32
+	tsRecent       uint32
+	until          sim.Time // the end of 2*MSL
+}
+
+// timeWaitEntry is a record's place in the stack's expiry FIFO.
+type timeWaitEntry struct {
+	tuple fourTuple
+	until sim.Time
 }

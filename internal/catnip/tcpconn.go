@@ -66,11 +66,6 @@ func newTCPConn(l *LibOS, qd core.QDesc, tuple fourTuple, tenant uint32, tidx ui
 	return c
 }
 
-// nowTS returns the RFC 7323 timestamp value: microseconds of virtual time.
-func (c *tcpConn) nowTS() uint32 {
-	return uint32(time.Duration(c.lib.Now()) / time.Microsecond)
-}
-
 // advertisedWnd returns our receive window in bytes.
 func (c *tcpConn) advertisedWnd() int {
 	w := c.lib.recvBufSize - c.recvBytes - c.oooBytes
@@ -389,7 +384,7 @@ func (c *tcpConn) transmit(seg *segment) {
 		flags |= wire.TCPPsh
 	}
 	opt.HasTimestamp = true
-	opt.TSVal = c.nowTS()
+	opt.TSVal = c.lib.nowTS()
 	opt.TSEcr = c.tsRecent
 	h := wire.TCPHeader{
 		SrcPort: c.tuple.localPort,
@@ -425,7 +420,7 @@ func (c *tcpConn) sendPureAck() {
 		Ack:     c.rcvNxt,
 		Flags:   wire.TCPAck,
 		Window:  c.wireWindow(false),
-		Opt:     wire.TCPOptions{HasTimestamp: true, TSVal: c.nowTS(), TSEcr: c.tsRecent},
+		Opt:     wire.TCPOptions{HasTimestamp: true, TSVal: c.lib.nowTS(), TSEcr: c.tsRecent},
 	}
 	c.lib.Charge(c.lib.cfg.TCPEgressCost)
 	c.lib.sendTCP(c.remoteMAC, c.tuple.remoteIP, &h, nil, 0)

@@ -24,6 +24,10 @@ func (l *LibOS) handleTCP(eth wire.EthHeader, ip wire.IPv4Header, body []byte) {
 		c.receive(eth, h, payload)
 		return
 	}
+	if r, ok := l.timeWaitRecord(tuple); ok {
+		l.receiveTimeWait(tuple, r, h, len(payload))
+		return
+	}
 	if h.Flags&wire.TCPSyn != 0 && h.Flags&wire.TCPAck == 0 {
 		if ln, ok := l.listeners[h.DstPort]; ok {
 			ln.handleSyn(eth, ip, h)
@@ -51,6 +55,48 @@ func (l *LibOS) sendRST(eth wire.EthHeader, ip wire.IPv4Header, h wire.TCPHeader
 		rst.Ack++
 	}
 	l.sendTCP(eth.Src, ip.Src, &rst, nil, 0)
+}
+
+// receiveTimeWait answers a segment for a connection in TIME_WAIT from its
+// record r (RFC 793 p. 73). An RST erases the record; a SYN and a bare ACK
+// are ignored. Data or a FIN means the peer has not seen our final ACK: it
+// gets a pure ACK again, and a FIN restarts 2*MSL.
+func (l *LibOS) receiveTimeWait(tuple fourTuple, r timeWait, h wire.TCPHeader, payloadLen int) {
+	switch {
+	case h.Flags&wire.TCPRst != 0:
+		delete(l.timeWait, tuple)
+		return
+	case h.Flags&wire.TCPSyn != 0, payloadLen == 0 && h.Flags&wire.TCPFin == 0:
+		return
+	case h.Flags&wire.TCPFin != 0:
+		r.until = l.Now().Add(2 * tcpMSL)
+		l.timeWait[tuple] = r
+		l.timeWaitQ.push(timeWaitEntry{tuple: tuple, until: r.until})
+	}
+	ack := wire.TCPHeader{SrcPort: tuple.localPort, DstPort: tuple.remotePort, Seq: r.sndNxt, Ack: r.rcvNxt,
+		Flags: wire.TCPAck, Window: r.window, Opt: wire.TCPOptions{HasTimestamp: true, TSVal: l.nowTS(), TSEcr: r.tsRecent}}
+	l.Charge(l.cfg.TCPEgressCost)
+	l.sendTCP(r.remoteMAC, tuple.remoteIP, &ack, nil, 0)
+	l.stats.PureAcks++
+}
+
+// timeWaitRecord returns tuple's TIME_WAIT record. One whose 2*MSL has run
+// out is absent, whether or not expireTimeWait has erased it yet.
+func (l *LibOS) timeWaitRecord(tuple fourTuple) (timeWait, bool) {
+	r, ok := l.timeWait[tuple]
+	return r, ok && r.until > l.Now()
+}
+
+// expireTimeWait erases the records whose 2*MSL has run out. A record that a
+// FIN restarted, or a newer connection replaced, has a later entry of its own.
+func (l *LibOS) expireTimeWait() {
+	now := l.Now()
+	for l.timeWaitQ.len() > 0 && l.timeWaitQ.at(0).until <= now {
+		e := l.timeWaitQ.pop()
+		if r, ok := l.timeWait[e.tuple]; ok && r.until <= now {
+			delete(l.timeWait, e.tuple)
+		}
+	}
 }
 
 // handleSyn performs the passive open: create a SYN_RCVD connection and
@@ -184,7 +230,7 @@ func (c *tcpConn) processAck(h wire.TCPHeader, payloadLen int) {
 		c.dupAcks = 0
 		// RTT sample from the echoed timestamp.
 		if h.Opt.HasTimestamp && h.Opt.TSEcr != 0 {
-			if d := c.nowTS() - h.Opt.TSEcr; int32(d) >= 0 {
+			if d := c.lib.nowTS() - h.Opt.TSEcr; int32(d) >= 0 {
 				c.rto.sample(time.Duration(d) * time.Microsecond)
 			}
 		}
@@ -362,17 +408,19 @@ func (c *tcpConn) advanceCloseStates() {
 	}
 }
 
-// enterTimeWait starts the 2*MSL quiet period. Our FIN is acknowledged and
-// the application has closed, so no queue is used again: their buffers go
-// to the connections opened meanwhile instead of waiting out the period.
+// enterTimeWait ends the connection, leaving a record for the 2*MSL quiet
+// period in its place. Our FIN is acknowledged and the application has
+// closed, so nothing is left for the coroutines and queues to do: a pending
+// ACK of the peer's FIN leaves now, and teardown lets go of the rest.
 func (c *tcpConn) enterTimeWait() {
-	c.state = stateTimeWait
-	c.retransQ.release(&c.lib.spares.segments)
-	c.sendQ.release(&c.lib.spares.sendItems)
-	c.pushOps.release(&c.lib.spares.pushOps)
-	c.timeWaitUntil = c.lib.Now().Add(2 * tcpMSL)
-	c.wakeAt(c.timeWaitUntil, &c.closerWake, &c.closerH)
-	c.closerH.Wake()
+	if c.ackPending {
+		c.sendPureAck()
+	}
+	until := c.lib.Now().Add(2 * tcpMSL)
+	c.lib.timeWait[c.tuple] = timeWait{remoteMAC: c.remoteMAC, window: c.wireWindow(false),
+		sndNxt: c.sndNxt, rcvNxt: c.rcvNxt, tsRecent: c.tsRecent, until: until}
+	c.lib.timeWaitQ.push(timeWaitEntry{tuple: c.tuple, until: until})
+	c.teardown(nil)
 }
 
 // abort resets the connection immediately (local error or received RST).
@@ -400,6 +448,7 @@ func (c *tcpConn) teardown(err error) {
 		c.err = core.ErrQueueClosed
 	}
 	delete(c.lib.conns, c.tuple)
+	c.lib.expireTimeWait()
 	if c.connectOp != nil {
 		c.connectOp.Fail(c.qd, core.OpConnect, c.err)
 		c.connectOp = nil
@@ -524,18 +573,11 @@ func (c *tcpConn) pollAck(ctx *sched.Context) sched.Poll {
 	return sched.Pending
 }
 
-// pollCloser finalizes TIME_WAIT and fully closed connections.
+// pollCloser exits once the connection is closed: with TIME_WAIT a record,
+// nothing else is left of close-state management (ROADMAP 3(c)).
 func (c *tcpConn) pollCloser(ctx *sched.Context) sched.Poll {
-	switch c.state {
-	case stateClosed:
+	if c.state == stateClosed {
 		return sched.Done
-	case stateTimeWait:
-		now := c.lib.Now()
-		if now >= c.timeWaitUntil {
-			c.teardown(nil)
-			return sched.Done
-		}
-		c.wakeAt(c.timeWaitUntil, &c.closerWake, &c.closerH)
 	}
 	return sched.Pending
 }
