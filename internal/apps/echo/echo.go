@@ -40,11 +40,14 @@ const (
 	kindPush
 )
 
-// pending is per-token server state.
+// pending is per-token server state. It holds no pointers: removing a
+// token from a wait set of a thousand moves the entries after it without a
+// write barrier each. A push's buffers wait beside it, in the server's
+// replies table.
 type pending struct {
-	kind pendingKind
-	conn core.QDesc
-	sga  core.SGArray // kindPush: buffers to release on completion
+	kind  pendingKind
+	conn  core.QDesc
+	reply int32 // kindPush: the push's entry in replies
 }
 
 // connAcc accumulates a partial message for MessageSize framing. It lives
@@ -93,8 +96,13 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 	}
 	remove := func(i int) {
 		tokens = slices.Delete(tokens, i, i+1)
-		state = slices.Delete(state, i, i+1) // zeroes the vacated slot: it keeps no reply reachable
+		state = slices.Delete(state, i, i+1)
 	}
+
+	// replies[r] holds the buffers of the in-flight push whose pending
+	// names r, until it completes; free lists the entries no push holds.
+	replies := make([]core.SGArray, 0, cfg.MaxConns)
+	free := make([]int32, 0, cfg.MaxConns)
 
 	acc := make(map[core.QDesc]*connAcc)
 
@@ -125,10 +133,13 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 
 		case kindPush:
 			remove(i)
-			p.sga.Free() // reply delivered: buffers come home
+			sga := replies[p.reply]
+			replies[p.reply] = core.SGArray{} // keeps no reply reachable
+			free = append(free, p.reply)
+			sga.Free() // reply delivered: buffers come home
 			if a := acc[p.conn]; a != nil && a.spare == nil {
-				clear(p.sga.Segs)
-				a.spare = p.sga.Segs[:0]
+				clear(sga.Segs)
+				a.spare = sga.Segs[:0]
 			}
 
 		case kindPop:
@@ -176,7 +187,14 @@ func Server(l demi.LibOS, cfg ServerConfig) error {
 				l.Close(p.conn)
 				continue
 			}
-			add(wqt, pending{kind: kindPush, conn: p.conn, sga: ev.SGA})
+			r := int32(len(replies))
+			if n := len(free); n > 0 {
+				r, free = free[n-1], free[:n-1]
+				replies[r] = ev.SGA
+			} else {
+				replies = append(replies, ev.SGA)
+			}
+			add(wqt, pending{kind: kindPush, conn: p.conn, reply: r})
 			if pqt, perr := l.Pop(p.conn); perr == nil {
 				add(pqt, pending{kind: kindPop, conn: p.conn})
 			}

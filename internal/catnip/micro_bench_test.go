@@ -111,10 +111,11 @@ func BenchmarkCatnipEgress(b *testing.B) {
 	}
 }
 
-// BenchmarkTokenProbe measures what a wait-set scan pays for a token that is
-// not ready: TryTakeAs over 1 024 outstanding operations, visited in turn as
-// core.Waiter's scan visits them. tcp_fanin_1k makes ≈ 2 800 of these per
-// request.
+// BenchmarkTokenProbe measures TryTakeAs on a token that is not ready, over
+// 1 024 outstanding operations visited in turn: what a wait-set scan paid a
+// token before it read only the slots (core.TokenTable.probe), and what it
+// still pays once, for the token it stops at. tcp_fanin_1k makes ≈ 2 800
+// probes per request.
 func BenchmarkTokenProbe(b *testing.B) {
 	t := core.NewTokenTable()
 	qts := make([]core.QToken, 1024)

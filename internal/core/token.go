@@ -247,6 +247,38 @@ func (t *TokenTable) slot(qt QToken) *tokenSlot {
 	return nil
 }
 
+// probe returns the index of the first token of qts, in rotation order
+// from rr (qts[rr%n:], then qts[:rr%n]), that is not a live, outstanding
+// token of tenant — the one a redemption would take or fail — or -1 when
+// there is none. It reads the slot alone: a bounds check and three compares
+// a token, with no event built and no Op touched (DESIGN.md §3, "The wait
+// loop").
+func (t *TokenTable) probe(qts []QToken, rr int, tenant uint32) int {
+	if len(qts) == 0 {
+		return -1
+	}
+	start := rr % len(qts)
+	if i := t.settled(qts[start:], tenant); i >= 0 {
+		return start + i
+	}
+	return t.settled(qts[:start], tenant)
+}
+
+// settled is probe over qts in order.
+func (t *TokenTable) settled(qts []QToken, tenant uint32) int {
+	slots := t.slots
+	for i, qt := range qts {
+		j := uint64(qt&tokenIdxMask) - 1 // InvalidQToken wraps past any length
+		if j >= uint64(len(slots)) {
+			return i
+		}
+		if s := &slots[j]; s.qt != qt || s.tenant != tenant || s.done {
+			return i
+		}
+	}
+	return -1
+}
+
 // Lookup returns the operation for qt, if outstanding.
 func (t *TokenTable) Lookup(qt QToken) (*Op, bool) {
 	if s := t.slot(qt); s != nil {

@@ -49,15 +49,14 @@ func (w *Waiter) Wait(qt QToken) (QEvent, error) {
 // or foreign token fails and an already complete one is taken — and after
 // that only when an operation has completed since the last scan: a token
 // found outstanding stays so until then, so the work of a wait follows
-// completions, not the size of the wait set.
+// completions, not the size of the wait set. A scan reads only the slots
+// (TokenTable.probe) and redeems the one token it stops at.
 func (w *Waiter) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, error) {
 	deadline := w.enter(timeout)
 	for {
 		seen := w.Table.completions
-		for k := range qts {
-			i := (w.rr + k) % len(qts)
-			var ev QEvent
-			done, err := w.take(qts[i], &ev)
+		if i := w.Table.probe(qts, w.rr, w.Tenant); i >= 0 {
+			ev, done, err := w.Table.TryTakeAs(qts[i], w.Tenant)
 			if err != nil {
 				return -1, QEvent{}, err
 			}
@@ -86,16 +85,23 @@ func (w *Waiter) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) 
 	remaining := len(qts)
 	for {
 		seen := w.Table.completions
-		for i, qt := range qts {
+		// A token already redeemed here is stale, so the probe stops at
+		// it too; got tells it apart from one that fails.
+		for i := 0; i < len(qts); i++ {
+			k := w.Table.probe(qts[i:], 0, w.Tenant)
+			if k < 0 {
+				break
+			}
+			i += k
 			if got[i] {
 				continue
 			}
-			done, err := w.take(qt, &events[i])
+			ev, done, err := w.Table.TryTakeAs(qts[i], w.Tenant)
 			if err != nil {
 				return events, err
 			}
 			if done {
-				got[i] = true
+				events[i], got[i] = ev, true
 				remaining--
 			}
 		}
@@ -118,14 +124,6 @@ func (w *Waiter) enter(timeout time.Duration) sim.Time {
 		w.OnEnter()
 	}
 	return deadline
-}
-
-// take redeems qt into *into. The event goes out through a pointer because
-// a scan calls this once per token: returned by value through one more call
-// level, the event's copy cost a 1 024-token wait a fifth of its time.
-func (w *Waiter) take(qt QToken, into *QEvent) (done bool, err error) {
-	*into, done, err = w.Table.TryTakeAs(qt, w.Tenant)
-	return done, err
 }
 
 // run drives the Runner after a scan that found nothing ready — Step while

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -281,6 +282,138 @@ func (wd *world) script() []string {
 		wd.steps, wd.blocks, wd.enters, wd.wakes, wd.rotation(),
 		wd.table.Forgeries(), wd.now))
 	return wd.log
+}
+
+// complete completes the pending operation whose token is qt.
+func (wd *world) complete(qt QToken) {
+	for i, op := range wd.pending {
+		if op.Token() == qt {
+			wd.pending = append(wd.pending[:i], wd.pending[i+1:]...)
+			op.Complete(QEvent{QD: QDesc(qt), Op: OpPop})
+			return
+		}
+	}
+	panic("no pending operation for the token")
+}
+
+// fanIn runs a seed's waits over sets of 1 024 tokens and more, as a server
+// holding one pop per connection does. The first scan starts from a
+// rotation that a longer set left behind, past the end of the set; an
+// unknown, a redeemed and a foreign token and a duplicate are put in at
+// random positions of the rotation. It returns the log and the rotation
+// and length of the first fan-in wait.
+func (wd *world) fanIn() (log []string, rr, n int) {
+	rng := wd.rng
+	long := make([]QToken, 1400+rng.Intn(400))
+	for i := range long {
+		long[i] = wd.mint()
+	}
+	// The one complete token sits near the end of the long set, so the
+	// wait over it leaves the rotation there.
+	redeemed := long[len(long)-1-rng.Intn(100)]
+	wd.complete(redeemed)
+	i, _, err := wd.w.WaitAny(long, -1)
+	wd.log = append(wd.log, fmt.Sprintf("long %d %v", i, err))
+
+	wd.table.SetIssuer(worldTenant + 1)
+	foreign := wd.table.New().Token()
+	wd.table.SetIssuer(worldTenant)
+	set := append([]QToken(nil), long[:1024+rng.Intn(256)]...)
+	rr, n = wd.rotation(), len(set)
+	insert := func(qt QToken) {
+		at := rng.Intn(len(set) + 1)
+		set = append(set[:at], append([]QToken{qt}, set[at:]...)...)
+	}
+	for round := 0; round < 10; round++ {
+		switch rng.Intn(7) {
+		case 0: // unknown: past the table, or a live slot's wrong generation
+			if rng.Intn(2) == 0 {
+				insert(QToken(len(wd.table.slots) + 1 + rng.Intn(100)))
+			} else {
+				insert(set[rng.Intn(len(set))] + 1<<tokenIdxBits)
+			}
+		case 1:
+			insert(redeemed)
+		case 2:
+			insert(foreign)
+		case 3:
+			insert(set[rng.Intn(len(set))])
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			wd.completeOne()
+		}
+		timeout := time.Duration(-1)
+		if rng.Intn(3) == 0 {
+			timeout = time.Duration(rng.Intn(2000)) * time.Nanosecond
+		}
+		if rng.Intn(5) == 0 {
+			evs, err := wd.w.WaitAll(set, timeout)
+			done := 0
+			for _, ev := range evs {
+				if ev.Op != 0 {
+					done++
+				}
+			}
+			wd.log = append(wd.log, fmt.Sprintf("all %d %v", done, err))
+		} else {
+			i, ev, err := wd.w.WaitAny(set, timeout)
+			wd.log = append(wd.log, fmt.Sprintf("any %d %d/%v %v", i, ev.QD, ev.Err, err))
+			if err == nil {
+				set[i] = wd.mint() // the server's next pop on the connection
+			}
+		}
+		if rng.Intn(2) == 0 {
+			// Drop what can no longer be waited on, or keep it for the
+			// next scan to meet.
+			set = slices.DeleteFunc(set, func(qt QToken) bool {
+				s := wd.table.slot(qt)
+				return s == nil || s.tenant != worldTenant || s.done
+			})
+		}
+	}
+	wd.log = append(wd.log, fmt.Sprintf("steps %d blocks %d enters %d wakes %d rr %d forgeries %d now %d",
+		wd.steps, wd.blocks, wd.enters, wd.wakes, wd.rotation(),
+		wd.table.Forgeries(), wd.now))
+	return wd.log, rr, n
+}
+
+// TestFanInWaitMatchesAlwaysRescan is TestGatedWaitMatchesAlwaysRescan at a
+// server's fan-in: sets of 1 024 tokens and more, scanned by the slot
+// probe. Mutation-checked: a probe that skips the tenant compare fails it.
+func TestFanInWaitMatchesAlwaysRescan(t *testing.T) {
+	mustOccur := []string{"any", "all", ErrBadQToken.Error(), ErrTimeout.Error()}
+	seen := map[string]int{}
+	forged := false
+	for seed := int64(1); seed <= 40; seed++ {
+		want, _, _ := newWorld(seed, false).fanIn()
+		wd := newWorld(seed, true)
+		got, rr, n := wd.fanIn()
+		forged = forged || wd.table.Forgeries() > 0
+		if rr < n {
+			t.Fatalf("seed %d: the first fan-in wait starts at rotation %d of %d tokens, want one past the end", seed, rr, n)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d log lines, reference %d\n got: %q\nwant: %q", seed, len(got), len(want), got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d line %d:\n got: %s\nwant: %s", seed, i, got[i], want[i])
+			}
+			for _, what := range mustOccur {
+				if strings.Contains(want[i], what) {
+					seen[what]++
+				}
+			}
+		}
+	}
+	for _, what := range mustOccur {
+		if seen[what] == 0 {
+			t.Errorf("no scenario produced %q", what)
+		}
+	}
+	if !forged {
+		t.Error("no scenario counted a forgery")
+	}
 }
 
 func TestGatedWaitMatchesAlwaysRescan(t *testing.T) {

@@ -6,10 +6,12 @@
 // flipping a readiness bit that moves the coroutine back to the runnable
 // set.
 //
-// Readiness bits live in waker blocks of 64 coroutines each, and the
-// scheduler finds runnable coroutines by iterating set bits with
-// count-trailing-zeros (Lemire's loop; x86 tzcnt), so a poll over thousands
-// of mostly-blocked coroutines touches only a handful of words.
+// Readiness bits live in waker blocks of 64 coroutines each, and each
+// class keeps summary words with one bit per block, set while the block has
+// a ready coroutine. The scheduler finds runnable coroutines by iterating
+// set bits with count-trailing-zeros (Lemire's loop; x86 tzcnt) — over the
+// summary for the block, then over the block for the slot — so a poll over
+// thousands of mostly-blocked coroutines touches only a handful of words.
 //
 // Scheduling policy (paper §5.4): runnable application coroutines first,
 // then background coroutines, then the always-runnable fast-path coroutine,
@@ -82,20 +84,25 @@ type Waker struct {
 	gen   uint32
 }
 
-// Wake sets the coroutine's readiness bit.
+// Wake sets the coroutine's readiness bit, and its block's summary bit.
 func (w Waker) Wake() {
 	b := w.block
 	if b != nil && b.occupied&(1<<w.slot) != 0 && b.gens[w.slot] == w.gen {
 		b.ready |= 1 << w.slot
+		*b.sum |= b.bit
 	}
 }
 
 // wakerBlock holds readiness for up to 64 coroutines of one class, plus
-// their contexts. ready and occupied are the bitsets the scheduler scans.
+// their contexts. ready and occupied are the bitsets the scheduler scans;
+// ready is a subset of occupied. sum is the class summary word that holds
+// the block's bit, set exactly while ready is not zero.
 // tens tags each slot with its tenant index for weighted-fair picking.
 type wakerBlock struct {
 	ready    uint64
 	occupied uint64
+	sum      *uint64
+	bit      uint64
 	gens     [64]uint32
 	tens     [64]uint8
 	cos      [64]Coroutine
@@ -142,9 +149,13 @@ const MaxTenants = 16
 // Scheduler runs one core's coroutines. It is single-threaded by design.
 type Scheduler struct {
 	classes [numClasses][]*wakerBlock
-	cursor  [numClasses]int // round-robin start block per class
-	count   [numClasses]int
-	stats   Stats
+	// sums[c][k] is class c's summary word for blocks 64k to 64k+63. Each
+	// word is an object of its own, so a block's pointer to it stays valid
+	// as the slice grows.
+	sums   [numClasses][]*uint64
+	cursor [numClasses]int // round-robin start slot per class
+	count  [numClasses]int
+	stats  Stats
 
 	// Weighted-fair queuing across tenants (ROADMAP multi-tenant item):
 	// within a class, the ready tenant with the smallest virtual time
@@ -166,9 +177,9 @@ func (s *Scheduler) Stats() Stats { return s.stats }
 
 // Runnable reports whether any coroutine is ready to run.
 func (s *Scheduler) Runnable() bool {
-	for c := Class(0); c < numClasses; c++ {
-		for _, b := range s.classes[c] {
-			if b.ready&b.occupied != 0 {
+	for c := range s.sums {
+		for _, w := range s.sums[c] {
+			if *w != 0 {
 				return true
 			}
 		}
@@ -259,12 +270,17 @@ func (s *Scheduler) SpawnTenant(c Class, tenant uint8, co Coroutine) Handle {
 		}
 	}
 	if blk == nil {
-		blk = &wakerBlock{}
+		n := len(blocks)
+		if n%64 == 0 {
+			s.sums[c] = append(s.sums[c], new(uint64))
+		}
+		blk = &wakerBlock{sum: s.sums[c][n/64], bit: 1 << (n % 64)}
 		s.classes[c] = append(s.classes[c], blk)
 		slot = 0
 	}
 	blk.occupied |= 1 << slot
 	blk.ready |= 1 << slot
+	*blk.sum |= blk.bit
 	blk.gens[slot]++
 	blk.tens[slot] = tenant
 	blk.cos[slot] = co
@@ -291,7 +307,10 @@ func (s *Scheduler) RunOne() bool {
 
 // runClass finds and polls one ready coroutine in class c, scanning
 // round-robin from the slot after the last one run so same-class
-// coroutines cannot starve each other.
+// coroutines cannot starve each other. The starting block is visited
+// twice — its tail first, then every later block, then every earlier one,
+// then its head — so the scan covers every slot exactly once; the blocks
+// between come from the summary words, not from a walk over all of them.
 func (s *Scheduler) runClass(c Class) bool {
 	if s.wfq {
 		return s.runClassWFQ(c)
@@ -302,27 +321,37 @@ func (s *Scheduler) runClass(c Class) bool {
 		return false
 	}
 	start := s.cursor[c] % (n * 64)
-	startBlock, startSlot := start/64, uint(start%64)
-	// The starting block is visited twice: its tail first, its head after
-	// the wrap, so iteration covers every slot exactly once.
-	for off := 0; off <= n; off++ {
-		bi := (startBlock + off) % n
-		blk := blocks[bi]
-		ready := blk.ready & blk.occupied
-		if off == 0 {
-			ready &^= (uint64(1) << startSlot) - 1
-		} else if off == n {
-			ready &= (uint64(1) << startSlot) - 1
+	bi, head := start/64, uint64(1)<<(start%64)-1
+	ready := blocks[bi].ready &^ head
+	if ready == 0 {
+		if b := s.readyBlock(c, bi+1, n); b >= 0 {
+			bi, ready = b, blocks[b].ready
+		} else if b := s.readyBlock(c, 0, bi); b >= 0 {
+			bi, ready = b, blocks[b].ready
+		} else if ready = blocks[bi].ready & head; ready == 0 {
+			return false
 		}
-		if ready == 0 {
-			continue
-		}
-		slot := uint(bits.TrailingZeros64(ready)) // Lemire's loop: tzcnt
-		s.cursor[c] = bi*64 + int(slot) + 1
-		s.poll(c, blk, slot)
-		return true
 	}
-	return false
+	slot := uint(bits.TrailingZeros64(ready)) // Lemire's loop: tzcnt
+	s.cursor[c] = bi*64 + int(slot) + 1
+	s.poll(c, blocks[bi], slot)
+	return true
+}
+
+// readyBlock returns the first block of class c in [from, to) whose
+// summary bit is set, or -1.
+func (s *Scheduler) readyBlock(c Class, from, to int) int {
+	sums := s.sums[c]
+	mask := ^uint64(0) << (from % 64)
+	for k := from / 64; k*64 < to; k, mask = k+1, ^uint64(0) {
+		if w := *sums[k] & mask; w != 0 {
+			if b := k*64 + bits.TrailingZeros64(w); b < to {
+				return b
+			}
+			return -1
+		}
+	}
+	return -1
 }
 
 // runClassWFQ is runClass under weighted-fair queuing: among tenants with
@@ -336,16 +365,17 @@ func (s *Scheduler) runClassWFQ(c Class) bool {
 	if n == 0 {
 		return false
 	}
-	// Pass 1: which tenants have a ready coroutine in this class?
+	// Pass 1: which tenants have a ready coroutine in this class? Only the
+	// blocks the summary words name are read.
 	var readyT [MaxTenants]bool
 	any := false
-	for _, blk := range blocks {
-		ready := blk.ready & blk.occupied
-		for ready != 0 {
-			slot := uint(bits.TrailingZeros64(ready))
-			ready &^= 1 << slot
-			readyT[blk.tens[slot]] = true
-			any = true
+	for k, w := range s.sums[c] {
+		for sum := *w; sum != 0; sum &= sum - 1 {
+			blk := blocks[k*64+bits.TrailingZeros64(sum)]
+			for ready := blk.ready; ready != 0; ready &= ready - 1 {
+				readyT[blk.tens[bits.TrailingZeros64(ready)]] = true
+				any = true
+			}
 		}
 	}
 	if !any {
@@ -393,15 +423,21 @@ func (s *Scheduler) runClassWFQ(c Class) bool {
 func (s *Scheduler) poll(c Class, blk *wakerBlock, slot uint) {
 	bit := uint64(1) << slot
 	blk.ready &^= bit // clear before polling: wakes during poll are kept
+	if blk.ready == 0 {
+		*blk.sum &^= blk.bit
+	}
 	s.stats.Polls++
 	s.stats.PollsByClass[c]++
 	s.tpolls[blk.tens[slot]]++
 	switch blk.cos[slot].Poll(&blk.ctxs[slot]) {
 	case Yield:
 		blk.ready |= bit
+		*blk.sum |= blk.bit
 	case Done:
 		blk.occupied &^= bit
-		blk.ready &^= bit
+		if blk.ready &^= bit; blk.ready == 0 {
+			*blk.sum &^= blk.bit
+		}
 		blk.cos[slot] = nil
 		s.count[c]--
 		s.tlive[blk.tens[slot]]--

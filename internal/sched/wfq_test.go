@@ -107,7 +107,9 @@ func TestWFQOffByDefault(t *testing.T) {
 
 // TestRunOneAllocs: on a warmed scheduler a switch allocates nothing, under
 // the plain round-robin scan and under weighted-fair picking alike, and
-// neither does a wake that makes a parked coroutine ready again.
+// neither does a wake that makes a parked coroutine ready again, among one
+// or among 8 192 parked ones, nor a spawn into a block that had no
+// coroutine, which sets the block's summary bit.
 func TestRunOneAllocs(t *testing.T) {
 	plain := New()
 	plain.Spawn(FastPath, &yielder{})
@@ -122,6 +124,27 @@ func TestRunOneAllocs(t *testing.T) {
 	h := parked.Spawn(Background, Func(func(*Context) Poll { return Pending }))
 	parked.RunOne()
 
+	pending := Func(func(*Context) Poll { return Pending })
+	crowd := New()
+	var mid Handle
+	for i := 0; i < 8192; i++ {
+		if hi := crowd.Spawn(Background, pending); i == 5000 {
+			mid = hi
+		}
+	}
+	for crowd.RunOne() {
+	}
+
+	// Block 0 full of parked coroutines, block 1 empty once its first
+	// coroutine is done.
+	done := Func(func(*Context) Poll { return Done })
+	opener := New()
+	for i := 0; i < 64; i++ {
+		opener.Spawn(App, pending)
+	}
+	for opener.RunOne() {
+	}
+
 	for _, tc := range []struct {
 		name string
 		fn   func()
@@ -129,6 +152,8 @@ func TestRunOneAllocs(t *testing.T) {
 		{"RunOne", func() { plain.RunOne() }},
 		{"RunOne under WFQ", func() { wfq.RunOne() }},
 		{"Wake then RunOne", func() { h.Wake(); parked.RunOne() }},
+		{"Wake then RunOne with 8 192 parked", func() { mid.Wake(); crowd.RunOne() }},
+		{"Spawn into an empty block, then RunOne", func() { opener.Spawn(App, done); opener.RunOne() }},
 	} {
 		tc.fn() // warm
 		if n := testing.AllocsPerRun(1000, tc.fn); n != 0 {
