@@ -144,7 +144,8 @@ func runTenantWorld(seed uint64, attack bool) (*tenantWorld, error) {
 	for _, tn := range w.tenants {
 		tn.Publish(stackTelemetry(host.OS))
 	}
-	vv, kvv, av := tenant.NewView(victim, netos), tenant.NewView(kvVictim, netos), tenant.NewView(hostile, netos)
+	shared := host.OS.(tenant.Shared)
+	vv, kvv, av := victim.Join(shared), kvVictim.Join(shared), hostile.Join(shared)
 	if !attack {
 		av = nil
 	}
@@ -167,8 +168,9 @@ func runTenantWorld(seed uint64, attack bool) (*tenantWorld, error) {
 // main is the shared host's node main: victim echo rounds with a latency
 // sample each, KV victim ops spread among them and, when av is set, one
 // hostile action after every round.
-func (w *tenantWorld) main(node *sim.Node, vv, kvv, av *tenant.View, echoAddr, kvAddr core.Addr) error {
-	th := vv.TenantHeap() // a free the region refuses fails the round
+func (w *tenantWorld) main(node *sim.Node, vv, kvv, av *core.Handle, echoAddr, kvAddr core.Addr) error {
+	victim, hostile := w.tenants[0], w.tenants[2]
+	th := vv.Heap().Tenant(victim.ID()) // a free the region refuses fails the round
 	w.victim = &echoClient{l: vv, server: echoAddr, alloc: th.TryCopyFrom, free: th.TryFree}
 	if err := w.victim.connect(); err != nil {
 		return fmt.Errorf("victim dial: %w", err)
@@ -186,8 +188,8 @@ func (w *tenantWorld) main(node *sim.Node, vv, kvv, av *tenant.View, echoAddr, k
 	// one for its own traffic.
 	var atk *attacker
 	if av != nil {
-		atk = &attacker{v: av, addr: echoAddr, rejects: &w.rejects, canary: canary}
-		for i := 0; i < av.Tenant().Limits().MaxFlows; i++ {
+		atk = &attacker{v: av, th: av.Heap().Tenant(hostile.ID()), addr: echoAddr, rejects: &w.rejects, canary: canary}
+		for i := 0; i < hostile.Limits().MaxFlows; i++ {
 			qd, err := dial(av, echoAddr)
 			if err != nil {
 				return fmt.Errorf("attacker dial %d: %w", i, err)
@@ -254,7 +256,8 @@ func (w *tenantWorld) kvOp(cl *kv.Client) error {
 // attacker is the hostile tenant: a full flow table, the first of whose
 // connections carries its own traffic, and a scratch heap region.
 type attacker struct {
-	v       *tenant.View
+	v       *core.Handle
+	th      *memory.TenantHeap // its heap region
 	addr    core.Addr
 	rejects *[nAttacks]int
 	held    []core.QDesc // connections pinning the flow quota
@@ -288,7 +291,7 @@ func (a *attacker) forge(victimQT core.QToken) error {
 
 // step runs one hostile action, cycling through the attack classes.
 func (a *attacker) step(i int) error {
-	th := a.v.TenantHeap()
+	th := a.th
 	switch i % 5 {
 	case 0: // connect flood: the flow table is pinned full
 		qd, err := a.v.Socket(core.SockStream)

@@ -106,7 +106,6 @@ type LibOS struct {
 
 	conns     []*conn     // creation order: Poll scans deterministically
 	listens   []*listener // ditto
-	tstats    map[uint32]*tenantStats
 	stallHist *telemetry.Histogram
 	// stallWakeAt dedupes retry wakeups while a RingFull window holds
 	// pushes parked.
@@ -122,7 +121,6 @@ func (r *Region) New(node *sim.Node) *LibOS {
 	l := &LibOS{
 		region: r,
 		wakeAt: node.WakeAt,
-		tstats: make(map[uint32]*tenantStats),
 	}
 	reg := telemetry.NewRegistry(node.Name() + "/catmem")
 	l.stallHist = reg.Histogram("catmem.push_stall_ns")
@@ -167,20 +165,18 @@ func (l *LibOS) Stats() Stats { return l.stats }
 // sockQueue is an unconnected socket placeholder created by Socket.
 type sockQueue struct {
 	core.Unconnected
-	lib    *LibOS
-	qd     core.QDesc
-	port   uint16
-	bound  bool
-	tenant uint32 // owning principal, captured at Socket
+	lib   *LibOS
+	qd    core.QDesc
+	port  uint16
+	bound bool
 }
 
 // listener accepts rendezvous connections on a region port.
 type listener struct {
 	core.Unconnected
-	lib    *LibOS
-	qd     core.QDesc
-	port   uint16
-	tenant uint32 // accepted endpoints inherit the listener's principal
+	lib  *LibOS
+	qd   core.QDesc
+	port uint16
 	// rx holds server-side endpoints awaiting accept and parked accepts.
 	// Connect feeds it from the client's node, so it is matched only in
 	// this instance's Accept and Poll.
@@ -199,7 +195,6 @@ type pendingPush struct {
 type conn struct {
 	lib    *LibOS
 	qd     core.QDesc
-	tenant uint32 // owning principal (0 = host)
 	rx, tx *ring
 	peer   *conn
 	pops   sim.Ring[*core.Op]
@@ -254,7 +249,6 @@ func (c *conn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 		return nil
 	}
 	l.stats.Pushes++
-	l.bumpPush(c.tenant)
 	l.dt.RingPush(ctx, int64(l.Now()))
 	op.Complete(core.QEvent{QD: c.qd, Op: core.OpPush})
 	c.wakePeer()
@@ -268,7 +262,6 @@ func (c *conn) Pop(op *core.Op) error {
 	l.Charge(costmodel.ShmRingOp)
 	if sga, ok := c.rx.tryPop(); ok {
 		l.stats.Pops++
-		l.bumpPop(c.tenant)
 		l.dt.RingPop(sga.TraceCtx(), int64(l.Now()))
 		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop, SGA: sga})
 		c.wakePeer() // freed a slot: peer may have parked pushes
@@ -300,7 +293,6 @@ func (c *conn) step() bool {
 		op := c.pops.Pop()
 		l.Charge(costmodel.ShmRingOp)
 		l.stats.Pops++
-		l.bumpPop(c.tenant)
 		l.dt.RingPop(sga.TraceCtx(), int64(l.Now()))
 		op.Complete(core.QEvent{QD: c.qd, Op: core.OpPop, SGA: sga})
 		c.wakePeer()
@@ -328,7 +320,6 @@ func (c *conn) step() bool {
 				p := c.pushes.Pop()
 				l.Charge(costmodel.ShmRingOp)
 				l.stats.Pushes++
-				l.bumpPush(c.tenant)
 				l.dt.RingPush(p.sga.TraceCtx(), int64(l.Now()))
 				l.stallHist.Observe(int64(l.Now().Sub(p.parkedAt)))
 				p.op.Complete(core.QEvent{QD: c.qd, Op: core.OpPush})
@@ -455,11 +446,11 @@ func (l *LibOS) Poll() bool {
 
 // NewSocket builds a stream socket (shared-memory queues are
 // connection-oriented; there is no datagram flavor).
-func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
+func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType, _ uint32) (core.Queue, error) {
 	if t != core.SockStream {
 		return nil, core.ErrNotSupported
 	}
-	return &sockQueue{lib: l, qd: qd, tenant: l.Tokens().Issuer()}, nil
+	return &sockQueue{lib: l, qd: qd}, nil
 }
 
 // Bind claims a rendezvous port in the region's namespace. Only the
@@ -486,7 +477,7 @@ func (s *sockQueue) Listen(backlog int) error {
 	if _, used := l.region.listeners[s.port]; used {
 		return core.ErrInUse
 	}
-	ln := &listener{lib: l, qd: s.qd, port: s.port, tenant: s.tenant}
+	ln := &listener{lib: l, qd: s.qd, port: s.port}
 	l.Queues().Replace(s.qd, ln)
 	l.region.listeners[s.port] = ln
 	l.listens = append(l.listens, ln)
@@ -550,8 +541,8 @@ func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
 	}
 	c2s := newRing(l.region.slots)
 	s2c := newRing(l.region.slots)
-	cli := &conn{lib: l, qd: s.qd, tenant: s.tenant, rx: s2c, tx: c2s}
-	srv := &conn{lib: ln.lib, tenant: ln.tenant, rx: c2s, tx: s2c}
+	cli := &conn{lib: l, qd: s.qd, rx: s2c, tx: c2s}
+	srv := &conn{lib: ln.lib, rx: c2s, tx: s2c}
 	cli.peer = srv
 	srv.peer = cli
 	l.Queues().Replace(s.qd, cli)

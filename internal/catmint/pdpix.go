@@ -115,7 +115,7 @@ func (ln *listener) Close() {
 
 // NewSocket builds a stream socket (Catmint has no datagram support; RDMA
 // RC is connection-oriented).
-func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
+func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType, _ uint32) (core.Queue, error) {
 	if t != core.SockStream {
 		return nil, core.ErrNotSupported
 	}

@@ -254,7 +254,7 @@ func loopback(port uint16) netip.AddrPort {
 }
 
 // NewSocket builds an unbound socket placeholder.
-func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
+func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType, _ uint32) (core.Queue, error) {
 	if t != core.SockStream && t != core.SockDgram {
 		return nil, core.ErrNotSupported
 	}

@@ -608,7 +608,7 @@ func TestUDPPushAllocs(t *testing.T) {
 	p := newHandDrivenPair()
 	a, b := p.a, p.b
 	a.SeedARP(b.cfg.IP, b.mac)
-	s, err := a.NewSocket(1, core.SockDgram)
+	s, err := a.NewSocket(1, core.SockDgram, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,8 +647,8 @@ func TestPopSegmentsHandedOutOnce(t *testing.T) {
 	p := newHandDrivenPair()
 	a, b := p.a, p.b
 	a.SeedARP(b.cfg.IP, b.mac)
-	tx, _ := a.NewSocket(1, core.SockDgram)
-	rx, _ := b.NewSocket(1, core.SockDgram)
+	tx, _ := a.NewSocket(1, core.SockDgram, 0)
+	rx, _ := b.NewSocket(1, core.SockDgram, 0)
 	if err := rx.(*udpSocket).Bind(b.Addr(7)); err != nil {
 		t.Fatal(err)
 	}

@@ -485,10 +485,9 @@ func (l *LibOS) allocEphemeral() (uint16, error) {
 }
 
 // NewSocket builds a TCP (SockStream) or UDP (SockDgram) socket queue owned
-// by the tenant whose libcall is in flight (scheduler index 0 for the host
-// and for unregistered tenants).
-func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType) (core.Queue, error) {
-	tid := l.Tokens().Issuer()
+// by tenant tid (scheduler index 0 for the host and for unregistered
+// tenants).
+func (l *LibOS) NewSocket(qd core.QDesc, t core.SockType, tid uint32) (core.Queue, error) {
 	switch t {
 	case core.SockStream:
 		return &tcpSocket{lib: l, qd: qd, tenant: tid, tidx: l.tenantIdx[tid]}, nil

@@ -7,8 +7,8 @@ import (
 
 // Multi-tenant plumbing: the stack itself stays principal-agnostic — it
 // tags sockets, connections, coroutine spawns and rx allocations with the
-// token table's issuer at NewSocket (the bracket tenant.View sets around
-// each libcall), and the tenant.View enforces the quotas. Tenant 0 is the
+// owner the front end names at NewSocket (the principal of the handle that
+// made the call), and the front end enforces the quotas. Tenant 0 is the
 // host: untagged, unweighted, the original fast path.
 
 // RegisterTenant assigns tenant tid a dense scheduler index and its

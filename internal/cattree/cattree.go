@@ -254,7 +254,7 @@ type logQueue struct {
 
 // NewSocket is unsupported: Cattree is storage-only; use an integration
 // libOS (demi.Combined) for network+storage.
-func (l *LibOS) NewSocket(core.QDesc, core.SockType) (core.Queue, error) {
+func (l *LibOS) NewSocket(core.QDesc, core.SockType, uint32) (core.Queue, error) {
 	return nil, core.ErrNotSupported
 }
 

@@ -86,9 +86,10 @@ type Stack interface {
 	// loop polls only when no coroutine is runnable.
 	Poll() bool
 	// NewSocket builds the queue behind a new socket descriptor qd, or
-	// ErrNotSupported for a transport the stack lacks. A tenant-aware stack
-	// reads the owning principal from Tokens().Issuer().
-	NewSocket(qd QDesc, t SockType) (Queue, error)
+	// ErrNotSupported for a transport the stack lacks. owner is the
+	// principal whose call creates it (0 for the host); a tenant-aware stack
+	// charges the socket's state to it.
+	NewSocket(qd QDesc, t SockType, owner uint32) (Queue, error)
 }
 
 // LogStack is a Stack with a storage device (Cattree, Catnap).
@@ -105,8 +106,10 @@ type LogStack interface {
 // on the embedded field; the front end owns the host loop, the heap, the
 // coroutine scheduler, the metric registry, the descriptor table, the token
 // table, the in-memory queues and the call discipline documented on LibOS,
-// so each has one implementation.
+// so each has one implementation. The PDPIX calls are the embedded host
+// Handle's, promoted to the libOS; As hands a tenant a handle of its own.
 type FrontEnd struct {
+	Handle
 	stack    Stack
 	host     Host
 	heap     *memory.Heap
@@ -114,7 +117,6 @@ type FrontEnd struct {
 	reg      *telemetry.Registry
 	tokens   *TokenTable
 	qds      *QDescTable
-	waiter   Waiter
 	queueCap int
 }
 
@@ -137,7 +139,7 @@ func (f *FrontEnd) Init(stack Stack, host Host, heap *memory.Heap, reg *telemetr
 		qds:      NewQDescTable(),
 		queueCap: queueCap,
 	}
-	f.waiter = Waiter{Table: t, Runner: f}
+	f.Handle = Handle{f: f, w: Waiter{Table: t, Runner: f}}
 }
 
 // Step runs one scheduler quantum: a runnable coroutine if any, charged one
@@ -167,10 +169,6 @@ func (f *FrontEnd) Host() Host { return f.host }
 // Libcall charges one library call to the host.
 func (f *FrontEnd) Libcall() { f.host.Charge(costmodel.Libcall) }
 
-// Heap returns the application heap (PDPIX malloc/free are Heap.Alloc and
-// Buf.Free).
-func (f *FrontEnd) Heap() *memory.Heap { return f.heap }
-
 // Sched returns the coroutine scheduler Step runs.
 func (f *FrontEnd) Sched() *sched.Scheduler { return f.sched }
 
@@ -182,8 +180,7 @@ func (f *FrontEnd) SchedStats() sched.Stats { return f.sched.Stats() }
 func (f *FrontEnd) Telemetry() *telemetry.Registry { return f.reg }
 
 // Tokens returns the qtoken table (flight-recorder attachment, leak checks,
-// demi.Combined). Its issuer is the tenant bracket: ops minted and sockets
-// created while it is set belong to that principal.
+// demi.Combined).
 func (f *FrontEnd) Tokens() *TokenTable { return f.tokens }
 
 // Queues returns the descriptor table, for the stack's own transitions
@@ -200,7 +197,7 @@ func (f *FrontEnd) Adopt(tokens *TokenTable, qds *QDescTable) {
 		panic("pdpix: Adopt after the front end has issued from its own tables")
 	}
 	f.tokens, f.qds = tokens, qds
-	f.waiter.Table = tokens
+	f.w.Table = tokens
 }
 
 // AttachDTrace emits a distributed-trace op span for every redeemed
@@ -215,46 +212,6 @@ func (f *FrontEnd) enter(qd QDesc) (Queue, error) {
 		return nil, ErrBadQDesc
 	}
 	return q, nil
-}
-
-// issued ends a libcall that minted op: a queue that refused the call
-// leaves nothing behind.
-func (f *FrontEnd) issued(op *Op, err error) (QToken, error) {
-	if err != nil {
-		f.tokens.Withdraw(op)
-		return InvalidQToken, err
-	}
-	return op.qt, nil
-}
-
-// Socket creates a socket queue of the stack's transport.
-func (f *FrontEnd) Socket(t SockType) (QDesc, error) {
-	f.Libcall()
-	q, err := f.stack.NewSocket(f.qds.Next(), t)
-	if err != nil {
-		return InvalidQD, err
-	}
-	return f.qds.Insert(q), nil
-}
-
-// Queue creates an in-memory queue.
-func (f *FrontEnd) Queue() (QDesc, error) {
-	f.Libcall()
-	return f.qds.Insert(NewBoundedMemQueue(f.qds.Next(), f.queueCap)), nil
-}
-
-// Open opens a storage log on a stack that has a storage device.
-func (f *FrontEnd) Open(name string) (QDesc, error) {
-	f.Libcall()
-	s, ok := f.stack.(LogStack)
-	if !ok {
-		return InvalidQD, ErrNotSupported
-	}
-	q, err := s.OpenLog(f.qds.Next(), name)
-	if err != nil {
-		return InvalidQD, err
-	}
-	return f.qds.Insert(q), nil
 }
 
 // Seek moves a log's read cursor to offset, in the log's own units.
@@ -288,9 +245,171 @@ func (f *FrontEnd) log(qd QDesc) (Log, error) {
 	return l, nil
 }
 
+// Quota is a tenant's resource account (tenant.Tenant), which its handle
+// charges before each call it admits: a flow at Connect and Accept, push
+// credit at Push and PushTo, and one in-flight token at every call that
+// mints one. A refused call gives back what it took; a redemption gives
+// back its token, and a failed connect or accept its flow.
+type Quota interface {
+	ID() uint32
+	AcquireFlow() error
+	ReleaseFlow()
+	AcquireToken() error
+	ReleaseToken()
+	// AllowPush reports whether there is push credit at now; ChargePush
+	// spends one push of it, once a push has been issued.
+	AllowPush(now sim.Time) error
+	ChargePush()
+	// NoteBadWait counts a redemption refused with ErrBadQToken.
+	NoteBadWait()
+}
+
+// A Handle is one principal's PDPIX surface on a front end: the calls of
+// LibOS, in its check order, issuing operations and sockets in the
+// principal's name and redeeming only its qtokens. The host's handle
+// (principal 0, no quota) is embedded in FrontEnd and names any descriptor;
+// a tenant's (FrontEnd.As) names only the descriptors it created or
+// accepted, and charges its Quota.
+type Handle struct {
+	f *FrontEnd
+	q Quota  // nil for the host
+	w Waiter // w.Tenant is the principal
+}
+
+// As returns tenant q's handle on the front end. Make it after any Adopt.
+func (f *FrontEnd) As(q Quota) *Handle {
+	return &Handle{f: f, q: q, w: Waiter{Table: f.tokens, Runner: f, Tenant: q.ID()}}
+}
+
+// Heap returns the application heap (PDPIX malloc/free are Heap.Alloc and
+// Buf.Free). It is shared: a tenant's own region is Heap().Tenant(id).
+func (h *Handle) Heap() *memory.Heap { return h.f.heap }
+
+// charge is what a tenant's minting call takes from its quota beside the
+// in-flight token.
+type charge uint8
+
+const (
+	tokenOnly charge = iota
+	flowCharge
+	pushCharge
+)
+
+// owns is the tenant step of the check order: a tenant names only its own
+// descriptors. The host names any, without a lookup.
+func (h *Handle) owns(qd QDesc) bool {
+	return h.q == nil || h.f.qds.owners[qd].tenant == h.w.Tenant
+}
+
+// admit runs a tenant's checks for a call that mints, before the libcall
+// is charged: the descriptor is its own, then the call's flow or push
+// charge, then its in-flight token. A refused check leaves nothing charged.
+func (h *Handle) admit(qd QDesc, c charge) error {
+	if h.q == nil {
+		return nil
+	}
+	return h.take(qd, c)
+}
+
+// take is admit for a tenant.
+func (h *Handle) take(qd QDesc, c charge) error {
+	if !h.owns(qd) {
+		return ErrBadQDesc
+	}
+	var err error
+	switch c {
+	case flowCharge:
+		err = h.q.AcquireFlow()
+	case pushCharge:
+		err = h.q.AllowPush(h.f.Now())
+	}
+	if err != nil {
+		return err
+	}
+	if err := h.q.AcquireToken(); err != nil {
+		if c == flowCharge {
+			h.q.ReleaseFlow()
+		}
+		return err
+	}
+	return nil
+}
+
+// refused ends an admitted call that the front end or its queue refused:
+// the tenant gets back what admit charged.
+func (h *Handle) refused(c charge, err error) (QToken, error) {
+	if h.q != nil {
+		h.q.ReleaseToken()
+		if c == flowCharge {
+			h.q.ReleaseFlow()
+		}
+	}
+	return InvalidQToken, err
+}
+
+// mint issues an operation in the principal's name.
+func (h *Handle) mint() *Op { return h.f.tokens.NewFor(h.w.Tenant) }
+
+// issued ends a libcall that minted op: a queue that refused the call
+// leaves nothing behind, and an issued push spends its credit.
+func (h *Handle) issued(op *Op, c charge, err error) (QToken, error) {
+	if err != nil {
+		h.f.tokens.Withdraw(op)
+		return h.refused(c, err)
+	}
+	if c == pushCharge && h.q != nil {
+		h.q.ChargePush()
+	}
+	return op.qt, nil
+}
+
+// own records a descriptor a tenant created as its own.
+func (h *Handle) own(qd QDesc) QDesc {
+	if h.q != nil {
+		h.f.qds.setOwner(qd, owner{tenant: h.w.Tenant})
+	}
+	return qd
+}
+
+// Socket creates a socket queue of the stack's transport.
+func (h *Handle) Socket(t SockType) (QDesc, error) {
+	f := h.f
+	f.Libcall()
+	q, err := f.stack.NewSocket(f.qds.Next(), t, h.w.Tenant)
+	if err != nil {
+		return InvalidQD, err
+	}
+	return h.own(f.qds.Insert(q)), nil
+}
+
+// Queue creates an in-memory queue.
+func (h *Handle) Queue() (QDesc, error) {
+	f := h.f
+	f.Libcall()
+	return h.own(f.qds.Insert(NewBoundedMemQueue(f.qds.Next(), f.queueCap))), nil
+}
+
+// Open opens a storage log on a stack that has a storage device.
+func (h *Handle) Open(name string) (QDesc, error) {
+	f := h.f
+	f.Libcall()
+	s, ok := f.stack.(LogStack)
+	if !ok {
+		return InvalidQD, ErrNotSupported
+	}
+	q, err := s.OpenLog(f.qds.Next(), name)
+	if err != nil {
+		return InvalidQD, err
+	}
+	return h.own(f.qds.Insert(q)), nil
+}
+
 // Bind assigns the socket's local address.
-func (f *FrontEnd) Bind(qd QDesc, addr Addr) error {
-	q, err := f.enter(qd)
+func (h *Handle) Bind(qd QDesc, addr Addr) error {
+	if !h.owns(qd) {
+		return ErrBadQDesc
+	}
+	q, err := h.f.enter(qd)
 	if err != nil {
 		return err
 	}
@@ -301,8 +420,11 @@ func (f *FrontEnd) Bind(qd QDesc, addr Addr) error {
 }
 
 // Listen makes a bound socket accept connections.
-func (f *FrontEnd) Listen(qd QDesc, backlog int) error {
-	q, err := f.enter(qd)
+func (h *Handle) Listen(qd QDesc, backlog int) error {
+	if !h.owns(qd) {
+		return ErrBadQDesc
+	}
+	q, err := h.f.enter(qd)
 	if err != nil {
 		return err
 	}
@@ -312,38 +434,59 @@ func (f *FrontEnd) Listen(qd QDesc, backlog int) error {
 	return ErrNotSupported
 }
 
-// Accept asks for the next inbound connection on a listening queue.
-func (f *FrontEnd) Accept(qd QDesc) (QToken, error) {
-	q, err := f.enter(qd)
-	if err != nil {
+// Accept asks for the next inbound connection on a listening queue. A
+// tenant reserves the connection's flow now; the accepted descriptor
+// becomes its own, holding the flow, when it redeems the accept.
+func (h *Handle) Accept(qd QDesc) (QToken, error) {
+	if err := h.admit(qd, flowCharge); err != nil {
 		return InvalidQToken, err
+	}
+	q, err := h.f.enter(qd)
+	if err != nil {
+		return h.refused(flowCharge, err)
 	}
 	a, ok := q.(Acceptor)
 	if !ok {
-		return InvalidQToken, ErrNotSupported
+		return h.refused(flowCharge, ErrNotSupported)
 	}
-	op := f.tokens.New()
-	return f.issued(op, a.Accept(op))
+	op := h.mint()
+	return h.issued(op, flowCharge, a.Accept(op))
 }
 
-// Connect initiates a connection to addr.
-func (f *FrontEnd) Connect(qd QDesc, addr Addr) (QToken, error) {
-	q, err := f.enter(qd)
-	if err != nil {
+// Connect initiates a connection to addr. A tenant's descriptor holds the
+// flow it charges until it is closed or the connect fails.
+func (h *Handle) Connect(qd QDesc, addr Addr) (QToken, error) {
+	if err := h.admit(qd, flowCharge); err != nil {
 		return InvalidQToken, err
+	}
+	q, err := h.f.enter(qd)
+	if err != nil {
+		return h.refused(flowCharge, err)
 	}
 	c, ok := q.(Connector)
 	if !ok {
-		return InvalidQToken, ErrNotSupported
+		return h.refused(flowCharge, ErrNotSupported)
 	}
-	op := f.tokens.New()
-	return f.issued(op, c.Connect(op, addr))
+	op := h.mint()
+	qt, err := h.issued(op, flowCharge, c.Connect(op, addr))
+	if err == nil && h.q != nil {
+		h.f.qds.setOwner(qd, owner{tenant: h.w.Tenant, flow: true})
+	}
+	return qt, err
 }
 
 // Close releases a queue; its pending operations fail with ErrQueueClosed.
-func (f *FrontEnd) Close(qd QDesc) error {
+// A tenant gets back the flow its descriptor held.
+func (h *Handle) Close(qd QDesc) error {
+	if !h.owns(qd) {
+		return ErrBadQDesc
+	}
+	f := h.f
 	f.Libcall()
 	q, ok := f.qds.Remove(qd)
+	if h.q != nil && f.qds.disown(qd).flow {
+		h.q.ReleaseFlow()
+	}
 	if !ok {
 		return ErrBadQDesc
 	}
@@ -353,55 +496,134 @@ func (f *FrontEnd) Close(qd QDesc) error {
 
 // Push submits outbound data; ownership of the segments passes to the libOS
 // only when the call succeeds.
-func (f *FrontEnd) Push(qd QDesc, sga SGArray) (QToken, error) {
-	return f.PushTo(qd, sga, Addr{})
+func (h *Handle) Push(qd QDesc, sga SGArray) (QToken, error) {
+	return h.PushTo(qd, sga, Addr{})
 }
 
 // PushTo is Push with an explicit datagram destination (demi_pushto).
-func (f *FrontEnd) PushTo(qd QDesc, sga SGArray, to Addr) (QToken, error) {
+func (h *Handle) PushTo(qd QDesc, sga SGArray, to Addr) (QToken, error) {
+	if err := h.admit(qd, pushCharge); err != nil {
+		return InvalidQToken, err
+	}
+	f := h.f
 	f.Libcall()
 	if len(sga.Segs) == 0 {
-		return InvalidQToken, ErrEmptySGA
+		return h.refused(pushCharge, ErrEmptySGA)
 	}
 	q, ok := f.qds.Lookup(qd)
 	if !ok {
-		return InvalidQToken, ErrBadQDesc
+		return h.refused(pushCharge, ErrBadQDesc)
 	}
-	op := f.tokens.New()
+	op := h.mint()
 	op.Trace(sga.TraceCtx())
-	return f.issued(op, q.Push(op, sga, to))
+	return h.issued(op, pushCharge, q.Push(op, sga, to))
 }
 
 // Pop asks for the next inbound data on the queue.
-func (f *FrontEnd) Pop(qd QDesc) (QToken, error) {
-	q, err := f.enter(qd)
-	if err != nil {
+func (h *Handle) Pop(qd QDesc) (QToken, error) {
+	if err := h.admit(qd, tokenOnly); err != nil {
 		return InvalidQToken, err
 	}
-	op := f.tokens.New()
-	return f.issued(op, q.Pop(op))
+	q, err := h.f.enter(qd)
+	if err != nil {
+		return h.refused(tokenOnly, err)
+	}
+	op := h.mint()
+	return h.issued(op, tokenOnly, q.Pop(op))
 }
 
 // Wait blocks until qt completes.
-func (f *FrontEnd) Wait(qt QToken) (QEvent, error) { return f.waiter.Wait(qt) }
+func (h *Handle) Wait(qt QToken) (QEvent, error) {
+	ev, err := h.w.Wait(qt)
+	h.redeemed(ev, err)
+	return ev, err
+}
 
 // WaitAny blocks until one of qts completes.
-func (f *FrontEnd) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, error) {
-	return f.waiter.WaitAny(qts, timeout)
+func (h *Handle) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, error) {
+	i, ev, err := h.w.WaitAny(qts, timeout)
+	h.redeemed(ev, err)
+	return i, ev, err
 }
 
-// WaitAll blocks until all of qts complete.
-func (f *FrontEnd) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) {
-	return f.waiter.WaitAll(qts, timeout)
+// WaitAll blocks until all of qts complete. On a timeout a tenant settles
+// exactly the events that were redeemed.
+func (h *Handle) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) {
+	events, err := h.w.WaitAll(qts, timeout)
+	if h.q != nil {
+		if err == ErrBadQToken {
+			h.q.NoteBadWait()
+		}
+		for _, ev := range events {
+			if ev.Op != OpInvalid {
+				h.settle(ev, nil)
+			}
+		}
+	}
+	return events, err
 }
 
-// TryTake redeems a completed qtoken without blocking (demi.Drivable).
-func (f *FrontEnd) TryTake(qt QToken) (QEvent, bool, error) { return f.tokens.TryTake(qt) }
+// TryTake redeems a completed qtoken without blocking (demi.Drivable). The
+// host's handle takes any principal's token: it is the trusted drivers'
+// path. A tenant's takes only its own.
+func (h *Handle) TryTake(qt QToken) (QEvent, bool, error) {
+	if h.q == nil {
+		return h.f.tokens.TryTake(qt)
+	}
+	ev, done, err := h.f.tokens.TryTakeAs(qt, h.w.Tenant)
+	if done || err != nil {
+		h.settle(ev, err)
+	}
+	return ev, done, err
+}
+
+// redeemed settles a tenant's redemption; the host has nothing to settle.
+func (h *Handle) redeemed(ev QEvent, err error) {
+	if h.q != nil {
+		h.settle(ev, err)
+	}
+}
+
+// settle is a tenant's bookkeeping for one redemption: a refused one is
+// counted, and a redeemed event gives back its token and, for a failed
+// connect or accept, its flow. An accepted descriptor becomes the tenant's,
+// holding the flow reserved at Accept.
+func (h *Handle) settle(ev QEvent, err error) {
+	if err != nil {
+		if err == ErrBadQToken {
+			h.q.NoteBadWait()
+		}
+		return
+	}
+	h.q.ReleaseToken()
+	qds := h.f.qds
+	switch {
+	case ev.Op == OpConnect && ev.Err != nil:
+		if o := qds.owners[ev.QD]; o.flow {
+			qds.setOwner(ev.QD, owner{tenant: o.tenant})
+			h.q.ReleaseFlow()
+		}
+	case ev.Op == OpAccept && ev.Err != nil:
+		h.q.ReleaseFlow()
+	case ev.Op == OpAccept:
+		qds.setOwner(ev.NewQD, owner{tenant: h.w.Tenant, flow: true})
+	}
+}
 
 // QDescTable allocates queue descriptors and maps them to their queues.
 type QDescTable struct {
 	next QDesc
 	qs   map[QDesc]Queue
+	// owners holds the tenants' descriptors (Handle); the host's have no
+	// entry. A tenant's Close drops its entry.
+	owners map[QDesc]owner
+}
+
+// owner is the tenant a descriptor belongs to, and whether the descriptor
+// holds one of that tenant's flow charges.
+type owner struct {
+	tenant uint32
+	flow   bool
 }
 
 // NewQDescTable returns an empty descriptor table.
@@ -448,3 +670,18 @@ func (t *QDescTable) Remove(qd QDesc) (Queue, bool) {
 
 // Len returns the number of live descriptors.
 func (t *QDescTable) Len() int { return len(t.qs) }
+
+// setOwner records who qd belongs to.
+func (t *QDescTable) setOwner(qd QDesc, o owner) {
+	if t.owners == nil {
+		t.owners = make(map[QDesc]owner)
+	}
+	t.owners[qd] = o
+}
+
+// disown drops qd's owner record and returns it.
+func (t *QDescTable) disown(qd QDesc) owner {
+	o := t.owners[qd]
+	delete(t.owners, qd)
+	return o
+}

@@ -40,7 +40,7 @@ func (s *fakeStack) Poll() bool {
 	return false
 }
 
-func (s *fakeStack) NewSocket(qd QDesc, t SockType) (Queue, error) {
+func (s *fakeStack) NewSocket(qd QDesc, t SockType, _ uint32) (Queue, error) {
 	if t != SockStream {
 		return nil, ErrNotSupported
 	}

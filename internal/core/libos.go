@@ -15,6 +15,11 @@ import (
 // FrontEnd is the one implementation of the calls below for every library
 // OS, and it checks each call in one order:
 //
+//  0. on a tenant's handle (FrontEnd.As), before anything is charged: a
+//     descriptor the tenant does not own — unknown, closed or another
+//     tenant's — is ErrBadQDesc, so probing one tells it nothing; then a
+//     flow (Connect, Accept) or push credit (Push, PushTo) over its quota,
+//     then an in-flight qtoken over it, is ErrTenantQuota;
 //  1. the libcall is charged;
 //  2. a push with no segments is ErrEmptySGA;
 //  3. an unknown or closed descriptor is ErrBadQDesc;

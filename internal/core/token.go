@@ -122,11 +122,8 @@ type TokenTable struct {
 	lat    *telemetry.Histogram
 	rec    *telemetry.FlightRecorder
 	dt     *dtrace.Hop
-	// issuer is the tenant principal stamped on ops minted while it is set
-	// (SetIssuer brackets each tenant's libcalls). forgeries
-	// counts cross-tenant redemption attempts rejected by TryTakeAs; the
-	// optional hook lets harnesses attribute them per tenant.
-	issuer    uint32
+	// forgeries counts cross-tenant redemption attempts rejected by
+	// TryTakeAs; the optional hook lets harnesses attribute them per tenant.
 	forgeries uint64
 	onForgery func(issuer, redeemer uint32)
 }
@@ -153,16 +150,6 @@ func (t *TokenTable) SetRecorder(r *telemetry.FlightRecorder) { t.rec = r }
 // SGArray). A nil hop keeps the table untraced.
 func (t *TokenTable) SetDTrace(h *dtrace.Hop) { t.dt = h }
 
-// SetIssuer sets the tenant principal stamped on subsequently minted ops.
-// tenant.View brackets each tenant's libcalls with SetIssuer(id) /
-// SetIssuer(0); ops minted outside any bracket belong to the host tenant 0.
-// This is the one tenant bracket: stacks that tag in-stack state (sockets,
-// connections, rx allocations) read Issuer when they build a socket.
-func (t *TokenTable) SetIssuer(tenant uint32) { t.issuer = tenant }
-
-// Issuer returns the currently stamped tenant principal.
-func (t *TokenTable) Issuer() uint32 { return t.issuer }
-
 // SetForgeryHook installs a callback invoked on every cross-tenant
 // redemption attempt rejected by TryTakeAs, with the op's issuing tenant
 // and the principal that tried to redeem it.
@@ -180,10 +167,14 @@ func (t *TokenTable) Completions() uint64 { return t.completions }
 // the table has minted, less the refused calls Withdraw took back.
 func (t *TokenTable) Issued() uint64 { return t.issued }
 
-// New allocates a fresh operation and its qtoken: the most recently freed
-// slot at its current generation, or a new slot when none is free. A fresh
-// table therefore mints 1, 2, 3, … until its first reuse.
-func (t *TokenTable) New() *Op {
+// New allocates a fresh operation of the host tenant 0 (NewFor).
+func (t *TokenTable) New() *Op { return t.NewFor(0) }
+
+// NewFor allocates a fresh operation and its qtoken, issued to tenant: the
+// most recently freed slot at its current generation, or a new slot when
+// none is free. A fresh table therefore mints 1, 2, 3, … until its first
+// reuse.
+func (t *TokenTable) NewFor(tenant uint32) *Op {
 	i := t.acquire()
 	s := &t.slots[i-1]
 	t.issued++
@@ -191,7 +182,7 @@ func (t *TokenTable) New() *Op {
 	if t.clock != nil {
 		op.issuedAt = t.clock.Now()
 	}
-	s.qt, s.op, s.tenant = op.qt, op, t.issuer
+	s.qt, s.op, s.tenant = op.qt, op, tenant
 	return op
 }
 

@@ -151,7 +151,7 @@ func (s *tokenScript) failf(format string, args ...any) {
 }
 
 func (s *tokenScript) mint() *tokenPair {
-	p := &tokenPair{rop: s.ref.New(), op: s.tbl.New(), tenant: s.tbl.Issuer()}
+	p := &tokenPair{rop: s.ref.New(), op: s.tbl.NewFor(s.ref.issuer), tenant: s.ref.issuer}
 	if p.op.seq != uint64(p.rop.qt) {
 		s.failf("issue number %d, reference %d", p.op.seq, p.rop.qt)
 	}
@@ -303,7 +303,6 @@ func (s *tokenScript) step() {
 		case 0:
 			tid := uint32(s.pick(4))
 			s.ref.issuer = tid
-			s.tbl.SetIssuer(tid)
 		case 1: // completing twice panics, redeemed since or not
 			if _, p := s.some(func(p *tokenPair) bool { return p.rop.done }); p != nil {
 				for _, complete := range []func(){func() { p.rop.Complete(QEvent{}) }, func() { p.op.Complete(QEvent{}) }} {

@@ -133,7 +133,6 @@ const worldTenant = 7
 
 func newWorld(seed int64, gated bool) *world {
 	wd := &world{rng: rand.New(rand.NewSource(seed)), table: NewTokenTable()}
-	wd.table.SetIssuer(worldTenant)
 	onEnter, onWake := func() { wd.enters++ }, func() { wd.wakes++ }
 	if !gated {
 		take := func(qt QToken) (QEvent, bool, error) { return wd.table.TryTakeAs(qt, worldTenant) }
@@ -148,7 +147,7 @@ func newWorld(seed int64, gated bool) *world {
 
 // mint issues an operation and returns its token.
 func (wd *world) mint() QToken {
-	op := wd.table.New()
+	op := wd.table.NewFor(worldTenant)
 	wd.pending = append(wd.pending, op)
 	wd.minted = append(wd.minted, op.Token())
 	return op.Token()
@@ -187,7 +186,7 @@ func (wd *world) Step() bool {
 		if wd.rng.Intn(4) == 0 {
 			qt = wd.minted[wd.rng.Intn(len(wd.minted))]
 		} else {
-			op := wd.table.New()
+			op := wd.table.NewFor(worldTenant)
 			wd.pending = append(wd.pending, op)
 			qt = op.Token()
 		}
@@ -230,9 +229,7 @@ func (wd *world) script() []string {
 	}
 	if rng.Intn(3) == 0 {
 		// A token of another tenant, guessed by this one.
-		wd.table.SetIssuer(worldTenant + 1)
-		live = append(live, wd.table.New().Token())
-		wd.table.SetIssuer(worldTenant)
+		live = append(live, wd.table.NewFor(worldTenant+1).Token())
 		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 	}
 	for round := 0; round < 12 && len(live) > 0; round++ {
@@ -315,9 +312,7 @@ func (wd *world) fanIn() (log []string, rr, n int) {
 	i, _, err := wd.w.WaitAny(long, -1)
 	wd.log = append(wd.log, fmt.Sprintf("long %d %v", i, err))
 
-	wd.table.SetIssuer(worldTenant + 1)
-	foreign := wd.table.New().Token()
-	wd.table.SetIssuer(worldTenant)
+	foreign := wd.table.NewFor(worldTenant + 1).Token()
 	set := append([]QToken(nil), long[:1024+rng.Intn(256)]...)
 	rr, n = wd.rotation(), len(set)
 	insert := func(qt QToken) {

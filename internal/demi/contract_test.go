@@ -6,7 +6,8 @@ package demi_test
 // refused call: it did not happen — no outstanding qtoken, token and
 // descriptor numbering as before, the offered buffer still the caller's.
 // core.FrontEnd is the only implementation; this table drives catnap,
-// catnip, catloop, catmint, catmem, cattree and demi.Combined through it and
+// catnip, catloop, catmint, catmem, cattree and demi.Combined through it,
+// and Catnip once more through two tenants' handles (core.Handle), and
 // requires the documented sentinel for every refusal.
 //
 // The token rows say what a qtoken is worth once it is not an outstanding
@@ -44,6 +45,7 @@ import (
 	"demikernel/internal/sim"
 	"demikernel/internal/simnet"
 	"demikernel/internal/spdkdev"
+	"demikernel/internal/tenant"
 	"demikernel/internal/wire"
 )
 
@@ -53,6 +55,8 @@ type endpoint struct {
 	tables []*core.TokenTable // every table a call on os can mint in
 	queues *core.QDescTable   // the table its socket descriptors live in
 	addr   core.Addr          // where it listens and peers dial
+	// shared is the front end that mints in tables[0], for tenant handles.
+	shared tenant.Shared
 }
 
 // state names the type of the queue behind a socket descriptor.
@@ -76,6 +80,9 @@ type world struct {
 	// pinsHeap: the stack posts its receive buffers from the application
 	// heap (Catmint), so the live count never returns to zero.
 	pinsHeap bool
+	// tenants are the principals cli and srv call as, when they are
+	// tenants' handles and not the libOSes themselves.
+	tenants []*tenant.Tenant
 	// foreign mints a token on another instance of the libOS. Worlds with a
 	// server leave it nil: the server mints one before the client runs.
 	foreign func() core.QToken
@@ -106,10 +113,23 @@ func simRun(eng *sim.Engine, srvNode, cliNode *sim.Node) func(func(func()), func
 type netOS interface {
 	demi.NetOS
 	Queues() *core.QDescTable
+	tenant.Shared
 }
 
 func plain(os netOS, addr core.Addr) *endpoint {
-	return &endpoint{os: os, tables: []*core.TokenTable{os.Tokens()}, queues: os.Queues(), addr: addr}
+	return &endpoint{os: os, tables: []*core.TokenTable{os.Tokens()}, queues: os.Queues(), addr: addr, shared: os}
+}
+
+// joined is plain with t's handle in place of the libOS.
+func joined(os netOS, t *tenant.Tenant, addr core.Addr) *endpoint {
+	e := plain(os, addr)
+	e.os = t.Join(os)
+	return e
+}
+
+// principal is a tenant with no limits: a caller with a name of its own.
+func principal(id uint32) *tenant.Tenant {
+	return tenant.NewRegistry().New(id, fmt.Sprint("tenant ", id), tenant.Limits{})
 }
 
 func catnipPair(eng *sim.Engine) (srv, cli *catnip.LibOS) {
@@ -132,6 +152,15 @@ func worlds(t *testing.T) []world {
 		srv, cli := catnipPair(eng)
 		ws = append(ws, world{name: "catnip", listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
 			srv: plain(srv, srv.Addr(7000)), cli: plain(cli, cli.Addr(7000)),
+			run: simRun(eng, srv.Node(), cli.Node())})
+	}
+	{
+		eng := sim.NewEngine(57)
+		srv, cli := catnipPair(eng)
+		ts, tc := principal(1), principal(2)
+		ws = append(ws, world{name: "catnip-tenants", tenants: []*tenant.Tenant{ts, tc},
+			listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
+			srv: joined(srv, ts, srv.Addr(7000)), cli: joined(cli, tc, cli.Addr(7000)),
 			run: simRun(eng, srv.Node(), cli.Node())})
 	}
 	{
@@ -171,7 +200,7 @@ func worlds(t *testing.T) []world {
 		other := eng.NewNode("other")
 		l2 := cattree.New(other, spdkdev.New(other, spdkdev.OptaneParams(), 1<<16))
 		ws = append(ws, world{name: "cattree", logs: true,
-			cli: &endpoint{os: l, tables: []*core.TokenTable{l.Tokens()}}, run: simRun(eng, nil, n),
+			cli: &endpoint{os: l, tables: []*core.TokenTable{l.Tokens()}, shared: l}, run: simRun(eng, nil, n),
 			foreign: func() core.QToken { return must(l2.Pop(must(l2.Queue()))) }})
 	}
 	{
@@ -180,7 +209,9 @@ func worlds(t *testing.T) []world {
 		mk := func(l *catnip.LibOS) *endpoint {
 			n := l.Node()
 			c := demi.NewCombined(l, cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<16)))
-			return &endpoint{os: c, tables: []*core.TokenTable{c.Tokens()}, queues: l.Queues(), addr: l.Addr(7000)}
+			// Combined has no tenant handle: shared is its network side,
+			// whose tables it shares.
+			return &endpoint{os: c, tables: []*core.TokenTable{c.Tokens()}, queues: l.Queues(), addr: l.Addr(7000), shared: l}
 		}
 		ws = append(ws, world{name: "combined", logs: true, listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
 			srv: mk(srv), cli: mk(cli),
@@ -221,6 +252,7 @@ type app struct {
 	os     demi.LibOS
 	tables []*core.TokenTable // the endpoint's, for the issue sequence
 	mq     core.QDesc         // an in-memory queue, the probe's
+	shared tenant.Shared      // the endpoint's
 }
 
 func (a *app) buf() core.SGArray { return core.SGA(memory.CopyFrom(a.os.Heap(), []byte("contract"))) }
@@ -373,28 +405,25 @@ func (a *app) tokenRows(foreign core.QToken) {
 		bad("a token minted by another instance", foreign)
 	}
 	// An outstanding operation of this very table, minted for another
-	// tenant: the wait redeems as the host tenant, and tenancy is strict
+	// tenant: the wait redeems as its own principal, and tenancy is strict
 	// equality (TryTakeAs's issuer compare).
 	{
-		const other = 7
-		tbl := a.tables[0]
-		tq, err := os.Queue()
+		other := a.shared.As(principal(7))
+		tq, err := other.Queue()
 		if err != nil {
 			t.Errorf("queue: %v", err)
 			return
 		}
-		tbl.SetIssuer(other)
-		theirs, err := os.Pop(tq)
-		tbl.SetIssuer(0)
+		theirs, err := other.Pop(tq)
 		if err != nil {
-			t.Errorf("pop(queue) for tenant %d: %v", other, err)
+			t.Errorf("pop(queue) for another tenant: %v", err)
 		}
 		bad("another tenant's outstanding token", theirs)
-		if err := os.Close(tq); err != nil {
+		if err := other.Close(tq); err != nil {
 			t.Errorf("close(queue): %v", err)
 		}
-		if ev, done, err := tbl.TryTakeAs(theirs, other); !done || err != nil || !errors.Is(ev.Err, core.ErrQueueClosed) {
-			t.Errorf("tenant %d redeeming its closed pop = %+v, %v, %v", other, ev, done, err)
+		if _, ev, err := other.WaitAny([]core.QToken{theirs}, 0); err != nil || !errors.Is(ev.Err, core.ErrQueueClosed) {
+			t.Errorf("the other tenant redeeming its closed pop = %+v, %v", ev, err)
 		}
 	}
 
@@ -435,10 +464,15 @@ func (a *app) refusals(w world) {
 	a.refuse("push(bad)", core.ErrBadQDesc, mem, push(func(s core.SGArray) (core.QToken, error) { return os.Push(bad, s) }))
 	a.refuse("pushto(bad)", core.ErrBadQDesc, mem, push(func(s core.SGArray) (core.QToken, error) { return os.PushTo(bad, s, peer) }))
 
-	// An empty push is refused before the descriptor is looked at.
+	// An empty push is refused before the descriptor is looked at, but
+	// after a tenant's ownership check, which an unknown one fails.
 	for _, qd := range []core.QDesc{bad, a.mq} {
-		a.refuse("push(empty)", core.ErrEmptySGA, mem, func() error { return qt(os.Push(qd, core.SGArray{})) })
-		a.refuse("pushto(empty)", core.ErrEmptySGA, mem, func() error { return qt(os.PushTo(qd, core.SGArray{}, peer)) })
+		want := core.ErrEmptySGA
+		if qd == bad && w.tenants != nil {
+			want = core.ErrBadQDesc
+		}
+		a.refuse("push(empty)", want, mem, func() error { return qt(os.Push(qd, core.SGArray{})) })
+		a.refuse("pushto(empty)", want, mem, func() error { return qt(os.PushTo(qd, core.SGArray{}, peer)) })
 	}
 
 	// Capabilities an in-memory queue lacks.
@@ -509,6 +543,63 @@ func (a *app) refusals(w world) {
 	}
 }
 
+// foreignRows names a descriptor another tenant owns. To a tenant it is
+// not a capability: every call on it is ErrBadQDesc, as on an unknown
+// descriptor, and it changes no token or descriptor numbering. The owner's
+// queue is left as it was.
+func (a *app) foreignRows() {
+	t, os := a.t, a.os
+	owner, other := a.shared.As(principal(5)), a.shared.As(principal(6))
+	qd, err := owner.Queue()
+	if err != nil {
+		t.Errorf("owner's queue: %v", err)
+		return
+	}
+	q1 := must(os.Queue())
+	mem := a.mem
+	peer := core.Addr{IP: ipA, Port: 9}
+	qt := func(_ core.QToken, err error) error { return err }
+	push := a.refusedPush
+	a.refuse("bind(foreign)", core.ErrBadQDesc, mem, func() error { return other.Bind(qd, peer) })
+	a.refuse("listen(foreign)", core.ErrBadQDesc, mem, func() error { return other.Listen(qd, 1) })
+	a.refuse("accept(foreign)", core.ErrBadQDesc, mem, func() error { return qt(other.Accept(qd)) })
+	a.refuse("connect(foreign)", core.ErrBadQDesc, mem, func() error { return qt(other.Connect(qd, peer)) })
+	a.refuse("pop(foreign)", core.ErrBadQDesc, mem, func() error { return qt(other.Pop(qd)) })
+	a.refuse("push(foreign)", core.ErrBadQDesc, mem, push(func(s core.SGArray) (core.QToken, error) { return other.Push(qd, s) }))
+	a.refuse("pushto(foreign)", core.ErrBadQDesc, mem, push(func(s core.SGArray) (core.QToken, error) { return other.PushTo(qd, s, peer) }))
+	a.refuse("push(foreign, empty)", core.ErrBadQDesc, mem, func() error { return qt(other.Push(qd, core.SGArray{})) })
+	a.refuse("close(foreign)", core.ErrBadQDesc, mem, func() error { return other.Close(qd) })
+	if q2 := must(os.Queue()); q2 != q1+1 {
+		t.Errorf("calls on a foreign descriptor consumed a descriptor: queues %d then %d", q1, q2)
+	}
+	// The owner's queue still carries data, and closes once.
+	sent := a.buf()
+	pqt, err := owner.Pop(qd)
+	if err != nil {
+		t.Errorf("owner's pop: %v", err)
+	}
+	sqt, err := owner.Push(qd, sent)
+	if err != nil {
+		t.Errorf("owner's push: %v", err)
+		sent.Free()
+	}
+	for _, tok := range []core.QToken{sqt, pqt} {
+		if _, ev, err := owner.WaitAny([]core.QToken{tok}, 0); err != nil || ev.Err != nil {
+			t.Errorf("the owner's operation on its queue: %+v, %v", ev, err)
+		} else {
+			ev.SGA.Free()
+		}
+	}
+	if err := owner.Close(qd); err != nil {
+		t.Errorf("owner's close: %v", err)
+	}
+	for _, q := range []core.QDesc{q1, q1 + 1} {
+		if err := os.Close(q); err != nil {
+			t.Errorf("close(queue %d): %v", q, err)
+		}
+	}
+}
+
 // onConnection drives the refusals that need an established connection.
 func (a *app) onConnection(conn core.QDesc, peer core.Addr) {
 	os, mem := a.os, a.mem
@@ -532,7 +623,7 @@ func TestPDPIXContract(t *testing.T) {
 				foreign = w.foreign()
 			}
 			server := func(listening func()) {
-				a := &app{t: t, os: w.srv.os, tables: w.srv.tables}
+				a := &app{t: t, os: w.srv.os, tables: w.srv.tables, shared: w.srv.shared}
 				os := a.os
 				a.mq, _ = os.Queue()
 				lqd := a.listen(w.srv.addr)
@@ -578,10 +669,13 @@ func TestPDPIXContract(t *testing.T) {
 				}
 			}
 			client := func() {
-				a := &app{t: t, os: w.cli.os, tables: w.cli.tables}
+				a := &app{t: t, os: w.cli.os, tables: w.cli.tables, shared: w.cli.shared}
 				os := a.os
 				a.refusals(w)
 				a.tokenRows(foreign)
+				if w.name != "combined" { // Combined has no tenant handle
+					a.foreignRows()
+				}
 				if w.srv != nil {
 					qd, err := os.Socket(core.SockStream)
 					if err != nil {
@@ -606,6 +700,11 @@ func TestPDPIXContract(t *testing.T) {
 			}
 			w.run(server, client)
 			w.settled(t)
+			for _, tn := range w.tenants {
+				if tn.Flows() != 0 || tn.InFlight() != 0 {
+					t.Errorf("tenant %d still charged %d flows and %d tokens", tn.ID(), tn.Flows(), tn.InFlight())
+				}
+			}
 		})
 	}
 }

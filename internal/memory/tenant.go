@@ -66,22 +66,10 @@ type TenantHeap struct {
 	id uint32
 }
 
-// ID returns the owning tenant's id.
-func (th *TenantHeap) ID() uint32 { return th.id }
-
 // TryAlloc allocates size bytes from the tenant's region, or ErrNoMem if
 // the byte quota is exhausted.
 func (th *TenantHeap) TryAlloc(size int) (*Buf, error) {
 	return th.h.TryAllocTenant(th.id, size)
-}
-
-// Alloc is TryAlloc with exhaustion as a panic, for trusted fixtures.
-func (th *TenantHeap) Alloc(size int) *Buf {
-	b, err := th.TryAlloc(size)
-	if err != nil {
-		panic("memory: TenantHeap.Alloc: " + err.Error())
-	}
-	return b
 }
 
 // TryCopyFrom allocates a tenant-charged buffer holding a copy of p.
@@ -124,9 +112,6 @@ func (th *TenantHeap) TryFree(b *Buf) error {
 
 // Used returns the tenant's live charged bytes.
 func (th *TenantHeap) Used() int64 { return th.h.TenantStats(th.id).Used }
-
-// Quota returns the tenant's byte cap (<= 0 means unlimited).
-func (th *TenantHeap) Quota() int64 { return th.h.TenantStats(th.id).Quota }
 
 // Stats returns a snapshot of the tenant's account.
 func (th *TenantHeap) Stats() TenantStats { return th.h.TenantStats(th.id) }

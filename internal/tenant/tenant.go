@@ -1,12 +1,16 @@
 // Package tenant makes tenants first-class datapath principals (ROADMAP
 // "Multi-tenant datapath"; cf. "Safe Sharing of Fast Kernel-Bypass I/O
 // Among Nontrusting Applications"). A Tenant bundles an identity, its
-// resource limits, and its quota accounting; a View (view.go) is the
-// tenant's capability to a shared library OS, enforcing those limits with
-// complete-or-error semantics at every libcall.
+// resource limits, and its quota accounting; Join hands it its
+// capability to a shared library OS, a core.Handle whose every call the
+// PDPIX front end checks against the tenant with complete-or-error
+// semantics.
 //
 // The isolation model, layer by layer:
 //
+//   - descriptors are capabilities: the front end records the tenant that
+//     created or accepted each one, and a tenant naming another's, or an
+//     unknown one, gets ErrBadQDesc.
 //   - qtokens are capabilities: core.TokenTable stamps every op with the
 //     issuing tenant and TryTakeAs rejects cross-tenant redemption with
 //     ErrBadQToken, without consuming the victim's op.
@@ -14,14 +18,15 @@
 //     superblocks and a byte quota (ErrNoMem on breach), reached through a
 //     memory.TenantHeap capability whose TryFree turns double-free and
 //     foreign-free abuse into errors instead of panics.
-//   - flow-table entries, in-flight qtokens and push rate are quota'd
-//     here, rejected with core.ErrTenantQuota at the call site (the
-//     caller keeps buffer ownership; nothing is left outstanding).
+//   - flow-table entries, in-flight qtokens and push rate are accounted
+//     here (Tenant is a core.Quota) and charged by the front end, rejected
+//     with core.ErrTenantQuota at the call site (the caller keeps buffer
+//     ownership; nothing is left outstanding).
 //   - poll cycles are shared weighted-fair (sched WFQ), so a flooding
 //     tenant cannot monopolize the datapath.
 //
 // Tenant id 0 is the host: the trusted infrastructure principal, never
-// limited, and the only principal that may bypass Views.
+// limited, whose calls are a library OS's own and name any descriptor.
 package tenant
 
 import (
@@ -31,6 +36,37 @@ import (
 	"demikernel/internal/sim"
 	"demikernel/internal/telemetry"
 )
+
+// Shared is a library OS tenants can share: every libOS is one, through
+// the front end it embeds.
+type Shared interface {
+	As(q core.Quota) *core.Handle
+}
+
+// Registrar is implemented by library OSes whose coroutine scheduler does
+// weighted-fair queuing across tenants.
+type Registrar interface {
+	RegisterTenant(tid uint32, weight uint32)
+}
+
+// Join hands tenant t its handle on a shared library OS, installing its heap
+// quota and its scheduler weight. The handle is a demi.LibOS, so tenant
+// applications run unmodified; allocations charged to the tenant go through
+// Heap().Tenant(t.ID()).
+func (t *Tenant) Join(os Shared) *core.Handle {
+	h := os.As(t)
+	if t.lim.HeapBytes > 0 {
+		h.Heap().SetTenantQuota(t.id, t.lim.HeapBytes)
+	}
+	if r, ok := os.(Registrar); ok {
+		w := t.lim.Weight
+		if w == 0 {
+			w = 1
+		}
+		r.RegisterTenant(t.id, w)
+	}
+	return h
+}
 
 // Limits are one tenant's resource caps. Zero values mean unlimited
 // (except Weight, where zero means weight 1).
@@ -118,9 +154,9 @@ func (t *Tenant) NoteForgery() {
 	}
 }
 
-// noteBadWait counts a rejected token redemption observed at this
+// NoteBadWait counts a rejected token redemption observed at this
 // tenant's own wait (its forged guesses and its stale-token bugs alike).
-func (t *Tenant) noteBadWait() {
+func (t *Tenant) NoteBadWait() {
 	if t.cBadWait != nil {
 		t.cBadWait.Inc()
 	}
@@ -139,7 +175,7 @@ func (t *Tenant) AcquireFlow() error {
 }
 
 // ReleaseFlow credits one flow-table entry back (close, failed connect,
-// failed accept). Releasing below zero panics: that is a View bug.
+// failed accept). Releasing below zero panics: that is a front-end bug.
 func (t *Tenant) ReleaseFlow() {
 	if t.flows == 0 {
 		panic("tenant: flow release without acquire")
@@ -167,8 +203,10 @@ func (t *Tenant) ReleaseToken() {
 	t.tokens--
 }
 
-// AllowPush debits the push-rate bucket at virtual time now, or
-// ErrTenantQuota when the tenant is pushing faster than its rate.
+// AllowPush refills the push-rate bucket to virtual time now and reports
+// ErrTenantQuota when the tenant is pushing faster than its rate. It spends
+// nothing: ChargePush does, once the push is issued, so a push refused for
+// any reason costs no credit.
 func (t *Tenant) AllowPush(now sim.Time) error {
 	if t.lim.PushRate <= 0 {
 		return nil
@@ -199,8 +237,14 @@ func (t *Tenant) AllowPush(now sim.Time) error {
 		}
 		return core.ErrTenantQuota
 	}
-	t.bucket -= nanoPush
 	return nil
+}
+
+// ChargePush spends one push of the credit AllowPush found.
+func (t *Tenant) ChargePush() {
+	if t.lim.PushRate > 0 {
+		t.bucket -= nanoPush
+	}
 }
 
 // Registry tracks the tenants sharing one datapath.
@@ -228,9 +272,6 @@ func (r *Registry) New(id uint32, name string, lim Limits) *Tenant {
 	r.ids = append(r.ids, id)
 	return t
 }
-
-// Get returns the tenant with the given id, nil if unknown.
-func (r *Registry) Get(id uint32) *Tenant { return r.byID[id] }
 
 // AttachTable wires the token table's forgery hook to the registry, so
 // every cross-tenant redemption attempt increments the *redeeming*

@@ -13,7 +13,7 @@ import (
 	"demikernel/internal/tenant"
 )
 
-// rig is a single-host catmem backend with two tenant views sharing it.
+// rig is a single-host catmem backend with two tenants sharing it.
 type rig struct {
 	eng  *sim.Engine
 	lib  *catmem.LibOS
@@ -21,8 +21,19 @@ type rig struct {
 	tel  *telemetry.Registry
 	ta   *tenant.Tenant
 	tb   *tenant.Tenant
-	va   *tenant.View
-	vb   *tenant.View
+	va   member
+	vb   member
+}
+
+// member is one tenant's handle on the shared libOS and its heap region.
+type member struct {
+	*core.Handle
+	th *memory.TenantHeap
+}
+
+func join(t *tenant.Tenant, lib *catmem.LibOS) member {
+	h := t.Join(lib)
+	return member{h, h.Heap().Tenant(t.ID())}
 }
 
 func newRig(limA, limB tenant.Limits) *rig {
@@ -39,7 +50,7 @@ func newRig(limA, limB tenant.Limits) *rig {
 	return &rig{
 		eng: eng, lib: lib, treg: treg, tel: tel,
 		ta: ta, tb: tb,
-		va: tenant.NewView(ta, lib), vb: tenant.NewView(tb, lib),
+		va: join(ta, lib), vb: join(tb, lib),
 	}
 }
 
@@ -49,16 +60,16 @@ func (r *rig) run(body func()) {
 	r.eng.Run()
 }
 
-// mintCompleted mints a completed push qtoken owned by view v: a bounded
+// mintCompleted mints a completed push qtoken owned by tenant v: a bounded
 // in-memory queue accepts the push immediately, so the token is redeemable
 // the moment Push returns.
-func mintCompleted(t *testing.T, v *tenant.View) (core.QDesc, core.QToken) {
+func mintCompleted(t *testing.T, v member) (core.QDesc, core.QToken) {
 	t.Helper()
 	qd, err := v.Queue()
 	if err != nil {
 		t.Fatalf("queue: %v", err)
 	}
-	buf := v.TenantHeap().CopyFrom([]byte("payload"))
+	buf := v.th.CopyFrom([]byte("payload"))
 	qt, err := v.Push(qd, core.SGA(buf))
 	if err != nil {
 		t.Fatalf("push: %v", err)
@@ -67,7 +78,7 @@ func mintCompleted(t *testing.T, v *tenant.View) (core.QDesc, core.QToken) {
 }
 
 // drain pops the pushed payload back out and frees it, then closes qd.
-func drain(t *testing.T, v *tenant.View, qd core.QDesc) {
+func drain(t *testing.T, v member, qd core.QDesc) {
 	t.Helper()
 	pqt, err := v.Pop(qd)
 	if err != nil {
@@ -78,7 +89,7 @@ func drain(t *testing.T, v *tenant.View, qd core.QDesc) {
 		t.Fatalf("pop wait: %v", err)
 	}
 	for _, b := range ev.SGA.Segs {
-		if err := v.TenantHeap().TryFree(b); err != nil {
+		if err := v.th.TryFree(b); err != nil {
 			t.Fatalf("free popped buf: %v", err)
 		}
 	}
@@ -94,21 +105,21 @@ func drain(t *testing.T, v *tenant.View, qd core.QDesc) {
 func TestCrossTenantRedemption(t *testing.T) {
 	cases := []struct {
 		name   string
-		redeem func(v *tenant.View, qt core.QToken) error
+		redeem func(v member, qt core.QToken) error
 	}{
-		{"Wait", func(v *tenant.View, qt core.QToken) error {
+		{"Wait", func(v member, qt core.QToken) error {
 			_, err := v.Wait(qt)
 			return err
 		}},
-		{"WaitAny", func(v *tenant.View, qt core.QToken) error {
+		{"WaitAny", func(v member, qt core.QToken) error {
 			_, _, err := v.WaitAny([]core.QToken{qt}, time.Second)
 			return err
 		}},
-		{"WaitAll", func(v *tenant.View, qt core.QToken) error {
+		{"WaitAll", func(v member, qt core.QToken) error {
 			_, err := v.WaitAll([]core.QToken{qt}, time.Second)
 			return err
 		}},
-		{"TryTake", func(v *tenant.View, qt core.QToken) error {
+		{"TryTake", func(v member, qt core.QToken) error {
 			_, _, err := v.TryTake(qt)
 			return err
 		}},
@@ -142,8 +153,7 @@ func TestCrossTenantRedemption(t *testing.T) {
 }
 
 // TestForeignDescriptorRejected: a leaked or guessed foreign qd is not a
-// capability — every call on it fails with ErrBadQDesc before reaching the
-// libOS.
+// capability — every call on it fails with ErrBadQDesc before the libcall.
 func TestForeignDescriptorRejected(t *testing.T) {
 	r := newRig(tenant.Limits{}, tenant.Limits{})
 	r.run(func() {
@@ -170,7 +180,7 @@ func TestFlowQuotaChurn(t *testing.T) {
 	const maxFlows = 2
 	r := newRig(tenant.Limits{MaxFlows: maxFlows}, tenant.Limits{})
 	r.run(func() {
-		// Host-side listener (trusted infrastructure, no view).
+		// Host-side listener (trusted infrastructure, no tenant).
 		lqd, err := r.lib.Socket(core.SockStream)
 		if err != nil {
 			t.Fatalf("listener socket: %v", err)
@@ -251,7 +261,7 @@ func TestTokenQuota(t *testing.T) {
 		if err != nil {
 			t.Fatalf("queue: %v", err)
 		}
-		buf := r.va.TenantHeap().CopyFrom([]byte("x"))
+		buf := r.va.th.CopyFrom([]byte("x"))
 		qt, err := r.va.Push(qd, core.SGA(buf))
 		if err != nil {
 			t.Fatalf("push: %v", err)
@@ -284,17 +294,17 @@ func TestPushRateLimit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("queue: %v", err)
 		}
-		buf1 := r.va.TenantHeap().CopyFrom([]byte("a"))
+		buf1 := r.va.th.CopyFrom([]byte("a"))
 		qt, err := r.va.Push(qd, core.SGA(buf1))
 		if err != nil {
 			t.Fatalf("first push: %v", err)
 		}
-		buf2 := r.va.TenantHeap().CopyFrom([]byte("b"))
+		buf2 := r.va.th.CopyFrom([]byte("b"))
 		if _, err := r.va.Push(qd, core.SGA(buf2)); !errors.Is(err, core.ErrTenantQuota) {
 			t.Fatalf("burst push: got %v, want ErrTenantQuota", err)
 		}
 		// Rejected at the call: ownership stayed with the caller.
-		if err := r.va.TenantHeap().TryFree(buf2); err != nil {
+		if err := r.va.th.TryFree(buf2); err != nil {
 			t.Fatalf("free rejected-push buffer: %v", err)
 		}
 		if _, err := r.va.Wait(qt); err != nil {
@@ -305,8 +315,55 @@ func TestPushRateLimit(t *testing.T) {
 	if r.tel.Counter("tenant.1.quota_rejects.push_rate").Value() != 1 {
 		t.Error("push-rate rejection not counted")
 	}
-	if used := r.va.TenantHeap().Used(); used != 0 {
+	if used := r.va.th.Used(); used != 0 {
 		t.Errorf("tenant heap bytes leaked: %d", used)
+	}
+}
+
+// TestRefusedPushSpendsNoCredit: push-rate credit is spent only by a push
+// that is issued. An empty push and a push the queue refuses (a stream
+// socket with no connection) cost none, so the one push the bucket holds
+// still goes through after them.
+func TestRefusedPushSpendsNoCredit(t *testing.T) {
+	r := newRig(tenant.Limits{PushRate: 1, PushBurst: 1}, tenant.Limits{})
+	r.run(func() {
+		sock, err := r.va.Socket(core.SockStream)
+		if err != nil {
+			t.Fatalf("socket: %v", err)
+		}
+		for i := 0; i < 2; i++ {
+			buf := r.va.th.CopyFrom([]byte("x"))
+			if _, err := r.va.Push(sock, core.SGA(buf)); !errors.Is(err, core.ErrNotBound) {
+				t.Errorf("push %d on an unconnected socket: got %v, want ErrNotBound", i, err)
+			}
+			if err := r.va.th.TryFree(buf); err != nil {
+				t.Fatalf("free refused-push buffer: %v", err)
+			}
+		}
+		qd, err := r.va.Queue()
+		if err != nil {
+			t.Fatalf("queue: %v", err)
+		}
+		if _, err := r.va.Push(qd, core.SGArray{}); !errors.Is(err, core.ErrEmptySGA) {
+			t.Errorf("empty push: got %v, want ErrEmptySGA", err)
+		}
+		qt, err := r.va.Push(qd, core.SGA(r.va.th.CopyFrom([]byte("a"))))
+		if err != nil {
+			t.Fatalf("push with the bucket's one credit: %v", err)
+		}
+		if _, err := r.va.Wait(qt); err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		drain(t, r.va, qd)
+		if err := r.va.Close(sock); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	})
+	if got := r.tel.Counter("tenant.1.quota_rejects.push_rate").Value(); got != 0 {
+		t.Errorf("push-rate rejections = %d, want 0", got)
+	}
+	if got := r.ta.InFlight(); got != 0 {
+		t.Errorf("in-flight after the refused pushes = %d, want 0", got)
 	}
 }
 
@@ -316,7 +373,7 @@ func TestPushRateLimit(t *testing.T) {
 func TestHeapQuotaIsolation(t *testing.T) {
 	const quota = 16 << 10
 	r := newRig(tenant.Limits{HeapBytes: quota}, tenant.Limits{HeapBytes: quota})
-	thA, thB := r.va.TenantHeap(), r.vb.TenantHeap()
+	thA, thB := r.va.th, r.vb.th
 
 	// B floods its region to exhaustion.
 	var held []*memory.Buf
