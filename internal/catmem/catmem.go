@@ -97,10 +97,6 @@ type Stats struct {
 type LibOS struct {
 	core.FrontEnd
 	region *Region
-	// wakeAt wakes this instance at host time t (a nil callback is a pure
-	// wakeup): how a peer's push reaches it, and how a stalled push is
-	// retried.
-	wakeAt func(t sim.Time, fn func())
 	flts   Faults
 	stats  Stats
 
@@ -120,7 +116,6 @@ type LibOS struct {
 func (r *Region) New(node *sim.Node) *LibOS {
 	l := &LibOS{
 		region: r,
-		wakeAt: node.WakeAt,
 	}
 	reg := telemetry.NewRegistry(node.Name() + "/catmem")
 	l.stallHist = reg.Histogram("catmem.push_stall_ns")
@@ -214,7 +209,7 @@ func (c *conn) wakePeer() {
 		return
 	}
 	l := c.lib
-	p.lib.wakeAt(l.Now().Add(l.region.handoff), nil)
+	p.lib.WakeAt(l.Now().Add(l.region.handoff))
 }
 
 // Push hands sga to the peer. Ownership of the segments passes to the
@@ -413,7 +408,7 @@ func (l *LibOS) armStallRetry() {
 		d = l.region.handoff
 	}
 	l.stallWakeAt = now.Add(d)
-	l.wakeAt(l.stallWakeAt, nil)
+	l.WakeAt(l.stallWakeAt)
 }
 
 // --- core.Stack and the rendezvous control path ---

@@ -124,20 +124,26 @@ func TestSegmentPathAllocs(t *testing.T) {
 	}
 }
 
-// Arming a timer for a coroutine that has had one before allocates nothing:
-// the event carries the wake callback built at the first arm. (The event
-// queue itself is held by sim's TestEventQueueSteadyStateDoesNotAllocate.)
+// Arming, re-arming and stopping a connection's two timers allocates
+// nothing once the stack's Timers have cells: a handle borrows a cell, and
+// on the simulator each arm's event carries the callback the cell was made
+// with. (The event queue itself is held by sim's
+// TestEventQueueSteadyStateDoesNotAllocate.)
 func TestTimerArmAllocs(t *testing.T) {
 	p := newHandDrivenPair()
 	c := p.ca
+	ts := p.a.Timers()
 	arm := func() {
-		c.wakeAt(p.eng.Now().Add(c.rto.value()), &c.retransWake, &c.retransH)
-		c.wakeAt(p.eng.Now().Add(c.rto.value()), &c.ackWake, &c.ackH)
+		at := p.eng.Now().Add(c.rto.value())
+		ts.Reset(&c.retransTimer, c.retransH.Waker(), at)
+		ts.Reset(&c.ackTimer, c.ackH.Waker(), at)
+		ts.Reset(&c.retransTimer, c.retransH.Waker(), at.Add(time.Microsecond))
+		ts.Stop(&c.ackTimer)
 		p.eng.Run() // the timers fire; the queue is as deep as it was
 	}
 	arm()
 	if avg := testing.AllocsPerRun(200, arm); avg != 0 {
-		t.Errorf("arming a connection's two timers allocates %.1f objects, want 0", avg)
+		t.Errorf("arming, re-arming and stopping a connection's timers allocates %.1f objects, want 0", avg)
 	}
 	if !p.a.Sched().Runnable() {
 		t.Error("the timers woke nothing")
@@ -147,20 +153,21 @@ func TestTimerArmAllocs(t *testing.T) {
 // connectionAllocs is the most Go heap objects one short connection may
 // cost — connect, accept, the server's pop seeing end of stream, both sides
 // closed — both stacks, both applications and the fabric counted. Measured:
-// 8.25 objects. Per end, the connection and the wake callback of its RTO
-// timer (4); the client's socket (1); an Op each for connect, accept and pop
-// (3); the six frames' dpdkdev.Mbuf headers, 6/32 of an array of 32 never
-// reused; the rest is the growth of the client's TIME_WAIT table, whose
-// records are values in a map and a FIFO. The four coroutines are the
-// connection under four pointer types, its queues' buffers are ones that
-// closed connections let go of, and TIME_WAIT arms no timer (DESIGN.md §3).
-// (9.34 when a connection waited out TIME_WAIT itself, behind a wake
-// callback of its own; 20.34 when each coroutine was a method value and each
+// 6.20 objects. The two connections (2); the client's socket (1); an Op
+// each for connect, accept and pop (3); the six frames' dpdkdev.Mbuf
+// headers, 6/32 of an array of 32 never reused; the rest is the growth of
+// the client's TIME_WAIT table, whose records are values in a map and a
+// FIFO. The four coroutines are the connection under four pointer types,
+// its queues' buffers are ones that closed connections let go of, its
+// timers borrow cells from the stack's pool (core.Timers), and TIME_WAIT
+// arms no timer (DESIGN.md §3). (8.25 when each end's RTO timer ran a wake
+// callback of its own; 9.34 when a connection waited out TIME_WAIT itself,
+// behind another; 20.34 when each coroutine was a method value and each
 // queue's first buffer a new array; 26.2 when each header was an object of
 // its own; 57.2 when every SYN, FIN and ack also cost a header, a wire copy,
 // two hop closures and a timer closure, and the retransmission queue a new
 // array for each of them.) Lower it when the number falls.
-const connectionAllocs = 9
+const connectionAllocs = 7
 
 // mustWait waits for the token a libcall returned and fails the test unless
 // both the call and the operation succeeded.
@@ -177,7 +184,10 @@ func mustWait(t *testing.T, l *LibOS, qt core.QToken, err error) core.QEvent {
 
 // The cost is the slope between a short run and a long one on fresh worlds,
 // so what start-up allocates cancels; the simulation is deterministic, so
-// does everything else that is not per connection.
+// does everything else that is not per connection. Start-up includes the
+// timer cell pool's growth to its working size: a cell is lent until its
+// last queued event runs, the SYN's 5 ms RTO, and the pool stops growing
+// once a run is longer than that, about 2 000 connections in.
 func TestConnectionAllocs(t *testing.T) {
 	mallocs := func(conns int) uint64 {
 		eng := sim.NewEngine(1)
@@ -218,7 +228,7 @@ func TestConnectionAllocs(t *testing.T) {
 		}
 		return m1.Mallocs - m0.Mallocs
 	}
-	const short, long = 64, 320
+	const short, long = 2048, 3072
 	per := float64(mallocs(long)-mallocs(short)) / (long - short)
 	t.Logf("%.2f objects per connection", per)
 	if per > connectionAllocs {
@@ -230,8 +240,11 @@ func TestConnectionAllocs(t *testing.T) {
 // connection that carried one 64-byte echo and then went idle may keep live,
 // everything that grows with connections counted (the connection, its
 // coroutines' scheduler slots, its queues' first buffers, its descriptor and
-// demux entries, its share of the tables holding them). Measured: 1 005 to
-// 1 006 bytes from run to run; 1 051 to 1 070 when each of its four
+// demux entries, its share of the tables holding them, and of the timer
+// cells its stack's pool grew to while the handshakes' RTO events were
+// queued). Measured: 993 to 1 012 bytes from run to run; 1 005 to 1 006
+// when each end's RTO timer kept a 16-byte wake callback and a sched.Waker
+// was 24 bytes; 1 051 to 1 070 when each of its four
 // coroutines was a 16-byte method value, and 1 267 when the connection's
 // queues were slices that slid off their arrays (each keeping the last thing
 // popped from it reachable) and every timer arm left a closure behind.

@@ -150,11 +150,11 @@ func (a *arpCache) request(ip wire.IPAddr) {
 func (a *arpCache) spawnRetrier(ip wire.IPAddr) {
 	const interval = 500 * time.Microsecond
 	const maxRetries = 10
-	var h sched.Handle
-	wake := func() { h.Wake() }
-	h = a.lib.Sched().Spawn(sched.Background, sched.Func(func(ctx *sched.Context) sched.Poll {
+	var timer core.Timer
+	a.lib.Sched().Spawn(sched.Background, sched.Func(func(ctx *sched.Context) sched.Poll {
 		p, ok := a.pending[ip]
 		if !ok {
+			a.lib.Timers().Stop(&timer)
 			return sched.Done // resolved and flushed
 		}
 		if p.retries >= maxRetries {
@@ -171,7 +171,7 @@ func (a *arpCache) spawnRetrier(ip wire.IPAddr) {
 		}
 		p.retries++
 		a.request(ip)
-		a.lib.wakeAt(a.lib.Now().Add(interval), wake)
+		a.lib.Timers().Reset(&timer, ctx.Waker(), a.lib.Now().Add(interval))
 		return sched.Pending
 	}))
 }

@@ -130,12 +130,6 @@ type LibOS struct {
 	port Device
 	cfg  Config
 	rng  *sim.Rand
-	// wakeAt runs a callback, which wakes a coroutine, at host time t.
-	// Spurious wakes are fine; coroutines recheck their deadlines. The timer
-	// is never cancelled, so it keeps the callback, and what it captures,
-	// reachable until t: callers build one wake per coroutine and pass it to
-	// every arm, not a closure per arm.
-	wakeAt func(t sim.Time, wake func())
 	// recvBufSize is the TCP receive buffer: tcpRecvBuf, which tests lower.
 	recvBufSize int
 
@@ -200,18 +194,17 @@ func New(node *sim.Node, port *dpdkdev.Port, cfg Config) *LibOS {
 // particular one dpdkdev.Queue of an RSS multi-queue port, giving a
 // shared-nothing per-core stack (internal/multicore).
 func NewOnDevice(node *sim.Node, dev Device, cfg Config) *LibOS {
-	return newLibOS(node, node.WakeAt, node.Engine().Rand().Fork(), node.Name(), dev, cfg)
+	return newLibOS(node, node.Engine().Rand().Fork(), node.Name(), dev, cfg)
 }
 
-// newLibOS builds the stack on host: wakeAt is its timer, rng its own
-// random stream, name its registry's prefix.
-func newLibOS(host core.Host, wakeAt func(sim.Time, func()), rng *sim.Rand, name string, dev Device, cfg Config) *LibOS {
+// newLibOS builds the stack on host, whose timers it arms (core.Timers): rng
+// is its own random stream, name its registry's prefix.
+func newLibOS(host core.Host, rng *sim.Rand, name string, dev Device, cfg Config) *LibOS {
 	l := &LibOS{
 		port:          dev,
 		mac:           dev.MAC(),
 		cfg:           cfg,
 		rng:           rng,
-		wakeAt:        wakeAt,
 		recvBufSize:   tcpRecvBuf,
 		udpPorts:      make(map[uint16]*udpSocket),
 		listeners:     make(map[uint16]*tcpListener),

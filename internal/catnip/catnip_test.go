@@ -231,6 +231,14 @@ func TestTCPLargeTransferIntegrity(t *testing.T) {
 	}
 }
 
+// lossyTransfer bounds how long 256 KiB at 2 % loss takes to be
+// acknowledged, in virtual time. Measured: 4.09 ms, 7 fast retransmits and
+// 4 timeouts; 13.05 ms, 11 timeouts and no fast retransmit while each
+// duplicate ACK advertised a smaller window than the one before.
+const lossyTransfer = 6 * time.Millisecond
+
+// A stream under random loss arrives whole, and its losses are repaired by
+// fast retransmit, not only by the RTO.
 func TestTCPTransferUnderLoss(t *testing.T) {
 	link := simnet.DefaultLink()
 	link.LossProb = 0.02
@@ -263,6 +271,7 @@ func TestTCPTransferUnderLoss(t *testing.T) {
 	for i := range sent {
 		sent[i] = byte(i * 17)
 	}
+	var took time.Duration
 	eng.Spawn(la.Node(), func() {
 		qd, _ := la.Socket(core.SockStream)
 		cqt, _ := la.Connect(qd, core.Addr{IP: ipB, Port: 80})
@@ -270,6 +279,7 @@ func TestTCPTransferUnderLoss(t *testing.T) {
 			t.Errorf("connect under loss: %v %v", err, ev)
 			return
 		}
+		start := la.Now()
 		var qts []core.QToken
 		for off := 0; off < total; off += 16 << 10 {
 			qts = append(qts, push(t, la, qd, sent[off:off+16<<10]))
@@ -277,13 +287,19 @@ func TestTCPTransferUnderLoss(t *testing.T) {
 		if _, err := la.WaitAll(qts, -1); err != nil {
 			t.Errorf("waitall: %v", err)
 		}
+		took = la.Now().Sub(start)
 	})
 	eng.Run()
 	if !bytes.Equal(received.Bytes(), sent) {
 		t.Fatalf("stream corrupted under loss (got %d bytes, want %d)", received.Len(), total)
 	}
-	if la.Stats().TCPRetransmits+la.Stats().TCPFastRetransmits == 0 {
-		t.Error("no retransmissions recorded despite loss")
+	s := la.Stats()
+	t.Logf("acknowledged in %v: %d timeouts, %d fast retransmits", took, s.TCPRetransmits, s.TCPFastRetransmits)
+	if s.TCPFastRetransmits == 0 {
+		t.Error("no fast retransmit despite loss: duplicate ACKs were not counted")
+	}
+	if took > lossyTransfer {
+		t.Errorf("the transfer took %v, want at most %v", took, lossyTransfer)
 	}
 }
 

@@ -258,8 +258,9 @@ type tcpConn struct {
 	persistArmed    bool
 
 	senderH, retransH, ackH, closerH sched.Handle
-	// What a timer runs to wake the coroutine it was armed for; see wakeAt.
-	retransWake, ackWake func()
+	// The timers of the retransmit coroutine (RTO and persist) and of the
+	// ack coroutine (delayed ACK); teardown stops both.
+	retransTimer, ackTimer core.Timer
 
 	segsSinceAck int
 	ackDeadline  sim.Time

@@ -6,7 +6,6 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/costmodel"
 	"demikernel/internal/sched"
-	"demikernel/internal/sim"
 	"demikernel/internal/wire"
 )
 
@@ -66,13 +65,14 @@ func newTCPConn(l *LibOS, qd core.QDesc, tuple fourTuple, tenant uint32, tidx ui
 	return c
 }
 
-// advertisedWnd returns our receive window in bytes.
+// advertisedWnd returns our receive window in bytes: the buffer less what
+// the application has not popped. Bytes held out of order lie inside the
+// window already advertised, so they are not taken off: that would move the
+// right edge left (RFC 1122 §4.2.2.16), and a duplicate ACK whose window
+// changed is not counted as one (RFC 5681 §2), so fast retransmit would
+// never start. processPayload holds nothing past the right edge instead.
 func (c *tcpConn) advertisedWnd() int {
-	w := c.lib.recvBufSize - c.recvBytes - c.oooBytes
-	if w < 0 {
-		w = 0
-	}
-	return w
+	return max(c.lib.recvBufSize-c.recvBytes, 0)
 }
 
 // wireWindow encodes the advertised window for the header (unscaled in SYN
@@ -281,7 +281,7 @@ func (c *tcpConn) armPersist() {
 	}
 	c.persistDeadline = c.lib.Now().Add(d)
 	c.persistArmed = true
-	c.wakeAt(c.persistDeadline, &c.retransWake, &c.retransH)
+	c.lib.Timers().Reset(&c.retransTimer, c.retransH.Waker(), c.persistDeadline)
 }
 
 // sendProbe transmits one byte beyond the advertised window (the window
@@ -438,27 +438,16 @@ func (c *tcpConn) armRTO() {
 		return
 	}
 	c.rtoDeadline = c.lib.Now().Add(c.rto.value())
-	if !c.rtoArmed {
-		c.rtoArmed = true
-	}
-	c.wakeAt(c.rtoDeadline, &c.retransWake, &c.retransH)
-}
-
-// wakeAt arms a timer that wakes the coroutine behind h, one of the
-// connection's handles, at virtual time t. *wake is what the timer runs,
-// built the first time that coroutine is armed: 16 bytes holding a pointer
-// into the connection, so a resident timer keeps its connection reachable
-// until it fires (and h.Wake is a no-op once the coroutine is gone).
-func (c *tcpConn) wakeAt(t sim.Time, wake *func(), h *sched.Handle) {
-	if *wake == nil {
-		*wake = func() { h.Wake() }
-	}
-	c.lib.wakeAt(t, *wake)
+	c.rtoArmed = true
+	// The timer holds the coroutine's Waker, not the connection: what it
+	// leaves queued keeps no closed connection live (core.Timer).
+	c.lib.Timers().Reset(&c.retransTimer, c.retransH.Waker(), c.rtoDeadline)
 }
 
 // fastRetransmit resends the oldest unacked segment after three duplicate
-// acks and halves the congestion window (NewReno-style recovery around the
-// Cubic window).
+// acks and shrinks the congestion window by Cubic's β (NewReno-style
+// recovery around the Cubic window). The RTO is re-armed, not backed off:
+// RFC 6298 §5 backs it off only when it fires.
 func (c *tcpConn) fastRetransmit() {
 	if c.retransQ.len() == 0 {
 		return
@@ -470,5 +459,4 @@ func (c *tcpConn) fastRetransmit() {
 	seg := c.retransQ.at(0)
 	seg.rtx = true
 	c.transmit(seg)
-	c.rto.backoff()
 }

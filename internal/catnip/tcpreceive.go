@@ -139,11 +139,7 @@ func (c *tcpConn) receive(eth wire.EthHeader, h wire.TCPHeader, payload []byte) 
 	c.macKnown = true
 
 	if h.Flags&wire.TCPRst != 0 {
-		if c.state == stateSynSent {
-			c.abort(core.ErrConnRefused)
-		} else {
-			c.abort(ErrConnReset)
-		}
+		c.receiveRST(h.Seq)
 		return
 	}
 
@@ -173,6 +169,22 @@ func (c *tcpConn) receive(eth wire.EthHeader, h wire.TCPHeader, payload []byte) 
 	c.completePops()
 	if c.ackPending {
 		c.ackH.Wake()
+	}
+}
+
+// receiveRST takes a reset as RFC 5961 §3.2 says: once synchronized, only
+// one at exactly rcvNxt resets the connection. One elsewhere in the window
+// draws a challenge ACK, which a peer that has really lost the connection
+// answers with a reset at rcvNxt, and one outside the window is dropped, so
+// a blind reset must guess rcvNxt, not just land in the window.
+func (c *tcpConn) receiveRST(seq uint32) {
+	switch {
+	case c.state == stateSynSent:
+		c.abort(core.ErrConnRefused)
+	case seq == c.rcvNxt:
+		c.abort(ErrConnReset)
+	case seqGT(seq, c.rcvNxt) && seqLT(seq, c.rcvNxt+uint32(c.advertisedWnd())):
+		c.sendPureAck()
 	}
 }
 
@@ -297,9 +309,11 @@ func (c *tcpConn) processPayload(seq uint32, payload []byte) {
 		c.ackPending = true
 		c.segsSinceAck++
 	case seqGT(seq, c.rcvNxt):
-		// Future data: hold for reassembly if window allows.
+		// Future data: hold for reassembly what lies inside the window
+		// advertised, and fits the buffer beside what is held already.
 		c.lib.stats.TCPOutOfOrder++
-		if c.oooBytes+len(payload) <= c.lib.recvBufSize {
+		end := seq + uint32(len(payload))
+		if wnd := c.advertisedWnd(); seqLE(end, c.rcvNxt+uint32(wnd)) && c.oooBytes+len(payload) <= wnd {
 			c.insertOOO(seq, payload)
 		}
 		c.ackPending = true // duplicate ack triggers fast retransmit
@@ -480,6 +494,9 @@ func (c *tcpConn) teardown(err error) {
 		c.listener.synCount--
 		c.listener = nil
 	}
+	// A host that cancels drops what they queued; elsewhere it wakes nothing.
+	c.lib.Timers().Stop(&c.retransTimer)
+	c.lib.Timers().Stop(&c.ackTimer)
 	// Wake every coroutine so each observes the closed state and exits.
 	c.senderH.Wake()
 	c.retransH.Wake()
@@ -512,7 +529,7 @@ func (c *tcpConn) pollRetransmit(ctx *sched.Context) sched.Poll {
 				c.rto.backoff() // probe interval backs off like an RTO
 				c.persistArmed = false
 			} else {
-				c.wakeAt(c.persistDeadline, &c.retransWake, &c.retransH)
+				c.lib.Timers().Reset(&c.retransTimer, c.retransH.Waker(), c.persistDeadline)
 			}
 		}
 		return sched.Pending
@@ -521,7 +538,7 @@ func (c *tcpConn) pollRetransmit(ctx *sched.Context) sched.Poll {
 		return sched.Pending
 	}
 	if now < c.rtoDeadline {
-		c.wakeAt(c.rtoDeadline, &c.retransWake, &c.retransH)
+		c.lib.Timers().Reset(&c.retransTimer, c.retransH.Waker(), c.rtoDeadline)
 		return sched.Pending
 	}
 	// Timeout: retransmit, back off, collapse the congestion window.
@@ -561,11 +578,11 @@ func (c *tcpConn) pollAck(ctx *sched.Context) sched.Poll {
 		if !c.ackArmed {
 			c.ackArmed = true
 			c.ackDeadline = now.Add(d)
-			c.wakeAt(c.ackDeadline, &c.ackWake, &c.ackH)
+			c.lib.Timers().Reset(&c.ackTimer, c.ackH.Waker(), c.ackDeadline)
 			return sched.Pending
 		}
 		if now < c.ackDeadline {
-			c.wakeAt(c.ackDeadline, &c.ackWake, &c.ackH)
+			c.lib.Timers().Reset(&c.ackTimer, c.ackH.Waker(), c.ackDeadline)
 			return sched.Pending
 		}
 	}

@@ -119,28 +119,11 @@ func TestTimeWaitAcksRetransmittedFin(t *testing.T) {
 // The stack under test connects from port 80 to a peer at ipB:40000 that the
 // test plays with raw frames (peerFrame), and closes first.
 func TestTimeWaitRecord(t *testing.T) {
-	log := &trace.Log{}
-	eng := sim.NewEngine(12)
-	sw := simnet.NewSwitch(eng, simnet.DefaultSwitch())
-	ns := eng.NewNode("stack")
-	ps := attachDefault(sw, ns)
-	cfg := DefaultConfig(ipA)
-	cfg.Tracer = log
-	l := New(ns, ps, cfg)
-	peer := simnet.MAC{2, 0, 0, 0, 0, 9}
-	l.SeedARP(ipB, peer)
+	p := newRawPeer(t, 12, tcpRecvBuf)
+	l, send := p.l, p.send
 	tuple := fourTuple{localPort: 80, remoteIP: ipB, remotePort: 40000}
-	const peerISS = 7000
+	const peerISS = rawPeerISS
 
-	sent := func() []trace.Event { return log.Filter(trace.TX) }
-	// send hands the stack one segment from the peer and lets it run, and
-	// returns what the stack sent meanwhile.
-	send := func(h wire.TCPHeader, payload []byte) []trace.Event {
-		n := len(sent())
-		ps.InjectRx(peerFrame(peer, ps.MAC(), h, payload))
-		l.WaitAny(nil, 10*time.Microsecond)
-		return sent()[n:]
-	}
 	connect := func() (core.QDesc, error) {
 		qd, _ := l.Socket(core.SockStream)
 		if err := l.Bind(qd, l.Addr(80)); err != nil {
@@ -156,7 +139,8 @@ func TestTimeWaitRecord(t *testing.T) {
 		if err != nil {
 			t.Fatalf("connect: %v", err)
 		}
-		iss := parseSent(t, sent()[len(sent())-1].Data).Seq
+		tx := p.log.Filter(trace.TX)
+		iss := parseSent(t, tx[len(tx)-1].Data).Seq
 		send(wire.TCPHeader{Seq: peerISS, Ack: iss + 1, Flags: wire.TCPSyn | wire.TCPAck, Window: 65535,
 			Opt: wire.TCPOptions{MSS: tcpMSS}}, nil)
 		l.Close(qd)
@@ -164,7 +148,7 @@ func TestTimeWaitRecord(t *testing.T) {
 		if len(out) != 1 {
 			t.Fatalf("the stack answered the peer's FIN with %d frames, want its final ACK", len(out))
 		}
-		if h := parseSent(t, out[0].Data); h.Flags != wire.TCPAck || h.Seq != iss+2 || h.Ack != peerISS+2 {
+		if h := out[0]; h.Flags != wire.TCPAck || h.Seq != iss+2 || h.Ack != peerISS+2 {
 			t.Fatalf("final ACK %+v, want seq %d ack %d", h, iss+2, peerISS+2)
 		}
 		if len(l.conns) != 0 {
@@ -172,17 +156,17 @@ func TestTimeWaitRecord(t *testing.T) {
 		}
 		return iss
 	}
-	wantAck := func(what string, out []trace.Event, iss uint32) {
+	wantAck := func(what string, out []wire.TCPHeader, iss uint32) {
 		if len(out) != 1 {
 			t.Fatalf("%s: the stack sent %d frames, want one ACK", what, len(out))
 		}
 		// Every segment the stack sends with a payload carries PSH.
-		if h := parseSent(t, out[0].Data); h.Flags != wire.TCPAck || h.Seq != iss+2 || h.Ack != peerISS+2 {
+		if h := out[0]; h.Flags != wire.TCPAck || h.Seq != iss+2 || h.Ack != peerISS+2 {
 			t.Errorf("%s: answered with %+v, want a pure ACK with seq %d ack %d", what, h, iss+2, peerISS+2)
 		}
 	}
 
-	eng.Spawn(ns, func() {
+	p.eng.Spawn(p.node, func() {
 		iss := closeIntoTimeWait()
 		if _, err := connect(); err != core.ErrInUse {
 			t.Errorf("connecting the four-tuple in TIME_WAIT: %v, want %v", err, core.ErrInUse)
@@ -220,5 +204,5 @@ func TestTimeWaitRecord(t *testing.T) {
 			t.Errorf("%d TIME_WAIT records and expiry entries left after 2*MSL and one more close", n)
 		}
 	})
-	eng.Run()
+	p.eng.Run()
 }

@@ -18,69 +18,23 @@ import (
 // the monotonic wall clock. Nothing here builds a sim.Engine or a sim.Node,
 // so a stack that reached past its front end to one would nil-deref.
 
-// wallTimer is one armed timer: fn runs once the wall clock reaches at.
-type wallTimer struct {
-	at sim.Time
-	fn func()
-}
-
-// timerHeap is a binary min-heap of timers by deadline. It is typed, so an
-// arm boxes nothing, and keeps its array, so a warm one allocates nothing.
-type timerHeap struct{ ts []wallTimer }
-
-// arm is the stacks' timer (newLibOS's wakeAt).
-func (h *timerHeap) arm(at sim.Time, fn func()) {
-	h.ts = append(h.ts, wallTimer{at, fn})
-	for i := len(h.ts) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h.ts[p].at <= h.ts[i].at {
-			break
-		}
-		h.ts[p], h.ts[i] = h.ts[i], h.ts[p]
-		i = p
-	}
-}
-
-// fire runs, earliest first, every timer due by now.
-func (h *timerHeap) fire(now sim.Time) {
-	for len(h.ts) > 0 && h.ts[0].at <= now {
-		fn := h.ts[0].fn
-		last := len(h.ts) - 1
-		h.ts[0] = h.ts[last]
-		h.ts[last] = wallTimer{}
-		h.ts = h.ts[:last]
-		for i := 0; ; {
-			m, l, r := i, 2*i+1, 2*i+2
-			if l < last && h.ts[l].at < h.ts[m].at {
-				m = l
-			}
-			if r < last && h.ts[r].at < h.ts[m].at {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h.ts[i], h.ts[m] = h.ts[m], h.ts[i]
-			i = m
-		}
-		fn()
-	}
-}
-
-// wallHost is a machine with no simulator under it (core.Host), shared by
-// both stacks: the monotonic clock, CPU that costs nothing, and a Park that
-// fires due timers and then steps the server stack until it does no more
-// work. Only the client, the test's goroutine, ever parks.
+// wallHost is a machine with no simulator under it (core.TimerHost), shared
+// by both stacks: the monotonic clock, CPU that costs nothing, timers that
+// cancel, and a Park that fires due timers and then steps the server stack
+// until it does no more work. Only the client, the test's goroutine, ever
+// parks.
 type wallHost struct {
 	*sim.WallClock
-	timers *timerHeap
+	timers core.TimerHeap
 	serve  func() bool // steps the server stack and its application; reports whether either did work
 }
 
 func (*wallHost) Charge(time.Duration) {}
 
+func (h *wallHost) TimerHeap() *core.TimerHeap { return &h.timers }
+
 func (h *wallHost) Park(sim.Time) bool {
-	h.timers.fire(h.Now())
+	h.timers.Fire(h.Now())
 	for h.serve() {
 	}
 	return true
@@ -244,19 +198,22 @@ func (e *wallEcho) step() bool {
 // client's Park runs the server.
 type wallPair struct {
 	t      testing.TB
+	host   *wallHost
 	cli    *LibOS
+	srv    *LibOS
 	qd     core.QDesc
 	ab, ba *wireRing
 	out    []byte // what a round trip reads back into
 }
 
 func newWallPair(t testing.TB) *wallPair {
-	host := &wallHost{WallClock: sim.NewWallClock(), timers: &timerHeap{}}
-	p := &wallPair{t: t, ab: newWireRing(), ba: newWireRing()}
+	host := &wallHost{WallClock: sim.NewWallClock()}
+	p := &wallPair{t: t, host: host, ab: newWireRing(), ba: newWireRing()}
 	pa := &wirePort{mac: simnet.MAC{2, 0, 0, 0, 0, 1}, tx: p.ab, rx: p.ba}
 	pb := &wirePort{mac: simnet.MAC{2, 0, 0, 0, 0, 2}, tx: p.ba, rx: p.ab}
-	p.cli = newLibOS(host, host.timers.arm, sim.NewRand(1), "cli", pa, DefaultConfig(ipA))
-	srv := newLibOS(host, host.timers.arm, sim.NewRand(2), "srv", pb, DefaultConfig(ipB))
+	p.cli = newLibOS(host, sim.NewRand(1), "cli", pa, DefaultConfig(ipA))
+	srv := newLibOS(host, sim.NewRand(2), "srv", pb, DefaultConfig(ipB))
+	p.srv = srv
 	p.cli.SeedARP(ipB, pb.mac)
 	srv.SeedARP(ipA, pa.mac)
 	echo := newWallEcho(t, srv, 80)

@@ -118,6 +118,7 @@ type FrontEnd struct {
 	tokens   *TokenTable
 	qds      *QDescTable
 	queueCap int
+	timers   Timers
 }
 
 // Init builds the front end of stack on host, in place: its wait loop
@@ -140,6 +141,7 @@ func (f *FrontEnd) Init(stack Stack, host Host, heap *memory.Heap, reg *telemetr
 		queueCap: queueCap,
 	}
 	f.Handle = Handle{f: f, w: Waiter{Table: t, Runner: f}}
+	f.timers.init(host)
 }
 
 // Step runs one scheduler quantum: a runnable coroutine if any, charged one
@@ -165,6 +167,14 @@ func (f *FrontEnd) Charge(d time.Duration) { f.host.Charge(d) }
 
 // Host returns the machine the library OS runs on.
 func (f *FrontEnd) Host() Host { return f.host }
+
+// Timers arms the stack's timers on the host.
+func (f *FrontEnd) Timers() *Timers { return &f.timers }
+
+// WakeAt makes the host's Park return by t, running nothing: how a stack
+// wakes itself or a peer on an AlarmHost, the one kind that has plain
+// wake-ups.
+func (f *FrontEnd) WakeAt(t sim.Time) { f.timers.alarm.WakeAt(t, nil) }
 
 // Libcall charges one library call to the host.
 func (f *FrontEnd) Libcall() { f.host.Charge(costmodel.Libcall) }

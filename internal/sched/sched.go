@@ -77,10 +77,11 @@ func (c *Context) Waker() Waker { return c.waker }
 // A Waker marks one coroutine runnable. It is a small value safe to copy
 // and store with event sources. Wake is idempotent, and a waker left over
 // from a completed coroutine is a no-op even if its slot was reused: each
-// waker carries the slot generation it was minted for.
+// waker carries the slot generation it was minted for. It is 16 bytes, the
+// most of a host's timer cell (core.Timer).
 type Waker struct {
 	block *wakerBlock
-	slot  uint
+	slot  uint32
 	gen   uint32
 }
 
@@ -116,6 +117,9 @@ type Handle struct {
 
 // Wake marks the coroutine runnable (e.g. its qtoken's data arrived).
 func (h Handle) Wake() { h.waker.Wake() }
+
+// Waker returns the coroutine's waker, for an event source to keep.
+func (h Handle) Waker() Waker { return h.waker }
 
 // NumClasses is the number of scheduling classes, for per-class stat arrays.
 const NumClasses = int(numClasses)
@@ -284,7 +288,7 @@ func (s *Scheduler) SpawnTenant(c Class, tenant uint8, co Coroutine) Handle {
 	blk.gens[slot]++
 	blk.tens[slot] = tenant
 	blk.cos[slot] = co
-	w := Waker{block: blk, slot: slot, gen: blk.gens[slot]}
+	w := Waker{block: blk, slot: uint32(slot), gen: blk.gens[slot]}
 	blk.ctxs[slot] = Context{waker: w}
 	s.count[c]++
 	s.stats.Spawned++
