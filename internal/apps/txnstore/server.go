@@ -23,14 +23,6 @@ type Replica struct {
 // NewReplica returns an empty replica.
 func NewReplica() *Replica { return &Replica{data: make(map[string]versioned)} }
 
-// Load installs a key directly (test/bench preloading).
-func (r *Replica) Load(key string, value []byte, version uint64) {
-	r.data[key] = versioned{value: append([]byte(nil), value...), version: version}
-}
-
-// Len returns the number of keys stored.
-func (r *Replica) Len() int { return len(r.data) }
-
 // handle executes one decoded request.
 func (r *Replica) handle(msg any) any {
 	switch m := msg.(type) {

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"demikernel/internal/catnip"
 	"demikernel/internal/core"
-	"demikernel/internal/demi"
 	"demikernel/internal/dpdkdev"
 	"demikernel/internal/memory"
 	"demikernel/internal/rdmadev"
@@ -21,7 +21,7 @@ var (
 
 // echoRTT runs a 64 B TCP echo between two instances of the stack built by
 // mk and returns the steady-state average RTT in virtual time.
-func echoRTT(t *testing.T, mk func(node *sim.Node, port *dpdkdev.Port, ip wire.IPAddr) demi.LibOS) time.Duration {
+func echoRTT(t *testing.T, mk func(node *sim.Node, port *dpdkdev.Port, ip wire.IPAddr) *catnip.LibOS) time.Duration {
 	t.Helper()
 	eng := sim.NewEngine(77)
 	sw := simnet.NewSwitch(eng, simnet.DefaultSwitch())
@@ -30,8 +30,8 @@ func echoRTT(t *testing.T, mk func(node *sim.Node, port *dpdkdev.Port, ip wire.I
 	pb := dpdkdev.Attach(sw, nb, simnet.DefaultLink(), 8192, 0)
 	la := mk(na, pa, ipA)
 	lb := mk(nb, pb, ipB)
-	seedARP(la, ipB, pb.MAC())
-	seedARP(lb, ipA, pa.MAC())
+	la.SeedARP(ipB, pb.MAC())
+	lb.SeedARP(ipA, pa.MAC())
 
 	eng.Spawn(nb, func() {
 		qd, _ := lb.Socket(core.SockStream)
@@ -83,30 +83,17 @@ func echoRTT(t *testing.T, mk func(node *sim.Node, port *dpdkdev.Port, ip wire.I
 	return total / rounds
 }
 
-// seedARP seeds the underlying Catnip cache regardless of wrapping.
-func seedARP(l demi.LibOS, ip wire.IPAddr, mac simnet.MAC) {
-	type seeder interface {
-		SeedARP(wire.IPAddr, simnet.MAC)
-	}
-	switch v := l.(type) {
-	case *Kernelized:
-		v.Inner().(seeder).SeedARP(ip, mac)
-	case seeder:
-		v.SeedARP(ip, mac)
-	}
-}
-
 func TestLatencyOrderingMatchesPaper(t *testing.T) {
-	linux := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) demi.LibOS {
+	linux := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) *catnip.LibOS {
 		return NewLinux(n, p, ip, EnvNative)
 	})
-	catnapSim := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) demi.LibOS {
+	catnapSim := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) *catnip.LibOS {
 		return NewCatnapSim(n, p, ip, EnvNative)
 	})
-	shenango := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) demi.LibOS {
+	shenango := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) *catnip.LibOS {
 		return NewShenango(n, p, ip)
 	})
-	caladan := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) demi.LibOS {
+	caladan := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) *catnip.LibOS {
 		return NewCaladan(n, p, ip)
 	})
 	t.Logf("linux=%v catnap=%v shenango=%v caladan=%v", linux, catnapSim, shenango, caladan)
@@ -125,10 +112,10 @@ func TestLatencyOrderingMatchesPaper(t *testing.T) {
 }
 
 func TestWSLSlowerThanNativeLinux(t *testing.T) {
-	native := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) demi.LibOS {
+	native := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) *catnip.LibOS {
 		return NewLinux(n, p, ip, EnvNative)
 	})
-	wsl := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) demi.LibOS {
+	wsl := echoRTT(t, func(n *sim.Node, p *dpdkdev.Port, ip wire.IPAddr) *catnip.LibOS {
 		return NewLinux(n, p, ip, EnvWSL)
 	})
 	if wsl <= native*2 {

@@ -66,10 +66,9 @@ func (h *Hist) Percentile(p float64) time.Duration {
 	return h.samples[idx]
 }
 
-// P50, P99, P999 and Max are convenience accessors.
-func (h *Hist) P50() time.Duration  { return h.Percentile(50) }
-func (h *Hist) P99() time.Duration  { return h.Percentile(99) }
-func (h *Hist) P999() time.Duration { return h.Percentile(99.9) }
+// P50 and P99 are convenience accessors.
+func (h *Hist) P50() time.Duration { return h.Percentile(50) }
+func (h *Hist) P99() time.Duration { return h.Percentile(99) }
 
 // Max returns the largest sample.
 func (h *Hist) Max() time.Duration {

@@ -176,7 +176,7 @@ func SysIOUring() System {
 	return System{Name: "io_uring", Build: func(tb *Testbed, n *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS {
 		port := tb.newDPDK(n, LinkDPDK())
 		k := baseline.NewIOUring(n, port, ip)
-		tb.trackCatnip(k.Inner().(*catnip.LibOS), ip, port.MAC())
+		tb.trackCatnip(k, ip, port.MAC())
 		if stor != nil {
 			panic("bench: storage not wired for io_uring")
 		}
@@ -192,18 +192,18 @@ func SysCatnap(env baseline.Env) System {
 // kernelSys is a kernel path over Catnip's stack at in-kernel costs: built
 // by build, or by buildStor when the stack has a storage log.
 func kernelSys(name string, env baseline.Env,
-	build func(*sim.Node, *dpdkdev.Port, wire.IPAddr, baseline.Env) *baseline.Kernelized,
-	buildStor func(*sim.Node, *dpdkdev.Port, wire.IPAddr, baseline.Env, demi.StorOS) *baseline.Kernelized) System {
+	build func(*sim.Node, *dpdkdev.Port, wire.IPAddr, baseline.Env) *catnip.LibOS,
+	buildStor func(*sim.Node, *dpdkdev.Port, wire.IPAddr, baseline.Env, demi.StorOS) *demi.Combined) System {
 	return System{Name: name, Build: func(tb *Testbed, n *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS {
 		port := tb.newDPDK(n, LinkDPDK())
-		var k *baseline.Kernelized
 		if stor != nil {
-			k = buildStor(n, port, ip, env, stor)
-		} else {
-			k = build(n, port, ip, env)
+			c := buildStor(n, port, ip, env, stor)
+			tb.trackCatnip(c.Net.(*catnip.LibOS), ip, port.MAC())
+			return c
 		}
-		tb.trackCatnip(components(k)[0].(*catnip.LibOS), ip, port.MAC())
-		return k
+		l := build(n, port, ip, env)
+		tb.trackCatnip(l, ip, port.MAC())
+		return l
 	}}
 }
 
@@ -277,7 +277,7 @@ func SysCatpaw() System {
 // SysERPC is the eRPC comparator over RDMA.
 func SysERPC() System {
 	return System{Name: "eRPC", Build: func(tb *Testbed, n *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS {
-		l := baseline.NewERPC(n, tb.newRDMA(n, LinkRDMA()), tb.Book).(*catmint.LibOS)
+		l := baseline.NewERPC(n, tb.newRDMA(n, LinkRDMA()), tb.Book)
 		l.RegisterAddr(wireAddr(ip))
 		return l
 	}}
@@ -301,7 +301,7 @@ func SysTxnStoreRDMA() System {
 func SysShenango() System {
 	return System{Name: "Shenango", Build: func(tb *Testbed, n *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS {
 		port := tb.newDPDK(n, LinkDPDK())
-		l := baseline.NewShenango(n, port, ip).(*catnip.LibOS)
+		l := baseline.NewShenango(n, port, ip)
 		tb.trackCatnip(l, ip, port.MAC())
 		return l
 	}}
@@ -312,7 +312,7 @@ func SysCaladan() System {
 	return System{Name: "Caladan", Build: func(tb *Testbed, n *sim.Node, ip wire.IPAddr, stor demi.StorOS) demi.LibOS {
 		// Caladan's OFED path has the RDMA engine's shallower NIC latency.
 		port := tb.newDPDK(n, LinkRDMA())
-		l := baseline.NewCaladan(n, port, ip).(*catnip.LibOS)
+		l := baseline.NewCaladan(n, port, ip)
 		tb.trackCatnip(l, ip, port.MAC())
 		return l
 	}}

@@ -201,17 +201,10 @@ type tokener interface {
 	Tokens() *core.TokenTable
 }
 
-// innerer matches the baseline wrappers (baseline.Kernelized).
-type innerer interface {
-	Inner() demi.Drivable
-}
-
 // components unwraps a stack's libOS into its constituent instrumented
-// parts: baseline wrappers are peeled, Combined splits into net + storage.
+// parts: Combined splits into net + storage.
 func components(os any) []any {
 	switch v := os.(type) {
-	case innerer:
-		return components(v.Inner())
 	case *demi.Combined:
 		return append(components(v.Net), components(v.Stor)...)
 	default:

@@ -58,7 +58,4 @@ func New(hub *Hub, node *sim.Node, ip wire.IPAddr) *LibOS {
 
 // Interface conformance: Catloop inherits the full PDPIX surface from the
 // embedded Catnip stack.
-var (
-	_ demi.LibOS    = (*LibOS)(nil)
-	_ demi.Drivable = (*LibOS)(nil)
-)
+var _ demi.LibOS = (*LibOS)(nil)

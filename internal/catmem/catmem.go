@@ -549,9 +549,5 @@ func (s *sockQueue) Connect(op *core.Op, addr core.Addr) error {
 	return nil
 }
 
-// Interface conformance: Catmem is a full PDPIX libOS and externally
-// drivable (baseline wrappers, chaos harness).
-var (
-	_ demi.LibOS    = (*LibOS)(nil)
-	_ demi.Drivable = (*LibOS)(nil)
-)
+// Interface conformance: Catmem is a full PDPIX libOS.
+var _ demi.LibOS = (*LibOS)(nil)

@@ -119,6 +119,21 @@ type FrontEnd struct {
 	qds      *QDescTable
 	queueCap int
 	timers   Timers
+	kernel   *Kernel // nil but behind a kernel
+}
+
+// Kernel is what a kernel between the application and the stack charges
+// (the Linux, io_uring and Catnap baselines: a system call per I/O call, a
+// wait and a wakeup, a copy each way, and the block layer on a log write;
+// PAPER.md §1 point 3). A zero cost is charged as nothing.
+type Kernel struct {
+	// Syscall is charged beside the libcall of every PDPIX call but Queue.
+	Syscall time.Duration
+	// Wait is charged on entering a wait (epoll_wait, or a reap of the
+	// completion ring) and again after each wakeup.
+	Wait time.Duration
+	// Wake is the wakeup of a thread that slept in a wait.
+	Wake time.Duration
 }
 
 // Init builds the front end of stack on host, in place: its wait loop
@@ -158,6 +173,32 @@ func (f *FrontEnd) Step() bool {
 // Block parks the host until new work may exist or the deadline passes. It
 // reports false when the host is stopping.
 func (f *FrontEnd) Block(deadline sim.Time) bool { return f.host.Park(deadline) }
+
+// BehindKernel puts the stack behind a kernel: from now on every call and
+// wait of its handles charges k, a push to a log also the kernel's block
+// layer and a copy in, and every pop redeemed a copy out. Call it before
+// As, DrivenBy or any call.
+func (f *FrontEnd) BehindKernel(k Kernel) {
+	f.kernel = &k
+	f.w.OnEnter = func() { f.host.Charge(k.Wait) }
+	f.w.OnWake = func() { f.host.Charge(k.Wake + k.Wait) }
+}
+
+// syscall charges, behind a kernel, the system call beside a PDPIX call's
+// libcall.
+func (f *FrontEnd) syscall() {
+	if f.kernel != nil {
+		f.host.Charge(f.kernel.Syscall)
+	}
+}
+
+// copyOut charges, behind a kernel, the copy of a redeemed pop's data to
+// the application.
+func (f *FrontEnd) copyOut(ev QEvent) {
+	if f.kernel != nil && ev.Op == OpPop {
+		f.host.Charge(costmodel.Memcpy(ev.SGA.TotalLen()))
+	}
+}
 
 // Now returns the host clock.
 func (f *FrontEnd) Now() sim.Time { return f.host.Now() }
@@ -217,6 +258,7 @@ func (f *FrontEnd) AttachDTrace(h *dtrace.Hop) { f.tokens.SetDTrace(h) }
 // enter starts a libcall on an existing descriptor.
 func (f *FrontEnd) enter(qd QDesc) (Queue, error) {
 	f.Libcall()
+	f.syscall()
 	q, ok := f.qds.Lookup(qd)
 	if !ok {
 		return nil, ErrBadQDesc
@@ -286,9 +328,23 @@ type Handle struct {
 	w Waiter // w.Tenant is the principal
 }
 
-// As returns tenant q's handle on the front end. Make it after any Adopt.
+// As returns tenant q's handle on the front end. Make it after any Adopt
+// or BehindKernel.
 func (f *FrontEnd) As(q Quota) *Handle {
-	return &Handle{f: f, q: q, w: Waiter{Table: f.tokens, Runner: f, Tenant: q.ID()}}
+	return &Handle{f: f, q: q, w: f.waiter(f, q.ID())}
+}
+
+// DrivenBy returns a host handle whose waits drive r in place of the front
+// end: demi.Combined steps both of its stacks while it waits. Make it after
+// any BehindKernel.
+func (f *FrontEnd) DrivenBy(r Runner) Handle {
+	return Handle{f: f, w: f.waiter(r, 0)}
+}
+
+// waiter is a wait loop over the front end's tokens for a new handle, with
+// the kernel's wait costs if there is one.
+func (f *FrontEnd) waiter(r Runner, tenant uint32) Waiter {
+	return Waiter{Table: f.tokens, Runner: r, Tenant: tenant, OnEnter: f.w.OnEnter, OnWake: f.w.OnWake}
 }
 
 // Heap returns the application heap (PDPIX malloc/free are Heap.Alloc and
@@ -385,6 +441,7 @@ func (h *Handle) own(qd QDesc) QDesc {
 func (h *Handle) Socket(t SockType) (QDesc, error) {
 	f := h.f
 	f.Libcall()
+	f.syscall()
 	q, err := f.stack.NewSocket(f.qds.Next(), t, h.w.Tenant)
 	if err != nil {
 		return InvalidQD, err
@@ -403,6 +460,7 @@ func (h *Handle) Queue() (QDesc, error) {
 func (h *Handle) Open(name string) (QDesc, error) {
 	f := h.f
 	f.Libcall()
+	f.syscall()
 	s, ok := f.stack.(LogStack)
 	if !ok {
 		return InvalidQD, ErrNotSupported
@@ -493,6 +551,7 @@ func (h *Handle) Close(qd QDesc) error {
 	}
 	f := h.f
 	f.Libcall()
+	f.syscall()
 	q, ok := f.qds.Remove(qd)
 	if h.q != nil && f.qds.disown(qd).flow {
 		h.q.ReleaseFlow()
@@ -517,12 +576,18 @@ func (h *Handle) PushTo(qd QDesc, sga SGArray, to Addr) (QToken, error) {
 	}
 	f := h.f
 	f.Libcall()
+	f.syscall()
 	if len(sga.Segs) == 0 {
 		return h.refused(pushCharge, ErrEmptySGA)
 	}
 	q, ok := f.qds.Lookup(qd)
 	if !ok {
 		return h.refused(pushCharge, ErrBadQDesc)
+	}
+	if f.kernel != nil {
+		if _, log := q.(Log); log {
+			f.host.Charge(costmodel.KernelBlockIO + costmodel.Memcpy(sga.TotalLen()))
+		}
 	}
 	op := h.mint()
 	op.Trace(sga.TraceCtx())
@@ -560,45 +625,50 @@ func (h *Handle) WaitAny(qts []QToken, timeout time.Duration) (int, QEvent, erro
 // exactly the events that were redeemed.
 func (h *Handle) WaitAll(qts []QToken, timeout time.Duration) ([]QEvent, error) {
 	events, err := h.w.WaitAll(qts, timeout)
-	if h.q != nil {
-		if err == ErrBadQToken {
-			h.q.NoteBadWait()
-		}
-		for _, ev := range events {
-			if ev.Op != OpInvalid {
-				h.settle(ev, nil)
-			}
+	if h.q != nil && err == ErrBadQToken {
+		h.q.NoteBadWait()
+	}
+	for _, ev := range events {
+		if ev.Op != OpInvalid {
+			h.redeemed(ev, nil)
 		}
 	}
 	return events, err
 }
 
-// TryTake redeems a completed qtoken without blocking (demi.Drivable). The
-// host's handle takes any principal's token: it is the trusted drivers'
-// path. A tenant's takes only its own.
-func (h *Handle) TryTake(qt QToken) (QEvent, bool, error) {
+// TryTake redeems a completed qtoken without blocking. The host's handle
+// takes any principal's token: it is the trusted drivers' path. A tenant's
+// takes only its own.
+func (h *Handle) TryTake(qt QToken) (ev QEvent, done bool, err error) {
 	if h.q == nil {
-		return h.f.tokens.TryTake(qt)
+		ev, done, err = h.f.tokens.TryTake(qt)
+	} else {
+		ev, done, err = h.f.tokens.TryTakeAs(qt, h.w.Tenant)
 	}
-	ev, done, err := h.f.tokens.TryTakeAs(qt, h.w.Tenant)
 	if done || err != nil {
-		h.settle(ev, err)
+		h.redeemed(ev, err)
 	}
 	return ev, done, err
 }
 
-// redeemed settles a tenant's redemption; the host has nothing to settle.
+// redeemed ends a redemption. The host's handle on a front end not behind
+// a kernel has nothing to settle.
 func (h *Handle) redeemed(ev QEvent, err error) {
-	if h.q != nil {
+	if h.q != nil || h.f.kernel != nil {
 		h.settle(ev, err)
 	}
 }
 
-// settle is a tenant's bookkeeping for one redemption: a refused one is
-// counted, and a redeemed event gives back its token and, for a failed
-// connect or accept, its flow. An accepted descriptor becomes the tenant's,
-// holding the flow reserved at Accept.
+// settle is the bookkeeping of one redemption: behind a kernel, the copy
+// out of a pop's data; for a tenant, a refused one is counted, and a
+// redeemed event gives back its token and, for a failed connect or accept,
+// its flow. An accepted descriptor becomes the tenant's, holding the flow
+// reserved at Accept.
 func (h *Handle) settle(ev QEvent, err error) {
+	h.f.copyOut(ev)
+	if h.q == nil {
+		return
+	}
 	if err != nil {
 		if err == ErrBadQToken {
 			h.q.NoteBadWait()

@@ -20,7 +20,9 @@ import (
 //     tenant's — is ErrBadQDesc, so probing one tells it nothing; then a
 //     flow (Connect, Accept) or push credit (Push, PushTo) over its quota,
 //     then an in-flight qtoken over it, is ErrTenantQuota;
-//  1. the libcall is charged;
+//  1. the libcall is charged, and on a front end behind a kernel
+//     (FrontEnd.BehindKernel) a system call beside it, on every call but
+//     Queue;
 //  2. a push with no segments is ErrEmptySGA;
 //  3. an unknown or closed descriptor is ErrBadQDesc;
 //  4. a capability the queue lacks (Accept on a connection, Connect on a

@@ -21,8 +21,9 @@ type Waiter struct {
 	// tokens — tenancy is strict equality, never a wildcard.
 	Tenant uint32
 	// OnEnter runs once per wait call, after the deadline is fixed; OnWake
-	// runs after every Block that returned true. The kernel-path baselines
-	// charge epoll_wait and wakeup latency there.
+	// runs after every Block that returned true. A front end behind a
+	// kernel (FrontEnd.BehindKernel) charges the kernel's wait and wakeup
+	// there; on any other they are nil.
 	OnEnter, OnWake func()
 	// rr rotates WaitAny's scan start across calls so a busy low-index
 	// token cannot starve the rest. A server holding one pop per

@@ -7,8 +7,9 @@ package demi_test
 // descriptor numbering as before, the offered buffer still the caller's.
 // core.FrontEnd is the only implementation; this table drives catnap,
 // catnip, catloop, catmint, catmem, cattree and demi.Combined through it,
-// and Catnip once more through two tenants' handles (core.Handle), and
-// requires the documented sentinel for every refusal.
+// Catnip once more through two tenants' handles (core.Handle), and Catnip
+// and Combined once more behind a kernel (the Linux baseline), and requires
+// the documented sentinel for every refusal.
 //
 // The token rows say what a qtoken is worth once it is not an outstanding
 // operation of the libOS it is shown to — redeemed, re-minted over, never
@@ -31,6 +32,7 @@ import (
 	"testing"
 	"time"
 
+	"demikernel/internal/baseline"
 	"demikernel/internal/catloop"
 	"demikernel/internal/catmem"
 	"demikernel/internal/catmint"
@@ -203,20 +205,19 @@ func worlds(t *testing.T) []world {
 			cli: &endpoint{os: l, tables: []*core.TokenTable{l.Tokens()}, shared: l}, run: simRun(eng, nil, n),
 			foreign: func() core.QToken { return must(l2.Pop(must(l2.Queue()))) }})
 	}
+	ws = append(ws, combinedWorld("combined", 56, nil))
 	{
-		eng := sim.NewEngine(56)
+		// The kernel path (internal/baseline): the same stacks, behind a
+		// kernel's costs.
+		eng := sim.NewEngine(59)
 		srv, cli := catnipPair(eng)
-		mk := func(l *catnip.LibOS) *endpoint {
-			n := l.Node()
-			c := demi.NewCombined(l, cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<16)))
-			// Combined has no tenant handle: shared is its network side,
-			// whose tables it shares.
-			return &endpoint{os: c, tables: []*core.TokenTable{c.Tokens()}, queues: l.Queues(), addr: l.Addr(7000), shared: l}
-		}
-		ws = append(ws, world{name: "combined", logs: true, listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
-			srv: mk(srv), cli: mk(cli),
+		srv.BehindKernel(linux)
+		cli.BehindKernel(linux)
+		ws = append(ws, world{name: "linux", listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
+			srv: plain(srv, srv.Addr(7000)), cli: plain(cli, cli.Addr(7000)),
 			run: simRun(eng, srv.Node(), cli.Node())})
 	}
+	ws = append(ws, combinedWorld("linux-combined", 60, &linux))
 	{
 		// Catnap runs on the real OS: two instances over loopback TCP, one
 		// application thread each.
@@ -236,6 +237,31 @@ func worlds(t *testing.T) []world {
 			}})
 	}
 	return ws
+}
+
+// linux is the kernel the kernel-path worlds are behind.
+var linux = baseline.LinuxKernel(baseline.EnvNative)
+
+// combinedWorld is a Catnip×Cattree pair, both stacks of each node behind k
+// if it is set.
+func combinedWorld(name string, seed uint64, k *core.Kernel) world {
+	eng := sim.NewEngine(seed)
+	srv, cli := catnipPair(eng)
+	mk := func(l *catnip.LibOS) *endpoint {
+		n := l.Node()
+		stor := cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<16))
+		if k != nil {
+			l.BehindKernel(*k)
+			stor.BehindKernel(*k)
+		}
+		c := demi.NewCombined(l, stor)
+		// Combined has no tenant handle: shared is its network side,
+		// whose tables it shares.
+		return &endpoint{os: c, tables: []*core.TokenTable{c.Tokens()}, queues: l.Queues(), addr: l.Addr(7000), shared: l}
+	}
+	return world{name: name, logs: true, listener: "*catnip.tcpListener", conn: "*catnip.tcpConn",
+		srv: mk(srv), cli: mk(cli),
+		run: simRun(eng, srv.Node(), cli.Node())}
 }
 
 // must unwraps a set-up call that has no reason to fail.
@@ -673,7 +699,7 @@ func TestPDPIXContract(t *testing.T) {
 				os := a.os
 				a.refusals(w)
 				a.tokenRows(foreign)
-				if w.name != "combined" { // Combined has no tenant handle
+				if _, combined := os.(*demi.Combined); !combined { // Combined has no tenant handle
 					a.foreignRows()
 				}
 				if w.srv != nil {

@@ -10,10 +10,7 @@
 package demi
 
 import (
-	"time"
-
 	"demikernel/internal/core"
-	"demikernel/internal/memory"
 	"demikernel/internal/sched"
 	"demikernel/internal/sim"
 )
@@ -28,20 +25,21 @@ type LibOS interface {
 
 // StorageOS is cursor control and log truncation beyond plain push/pop.
 // Every library OS answers it through its front end (core.FrontEnd), with
-// ErrNotSupported on a descriptor that is not a log; so do Combined and the
-// kernel-path baselines.
+// ErrNotSupported on a descriptor that is not a log; so does Combined.
 type StorageOS interface {
 	Seek(qd core.QDesc, offset int64) error
 	Truncate(qd core.QDesc) error
 }
 
 // NetOS is the libOS-internal contract Combined needs from a network
-// libOS (Catnip or Catmint satisfy it): the tables its storage side adopts.
+// libOS (Catnip or Catmint satisfy it): the tables its storage side adopts,
+// and a host handle that waits by stepping the Combined.
 type NetOS interface {
 	LibOS
 	StorageOS
 	Tokens() *core.TokenTable
 	Queues() *core.QDescTable
+	DrivenBy(r core.Runner) core.Handle
 	Step() bool
 	Block(deadline sim.Time) bool
 	Now() sim.Time
@@ -51,6 +49,7 @@ type NetOS interface {
 type StorOS interface {
 	LibOS
 	Adopt(tokens *core.TokenTable, qds *core.QDescTable)
+	BehindKernel(k core.Kernel)
 	Step() bool
 	Mount() error
 }
@@ -62,72 +61,34 @@ type SchedStatser interface {
 	SchedStats() sched.Stats
 }
 
-// Drivable is a libOS whose wait loop can be driven externally (the
-// baseline wrappers run core.Waiter over its token table to charge
-// kernel-path costs). Combined and the network libOSes satisfy it.
-type Drivable interface {
-	LibOS
-	StorageOS
-	Tokens() *core.TokenTable
-	TryTake(qt core.QToken) (core.QEvent, bool, error)
-	Step() bool
-	Block(deadline sim.Time) bool
-	Now() sim.Time
-}
-
 // Combined is a network×storage datapath OS on one node: the storage libOS
 // issues its tokens and descriptors from the network libOS's tables, so the
-// two stacks are one namespace behind one wait loop.
+// two stacks are one namespace behind one wait loop. Every PDPIX call but
+// Open and a log's Push is the embedded handle's: the network front end's
+// host handle, whose waits step the Combined.
 type Combined struct {
+	core.Handle
 	Net  NetOS
 	Stor StorOS
 	// pollNetNext alternates the fast path between devices.
 	pollNetNext bool
-	// waiter is the wait loop over the shared token table.
-	waiter core.Waiter
 }
 
 // NewCombined integrates a network and a storage libOS running on the same
-// node. stor must not have issued a token or a descriptor yet.
+// node. stor must not have issued a token or a descriptor yet; a kernel the
+// two stacks are behind must be in place already.
 func NewCombined(net NetOS, stor StorOS) *Combined {
 	stor.Adopt(net.Tokens(), net.Queues())
 	c := &Combined{Net: net, Stor: stor}
-	c.waiter = core.Waiter{Table: net.Tokens(), Runner: c}
+	c.Handle = net.DrivenBy(c)
 	return c
 }
-
-// Heap returns the network libOS's DMA heap (shared by convention: the
-// paper backs both devices from one allocator).
-func (c *Combined) Heap() *memory.Heap { return c.Net.Heap() }
 
 // Mount recovers the storage log (control path).
 func (c *Combined) Mount() error { return c.Stor.Mount() }
 
 // Tokens returns the shared token table.
 func (c *Combined) Tokens() *core.TokenTable { return c.Net.Tokens() }
-
-// --- PDPIX: one namespace, so every call but Open and a log's Push is the
-// network front end's ---
-
-// Socket creates a network socket.
-func (c *Combined) Socket(t core.SockType) (core.QDesc, error) { return c.Net.Socket(t) }
-
-// Bind binds a network socket.
-func (c *Combined) Bind(qd core.QDesc, a core.Addr) error { return c.Net.Bind(qd, a) }
-
-// Listen starts a listener.
-func (c *Combined) Listen(qd core.QDesc, backlog int) error { return c.Net.Listen(qd, backlog) }
-
-// Accept asks for an inbound connection.
-func (c *Combined) Accept(qd core.QDesc) (core.QToken, error) { return c.Net.Accept(qd) }
-
-// Connect initiates a connection.
-func (c *Combined) Connect(qd core.QDesc, a core.Addr) (core.QToken, error) {
-	return c.Net.Connect(qd, a)
-}
-
-// Queue creates an in-memory queue.
-func (c *Combined) Queue() (core.QDesc, error) { return c.Net.Queue() }
 
 // Open opens a storage log.
 func (c *Combined) Open(name string) (core.QDesc, error) { return c.Stor.Open(name) }
@@ -138,25 +99,14 @@ func (c *Combined) Seek(qd core.QDesc, off int64) error { return c.Net.Seek(qd, 
 // Truncate garbage-collects a log.
 func (c *Combined) Truncate(qd core.QDesc) error { return c.Net.Truncate(qd) }
 
-// Close releases a queue.
-func (c *Combined) Close(qd core.QDesc) error { return c.Net.Close(qd) }
-
 // Push submits outbound data. A push to a log goes through the storage
 // libOS, so that a decorator of StorOS sees the durable writes.
 func (c *Combined) Push(qd core.QDesc, sga core.SGArray) (core.QToken, error) {
 	if c.IsStorageQD(qd) {
 		return c.Stor.Push(qd, sga)
 	}
-	return c.Net.Push(qd, sga)
+	return c.Handle.Push(qd, sga)
 }
-
-// PushTo submits a datagram; a log refuses it like any stream queue.
-func (c *Combined) PushTo(qd core.QDesc, sga core.SGArray, to core.Addr) (core.QToken, error) {
-	return c.Net.PushTo(qd, sga, to)
-}
-
-// Pop asks for the next inbound data.
-func (c *Combined) Pop(qd core.QDesc) (core.QToken, error) { return c.Net.Pop(qd) }
 
 // IsStorageQD reports whether qd is an open log.
 func (c *Combined) IsStorageQD(qd core.QDesc) bool {
@@ -166,11 +116,6 @@ func (c *Combined) IsStorageQD(qd core.QDesc) bool {
 }
 
 // --- Integrated wait machinery ---
-
-// TryTake redeems a completed token without blocking.
-func (c *Combined) TryTake(qt core.QToken) (core.QEvent, bool, error) {
-	return c.Net.Tokens().TryTake(qt)
-}
 
 // Step alternates the two stacks' fast paths (paper §5.5: round-robin CPU
 // between network and storage I/O given no pending work).
@@ -202,17 +147,4 @@ func (c *Combined) SchedStats() sched.Stats {
 		}
 	}
 	return total
-}
-
-// Wait blocks until qt completes.
-func (c *Combined) Wait(qt core.QToken) (core.QEvent, error) { return c.waiter.Wait(qt) }
-
-// WaitAny blocks until one of qts completes.
-func (c *Combined) WaitAny(qts []core.QToken, timeout time.Duration) (int, core.QEvent, error) {
-	return c.waiter.WaitAny(qts, timeout)
-}
-
-// WaitAll blocks until every token completes.
-func (c *Combined) WaitAll(qts []core.QToken, timeout time.Duration) ([]core.QEvent, error) {
-	return c.waiter.WaitAll(qts, timeout)
 }

@@ -174,7 +174,7 @@ func AttachQueues(sw *simnet.Switch, node *sim.Node, link simnet.LinkParams, cfg
 	p.fltResets = p.reg.Counter("dpdk.fault_resets")
 	for i := 0; i < nq; i++ {
 		p.queues = append(p.queues, &Queue{
-			port: p, id: i, owner: node, rxLimit: cfg.RxRing,
+			port: p, owner: node, rxLimit: cfg.RxRing,
 			tel: newQueueCounters(p.reg, i),
 		})
 	}
@@ -282,7 +282,6 @@ const wireHeaderLen = 14
 // arrive on one queue, so queues never share connection state.
 type Queue struct {
 	port    *Port
-	id      int
 	owner   *sim.Node
 	ring    sim.Ring[simnet.Frame]
 	burst   []*Mbuf // RxBurst's result, reused by the next call
@@ -290,12 +289,6 @@ type Queue struct {
 	rxLimit int
 	tel     queueCounters
 }
-
-// ID returns the queue index.
-func (q *Queue) ID() int { return q.id }
-
-// Port returns the owning port.
-func (q *Queue) Port() *Port { return q.port }
 
 // MAC returns the port's Ethernet address (shared by all queues).
 func (q *Queue) MAC() simnet.MAC { return q.port.MAC() }

@@ -74,9 +74,6 @@ func NewPlan(seed uint64) *Plan {
 	}
 }
 
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 { return p.seed }
-
 // Telemetry returns the registry holding one "faults.<name>" counter per
 // site, for asserting fault coverage and for determinism dumps.
 func (p *Plan) Telemetry() *telemetry.Registry { return p.reg }

@@ -80,10 +80,6 @@ func (b *Buf) TryFree() error {
 	return nil
 }
 
-// Tenant returns the id of the tenant region the buffer was allocated
-// from (0 = the host tenant).
-func (b *Buf) Tenant() uint32 { return b.sb.tenant }
-
 // IORef takes a library-OS reference on the buffer. The first reference
 // sets the bitmap bit; further concurrent references are counted in the
 // superblock's reference table, one counter per slot.

@@ -366,12 +366,6 @@ func (n *NIC) PollCQ(max int) []CQE {
 	return out
 }
 
-// CQPending reports whether completions are waiting (after draining rx).
-func (n *NIC) CQPending() bool {
-	n.drainPort()
-	return len(n.cq) > 0
-}
-
 // drainPort processes every frame waiting in the rx ring.
 func (n *NIC) drainPort() {
 	for {

@@ -51,9 +51,6 @@ func NewDispatcher(eng *sim.Engine, workers int, policy Policy, queueCap int) *D
 	}
 }
 
-// Policy returns the admission policy.
-func (d *Dispatcher) Policy() Policy { return d.policy }
-
 // Load returns the instantaneous outstanding-request count: queued plus in
 // service. This is the load signal a rack server piggybacks to the ToR on
 // every reply (RackSched's per-server state).

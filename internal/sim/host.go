@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // A Host is a simulated machine owning several virtual CPUs. Each core is
 // an ordinary Node — independently charged, parked and woken — so the
@@ -13,8 +10,6 @@ import (
 // Shared-nothing multi-core stacks (internal/multicore) run one libOS per
 // core; the host is only the grouping for attachment and accounting.
 type Host struct {
-	eng   *Engine
-	name  string
 	cores []*Node
 }
 
@@ -24,30 +19,15 @@ func (e *Engine) NewHost(name string, cores int) *Host {
 	if cores < 1 {
 		panic("sim: host needs at least one core")
 	}
-	h := &Host{eng: e, name: name}
+	h := &Host{}
 	for i := 0; i < cores; i++ {
 		h.cores = append(h.cores, e.NewNode(fmt.Sprintf("%s/cpu%d", name, i)))
 	}
 	return h
 }
 
-// Name returns the host's diagnostic name.
-func (h *Host) Name() string { return h.name }
-
-// NumCores returns the number of virtual CPUs.
-func (h *Host) NumCores() int { return len(h.cores) }
-
 // Core returns the i-th virtual CPU.
 func (h *Host) Core(i int) *Node { return h.cores[i] }
 
 // Cores returns all virtual CPUs in core order.
 func (h *Host) Cores() []*Node { return h.cores }
-
-// Busy returns the total virtual CPU time charged across all cores.
-func (h *Host) Busy() time.Duration {
-	var total time.Duration
-	for _, c := range h.cores {
-		total += c.Busy()
-	}
-	return total
-}

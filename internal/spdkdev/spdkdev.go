@@ -369,9 +369,6 @@ func (d *Device) PollCompletions(max int) []Completion {
 	return d.polled
 }
 
-// CQPending reports whether completions are waiting.
-func (d *Device) CQPending() bool { return len(d.cq) > 0 }
-
 // CloneBlocksInto copies this device's durable contents into another
 // device, modelling the same physical disk attached after a host restart
 // (the destination usually belongs to a fresh simulation). It copies whole
