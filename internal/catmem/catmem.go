@@ -479,9 +479,6 @@ func (s *sockQueue) Listen(backlog int) error {
 	return nil
 }
 
-// Close releases an unconnected socket; it holds nothing.
-func (s *sockQueue) Close() {}
-
 // Accept asks for the next rendezvous.
 func (ln *listener) Accept(op *core.Op) error {
 	ln.rx.Park(op, ln.qd, core.OpAccept)

@@ -67,9 +67,8 @@ const msgHeaderLen = 9
 // listens on and dials.
 const cmPort = 1
 
-// Stats counts libOS activity. It is a snapshot view: the live counters are
-// registry-backed (Telemetry()), and Stats() rebuilds this struct from them
-// so pre-registry callers keep working.
+// Stats counts libOS activity. Each count is exported by pointer through
+// the libOS's registry (Telemetry()) under the name publish gives it.
 type Stats struct {
 	Sends, Recvs     uint64
 	CreditStalls     uint64
@@ -79,34 +78,21 @@ type Stats struct {
 	ConnectsAccepted uint64
 	MessagesTooLarge uint64
 	RecvBufsReposted uint64
+	LinkFailures     uint64
 }
 
-// counters are the live registry-backed equivalents of Stats.
-type counters struct {
-	sends, recvs     *telemetry.Counter
-	creditStalls     *telemetry.Counter
-	windowWrites     *telemetry.Counter
-	zeroCopyTx       *telemetry.Counter
-	copiedTx         *telemetry.Counter
-	connectsAccepted *telemetry.Counter
-	messagesTooLarge *telemetry.Counter
-	recvBufsReposted *telemetry.Counter
-	linkFailures     *telemetry.Counter
-}
-
-func newCounters(reg *telemetry.Registry) counters {
-	return counters{
-		sends:            reg.Counter("catmint.sends"),
-		recvs:            reg.Counter("catmint.recvs"),
-		creditStalls:     reg.Counter("catmint.credit_stalls"),
-		windowWrites:     reg.Counter("catmint.window_writes"),
-		zeroCopyTx:       reg.Counter("catmint.tx_zero_copy"),
-		copiedTx:         reg.Counter("catmint.tx_copied"),
-		connectsAccepted: reg.Counter("catmint.connects_accepted"),
-		messagesTooLarge: reg.Counter("catmint.messages_too_large"),
-		recvBufsReposted: reg.Counter("catmint.recv_bufs_reposted"),
-		linkFailures:     reg.Counter("catmint.link_failures"),
-	}
+// publish registers every count of s with reg.
+func (s *Stats) publish(reg *telemetry.Registry) {
+	reg.Count("catmint.sends", &s.Sends)
+	reg.Count("catmint.recvs", &s.Recvs)
+	reg.Count("catmint.credit_stalls", &s.CreditStalls)
+	reg.Count("catmint.window_writes", &s.WindowWrites)
+	reg.Count("catmint.tx_zero_copy", &s.ZeroCopyTx)
+	reg.Count("catmint.tx_copied", &s.CopiedTx)
+	reg.Count("catmint.connects_accepted", &s.ConnectsAccepted)
+	reg.Count("catmint.messages_too_large", &s.MessagesTooLarge)
+	reg.Count("catmint.recv_bufs_reposted", &s.RecvBufsReposted)
+	reg.Count("catmint.link_failures", &s.LinkFailures)
 }
 
 // LibOS is a Catmint instance for one node + RDMA NIC.
@@ -120,7 +106,7 @@ type LibOS struct {
 	links      map[simnet.MAC]*peerLink
 	listeners  map[uint16]*listener
 	nextConnID uint32
-	stats      counters
+	stats      Stats
 }
 
 // New builds a Catmint libOS on an RDMA NIC. The application heap registers
@@ -137,7 +123,7 @@ func New(node *sim.Node, nic *rdmadev.NIC, cfg Config) *LibOS {
 		listeners: make(map[uint16]*listener),
 	}
 	reg := telemetry.NewRegistry(node.Name() + "/catmint")
-	l.stats = newCounters(reg)
+	l.stats.publish(reg)
 	l.FrontEnd.Init(l, node, memory.NewHeap(nic.RegisterMemory), reg, 0)
 	l.Heap().PublishTelemetry(reg, "mem")
 	sc := l.Sched()
@@ -158,20 +144,8 @@ func (l *LibOS) Node() *sim.Node { n, _ := l.Host().(*sim.Node); return n }
 // MAC returns the NIC address (Catmint endpoints are addressed by MAC).
 func (l *LibOS) MAC() simnet.MAC { return l.nic.MAC() }
 
-// Stats returns a snapshot rebuilt from the registry-backed counters.
-func (l *LibOS) Stats() Stats {
-	return Stats{
-		Sends:            l.stats.sends.Value(),
-		Recvs:            l.stats.recvs.Value(),
-		CreditStalls:     l.stats.creditStalls.Value(),
-		WindowWrites:     l.stats.windowWrites.Value(),
-		ZeroCopyTx:       l.stats.zeroCopyTx.Value(),
-		CopiedTx:         l.stats.copiedTx.Value(),
-		ConnectsAccepted: l.stats.connectsAccepted.Value(),
-		MessagesTooLarge: l.stats.messagesTooLarge.Value(),
-		RecvBufsReposted: l.stats.recvBufsReposted.Value(),
-	}
-}
+// Stats returns the libOS's counts.
+func (l *LibOS) Stats() Stats { return l.stats }
 
 // peerLink is the multiplexed transport to one remote device: one QP, a
 // credit table each way, and the per-link flow-control coroutine.
@@ -318,7 +292,7 @@ func (pl *peerLink) fail(err error) {
 	if l.links[pl.remote] == pl {
 		delete(l.links, pl.remote)
 	}
-	l.stats.linkFailures.Inc()
+	l.stats.LinkFailures++
 	for _, ps := range pl.pendingSends {
 		for _, b := range ps.sga.Segs {
 			b.IOUnref()
@@ -357,7 +331,7 @@ func (l *LibOS) postRecv(pl *peerLink) {
 	buf.IORef() // owned by the device until a CQE hands it back
 	pl.qp.PostRecv(buf, pl)
 	pl.posted++
-	l.stats.recvBufsReposted.Inc()
+	l.stats.RecvBufsReposted++
 }
 
 // flowCo is a link's flow-control coroutine: the link itself under a
@@ -390,7 +364,7 @@ func (pl *peerLink) pollFlow(ctx *sched.Context) sched.Poll {
 			pl.fail(err)
 			return sched.Done
 		}
-		l.stats.windowWrites.Inc()
+		l.stats.WindowWrites++
 	}
 	return sched.Pending
 }
@@ -406,7 +380,7 @@ func (pl *peerLink) drainPending() {
 	l := pl.lib
 	for len(pl.pendingSends) > 0 {
 		if pl.credits() <= 0 {
-			l.stats.creditStalls.Inc()
+			l.stats.CreditStalls++
 			return
 		}
 		ps := pl.pendingSends[0]
@@ -417,10 +391,10 @@ func (pl *peerLink) drainPending() {
 		for _, b := range ps.sga.Segs {
 			if b.ZeroCopyEligible() {
 				b.Rkey() // get_rkey: lazy registration on first I/O
-				l.stats.zeroCopyTx.Inc()
+				l.stats.ZeroCopyTx++
 			} else {
 				l.Charge(costmodel.Memcpy(b.Len()))
-				l.stats.copiedTx.Inc()
+				l.stats.CopiedTx++
 			}
 			segs = append(segs, b.Bytes())
 		}
@@ -435,7 +409,7 @@ func (pl *peerLink) drainPending() {
 			pl.fail(err)
 			return
 		}
-		l.stats.sends.Inc()
+		l.stats.Sends++
 	}
 }
 
@@ -457,7 +431,7 @@ func (l *LibOS) handleCQE(cqe rdmadev.CQE) {
 		if pl.posted < l.cfg.RefillThreshold {
 			pl.flowH.Wake()
 		}
-		l.stats.recvs.Inc()
+		l.stats.Recvs++
 		l.handleMessage(pl, cqe.Buf, cqe.Len)
 	case rdmadev.OpQPErr:
 		// The remote QP failed and NAKed us: tear the link down so every
@@ -508,7 +482,7 @@ func (l *LibOS) handleMessage(pl *peerLink, buf *memory.Buf, length int) {
 		c := &conn{lib: l, link: pl, localID: l.nextConnID, peerID: connID, open: true}
 		pl.conns[c.localID] = c
 		pl.send(buildHeader(msgAccept, connID, c.localID), core.SGArray{}, nil, core.InvalidQD)
-		l.stats.connectsAccepted.Inc()
+		l.stats.ConnectsAccepted++
 		ln.rx.Arrive(c) // cannot refuse: a closed listener has left the table
 		ln.match()
 		buf.IOUnref()

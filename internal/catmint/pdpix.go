@@ -40,7 +40,7 @@ func (c *conn) Push(op *core.Op, sga core.SGArray, to core.Addr) error {
 	case !c.open && c.connectOp == nil:
 		op.Fail(c.qd, core.OpPush, core.ErrQueueClosed)
 	case sga.TotalLen() > l.cfg.MaxMsgSize:
-		l.stats.messagesTooLarge.Inc()
+		l.stats.MessagesTooLarge++
 		op.Fail(c.qd, core.OpPush, core.ErrNotSupported)
 	default:
 		for _, b := range sga.Segs {
@@ -167,6 +167,3 @@ func (s *socket) Connect(op *core.Op, addr core.Addr) error {
 	pl.send(buildHeader(msgConnect, c.localID, uint32(addr.Port)), core.SGArray{}, nil, core.InvalidQD)
 	return nil
 }
-
-// Close releases an unconnected socket; it holds nothing.
-func (s *socket) Close() {}

@@ -306,9 +306,6 @@ func (s *sockQueue) Listen(backlog int) error {
 	return nil
 }
 
-// Close releases an unbound socket; it holds nothing.
-func (s *sockQueue) Close() {}
-
 // Accept asks for the next inbound connection.
 func (lq *listenQueue) Accept(op *core.Op) error {
 	lq.rx.Park(op, lq.qd, core.OpAccept)

@@ -503,6 +503,44 @@ func TestUDPToClosedPortIsDropped(t *testing.T) {
 	}
 }
 
+// TestUDPConnectedPush: Connect fixes a datagram socket's destination, so
+// a plain Push, with no address of its own, reaches the peer.
+func TestUDPConnectedPush(t *testing.T) {
+	eng, la, lb := pair(t, 12, simnet.DefaultLink(), true)
+	var got []byte
+	var from core.Addr
+	eng.Spawn(lb.Node(), func() {
+		qd, _ := lb.Socket(core.SockDgram)
+		lb.Bind(qd, lb.Addr(53))
+		pqt, _ := lb.Pop(qd)
+		if ev, err := lb.Wait(pqt); err == nil {
+			got, from = ev.SGA.Flatten(), ev.From
+		}
+	})
+	eng.Spawn(la.Node(), func() {
+		qd, _ := la.Socket(core.SockDgram)
+		cqt, err := la.Connect(qd, core.Addr{IP: ipB, Port: 53})
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		if ev, err := la.Wait(cqt); err != nil || ev.Err != nil {
+			t.Errorf("connect: %v %v", err, ev.Err)
+			return
+		}
+		if ev, err := la.Wait(push(t, la, qd, []byte("connected"))); err != nil || ev.Err != nil {
+			t.Errorf("push on a connected socket: %v %v", err, ev.Err)
+		}
+	})
+	eng.Run()
+	if string(got) != "connected" {
+		t.Fatalf("peer got %q, want %q", got, "connected")
+	}
+	if from.IP != ipA {
+		t.Errorf("from = %v, want %v", from, ipA)
+	}
+}
+
 func TestMemQueue(t *testing.T) {
 	eng, la, _ := pair(t, 11, simnet.DefaultLink(), true)
 	var got []byte

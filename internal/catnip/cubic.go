@@ -80,9 +80,6 @@ func (c *cubic) onLoss() {
 	c.haveEpoch = false
 }
 
-// exitRecovery completes NewReno-style recovery (window already reduced).
-func (c *cubic) exitRecovery() {}
-
 // onTimeout collapses the window after an RTO (RFC 5681 §3.1).
 func (c *cubic) onTimeout() {
 	c.wMax = c.w

@@ -100,9 +100,6 @@ func (s *tcpSocket) Connect(op *core.Op, addr core.Addr) error {
 	return nil
 }
 
-// Close releases an unconnected socket; it holds nothing.
-func (s *tcpSocket) Close() {}
-
 // tcpListener is the queue state of a listening socket.
 type tcpListener struct {
 	core.Unconnected

@@ -251,7 +251,6 @@ func (c *tcpConn) processAck(h wire.TCPHeader, payloadLen int) {
 		if c.inRecovery {
 			if seqGE(c.sndUna, c.recoverSeq) {
 				c.inRecovery = false
-				c.cc.exitRecovery()
 			}
 		} else {
 			c.cc.onAck(int(acked), c.lib.Now())

@@ -44,9 +44,8 @@ const recordHeaderLen = 16
 // castagnoli is the CRC-32C table of record checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Stats counts libOS activity. It is a snapshot view: the live counters are
-// registry-backed (Telemetry()), and Stats() rebuilds this struct from them
-// so pre-registry callers keep working.
+// Stats counts libOS activity. Each count is exported by pointer through
+// the libOS's registry (Telemetry()) under the name publish gives it.
 type Stats struct {
 	Appends, Reads uint64
 	BytesAppended  uint64
@@ -54,22 +53,13 @@ type Stats struct {
 	RecoveredRecs  uint64
 }
 
-// counters are the live registry-backed equivalents of Stats.
-type counters struct {
-	appends, reads *telemetry.Counter
-	bytesAppended  *telemetry.Counter
-	truncates      *telemetry.Counter
-	recoveredRecs  *telemetry.Counter
-}
-
-func newCounters(reg *telemetry.Registry) counters {
-	return counters{
-		appends:       reg.Counter("cattree.appends"),
-		reads:         reg.Counter("cattree.reads"),
-		bytesAppended: reg.Counter("cattree.bytes_appended"),
-		truncates:     reg.Counter("cattree.truncates"),
-		recoveredRecs: reg.Counter("cattree.recovered_recs"),
-	}
+// publish registers every count of s with reg.
+func (s *Stats) publish(reg *telemetry.Registry) {
+	reg.Count("cattree.appends", &s.Appends)
+	reg.Count("cattree.reads", &s.Reads)
+	reg.Count("cattree.bytes_appended", &s.BytesAppended)
+	reg.Count("cattree.truncates", &s.Truncates)
+	reg.Count("cattree.recovered_recs", &s.RecoveredRecs)
 }
 
 // Partitioning constants: partition 0 holds the directory; the rest of
@@ -97,7 +87,7 @@ type LibOS struct {
 	nParts  int
 	dirTail int64
 	recs    []*appendRec // append records between appends
-	stats   counters
+	stats   Stats
 }
 
 // New builds a Cattree libOS on a device. The logs are assumed empty; call
@@ -108,7 +98,7 @@ func New(node *sim.Node, dev *spdkdev.Device) *LibOS {
 		parts: make(map[string]*partition),
 	}
 	reg := telemetry.NewRegistry(node.Name() + "/cattree")
-	l.stats = newCounters(reg)
+	l.stats.publish(reg)
 	l.FrontEnd.Init(l, node, memory.NewHeap(nil), reg, 0)
 	l.Heap().PublishTelemetry(reg, "mem")
 	sc := l.Sched()
@@ -198,16 +188,8 @@ func padding(n int) []byte {
 // an application on it), or nil when its host is not a simulated one.
 func (l *LibOS) Node() *sim.Node { n, _ := l.Host().(*sim.Node); return n }
 
-// Stats returns a snapshot.
-func (l *LibOS) Stats() Stats {
-	return Stats{
-		Appends:       l.stats.appends.Value(),
-		Reads:         l.stats.reads.Value(),
-		BytesAppended: l.stats.bytesAppended.Value(),
-		Truncates:     l.stats.truncates.Value(),
-		RecoveredRecs: l.stats.recoveredRecs.Value(),
-	}
-}
+// Stats returns the libOS's counts.
+func (l *LibOS) Stats() Stats { return l.stats }
 
 // TailBlock returns the first free block of the named log (its end), or
 // zero for an unknown name.
@@ -354,8 +336,8 @@ func (r *appendRec) done(c spdkdev.Completion) {
 		op.Fail(qd, core.OpPush, c.Err)
 		return
 	}
-	l.stats.appends.Inc()
-	l.stats.bytesAppended.Add(uint64(n))
+	l.stats.Appends++
+	l.stats.BytesAppended += uint64(n)
 	op.Complete(core.QEvent{QD: qd, Op: core.OpPush})
 }
 
@@ -412,7 +394,7 @@ func (lq *logQueue) finishPop(op *core.Op, rel int64, data []byte) {
 		return
 	}
 	lq.curBlock = rel + int64(blocksFor(len(payload)))
-	lq.lib.stats.reads.Inc()
+	lq.lib.stats.Reads++
 	buf := memory.CopyFrom(lq.lib.Heap(), payload)
 	op.Complete(core.QEvent{QD: lq.qd, Op: core.OpPop, SGA: core.SGA(buf)})
 }
@@ -434,7 +416,7 @@ func (lq *logQueue) Truncate() error {
 	// Persist the new generation so recovery ignores pre-truncate records.
 	idx := int((p.base - dirBlocks) / l.partitionSize())
 	l.appendDirRecord(idx, p.gen, p.name)
-	l.stats.truncates.Inc()
+	l.stats.Truncates++
 	return nil
 }
 
@@ -507,7 +489,7 @@ func (l *LibOS) Mount() error {
 		if idx+1 > l.nParts {
 			l.nParts = idx + 1
 		}
-		l.stats.recoveredRecs.Inc()
+		l.stats.RecoveredRecs++
 	}
 	// Scan each named log for its tail, in sorted name order so recovery
 	// issues device reads in the same order on every run.
@@ -528,7 +510,7 @@ func (l *LibOS) Mount() error {
 				break
 			}
 			p.tail += blocks
-			l.stats.recoveredRecs.Inc()
+			l.stats.RecoveredRecs++
 		}
 	}
 	return nil

@@ -64,6 +64,10 @@ func (Unconnected) Push(_ *Op, _ SGArray, to Addr) error {
 // Pop refuses: there is no peer.
 func (Unconnected) Pop(*Op) error { return ErrNotBound }
 
+// Close releases nothing: an unconnected socket holds nothing. Listeners,
+// which hold a port and parked accepts, have their own.
+func (Unconnected) Close() {}
+
 // Host is the machine a library OS runs on: a clock, a CPU its work is
 // charged to, and a way to wait for the next event. A *sim.Node is one host
 // (virtual time, modelled costs); Catnap's real OS is the other (the wall

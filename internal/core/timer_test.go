@@ -38,10 +38,12 @@ func sleepers(n int) (*sched.Scheduler, []sched.Waker, func() []int) {
 			return sched.Pending
 		}))
 	}
-	s.RunUntilIdle(n)
+	for s.RunOne() {
+	}
 	return s, ws, func() []int {
 		clear(polls)
-		s.RunUntilIdle(1 << 20)
+		for s.RunOne() {
+		}
 		var ran []int
 		for i, p := range polls {
 			if p > 0 {

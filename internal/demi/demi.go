@@ -51,7 +51,6 @@ type StorOS interface {
 	Adopt(tokens *core.TokenTable, qds *core.QDescTable)
 	BehindKernel(k core.Kernel)
 	Step() bool
-	Mount() error
 }
 
 // SchedStatser is implemented by libOSes that expose their coroutine
@@ -83,9 +82,6 @@ func NewCombined(net NetOS, stor StorOS) *Combined {
 	c.Handle = net.DrivenBy(c)
 	return c
 }
-
-// Mount recovers the storage log (control path).
-func (c *Combined) Mount() error { return c.Stor.Mount() }
 
 // Tokens returns the shared token table.
 func (c *Combined) Tokens() *core.TokenTable { return c.Net.Tokens() }

@@ -10,6 +10,7 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/dpdkdev"
 	"demikernel/internal/memory"
+	"demikernel/internal/sched"
 	"demikernel/internal/sim"
 	"demikernel/internal/simnet"
 	"demikernel/internal/spdkdev"
@@ -207,3 +208,34 @@ func TestCombinedErrors(t *testing.T) {
 // caNode extracts the node (helper keeps tests terse).
 func caNode(c *Combined) *sim.Node { return c.Net.(*catnip.LibOS).Node() }
 func cbNode(c *Combined) *sim.Node { return c.Net.(*catnip.LibOS).Node() }
+
+// schedNet and schedStor report fixed scheduler counts for their stack.
+type schedNet struct {
+	NetOS
+	st sched.Stats
+}
+
+func (s schedNet) SchedStats() sched.Stats { return s.st }
+
+type schedStor struct {
+	StorOS
+	st sched.Stats
+}
+
+func (s schedStor) SchedStats() sched.Stats { return s.st }
+
+// TestCombinedSchedStatsSumsBothStacks: one core drives both stacks, so a
+// Combined's scheduler counts are the network's and the storage's added.
+func TestCombinedSchedStatsSumsBothStacks(t *testing.T) {
+	eng := sim.NewEngine(32)
+	sw := simnet.NewSwitch(eng, simnet.DefaultSwitch())
+	n := eng.NewNode("a")
+	net := catnip.New(n, dpdkdev.Attach(sw, n, simnet.DefaultLink(), 64, 0), catnip.DefaultConfig(ipA))
+	c := NewCombined(
+		schedNet{net, sched.Stats{Spawned: 1, Completed: 2, Polls: 3, EmptyScans: 4}},
+		schedStor{cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<10)), sched.Stats{Spawned: 10, Completed: 20, Polls: 30, EmptyScans: 40}})
+	got := c.SchedStats()
+	if got.Spawned != 11 || got.Completed != 22 || got.Polls != 33 || got.EmptyScans != 44 {
+		t.Fatalf("SchedStats = %+v, want the two stacks' counts added: 11, 22, 33, 44", got)
+	}
+}

@@ -82,10 +82,9 @@ func NewMbufPool(size int) *MbufPool { return &MbufPool{size: size, free: size} 
 // Available returns the number of free mbufs.
 func (p *MbufPool) Available() int { return p.free }
 
-// QueueStats counts one rx/tx queue pair's activity. It is a snapshot view:
-// the live counters are registry-backed (Port.Telemetry()), and Stats
-// accessors rebuild this struct from them so pre-registry callers keep
-// working.
+// QueueStats counts one rx/tx queue pair's activity. Each count is
+// exported by pointer through the port's registry (Port.Telemetry()) as
+// "dpdk.q<i>.<name>".
 type QueueStats struct {
 	RxPackets, TxPackets uint64
 	RxBytes, TxBytes     uint64
@@ -97,23 +96,15 @@ type QueueStats struct {
 	RxNoMbuf uint64
 }
 
-// queueCounters are one queue's live registry-backed counters.
-type queueCounters struct {
-	rxPackets, txPackets *telemetry.Counter
-	rxBytes, txBytes     *telemetry.Counter
-	rxRingFull, rxNoMbuf *telemetry.Counter
-}
-
-func newQueueCounters(reg *telemetry.Registry, id int) queueCounters {
+// publish registers every count of s with reg under queue id's prefix.
+func (s *QueueStats) publish(reg *telemetry.Registry, id int) {
 	p := fmt.Sprintf("dpdk.q%d.", id)
-	return queueCounters{
-		rxPackets:  reg.Counter(p + "rx_packets"),
-		txPackets:  reg.Counter(p + "tx_packets"),
-		rxBytes:    reg.Counter(p + "rx_bytes"),
-		txBytes:    reg.Counter(p + "tx_bytes"),
-		rxRingFull: reg.Counter(p + "rx_ring_full"),
-		rxNoMbuf:   reg.Counter(p + "rx_no_mbuf"),
-	}
+	reg.Count(p+"rx_packets", &s.RxPackets)
+	reg.Count(p+"tx_packets", &s.TxPackets)
+	reg.Count(p+"rx_bytes", &s.RxBytes)
+	reg.Count(p+"tx_bytes", &s.TxBytes)
+	reg.Count(p+"rx_ring_full", &s.RxRingFull)
+	reg.Count(p+"rx_no_mbuf", &s.RxNoMbuf)
 }
 
 // Stats is the port-level aggregate across all queues.
@@ -143,9 +134,11 @@ type Port struct {
 	reta   [retaSize]int // RSS indirection table: hash bits -> queue
 	reg    *telemetry.Registry
 
-	flt                    Faults
-	fltRxDrops, fltTxDrops *telemetry.Counter
-	fltCorrupt, fltResets  *telemetry.Counter
+	flt Faults
+	// What the injected faults did: frames lost on receive and on
+	// transmit, frames corrupted, device resets.
+	fltRxDrops, fltTxDrops uint64
+	fltCorrupt, fltResets  uint64
 }
 
 // Attach creates a single-queue port for node on the switch. poolSize
@@ -168,15 +161,14 @@ func AttachQueues(sw *simnet.Switch, node *sim.Node, link simnet.LinkParams, cfg
 		reg:  telemetry.NewRegistry(node.Name() + "/dpdk"),
 	}
 	p.reg.Sample("dpdk.pool_free", func() int64 { return int64(p.pool.free) })
-	p.fltRxDrops = p.reg.Counter("dpdk.fault_rx_drops")
-	p.fltTxDrops = p.reg.Counter("dpdk.fault_tx_drops")
-	p.fltCorrupt = p.reg.Counter("dpdk.fault_corrupt")
-	p.fltResets = p.reg.Counter("dpdk.fault_resets")
+	p.reg.Count("dpdk.fault_rx_drops", &p.fltRxDrops)
+	p.reg.Count("dpdk.fault_tx_drops", &p.fltTxDrops)
+	p.reg.Count("dpdk.fault_corrupt", &p.fltCorrupt)
+	p.reg.Count("dpdk.fault_resets", &p.fltResets)
 	for i := 0; i < nq; i++ {
-		p.queues = append(p.queues, &Queue{
-			port: p, owner: node, rxLimit: cfg.RxRing,
-			tel: newQueueCounters(p.reg, i),
-		})
+		q := &Queue{port: p, owner: node, rxLimit: cfg.RxRing}
+		q.stats.publish(p.reg, i)
+		p.queues = append(p.queues, q)
 	}
 	for i := range p.reta {
 		p.reta[i] = i % nq
@@ -247,16 +239,16 @@ func (p *Port) DeliverRx(f simnet.Frame) {
 	if p.flt.Reset.Fire(now) {
 		// A device reset wipes every rx descriptor ring; the frame that
 		// arrived during the reset is lost with them.
-		p.fltResets.Inc()
+		p.fltResets++
 		for _, q := range p.queues {
-			p.fltRxDrops.Add(uint64(q.ring.Len()))
+			p.fltRxDrops += uint64(q.ring.Len())
 			q.ring = sim.Ring[simnet.Frame]{}
 		}
-		p.fltRxDrops.Inc()
+		p.fltRxDrops++
 		return
 	}
 	if p.flt.LinkFlap.Active(now) {
-		p.fltRxDrops.Inc()
+		p.fltRxDrops++
 		return
 	}
 	if p.flt.Corrupt.Fire(now) && len(f.Data) > wireHeaderLen {
@@ -268,7 +260,7 @@ func (p *Port) DeliverRx(f simnet.Frame) {
 		off := wireHeaderLen + p.flt.Corrupt.Rand().Intn(len(c)-wireHeaderLen)
 		c[off] ^= 1 << uint(p.flt.Corrupt.Rand().Intn(8))
 		f = simnet.Frame{Data: c}
-		p.fltCorrupt.Inc()
+		p.fltCorrupt++
 	}
 	p.queues[p.rxQueue(f.Data)].deliver(f)
 }
@@ -287,23 +279,14 @@ type Queue struct {
 	burst   []*Mbuf // RxBurst's result, reused by the next call
 	hdrs    []Mbuf  // headers not yet handed out; see rxHeaders
 	rxLimit int
-	tel     queueCounters
+	stats   QueueStats
 }
 
 // MAC returns the port's Ethernet address (shared by all queues).
 func (q *Queue) MAC() simnet.MAC { return q.port.MAC() }
 
-// Stats returns a snapshot of this queue's counters.
-func (q *Queue) Stats() QueueStats {
-	return QueueStats{
-		RxPackets:  q.tel.rxPackets.Value(),
-		TxPackets:  q.tel.txPackets.Value(),
-		RxBytes:    q.tel.rxBytes.Value(),
-		TxBytes:    q.tel.txBytes.Value(),
-		RxRingFull: q.tel.rxRingFull.Value(),
-		RxNoMbuf:   q.tel.rxNoMbuf.Value(),
-	}
-}
+// Stats returns this queue's counts.
+func (q *Queue) Stats() QueueStats { return q.stats }
 
 // SetOwner binds the queue to the virtual CPU that polls it: arriving
 // frames wake owner, and transmissions are timestamped with its clock.
@@ -314,7 +297,7 @@ func (q *Queue) SetOwner(n *sim.Node) { q.owner = n }
 // event.
 func (q *Queue) deliver(f simnet.Frame) {
 	if q.rxLimit > 0 && q.ring.Len() >= q.rxLimit {
-		q.tel.rxRingFull.Inc()
+		q.stats.RxRingFull++
 		return
 	}
 	q.ring.Push(f)
@@ -355,7 +338,7 @@ func (q *Queue) RxBurst(max int) []*Mbuf {
 	for len(out) < max && q.ring.Len() > 0 {
 		f := q.ring.Pop()
 		if q.port.pool.free == 0 {
-			q.tel.rxNoMbuf.Inc()
+			q.stats.RxNoMbuf++
 			continue
 		}
 		q.port.pool.free--
@@ -366,8 +349,8 @@ func (q *Queue) RxBurst(max int) []*Mbuf {
 		q.hdrs = q.hdrs[1:]
 		*m = Mbuf{Data: f.Data, pool: q.port.pool, home: f.Home()}
 		out = append(out, m)
-		q.tel.rxPackets.Inc()
-		q.tel.rxBytes.Add(uint64(len(f.Data)))
+		q.stats.RxPackets++
+		q.stats.RxBytes += uint64(len(f.Data))
 	}
 	q.burst = out
 	return out
@@ -390,12 +373,12 @@ func (q *Queue) TxBurst(frames [][]byte) int {
 		if q.port.flt.TxStall.Active(now) || q.port.flt.LinkFlap.Active(now) {
 			// The frame is accepted then lost on the wire; the stack's
 			// retransmission machinery is responsible for recovery.
-			q.port.fltTxDrops.Inc()
+			q.port.fltTxDrops++
 			continue
 		}
 		q.port.net.SendAt(simnet.Frame{Data: f}, now)
-		q.tel.txPackets.Inc()
-		q.tel.txBytes.Add(uint64(len(f)))
+		q.stats.TxPackets++
+		q.stats.TxBytes += uint64(len(f))
 	}
 	return len(frames)
 }

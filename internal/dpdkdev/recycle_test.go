@@ -126,13 +126,6 @@ func TestRecycledBuffersHaveOneOwner(t *testing.T) {
 				w.send(w.frame(simnet.Broadcast, w.a.MAC(), 4))
 				return first(w, w.b, 1)[0], first(w, w.c, 1)[0].Data
 			}},
-		{name: "unknown unicast flooded to two promiscuous ports", aLink: def, bLink: def,
-			run: func(w *recycleWorld) (*Mbuf, []byte) {
-				w.b.NetPort().SetPromiscuous(true)
-				w.c.NetPort().SetPromiscuous(true)
-				w.send(w.frame(simnet.MAC{2, 9, 9, 9, 9, 9}, w.a.MAC(), 8))
-				return first(w, w.b, 1)[0], first(w, w.c, 1)[0].Data
-			}},
 		{name: "forward hook trims and keeps the frame", aLink: def, bLink: def,
 			run: func(w *recycleWorld) (*Mbuf, []byte) {
 				h := &trimHook{}

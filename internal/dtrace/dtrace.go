@@ -16,6 +16,8 @@
 // the package never consults a clock, keeping same-seed runs byte-identical.
 package dtrace
 
+import "demikernel/internal/telemetry"
+
 // Event kinds.
 const (
 	KRoot     uint8 = iota + 1 // one sampled request: T0=start, T1=end
@@ -38,18 +40,6 @@ func KindName(k uint8) string {
 		return kindNames[k]
 	}
 	return "kind?"
-}
-
-// opNames mirrors core.OpCode ordinals (dtrace cannot import core: core
-// imports dtrace), exactly as telemetry does.
-var opNames = [...]string{"invalid", "push", "pop", "accept", "connect"}
-
-// OpName returns the operation mnemonic for a KOp event's Op byte.
-func OpName(op uint8) string {
-	if int(op) < len(opNames) {
-		return opNames[op]
-	}
-	return "op?"
 }
 
 // An Event is one recorded trace observation. Fixed-size so the arena ring
@@ -107,38 +97,23 @@ type Tracer struct {
 	reqSeq      uint64 // requests seen at the root (sampled or not)
 	lastID      uint64 // last issued trace ID
 	started     uint64 // sampled requests started
-	finished    uint64 // sampled requests finished
 
-	events  []Event
-	next    int
-	wrapped bool
-	evicted uint64 // events overwritten after the arena wrapped
+	events telemetry.Ring[Event] // the arena; its evictions are exported
 
 	names []string // hop/stage/site registry; index is the id
 
-	recent   []Root // ring of finished roots
-	rnext    int
-	rwrapped bool
-	slow     []Root // unordered top-k by Dur; ties keep the earlier root
+	recent telemetry.Ring[Root] // finished roots; its total is Finished
+	slow   telemetry.TopK[Root] // by Dur
 }
 
 // New returns a tracer for cfg. Zero-valued fields get usable minimums.
 func New(cfg Config) *Tracer {
-	if cfg.Events < 1 {
-		cfg.Events = 1
-	}
-	if cfg.Recent < 1 {
-		cfg.Recent = 1
-	}
-	if cfg.Slowest < 1 {
-		cfg.Slowest = 1
-	}
 	return &Tracer{
 		sampleEvery: cfg.SampleEvery,
-		events:      make([]Event, cfg.Events),
+		events:      telemetry.NewRing[Event](cfg.Events),
 		names:       make([]string, 1, 32), // id 0 = unnamed
-		recent:      make([]Root, cfg.Recent),
-		slow:        make([]Root, 0, cfg.Slowest),
+		recent:      telemetry.NewRing[Root](cfg.Recent),
+		slow:        telemetry.NewTopK[Root](cfg.Slowest),
 	}
 }
 
@@ -200,55 +175,19 @@ func (t *Tracer) StartRequest() uint64 {
 // events lost to arena wraparound (exports surface it so a truncated
 // waterfall is never silently read as complete).
 func (t *Tracer) Started() uint64  { return t.started }
-func (t *Tracer) Finished() uint64 { return t.finished }
-func (t *Tracer) Evicted() uint64  { return t.evicted }
+func (t *Tracer) Finished() uint64 { return t.recent.Total() }
+func (t *Tracer) Evicted() uint64  { return t.events.Evicted() }
 
 // record appends one event to the arena ring.
 func (t *Tracer) record(trace, token uint64, kind, hop, label uint8, qd int32, t0, t1, t2 int64) {
-	if t.wrapped {
-		t.evicted++
-	}
-	e := &t.events[t.next]
-	e.Trace = trace
-	e.Token = token
-	e.T0 = t0
-	e.T1 = t1
-	e.T2 = t2
-	e.QD = qd
-	e.Kind = kind
-	e.Hop = hop
-	e.Label = label
-	t.next++
-	if t.next == len(t.events) {
-		t.next = 0
-		t.wrapped = true
-	}
+	t.events.Put(Event{Trace: trace, Token: token, T0: t0, T1: t1, T2: t2, QD: qd, Kind: kind, Hop: hop, Label: label})
 }
 
 // retain files a finished root into the recent ring and the top-k slowest
-// table. Mirrors telemetry.FlightRecorder.Record: fixed capacity, linear
-// min scan, and a strict > comparison so ties keep the earlier request.
+// table.
 func (t *Tracer) retain(r Root) {
-	t.finished++
-	t.recent[t.rnext] = r
-	t.rnext++
-	if t.rnext == len(t.recent) {
-		t.rnext = 0
-		t.rwrapped = true
-	}
-	if len(t.slow) < cap(t.slow) {
-		t.slow = append(t.slow, r)
-		return
-	}
-	mi := 0
-	for i := 1; i < len(t.slow); i++ {
-		if t.slow[i].Dur() < t.slow[mi].Dur() {
-			mi = i
-		}
-	}
-	if r.Dur() > t.slow[mi].Dur() {
-		t.slow[mi] = r
-	}
+	t.recent.Put(r)
+	t.slow.Put(r, r.Dur())
 }
 
 // FaultAt records an un-attributed fault firing (a device or transport
@@ -266,14 +205,7 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if !t.wrapped {
-		out := make([]Event, t.next)
-		copy(out, t.events[:t.next])
-		return out
-	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.next:]...)
-	return append(out, t.events[:t.next]...)
+	return t.events.Items()
 }
 
 // Recent returns the retained finished roots in finish order.
@@ -281,14 +213,7 @@ func (t *Tracer) Recent() []Root {
 	if t == nil {
 		return nil
 	}
-	if !t.rwrapped {
-		out := make([]Root, t.rnext)
-		copy(out, t.recent[:t.rnext])
-		return out
-	}
-	out := make([]Root, 0, len(t.recent))
-	out = append(out, t.recent[t.rnext:]...)
-	return append(out, t.recent[:t.rnext]...)
+	return t.recent.Items()
 }
 
 // Slowest returns up to n of the slowest finished requests, slowest first
@@ -297,18 +222,7 @@ func (t *Tracer) Slowest(n int) []Root {
 	if t == nil {
 		return nil
 	}
-	out := make([]Root, len(t.slow))
-	copy(out, t.slow)
-	// Insertion sort: the table is k-sized (k small by construction).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.Dur() > b.Dur() || (a.Dur() == b.Dur() && a.Trace < b.Trace) {
-				break
-			}
-			out[j-1], out[j] = b, a
-		}
-	}
+	out := t.slow.Sorted(func(r Root) uint64 { return r.Trace })
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"demikernel/internal/telemetry"
 )
 
 // Binary trace format: a fixed header, the name registry, the counters,
@@ -34,7 +36,7 @@ func (t *Tracer) EncodeBinary(w io.Writer) error {
 			return err
 		}
 	}
-	if err := put([5]uint64{t.sampleEvery, t.started, t.finished, t.evicted, t.lastID}); err != nil {
+	if err := put([5]uint64{t.sampleEvery, t.started, t.Finished(), t.Evicted(), t.lastID}); err != nil {
 		return err
 	}
 	if err := putRecords(w, t.Events()); err != nil {
@@ -111,22 +113,27 @@ func DecodeBinary(r io.Reader) (*Tracer, error) {
 	if err := get(&ctrs); err != nil {
 		return nil, err
 	}
-	t.sampleEvery, t.started, t.finished, t.evicted, t.lastID = ctrs[0], ctrs[1], ctrs[2], ctrs[3], ctrs[4]
-	var err error
-	if t.events, err = getRecords[Event](r); err != nil {
+	t.sampleEvery, t.started, t.lastID = ctrs[0], ctrs[1], ctrs[4]
+	// Decoded tracers are read-only: the rings are restored full, so
+	// Events() and Recent() return every decoded record in order.
+	events, err := getRecords[Event](r)
+	if err != nil {
 		return nil, err
 	}
-	if t.recent, err = getRecords[Root](r); err != nil {
+	t.events = telemetry.RestoreRing(events, ctrs[3]+uint64(len(events)))
+	recent, err := getRecords[Root](r)
+	if err != nil {
 		return nil, err
 	}
-	if t.slow, err = getRecords[Root](r); err != nil {
+	t.recent = telemetry.RestoreRing(recent, ctrs[2])
+	slow, err := getRecords[Root](r)
+	if err != nil {
 		return nil, err
 	}
-	// Mark the arena and the recent ring as exactly full (next=0, wrapped)
-	// so Events() and Recent() return every decoded record in order;
-	// decoded tracers are read-only.
-	t.wrapped = len(t.events) > 0
-	t.rwrapped = len(t.recent) > 0
+	t.slow = telemetry.NewTopK[Root](len(slow))
+	for _, s := range slow {
+		t.slow.Put(s, s.Dur())
+	}
 	return t, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"demikernel/internal/telemetry"
 )
 
 // Row classes, in critical-path priority order: when intervals overlap,
@@ -123,8 +125,8 @@ func (t *Tracer) buildView(id uint64, evs []Event) *View {
 			haveRoot = true
 		case KOp:
 			v.Rows = append(v.Rows,
-				Row{Hop: e.Hop, ToHop: e.Hop, Class: RowOpInOS, Label: OpName(e.Label), From: e.T0, To: e.T1},
-				Row{Hop: e.Hop, ToHop: e.Hop, Class: RowRedeem, Label: OpName(e.Label), From: e.T1, To: e.T2})
+				Row{Hop: e.Hop, ToHop: e.Hop, Class: RowOpInOS, Label: telemetry.OpName(e.Label), From: e.T0, To: e.T1},
+				Row{Hop: e.Hop, ToHop: e.Hop, Class: RowRedeem, Label: telemetry.OpName(e.Label), From: e.T1, To: e.T2})
 		case KWireTx:
 			wireTx = append(wireTx, e)
 		case KWireRx:

@@ -141,3 +141,82 @@ func TestEventLoopHandlerCanReject(t *testing.T) {
 		t.Fatal("client did not observe the server-side close")
 	}
 }
+
+// stopHandler keeps what arrives and stops its loop on the first data.
+type stopHandler struct {
+	loop  *Loop
+	got   *[]byte
+	calls *int
+}
+
+func (h *stopHandler) OnData(conn core.QDesc, sga core.SGArray) bool {
+	*h.calls++
+	*h.got = append(*h.got, sga.Flatten()...)
+	sga.Free()
+	h.loop.Stop()
+	return true
+}
+
+func (h *stopHandler) OnClose(core.QDesc) {}
+
+// TestEventLoopWatchAndStop: a client connected outside the loop hands its
+// queue to Watch, which delivers the echo to the handler; Stop inside the
+// handler makes Run return then, though the re-armed pop would see the
+// message the server sends after the echo.
+func TestEventLoopWatchAndStop(t *testing.T) {
+	eng := sim.NewEngine(90)
+	sw := simnet.NewSwitch(eng, simnet.DefaultSwitch())
+	ns, nc := eng.NewNode("srv"), eng.NewNode("cli")
+	ps := dpdkdev.Attach(sw, ns, simnet.DefaultLink(), 8192, 0)
+	pc := dpdkdev.Attach(sw, nc, simnet.DefaultLink(), 8192, 0)
+	ls := catnip.New(ns, ps, catnip.DefaultConfig(ipS))
+	lc := catnip.New(nc, pc, catnip.DefaultConfig(ipC))
+	ls.SeedARP(ipC, pc.MAC())
+	lc.SeedARP(ipS, ps.MAC())
+	eng.Spawn(ns, func() {
+		qd, _ := ls.Socket(core.SockStream)
+		ls.Bind(qd, core.Addr{IP: ipS, Port: 80})
+		ls.Listen(qd, 8)
+		aqt, _ := ls.Accept(qd)
+		ev, err := ls.Wait(aqt)
+		if err != nil || ev.Err != nil {
+			return
+		}
+		conn := ev.NewQD
+		pqt, _ := ls.Pop(conn)
+		if ev, err = ls.Wait(pqt); err != nil || ev.Err != nil {
+			return
+		}
+		for _, sga := range []core.SGArray{ev.SGA, core.SGA(memory.CopyFrom(ls.Heap(), []byte("more")))} {
+			qt, _ := ls.Push(conn, sga)
+			ls.Wait(qt)
+			sga.Free()
+		}
+		ls.WaitAny(nil, 100*time.Millisecond)
+	})
+	var got []byte
+	calls := 0
+	eng.Spawn(nc, func() {
+		qd, _ := lc.Socket(core.SockStream)
+		cqt, _ := lc.Connect(qd, core.Addr{IP: ipS, Port: 80})
+		if ev, err := lc.Wait(cqt); err != nil || ev.Err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		loop := New(lc)
+		if err := loop.Watch(qd, &stopHandler{loop: loop, got: &got, calls: &calls}); err != nil {
+			t.Errorf("watch: %v", err)
+			return
+		}
+		if err := loop.Send(qd, core.SGA(memory.CopyFrom(lc.Heap(), []byte("watched")))); err != nil {
+			t.Errorf("send: %v", err)
+			return
+		}
+		loop.Run()
+		lc.WaitAny(nil, 100*time.Millisecond)
+	})
+	eng.Run()
+	if string(got) != "watched" || calls != 1 {
+		t.Fatalf("handler ran %d times and got %q; want once, with %q", calls, got, "watched")
+	}
+}

@@ -86,12 +86,12 @@ func (p *Plan) Site(name string, spec Spec) *Site {
 		return s
 	}
 	s := &Site{
-		name:  name,
-		spec:  spec,
-		rng:   sim.NewRand(p.seed ^ hashName(name)),
-		fired: p.reg.Counter("faults." + name),
-		obs:   p.obs,
+		name: name,
+		spec: spec,
+		rng:  sim.NewRand(p.seed ^ hashName(name)),
+		obs:  p.obs,
 	}
+	p.reg.Count("faults."+name, &s.count)
 	p.sites[name] = s
 	return s
 }
@@ -132,7 +132,6 @@ type Site struct {
 	name    string
 	spec    Spec
 	rng     *sim.Rand
-	fired   *telemetry.Counter
 	obs     Observer
 	ops     uint64
 	count   uint64
@@ -200,7 +199,6 @@ func (s *Site) Fire(now sim.Time) bool {
 	}
 	if hit {
 		s.count++
-		s.fired.Inc()
 		if s.obs != nil {
 			s.obs(s.name, now)
 		}

@@ -34,9 +34,9 @@ type ToR struct {
 	tracked []uint32
 
 	reg        *telemetry.Registry
-	placements []*telemetry.Counter
-	resyncs    *telemetry.Counter
-	steered    *telemetry.Counter
+	placements []uint64 // requests steered to each server
+	resyncs    uint64
+	steered    uint64
 	hop        *dtrace.Hop
 }
 
@@ -45,19 +45,19 @@ type ToR struct {
 // (index must match the server id its load probe reports).
 func NewToR(eng *sim.Engine, sw *simnet.Switch, vipMAC simnet.MAC, servers []*simnet.Port, placer Placer) *ToR {
 	t := &ToR{
-		eng:     eng,
-		vipMAC:  vipMAC,
-		placer:  placer,
-		rng:     eng.Rand().Fork(),
-		servers: servers,
-		tracked: make([]uint32, len(servers)),
-		reg:     telemetry.NewRegistry("rack/tor"),
+		eng:        eng,
+		vipMAC:     vipMAC,
+		placer:     placer,
+		rng:        eng.Rand().Fork(),
+		servers:    servers,
+		tracked:    make([]uint32, len(servers)),
+		reg:        telemetry.NewRegistry("rack/tor"),
+		placements: make([]uint64, len(servers)),
 	}
-	t.steered = t.reg.Counter("tor.requests_steered")
-	t.resyncs = t.reg.Counter("tor.load_resyncs")
+	t.reg.Count("tor.requests_steered", &t.steered)
+	t.reg.Count("tor.load_resyncs", &t.resyncs)
 	for i := range servers {
-		i := i
-		t.placements = append(t.placements, t.reg.Counter(fmt.Sprintf("tor.s%02d.placements", i)))
+		t.reg.Count(fmt.Sprintf("tor.s%02d.placements", i), &t.placements[i])
 		t.reg.Sample(fmt.Sprintf("tor.s%02d.tracked_load", i), func() int64 { return int64(t.tracked[i]) })
 	}
 	sw.SetHook(t)
@@ -72,25 +72,20 @@ func (t *ToR) AttachDTrace(h *dtrace.Hop) { t.hop = h }
 // tracked-load gauges, plus steering/resync totals.
 func (t *ToR) Telemetry() *telemetry.Registry { return t.reg }
 
-// Placements returns the per-server placement counts.
-func (t *ToR) Placements() []uint64 {
-	out := make([]uint64, len(t.placements))
-	for i, c := range t.placements {
-		out[i] = c.Value()
-	}
-	return out
-}
+// Placements returns the per-server placement counts: the ToR's own
+// slice, which keeps counting.
+func (t *ToR) Placements() []uint64 { return t.placements }
 
 // Resyncs returns how many reply trailers resynced the tracked state.
-func (t *ToR) Resyncs() uint64 { return t.resyncs.Value() }
+func (t *ToR) Resyncs() uint64 { return t.resyncs }
 
 // Forward implements simnet.ForwardHook.
 func (t *ToR) Forward(f simnet.Frame, from *simnet.Port) (simnet.Frame, *simnet.Port, bool) {
 	if len(t.servers) > 0 && f.Dst() == t.vipMAC {
 		s := t.placer.Pick(t.tracked, t.rng)
 		t.tracked[s]++
-		t.placements[s].Inc()
-		t.steered.Inc()
+		t.placements[s]++
+		t.steered++
 		if t.hop != nil {
 			if ctx := traceCtx(f.Data); ctx != 0 {
 				t.hop.Switch(ctx, int64(t.eng.Now()), int32(s))
@@ -100,7 +95,7 @@ func (t *ToR) Forward(f simnet.Frame, from *simnet.Port) (simnet.Frame, *simnet.
 	}
 	if server, load, ok := wire.ParseLoadTrailer(f.Data); ok && int(server) < len(t.tracked) {
 		t.tracked[server] = load
-		t.resyncs.Inc()
+		t.resyncs++
 		f.Data, _ = wire.StripLoadTrailer(f.Data)
 		if t.hop != nil {
 			if ctx := traceCtx(f.Data); ctx != 0 {

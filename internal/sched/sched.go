@@ -452,16 +452,3 @@ func (s *Scheduler) poll(c Class, blk *wakerBlock, slot uint) {
 		// sleeps until Wake.
 	}
 }
-
-// RunUntilIdle polls until no coroutine is runnable, with a safety budget
-// to bound livelock from always-Yield coroutines. It returns the number of
-// polls performed. Fast-path coroutines count against the budget like any
-// other, so callers typically use RunOne in their own loop instead; this
-// helper serves tests and simple drivers.
-func (s *Scheduler) RunUntilIdle(budget int) int {
-	polls := 0
-	for polls < budget && s.RunOne() {
-		polls++
-	}
-	return polls
-}

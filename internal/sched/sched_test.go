@@ -188,14 +188,6 @@ func TestSlotReuseAfterCompletion(t *testing.T) {
 	}
 }
 
-func TestRunUntilIdleBudget(t *testing.T) {
-	s := New()
-	s.Spawn(FastPath, Func(func(ctx *Context) Poll { return Yield }))
-	if got := s.RunUntilIdle(50); got != 50 {
-		t.Errorf("polls = %d, want budget 50", got)
-	}
-}
-
 // Property: for any random interleaving of spawns, wakes and polls, a
 // coroutine is never polled while blocked (Pending without wake), and every
 // wake of a live blocked coroutine leads to exactly one additional poll.

@@ -209,7 +209,6 @@ type Port struct {
 
 	rx      sim.Ring[Frame]
 	rxLimit int
-	promisc bool
 	sink    RxSink
 	stats   PortStats
 }
@@ -242,9 +241,6 @@ func (p *Port) Node() *sim.Node { return p.node }
 
 // Stats returns a snapshot of the port counters.
 func (p *Port) Stats() PortStats { return p.stats }
-
-// SetPromiscuous controls whether the port accepts frames for other MACs.
-func (p *Port) SetPromiscuous(on bool) { p.promisc = on }
 
 // SetRxSink installs a receive sink, bypassing the default rx ring.
 func (p *Port) SetRxSink(s RxSink) { p.sink = s }
@@ -367,18 +363,18 @@ type Switch struct {
 	hops      []*hop   // hop records between two frames
 
 	reg          *telemetry.Registry
-	forwarded    *telemetry.Counter // frames sent out exactly one port
-	flooded      *telemetry.Counter // broadcast/unknown-unicast copies
-	hookConsumed *telemetry.Counter // frames a hook absorbed
+	forwarded    uint64 // frames sent out exactly one port
+	flooded      uint64 // broadcast copies
+	hookConsumed uint64 // frames a hook absorbed
 }
 
 // NewSwitch creates a switch on the engine's fabric.
 func NewSwitch(eng *sim.Engine, params SwitchParams) *Switch {
 	s := &Switch{eng: eng, params: params, byMAC: make(map[MAC]*Port), hops: make([]*hop, 0, maxFreeHops)}
 	s.reg = telemetry.NewRegistry("simnet/switch")
-	s.forwarded = s.reg.Counter("switch.frames_forwarded")
-	s.flooded = s.reg.Counter("switch.frames_flooded")
-	s.hookConsumed = s.reg.Counter("switch.frames_hook_consumed")
+	s.reg.Count("switch.frames_forwarded", &s.forwarded)
+	s.reg.Count("switch.frames_flooded", &s.flooded)
+	s.reg.Count("switch.frames_hook_consumed", &s.hookConsumed)
 	return s
 }
 
@@ -512,12 +508,12 @@ func (s *Switch) forward(f Frame, from *Port) {
 		f, to, fwd = s.hook.Forward(f, from)
 		f.home = nil // the hook may have kept or trimmed the bytes
 		if to != nil {
-			s.forwarded.Inc()
+			s.forwarded++
 			s.egress(f, to)
 			return
 		}
 		if !fwd {
-			s.hookConsumed.Inc()
+			s.hookConsumed++
 			return
 		}
 	}
@@ -526,24 +522,16 @@ func (s *Switch) forward(f Frame, from *Port) {
 		f.home = nil // flooded: every egress port delivers the same bytes
 		for _, p := range s.ports {
 			if p != from {
-				s.flooded.Inc()
+				s.flooded++
 				s.egress(f, p)
 			}
 		}
 		return
 	}
+	// Unknown unicast is dropped.
 	if p, ok := s.byMAC[dst]; ok {
-		s.forwarded.Inc()
+		s.forwarded++
 		s.egress(f, p)
-		return
-	}
-	// Unknown unicast: flood, and promiscuous ports may claim it.
-	f.home = nil
-	for _, p := range s.ports {
-		if p != from && p.promisc {
-			s.flooded.Inc()
-			s.egress(f, p)
-		}
 	}
 }
 

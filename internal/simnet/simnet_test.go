@@ -178,22 +178,6 @@ func TestBackToBackFramesQueueOnLink(t *testing.T) {
 	}
 }
 
-func TestPromiscuousSeesUnknownUnicast(t *testing.T) {
-	eng := sim.NewEngine(7)
-	sw := NewSwitch(eng, DefaultSwitch())
-	a := sw.Attach(eng.NewNode("a"), DefaultLink(), 0)
-	snoop := sw.Attach(eng.NewNode("snoop"), DefaultLink(), 0)
-	snoop.SetPromiscuous(true)
-	unknown := MAC{0x02, 0xff, 0xff, 0xff, 0xff, 0xff}
-	eng.Spawn(a.Node(), func() {
-		a.Send(frame(unknown, a.MAC(), 20))
-	})
-	eng.Run()
-	if snoop.RxPending() != 1 {
-		t.Errorf("promiscuous port saw %d frames, want 1", snoop.RxPending())
-	}
-}
-
 func TestMACStringAndBroadcast(t *testing.T) {
 	m := MAC{0x02, 0x44, 0x4d, 0, 0, 1}
 	if m.String() != "02:44:4d:00:00:01" {

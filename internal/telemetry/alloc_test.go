@@ -16,6 +16,8 @@ func TestHotPathAllocs(t *testing.T) {
 	h := r.Histogram("h")
 	fr := NewFlightRecorder(1024, 8)
 	span := Span{Token: 1, Op: OpPop, Issued: 10, Completed: 1200, Redeemed: 1300}
+	ring, top := NewRing[Span](64), NewTopK[Span](8)
+	var key int64
 
 	cases := []struct {
 		name string
@@ -25,6 +27,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{"Counter.Add", func() { c.Add(3) }},
 		{"Histogram.Observe", func() { h.Observe(1234) }},
 		{"FlightRecorder.Record", func() { fr.Record(span) }},
+		{"Ring.Put", func() { ring.Put(span) }},
+		{"TopK.Put", func() { key++; top.Put(span, key) }},
 		{"Span.InOS", func() { sinkInt = span.InOS() }},
 		{"Span.RedeemDelay", func() { sinkInt = span.RedeemDelay() }},
 		{"Span.Total", func() { sinkInt = span.Total() }},

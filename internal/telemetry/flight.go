@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Span operation codes. Values mirror core.OpCode's ordinals so library
@@ -60,75 +59,34 @@ func (s Span) Total() int64 { return s.Redeemed - s.Issued }
 // feeds it (simulated cores share one safely: the engine runs one core at
 // a time).
 type FlightRecorder struct {
-	ring    []Span
-	next    int
-	wrapped bool
-	total   uint64
-	slow    []Span // unordered top-k by Total; ties keep the earlier span
+	recent Ring[Span]
+	slow   TopK[Span] // by Total
 }
 
 // NewFlightRecorder returns a recorder holding the last capacity spans and
 // the k slowest.
 func NewFlightRecorder(capacity, k int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if k < 1 {
-		k = 1
-	}
-	return &FlightRecorder{ring: make([]Span, capacity), slow: make([]Span, 0, k)}
+	return &FlightRecorder{recent: NewRing[Span](capacity), slow: NewTopK[Span](k)}
 }
 
 // Record adds one completed span. Zero allocations: the ring and top-k
 // table are preallocated.
 func (f *FlightRecorder) Record(s Span) {
-	f.total++
-	f.ring[f.next] = s
-	f.next++
-	if f.next == len(f.ring) {
-		f.next = 0
-		f.wrapped = true
-	}
-	if len(f.slow) < cap(f.slow) {
-		f.slow = append(f.slow, s)
-		return
-	}
-	mi := 0
-	for i := 1; i < len(f.slow); i++ {
-		if f.slow[i].Total() < f.slow[mi].Total() {
-			mi = i
-		}
-	}
-	if s.Total() > f.slow[mi].Total() {
-		f.slow[mi] = s
-	}
+	f.recent.Put(s)
+	f.slow.Put(s, s.Total())
 }
 
 // Total returns the number of spans ever recorded (recent spans beyond the
 // ring capacity are evicted but still counted).
-func (f *FlightRecorder) Total() uint64 { return f.total }
+func (f *FlightRecorder) Total() uint64 { return f.recent.Total() }
 
 // Spans returns the retained recent spans in recording order.
-func (f *FlightRecorder) Spans() []Span {
-	if !f.wrapped {
-		return append([]Span(nil), f.ring[:f.next]...)
-	}
-	out := make([]Span, 0, len(f.ring))
-	out = append(out, f.ring[f.next:]...)
-	return append(out, f.ring[:f.next]...)
-}
+func (f *FlightRecorder) Spans() []Span { return f.recent.Items() }
 
 // Slowest returns the k slowest spans, most expensive first (ties broken
 // by token for determinism).
 func (f *FlightRecorder) Slowest() []Span {
-	out := append([]Span(nil), f.slow...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total() != out[j].Total() {
-			return out[i].Total() > out[j].Total()
-		}
-		return out[i].Token < out[j].Token
-	})
-	return out
+	return f.slow.Sorted(func(s Span) uint64 { return s.Token })
 }
 
 // micros renders nanoseconds as microseconds with three decimals.
@@ -140,7 +98,7 @@ func micros(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e3) }
 func (f *FlightRecorder) WriteDump(w io.Writer) {
 	spans := f.Spans()
 	fmt.Fprintf(w, "flight recorder: %d spans recorded, %d retained, %d slowest tracked\n",
-		f.total, len(spans), len(f.slow))
+		f.Total(), len(spans), f.slow.Len())
 	fmt.Fprintf(w, "stage order (Fig 5 in-OS decomposition): issue(libcall) -> complete(I/O stack) -> redeem(wait/sched)\n")
 
 	// Aggregate per-stage latency by op over the retained spans.
@@ -219,7 +177,7 @@ func (f *FlightRecorder) WriteDumpJSON(w io.Writer) error {
 	spans := f.Spans()
 	slow := f.Slowest()
 	out := jsonFlight{
-		Total:    f.total,
+		Total:    f.Total(),
 		Retained: len(spans),
 		Recent:   make([]jsonSpan, 0, len(spans)),
 		Slowest:  make([]jsonSpan, 0, len(slow)),

@@ -9,11 +9,13 @@
 // dispatch); because kernel-bypass datapaths also bypass the kernel's
 // observability, the datapath OS must carry its own. Design rules:
 //
-//   - Hot-path operations (Counter.Inc/Add, Histogram.Observe,
+//   - Hot-path operations (bumping a count, Histogram.Observe,
 //     FlightRecorder.Record) perform zero Go heap allocations and take no
 //     locks. Demikernel datapaths are single-threaded per core by design,
-//     so metrics are plain per-core structs; multi-core views are built by
-//     merging per-core snapshots at export time (export.go).
+//     so metrics are plain per-core structs: a count is a uint64 field of
+//     the struct that bumps it, exported by pointer (Registry.Count).
+//     Multi-core views are built by merging per-core snapshots at export
+//     time (export.go).
 //   - All timestamps fed to the subsystem are virtual-time nanoseconds, so
 //     two same-seed simulation runs produce byte-identical telemetry dumps.
 //     Exports order metrics by name, never by map iteration.
@@ -23,27 +25,29 @@ package telemetry
 
 import "sort"
 
-// A Counter is a monotonically increasing metric. The zero value is usable,
-// but counters are normally minted by Registry.Counter so they appear in
-// exports.
-type Counter struct{ v uint64 }
+// A Counter is a monotonically increasing metric. A datapath keeps its
+// counts as plain uint64 fields of the struct that bumps them and
+// registers each with Registry.Count; a Counter is the same word with
+// methods, for callers that want the registry to own it (Registry.Counter).
+type Counter uint64
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v++ }
+func (c *Counter) Inc() { *c++ }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
+func (c *Counter) Add(n uint64) { *c += Counter(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
+func (c *Counter) Value() uint64 { return uint64(*c) }
 
-// A Registry names and owns one domain's metrics — typically one core's
-// libOS or one device. Metric creation and snapshotting may allocate;
-// operating on the returned metrics does not. Registries are not
-// goroutine-safe: each belongs to the single thread that runs its datapath.
+// A Registry names one domain's metrics — typically one core's libOS or
+// one device. It owns no count: it holds a pointer to each, and reads them
+// at snapshot time. Metric registration and snapshotting may allocate;
+// bumping a count does not. Registries are not goroutine-safe: each
+// belongs to the single thread that runs its datapath.
 type Registry struct {
 	name     string
-	counters map[string]*Counter
+	counters map[string]*uint64
 	hists    map[string]*Histogram
 	samples  map[string]func() int64
 }
@@ -52,7 +56,7 @@ type Registry struct {
 func NewRegistry(name string) *Registry {
 	return &Registry{
 		name:     name,
-		counters: make(map[string]*Counter),
+		counters: make(map[string]*uint64),
 		hists:    make(map[string]*Histogram),
 		samples:  make(map[string]func() int64),
 	}
@@ -61,14 +65,24 @@ func NewRegistry(name string) *Registry {
 // Name returns the registry's label.
 func (r *Registry) Name() string { return r.name }
 
+// Count exports the count at p as the named counter. The count stays a
+// field of the struct that bumps it; the registry only reads it. A name
+// has one count: registering it twice panics.
+func (r *Registry) Count(name string, p *uint64) {
+	if _, dup := r.counters[name]; dup {
+		panic("telemetry: counter " + name + " registered twice in " + r.name)
+	}
+	r.counters[name] = p
+}
+
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	if c, ok := r.counters[name]; ok {
-		return c
+	p, ok := r.counters[name]
+	if !ok {
+		p = new(uint64)
+		r.Count(name, p)
 	}
-	c := &Counter{}
-	r.counters[name] = c
-	return c
+	return (*Counter)(p)
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -91,8 +105,8 @@ func (r *Registry) Sample(name string, fn func() int64) { r.samples[name] = fn }
 // deterministic export. Sampled gauges are evaluated here.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{Name: r.name}
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, CounterVal{Name: name, Value: c.v})
+	for name, p := range r.counters {
+		s.Counters = append(s.Counters, CounterVal{Name: name, Value: *p})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	for name, fn := range r.samples {

@@ -35,6 +35,29 @@ func TestRegistryBasics(t *testing.T) {
 	}
 }
 
+// TestRegistryCount: a count stays a field of its owner; the registry
+// reads it through the pointer at snapshot time, Counter hands back the
+// same word, and a second registration of a name panics.
+func TestRegistryCount(t *testing.T) {
+	var owner struct{ frames uint64 }
+	r := NewRegistry("count")
+	r.Count("frames", &owner.frames)
+	owner.frames += 3
+	if s := r.Snapshot(); len(s.Counters) != 1 || s.Counters[0].Value != 3 {
+		t.Fatalf("snapshot counters = %+v, want frames=3", s.Counters)
+	}
+	r.Counter("frames").Inc()
+	if owner.frames != 4 {
+		t.Fatalf("Counter(frames).Inc left the field at %d, want 4", owner.frames)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("registering frames twice did not panic")
+		}
+	}()
+	r.Count("frames", new(uint64))
+}
+
 func TestHistogramQuantiles(t *testing.T) {
 	var h Histogram
 	for i := int64(1); i <= 1000; i++ {

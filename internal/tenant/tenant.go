@@ -105,13 +105,10 @@ type Tenant struct {
 	lastFill sim.Time
 	primed   bool
 
-	// Rejection observability (satellite: isolation violations must be
-	// observable, not just fatal). Nil until Publish.
-	cFlowRej *telemetry.Counter
-	cTokRej  *telemetry.Counter
-	cRateRej *telemetry.Counter
-	cBadWait *telemetry.Counter
-	cForgery *telemetry.Counter
+	// Isolation violations are observable, not just fatal: what was
+	// refused, counted here and exported by Publish.
+	flowRejects, tokenRejects, rateRejects uint64
+	badWaits, forgeries                    uint64
 }
 
 // nanoPush is one push worth of bucket credit.
@@ -137,37 +134,27 @@ func (t *Tenant) InFlight() int { return t.tokens }
 // exporters (text/JSON/Prometheus) render them like any other metric.
 func (t *Tenant) Publish(reg *telemetry.Registry) {
 	p := fmt.Sprintf("tenant.%d.", t.id)
-	t.cFlowRej = reg.Counter(p + "quota_rejects.flows")
-	t.cTokRej = reg.Counter(p + "quota_rejects.tokens")
-	t.cRateRej = reg.Counter(p + "quota_rejects.push_rate")
-	t.cBadWait = reg.Counter(p + "bad_token_waits")
-	t.cForgery = reg.Counter(p + "forgery_attempts")
+	reg.Count(p+"quota_rejects.flows", &t.flowRejects)
+	reg.Count(p+"quota_rejects.tokens", &t.tokenRejects)
+	reg.Count(p+"quota_rejects.push_rate", &t.rateRejects)
+	reg.Count(p+"bad_token_waits", &t.badWaits)
+	reg.Count(p+"forgery_attempts", &t.forgeries)
 	reg.Sample(p+"flows", func() int64 { return int64(t.flows) })
 	reg.Sample(p+"tokens_inflight", func() int64 { return int64(t.tokens) })
 }
 
 // NoteForgery counts one cross-tenant redemption attempt made *by* this
 // tenant (wired from the token table via Registry.AttachTable).
-func (t *Tenant) NoteForgery() {
-	if t.cForgery != nil {
-		t.cForgery.Inc()
-	}
-}
+func (t *Tenant) NoteForgery() { t.forgeries++ }
 
 // NoteBadWait counts a rejected token redemption observed at this
 // tenant's own wait (its forged guesses and its stale-token bugs alike).
-func (t *Tenant) NoteBadWait() {
-	if t.cBadWait != nil {
-		t.cBadWait.Inc()
-	}
-}
+func (t *Tenant) NoteBadWait() { t.badWaits++ }
 
 // AcquireFlow charges one flow-table entry, or ErrTenantQuota at the cap.
 func (t *Tenant) AcquireFlow() error {
 	if t.lim.MaxFlows > 0 && t.flows >= t.lim.MaxFlows {
-		if t.cFlowRej != nil {
-			t.cFlowRej.Inc()
-		}
+		t.flowRejects++
 		return core.ErrTenantQuota
 	}
 	t.flows++
@@ -186,9 +173,7 @@ func (t *Tenant) ReleaseFlow() {
 // AcquireToken charges one in-flight qtoken, or ErrTenantQuota at the cap.
 func (t *Tenant) AcquireToken() error {
 	if t.lim.MaxTokens > 0 && t.tokens >= t.lim.MaxTokens {
-		if t.cTokRej != nil {
-			t.cTokRej.Inc()
-		}
+		t.tokenRejects++
 		return core.ErrTenantQuota
 	}
 	t.tokens++
@@ -232,9 +217,7 @@ func (t *Tenant) AllowPush(now sim.Time) error {
 	}
 	t.lastFill = now
 	if t.bucket < nanoPush {
-		if t.cRateRej != nil {
-			t.cRateRej.Inc()
-		}
+		t.rateRejects++
 		return core.ErrTenantQuota
 	}
 	return nil

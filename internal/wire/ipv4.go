@@ -13,11 +13,6 @@ func (a IPAddr) Uint32() uint32 {
 	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
 }
 
-// IPFromUint32 builds an address from a big-endian integer.
-func IPFromUint32(v uint32) IPAddr {
-	return IPAddr{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-}
-
 // IsZero reports whether the address is 0.0.0.0.
 func (a IPAddr) IsZero() bool { return a == IPAddr{} }
 
