@@ -134,6 +134,28 @@ func TestOutOfOrderAckKeepsRightEdge(t *testing.T) {
 	p.eng.Run()
 }
 
+// Under a delayed-ACK timer, a lone in-order segment's ACK waits, but an
+// out-of-order segment's duplicate ACK goes out at once (RFC 5681 §4.2): the
+// sender's fast retransmit counts on it.
+func TestOutOfOrderSegmentAckedAtOnce(t *testing.T) {
+	p := newRawPeer(t, 23, tcpRecvBuf)
+	p.l.cfg.DelayedAck = 200 * time.Microsecond
+	seg := func(seq uint32) []wire.TCPHeader {
+		return p.send(wire.TCPHeader{Seq: seq, Ack: p.iss + 1, Flags: wire.TCPAck, Window: 65535}, make([]byte, 100))
+	}
+	p.eng.Spawn(p.node, func() {
+		p.establish(65535)
+		if out := seg(rawPeerISS + 1); len(out) != 0 {
+			t.Fatalf("an in-order segment drew %+v within 10 µs, want its ACK delayed", out)
+		}
+		out := seg(rawPeerISS + 301)
+		if len(out) != 1 || out[0].Ack != rawPeerISS+101 {
+			t.Fatalf("an out-of-order segment drew %+v within 10 µs, want one ACK of byte %d", out, rawPeerISS+101)
+		}
+	})
+	p.eng.Run()
+}
+
 // Three duplicate ACKs resend the oldest segment at once and shrink the
 // congestion window, but leave the retransmission timeout as it was: RFC
 // 6298 §5 backs it off only when it fires.

@@ -315,7 +315,10 @@ func (c *tcpConn) processPayload(seq uint32, payload []byte) {
 		if wnd := c.advertisedWnd(); seqLE(end, c.rcvNxt+uint32(wnd)) && c.oooBytes+len(payload) <= wnd {
 			c.insertOOO(seq, payload)
 		}
-		c.ackPending = true // duplicate ack triggers fast retransmit
+		// The duplicate ACK goes out at once, not at the delayed-ACK
+		// timer (RFC 5681 §4.2): it is what triggers fast retransmit.
+		c.ackPending = true
+		c.segsSinceAck = ackEvery
 		c.lib.stats.TCPDupAcksSent++
 	default:
 		// Old or partially old data.
@@ -560,6 +563,10 @@ func (c *tcpConn) pollRetransmit(ctx *sched.Context) sched.Poll {
 	return sched.Pending
 }
 
+// ackEvery is how many unacknowledged segments pollAck lets pile up under
+// DelayedAck before it acknowledges them at once.
+const ackEvery = 2
+
 // pollAck sends a pure acknowledgment when one is pending and no data
 // segment carried it. With DelayedAck configured, a lone segment's ack is
 // deferred until the timer fires or a second segment arrives (RFC 1122
@@ -573,7 +580,7 @@ func (c *tcpConn) pollAck(ctx *sched.Context) sched.Poll {
 	}
 	d := c.lib.cfg.DelayedAck
 	now := c.lib.Now()
-	if d > 0 && c.segsSinceAck < 2 && c.state == stateEstablished {
+	if d > 0 && c.segsSinceAck < ackEvery && c.state == stateEstablished {
 		if !c.ackArmed {
 			c.ackArmed = true
 			c.ackDeadline = now.Add(d)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -511,4 +512,25 @@ func TestQDescTable(t *testing.T) {
 	if tbl.Next() != 2 {
 		t.Error("a released descriptor was reused")
 	}
+}
+
+// The descriptor space runs out loudly: the last descriptor is
+// math.MaxInt32, and the Insert after it panics instead of wrapping to a
+// negative descriptor.
+func TestQDescTableRunsOutLoudly(t *testing.T) {
+	tbl := NewQDescTable()
+	tbl.next = math.MaxInt32 - 1
+	if qd := tbl.Insert(NewBoundedMemQueue(1, 0)); qd != math.MaxInt32 {
+		t.Fatalf("Insert = %d, want %d", qd, math.MaxInt32)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Insert past math.MaxInt32 handed out a descriptor")
+		}
+		if tbl.Len() != 1 {
+			t.Errorf("the table holds %d descriptors after the refused Insert, want 1", tbl.Len())
+		}
+	}()
+	qd := tbl.Insert(NewBoundedMemQueue(1, 0))
+	t.Errorf("Insert handed out %d", qd)
 }

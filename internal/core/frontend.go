@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"demikernel/internal/costmodel"
@@ -720,8 +721,13 @@ func NewQDescTable() *QDescTable {
 // constructor fails, numbering is untouched.
 func (t *QDescTable) Next() QDesc { return t.next + 1 }
 
-// Insert allocates a descriptor for q.
+// Insert allocates a descriptor for q. Descriptors are never reused, so
+// the table runs out after math.MaxInt32 of them; it panics then rather
+// than hand out a negative one, InvalidQD or, past 2^32, a live one.
 func (t *QDescTable) Insert(q Queue) QDesc {
+	if t.next == math.MaxInt32 {
+		panic("pdpix: 2^31-1 queue descriptors issued")
+	}
 	t.next++
 	t.qs[t.next] = q
 	return t.next

@@ -79,6 +79,7 @@ func (o *Op) Complete(ev QEvent) {
 	}
 	o.done, s.done = true, true
 	o.ev = ev
+	t.log[t.completions%completionLog] = o.qt
 	t.completions++
 	if t.clock != nil {
 		o.completedAt = t.clock.Now()
@@ -126,7 +127,15 @@ type TokenTable struct {
 	// TryTakeAs; the optional hook lets harnesses attribute them per tenant.
 	forgeries uint64
 	onForgery func(issuer, redeemer uint32)
+	// log holds the tokens of the last completionLog completions: that of
+	// completion c (counting from 0) at log[c%completionLog]. A waiter
+	// that verified its set at count k learns from it which of its tokens
+	// can have changed since, while completions-k <= completionLog.
+	log [completionLog]QToken
 }
+
+// completionLog is the length of TokenTable.log.
+const completionLog = 16
 
 // NewTokenTable returns an empty table.
 func NewTokenTable() *TokenTable { return &TokenTable{} }
@@ -257,17 +266,23 @@ func (t *TokenTable) probe(qts []QToken, rr int, tenant uint32) int {
 
 // settled is probe over qts in order.
 func (t *TokenTable) settled(qts []QToken, tenant uint32) int {
-	slots := t.slots
 	for i, qt := range qts {
-		j := uint64(qt&tokenIdxMask) - 1 // InvalidQToken wraps past any length
-		if j >= uint64(len(slots)) {
-			return i
-		}
-		if s := &slots[j]; s.qt != qt || s.tenant != tenant || s.done {
+		if !t.outstanding(qt, tenant) {
 			return i
 		}
 	}
 	return -1
+}
+
+// outstanding reports whether qt is a live, outstanding token of tenant:
+// the one slot read a probe makes per token.
+func (t *TokenTable) outstanding(qt QToken, tenant uint32) bool {
+	j := uint64(qt&tokenIdxMask) - 1 // InvalidQToken wraps past any length
+	if j >= uint64(len(t.slots)) {
+		return false
+	}
+	s := &t.slots[j]
+	return s.qt == qt && s.tenant == tenant && !s.done
 }
 
 // Lookup returns the operation for qt, if outstanding.

@@ -127,6 +127,10 @@ type world struct {
 
 	steps, blocks, enters, wakes int
 	log                          []string
+
+	// redeemed and foreign are a redeemed token and another tenant's, for
+	// fanStep to put in a set.
+	redeemed, foreign QToken
 }
 
 const worldTenant = 7
@@ -294,11 +298,10 @@ func (wd *world) complete(qt QToken) {
 }
 
 // fanIn runs a seed's waits over sets of 1 024 tokens and more, as a server
-// holding one pop per connection does. The first scan starts from a
-// rotation that a longer set left behind, past the end of the set; an
-// unknown, a redeemed and a foreign token and a duplicate are put in at
-// random positions of the rotation. It returns the log and the rotation
-// and length of the first fan-in wait.
+// holding one pop per connection does, with the edits of fanStep between
+// them. The first scan starts from a rotation that a longer set left
+// behind, past the end of the set. It returns the log and the rotation and
+// length of the first fan-in wait.
 func (wd *world) fanIn() (log []string, rr, n int) {
 	rng := wd.rng
 	long := make([]QToken, 1400+rng.Intn(400))
@@ -307,76 +310,189 @@ func (wd *world) fanIn() (log []string, rr, n int) {
 	}
 	// The one complete token sits near the end of the long set, so the
 	// wait over it leaves the rotation there.
-	redeemed := long[len(long)-1-rng.Intn(100)]
-	wd.complete(redeemed)
+	wd.redeemed = long[len(long)-1-rng.Intn(100)]
+	wd.complete(wd.redeemed)
 	i, _, err := wd.w.WaitAny(long, -1)
 	wd.log = append(wd.log, fmt.Sprintf("long %d %v", i, err))
 
-	foreign := wd.table.NewFor(worldTenant + 1).Token()
+	wd.foreign = wd.table.NewFor(worldTenant + 1).Token()
 	set := append([]QToken(nil), long[:1024+rng.Intn(256)]...)
 	rr, n = wd.rotation(), len(set)
-	insert := func(qt QToken) {
-		at := rng.Intn(len(set) + 1)
-		set = append(set[:at], append([]QToken{qt}, set[at:]...)...)
+	for round := 0; round < 30; round++ {
+		set = wd.fanStep(set, rng.Intn(fanSteps), rng.Intn(1<<16))
 	}
-	for round := 0; round < 10; round++ {
-		switch rng.Intn(7) {
-		case 0: // unknown: past the table, or a live slot's wrong generation
-			if rng.Intn(2) == 0 {
-				insert(QToken(len(wd.table.slots) + 1 + rng.Intn(100)))
-			} else {
-				insert(set[rng.Intn(len(set))] + 1<<tokenIdxBits)
-			}
-		case 1:
-			insert(redeemed)
-		case 2:
-			insert(foreign)
-		case 3:
-			insert(set[rng.Intn(len(set))])
+	return wd.summary(), rr, n
+}
+
+// fanSteps is the number of kinds of fanStep.
+const fanSteps = 12
+
+// fanStep runs one step of kind k with argument arg over the wait set and
+// returns the set the caller holds after it. Half the kinds are a WaitAny
+// followed by an edit of the caller's; the rest are edits between waits,
+// completions and waits of the same waiter on other sets.
+func (wd *world) fanStep(set []QToken, k, arg int) []QToken {
+	pick := func() int { return arg % (len(set) + 1) }
+	for n := arg >> 12 & 3; n > 0; n-- {
+		wd.completeOne()
+	}
+	switch k {
+	case 0, 1, 2, 3, 4, 5:
+		timeout := time.Duration(-1)
+		if arg>>8&3 == 0 {
+			timeout = time.Duration(arg%2000) * time.Nanosecond
 		}
-		for k := rng.Intn(4); k > 0; k-- {
+		i, ev, err := wd.w.WaitAny(set, timeout)
+		wd.log = append(wd.log, fmt.Sprintf("any %d %d/%v %v", i, ev.QD, ev.Err, err))
+		switch {
+		case errors.Is(err, ErrBadQToken):
+			set = wd.waitable(set)
+		case err != nil:
+		case k < 3: // echo.Server: the redeemed token goes, its successors come
+			set = slices.Delete(set, i, i+1)
+			set = append(set, wd.mint())
+			if arg&1 == 0 {
+				set = append(set, wd.mint())
+			}
+		case k == 3: // the connection's next pop in the redeemed token's place
+			set[i] = wd.mint()
+		case k == 4: // a stale duplicate of the redeemed token stays behind
+			qt := set[i]
+			set = slices.Delete(set, i, i+1)
+			set = slices.Insert(set, arg%(len(set)+1), qt)
+		}
+		// k == 5 keeps the redeemed token where it was.
+	case 6: // put in a token that fails or a duplicate
+		var qt QToken
+		switch arg >> 4 & 7 {
+		case 0:
+			qt = QToken(len(wd.table.slots) + 1 + arg%100) // past the table
+		case 1:
+			qt = set[arg%len(set)] + 1<<tokenIdxBits // a live slot's wrong generation
+		case 2:
+			qt = wd.redeemed
+		case 3:
+			qt = wd.foreign
+		default:
+			qt = set[arg%len(set)]
+		}
+		set = slices.Insert(set, pick(), qt)
+	case 7: // edits in the middle
+		for n := 1 + arg>>10&3; n > 0 && len(set) > 1; n-- {
+			if at := arg % len(set); n&1 == 0 {
+				set = slices.Delete(set, at, at+1)
+			} else {
+				set = slices.Insert(set, at, wd.mint())
+			}
+			arg = arg*7 + 13
+		}
+	case 8: // the set shrinks: a prefix, or a span cut out
+		if arg&1 == 0 {
+			set = set[:len(set)/2+arg%(len(set)/2+1)]
+		} else {
+			at := arg % len(set)
+			set = slices.Delete(set, at, min(len(set), at+1+arg>>4%200))
+		}
+	case 9: // replaced wholesale: the same tokens shuffled, or new ones
+		next := make([]QToken, 0, len(set))
+		if arg&1 == 0 {
+			next = append(next, set...)
+			wd.rng.Shuffle(len(next), func(i, j int) { next[i], next[j] = next[j], next[i] })
+		} else {
+			for n := 32 + arg>>1%1200; n > 0; n-- {
+				next = append(next, wd.mint())
+			}
+		}
+		set = next
+	case 10: // more completions than the table's log holds
+		for n := completionLog + 1 + arg%40; n > 0; n-- {
 			wd.completeOne()
 		}
-		timeout := time.Duration(-1)
-		if rng.Intn(3) == 0 {
-			timeout = time.Duration(rng.Intn(2000)) * time.Nanosecond
+	case 11: // a Wait and a WaitAll of the same waiter on tokens of the set
+		qt := set[arg%len(set)]
+		i, ev, err := wd.w.WaitAny([]QToken{qt}, -1)
+		wd.log = append(wd.log, fmt.Sprintf("wait %d %d/%v %v", i, ev.QD, ev.Err, err))
+		few := set
+		if arg&2 == 0 {
+			few = set[:min(len(set), 1+arg>>4&3)]
 		}
-		if rng.Intn(5) == 0 {
-			evs, err := wd.w.WaitAll(set, timeout)
-			done := 0
-			for _, ev := range evs {
-				if ev.Op != 0 {
-					done++
-				}
-			}
-			wd.log = append(wd.log, fmt.Sprintf("all %d %v", done, err))
-		} else {
-			i, ev, err := wd.w.WaitAny(set, timeout)
-			wd.log = append(wd.log, fmt.Sprintf("any %d %d/%v %v", i, ev.QD, ev.Err, err))
-			if err == nil {
-				set[i] = wd.mint() // the server's next pop on the connection
-			}
+		evs, err := wd.w.WaitAll(few, time.Duration(arg%500)*time.Nanosecond)
+		line := fmt.Sprintf("all %v:", err)
+		for _, ev := range evs {
+			line += fmt.Sprintf(" %d/%v", ev.QD, ev.Err)
 		}
-		if rng.Intn(2) == 0 {
-			// Drop what can no longer be waited on, or keep it for the
-			// next scan to meet.
-			set = slices.DeleteFunc(set, func(qt QToken) bool {
-				s := wd.table.slot(qt)
-				return s == nil || s.tenant != worldTenant || s.done
-			})
+		wd.log = append(wd.log, line)
+		if arg&1 == 0 {
+			set = wd.waitable(set)
 		}
 	}
-	wd.log = append(wd.log, fmt.Sprintf("steps %d blocks %d enters %d wakes %d rr %d forgeries %d now %d",
+	if len(set) == 0 {
+		set = append(set, wd.mint())
+	}
+	return set
+}
+
+// waitable drops the tokens that can no longer be waited on.
+func (wd *world) waitable(set []QToken) []QToken {
+	return slices.DeleteFunc(set, func(qt QToken) bool {
+		s := wd.table.slot(qt)
+		return s == nil || s.tenant != worldTenant || s.done
+	})
+}
+
+// summary ends the log with the world's counts.
+func (wd *world) summary() []string {
+	return append(wd.log, fmt.Sprintf("steps %d blocks %d enters %d wakes %d rr %d forgeries %d now %d",
 		wd.steps, wd.blocks, wd.enters, wd.wakes, wd.rotation(),
 		wd.table.Forgeries(), wd.now))
-	return wd.log, rr, n
+}
+
+// edits runs a fuzzer's script: a set of 32 to 95 tokens, then one fanStep
+// for each three bytes (kind, and a two-byte argument).
+func (wd *world) edits(script []byte) []string {
+	n := 32
+	if len(script) > 0 {
+		n += int(script[0] % 64)
+		script = script[1:]
+	}
+	set := make([]QToken, n)
+	for i := range set {
+		set[i] = wd.mint()
+	}
+	wd.redeemed = set[0]
+	wd.complete(wd.redeemed)
+	if _, _, err := wd.table.TryTakeAs(wd.redeemed, worldTenant); err != nil {
+		panic(err)
+	}
+	wd.foreign = wd.table.NewFor(worldTenant + 1).Token()
+	for ; len(script) >= 3; script = script[3:] {
+		set = wd.fanStep(set, int(script[0])%fanSteps, int(script[1])|int(script[2])<<8)
+	}
+	return wd.summary()
+}
+
+// sameLogs fails t at the first line where got differs from want.
+func sameLogs(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d log lines, reference %d\n got: %q\nwant: %q", what, len(got), len(want), got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s line %d:\n got: %s\nwant: %s", what, i, got[i], want[i])
+		}
+	}
 }
 
 // TestFanInWaitMatchesAlwaysRescan is TestGatedWaitMatchesAlwaysRescan at a
-// server's fan-in: sets of 1 024 tokens and more, scanned by the slot
-// probe. Mutation-checked: a probe that skips the tenant compare fails it.
+// server's fan-in: sets of 1 024 tokens and more, which WaitAny scans
+// through what it verified before (waitSet.known), under the edits a caller
+// makes between waits. Mutation-checked: a probe that skips the tenant
+// compare fails it, and so does a scan that ignores the completion log,
+// one that vouches for a position past the first mismatch whose token
+// changed, and one that serves from known after the log overflowed.
 func TestFanInWaitMatchesAlwaysRescan(t *testing.T) {
-	mustOccur := []string{"any", "all", ErrBadQToken.Error(), ErrTimeout.Error()}
+	mustOccur := []string{"any", "all", "wait", ErrBadQToken.Error(), ErrTimeout.Error()}
 	seen := map[string]int{}
 	forged := false
 	for seed := int64(1); seed <= 40; seed++ {
@@ -387,15 +503,10 @@ func TestFanInWaitMatchesAlwaysRescan(t *testing.T) {
 		if rr < n {
 			t.Fatalf("seed %d: the first fan-in wait starts at rotation %d of %d tokens, want one past the end", seed, rr, n)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d log lines, reference %d\n got: %q\nwant: %q", seed, len(got), len(want), got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d line %d:\n got: %s\nwant: %s", seed, i, got[i], want[i])
-			}
+		sameLogs(t, fmt.Sprintf("seed %d", seed), got, want)
+		for _, line := range want {
 			for _, what := range mustOccur {
-				if strings.Contains(want[i], what) {
+				if strings.Contains(line, what) {
 					seen[what]++
 				}
 			}
@@ -409,6 +520,20 @@ func TestFanInWaitMatchesAlwaysRescan(t *testing.T) {
 	if !forged {
 		t.Error("no scenario counted a forgery")
 	}
+}
+
+// FuzzWaitAnyEdits drives the Waiter and the always-rescan loop through the
+// same script of edits, completions and waits (world.edits); both must
+// write the same log.
+func FuzzWaitAnyEdits(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 2, 3, 0, 1, 5, 0})               // the server's edit pattern
+	f.Add([]byte{10, 10, 7, 1, 0, 0, 0, 8, 3, 2, 1, 9, 9, 9}) // past the log, then a shrink
+	f.Add([]byte{40, 6, 64, 0, 4, 2, 1, 0, 0, 0, 11, 5, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		want := newWorld(1, false).edits(script)
+		got := newWorld(1, true).edits(script)
+		sameLogs(t, "script", got, want)
+	})
 }
 
 func TestGatedWaitMatchesAlwaysRescan(t *testing.T) {
@@ -475,7 +600,8 @@ func TestGateSkipsRescans(t *testing.T) {
 
 // TestWaitSteadyStateDoesNotAllocate guards the annotation on the loop: a
 // wait that scans, steps, rescans after a completion and redeems allocates
-// nothing of its own.
+// nothing of its own, and neither does one over 1 024 tokens in
+// echo.Server's edit pattern once known and where are grown.
 func TestWaitSteadyStateDoesNotAllocate(t *testing.T) {
 	const runs = 100
 	tb := NewTokenTable()
@@ -504,6 +630,120 @@ func TestWaitSteadyStateDoesNotAllocate(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("WaitAny+Wait allocate %v times per call pair, want 0", n)
 	}
+
+	s := newServerEdits(1026)
+	s.premint(2 * (runs + 101))
+	for i := 0; i < 100; i++ {
+		s.round(t)
+	}
+	if n := testing.AllocsPerRun(runs, func() { s.round(t) }); n != 0 {
+		t.Errorf("a request's two WaitAny calls over %d tokens allocate %v times, want 0", len(s.qts), n)
+	}
+}
+
+// TestWaitReadsFollowCompletions pins what known is for: in echo.Server's
+// edit pattern over 1 024 tokens, a WaitAny reads the slots of the tokens
+// the server appended since its last call and of those completed since the
+// scan before it, not one slot per token of the set at every scan.
+func TestWaitReadsFollowCompletions(t *testing.T) {
+	s := newServerEdits(1026)
+	for i := 0; i < 100; i++ {
+		s.round(t)
+	}
+	var reads, probed, waits uint64
+	s.check = func(read, bound, probe uint64) {
+		if read > bound {
+			t.Fatalf("a WaitAny over %d tokens read %d slots, want at most %d", len(s.qts)+1, read, bound)
+		}
+		reads, probed, waits = reads+read, probed+probe, waits+1
+	}
+	for i := 0; i < 1000; i++ {
+		s.round(t)
+	}
+	t.Logf("%d waits over %d tokens read %.2f slots each; the probe of every scan reads %.0f",
+		waits, len(s.qts), float64(reads)/float64(waits), float64(probed)/float64(waits))
+}
+
+// serverEdits is echo.Server's wait set at fan-in: an accept and one pop per
+// connection, tokens 1 024 and more. Each round completes one pop, which a
+// WaitAny takes; the server deletes it and appends a reply push and the
+// connection's next pop, and a second WaitAny takes the push.
+type serverEdits struct {
+	tb    *TokenTable
+	w     *Waiter
+	r     *oneShotRunner
+	qts   []QToken
+	ops   map[QToken]*Op
+	pool  []*Op // minted ahead, for mint to hand out
+	rng   *rand.Rand
+	fresh uint64 // tokens appended since the last WaitAny
+	// check, if set, sees each WaitAny's slot reads, their bound (the
+	// fresh tokens and the completions since the scan before the call),
+	// and what TokenTable.probe would have read.
+	check func(read, bound, probe uint64)
+}
+
+func newServerEdits(n int) *serverEdits {
+	s := &serverEdits{tb: NewTokenTable(), r: &oneShotRunner{}, ops: map[QToken]*Op{}, rng: rand.New(rand.NewSource(1))}
+	s.w = &Waiter{Table: s.tb, Runner: s.r}
+	s.qts = make([]QToken, 0, n+2)
+	for i := 0; i < n; i++ {
+		s.qts = append(s.qts, s.mint())
+	}
+	return s
+}
+
+// premint mints n operations for later rounds, so that the rounds allocate
+// nothing of their own.
+func (s *serverEdits) premint(n int) {
+	for ; n > 0; n-- {
+		op := s.tb.New()
+		s.ops[op.Token()] = op
+		s.pool = append(s.pool, op)
+	}
+}
+
+func (s *serverEdits) mint() QToken {
+	if n := len(s.pool); n > 0 {
+		op := s.pool[n-1]
+		s.pool = s.pool[:n-1]
+		return op.Token()
+	}
+	op := s.tb.New()
+	s.ops[op.Token()] = op
+	return op.Token()
+}
+
+// wait has Step complete qt and waits on the set for it.
+func (s *serverEdits) wait(tb testing.TB, qt QToken) {
+	s.r.op = s.ops[qt]
+	delete(s.ops, qt)
+	n, rr := len(s.qts), s.w.rr
+	var reads, knownAt uint64
+	if s.w.set != nil {
+		reads, knownAt = s.w.set.reads, s.w.set.knownAt
+	}
+	i, _, err := s.w.WaitAny(s.qts, -1)
+	if err != nil || s.qts[i] != qt {
+		tb.Fatalf("WaitAny = %d, %v; want the completed token", i, err)
+	}
+	if s.check != nil {
+		// The probe reads every slot at entry, and at the rescan up to
+		// the completed one in rotation order.
+		probe := uint64(n + (i-rr%n+n)%n + 1)
+		s.check(s.w.set.reads-reads, s.fresh+s.tb.completions-knownAt, probe)
+	}
+	s.fresh = 0
+	s.qts = slices.Delete(s.qts, i, i+1)
+}
+
+// round serves one request on a random connection.
+func (s *serverEdits) round(tb testing.TB) {
+	s.wait(tb, s.qts[s.rng.Intn(len(s.qts))])
+	push := s.mint()
+	s.qts = append(s.qts, push, s.mint())
+	s.fresh = 2
+	s.wait(tb, push)
 }
 
 // completingRunner idles for two steps, then completes op.
@@ -521,3 +761,23 @@ func (r *completingRunner) Step() bool {
 }
 func (r *completingRunner) Block(sim.Time) bool { return false }
 func (r *completingRunner) Now() sim.Time       { return 0 }
+
+// oneShotRunner completes op at its first Step after it is set.
+type oneShotRunner struct{ op *Op }
+
+func (r *oneShotRunner) Step() bool {
+	if r.op != nil {
+		r.op.Complete(QEvent{QD: 1, Op: OpPop})
+		r.op = nil
+	}
+	return true
+}
+func (r *oneShotRunner) Block(sim.Time) bool { return false }
+func (r *oneShotRunner) Now() sim.Time       { return 0 }
+
+func BenchmarkWaitAnyServerEdits(b *testing.B) {
+	s := newServerEdits(1026)
+	for i := 0; i < b.N; i++ {
+		s.round(b)
+	}
+}

@@ -140,6 +140,9 @@ func (c *Combined) SchedStats() sched.Stats {
 			total.Completed += st.Completed
 			total.Polls += st.Polls
 			total.EmptyScans += st.EmptyScans
+			for k, n := range st.PollsByClass {
+				total.PollsByClass[k] += n
+			}
 		}
 	}
 	return total

@@ -232,10 +232,13 @@ func TestCombinedSchedStatsSumsBothStacks(t *testing.T) {
 	n := eng.NewNode("a")
 	net := catnip.New(n, dpdkdev.Attach(sw, n, simnet.DefaultLink(), 64, 0), catnip.DefaultConfig(ipA))
 	c := NewCombined(
-		schedNet{net, sched.Stats{Spawned: 1, Completed: 2, Polls: 3, EmptyScans: 4}},
-		schedStor{cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<10)), sched.Stats{Spawned: 10, Completed: 20, Polls: 30, EmptyScans: 40}})
+		schedNet{net, sched.Stats{Spawned: 1, Completed: 2, Polls: 3, EmptyScans: 4, PollsByClass: [sched.NumClasses]uint64{1, 0, 2}}},
+		schedStor{cattree.New(n, spdkdev.New(n, spdkdev.OptaneParams(), 1<<10)), sched.Stats{Spawned: 10, Completed: 20, Polls: 30, EmptyScans: 40, PollsByClass: [sched.NumClasses]uint64{0, 30}}})
 	got := c.SchedStats()
 	if got.Spawned != 11 || got.Completed != 22 || got.Polls != 33 || got.EmptyScans != 44 {
 		t.Fatalf("SchedStats = %+v, want the two stacks' counts added: 11, 22, 33, 44", got)
+	}
+	if want := [sched.NumClasses]uint64{1, 30, 2}; got.PollsByClass != want {
+		t.Fatalf("SchedStats().PollsByClass = %v, want the two stacks' per-class polls added: %v", got.PollsByClass, want)
 	}
 }
